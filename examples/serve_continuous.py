@@ -9,12 +9,13 @@ This example drives the serving layer the way a traffic generator would:
 3. serve the trace with the continuous-batching ``Scheduler`` — requests are
    admitted FIFO as slots and KV blocks free up, finished requests are
    evicted mid-flight, and their paged KV blocks are reclaimed immediately,
-4. serve the *same* trace with classic static (gang) batching and compare
+4. serve the *same* trace as classic static batches — submit one batch of
+   ``MAX_BATCH`` requests, drain it, submit the next — and compare
    tokens-per-forward-pass, next to the analytic prediction of
    ``repro.gpu.ContinuousBatchWorkload`` (the harmonic number of the batch
    size, under saturation),
-5. check per-request parity: scheduling policy never changes what any
-   individual request generates,
+5. check per-request parity: scheduling never changes what any individual
+   request generates,
 6. re-serve a shared-template trace with ``prefix_cache=True`` — prompts
    sharing a few-shot template reuse its KV blocks instead of recomputing
    them (with chunked prefill bounding per-iteration prompt work), and the
@@ -49,18 +50,21 @@ def build_trace(tokens: np.ndarray, num_requests: int, seed: int) -> list:
     return trace
 
 
-def serve(runner, trace, policy: str, **scheduler_options):
+def serve(runner, trace, static: bool = False, **scheduler_options):
+    """Serve ``trace`` continuously, or (``static``) one drained batch at a time."""
     scheduler = Scheduler(
         runner,
         GenerationConfig(max_new_tokens=32),
         max_batch_size=MAX_BATCH,
-        policy=policy,
         record_logits=False,
         **scheduler_options,
     )
-    for prompt, budget, arrival in trace:
-        scheduler.submit(prompt, max_new_tokens=budget, arrival_time=arrival)
-    outputs = scheduler.run()
+    outputs = []
+    step = MAX_BATCH if static else len(trace)
+    for begin in range(0, len(trace), step):
+        for prompt, budget, arrival in trace[begin : begin + step]:
+            scheduler.submit(prompt, max_new_tokens=budget, arrival_time=arrival)
+        outputs.extend(scheduler.run())
     return outputs, scheduler.stats
 
 
@@ -71,10 +75,8 @@ def demo_prefix_cache(runner, tokens: np.ndarray) -> None:
         (np.concatenate([template, tokens[300 + i * 23 : 312 + i * 23]]), 3, float(i))
         for i in range(10)
     ]
-    cold_outputs, cold = serve(runner, trace, "continuous")
-    warm_outputs, warm = serve(
-        runner, trace, "continuous", prefix_cache=True, prefill_chunk=32
-    )
+    cold_outputs, cold = serve(runner, trace)
+    warm_outputs, warm = serve(runner, trace, prefix_cache=True, prefill_chunk=32)
     by_id = {output.request_id: output for output in cold_outputs}
     assert all(
         np.array_equal(output.generated, by_id[output.request_id].generated)
@@ -98,16 +100,16 @@ def main() -> None:
     total_tokens = sum(budget for _, budget, _ in trace)
     print(f"\nserving {len(trace)} Poisson arrivals ({total_tokens} tokens, batch {MAX_BATCH})")
 
-    continuous_outputs, continuous = serve(runner, trace, "continuous")
-    gang_outputs, gang = serve(runner, trace, "gang")
+    continuous_outputs, continuous = serve(runner, trace)
+    static_outputs, static = serve(runner, trace, static=True)
 
-    print("\n  policy      forwards  tokens/forward  peak batch")
-    for name, stats in [("continuous", continuous), ("static", gang)]:
+    print("\n  batching    forwards  tokens/forward  peak batch")
+    for name, stats in [("continuous", continuous), ("static", static)]:
         print(
             f"  {name:<11s} {stats.total_iterations:>8d}  "
             f"{stats.tokens_per_iteration():>14.2f}  {stats.peak_active:>10d}"
         )
-    measured = gang.total_iterations / continuous.total_iterations
+    measured = static.total_iterations / continuous.total_iterations
     analytic = ContinuousBatchWorkload(
         max_batch=MAX_BATCH, mean_new_tokens=total_tokens / len(trace),
         context=64, d_model=4096, d_ff=16384, num_heads=32, num_layers=32,
@@ -115,13 +117,13 @@ def main() -> None:
     print(f"\n  measured speedup : {measured:.2f}x")
     print(f"  analytic (H({MAX_BATCH}), saturated, memoryless lengths): {analytic:.2f}x")
 
-    # Scheduling policy never changes what a request generates.
+    # Scheduling never changes what a request generates.
     by_id = {output.request_id: output for output in continuous_outputs}
     assert all(
         np.array_equal(output.generated, by_id[output.request_id].generated)
-        for output in gang_outputs
+        for output in static_outputs
     )
-    print("\n  per-request outputs are identical under both policies ✓")
+    print("\n  per-request outputs are identical under both batchings ✓")
 
     sample = min(continuous_outputs, key=lambda output: output.request_id)
     print(

@@ -217,7 +217,7 @@ class AsyncEngine:
         Allow urgent submissions to evict lower-priority victims (see
         :class:`Scheduler`).  Default True — the point of an async
         frontend is latency under load.
-    max_batch_size, block_size, num_blocks, policy, record_logits, \
+    max_batch_size, block_size, num_blocks, record_logits, \
 prefix_cache, prefill_chunk, speculation
         Forwarded to :class:`Scheduler` unchanged.
     tracer : repro.obs.Tracer, optional
@@ -251,7 +251,6 @@ prefix_cache, prefill_chunk, speculation
         max_batch_size: int = 8,
         block_size: int = 16,
         num_blocks: Optional[int] = None,
-        policy: str = "continuous",
         record_logits: bool = False,
         prefix_cache: bool = True,
         prefill_chunk: Optional[int] = None,
@@ -286,7 +285,6 @@ prefix_cache, prefill_chunk, speculation
                 max_batch_size=max_batch_size,
                 block_size=block_size,
                 num_blocks=num_blocks,
-                policy=policy,
                 record_logits=record_logits,
                 prefix_cache=prefix_cache,
                 prefill_chunk=prefill_chunk,

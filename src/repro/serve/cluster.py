@@ -50,7 +50,7 @@ committed-position logits) to a fault-free run, which is what
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -63,6 +63,8 @@ from repro.serve.scheduler import (
     RequestCheckpoint,
     RequestOutput,
     Scheduler,
+    _as_request,
+    _request_output,
 )
 
 #: SchedulerStats counters the pool aggregates (and retains across crash
@@ -272,20 +274,14 @@ class ClusterStats:
     def publish(self, registry, prefix: str = "pool") -> None:
         """Publish pool counters into a :class:`repro.obs.MetricsRegistry`.
 
-        Scalar fields become counters named ``<prefix>.<field>``; the
-        per-cause degradation tally becomes ``<prefix>.degraded.<cause>``.
+        Every integer field becomes a counter named ``<prefix>.<field>``;
+        the per-cause degradation tally becomes ``<prefix>.degraded.<cause>``.
         Counters accumulate — snapshot/delta around each publish to diff.
         """
-        for name in (
-            "iterations",
-            "failures",
-            "recoveries",
-            "degraded_requests",
-            "stalled_iterations",
-            "watchdog_trips",
-            "breaker_opens",
-        ):
-            registry.counter(f"{prefix}.{name}").inc(getattr(self, name))
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if isinstance(value, int):
+                registry.counter(f"{prefix}.{spec.name}").inc(value)
         for cause, count in sorted(self.degraded_causes.items()):
             registry.counter(f"{prefix}.degraded.{cause}").inc(count)
 
@@ -491,8 +487,6 @@ speculation, preemption
         self._placements: Dict[int, Tuple[int, int]] = {}
         #: (replica_id, local id) -> pool id (outputs/tokens translate back).
         self._local_to_pool: Dict[Tuple[int, int], int] = {}
-        #: Retries already spent per pool id.
-        self._retries: Dict[int, int] = {}
         self._next_pool_id = 0
         #: Counters folded in from schedulers discarded by crash rebuilds,
         #: so pool totals never silently lose pre-crash work.
@@ -609,40 +603,18 @@ speculation, preemption
         ConfigurationError
             Anything :meth:`Scheduler.submit` rejects.
         """
-        if isinstance(request, Request):
-            prompt = request.prompt
-            if (
-                max_new_tokens is not None
-                or arrival_time != 0.0
-                or priority != 0
-                or deadline is not None
-            ):
-                raise ConfigurationError(
-                    "pass max_new_tokens/arrival_time/priority/deadline on the "
-                    "Request itself, not as submit() keywords alongside one"
-                )
-            max_new_tokens = request.max_new_tokens
-            arrival_time = request.arrival_time
-            priority = request.priority
-            deadline = request.deadline
-        else:
-            prompt = np.asarray(request, dtype=np.int64).reshape(-1)
-        replica_id = self.router.place(prompt, self.healthy_ids())
+        request = _as_request(request, max_new_tokens, arrival_time, priority, deadline)
+        replica_id = self.router.place(request.prompt, self.healthy_ids())
         # The pool id is claimed *before* the local submit so the replica's
         # trace events carry the pool-level correlation id from the start.
         pool_id = self._next_pool_id
         local_id = self.replicas[replica_id].scheduler.submit(
-            prompt,
-            max_new_tokens=max_new_tokens,
-            arrival_time=arrival_time,
-            priority=priority,
-            deadline=deadline,
+            request,
             trace_corr=f"req{pool_id}" if self.tracer is not None else None,
         )
         self._next_pool_id += 1
         self._placements[pool_id] = (replica_id, local_id)
         self._local_to_pool[(replica_id, local_id)] = pool_id
-        self._retries[pool_id] = 0
         return pool_id
 
     def cancel(self, request_id: int) -> RequestOutput:
@@ -787,17 +759,12 @@ speculation, preemption
     # Failure handling
     # ------------------------------------------------------------------
     def _translate(self, replica_id: int, output: RequestOutput) -> RequestOutput:
-        """Rewrite a replica-local output into the pool id space.
-
-        Also stamps the pool-level retry count: a request that survived
-        recoveries reports how many it consumed, whatever its finish reason.
-        """
+        """Rewrite a replica-local output into the pool id space."""
         pool_id = self._local_to_pool.pop((replica_id, output.request_id), None)
         if pool_id is None:  # pragma: no cover - defensive
             return output
         self._placements.pop(pool_id, None)
-        retries = self._retries.pop(pool_id, 0)
-        return replace(output, request_id=pool_id, retries=retries)
+        return replace(output, request_id=pool_id)
 
     def _fail_replica(
         self,
@@ -810,8 +777,8 @@ speculation, preemption
     ) -> None:
         """Checkpoint a failed replica's requests and re-admit them elsewhere.
 
-        The recovery sweep: every in-flight request is exported as a
-        :class:`RequestCheckpoint` (tokens + logits + RNG state), the
+        The recovery sweep: every in-flight request is detached as a
+        :class:`RequestCheckpoint` (tokens + logits + sampling generator), the
         replica's breaker accounting is bumped (opening it when
         ``breaker_threshold`` consecutive failures accumulate), and each
         checkpoint is re-routed to a healthy replica with exponential
@@ -861,20 +828,17 @@ speculation, preemption
         if pool_id is None:  # pragma: no cover - defensive
             return
         self._placements.pop(pool_id, None)
-        retries = self._retries.get(pool_id, 0)
+        retries = checkpoint.retries
         healthy = self.healthy_ids()
         if retries >= self.max_retries or not healthy:
             cause = (
                 "retry_budget_exhausted" if retries >= self.max_retries
                 else "no_healthy_replica"
             )
-            finished.append(
-                replace(
-                    self._checkpoint_output(checkpoint, cause=cause, retries=retries),
-                    request_id=pool_id,
-                )
+            output = _request_output(
+                checkpoint, "degraded", self.now, self.runner.config.vocab_size, cause
             )
-            self._retries.pop(pool_id, None)
+            finished.append(replace(output, request_id=pool_id))
             self.cluster_stats.degraded_requests += 1
             self.cluster_stats.degraded_causes[cause] = (
                 self.cluster_stats.degraded_causes.get(cause, 0) + 1
@@ -895,13 +859,13 @@ speculation, preemption
                         f"request req{pool_id} degraded: {cause}"
                     )
             return
-        self._retries[pool_id] = retries + 1
+        checkpoint.retries = retries + 1
         delay = self.backoff_base * (2**retries) if retries else 0.0
         if delay:
             # Deterministic jitter in [0.5, 1.5): simultaneous failures fan
             # out instead of retrying in lockstep, reproducibly per pool seed.
             delay *= 0.5 + self._backoff_rng.random()
-        target_id = self.router.place(np.asarray(checkpoint.prompt), healthy)
+        target_id = self.router.place(checkpoint.prompt, healthy)
         local_id = self.replicas[target_id].scheduler.submit_checkpoint(
             checkpoint,
             delay=delay,
@@ -919,43 +883,6 @@ speculation, preemption
                 target=target_id,
                 retry=retries + 1,
             )
-
-    def _checkpoint_output(
-        self,
-        checkpoint: RequestCheckpoint,
-        *,
-        cause: str = "retry_budget_exhausted",
-        retries: int = 0,
-    ) -> RequestOutput:
-        """Terminal ``"degraded"`` output for an unrecoverable checkpoint."""
-        generated = np.asarray(checkpoint.generated, dtype=np.int64)
-        vocab = self.runner.config.vocab_size
-        step_logits = (
-            np.stack([np.asarray(row, dtype=np.float64) for row in checkpoint.step_logits])
-            if checkpoint.step_logits
-            else np.zeros((0, vocab), dtype=np.float64)
-        )
-        return RequestOutput(
-            request_id=int(checkpoint.request_id),
-            prompt=checkpoint.prompt,
-            sequence=np.concatenate(
-                [np.asarray(checkpoint.prompt, dtype=np.int64), generated]
-            ),
-            generated=generated,
-            prompt_length=len(checkpoint.prompt),
-            step_logits=step_logits,
-            num_steps=len(generated),
-            finish_reason="degraded",
-            admitted_at=-1.0,
-            finished_at=self.now,
-            prefix_hit_tokens=checkpoint.prefix_hit_tokens,
-            priority=checkpoint.priority,
-            arrival_time=checkpoint.arrival_time,
-            first_token_at=checkpoint.first_token_at,
-            preemptions=checkpoint.preemptions,
-            failure_cause=cause,
-            retries=retries,
-        )
 
     def _shed_lowest_priority(
         self, replica: _Replica, finished: List[RequestOutput]

@@ -1,4 +1,4 @@
-"""Continuous-batching scheduler: the serving loop behind every policy.
+"""Continuous-batching scheduler: the serving loop behind every frontend.
 
 PR 1's engine ran one fixed batch end to end: every request occupied its
 batch lane until the *slowest* request finished, so a single long generation
@@ -36,12 +36,15 @@ Two serving-cost levers ride on top of that loop:
   as usual — active requests advance every step while long prompts trickle
   in.
 
-Two scheduling policies share this loop (`policy=`):
-
-* ``"continuous"`` — admit whenever capacity frees up (the default), and
-* ``"gang"`` — classic static batching: only admit when the batch has fully
-  drained.  It exists as the baseline the continuous policy is benchmarked
-  against (``benchmarks/bench_generate_decode.py``).
+One request is **one record** from :meth:`Scheduler.submit` to its
+:class:`RequestOutput`: the waiting heaps hold it, admission fills in its
+slot, preemption detaches it and re-queues it here,
+:meth:`Scheduler.checkpoint` detaches it and hands it out (as a
+:class:`RequestCheckpoint`) to be re-queued on another scheduler, and one
+builder turns it into the output whatever state it ended in.  Every hop
+carries the same object, so nothing a request accumulated — tokens, logits,
+sampler stream, speculation and preemption counters — can be dropped on
+the way.
 
 Determinism and parity are load-bearing: each request samples from its *own*
 ``numpy`` generator seeded with :attr:`GenerationConfig.seed`, and each
@@ -63,10 +66,9 @@ per-chunk quantization schedule — the same scoped exception
 
 from __future__ import annotations
 
-import copy
 import heapq
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from dataclasses import dataclass, field, fields
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -122,7 +124,7 @@ class GenerationConfig:
             raise ConfigurationError("temperature must be > 0")
 
 
-@dataclass
+@dataclass(eq=False)  # compared by identity: the ndarray prompt has no truth value
 class Request:
     """One generation request submitted to a :class:`Scheduler`.
 
@@ -354,33 +356,21 @@ class SchedulerStats:
     def publish(self, registry, prefix: str = "scheduler") -> None:
         """Publish these counters into a :class:`repro.obs.MetricsRegistry`.
 
-        Scalar fields become counters named ``<prefix>.<field>``, the
-        per-cause degradation tally becomes ``<prefix>.degraded.<cause>``,
+        Every integer field becomes a counter named ``<prefix>.<field>``
+        (``peak_active`` and ``idle_time`` are gauges), the per-cause
+        degradation tally becomes ``<prefix>.degraded.<cause>``,
         and the TTFT samples feed a fixed-bucket ``<prefix>.ttft_ticks``
         histogram (bounds :attr:`TTFT_BUCKETS`) so per-replica registries
         merge into fleet totals without rebinning.  Counters accumulate:
         publishing twice doubles them — snapshot/delta around each publish
         (or use a fresh registry) when diffing phases.
         """
-        for name in (
-            "prefill_iterations",
-            "prefill_tokens",
-            "prefix_hit_tokens",
-            "decode_iterations",
-            "decode_slot_steps",
-            "generated_tokens",
-            "spec_proposed_tokens",
-            "spec_accepted_tokens",
-            "spec_verify_iterations",
-            "completed_requests",
-            "preemptions",
-            "expired_requests",
-            "cancelled_requests",
-            "degraded_requests",
-        ):
-            registry.counter(f"{prefix}.{name}").inc(getattr(self, name))
-        registry.gauge(f"{prefix}.peak_active").set(self.peak_active)
-        registry.gauge(f"{prefix}.idle_time").set(self.idle_time)
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if spec.name in ("peak_active", "idle_time"):
+                registry.gauge(f"{prefix}.{spec.name}").set(value)
+            elif isinstance(value, int):
+                registry.counter(f"{prefix}.{spec.name}").inc(value)
         for cause, count in sorted(self.degraded_causes.items()):
             registry.counter(f"{prefix}.degraded.{cause}").inc(count)
         histogram = registry.histogram(f"{prefix}.ttft_ticks", self.TTFT_BUCKETS)
@@ -388,136 +378,169 @@ class SchedulerStats:
             histogram.observe(value)
 
 
-@dataclass
-class RequestCheckpoint:
-    """Resumable snapshot of one in-flight request, exported at release time.
+@dataclass(eq=False)
+class RequestCheckpoint(Request):
+    """The one record of an in-flight request, from submit to output.
 
-    A checkpoint is everything another :class:`Scheduler` needs to continue
-    the request *bit-identically*: the prompt, the tokens committed so far,
-    the recorded per-step logits behind them, and the exact state of the
-    request's private sampling generator.  Re-admission
-    (:meth:`Scheduler.submit_checkpoint`) rides the same free-then-replay
-    path preemption uses — re-prefill ``prompt + generated[:-1]``, keep the
-    final sampled token pending, never re-sample — so a request recovered
-    onto a healthy replica after a crash produces exactly the tokens (and
-    committed-position logits) an uninterrupted run would have.
+    :meth:`Scheduler.submit` creates it, the waiting heaps hold it,
+    admission fills in its ``slot``, and every way out of a slot — finish,
+    preemption, cancellation, checkpointing — *detaches* the same object
+    (``slot == -1``, no views) instead of copying it.  Callers only ever
+    hold it detached, which is why it is exported under this name:
+    :meth:`Scheduler.checkpoint` returns the record itself, and it is
+    everything another :class:`Scheduler` needs to continue the request
+    *bit-identically* — the prompt, the tokens committed so far, the logits
+    behind them, and the request's private sampling generator (the object
+    moves with the record; the source scheduler has relinquished it).
+    Re-admission (:meth:`Scheduler.submit_checkpoint`) rides the same
+    free-then-replay path preemption uses — re-prefill
+    ``prompt + generated[:-1]``, keep the final sampled token pending, never
+    re-sample — so a request recovered onto a healthy replica after a crash
+    produces exactly the tokens (and committed-position logits) an
+    uninterrupted run would have.
 
-    Checkpoints are the recovery primitive of ``repro.serve.cluster``; the
-    fields mirror what :class:`Request` and :class:`_ActiveRequest` carry.
+    The :class:`Request` fields are the scheduler's own copy of the
+    submission; ``request_id`` is the id on the scheduler that currently (or
+    last) held the record, and ``arrival_time`` is re-timed by
+    :meth:`Scheduler.submit_checkpoint`.
     """
 
-    #: The prompt, as originally submitted.
-    prompt: np.ndarray
-    #: Tokens committed before the checkpoint (possibly empty).
-    generated: List[int]
-    #: Exported state of the per-request sampling generator
-    #: (``rng.bit_generator.state``) at checkpoint time.
-    rng_state: Dict[str, Any]
-    #: Recorded logits behind each committed token (empty when the source
-    #: scheduler ran with ``record_logits=False``).
-    step_logits: List[np.ndarray]
-    #: Per-request budget override carried from the original submission.
-    max_new_tokens: Optional[int]
-    #: Priority class, arrival tick, and admission deadline, as submitted.
-    priority: int
-    arrival_time: float
-    deadline: Optional[float]
-    #: Request id on the *source* scheduler (for caller-side bookkeeping;
-    #: re-admission assigns a fresh id on the target).
-    request_id: int
-    #: Preemptions the request survived before the checkpoint.
-    preemptions: int
-    #: Prefix-cache hits accumulated before the checkpoint.
-    prefix_hit_tokens: int = 0
-    #: Tick the first token was committed on the source (-1.0 if none).
+    #: Tokens committed so far (possibly empty).
+    generated: List[int] = field(default_factory=list)
+    #: Recorded logits behind each committed token (empty when the
+    #: scheduler runs with ``record_logits=False``).
+    step_logits: List[np.ndarray] = field(default_factory=list)
+    #: The request's private sampling generator.
+    rng: Optional[np.random.Generator] = None
+    #: Token budget: the per-request override, clipped at ``max_seq_len``.
+    budget: int = 0
+    #: KV slot while admitted, ``-1`` while queued or detached.
+    slot: int = -1
+    #: The newest committed token — the next decode step's input.
+    next_token: int = -1
+    #: Tick of the first admission on the current scheduler (-1.0 before);
+    #: survives preemption, restarts on another scheduler's clock.
+    admitted_at: float = -1.0
+    #: Tick the first token was committed (-1.0 until then); survives
+    #: preemption and recovery so TTFT reflects the *first* admission.
     first_token_at: float = -1.0
+    #: Times this request has been preempted and re-queued.
+    preemptions: int = 0
+    #: Prefix-cache hits accumulated over every admission.
+    prefix_hit_tokens: int = 0
     #: Recovery attempts already spent on this request (bumped by the
-    #: replica pool each time it re-admits the checkpoint after a failure).
+    #: replica pool each time it re-admits the record after a failure).
     retries: int = 0
+    #: Tokens the current prefill must cover (see :meth:`replay_tokens`);
+    #: set while the record is prefilling, ``None`` otherwise.
+    replay: Optional[np.ndarray] = None
+    #: Leading ``replay`` tokens already in the KV cache (prefix hits plus
+    #: prefilled chunks).
+    prefill_pos: int = 0
+    #: Batch-of-one view reused across this request's prefill chunks.
+    prefill_view: Optional[SlotBatchView] = None
+    #: Per-request adaptive speculation state (None until a speculating
+    #: scheduler admits the record); counters and EMA ride along.
+    spec: Optional[_SpecState] = None
+    #: Correlation id stamped on this request's trace events.
+    trace_corr: str = ""
 
     @property
     def started(self) -> bool:
         """True once the request has committed at least one token."""
         return bool(self.generated)
 
-
-class _ActiveRequest:
-    """Book-keeping for one admitted, not-yet-finished request."""
-
-    __slots__ = (
-        "request",
-        "slot",
-        "budget",
-        "rng",
-        "generated",
-        "logits",
-        "next_token",
-        "admitted_at",
-        "first_token_at",
-        "preemptions",
-        "prefill_pos",
-        "prefix_hit_tokens",
-        "prefill_view",
-        "replay",
-        "spec",
-    )
-
-    def __init__(self, request: Request, slot: int, budget: int, seed: int, admitted_at: float) -> None:
-        self.request = request
-        self.slot = slot
-        self.budget = budget
-        self.rng = np.random.default_rng(seed)
-        self.generated: List[int] = []
-        self.logits: List[np.ndarray] = []
-        self.next_token = -1
-        self.admitted_at = admitted_at
-        #: Tick the first token was committed (-1.0 until then); survives
-        #: preemption so TTFT reflects the *first* admission.
-        self.first_token_at = -1.0
-        #: Times this request has been preempted and re-queued.
-        self.preemptions = 0
-        self.prefill_pos = 0
-        self.prefix_hit_tokens = 0
-        #: Batch-of-one view reused across this request's prefill chunks.
-        self.prefill_view: Optional["SlotBatchView"] = None
-        #: Tokens the current prefill must cover: the prompt, or — after a
-        #: preemption mid-decode — prompt + generated[:-1] (the last sampled
-        #: token was never fed to the model, so it stays pending).
-        self.replay: Optional[np.ndarray] = None
-        #: Per-request adaptive speculation state (None when disabled).
-        self.spec: Optional[_SpecState] = None
-
-
-class _QueueEntry:
-    """One waiting-queue entry: the request plus optional preempted state."""
-
-    __slots__ = ("request", "resume")
-
-    def __init__(self, request: Request, resume: Optional[_ActiveRequest] = None) -> None:
-        self.request = request
-        #: Preserved book-keeping of a preempted request (None for fresh
-        #: submissions): generated tokens, logits, RNG, spec state.
-        self.resume = resume
-
     def replay_tokens(self) -> np.ndarray:
-        """Tokens the next prefill must cover when this entry is admitted.
+        """Tokens the next prefill must cover when this record is admitted.
 
-        A fresh request replays its prompt.  A request preempted after
+        A fresh request replays its prompt.  A request detached after
         sampling ``G`` tokens replays ``prompt + generated[:G-1]``: the KV
         cache of an active request always trails its sampled stream by one
         token (the newest token is fed by the *next* decode step), so the
         final sampled token stays pending rather than being recomputed —
-        resuming never re-samples, which is what keeps preempted outputs
-        bit-identical to unpreempted runs.
+        resuming never re-samples, which is what keeps preempted and
+        recovered outputs bit-identical to undisturbed runs.
         """
-        if self.resume is None or not self.resume.generated:
-            return self.request.prompt
+        if not self.generated:
+            return self.prompt
         return np.concatenate(
-            [
-                self.request.prompt,
-                np.asarray(self.resume.generated[:-1], dtype=np.int64),
-            ]
+            [self.prompt, np.asarray(self.generated[:-1], dtype=np.int64)]
         )
+
+
+def _as_request(
+    request: Union[Request, np.ndarray],
+    max_new_tokens: Optional[int],
+    arrival_time: float,
+    priority: int,
+    deadline: Optional[float],
+) -> Request:
+    """The argument normaliser behind every ``submit()``.
+
+    Accepts a full :class:`Request` or a bare prompt plus keywords (never
+    both, so overrides cannot be silently dropped) and returns a fresh
+    :class:`Request` over a flat int64 prompt — the caller's object is
+    never kept or mutated, so it can be resubmitted freely.
+    """
+    if isinstance(request, Request):
+        if (
+            max_new_tokens is not None
+            or arrival_time != 0.0
+            or priority != 0
+            or deadline is not None
+        ):
+            raise ConfigurationError(
+                "pass max_new_tokens/arrival_time/priority/deadline on the "
+                "Request itself, not as submit() keywords alongside one"
+            )
+        max_new_tokens = request.max_new_tokens
+        arrival_time = request.arrival_time
+        priority = request.priority
+        deadline = request.deadline
+        request = request.prompt
+    return Request(
+        prompt=np.asarray(request, dtype=np.int64).reshape(-1),
+        max_new_tokens=max_new_tokens,
+        arrival_time=arrival_time,
+        priority=int(priority),
+        deadline=None if deadline is None else float(deadline),
+    )
+
+
+def _request_output(
+    record: RequestCheckpoint,
+    reason: str,
+    finished_at: float,
+    vocab_size: int,
+    failure_cause: Optional[str] = None,
+) -> RequestOutput:
+    """The terminal :class:`RequestOutput` of a record, whatever state it is in."""
+    continuation = np.array(record.generated, dtype=np.int64)
+    return RequestOutput(
+        request_id=int(record.request_id),
+        prompt=record.prompt,
+        sequence=np.concatenate([record.prompt, continuation]),
+        generated=continuation,
+        prompt_length=len(record.prompt),
+        step_logits=(
+            np.stack(record.step_logits)
+            if record.step_logits
+            else np.zeros((0, vocab_size), dtype=np.float64)
+        ),
+        num_steps=len(continuation),
+        finish_reason=reason,
+        admitted_at=record.admitted_at,
+        finished_at=finished_at,
+        prefix_hit_tokens=record.prefix_hit_tokens,
+        spec_proposed_tokens=record.spec.proposed_tokens if record.spec else 0,
+        spec_accepted_tokens=record.spec.accepted_tokens if record.spec else 0,
+        priority=record.priority,
+        arrival_time=record.arrival_time,
+        first_token_at=record.first_token_at,
+        preemptions=record.preemptions,
+        failure_cause=failure_cause,
+        retries=record.retries,
+    )
 
 
 def _token_budget(prompt_len: int, max_new_tokens: int, max_seq_len: int) -> int:
@@ -567,9 +590,6 @@ class Scheduler:
     num_blocks : int, optional
         KV pool size; defaults to enough blocks for ``max_batch_size``
         requests at ``max_seq_len``.
-    policy : {"continuous", "gang"}
-        ``"continuous"`` backfills freed slots immediately; ``"gang"`` only
-        admits into a fully drained batch (static batching).
     record_logits : bool
         Keep per-step logits in each :class:`RequestOutput` (disable for
         long benchmark traces to save memory).
@@ -602,8 +622,7 @@ class Scheduler:
         matchable, so resume usually re-maps its prefix instead of
         recomputing it) and the victim is re-queued for prompt replay; its
         token stream is bit-identical to an unpreempted run because resume
-        replays already-sampled tokens without re-sampling.  Incompatible
-        with ``policy="gang"``.
+        replays already-sampled tokens without re-sampling.
     on_token : callable, optional
         ``on_token(request_id, token)`` invoked synchronously for every
         committed token, in commit order — the streaming hook
@@ -644,7 +663,6 @@ class Scheduler:
         max_batch_size: int = 8,
         block_size: int = 16,
         num_blocks: Optional[int] = None,
-        policy: str = "continuous",
         record_logits: bool = True,
         prefix_cache: bool = False,
         prefill_chunk: Optional[int] = None,
@@ -656,23 +674,15 @@ class Scheduler:
     ) -> None:
         if max_batch_size < 1:
             raise ConfigurationError("max_batch_size must be >= 1")
-        if policy not in ("continuous", "gang"):
-            raise ConfigurationError(f"unknown scheduling policy {policy!r}")
         if prefill_chunk is not None and prefill_chunk < 1:
             raise ConfigurationError("prefill_chunk must be >= 1 (or None to disable)")
         if speculation is not None and not isinstance(speculation, SpecConfig):
             raise ConfigurationError("speculation must be a SpecConfig (or None)")
-        if preemption and policy == "gang":
-            raise ConfigurationError(
-                "preemption requires the continuous policy (gang batches "
-                "drain fully before admitting, so there is nothing to preempt into)"
-            )
         self.preemption = bool(preemption)
         self.on_token = on_token
         self.runner = runner
         self.config = config or GenerationConfig()
         self.max_batch_size = int(max_batch_size)
-        self.policy = policy
         self.record_logits = record_logits
         self.prefix_cache = bool(prefix_cache)
         self.prefill_chunk = None if prefill_chunk is None else int(prefill_chunk)
@@ -690,26 +700,27 @@ class Scheduler:
             )
         self.tracer = tracer
         self.trace_track = trace_track if trace_track is not None else "scheduler"
-        #: Correlation ids by request id — populated only while tracing, so
-        #: the disabled path never touches the dict.
-        self._trace_corrs: Dict[int, str] = {}
         # The cache reports prefix hits and block allocations onto the same
         # track, so a replica's cache activity renders beside its requests.
         self.cache.tracer = tracer
         self.cache.trace_track = self.trace_track
         self.now = 0.0
         self.stats = SchedulerStats()
-        #: Min-heap of (priority, arrival_time, request_id, entry) over
+        #: Every in-flight request's record by id — queued, prefilling, or
+        #: decoding; :meth:`_detach` is the one way out.
+        self._requests: Dict[int, RequestCheckpoint] = {}
+        #: Min-heap of (priority, arrival_time, request_id, record) over
         #: *arrived* requests: most-urgent class first, FIFO by arrival
         #: within a class, submission order breaking ties.
-        self._waiting: List[Tuple[int, float, int, _QueueEntry]] = []
-        #: Min-heap of (arrival_time, request_id, entry) over requests whose
+        self._waiting: List[Tuple[int, float, int, RequestCheckpoint]] = []
+        #: Min-heap of (arrival_time, request_id, record) over requests whose
         #: arrival lies in the future; promoted into ``_waiting`` (and into
         #: priority order) once the clock reaches them.
-        self._future: List[Tuple[float, int, _QueueEntry]] = []
+        self._future: List[Tuple[float, int, RequestCheckpoint]] = []
         #: Admitted requests whose prompts are not fully prefilled yet, FIFO.
-        self._prefilling: List[_ActiveRequest] = []
-        self._active: Dict[int, _ActiveRequest] = {}
+        self._prefilling: List[RequestCheckpoint] = []
+        #: Decoding requests by slot, in the order they finished prefilling.
+        self._active: Dict[int, RequestCheckpoint] = {}
         #: Decode-batch view reused across iterations while the active slot
         #: set is unchanged (its lengths and block index persist in place).
         self._decode_view: Optional[SlotBatchView] = None
@@ -756,33 +767,8 @@ class Scheduler:
             no room below ``max_seq_len``, can never fit the KV pool, or
             the deadline precedes the arrival.
         """
-        if isinstance(request, Request):
-            if (
-                max_new_tokens is not None
-                or arrival_time != 0.0
-                or priority != 0
-                or deadline is not None
-            ):
-                raise ConfigurationError(
-                    "pass max_new_tokens/arrival_time/priority/deadline on the "
-                    "Request itself, not as submit() keywords alongside one"
-                )
-            max_new_tokens = request.max_new_tokens
-            arrival_time = request.arrival_time
-            priority = request.priority
-            deadline = request.deadline
-            request = request.prompt
-        # The scheduler owns its queue entries: an internal Request is built
-        # even from a full Request so the caller's object is never mutated
-        # (it can be resubmitted, or submitted to several schedulers).
-        prompt = np.asarray(request, dtype=np.int64).reshape(-1)
-        admitted = Request(
-            prompt=prompt,
-            max_new_tokens=max_new_tokens,
-            arrival_time=arrival_time,
-            priority=int(priority),
-            deadline=None if deadline is None else float(deadline),
-        )
+        request = _as_request(request, max_new_tokens, arrival_time, priority, deadline)
+        prompt = request.prompt
         model_config = self.runner.config
         if prompt.size == 0:
             raise ConfigurationError("prompts must contain at least one token")
@@ -793,55 +779,59 @@ class Scheduler:
                 f"prompt ({len(prompt)} tokens) leaves no room below "
                 f"max_seq_len {model_config.max_seq_len}"
             )
-        if max_new_tokens is not None and max_new_tokens < 1:
+        if request.max_new_tokens is not None and request.max_new_tokens < 1:
             raise ConfigurationError("max_new_tokens must be >= 1")
-        if admitted.deadline is not None and admitted.deadline < admitted.arrival_time:
+        if request.deadline is not None and request.deadline < request.arrival_time:
             raise ConfigurationError("deadline must not precede arrival_time")
-        needed = self.cache.blocks_needed(self._reserved_capacity(admitted))
+        record = RequestCheckpoint(**vars(request), rng=np.random.default_rng(self.config.seed))
+        return self._accept(record, trace_corr)
+
+    def _accept(self, record: RequestCheckpoint, trace_corr: Optional[str]) -> int:
+        """Take ownership of a detached record: id, correlation id, queue.
+
+        The shared tail of :meth:`submit` and :meth:`submit_checkpoint`.
+        """
+        record.budget = _token_budget(
+            len(record.prompt),
+            record.max_new_tokens or self.config.max_new_tokens,
+            self.runner.config.max_seq_len,
+        )
+        needed = self.cache.blocks_needed(_reserved_positions(len(record.prompt), record.budget))
         if needed > self.cache.num_blocks:
             raise ConfigurationError(
                 f"request needs {needed} KV blocks but the pool only has "
                 f"{self.cache.num_blocks}; enlarge num_blocks or block_size"
             )
-        admitted.request_id = self._next_request_id
+        record.request_id = self._next_request_id
         self._next_request_id += 1
+        record.trace_corr = trace_corr if trace_corr is not None else f"r{record.request_id}"
         if self.tracer is not None:
-            corr = trace_corr if trace_corr is not None else f"r{admitted.request_id}"
-            self._trace_corrs[admitted.request_id] = corr
             self.tracer.instant(
                 "request.queued",
                 self.trace_track,
-                corr,
-                priority=admitted.priority,
-                prompt_len=int(prompt.size),
+                record.trace_corr,
+                priority=record.priority,
+                prompt_len=int(record.prompt.size),
+                **({"resumed": True} if record.generated else {}),
             )
-        self._enqueue(_QueueEntry(admitted))
-        return admitted.request_id
+        self._requests[record.request_id] = record
+        self._enqueue(record)
+        return record.request_id
 
-    def _corr_for(self, request_id: int) -> str:
-        """The correlation id stamped on this request's trace events."""
-        return self._trace_corrs.get(request_id, f"r{request_id}")
-
-    def _enqueue(self, entry: _QueueEntry) -> None:
-        """Push an entry onto the arrived or future queue, as appropriate."""
-        request = entry.request
-        if request.arrival_time > self.now:
-            heapq.heappush(self._future, (request.arrival_time, request.request_id, entry))
+    def _enqueue(self, record: RequestCheckpoint) -> None:
+        """Push a record onto the arrived or future heap, as appropriate."""
+        if record.arrival_time > self.now:
+            heapq.heappush(self._future, (record.arrival_time, record.request_id, record))
         else:
             heapq.heappush(
                 self._waiting,
-                (request.priority, request.arrival_time, request.request_id, entry),
+                (record.priority, record.arrival_time, record.request_id, record),
             )
 
     def _promote_arrivals(self) -> None:
-        """Move future-queue entries whose arrival has come into priority order."""
+        """Move future-queue records whose arrival has come into priority order."""
         while self._future and self._future[0][0] <= self.now:
-            _, _, entry = heapq.heappop(self._future)
-            request = entry.request
-            heapq.heappush(
-                self._waiting,
-                (request.priority, request.arrival_time, request.request_id, entry),
-            )
+            self._enqueue(heapq.heappop(self._future)[-1])
 
     @property
     def has_pending(self) -> bool:
@@ -866,10 +856,8 @@ class Scheduler:
         memory pressure.  Mutate the queue only through :meth:`cancel`,
         :meth:`expire`, :meth:`shed`, or :meth:`checkpoint`.
         """
-        entries = [item[-1].request for item in self._waiting] + [
-            item[-1].request for item in self._future
-        ]
-        return sorted(entries, key=lambda request: request.request_id)
+        queued = [item[-1] for item in self._waiting + self._future]
+        return sorted(queued, key=lambda record: record.request_id)
 
     # ------------------------------------------------------------------
     # Serving loop
@@ -1003,15 +991,6 @@ class Scheduler:
             total += needed
         return max(total, 1)
 
-    def _budget(self, request: Request) -> int:
-        """Token budget: per-request override, clipped at max_seq_len."""
-        configured = request.max_new_tokens or self.config.max_new_tokens
-        return _token_budget(len(request.prompt), configured, self.runner.config.max_seq_len)
-
-    def _reserved_capacity(self, request: Request) -> int:
-        """Cache positions the request can ever write (prompt + budget - 1)."""
-        return _reserved_positions(len(request.prompt), self._budget(request))
-
     def _admit(self, finished: List[RequestOutput]) -> None:
         """Priority-ordered admission: reserve and start waiting requests.
 
@@ -1027,17 +1006,14 @@ class Scheduler:
         """
         self._promote_arrivals()
         self._expire_deadlines(finished)
-        if self.policy == "gang" and (self._active or self._prefilling):
-            return
         block_size = self.cache.block_size
         while self._waiting:
-            entry = self._waiting[0][3]
-            head = entry.request
+            record = self._waiting[0][-1]
             if self.num_active >= self.max_batch_size:
-                if not self._preempt_for(head):
+                if not self._preempt_for(record):
                     break
                 continue  # a slot freed; retry the same head
-            tokens = entry.replay_tokens()
+            tokens = record.replay_tokens()
             matched = self.cache.match_prefix(tokens) if self.prefix_cache else []
             # The final replayed token is always recomputed — its logits (or,
             # on resume, its KV write position) seed the next step — so a hit
@@ -1046,79 +1022,62 @@ class Scheduler:
             start = min(len(matched) * block_size, len(tokens) - 1)
             try:
                 slot = self.cache.reserve(
-                    self._reserved_capacity(head),
+                    _reserved_positions(len(record.prompt), record.budget),
                     shared=matched,
                     private_tail=start < len(matched) * block_size,
                 )
             except ResourceExhaustedError:
-                if self._preempt_for(head):
+                if self._preempt_for(record):
                     continue  # victim blocks went back to the pool; retry
                 break
             heapq.heappop(self._waiting)
             self.cache.set_length(slot, start)
-            if entry.resume is not None:
-                state = entry.resume
-                state.slot = slot
-                if state.admitted_at < 0:
-                    # A recovered checkpoint's first admission on this
-                    # scheduler; preempted entries keep their original tick.
-                    state.admitted_at = self.now
-            else:
-                state = _ActiveRequest(
-                    head, slot, self._budget(head), self.config.seed, admitted_at=self.now
-                )
-                if self.speculation is not None:
-                    state.spec = _SpecState(draft_len=self.speculation.draft_tokens)
-            state.replay = tokens
-            state.prefill_pos = start
-            state.prefix_hit_tokens += start
+            record.slot = slot
+            if record.admitted_at < 0:
+                # The first admission on this scheduler; preempted records
+                # keep their original tick.
+                record.admitted_at = self.now
+            if self.speculation is not None and record.spec is None:
+                record.spec = _SpecState(draft_len=self.speculation.draft_tokens)
+            record.replay = tokens
+            record.prefill_pos = start
+            record.prefix_hit_tokens += start
             self.stats.prefix_hit_tokens += start
             if self.tracer is not None:
                 self.tracer.instant(
                     "request.admitted",
                     self.trace_track,
-                    self._corr_for(head.request_id),
+                    record.trace_corr,
                     slot=slot,
                     prefix_hit=start,
-                    replay=entry.resume is not None,
+                    replay=bool(record.preemptions or record.generated),
                 )
-            self._prefilling.append(state)
+            self._prefilling.append(record)
             self.stats.peak_active = max(self.stats.peak_active, self.num_active)
             if self.prefill_chunk is None:
                 # Unchunked serving: the whole remaining prompt is prefilled
-                # in one forward at admission, exactly as before this PR.
-                self._advance_prefill(state, len(tokens) - start, finished)
+                # in one forward at admission.
+                self._advance_prefill(record, len(tokens) - start, finished)
 
     def _expire_deadlines(self, finished: List[RequestOutput]) -> None:
         """Retire waiting requests whose admission deadline has passed.
 
         Only never-started requests expire (``now > deadline``): a preempted
-        request already holds sampled tokens, and dropping them would turn a
-        scheduling decision into data loss.  Expiry happens at admission
-        time, so a request whose deadline tick is *reachable* is always
-        offered admission at that tick before it can expire.
+        request already held a slot (and usually sampled tokens), and
+        dropping it would turn a scheduling decision into data loss.  Expiry
+        happens at admission time, so a request whose deadline tick is
+        *reachable* is always offered admission at that tick before it can
+        expire.
         """
-        if not any(
-            item[3].request.deadline is not None and item[3].resume is None
-            for item in self._waiting
-        ):
-            return
-        kept: List[Tuple[int, float, int, _QueueEntry]] = []
-        for item in self._waiting:
-            entry = item[3]
-            request = entry.request
-            if (
-                entry.resume is None
-                and request.deadline is not None
-                and self.now > request.deadline
-            ):
-                self.stats.expired_requests += 1
-                finished.append(self._unstarted_output(request, "expired"))
-            else:
-                kept.append(item)
-        if len(kept) != len(self._waiting):
-            self._waiting = kept
-            heapq.heapify(self._waiting)
+        overdue = [
+            record
+            for *_, record in self._waiting
+            if record.deadline is not None
+            and self.now > record.deadline
+            and record.admitted_at < 0
+            and not record.generated
+        ]
+        finished.extend(self.expire(record.request_id) for record in overdue)
 
     def _preempt_for(self, head: Request) -> bool:
         """Evict one strictly lower-priority victim to make room for ``head``.
@@ -1133,35 +1092,27 @@ class Scheduler:
         if not self.preemption:
             return False
         candidates = [
-            state
-            for state in list(self._active.values()) + list(self._prefilling)
-            if state.request.priority > head.priority
+            record
+            for record in list(self._active.values()) + self._prefilling
+            if record.priority > head.priority
         ]
         if not candidates:
             return False
-        victim = max(
-            candidates,
-            key=lambda state: (
-                state.request.priority,
-                state.admitted_at,
-                state.request.request_id,
-            ),
+        self._preempt(
+            max(candidates, key=lambda r: (r.priority, r.admitted_at, r.request_id))
         )
-        self._preempt(victim)
         return True
 
-    def _preempt(self, state: _ActiveRequest) -> None:
-        """Release one admitted request's slot and re-queue it for replay.
+    def _preempt(self, record: RequestCheckpoint) -> None:
+        """Detach one admitted request from its slot and re-queue it for replay.
 
         The freed blocks go to the LRU free-list; published prefix blocks
         stay matchable there, so the replay usually re-maps its prefix
-        instead of recomputing it.  All sampling state (generated tokens,
-        recorded logits, RNG, speculation counters) rides along in the queue
-        entry, which is what keeps the eventual output bit-identical to an
-        unpreempted run.
+        instead of recomputing it.  The record itself goes back on the
+        waiting heap — generated tokens, recorded logits, RNG, speculation
+        counters and all — which is what keeps the eventual output
+        bit-identical to an unpreempted run.
         """
-        request = state.request
-        entry = _QueueEntry(request, state)
         if self.prefix_cache:
             # Publish every fully-committed block — including blocks the
             # victim *generated*, which ordinary serving never publishes —
@@ -1171,41 +1122,81 @@ class Scheduler:
             # content is a pure function of the tokens, so sharers and the
             # resumed victim alike read exactly the bytes a cold prefill
             # would produce.
-            committed = self.cache.length_of(state.slot)
+            committed = self.cache.length_of(record.slot)
             if committed:
-                self.cache.publish_prefix(state.slot, entry.replay_tokens()[:committed])
-        self.release_request(request.request_id)
-        state.prefill_pos = 0
-        state.replay = None
-        state.preemptions += 1
+                self.cache.publish_prefix(record.slot, record.replay_tokens()[:committed])
+        self._detach(record.request_id)
+        record.preemptions += 1
         self.stats.preemptions += 1
         if self.tracer is not None:
             self.tracer.instant(
                 "request.preempted",
                 self.trace_track,
-                self._corr_for(request.request_id),
-                committed=len(state.generated),
-                preemptions=state.preemptions,
+                record.trace_corr,
+                committed=len(record.generated),
+                preemptions=record.preemptions,
             )
-        heapq.heappush(
-            self._waiting,
-            (request.priority, request.arrival_time, request.request_id, entry),
-        )
+        self._requests[record.request_id] = record
+        self._enqueue(record)
 
-    def release_request(self, request_id: int) -> _ActiveRequest:
+    def _detach(self, request_id: int) -> RequestCheckpoint:
+        """Take a request out of the scheduler, wherever it is.
+
+        The one exit shared by completion, preemption, cancel / expire /
+        shed, and checkpointing.  A queued record leaves its heap; an
+        admitted one leaves the prefill queue or the decode set, its KV
+        blocks return to the pool (published blocks stay LRU-matchable),
+        the cached batch views are invalidated, and any drafter state is
+        released.  Either way the record comes back with ``slot == -1`` and
+        no views — ready to be finished, re-queued here, or handed to
+        another scheduler.  The freed slot is backfilled by ``_admit`` on
+        the next step.
+
+        Raises
+        ------
+        ConfigurationError
+            If the request is not in flight — already finished, already
+            detached, or unknown.
+        """
+        request_id = int(request_id)
+        record = self._requests.pop(request_id, None)
+        if record is None:
+            raise ConfigurationError(
+                f"request {request_id} is not in flight (already finished, "
+                "already released, or never submitted)"
+            )
+        if record.slot < 0:
+            for queue in (self._waiting, self._future):
+                kept = [item for item in queue if item[-1] is not record]
+                if len(kept) != len(queue):
+                    queue[:] = kept
+                    heapq.heapify(queue)
+                    break
+            return record
+        if record.replay is not None:
+            self._prefilling.remove(record)
+        else:
+            del self._active[record.slot]
+        self._decode_view = None
+        self.cache.free(record.slot)
+        record.slot = -1
+        record.replay = None
+        record.prefill_pos = 0
+        record.prefill_view = None
+        if self.speculation is not None:
+            self.speculation.drafter.release(request_id)
+        return record
+
+    def release_request(self, request_id: int) -> RequestCheckpoint:
         """Evict an admitted request from its slot, freeing all its KV blocks.
 
-        The single eviction/backfill path shared by completion
-        (:meth:`_finalize`), preemption, and cancellation: removes the
-        request from the prefill queue or the active set, invalidates the
-        cached batch views, returns its blocks to the pool (published blocks
-        stay LRU-matchable), and releases any drafter state.  The freed slot
-        is backfilled by ``_admit`` on the next step.
+        :meth:`_detach` restricted to requests that hold a slot: the caller
+        takes the record and the scheduler forgets the request.
 
         Returns
         -------
-        _ActiveRequest
-            The request's book-keeping (its ``slot`` is reset to ``-1``).
+        RequestCheckpoint
+            The request's record (its ``slot`` is reset to ``-1``).
 
         Raises
         ------
@@ -1213,47 +1204,29 @@ class Scheduler:
             If the request is not currently admitted — already finished,
             already released (double release), still waiting, or unknown.
         """
-        request_id = int(request_id)
-        state: Optional[_ActiveRequest] = None
-        for candidate in self._prefilling:
-            if candidate.request.request_id == request_id:
-                state = candidate
-                self._prefilling.remove(candidate)
-                break
-        if state is None:
-            for slot, candidate in self._active.items():
-                if candidate.request.request_id == request_id:
-                    state = candidate
-                    del self._active[slot]
-                    break
-        if state is None:
+        record = self._requests.get(int(request_id))
+        if record is None or record.slot < 0:
             raise ConfigurationError(
                 f"request {request_id} is not admitted (already finished, "
                 "already released, still waiting, or never submitted)"
             )
-        self._decode_view = None
-        state.prefill_view = None
-        self.cache.free(state.slot)
-        state.slot = -1
-        if self.speculation is not None:
-            self.speculation.drafter.release(request_id)
-        return state
+        return self._detach(request_id)
 
     def cancel(self, request_id: int) -> RequestOutput:
         """Withdraw a request wherever it is and free everything it holds.
 
         A waiting request is removed from its queue; an admitted one is
-        evicted via :meth:`release_request` (all KV blocks freed).  Either
-        way the returned output carries ``finish_reason="cancelled"`` and
-        whatever tokens were committed before the cancellation — cancelled
-        outputs are returned here, never from :meth:`step`.
+        evicted from its slot (all KV blocks freed).  Either way the
+        returned output carries ``finish_reason="cancelled"`` and whatever
+        tokens were committed before the cancellation — cancelled outputs
+        are returned here, never from :meth:`step`.
 
         Raises
         ------
         ConfigurationError
             If the request is unknown or already finished.
         """
-        output = self._withdraw(request_id, "cancelled")
+        output = self._finish(self._detach(request_id), "cancelled")
         self.stats.cancelled_requests += 1
         return output
 
@@ -1271,7 +1244,7 @@ class Scheduler:
         ConfigurationError
             If the request is unknown or already finished.
         """
-        output = self._withdraw(request_id, "expired")
+        output = self._finish(self._detach(request_id), "expired")
         self.stats.expired_requests += 1
         return output
 
@@ -1291,96 +1264,40 @@ class Scheduler:
         ConfigurationError
             If the request is unknown or already finished.
         """
-        output = self._withdraw(request_id, "degraded")
+        output = self._finish(self._detach(request_id), "degraded", failure_cause=cause)
         self.stats.degraded_requests += 1
         self.stats.degraded_causes[cause] = self.stats.degraded_causes.get(cause, 0) + 1
-        return replace(output, failure_cause=cause)
-
-    def _withdraw(self, request_id: int, reason: str) -> RequestOutput:
-        """Remove a request wherever it is; shared by cancel/expire/shed."""
-        request_id = int(request_id)
-        for queue in (self._waiting, self._future):
-            for index, item in enumerate(queue):
-                entry = item[-1]
-                if entry.request.request_id == request_id:
-                    queue.pop(index)
-                    heapq.heapify(queue)
-                    if entry.resume is not None:
-                        return self._build_output(entry.resume, reason)
-                    return self._unstarted_output(entry.request, reason)
-        state = self.release_request(request_id)
-        return self._build_output(state, reason)
+        return output
 
     # ------------------------------------------------------------------
     # Checkpoint / recovery interface
     # ------------------------------------------------------------------
     def checkpoint(self, request_id: int) -> RequestCheckpoint:
-        """Extract one request as a resumable :class:`RequestCheckpoint`.
+        """Detach one request and hand out its record for resumption elsewhere.
 
-        An admitted request is released first (:meth:`release_request` — all
-        its KV blocks return to the pool); a waiting one is removed from its
-        queue.  The checkpoint carries the committed tokens, their recorded
-        logits, and the sampling generator's exported state, so
-        :meth:`submit_checkpoint` on *any* scheduler over the same model and
-        :class:`GenerationConfig` continues the request bit-identically.
+        An admitted request is evicted first (all its KV blocks return to
+        the pool); a waiting one is removed from its queue.  The returned
+        record carries the committed tokens, their recorded logits, and the
+        sampling generator itself, so :meth:`submit_checkpoint` on *any*
+        scheduler over the same model and :class:`GenerationConfig`
+        continues the request bit-identically.  This scheduler forgets the
+        request: a second checkpoint (or cancel) of the same id raises.
 
         Raises
         ------
         ConfigurationError
             If the request is unknown or already finished.
         """
-        request_id = int(request_id)
-        for queue in (self._waiting, self._future):
-            for index, item in enumerate(queue):
-                entry = item[-1]
-                if entry.request.request_id == request_id:
-                    queue.pop(index)
-                    heapq.heapify(queue)
-                    if entry.resume is not None:
-                        return self._export_checkpoint(entry.resume)
-                    return self._export_checkpoint(None, request=entry.request)
-        return self._export_checkpoint(self.release_request(request_id))
+        return self._detach(request_id)
 
     def checkpoint_all(self) -> List[RequestCheckpoint]:
         """Checkpoint every in-flight request, in submission (id) order.
 
         The replica pool's crash-recovery sweep: after this the scheduler
         holds no requests and every KV block is free, while each returned
-        checkpoint can be re-admitted elsewhere via
-        :meth:`submit_checkpoint`.
+        record can be re-admitted elsewhere via :meth:`submit_checkpoint`.
         """
-        ids = sorted(
-            [entry.request.request_id for *_, entry in self._waiting]
-            + [entry.request.request_id for *_, entry in self._future]
-            + [state.request.request_id for state in self._prefilling]
-            + [state.request.request_id for state in self._active.values()]
-        )
-        return [self.checkpoint(request_id) for request_id in ids]
-
-    def _export_checkpoint(
-        self, state: Optional[_ActiveRequest], request: Optional[Request] = None
-    ) -> RequestCheckpoint:
-        """Build a checkpoint from released book-keeping (or a fresh request)."""
-        if state is not None:
-            request = state.request
-        return RequestCheckpoint(
-            prompt=request.prompt,
-            generated=list(state.generated) if state is not None else [],
-            rng_state=(
-                copy.deepcopy(state.rng.bit_generator.state)
-                if state is not None
-                else {}
-            ),
-            step_logits=list(state.logits) if state is not None else [],
-            max_new_tokens=request.max_new_tokens,
-            priority=int(request.priority),
-            arrival_time=float(request.arrival_time),
-            deadline=request.deadline,
-            request_id=int(request.request_id),
-            preemptions=state.preemptions if state is not None else 0,
-            prefix_hit_tokens=state.prefix_hit_tokens if state is not None else 0,
-            first_token_at=state.first_token_at if state is not None else -1.0,
-        )
+        return [self.checkpoint(request_id) for request_id in sorted(self._requests)]
 
     def submit_checkpoint(
         self,
@@ -1389,21 +1306,24 @@ class Scheduler:
         delay: float = 0.0,
         trace_corr: Optional[str] = None,
     ) -> int:
-        """Re-admit a checkpointed request on this scheduler; return its new id.
+        """Re-queue a checkpointed request on this scheduler; return its new id.
 
-        A started checkpoint is enqueued as a *resume* entry — admission
-        re-prefills ``prompt + generated[:-1]`` (riding prefix-cache hits
-        where templates overlap), restores the sampling generator to its
-        exported state, and continues without re-sampling, so the finished
-        output is bit-identical to an uninterrupted run.  An unstarted
-        checkpoint is enqueued fresh with its original deadline (it can
-        still expire — a crash does not extend an admission deadline).
+        The record joins the waiting heap like any other.  If it holds
+        tokens, admission re-prefills ``prompt + generated[:-1]`` (riding
+        prefix-cache hits where templates overlap) and continues from its
+        own sampling generator without re-sampling, so the finished output
+        is bit-identical to an uninterrupted run; it keeps its place in
+        class FIFO order (its original ``arrival_time``, pushed back only
+        by ``delay``).  A record without tokens is re-timed on this
+        scheduler's clock and keeps its original deadline (it can still
+        expire — a crash does not extend an admission deadline).
 
         Parameters
         ----------
         checkpoint : RequestCheckpoint
-            A snapshot from :meth:`checkpoint` on a compatible scheduler
-            (same model shape and :class:`GenerationConfig`).
+            A record from :meth:`checkpoint` on a compatible scheduler
+            (same model shape and :class:`GenerationConfig`).  This
+            scheduler takes it over; the caller must not reuse it.
         delay : float
             Extra scheduler ticks before the re-admitted request becomes
             admissible — the replica pool's exponential-backoff knob.
@@ -1417,92 +1337,43 @@ class Scheduler:
         -------
         int
             The request id assigned on *this* scheduler.
+
+        Raises
+        ------
+        ConfigurationError
+            If ``delay`` is negative or the request can never fit this
+            scheduler's KV pool.
         """
         if delay < 0.0:
             raise ConfigurationError("delay must be >= 0")
         arrival = self.now + float(delay)
-        request = Request(
-            prompt=np.asarray(checkpoint.prompt, dtype=np.int64).reshape(-1),
-            max_new_tokens=checkpoint.max_new_tokens,
-            arrival_time=max(checkpoint.arrival_time, arrival) if checkpoint.started else arrival,
-            priority=int(checkpoint.priority),
-            deadline=checkpoint.deadline if not checkpoint.started else None,
+        checkpoint.arrival_time = (
+            max(checkpoint.arrival_time, arrival) if checkpoint.started else arrival
         )
-        if not checkpoint.started:
-            # Never-started requests re-enter the ordinary admission path
-            # (including deadline expiry) via submit's full validation.
-            restored = Request(
-                prompt=request.prompt,
-                max_new_tokens=request.max_new_tokens,
-                arrival_time=request.arrival_time,
-                priority=request.priority,
-                deadline=(
-                    None
-                    if request.deadline is None
-                    else max(request.deadline, request.arrival_time)
-                ),
-            )
-            return self.submit(restored, trace_corr=trace_corr)
-        request.request_id = self._next_request_id
-        self._next_request_id += 1
-        if self.tracer is not None:
-            corr = trace_corr if trace_corr is not None else f"r{request.request_id}"
-            self._trace_corrs[request.request_id] = corr
-            self.tracer.instant(
-                "request.queued",
-                self.trace_track,
-                corr,
-                priority=request.priority,
-                prompt_len=int(request.prompt.size),
-                resumed=True,
-            )
-        state = _ActiveRequest(
-            request,
-            slot=-1,
-            budget=self._budget(request),
-            seed=self.config.seed,
-            admitted_at=-1.0,
-        )
-        state.generated = list(checkpoint.generated)
-        state.logits = [np.asarray(row, dtype=np.float64) for row in checkpoint.step_logits]
-        if checkpoint.rng_state:
-            state.rng.bit_generator.state = copy.deepcopy(checkpoint.rng_state)
-        state.next_token = state.generated[-1]
-        state.preemptions = checkpoint.preemptions
-        state.prefix_hit_tokens = checkpoint.prefix_hit_tokens
-        state.first_token_at = checkpoint.first_token_at
-        if self.speculation is not None:
-            state.spec = _SpecState(draft_len=self.speculation.draft_tokens)
-        self._enqueue(_QueueEntry(request, state))
-        return request.request_id
+        if checkpoint.deadline is not None:
+            checkpoint.deadline = max(checkpoint.deadline, checkpoint.arrival_time)
+        checkpoint.admitted_at = -1.0  # restarts on this scheduler's clock
+        return self._accept(checkpoint, trace_corr)
 
-    def _unstarted_output(self, request: Request, reason: str) -> RequestOutput:
-        """Terminal output for a request that never produced a token."""
+    def _finish(
+        self, record: RequestCheckpoint, reason: str, failure_cause: Optional[str] = None
+    ) -> RequestOutput:
+        """Terminal output of a detached record (emits ``request.finished``)."""
         if self.tracer is not None:
             self.tracer.instant(
                 "request.finished",
                 self.trace_track,
-                self._trace_corrs.pop(request.request_id, f"r{request.request_id}"),
+                record.trace_corr,
                 reason=reason,
-                tokens=0,
+                tokens=len(record.generated),
             )
-        vocab = self.runner.config.vocab_size
-        return RequestOutput(
-            request_id=int(request.request_id),
-            prompt=request.prompt,
-            sequence=request.prompt,
-            generated=np.zeros(0, dtype=np.int64),
-            prompt_length=len(request.prompt),
-            step_logits=np.zeros((0, vocab), dtype=np.float64),
-            num_steps=0,
-            finish_reason=reason,
-            admitted_at=-1.0,
-            finished_at=self.now,
-            priority=request.priority,
-            arrival_time=request.arrival_time,
+        return _request_output(
+            record, reason, self.now, self.runner.config.vocab_size, failure_cause
         )
 
-    def _advance_prefill(self, state: _ActiveRequest, budget: int, finished: List[RequestOutput]) -> int:
+    def _advance_prefill(
+        self, record: RequestCheckpoint, budget: int, finished: List[RequestOutput]
+    ) -> int:
         """Prefill up to ``budget`` prompt tokens of one request (one forward).
 
         When the chunk reaches the end of the prompt the request's prefix
@@ -1514,24 +1385,24 @@ class Scheduler:
         int
             Prompt tokens computed by this chunk.
         """
-        tokens = state.replay if state.replay is not None else state.request.prompt
-        begin = state.prefill_pos
+        tokens = record.replay
+        begin = record.prefill_pos
         end = min(len(tokens), begin + budget)
         chunk = tokens[begin:end]
-        if state.prefill_view is None:
-            state.prefill_view = self.cache.view([state.slot])
-        view = state.prefill_view
+        if record.prefill_view is None:
+            record.prefill_view = self.cache.view([record.slot])
+        view = record.prefill_view
         # Only the final chunk of a *fresh* prompt needs logits (they seed
         # sampling); intermediate chunks — and every chunk of a preemption
         # replay, whose next token was sampled before the preemption — skip
         # the LM-head projection entirely.
-        samples = end == len(tokens) and not state.generated
+        samples = end == len(tokens) and not record.generated
         tracer = self.tracer
         if tracer is not None:
             tracer.begin(
                 "prefill_chunk",
                 self.trace_track,
-                self._corr_for(state.request.request_id),
+                record.trace_corr,
                 start=begin,
                 tokens=int(end - begin),
             )
@@ -1547,24 +1418,26 @@ class Scheduler:
         finally:
             if tracer is not None:
                 tracer.end(self.trace_track)
-        state.prefill_pos = end
+        record.prefill_pos = end
         self.stats.prefill_iterations += 1
         self.stats.prefill_tokens += len(chunk)
         self.now += 1.0
         if end == len(tokens):
-            self._prefilling.remove(state)
-            state.prefill_view = None
-            state.replay = None
+            self._prefilling.remove(record)
+            record.prefill_view = None
+            record.replay = None
             if self.prefix_cache:
-                self.cache.publish_prefix(state.slot, tokens)
-            self._active[state.slot] = state
+                self.cache.publish_prefix(record.slot, tokens)
+            self._active[record.slot] = record
             if samples:
-                self._consume_logits(state, logits[0], finished)
+                reason = self._commit(record, logits)[1]
+                if reason is not None:
+                    self._finalize(record, reason, finished)
             else:
-                # Preemption replay: the last token sampled before the
-                # preemption was never fed to the model; it becomes the next
-                # decode step's input, exactly as in the unpreempted run.
-                state.next_token = state.generated[-1]
+                # Replay: the last token sampled before the detach was never
+                # fed to the model; it becomes the next decode step's input,
+                # exactly as in the undisturbed run.
+                record.next_token = record.generated[-1]
         return len(chunk)
 
     def _prefill_iteration(self, finished: List[RequestOutput]) -> None:
@@ -1581,7 +1454,7 @@ class Scheduler:
         self._plain_decode_step(list(self._active.values()), finished)
 
     def _plain_decode_step(
-        self, states: List[_ActiveRequest], finished: List[RequestOutput], cached: bool = True
+        self, states: List[RequestCheckpoint], finished: List[RequestOutput], cached: bool = True
     ) -> None:
         """One ordinary one-token decode forward over ``states``.
 
@@ -1605,7 +1478,9 @@ class Scheduler:
         self.stats.decode_slot_steps += len(states)
         self.now += 1.0
         for row, state in enumerate(states):
-            self._consume_logits(state, logits[row], finished)
+            reason = self._commit(state, logits[row : row + 1])[1]
+            if reason is not None:
+                self._finalize(state, reason, finished)
 
     def _view_for(self, slots: List[int]) -> SlotBatchView:
         """The cached decode-batch view for ``slots`` (rebuilt on change)."""
@@ -1664,12 +1539,10 @@ class Scheduler:
         proposals: Dict[int, np.ndarray] = {}
         for state in capable:
             sequence = np.concatenate(
-                [state.request.prompt, np.array(state.generated, dtype=np.int64)]
+                [state.prompt, np.array(state.generated, dtype=np.int64)]
             )
             proposals[state.slot] = np.asarray(
-                spec.drafter.propose(
-                    state.request.request_id, sequence, caps[state.slot]
-                ),
+                spec.drafter.propose(state.request_id, sequence, caps[state.slot]),
                 dtype=np.int64,
             ).reshape(-1)[: caps[state.slot]]
         willing = {state.slot for state in capable if len(proposals[state.slot])}
@@ -1726,11 +1599,8 @@ class Scheduler:
             if tracer is not None:
                 tracer.end(self.trace_track)
         outcomes = [
-            self._commit_verified(
-                state,
-                draft,
-                logits[row],
-                proposed=min(len(proposals[state.slot]), depth),
+            self._commit(
+                state, logits[row], draft, proposed=min(len(proposals[state.slot]), depth)
             )
             for row, (state, draft) in enumerate(zip(capable, drafts))
         ]
@@ -1745,42 +1615,54 @@ class Scheduler:
                 )
                 view.lengths[row] = int(starts[row]) + committed
 
-    def _commit_verified(
+    def _commit(
         self,
-        state: _ActiveRequest,
-        draft: np.ndarray,
+        record: RequestCheckpoint,
         logits_rows: np.ndarray,
-        proposed: Optional[int] = None,
+        draft: Sequence[int] = (),
+        proposed: int = 0,
     ) -> Tuple[int, Optional[str]]:
-        """Commit verified tokens for one request, left to right.
+        """Sample and commit tokens for one request, left to right.
 
-        Position ``j``'s token is sampled from ``logits_rows[j]`` exactly as
-        a sequential decode step would have sampled it (same logits, same
-        per-request generator state) — so the committed stream is identical
-        to non-speculative decoding, and the run simply stops at the first
-        token the drafter failed to predict.  ``proposed`` is the number of
-        leading draft positions the drafter genuinely proposed (the rest of
-        ``draft`` being batching pads): only those feed the accept-rate EMA
-        and the ``spec_*`` statistics.
+        The one commit path: a prefill's final logits and a plain decode
+        step commit one row with no draft; a verification forward commits a
+        run.  Position ``j``'s token is sampled from ``logits_rows[j]``
+        exactly as a sequential decode step would have sampled it (same
+        logits, same per-request generator state) — so the committed stream
+        is identical to non-speculative decoding, and the run simply stops
+        at the first token the drafter failed to predict.  ``proposed`` is
+        the number of leading draft positions the drafter genuinely proposed
+        (the rest of ``draft`` being batching pads): only those feed the
+        accept-rate EMA and the ``spec_*`` statistics.
 
         Returns
         -------
         tuple of (int, str or None)
             Committed token count and the finish reason (``None`` while the
-            request stays active).
+            request stays active; the caller finalizes).
         """
         num_drafts = len(draft)
-        if proposed is None:
-            proposed = num_drafts
         committed = 0
         accepted = 0
         reason: Optional[str] = None
         eos = self.config.eos_token
         for position in range(num_drafts + 1):
-            token = _sample_token(logits_rows[position], self.config, state.rng)
-            self._commit_token(state, token)
+            token = _sample_token(logits_rows[position], self.config, record.rng)
+            record.generated.append(token)
+            record.next_token = token
+            self.stats.generated_tokens += 1
+            if record.first_token_at < 0:
+                record.first_token_at = self.now
+                if self.tracer is not None:
+                    self.tracer.instant(
+                        "request.first_token", self.trace_track, record.trace_corr
+                    )
+            if self.on_token is not None:
+                self.on_token(int(record.request_id), int(token))
             if self.record_logits:
-                state.logits.append(np.asarray(logits_rows[position], dtype=np.float64).copy())
+                record.step_logits.append(
+                    np.asarray(logits_rows[position], dtype=np.float64).copy()
+                )
             committed += 1
             matched = position < num_drafts and token == int(draft[position])
             if matched and position < proposed:
@@ -1788,104 +1670,38 @@ class Scheduler:
             if eos is not None and token == eos:
                 reason = "eos"
                 break
-            if len(state.generated) >= state.budget:
+            if len(record.generated) >= record.budget:
                 reason = "length"
                 break
             if not matched:
                 break
-        self.stats.spec_proposed_tokens += proposed
-        self.stats.spec_accepted_tokens += accepted
-        state.spec.observe(proposed, accepted, self.speculation)
-        if self.tracer is not None and proposed:
-            self.tracer.instant(
-                "spec.accept",
-                self.trace_track,
-                self._corr_for(state.request.request_id),
-                proposed=proposed,
-                accepted=accepted,
-            )
-        return committed, reason
-
-    def _commit_token(self, state: _ActiveRequest, token: int) -> None:
-        """Record one committed token: stream it, stamp the first-token tick."""
-        state.generated.append(token)
-        state.next_token = token
-        self.stats.generated_tokens += 1
-        if state.first_token_at < 0:
-            state.first_token_at = self.now
+        if proposed:
+            self.stats.spec_proposed_tokens += proposed
+            self.stats.spec_accepted_tokens += accepted
+            record.spec.observe(proposed, accepted, self.speculation)
             if self.tracer is not None:
                 self.tracer.instant(
-                    "request.first_token",
+                    "spec.accept",
                     self.trace_track,
-                    self._corr_for(state.request.request_id),
+                    record.trace_corr,
+                    proposed=proposed,
+                    accepted=accepted,
                 )
-        if self.on_token is not None:
-            self.on_token(int(state.request.request_id), int(token))
+        return committed, reason
 
-    def _consume_logits(
-        self, state: _ActiveRequest, logits_row: np.ndarray, finished: List[RequestOutput]
+    def _finalize(
+        self, record: RequestCheckpoint, reason: str, finished: List[RequestOutput]
     ) -> None:
-        """Sample the next token for one request and retire it if done."""
-        token = _sample_token(logits_row, self.config, state.rng)
-        self._commit_token(state, token)
-        if self.record_logits:
-            state.logits.append(np.asarray(logits_row, dtype=np.float64).copy())
-        eos = self.config.eos_token
-        if eos is not None and token == eos:
-            self._finalize(state, "eos", finished)
-        elif len(state.generated) >= state.budget:
-            self._finalize(state, "length", finished)
-
-    def _finalize(self, state: _ActiveRequest, reason: str, finished: List[RequestOutput]) -> None:
         """Evict a finished request: free its blocks, emit its output."""
-        self.release_request(state.request.request_id)
+        self._detach(record.request_id)
         self.stats.completed_requests += 1
-        priority = int(state.request.priority)
-        if state.first_token_at >= 0:
-            self.stats.ttft_by_class.setdefault(priority, []).append(
-                state.first_token_at - state.request.arrival_time
+        if record.first_token_at >= 0:
+            self.stats.ttft_by_class.setdefault(record.priority, []).append(
+                record.first_token_at - record.arrival_time
             )
-            steps = len(state.generated)
+            steps = len(record.generated)
             if steps > 1:
-                self.stats.tpot_by_class.setdefault(priority, []).append(
-                    (self.now - state.first_token_at) / (steps - 1)
+                self.stats.tpot_by_class.setdefault(record.priority, []).append(
+                    (self.now - record.first_token_at) / (steps - 1)
                 )
-        finished.append(self._build_output(state, reason))
-
-    def _build_output(self, state: _ActiveRequest, reason: str) -> RequestOutput:
-        """Assemble the terminal :class:`RequestOutput` for one request."""
-        request_id = state.request.request_id
-        if self.tracer is not None:
-            self.tracer.instant(
-                "request.finished",
-                self.trace_track,
-                self._trace_corrs.pop(request_id, f"r{request_id}"),
-                reason=reason,
-                tokens=len(state.generated),
-            )
-        continuation = np.array(state.generated, dtype=np.int64)
-        vocab = self.runner.config.vocab_size
-        step_logits = (
-            np.stack(state.logits)
-            if state.logits
-            else np.zeros((0, vocab), dtype=np.float64)
-        )
-        return RequestOutput(
-            request_id=int(state.request.request_id),
-            prompt=state.request.prompt,
-            sequence=np.concatenate([state.request.prompt, continuation]),
-            generated=continuation,
-            prompt_length=len(state.request.prompt),
-            step_logits=step_logits,
-            num_steps=len(continuation),
-            finish_reason=reason,
-            admitted_at=state.admitted_at,
-            finished_at=self.now,
-            prefix_hit_tokens=state.prefix_hit_tokens,
-            spec_proposed_tokens=state.spec.proposed_tokens if state.spec else 0,
-            spec_accepted_tokens=state.spec.accepted_tokens if state.spec else 0,
-            priority=int(state.request.priority),
-            arrival_time=state.request.arrival_time,
-            first_token_at=state.first_token_at,
-            preemptions=state.preemptions,
-        )
+        finished.append(self._finish(record, reason))

@@ -599,6 +599,35 @@ class TestFailureCauses:
             assert output.finish_reason != "degraded"
             assert output.failure_cause is None
 
+    @pytest.mark.parametrize(
+        "max_retries, kill_at", [(0, {2: 0}), (1, {2: 0, 5: 1})], ids=["first-kill", "second-kill"]
+    )
+    def test_degraded_admitted_request_keeps_its_admission_tick_and_retries(
+        self, runner, template_prompts, max_retries, kill_at
+    ):
+        """The degraded output is built from the same record a healthy finish
+        would use, so an *admitted* request reports its real admission tick
+        (not the never-admitted sentinel) and the retries it had consumed."""
+        outputs, pool = pool_outputs(
+            runner,
+            template_prompts[:4],
+            injector=FaultInjector(seed=0, kill_at=kill_at),
+            num_replicas=2,
+            config=GenerationConfig(max_new_tokens=12),
+            max_batch_size=4,
+            block_size=4,
+            max_retries=max_retries,
+        )
+        started = [
+            o
+            for o in outputs.values()
+            if o.failure_cause == "retry_budget_exhausted" and o.num_steps
+        ]
+        assert started
+        for output in started:
+            assert output.admitted_at >= 0.0
+            assert output.retries == max_retries
+
     def test_cause_surfaces_through_the_async_stream(self, runner, template_prompts):
         pool = ReplicaPool(
             runner,

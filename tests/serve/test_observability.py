@@ -415,6 +415,26 @@ class TestStatsMergeAudit:
         assert snap["pool.degraded.retry_budget_exhausted"] == 1
 
 
+    def test_every_integer_stats_field_is_published(self):
+        """A counter added to a stats class cannot be silently unpublished."""
+        import dataclasses
+
+        from repro.serve import SchedulerStats
+        from repro.serve.cluster import ClusterStats
+
+        for stats, prefix in ((SchedulerStats(), "scheduler"), (ClusterStats(), "pool")):
+            registry = MetricsRegistry()
+            stats.publish(registry)
+            snap = registry.snapshot()
+            integer_fields = [
+                spec.name
+                for spec in dataclasses.fields(stats)
+                if isinstance(getattr(stats, spec.name), int)
+            ]
+            assert integer_fields
+            assert [n for n in integer_fields if f"{prefix}.{n}" not in snap] == []
+
+
 class TestCollectiveStatsFold:
     """Satellite: CollectiveStats aggregates with ``+=`` and publishes."""
 

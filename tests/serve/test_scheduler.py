@@ -13,9 +13,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import TenderConfig, TenderQuantizer
 from repro.errors import ConfigurationError, ResourceExhaustedError
 from repro.models import TransformerRunner
-from repro.serve import GenerationConfig, GenerationEngine, Request, Scheduler
+from repro.serve import (
+    GenerationConfig,
+    GenerationEngine,
+    PromptLookupDraft,
+    Request,
+    Scheduler,
+    SpecConfig,
+)
 
 
 @pytest.fixture()
@@ -27,6 +35,17 @@ def runner(tiny_weights):
 def prompt_pool(corpus_splits):
     train_tokens, _ = corpus_splits
     return [train_tokens[i * 10 : i * 10 + 4 + (i % 5)] for i in range(12)]
+
+
+@pytest.fixture(scope="module")
+def tender_runners(outlier_weights, calibration):
+    config = TenderConfig(bits=8, num_groups=8, row_chunk_size=8)
+    return {
+        scheme: TenderQuantizer(config, implicit=scheme == "implicit").quantize(
+            outlier_weights, calibration
+        )
+        for scheme in ("implicit", "explicit")
+    }
 
 
 def outputs_by_id(outputs):
@@ -203,44 +222,6 @@ class TestFairness:
         assert min(short_finishes) < long_output.finished_at
 
 
-class TestPolicies:
-    def test_gang_policy_only_admits_into_a_drained_batch(self, runner, prompt_pool):
-        scheduler = Scheduler(
-            runner, GenerationConfig(max_new_tokens=4), max_batch_size=2, policy="gang"
-        )
-        for i in range(4):
-            scheduler.submit(prompt_pool[i], max_new_tokens=2 + 2 * (i % 2))
-        outputs = sorted(scheduler.run(), key=lambda o: o.admitted_at)
-        # Gang 2 starts only after gang 1 fully drained.
-        first_gang_end = max(o.finished_at for o in outputs[:2])
-        assert outputs[2].admitted_at >= first_gang_end
-        assert outputs[3].admitted_at >= first_gang_end
-
-    def test_continuous_beats_gang_on_iteration_count(self, runner, prompt_pool):
-        """Mid-flight backfill finishes the same work in fewer forward passes."""
-        budgets = [2, 14, 2, 2, 14, 2, 2, 2]
-        results = {}
-        for policy in ("continuous", "gang"):
-            scheduler = Scheduler(
-                runner, GenerationConfig(max_new_tokens=14), max_batch_size=2, policy=policy
-            )
-            for i, budget in enumerate(budgets):
-                scheduler.submit(prompt_pool[i], max_new_tokens=budget)
-            outputs = scheduler.run()
-            assert len(outputs) == len(budgets)
-            results[policy] = scheduler.stats
-        assert results["continuous"].generated_tokens == results["gang"].generated_tokens
-        assert results["continuous"].total_iterations < results["gang"].total_iterations
-        assert (
-            results["continuous"].tokens_per_iteration()
-            > results["gang"].tokens_per_iteration()
-        )
-
-    def test_unknown_policy_rejected(self, runner):
-        with pytest.raises(ConfigurationError):
-            Scheduler(runner, policy="priority")
-
-
 class TestValidation:
     def test_submit_validates_prompts(self, runner):
         scheduler = Scheduler(runner)
@@ -388,3 +369,172 @@ class TestSampleTokenTies:
             mirrored = self._sample(logits[::-1].copy(), top_k=4, seed=seed)
             assert token in {0, 1, 2, 3}
             assert mirrored == 5 - (3 - token)  # same rank among the ties
+
+
+class TestCheckpointSurface:
+    """``checkpoint`` / ``submit_checkpoint`` / ``checkpoint_all``, driven directly.
+
+    One request is detached from every state of the lifecycle and re-queued
+    on a second scheduler; whatever state it left from, it must finish with
+    the tokens *and* committed logits of an uninterrupted run, and the
+    source must end with nothing left behind.
+    """
+
+    @staticmethod
+    def make(runner, **kwargs):
+        return Scheduler(
+            runner, GenerationConfig(max_new_tokens=8), max_batch_size=1, block_size=4,
+            prefix_cache=True, prefill_chunk=4, preemption=True, **kwargs,
+        )  # fmt: skip
+
+    @staticmethod
+    def detach_from(source, where, prompt, filler):
+        """Drive ``source`` until the request is in state ``where``; checkpoint it."""
+        if where == "future":
+            request_id = source.submit(prompt, priority=1, arrival_time=50.0)
+        elif where == "waiting":
+            source.submit(filler)
+            request_id = source.submit(prompt, priority=1)
+            source.step()
+            assert source.num_waiting == 1 and source.num_active == 1
+        else:
+            request_id = source.submit(prompt, priority=1)
+            source.step()
+            assert source.stats.prefill_iterations == 1 and source.stats.generated_tokens == 0
+            if where != "prefill":
+                while source.stats.generated_tokens < 3:
+                    source.step()
+                assert source.num_active == 1
+            if where == "preempted":
+                source.submit(filler, priority=0, max_new_tokens=2)
+                source.step()
+                assert source.stats.preemptions == 1 and source.num_waiting == 1
+        return request_id, source.checkpoint(request_id)
+
+    @pytest.mark.parametrize("scheme", ["implicit", "explicit"])
+    @pytest.mark.parametrize("where", ["future", "waiting", "prefill", "decoding", "preempted"])
+    def test_checkpoint_from_any_state_resumes_bit_identically(
+        self, tender_runners, corpus_splits, where, scheme
+    ):
+        runner = tender_runners[scheme]
+        train_tokens, _ = corpus_splits
+        prompt, filler = train_tokens[20:34], train_tokens[200:209]
+        reference = self.make(runner)
+        reference.submit(prompt, priority=1)
+        (expected,) = reference.run()
+
+        source = self.make(runner)
+        request_id, checkpoint = self.detach_from(source, where, prompt, filler)
+        assert checkpoint.slot == -1
+        assert checkpoint.started == (where in ("decoding", "preempted"))
+        # The source has relinquished the request: a second detach refuses.
+        with pytest.raises(ConfigurationError):
+            source.checkpoint(request_id)
+        with pytest.raises(ConfigurationError):
+            source.cancel(request_id)
+        source.run()
+        assert not source.has_pending
+        assert source.cache.free_block_count == source.cache.num_blocks
+        assert source.cache.active_slots == []
+
+        target = self.make(runner)
+        new_id = target.submit_checkpoint(checkpoint)
+        (resumed,) = target.run()
+        assert resumed.request_id == new_id
+        assert resumed.finish_reason == expected.finish_reason == "length"
+        np.testing.assert_array_equal(resumed.generated, expected.generated)
+        np.testing.assert_array_equal(resumed.step_logits, expected.step_logits)
+        assert resumed.preemptions == (1 if where == "preempted" else 0)
+        assert not target.has_pending
+        assert target.cache.free_block_count == target.cache.num_blocks
+
+    def test_checkpoint_all_empties_the_scheduler_in_id_order(self, runner, prompt_pool):
+        source = Scheduler(
+            runner, GenerationConfig(max_new_tokens=6), max_batch_size=2, prefill_chunk=4
+        )
+        ids = [source.submit(prompt) for prompt in prompt_pool[:3]]
+        ids.append(source.submit(prompt_pool[3], arrival_time=40.0))
+        source.step()
+        source.step()
+        checkpoints = source.checkpoint_all()
+        assert [checkpoint.request_id for checkpoint in checkpoints] == ids
+        assert not source.has_pending and source.checkpoint_all() == []
+        assert source.cache.free_block_count == source.cache.num_blocks
+        target = Scheduler(runner, GenerationConfig(max_new_tokens=6), max_batch_size=2)
+        for checkpoint in checkpoints:
+            target.submit_checkpoint(checkpoint)
+        outputs = outputs_by_id(target.run())
+        engine = GenerationEngine(runner)
+        for new_id, prompt in enumerate(prompt_pool[:4]):
+            alone = engine.generate([prompt], GenerationConfig(max_new_tokens=6))
+            np.testing.assert_array_equal(outputs[new_id].generated, alone.generated[0])
+
+    def test_unstarted_checkpoint_still_honours_its_deadline(self, runner, prompt_pool):
+        source = Scheduler(runner, GenerationConfig(max_new_tokens=12), max_batch_size=1)
+        source.submit(prompt_pool[0])
+        waiting_id = source.submit(prompt_pool[1], deadline=3.0)
+        source.step()
+        checkpoint = source.checkpoint(waiting_id)
+        assert not checkpoint.started and checkpoint.deadline == 3.0
+        # The target is busy past tick 3, so the re-queued request expires
+        # there exactly as it would have on the source.
+        target = Scheduler(runner, GenerationConfig(max_new_tokens=12), max_batch_size=1)
+        target.submit(prompt_pool[2])
+        new_id = target.submit_checkpoint(checkpoint)
+        outputs = outputs_by_id(target.run())
+        assert outputs[new_id].finish_reason == "expired"
+        assert outputs[new_id].num_steps == 0 and outputs[new_id].admitted_at == -1.0
+        assert target.stats.expired_requests == 1
+        with pytest.raises(ConfigurationError, match="delay"):
+            target.submit_checkpoint(checkpoint, delay=-1.0)
+
+    def test_accounting_survives_a_checkpoint_hop(self, tender_runners, corpus_splits):
+        """Speculation, preemption, prefix-hit and retry counters ride along.
+
+        The record that leaves the source is the record the target finishes,
+        so the final output reports everything the request accumulated
+        before the hop plus whatever the target added.
+        """
+        runner = tender_runners["implicit"]
+        train_tokens, _ = corpus_splits
+        span = train_tokens[300:312]
+        prompt = np.concatenate([span, span, span[:5]])  # repetitive: lookup hits
+
+        def make():
+            return Scheduler(
+                runner, GenerationConfig(max_new_tokens=40), max_batch_size=1, block_size=4,
+                prefix_cache=True, preemption=True,
+                speculation=SpecConfig(drafter=PromptLookupDraft()),
+            )  # fmt: skip
+
+        reference = make()
+        reference.submit(prompt, priority=1)
+        (expected,) = reference.run()
+
+        source = make()
+        request_id = source.submit(prompt, priority=1)
+        while source.stats.spec_proposed_tokens == 0:
+            source.step()
+        # Preempt it once, let the urgent request finish, and let the replay
+        # re-map its published context — so every counter is non-trivial.
+        source.submit(train_tokens[200:206], priority=0, max_new_tokens=1)
+        while source.num_waiting or source.stats.completed_requests == 0:
+            source.step()
+        assert source.stats.preemptions == 1 and source.num_active == 1
+        proposed = source.stats.spec_proposed_tokens
+        accepted = source.stats.spec_accepted_tokens
+        checkpoint = source.checkpoint(request_id)
+        assert proposed > 0 and checkpoint.prefix_hit_tokens > 0
+        assert checkpoint.preemptions == 1 and checkpoint.first_token_at >= 0.0
+        before = (checkpoint.prefix_hit_tokens, checkpoint.first_token_at)
+        checkpoint.retries += 1  # what the replica pool does on recovery
+
+        target = make()
+        target.submit_checkpoint(checkpoint)
+        (resumed,) = target.run()
+        np.testing.assert_array_equal(resumed.generated, expected.generated)
+        np.testing.assert_array_equal(resumed.step_logits, expected.step_logits)
+        assert resumed.spec_proposed_tokens == proposed + target.stats.spec_proposed_tokens
+        assert resumed.spec_accepted_tokens == accepted + target.stats.spec_accepted_tokens
+        assert resumed.preemptions == 1 and resumed.retries == 1
+        assert (resumed.prefix_hit_tokens, resumed.first_token_at) == before

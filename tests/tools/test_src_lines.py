@@ -1,0 +1,28 @@
+"""Smoke test of ``tools/src_lines.py``: it runs, and its columns add up."""
+
+from __future__ import annotations
+
+import subprocess
+import sys
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parent.parent.parent
+
+
+def test_package_rows_sum_to_the_total_row():
+    in_git = subprocess.run(
+        ["git", "rev-parse", "HEAD"], capture_output=True, cwd=REPO_ROOT
+    ).returncode == 0
+    result = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "tools" / "src_lines.py")]
+        + (["--base", "HEAD"] if in_git else []),  # an exported tree has no history
+        capture_output=True,
+        text=True,
+        cwd=REPO_ROOT,
+    )
+    assert result.returncode == 0, result.stderr
+    *packages, total = [line.split() for line in result.stdout.splitlines()]
+    assert total[0] == "total" and "serve" in {row[0] for row in packages}
+    for column in range(1, len(total)):
+        assert sum(int(row[column]) for row in packages) == int(total[column])
+    assert int(total[1]) > 0
