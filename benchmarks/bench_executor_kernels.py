@@ -36,7 +36,7 @@ import numpy as np
 
 from benchmarks.conftest import run_once
 from repro.core import TenderConfig, TenderExecutor, TenderQuantizer
-from repro.core.perf import best_of, decode_projection_operands, synthetic_projection_site
+from repro.core.perf import decode_projection_operands, measure, synthetic_projection_site
 from repro.data import calibration_samples, load_corpus
 from repro.experiments.report import format_table, full_evaluation_enabled
 from repro.models import TransformerRunner, get_language_model
@@ -46,6 +46,11 @@ from repro.serve.paged_kv_cache import PagedKVCache
 MODEL_NAME = "opt-6.7b-sim"
 NUM_GROUPS = 8
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
+#: Tier-1 floors on the fast path's speed-up over the reference (ratio of medians).
+PROJECTION_FLOOR = 3.0
+DECODE_FLOOR = 3.0
+#: Greedy decode steps behind the decode entry's token-identity check.
+IDENTITY_STEPS = 5
 
 
 def _record_requested() -> bool:
@@ -62,13 +67,28 @@ def _best_ratio(slow, fast, repeats, attempts=3, target=None):
     """
     slow_s = fast_s = None
     for _ in range(attempts):
-        attempt_slow = best_of(slow, repeats)
-        attempt_fast = best_of(fast, repeats)
+        attempt_slow = measure(slow, repeats)["min"]
+        attempt_fast = measure(fast, repeats)["min"]
         if slow_s is None or attempt_slow / attempt_fast > slow_s / fast_s:
             slow_s, fast_s = attempt_slow, attempt_fast
         if target is not None and slow_s / fast_s >= target:
             break
     return slow_s, fast_s
+
+
+def _median_pair(slow, fast, repeats, floor, attempts=3):
+    """``measure`` both sides; medians and IQRs in seconds, ratio of medians.
+
+    What is reported is one measurement, not the best of several: the pair is
+    measured again (at most ``attempts`` times) only while the ratio sits
+    under the tier-1 ``floor``, so a load spike on a shared machine has to
+    persist to flake the gate, and an unloaded run reports its first pair.
+    """
+    for _ in range(attempts):
+        slow_stats, fast_stats = measure(slow, repeats), measure(fast, repeats)
+        if slow_stats["median"] / fast_stats["median"] >= floor:
+            break
+    return slow_stats, fast_stats
 
 
 def run_projection_bench() -> dict:
@@ -86,17 +106,21 @@ def run_projection_bench() -> dict:
             reference.project("site", x, weight, None, positions=positions),
         )
     )
-    reference_s, fast_s = _best_ratio(
+    reference_stats, fast_stats = _median_pair(
         lambda: reference.project("site", x, weight, None, positions=positions),
         lambda: fast.project("site", x, weight, None, positions=positions),
         repeats,
-        target=6.0,
+        floor=PROJECTION_FLOOR,
     )
     return {
         "identical": identical,
-        "reference_us": reference_s * 1e6,
-        "fast_us": fast_s * 1e6,
-        "speedup": reference_s / fast_s,
+        "repeats": repeats,
+        "reference_us": reference_stats["median"] * 1e6,
+        "reference_iqr_us": reference_stats["iqr"] * 1e6,
+        "fast_us": fast_stats["median"] * 1e6,
+        "fast_iqr_us": fast_stats["iqr"] * 1e6,
+        "fast_min_us": fast_stats["min"] * 1e6,
+        "speedup": reference_stats["median"] / fast_stats["median"],
     }
 
 
@@ -140,7 +164,7 @@ def run_attention_bench() -> dict:
 
 def run_decode_step_bench() -> dict:
     """End-to-end decode steps at scattered positions, fast vs reference."""
-    steps = 8 if full_evaluation_enabled() else 5
+    steps = 40 if full_evaluation_enabled() else 20
     batch = 16
     weights = get_language_model(MODEL_NAME)
     model_config = weights.config
@@ -163,36 +187,44 @@ def run_decode_step_bench() -> dict:
     for row, length in enumerate(lengths):
         tokens[row, :length] = corpus_train[row * 7 : row * 7 + length]
 
-    def decode_run(runner):
+    def primed(runner):
         cache = KVCache(
             model_config.num_layers, batch, model_config.num_heads, model_config.d_head,
-            max_len + steps + 1,
+            max_len + IDENTITY_STEPS + 1,
         )
-        next_tokens = runner.prefill(tokens, lengths, cache).argmax(axis=-1)
-        start = time.perf_counter()
-        for _ in range(steps):
+        return cache, runner.prefill(tokens, lengths, cache).argmax(axis=-1)
+
+    def decoded_tokens(runner):
+        cache, next_tokens = primed(runner)
+        for _ in range(IDENTITY_STEPS):
             next_tokens = runner.decode_step(next_tokens, cache).argmax(axis=-1)
-        return (time.perf_counter() - start) / steps, next_tokens
+        return next_tokens
 
-    _, fast_tokens = decode_run(runners[True])
-    _, reference_tokens = decode_run(runners[False])
-    identical = bool(np.array_equal(fast_tokens, reference_tokens))
+    def one_step(runner):
+        """The first decode step after the prefill, repeatable: lengths rewound each call."""
+        cache, next_tokens = primed(runner)
+        prefilled = cache.lengths.copy()
 
-    fast_s = reference_s = None
-    for _ in range(3):
-        attempt_fast, _ = decode_run(runners[True])
-        attempt_reference, _ = decode_run(runners[False])
-        if fast_s is None or attempt_reference / attempt_fast > reference_s / fast_s:
-            fast_s, reference_s = attempt_fast, attempt_reference
-        if reference_s / fast_s >= 3.6:
-            break
+        def step():
+            cache.lengths[:] = prefilled
+            return runner.decode_step(next_tokens, cache)
+
+        return step
+
+    identical = bool(np.array_equal(decoded_tokens(runners[True]), decoded_tokens(runners[False])))
+    reference_stats, fast_stats = _median_pair(
+        one_step(runners[False]), one_step(runners[True]), steps, floor=DECODE_FLOOR
+    )
     return {
         "identical": identical,
         "batch": batch,
         "steps": steps,
-        "reference_ms_per_step": reference_s * 1e3,
-        "fast_ms_per_step": fast_s * 1e3,
-        "speedup": reference_s / fast_s,
+        "reference_ms_per_step": reference_stats["median"] * 1e3,
+        "reference_iqr_ms": reference_stats["iqr"] * 1e3,
+        "fast_ms_per_step": fast_stats["median"] * 1e3,
+        "fast_iqr_ms": fast_stats["iqr"] * 1e3,
+        "fast_min_ms": fast_stats["min"] * 1e3,
+        "speedup": reference_stats["median"] / fast_stats["median"],
     }
 
 
@@ -318,8 +350,8 @@ def test_executor_kernels(benchmark, render):
     assert all(row["identical"] for row in attention.values())
     assert all(row["identical"] for row in paged_rows.values())
     # The acceptance bar: >= 3x on the decode hot path at num_groups=8.
-    assert projection["speedup"] >= 3.0, f"projection only {projection['speedup']:.2f}x"
-    assert decode["speedup"] >= 3.0, f"decode step only {decode['speedup']:.2f}x"
+    assert projection["speedup"] >= PROJECTION_FLOOR, f"projection only {projection['speedup']:.2f}x"
+    assert decode["speedup"] >= DECODE_FLOOR, f"decode step only {decode['speedup']:.2f}x"
     # Attention kernels must win clearly where FLOPs dominate (prefill).
     assert attention["prefill_implicit"]["speedup"] >= 2.0
     assert attention["prefill_explicit"]["speedup"] >= 2.0

@@ -27,7 +27,7 @@ regression tests and benchmarking.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -40,6 +40,10 @@ from repro.core.decomposition import (
     quantize_decomposed,
 )
 from repro.core.kernels import (
+    ForwardPlan,
+    PackedSiteParams,
+    RowChunks,
+    chunk_row_groups,
     fused_implicit_matmul,
     ordered_explicit_matmul,
     ordered_implicit_matmul,
@@ -48,7 +52,7 @@ from repro.core.kernels import (
     stacked_implicit_matmul,
 )
 from repro.core.requantization import requantized_matmul
-from repro.errors import CalibrationError, QuantizationError
+from repro.errors import CalibrationError, QuantizationError, ShapeError
 from repro.models.inference import TransformerRunner
 from repro.models.weights import ModelWeights
 from repro.quant.granularity import Granularity, compute_scale, integer_range
@@ -57,6 +61,38 @@ from repro.quant.quantize import quantize_symmetric
 #: Hardware accumulator range (Section IV-B), shared with the requantization kernels.
 _ACC_MAX = 2**31 - 1
 _ACC_MIN = -(2**31)
+#: Packed tables that must agree for sites to share one quantize + one matmul.
+_SHARED_TABLES = ("bias", "channel_scales", "alpha_weights", "final_scales", "implicit_bounds")
+
+
+class _StackedSite:
+    """Cached operands of one tuple of sites projected together.
+
+    ``bounds`` are the sites' column ranges in the stacked weight and bias.
+    ``packed`` and the column concatenations after it are set only when the
+    sites' packed tables are identical — what lets one quantized activation
+    serve all of them; they stand in for the per-site float64 weights, which
+    are then never cached.  Otherwise ``weights`` keeps the per-site column
+    blocks the site-by-site path is handed on every call.
+    """
+
+    __slots__ = ("bounds", "weights", "packed", "weight64", "weight_scale", "bias_projection")
+
+    def __init__(self, bounds: List[Tuple[int, int]]) -> None:
+        self.bounds = bounds
+        self.weights: Optional[List[np.ndarray]] = None
+        self.packed: Optional[PackedSiteParams] = None
+        self.weight64: Optional[np.ndarray] = None
+        self.weight_scale: Optional[np.ndarray] = None
+        self.bias_projection: Optional[np.ndarray] = None
+
+    def site_weights(self, weight: np.ndarray) -> List[np.ndarray]:
+        """Per-site column blocks of ``weight`` as contiguous arrays.
+
+        Contiguous copies, so each site's caches are derived from exactly
+        the array a single-site call would have been handed.
+        """
+        return self.weights or [np.ascontiguousarray(weight[:, a:b]) for a, b in self.bounds]
 
 
 class TenderExecutor:
@@ -66,6 +102,9 @@ class TenderExecutor:
     #: so the row-chunk lookup stays consistent between full-sequence forwards
     #: and the incremental (KV-cached) decode path.
     uses_positions = True
+    #: ``project`` accepts a tuple of site names over one activation (a
+    #: block's Q/K/V) and serves them from one quantize + one matmul.
+    stacks_sites = True
 
     def __init__(
         self,
@@ -93,6 +132,7 @@ class TenderExecutor:
         self._permuted_weight_cache: Dict[tuple, np.ndarray] = {}
         self._bias_projection_cache: Dict[str, List[np.ndarray]] = {}
         self._bias_projection_stack_cache: Dict[str, np.ndarray] = {}
+        self._stacked_cache: Dict[Tuple[str, ...], _StackedSite] = {}
         #: Simple counters useful for tests and the GPU latency model.
         self.stats = {"projections": 0, "attention_matmuls": 0, "rescales": 0}
 
@@ -157,12 +197,22 @@ class TenderExecutor:
     def project(self, name, x, weight, bias, positions=None):
         """Decomposed-quantized ``x @ weight + bias``.
 
-        ``positions`` (optional) gives the token position of each row of ``x``;
-        row-chunk calibration parameters are then looked up by position rather
-        than by flat row index.  Full-sequence forwards of a single sequence
-        are unaffected (row index == position); the incremental decode path
-        relies on this so a token's quantization parameters do not depend on
-        how its request was batched.
+        ``positions`` (optional) gives the token position of each row of ``x``
+        — as an array, or as the forward's :class:`~repro.core.kernels.ForwardPlan`
+        over them; row-chunk calibration parameters are then looked up by
+        position rather than by flat row index.  Full-sequence forwards of a
+        single sequence are unaffected (row index == position); the
+        incremental decode path relies on this so a token's quantization
+        parameters do not depend on how its request was batched.  With a
+        plan, the row-chunk grouping is the one the forward's first
+        projection derived: no division, clipping or ``np.unique`` here.
+
+        ``name`` may be a tuple of site names that consume this same
+        activation (a block's Q/K/V), with ``weight`` / ``bias`` their
+        equal-width column blocks side by side: ``x`` is then quantized once
+        and multiplied by the stacked weight in one matmul whenever the
+        sites' calibration tables are identical (see :meth:`_project_stacked`),
+        and the result is the per-site outputs side by side, bit for bit.
 
         With ``fast_kernels`` (the default) the packed Index-Buffer path
         serves the call — one gather of the per-chunk calibration tables
@@ -170,51 +220,40 @@ class TenderExecutor:
         a fused or group-contiguous integer matmul; the reference per-chunk
         loop is kept selectable and both produce bit-identical outputs.
         """
+        rows = x.shape[0]
+        plan = ForwardPlan.of(np.arange(rows, dtype=np.int64) if positions is None else positions)
+        chunks = plan.row_chunks(self.config.row_chunk_size)
+        if chunks.row_chunk.shape[0] != rows:
+            raise CalibrationError(
+                f"positions has {chunks.row_chunk.shape[0]} entries for {rows} activation rows"
+            )
+        if isinstance(name, tuple):
+            return self._project_stacked(name, x, weight, bias, chunks)
+        return self._project_site(name, x, weight, bias, chunks)
+
+    def _project_site(self, name, x, weight, bias, chunks: RowChunks):
+        """One site's projection over rows already grouped by ``chunks``."""
         if name not in self.site_params:
             raise CalibrationError(f"no Tender calibration for matmul site {name!r}")
         self.stats["projections"] += 1
         params = self.site_params[name]
         q_weight, w_scale = self._quantized_weight(name, weight)
-
-        rows = x.shape[0]
-        chunk_size = self.config.row_chunk_size
-        if positions is None:
-            row_chunk = np.arange(rows, dtype=np.int64) // chunk_size
-        else:
-            row_chunk = np.asarray(positions, dtype=np.int64).reshape(-1) // chunk_size
-            if row_chunk.shape[0] != rows:
-                raise CalibrationError(
-                    f"positions has {row_chunk.shape[0]} entries for {rows} activation rows"
-                )
         if self.fast_kernels:
-            output = self._project_fast(name, params, x, row_chunk, q_weight, w_scale, weight)
+            output = self._project_fast(name, params, x, chunks, q_weight, w_scale, weight)
         else:
-            output = self._project_reference(name, params, x, row_chunk, q_weight, w_scale, weight)
-        self.stats["rescales"] += (self.config.num_groups - 1) * int(np.unique(row_chunk).size)
+            output = self._project_reference(
+                name, params, x, chunks.row_chunk, q_weight, w_scale, weight
+            )
+        self.stats["rescales"] += (self.config.num_groups - 1) * chunks.distinct
         if bias is not None:
             output = output + bias
         return output
-
-    @staticmethod
-    def _iter_chunk_rows(row_chunk: np.ndarray):
-        """Yield ``(chunk_index, row_indices)`` from one stable argsort pass.
-
-        Replaces the former O(chunks x rows) pattern of rescanning every row
-        with ``np.nonzero(row_chunk == chunk)`` per chunk; the stable sort
-        keeps each chunk's row indices ascending, exactly as ``nonzero``
-        produced them.
-        """
-        order = np.argsort(row_chunk, kind="stable")
-        unique_chunks, first = np.unique(row_chunk[order], return_index=True)
-        boundaries = np.append(first, row_chunk.size)
-        for position, chunk_index in enumerate(unique_chunks):
-            yield int(chunk_index), order[boundaries[position] : boundaries[position + 1]]
 
     def _project_reference(self, name, params, x, row_chunk, q_weight, w_scale, weight):
         """Reference projection: per-chunk loop of gathered-group matmuls."""
         bias_projections = self._bias_projection(name, weight)
         output = np.empty((x.shape[0], weight.shape[1]), dtype=np.float64)
-        for chunk_index, row_indices in self._iter_chunk_rows(row_chunk):
+        for chunk_index, row_indices in chunk_row_groups(row_chunk):
             chunk_params = params.chunk(chunk_index)
             chunk_x = x[row_indices]
             if self.config.subtract_bias:
@@ -233,7 +272,22 @@ class TenderExecutor:
             output[row_indices] = result
         return output
 
-    def _project_fast(self, name, params, x, row_chunk, q_weight, w_scale, weight):
+    def _quantize_rows(self, packed: PackedSiteParams, x, chunk_idx) -> np.ndarray:
+        """Bias-subtract and quantize ``x`` against each row's packed tables.
+
+        Returns integer-valued float64 (exact — see the dtype note in
+        kernels.py), so every downstream multiply runs on BLAS.  Rounding
+        and clipping run in place on the division's own buffer; ``rint`` and
+        ``maximum``/``minimum`` are what ``np.round``/``np.clip`` dispatch to.
+        """
+        shifted = x - packed.bias[chunk_idx] if self.config.subtract_bias else x
+        quantized = shifted / packed.channel_scales[chunk_idx]
+        np.rint(quantized, out=quantized)
+        np.maximum(quantized, -packed.qmax, out=quantized)
+        np.minimum(quantized, packed.qmax, out=quantized)
+        return quantized
+
+    def _project_fast(self, name, params, x, chunks: RowChunks, q_weight, w_scale, weight):
         """Packed fast projection: gather, quantize, fused/grouped matmul.
 
         Every row's calibration metadata (bias, per-channel scales, rescale
@@ -243,21 +297,13 @@ class TenderExecutor:
         overflow bound fits the 32-bit accumulator (the common case), the
         alpha-weighted fused matmul produces the final accumulator directly.
         Otherwise — and for the explicit path, whose per-group FP accumulate
-        is inherently ordered — rows are grouped by chunk with a single
-        argsort pass and each chunk runs the group-contiguous ordered kernel
+        is inherently ordered — rows are grouped by chunk (the plan's single
+        argsort pass) and each chunk runs the group-contiguous ordered kernel
         against its cached Index-Buffer-permuted weight.
         """
         packed = params.packed()
-        chunk_idx = np.minimum(row_chunk, packed.num_chunks - 1)
-        if self.config.subtract_bias:
-            shifted = x - packed.bias[chunk_idx]
-        else:
-            shifted = x
-        # Integer-valued float64 (exact — see the dtype note in kernels.py),
-        # so every downstream multiply runs on BLAS.
-        quantized = np.clip(
-            np.round(shifted / packed.channel_scales[chunk_idx]), -packed.qmax, packed.qmax
-        )
+        chunk_idx = chunks.clipped(packed.num_chunks)
+        quantized = self._quantize_rows(packed, x, chunk_idx)
         if self.implicit and packed.implicit_bounds[chunk_idx].max(initial=0.0) <= _ACC_MAX:
             result = fused_implicit_matmul(
                 quantized,
@@ -268,7 +314,7 @@ class TenderExecutor:
             )
         else:
             result = np.empty((x.shape[0], weight.shape[1]), dtype=np.float64)
-            for chunk_index, row_indices in self._iter_chunk_rows(chunk_idx):
+            for chunk_index, row_indices in chunks.groups(packed.num_chunks):
                 ordered = quantized[np.ix_(row_indices, packed.channel_order[chunk_index])]
                 ordered_weight = self._permuted_weight(name, chunk_index, q_weight, packed)
                 if self.implicit:
@@ -293,6 +339,90 @@ class TenderExecutor:
         if self.config.subtract_bias:
             result = result + self._bias_projection_stack(name, weight)[chunk_idx]
         return result
+
+    # ------------------------------------------------------------------
+    # Stacked projection (several sites over one activation)
+    # ------------------------------------------------------------------
+    def _stacked_site(self, names: Tuple[str, ...], weight) -> _StackedSite:
+        """The per-``names`` stack: column blocks split once, tables compared once."""
+        stack = self._stacked_cache.get(names)
+        if stack is not None:
+            return stack
+        for name in names:
+            if name not in self.site_params:
+                raise CalibrationError(f"no Tender calibration for matmul site {name!r}")
+        width, remainder = divmod(weight.shape[1], len(names))
+        if remainder:
+            raise ShapeError(
+                f"a stacked weight of {weight.shape[1]} columns does not split into "
+                f"{len(names)} equal site blocks"
+            )
+        stack = _StackedSite([(i * width, (i + 1) * width) for i in range(len(names))])
+        weights = stack.site_weights(weight)
+        if self.fast_kernels and self.implicit:
+            first, *others = [self.site_params[name].packed() for name in names]
+            if all(
+                other.qmax == first.qmax
+                and all(
+                    np.array_equal(getattr(first, table), getattr(other, table))
+                    for table in _SHARED_TABLES
+                )
+                for other in others
+            ):
+                quantized = [self._quantized_weight(n, w) for n, w in zip(names, weights)]
+                stack.packed = first
+                stack.weight64 = np.concatenate([q for q, _ in quantized], axis=1).astype(np.float64)
+                stack.weight_scale = np.concatenate([scale for _, scale in quantized], axis=-1)
+                stack.bias_projection = np.concatenate(
+                    [self._bias_projection_stack(n, w) for n, w in zip(names, weights)], axis=1
+                )
+        if stack.packed is None:
+            stack.weights = weights
+        self._stacked_cache[names] = stack
+        return stack
+
+    def _project_stacked(self, names, x, weight, bias, chunks: RowChunks):
+        """Several sites over one activation: one quantize, one fused matmul.
+
+        A block's ``q_proj`` / ``k_proj`` / ``v_proj`` consume the same
+        activation, so calibration hands them identical packed tables; that
+        is verified once per ``names`` by array equality.  ``x`` is then
+        bias-subtracted and quantized once and multiplied by the
+        column-concatenation of the sites' integer-valued weights.  Integer
+        partial sums in float64 are exact and the rescale, the ``bias @ W``
+        compensation and the layer bias are elementwise per column, so every
+        output column is bit-identical to its own site's :meth:`project`.
+        When the tables differ, the analytic overflow bound fails, or the
+        executor runs explicit or reference kernels, the sites are projected
+        one by one over the shared ``chunks`` instead.  ``stats`` advance as
+        for ``len(names)`` separate calls either way.
+        """
+        stack = self._stacked_site(names, weight)
+        packed = stack.packed
+        if packed is not None and self.fast_kernels and self.implicit:
+            chunk_idx = chunks.clipped(packed.num_chunks)
+            if packed.implicit_bounds[chunk_idx].max(initial=0.0) <= _ACC_MAX:
+                self.stats["projections"] += len(names)
+                self.stats["rescales"] += len(names) * (self.config.num_groups - 1) * chunks.distinct
+                result = fused_implicit_matmul(
+                    self._quantize_rows(packed, x, chunk_idx),
+                    packed.alpha_weights[chunk_idx],
+                    packed.final_scales[chunk_idx],
+                    stack.weight64,
+                    stack.weight_scale,
+                )
+                if self.config.subtract_bias:
+                    result = result + stack.bias_projection[chunk_idx]
+                if bias is not None:
+                    result = result + bias
+                return result
+        return np.concatenate(
+            [
+                self._project_site(name, x, site_weight, None if bias is None else bias[a:b], chunks)
+                for name, site_weight, (a, b) in zip(names, stack.site_weights(weight), stack.bounds)
+            ],
+            axis=1,
+        )
 
     # ------------------------------------------------------------------
     # Activation-activation path (X_Q X_K^T and X_S X_V)

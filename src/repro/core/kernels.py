@@ -34,6 +34,12 @@ This module is the software mirror of that dataflow:
   zero-copy strided views of consecutive-block runs straight out of
   :class:`~repro.serve.PagedKVCache` storage and assembles the scores the
   dense path would have produced, bit for bit.
+* :class:`ForwardPlan` is the Index Buffer's "load once, reuse across the
+  array" applied to a whole forward: what depends only on the token
+  positions — the row-chunk grouping every projection site looks its
+  tables up by, the KV scatter targets, the attention run segments and
+  visibility mask — is derived once per forward and handed to every site
+  and every layer instead of being re-derived by each.
 
 Every kernel is bit-identical to the reference implementations in
 :mod:`repro.core.requantization` and ``TenderExecutor``: integer partial
@@ -60,7 +66,7 @@ results match the reference int64 pipeline bit for bit (pinned by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,7 +76,7 @@ from repro.core.requantization import (
     EXPLICIT_OVERFLOW_MESSAGE,
     IMPLICIT_OVERFLOW_MESSAGE,
 )
-from repro.errors import QuantizationError
+from repro.errors import CalibrationError, QuantizationError
 from repro.quant.granularity import integer_range
 from repro.tensor.ops import softmax
 
@@ -177,6 +183,142 @@ def pack_site_params(chunks: Sequence) -> PackedSiteParams:
         num_groups=num_groups,
         num_chunks=len(chunks),
     )
+
+
+# ----------------------------------------------------------------------
+# The per-forward plan
+# ----------------------------------------------------------------------
+def chunk_row_groups(row_chunk: np.ndarray):
+    """Yield ``(chunk_index, row_indices)`` from one stable argsort pass.
+
+    Replaces the former O(chunks x rows) pattern of rescanning every row
+    with ``np.nonzero(row_chunk == chunk)`` per chunk; the stable sort
+    keeps each chunk's row indices ascending, exactly as ``nonzero``
+    produced them.
+    """
+    order = np.argsort(row_chunk, kind="stable")
+    unique_chunks, first = np.unique(row_chunk[order], return_index=True)
+    boundaries = np.append(first, row_chunk.size)
+    for position, chunk_index in enumerate(unique_chunks):
+        yield int(chunk_index), order[boundaries[position] : boundaries[position + 1]]
+
+
+class RowChunks:
+    """The row-chunk grouping of one forward's rows, for one chunk size.
+
+    Every Tender projection of a forward looks its calibration tables up by
+    ``position // row_chunk_size``; the positions are the same at every site
+    and every layer, so the division, the per-table clipping, the
+    distinct-chunk count behind ``stats["rescales"]`` and the per-chunk row
+    groups of the ordered kernels are derived here once.
+    """
+
+    __slots__ = ("chunk_size", "row_chunk", "distinct", "_clipped", "_groups")
+
+    def __init__(self, flat_positions: np.ndarray, chunk_size: int) -> None:
+        self.chunk_size = chunk_size
+        #: Calibrated chunk of every row, unclipped (the reference path's key).
+        self.row_chunk = flat_positions // chunk_size
+        #: Distinct chunks touched: one rescale sequence each.
+        self.distinct = int(np.unique(self.row_chunk).size)
+        self._clipped: dict = {}
+        self._groups: dict = {}
+
+    def clipped(self, num_chunks: int) -> np.ndarray:
+        """Packed-table row of every activation row (past the calibrated range: the last)."""
+        chunk_idx = self._clipped.get(num_chunks)
+        if chunk_idx is None:
+            chunk_idx = self._clipped[num_chunks] = np.minimum(self.row_chunk, num_chunks - 1)
+        return chunk_idx
+
+    def groups(self, num_chunks: int) -> List[Tuple[int, np.ndarray]]:
+        """``(table row, ascending activation rows)`` pairs: the ordered kernels' work list."""
+        groups = self._groups.get(num_chunks)
+        if groups is None:
+            groups = self._groups[num_chunks] = list(chunk_row_groups(self.clipped(num_chunks)))
+        return groups
+
+
+class ForwardPlan:
+    """What one runner forward derives from its token positions, held once.
+
+    ``TransformerRunner`` builds one plan at the top of ``prefill`` /
+    ``decode_step`` / ``verify`` (and the full-sequence backbone) and hands
+    it on wherever it used to hand the positions array: to
+    ``TenderExecutor.project``, ``PagedKVCache.write`` and
+    :func:`paged_attention`.  Each of those accepts a plain positions array
+    as well and wraps it with :meth:`of`, so a planned and an unplanned call
+    run the same code; the plan only makes the second and later consumers of
+    a forward find the work done.  Each part is filled by the layer that
+    owns the knowledge, on first use:
+
+    * :meth:`row_chunks` — the executor's row-chunk grouping (and the one
+      place negative positions are rejected for it);
+    * :attr:`scatter` — the paged pool's validated, forked and de-indexed
+      ``(physical block, offset)`` write targets, set by the first layer's
+      ``PagedKVCache.write`` and dropped when the pool's topology moves;
+    * :meth:`attention_layout` — the run segments and visibility mask of
+      :func:`paged_attention`, rebuilt when the run table is.
+
+    A plan describes one forward: build a new one when the positions change.
+    """
+
+    __slots__ = ("positions", "flat", "negative", "attended", "_row_chunks", "scatter", "_attention")
+
+    def __init__(self, positions) -> None:
+        #: Token position of every row, in the caller's shape.
+        self.positions = np.asarray(positions, dtype=np.int64)
+        self.flat = self.positions.reshape(-1)
+        self.negative = bool(self.flat.size) and bool(self.flat.min() < 0)
+        #: Cache slots a query of this forward can see: the highest position + 1.
+        self.attended = int(self.flat.max(initial=-1)) + 1
+        self._row_chunks: Optional[RowChunks] = None
+        #: ``(block index, table version, targets, offsets)`` — owned by ``PagedKVCache.write``.
+        self.scatter: Optional[tuple] = None
+        self._attention: Optional[tuple] = None
+
+    @classmethod
+    def of(cls, positions) -> "ForwardPlan":
+        """``positions`` itself when it already is a plan, else a plan over it."""
+        return positions if isinstance(positions, cls) else cls(positions)
+
+    def row_chunks(self, chunk_size: int) -> RowChunks:
+        """The rows grouped by calibrated chunk (one plan serves every shard executor)."""
+        chunks = self._row_chunks
+        if chunks is None or chunks.chunk_size != chunk_size:
+            if self.negative:
+                raise CalibrationError(
+                    f"token positions must be >= 0, got {int(self.flat.min())}"
+                )
+            chunks = self._row_chunks = RowChunks(self.flat, chunk_size)
+        return chunks
+
+    def attention_layout(self, runs, block_size: int) -> Tuple[list, np.ndarray]:
+        """Run segments and visibility mask for :func:`paged_attention`.
+
+        Segments are ``(row, start, stop, first, last)``: scores columns
+        ``[start, stop)`` of batch row ``row`` come from slots ``[first,
+        last)`` of the pool flattened to ``(num_heads, num_blocks *
+        block_size, d_head)``.  ``runs`` is the block index's run table —
+        a new list after every refresh, so its identity is the freshness
+        check.  The mask hides slot ``s`` from a query at position ``p``
+        when ``s > p``.
+        """
+        layout = self._attention
+        if layout is None or layout[0] is not runs:
+            attended = self.attended
+            segments = []
+            for row, row_runs in enumerate(runs):
+                for first_index, first_physical, count in row_runs:
+                    start = first_index * block_size
+                    if start >= attended:
+                        break
+                    stop = min(start + count * block_size, attended)
+                    first = first_physical * block_size
+                    segments.append((row, start, stop, first, first + stop - start))
+            hidden_slots = np.arange(attended)[None, None, None, :] > self.positions[:, None, :, None]
+            layout = self._attention = (runs, segments, hidden_slots)
+        return layout[1], layout[2]
 
 
 # ----------------------------------------------------------------------
@@ -410,8 +552,10 @@ def paged_attention(
         ``_BlockIndex.runs`` table.
     block_size : int
         Positions per block.
-    positions : ndarray
-        ``(batch, q_len)`` absolute position of each query token.
+    positions : ndarray or ForwardPlan
+        ``(batch, q_len)`` absolute position of each query token, or the
+        forward's plan over them — every layer of a forward then shares one
+        set of run segments and one visibility mask.
     valid : ndarray, optional
         ``(batch, q_len)`` mask of real (non-padding) rows; padded
         probability rows are replaced by the first row's, exactly as in
@@ -422,34 +566,21 @@ def paged_attention(
     ndarray
         ``(batch, num_heads, q_len, d_head)`` attention context.
     """
+    plan = ForwardPlan.of(positions)
     batch, num_heads, q_len, d_head = queries.shape
-    attended = int(positions.max()) + 1
-    scores = np.zeros((batch, num_heads, q_len, attended), dtype=np.float64)
-    for row in range(batch):
-        for first_index, first_physical, count in runs[row]:
-            start = first_index * block_size
-            if start >= attended:
-                break
-            stop = min(start + count * block_size, attended)
-            key_run = key_pool[:, first_physical : first_physical + count]
-            key_run = key_run.reshape(num_heads, count * block_size, d_head)
-            scores[row, :, :, start:stop] = queries[row] @ np.swapaxes(
-                key_run[:, : stop - start], -1, -2
-            )
+    segments, hidden_slots = plan.attention_layout(runs, block_size)
+    # Zero-copy: the pools are C-contiguous with heads outermost.
+    flat_keys = key_pool.reshape(num_heads, -1, d_head)
+    flat_values = value_pool.reshape(num_heads, -1, d_head)
+    scores = np.zeros((batch, num_heads, q_len, plan.attended), dtype=np.float64)
+    for row, start, stop, first, last in segments:
+        scores[row, :, :, start:stop] = queries[row] @ flat_keys[:, first:last].transpose(0, 2, 1)
     scores = scores / np.sqrt(d_head)
-    hidden_slots = np.arange(attended)[None, None, None, :] > positions[:, None, :, None]
     scores = np.where(hidden_slots, -1e9, scores)
     attention = softmax(scores, axis=-1)
     if valid is not None and not valid.all():
         attention = np.where(valid[:, None, :, None], attention, attention[:, :, :1, :])
     context = np.zeros((batch, num_heads, q_len, d_head), dtype=np.float64)
-    for row in range(batch):
-        for first_index, first_physical, count in runs[row]:
-            start = first_index * block_size
-            if start >= attended:
-                break
-            stop = min(start + count * block_size, attended)
-            value_run = value_pool[:, first_physical : first_physical + count]
-            value_run = value_run.reshape(num_heads, count * block_size, d_head)
-            context[row] += attention[row, :, :, start:stop] @ value_run[:, : stop - start]
+    for row, start, stop, first, last in segments:
+        context[row] += attention[row, :, :, start:stop] @ flat_values[:, first:last]
     return context

@@ -51,16 +51,19 @@ def decode_projection_operands(seed: int = 29) -> Tuple[np.ndarray, np.ndarray, 
     return x, positions, weight
 
 
-def best_of(function: Callable[[], object], repeats: int) -> float:
-    """Best wall time of ``function()`` over ``repeats`` runs (seconds).
+def measure(function: Callable[[], object], repeats: int) -> Dict[str, float]:
+    """Wall time of ``function()`` over ``repeats`` runs: ``{median, iqr, min}`` (seconds).
 
     One warm-up call runs first so lazy caches (packed tables, permuted
-    weights) are excluded from the measurement.
+    weights) are excluded from the measurement.  The median is the number to
+    report and the inter-quartile range its spread (house rule: no perf
+    number without one); ``min`` is the least-disturbed run.
     """
     function()
-    best = float("inf")
-    for _ in range(repeats):
+    samples = np.empty(repeats)
+    for index in range(repeats):
         start = time.perf_counter()
         function()
-        best = min(best, time.perf_counter() - start)
-    return best
+        samples[index] = time.perf_counter() - start
+    q1, median, q3 = np.percentile(samples, [25, 50, 75])
+    return {"median": float(median), "iqr": float(q3 - q1), "min": float(samples.min())}

@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Protocol, Tuple
 
 import numpy as np
 
-from repro.core.kernels import paged_attention
+from repro.core.kernels import ForwardPlan, paged_attention
 from repro.errors import ConfigurationError
 from repro.models.weights import ModelWeights
 from repro.quant.observers import ActivationObserver
@@ -49,8 +49,13 @@ class KVCacheLike(Protocol):
         """Make ``needed`` token slots addressable (grow or validate)."""
         ...
 
-    def write(self, layer: int, keys: np.ndarray, values: np.ndarray, slots: np.ndarray) -> None:
-        """Store ``(batch, heads, new_len, d_head)`` payloads at per-row slots."""
+    def write(self, layer: int, keys: np.ndarray, values: np.ndarray, slots) -> None:
+        """Store ``(batch, heads, new_len, d_head)`` payloads at per-row slots.
+
+        ``slots`` is the ``(batch, new_len)`` positions array or the forward's
+        :class:`~repro.core.kernels.ForwardPlan` over it (what the runner
+        passes, so layers after the first reuse the scatter targets).
+        """
         ...
 
     def view(self, layer: int, length: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -219,6 +224,13 @@ class TransformerRunner:
         self.weights = weights
         self.config = weights.config
         self.executor = executor if executor is not None else FloatExecutor()
+        #: Capabilities of the executor, resolved once: whether ``project``
+        #: takes the forward's plan (``uses_positions``) and whether it takes
+        #: a block's Q/K/V as one stacked call (``stacks_sites``).
+        self._uses_positions = bool(getattr(self.executor, "uses_positions", False))
+        self._stacks_qkv = bool(getattr(self.executor, "stacks_sites", False))
+        #: ``(names, [wq|wk|wv], [bq|bk|bv])`` per (block, column range).
+        self._qkv_stacks: Dict[tuple, tuple] = {}
         #: Read KV straight from paged-block storage during cached attention
         #: (see :func:`repro.core.kernels.paged_attention`).  Takes effect
         #: only when both the executor (``plain_attention``) and the cache
@@ -231,42 +243,94 @@ class TransformerRunner:
     # ------------------------------------------------------------------
     @staticmethod
     def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-        mean = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        return (x - mean) / np.sqrt(var + eps) * gain + bias
+        """LayerNorm over the last axis, centring ``x`` once.
+
+        The reductions are the ones ``ndarray.mean`` / ``ndarray.var`` run
+        (``add.reduce`` then a divide by the count; ``var`` over the centred
+        values squared), so the result is bit-identical to ``(x - x.mean()) /
+        sqrt(x.var() + eps) * gain + bias`` — without centring twice.
+        """
+        count = x.shape[-1]
+        centered = x - np.add.reduce(x, axis=-1, keepdims=True) / count
+        var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / count
+        return centered / np.sqrt(var + eps) * gain + bias
 
     def _project(
         self,
-        name: str,
+        name: str | Tuple[str, ...],
         x: np.ndarray,
         weight: np.ndarray,
         bias: Optional[np.ndarray],
-        positions: Optional[np.ndarray] = None,
+        positions: Optional[ForwardPlan | np.ndarray] = None,
     ) -> np.ndarray:
         """Flatten leading dims, delegate to the executor, restore the shape.
 
-        ``positions`` carries the token position of every row for executors
-        that calibrate per row chunk (``uses_positions``); the incremental
-        decode path needs it because a decoded token's flat row index no
-        longer equals its position in the sequence.
+        ``positions`` carries the token position of every row — the forward's
+        :class:`~repro.core.kernels.ForwardPlan`, or a plain array — for
+        executors that calibrate per row chunk (``uses_positions``); the
+        incremental decode path needs it because a decoded token's flat row
+        index no longer equals its position in the sequence.
         """
         leading = x.shape[:-1]
         flat = x.reshape(-1, x.shape[-1])
-        if positions is not None and getattr(self.executor, "uses_positions", False):
-            out = self.executor.project(name, flat, weight, bias, positions=positions.reshape(-1))
+        if positions is not None and self._uses_positions:
+            out = self.executor.project(name, flat, weight, bias, positions=positions)
         else:
             out = self.executor.project(name, flat, weight, bias)
         return out.reshape(*leading, weight.shape[-1])
 
-    def _attention(self, index: int, x: np.ndarray, positions: Optional[np.ndarray] = None) -> np.ndarray:
+    def _qkv_stack(self, index: int, columns: Optional[Tuple[int, int]] = None) -> tuple:
+        """Block ``index``'s Q/K/V sites as one stacked ``project`` operand, cached.
+
+        ``columns`` restricts every site to one column range (a
+        tensor-parallel shard's heads); the three blocks stay equal-width.
+        """
+        key = (index, columns)
+        stack = self._qkv_stacks.get(key)
+        if stack is None:
+            attn = self.weights.blocks[index].attn
+            cut = slice(None) if columns is None else slice(*columns)
+            stack = self._qkv_stacks[key] = (
+                tuple(f"block{index}.attn.{site}_proj" for site in "qkv"),
+                np.concatenate([attn.wq[:, cut], attn.wk[:, cut], attn.wv[:, cut]], axis=1),
+                np.concatenate([attn.bq[cut], attn.bk[cut], attn.bv[cut]]),
+            )
+        return stack
+
+    @staticmethod
+    def _split_qkv(stacked: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The three equal-width column blocks of a stacked Q/K/V output, as views."""
+        width = stacked.shape[-1] // 3
+        return stacked[..., :width], stacked[..., width : 2 * width], stacked[..., 2 * width :]
+
+    def _qkv(
+        self, index: int, x: np.ndarray, positions: Optional[ForwardPlan | np.ndarray]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Query, key and value projections of block ``index`` over ``x``.
+
+        One stacked call when the executor takes it (the three sites consume
+        the same activation), split back into views; three calls otherwise.
+        """
+        if self._stacks_qkv:
+            names, weight, bias = self._qkv_stack(index)
+            return self._split_qkv(self._project(names, x, weight, bias, positions))
+        attn = self.weights.blocks[index].attn
+        prefix = f"block{index}.attn"
+        return (
+            self._project(f"{prefix}.q_proj", x, attn.wq, attn.bq, positions),
+            self._project(f"{prefix}.k_proj", x, attn.wk, attn.bk, positions),
+            self._project(f"{prefix}.v_proj", x, attn.wv, attn.bv, positions),
+        )
+
+    def _attention(
+        self, index: int, x: np.ndarray, positions: Optional[ForwardPlan | np.ndarray] = None
+    ) -> np.ndarray:
         block = self.weights.blocks[index]
         config = self.config
         batch, seq, _ = x.shape
         prefix = f"block{index}.attn"
 
-        queries = self._project(f"{prefix}.q_proj", x, block.attn.wq, block.attn.bq, positions)
-        keys = self._project(f"{prefix}.k_proj", x, block.attn.wk, block.attn.bk, positions)
-        values = self._project(f"{prefix}.v_proj", x, block.attn.wv, block.attn.bv, positions)
+        queries, keys, values = self._qkv(index, x, positions)
 
         def split(t: np.ndarray) -> np.ndarray:
             return t.reshape(batch, seq, config.num_heads, config.d_head).transpose(0, 2, 1, 3)
@@ -283,14 +347,17 @@ class TransformerRunner:
         context = context.transpose(0, 2, 1, 3).reshape(batch, seq, config.d_model)
         return self._project(f"{prefix}.out_proj", context, block.attn.wo, block.attn.bo, positions)
 
-    def _feed_forward(self, index: int, x: np.ndarray, positions: Optional[np.ndarray] = None) -> np.ndarray:
+    def _feed_forward(
+        self, index: int, x: np.ndarray, positions: Optional[ForwardPlan | np.ndarray] = None
+    ) -> np.ndarray:
         block = self.weights.blocks[index]
         prefix = f"block{index}.ffn"
         hidden = self._project(f"{prefix}.fc1", x, block.ffn.w1, block.ffn.b1, positions)
         hidden = relu(hidden) if self.config.activation == "relu" else gelu(hidden)
         return self._project(f"{prefix}.fc2", hidden, block.ffn.w2, block.ffn.b2, positions)
 
-    def _backbone(self, tokens: np.ndarray) -> np.ndarray:
+    def _backbone(self, tokens: np.ndarray) -> Tuple[np.ndarray, ForwardPlan]:
+        """Final hidden states of a full-sequence forward, and the forward's plan."""
         tokens = np.asarray(tokens, dtype=np.int64)
         if tokens.ndim == 1:
             tokens = tokens[None, :]
@@ -302,15 +369,16 @@ class TransformerRunner:
         # Token positions of every row, so position-calibrated executors
         # (Tender row chunks) see the same parameters for a token regardless
         # of its batch index — batched forwards, classification batches, and
-        # the KV-cached decode path all agree per position.
-        positions = np.broadcast_to(np.arange(seq, dtype=np.int64), (batch, seq))
+        # the KV-cached decode path all agree per position.  One plan serves
+        # every projection site of the forward, the LM head included.
+        plan = ForwardPlan(np.broadcast_to(np.arange(seq, dtype=np.int64), (batch, seq)))
         x = self.weights.token_embedding[tokens] + self.weights.position_embedding[np.arange(seq)]
         for index, block in enumerate(self.weights.blocks):
             attn_input = self._layer_norm(x, block.ln_attn.gain, block.ln_attn.bias)
-            x = x + self._attention(index, attn_input, positions)
+            x = x + self._attention(index, attn_input, plan)
             ffn_input = self._layer_norm(x, block.ln_ffn.gain, block.ln_ffn.bias)
-            x = x + self._feed_forward(index, ffn_input, positions)
-        return self._layer_norm(x, self.weights.ln_final.gain, self.weights.ln_final.bias)
+            x = x + self._feed_forward(index, ffn_input, plan)
+        return self._layer_norm(x, self.weights.ln_final.gain, self.weights.ln_final.bias), plan
 
     # ------------------------------------------------------------------
     # Public entry points
@@ -319,10 +387,8 @@ class TransformerRunner:
         """Language-model logits of shape (batch, seq, vocab)."""
         if self.weights.lm_head is None:
             raise ConfigurationError("model has no LM head; use classify() instead")
-        hidden = self._backbone(tokens)
-        batch, seq = hidden.shape[0], hidden.shape[1]
-        positions = np.broadcast_to(np.arange(seq, dtype=np.int64), (batch, seq))
-        return self._project("lm_head", hidden, self.weights.lm_head, None, positions)
+        hidden, plan = self._backbone(tokens)
+        return self._project("lm_head", hidden, self.weights.lm_head, None, plan)
 
     def log_probs(self, tokens: np.ndarray) -> np.ndarray:
         """Log-probabilities over the vocabulary for each position."""
@@ -332,7 +398,7 @@ class TransformerRunner:
         """Classification logits of shape (batch, num_classes)."""
         if self.weights.classifier_weight is None:
             raise ConfigurationError("model has no classifier head; use logits() instead")
-        hidden = self._backbone(tokens)
+        hidden, _ = self._backbone(tokens)
         pooled = hidden.mean(axis=1)
         return self.executor.project(
             "classifier", pooled, self.weights.classifier_weight, self.weights.classifier_bias
@@ -346,12 +412,12 @@ class TransformerRunner:
         index: int,
         x: np.ndarray,
         cache: KVCacheLike,
-        positions: np.ndarray,
+        plan: ForwardPlan,
         valid: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Attention where keys/values come from (and are written to) ``cache``.
 
-        ``x`` is (batch, new_len, d_model) and ``positions`` gives each new
+        ``x`` is (batch, new_len, d_model) and ``plan`` holds each new
         token's absolute position, which is also its cache slot.  A slot ``s``
         is visible to a query at position ``p`` iff ``s <= p`` — this covers
         both causality and padding, because padded/unwritten slots always sit
@@ -371,60 +437,61 @@ class TransformerRunner:
         batch, new_len, _ = x.shape
         prefix = f"block{index}.attn"
 
-        queries = self._project(f"{prefix}.q_proj", x, block.attn.wq, block.attn.bq, positions)
-        keys = self._project(f"{prefix}.k_proj", x, block.attn.wk, block.attn.bk, positions)
-        values = self._project(f"{prefix}.v_proj", x, block.attn.wv, block.attn.bv, positions)
-        queries, keys, values = neutralize_padding(queries, keys, values, valid)
+        queries, keys, values = neutralize_padding(*self._qkv(index, x, plan), valid)
 
         def split(t: np.ndarray) -> np.ndarray:
             return t.reshape(batch, new_len, config.num_heads, config.d_head).transpose(0, 2, 1, 3)
 
         queries, keys, values = split(queries), split(keys), split(values)
-        cache.write(index, keys, values, positions)
+        cache.write(index, keys, values, plan)
         if self.fused_paged_attention and fused_attention_ready(self.executor, cache):
             # Both attention products are plain matmuls, so read K/V straight
             # from block storage — no dense gather.  Operands are fetched
             # *after* the write: any copy-on-write fork the write triggered is
             # already reflected in the run table.
             key_pool, value_pool, runs, block_size = cache.attention_operands(index)
-            context = paged_attention(
-                queries, key_pool, value_pool, runs, block_size, positions, valid
-            )
+            context = paged_attention(queries, key_pool, value_pool, runs, block_size, plan, valid)
         else:
-            attended = int(positions.max()) + 1
-            cached_keys, cached_values = cache.view(index, attended)
+            cached_keys, cached_values = cache.view(index, plan.attended)
             context = dense_cached_attention(
                 self.executor,
                 prefix,
                 queries,
                 cached_keys,
                 cached_values,
-                positions,
+                plan.positions,
                 valid,
                 config.d_head,
             )
         context = context.transpose(0, 2, 1, 3).reshape(batch, new_len, config.d_model)
-        return self._project(f"{prefix}.out_proj", context, block.attn.wo, block.attn.bo, positions)
+        return self._project(f"{prefix}.out_proj", context, block.attn.wo, block.attn.bo, plan)
 
     def _incremental_backbone(
         self,
         tokens: np.ndarray,
         cache: KVCacheLike,
-        positions: np.ndarray,
+        plan: ForwardPlan,
         valid: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Run the backbone over new tokens only, attending through the cache."""
-        if positions.max() >= self.config.max_seq_len:
+        """Run the backbone over new tokens only, attending through the cache.
+
+        ``plan`` is the forward's one :class:`~repro.core.kernels.ForwardPlan`:
+        every projection site, every layer's cache write and every layer's
+        paged attention reads what it derives from the positions there.
+        """
+        if plan.attended > self.config.max_seq_len:
             raise ConfigurationError(
-                f"position {int(positions.max())} exceeds max_seq_len {self.config.max_seq_len}"
+                f"position {plan.attended - 1} exceeds max_seq_len {self.config.max_seq_len}"
             )
-        cache.ensure_capacity(int(positions.max()) + 1)
-        x = self.weights.token_embedding[tokens] + self.weights.position_embedding[positions]
+        cache.ensure_capacity(plan.attended)
+        if valid is not None and valid.all():
+            valid = None  # nothing is padded: no layer needs to look again
+        x = self.weights.token_embedding[tokens] + self.weights.position_embedding[plan.positions]
         for index, block in enumerate(self.weights.blocks):
             attn_input = self._layer_norm(x, block.ln_attn.gain, block.ln_attn.bias)
-            x = x + self._attention_cached(index, attn_input, cache, positions, valid)
+            x = x + self._attention_cached(index, attn_input, cache, plan, valid)
             ffn_input = self._layer_norm(x, block.ln_ffn.gain, block.ln_ffn.bias)
-            x = x + self._feed_forward(index, ffn_input, positions)
+            x = x + self._feed_forward(index, ffn_input, plan)
         return self._layer_norm(x, self.weights.ln_final.gain, self.weights.ln_final.bias)
 
     def prefill(
@@ -470,9 +537,9 @@ class TransformerRunner:
                 raise ConfigurationError("start_positions must provide one position per row")
             if np.any(start < 0):
                 raise ConfigurationError("start_positions must be >= 0")
-        positions = start[:, None] + np.arange(max_len, dtype=np.int64)[None, :]
+        plan = ForwardPlan(start[:, None] + np.arange(max_len, dtype=np.int64)[None, :])
         valid = np.arange(max_len, dtype=np.int64)[None, :] < lengths[:, None]
-        hidden = self._incremental_backbone(tokens, cache, positions, valid)
+        hidden = self._incremental_backbone(tokens, cache, plan, valid)
         cache.lengths[:] = start + lengths
         if not return_logits:
             return None
@@ -528,10 +595,10 @@ class TransformerRunner:
             raise ConfigurationError("start_positions must provide one position per row")
         if np.any(start < 0):
             raise ConfigurationError("start_positions must be >= 0")
-        positions = start[:, None] + np.arange(new_len, dtype=np.int64)[None, :]
-        hidden = self._incremental_backbone(tokens, cache, positions)
+        plan = ForwardPlan(start[:, None] + np.arange(new_len, dtype=np.int64)[None, :])
+        hidden = self._incremental_backbone(tokens, cache, plan)
         cache.lengths[:] = start + new_len
-        return self._project("lm_head", hidden, self.weights.lm_head, None, positions)
+        return self._project("lm_head", hidden, self.weights.lm_head, None, plan)
 
     def decode_step(self, tokens: np.ndarray, cache: KVCacheLike) -> np.ndarray:
         """Append one token per sequence and return next-token logits.
@@ -548,16 +615,18 @@ class TransformerRunner:
         hot path of Tender's fast kernels: ``TenderExecutor`` serves every
         projection here from packed calibration tables indexed by
         ``positions // chunk_size`` (one gather, no per-chunk Python loop —
-        see :mod:`repro.core.kernels`).  Returns logits of shape
-        (batch, vocab).
+        see :mod:`repro.core.kernels`).  The positions are fixed before the
+        first layer runs, so one :class:`~repro.core.kernels.ForwardPlan`
+        built here carries what every site and layer derives from them.
+        Returns logits of shape (batch, vocab).
         """
         if self.weights.lm_head is None:
             raise ConfigurationError("model has no LM head; generation requires one")
         tokens = np.asarray(tokens, dtype=np.int64).reshape(-1, 1)
-        positions = cache.lengths[:, None].copy()
-        hidden = self._incremental_backbone(tokens, cache, positions)
+        plan = ForwardPlan(cache.lengths[:, None].copy())
+        hidden = self._incremental_backbone(tokens, cache, plan)
         cache.lengths += 1
-        return self._project("lm_head", hidden[:, 0], self.weights.lm_head, None, positions[:, 0])
+        return self._project("lm_head", hidden[:, 0], self.weights.lm_head, None, plan)
 
 
 def run_calibration(

@@ -22,6 +22,7 @@ from typing import List, Tuple
 
 import numpy as np
 
+from repro.core.kernels import ForwardPlan
 from repro.errors import ConfigurationError
 
 
@@ -141,7 +142,7 @@ class KVCache:
                 grown[:, :, :current] = old
                 arrays[layer] = grown
 
-    def write(self, layer: int, keys: np.ndarray, values: np.ndarray, slots: np.ndarray) -> None:
+    def write(self, layer: int, keys: np.ndarray, values: np.ndarray, slots) -> None:
         """Store new head tensors at per-sequence slots.
 
         Parameters
@@ -150,12 +151,15 @@ class KVCache:
             Layer whose arrays receive the data.
         keys, values : ndarray
             ``(batch, num_heads, new_len, d_head)`` payloads.
-        slots : ndarray
+        slots : ndarray or ForwardPlan
             ``(batch, new_len)`` token slots — different sequences of a
-            ragged batch may write different slots in the same step.
+            ragged batch may write different slots in the same step — or the
+            forward's plan over them.
         """
         batch = keys.shape[0]
-        self.ensure_capacity(int(slots.max()) + 1)
+        plan = ForwardPlan.of(slots)
+        slots = plan.positions
+        self.ensure_capacity(plan.attended)
         batch_index = np.arange(batch)[:, None]
         # Advanced indices on axes 0 and 2 with a slice between: the head axis
         # moves last in the indexed view, so the payload is transposed to match.

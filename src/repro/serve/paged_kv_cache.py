@@ -74,6 +74,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.core.kernels import ForwardPlan
 from repro.errors import ConfigurationError, ResourceExhaustedError
 
 #: Radix-index parent of a prompt's first block (no preceding prefix).
@@ -697,7 +698,7 @@ class PagedKVCache:
         slot_ids: Sequence[int],
         keys: np.ndarray,
         values: np.ndarray,
-        positions: np.ndarray,
+        positions,
         index: Optional[_BlockIndex] = None,
     ) -> None:
         """Scatter new head tensors into the blocks of the given slots.
@@ -709,6 +710,13 @@ class PagedKVCache:
         (copy-on-write), so a write can never leak into a prefix another
         request is still attending.
 
+        The targets depend on the positions and the block topology, not on
+        the layer: given the forward's :class:`~repro.core.kernels.ForwardPlan`
+        and a view's ``index``, the first layer's call validates, forks,
+        de-indexes and resolves them (:meth:`_scatter_targets`) and every
+        later layer of that forward only assigns — unless the topology moved
+        in between, which resolves them again.
+
         Parameters
         ----------
         layer : int
@@ -717,8 +725,9 @@ class PagedKVCache:
             One slot per batch row.
         keys, values : ndarray
             ``(len(slot_ids), num_heads, new_len, d_head)`` payloads.
-        positions : ndarray
-            ``(len(slot_ids), new_len)`` absolute token positions per row.
+        positions : ndarray or ForwardPlan
+            ``(len(slot_ids), new_len)`` absolute token positions per row, or
+            the forward's plan over them.
         index : _BlockIndex, optional
             A view's cached block table (rebuilt here only if stale).
 
@@ -727,11 +736,31 @@ class PagedKVCache:
         ConfigurationError
             If any position lies beyond its slot's reserved capacity.
         """
-        positions = np.asarray(positions, dtype=np.int64)
-        index = self._fresh_index(slot_ids, index)
+        plan = ForwardPlan.of(positions)
+        scatter = plan.scatter
+        if scatter is None or scatter[0] is not index or scatter[1] != self._table_version:
+            index = self._fresh_index(slot_ids, index)
+            targets, offsets = self._scatter_targets(index, plan)
+            scatter = plan.scatter = (index, self._table_version, targets, offsets)
+        _, _, targets, offsets = scatter
+        # Adjacent advanced indices on the block/position axes keep the head
+        # axis leading in the indexed view, so payloads move it up front.
+        self.key_blocks[layer][:, targets, offsets] = keys.transpose(1, 0, 2, 3)
+        self.value_blocks[layer][:, targets, offsets] = values.transpose(1, 0, 2, 3)
+
+    def _scatter_targets(self, index: _BlockIndex, plan: ForwardPlan) -> Tuple[np.ndarray, np.ndarray]:
+        """Validate a forward's write and make its target blocks safe to write.
+
+        Returns the ``(physical block, in-block offset)`` of every position
+        after checking each against its slot's reservation, forking targets
+        shared with another slot, dropping sole-owner targets from the prefix
+        index and marking them dirty.
+        """
+        positions = plan.positions
         block_rows = positions // self.block_size
-        if (positions < 0).any() or (block_rows >= index.blocks_per_row[:, None]).any():
-            bad = positions[(positions < 0) | (block_rows >= index.blocks_per_row[:, None])]
+        beyond = block_rows >= index.blocks_per_row[:, None]
+        if plan.negative or beyond.any():
+            bad = positions[(positions < 0) | beyond]
             raise ConfigurationError(
                 f"position {int(bad[0])} outside the writing slot's reserved capacity"
             )
@@ -749,12 +778,8 @@ class PagedKVCache:
         for block in np.unique(targets):
             if self._block_key.get(int(block)) is not None:
                 self._deindex(int(block))
-        offsets = positions - block_rows * self.block_size
         self._dirty[targets] = True
-        # Adjacent advanced indices on the block/position axes keep the head
-        # axis leading in the indexed view, so payloads move it up front.
-        self.key_blocks[layer][:, targets, offsets] = keys.transpose(1, 0, 2, 3)
-        self.value_blocks[layer][:, targets, offsets] = values.transpose(1, 0, 2, 3)
+        return targets, positions - block_rows * self.block_size
 
     def gather(
         self,
@@ -881,8 +906,8 @@ class SlotBatchView:
                 f"{self._paged.num_blocks} x {self._paged.block_size} slots"
             )
 
-    def write(self, layer: int, keys: np.ndarray, values: np.ndarray, slots: np.ndarray) -> None:
-        """Scatter per-row payloads through to the backing pool."""
+    def write(self, layer: int, keys: np.ndarray, values: np.ndarray, slots) -> None:
+        """Scatter per-row payloads (``slots``: positions or the forward's plan) to the pool."""
         self._paged.write(layer, self.slot_ids, keys, values, slots, index=self._index)
 
     def view(self, layer: int, length: int) -> Tuple[np.ndarray, np.ndarray]:

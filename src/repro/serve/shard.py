@@ -45,7 +45,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.kernels import paged_attention
+from repro.core.kernels import ForwardPlan, paged_attention
 from repro.errors import ConfigurationError
 from repro.models.inference import (
     KVCacheLike,
@@ -148,6 +148,9 @@ class ShardedRunner(TransformerRunner):
             )
         super().__init__(runner.weights, runner.executor)
         self.fused_paged_attention = runner.fused_paged_attention
+        # The weights are shared read-only, so the stacked Q/K/V operands cut
+        # from them are too: every replica's shards reuse one set.
+        self._qkv_stacks = runner._qkv_stacks
         self.num_shards = num_shards
         self.group = group if group is not None else CollectiveGroup(num_shards)
         if executor_factory is None:
@@ -156,6 +159,9 @@ class ShardedRunner(TransformerRunner):
         self.executors: List[MatmulExecutor] = [
             executor_factory(shard_id) for shard_id in range(num_shards)
         ]
+        # The shard executors serve the projections, so their capabilities count.
+        self._uses_positions = all(getattr(e, "uses_positions", False) for e in self.executors)
+        self._stacks_qkv = all(getattr(e, "stacks_sites", False) for e in self.executors)
         #: Contiguous head ranges per shard (attention head parallelism).
         self.head_bounds = partition_bounds(config.num_heads, num_shards)
         self._column_bounds: Dict[int, List[Tuple[int, int]]] = {}
@@ -179,20 +185,23 @@ class ShardedRunner(TransformerRunner):
     def _shard_project(
         self,
         shard_id: int,
-        name: str,
+        name: str | Tuple[str, ...],
         x: np.ndarray,
         weight: np.ndarray,
         bias: Optional[np.ndarray],
-        positions: Optional[np.ndarray] = None,
+        positions: Optional[ForwardPlan | np.ndarray] = None,
     ) -> np.ndarray:
-        """One shard's slice of a projection: full-width input, sliced columns."""
-        executor = self.executors[shard_id]
+        """One shard's slice of a projection: full-width input, sliced columns.
+
+        ``positions`` is the forward's plan (or a plain array): one plan
+        serves every shard executor, which all group rows the same way.
+        """
         leading = x.shape[:-1]
         flat = x.reshape(-1, x.shape[-1])
-        if positions is not None and getattr(executor, "uses_positions", False):
-            out = executor.project(name, flat, weight, bias, positions=positions.reshape(-1))
+        if positions is not None and self._uses_positions:
+            out = self.executors[shard_id].project(name, flat, weight, bias, positions=positions)
         else:
-            out = executor.project(name, flat, weight, bias)
+            out = self.executors[shard_id].project(name, flat, weight, bias)
         return out.reshape(*leading, weight.shape[-1])
 
     def _project(
@@ -201,7 +210,7 @@ class ShardedRunner(TransformerRunner):
         x: np.ndarray,
         weight: np.ndarray,
         bias: Optional[np.ndarray],
-        positions: Optional[np.ndarray] = None,
+        positions: Optional[ForwardPlan | np.ndarray] = None,
     ) -> np.ndarray:
         """Column-parallel projection meeting at an ``all_gather``.
 
@@ -230,28 +239,39 @@ class ShardedRunner(TransformerRunner):
     # ------------------------------------------------------------------
     def _qkv_shards(
         self,
-        prefix: str,
+        index: int,
         x: np.ndarray,
-        block_attn,
-        positions: Optional[np.ndarray],
+        positions: Optional[ForwardPlan | np.ndarray],
         valid: Optional[np.ndarray],
     ) -> Tuple[List[np.ndarray], List[np.ndarray], List[np.ndarray]]:
-        """Per-shard Q/K/V column slices aligned to each shard's head range."""
+        """Per-shard Q/K/V column slices aligned to each shard's head range.
+
+        Each shard stacks its own three column blocks into one ``project``
+        call when its executor takes that (see ``TransformerRunner._qkv``).
+        """
+        attn = self.weights.blocks[index].attn
+        prefix = f"block{index}.attn"
         d_head = self.config.d_head
         q_parts: List[np.ndarray] = []
         k_parts: List[np.ndarray] = []
         v_parts: List[np.ndarray] = []
         for shard_id, (h0, h1) in enumerate(self.head_bounds):
             c0, c1 = h0 * d_head, h1 * d_head
-            queries = self._shard_project(
-                shard_id, f"{prefix}.q_proj", x, block_attn.wq[:, c0:c1], block_attn.bq[c0:c1], positions
-            )
-            keys = self._shard_project(
-                shard_id, f"{prefix}.k_proj", x, block_attn.wk[:, c0:c1], block_attn.bk[c0:c1], positions
-            )
-            values = self._shard_project(
-                shard_id, f"{prefix}.v_proj", x, block_attn.wv[:, c0:c1], block_attn.bv[c0:c1], positions
-            )
+            if self._stacks_qkv:
+                names, weight, bias = self._qkv_stack(index, (c0, c1))
+                queries, keys, values = self._split_qkv(
+                    self._shard_project(shard_id, names, x, weight, bias, positions)
+                )
+            else:
+                queries = self._shard_project(
+                    shard_id, f"{prefix}.q_proj", x, attn.wq[:, c0:c1], attn.bq[c0:c1], positions
+                )
+                keys = self._shard_project(
+                    shard_id, f"{prefix}.k_proj", x, attn.wk[:, c0:c1], attn.bk[c0:c1], positions
+                )
+                values = self._shard_project(
+                    shard_id, f"{prefix}.v_proj", x, attn.wv[:, c0:c1], attn.bv[c0:c1], positions
+                )
             queries, keys, values = neutralize_padding(queries, keys, values, valid)
             q_parts.append(queries)
             k_parts.append(keys)
@@ -268,7 +288,7 @@ class ShardedRunner(TransformerRunner):
         index: int,
         x: np.ndarray,
         cache: KVCacheLike,
-        positions: np.ndarray,
+        plan: ForwardPlan,
         valid: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Head-parallel cached attention meeting at K/V and context gathers.
@@ -287,14 +307,14 @@ class ShardedRunner(TransformerRunner):
         prefix = f"block{index}.attn"
         d_head = config.d_head
 
-        q_parts, k_parts, v_parts = self._qkv_shards(prefix, x, block.attn, positions, valid)
+        q_parts, k_parts, v_parts = self._qkv_shards(index, x, plan, valid)
         keys = self.group.all_gather(k_parts, axis=-1)
         values = self.group.all_gather(v_parts, axis=-1)
         cache.write(
             index,
             self._split_heads(keys, config.num_heads, d_head),
             self._split_heads(values, config.num_heads, d_head),
-            positions,
+            plan,
         )
 
         fused = self.fused_paged_attention and all(
@@ -305,8 +325,7 @@ class ShardedRunner(TransformerRunner):
             # copy-on-write fork is already reflected in the run table.
             key_pool, value_pool, runs, block_size = cache.attention_operands(index)
         else:
-            attended = int(positions.max()) + 1
-            cached_keys, cached_values = cache.view(index, attended)
+            cached_keys, cached_values = cache.view(index, plan.attended)
 
         context_parts: List[np.ndarray] = []
         for shard_id, (h0, h1) in enumerate(self.head_bounds):
@@ -318,7 +337,7 @@ class ShardedRunner(TransformerRunner):
                     value_pool[h0:h1],
                     runs,
                     block_size,
-                    positions,
+                    plan,
                     valid,
                 )
             else:
@@ -328,7 +347,7 @@ class ShardedRunner(TransformerRunner):
                     queries,
                     cached_keys[:, h0:h1],
                     cached_values[:, h0:h1],
-                    positions,
+                    plan.positions,
                     valid,
                     d_head,
                 )
@@ -336,13 +355,13 @@ class ShardedRunner(TransformerRunner):
                 context.transpose(0, 2, 1, 3).reshape(batch, new_len, (h1 - h0) * d_head)
             )
         context = self.group.all_gather(context_parts, axis=-1)
-        return self._project(f"{prefix}.out_proj", context, block.attn.wo, block.attn.bo, positions)
+        return self._project(f"{prefix}.out_proj", context, block.attn.wo, block.attn.bo, plan)
 
     def _attention(
         self,
         index: int,
         x: np.ndarray,
-        positions: Optional[np.ndarray] = None,
+        positions: Optional[ForwardPlan | np.ndarray] = None,
     ) -> np.ndarray:
         """Head-parallel full-sequence attention (the ``logits()`` path)."""
         block = self.weights.blocks[index]
@@ -351,7 +370,7 @@ class ShardedRunner(TransformerRunner):
         prefix = f"block{index}.attn"
         d_head = config.d_head
 
-        q_parts, k_parts, v_parts = self._qkv_shards(prefix, x, block.attn, positions, None)
+        q_parts, k_parts, v_parts = self._qkv_shards(index, x, positions, None)
         mask = (
             np.triu(np.ones((seq, seq), dtype=bool), k=1) if config.causal else None
         )

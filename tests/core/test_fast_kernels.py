@@ -16,7 +16,8 @@ import pytest
 
 from repro.core import TenderConfig, TenderExecutor, pack_site_params
 from repro.core.calibration import _ChunkedStatistics
-from repro.errors import QuantizationError
+from repro.core.kernels import ForwardPlan
+from repro.errors import CalibrationError, QuantizationError, ShapeError
 
 CHANNELS, OUT = 48, 24
 
@@ -112,6 +113,171 @@ class TestProjectionBitExact:
         assert np.array_equal(
             fast.project("site", x, weight, None), reference.project("site", x, weight, None)
         )
+
+
+QKV = ("q_proj", "k_proj", "v_proj")
+#: Rows scattered over several chunks, repeated, unsorted, and past the
+#: calibrated range (5 chunks of 16 rows: 200 reuses the last chunk).
+SCATTERED = np.array([90, 0, 17, 31, 33, 5, 64, 200, 17])
+
+
+def qkv_sites(rng, config, channels=CHANNELS):
+    """Three sites calibrated from the same activation, as a block's Q/K/V are."""
+    calibration = rng.normal(size=(5 * config.row_chunk_size, channels))
+    calibration[:, 3] *= 50.0
+    calibration[:, 11] *= 9.0
+    statistics = _ChunkedStatistics(config.row_chunk_size)
+    statistics.update(calibration)
+    return {name: statistics.finalize(name, config) for name in QKV}
+
+
+class TestForwardPlan:
+    """A planned call is the unplanned call with the position work already done."""
+
+    @pytest.mark.parametrize("fast_kernels", [True, False])
+    @pytest.mark.parametrize("implicit", [True, False])
+    def test_planned_equals_unplanned(self, rng, implicit, fast_kernels):
+        config = TenderConfig(bits=8, num_groups=8, row_chunk_size=16)
+        params = calibrated_site(rng, config)
+        weight = rng.normal(size=(CHANNELS, OUT))
+        layer_bias = rng.normal(size=OUT)
+        x = rng.normal(size=(SCATTERED.size, CHANNELS))
+        x[:, 3] *= 40.0
+        planned = TenderExecutor(params, config, implicit=implicit, fast_kernels=fast_kernels)
+        unplanned = TenderExecutor(params, config, implicit=implicit, fast_kernels=fast_kernels)
+        plan = ForwardPlan(SCATTERED.reshape(3, 3))  # the runner's (batch, new_len) shape
+        expected = unplanned.project("site", x, weight, layer_bias, positions=SCATTERED)
+        for _ in range(2):  # the second call finds every derived part cached
+            assert np.array_equal(
+                planned.project("site", x, weight, layer_bias, positions=plan), expected
+            )
+        unplanned.project("site", x, weight, layer_bias, positions=SCATTERED)
+        assert planned.stats == unplanned.stats
+
+    def test_planned_equals_unplanned_on_the_overflow_fallback(self, rng):
+        channels = 1100
+        config = TenderConfig(bits=8, num_groups=8, row_chunk_size=16)
+        params = overflow_site(channels, config)
+        assert params["site"].packed().implicit_bounds.max() > 2**31 - 1
+        weight = np.ones((channels, 3))
+        x = rng.normal(size=(4, channels)) * 0.01
+        positions = np.array([40, 3, 15, 16])
+        outputs = [
+            TenderExecutor(params, config, implicit=True, fast_kernels=fk).project(
+                "site", x, weight, None, positions=given
+            )
+            for fk in (True, False)
+            for given in (positions, ForwardPlan(positions))
+        ]
+        assert all(np.array_equal(outputs[0], other) for other in outputs[1:])
+
+    @pytest.mark.parametrize("fast_kernels", [True, False])
+    @pytest.mark.parametrize("planned", [True, False])
+    def test_negative_positions_are_rejected(self, rng, planned, fast_kernels):
+        """They used to wrap to the last chunk silently, on both paths."""
+        fast, reference, _ = make_pair(rng)
+        executor = fast if fast_kernels else reference
+        weight = rng.normal(size=(CHANNELS, OUT))
+        x = rng.normal(size=(3, CHANNELS))
+        positions = np.array([-5, 0, 20])
+        with pytest.raises(CalibrationError, match="positions must be >= 0, got -5"):
+            executor.project(
+                "site", x, weight, None, positions=ForwardPlan(positions) if planned else positions
+            )
+        assert executor.stats["projections"] == 0
+
+    def test_row_count_mismatch_is_rejected_with_a_plan(self, rng):
+        fast, _, _ = make_pair(rng)
+        x = rng.normal(size=(3, CHANNELS))
+        with pytest.raises(CalibrationError, match="positions has 4 entries for 3"):
+            fast.project("site", x, rng.normal(size=(CHANNELS, OUT)), None, positions=ForwardPlan(np.arange(4)))
+
+
+class TestStackedProjection:
+    """A tuple of sites over one activation equals the per-site calls, column for column."""
+
+    @staticmethod
+    def operands(rng):
+        weights = [rng.normal(size=(CHANNELS, OUT)) for _ in QKV]
+        biases = [rng.normal(size=OUT) for _ in QKV]
+        x = rng.normal(size=(SCATTERED.size, CHANNELS))
+        x[:, 3] *= 40.0
+        return x, weights, biases
+
+    @staticmethod
+    def one_by_one(executor, x, weights, biases, positions):
+        return np.concatenate(
+            [
+                executor.project(name, x, weight, bias, positions=positions)
+                for name, weight, bias in zip(QKV, weights, biases)
+            ],
+            axis=1,
+        )
+
+    @pytest.mark.parametrize("fast_kernels", [True, False])
+    @pytest.mark.parametrize("implicit", [True, False])
+    @pytest.mark.parametrize("subtract_bias", [True, False])
+    def test_stacked_equals_three_calls(self, rng, subtract_bias, implicit, fast_kernels):
+        config = TenderConfig(bits=8, num_groups=8, row_chunk_size=16, subtract_bias=subtract_bias)
+        params = qkv_sites(rng, config)
+        x, weights, biases = self.operands(rng)
+        stacked = TenderExecutor(params, config, implicit=implicit, fast_kernels=fast_kernels)
+        separate = TenderExecutor(params, config, implicit=implicit, fast_kernels=fast_kernels)
+        plan = ForwardPlan(SCATTERED)
+        out = stacked.project(
+            QKV, x, np.concatenate(weights, axis=1), np.concatenate(biases), positions=plan
+        )
+        assert np.array_equal(out, self.one_by_one(separate, x, weights, biases, plan))
+        assert stacked.stats == separate.stats
+        assert stacked.stats["projections"] == 3
+        # One fused matmul serves the three sites exactly when the kernels allow it.
+        assert (stacked._stacked_cache[QKV].packed is not None) == (fast_kernels and implicit)
+
+    def test_stacked_without_layer_bias(self, rng):
+        config = TenderConfig(bits=8, num_groups=8, row_chunk_size=16)
+        params = qkv_sites(rng, config)
+        x, weights, _ = self.operands(rng)
+        none = [None] * 3
+        out = TenderExecutor(params, config).project(
+            QKV, x, np.concatenate(weights, axis=1), None, positions=SCATTERED
+        )
+        assert np.array_equal(
+            out, self.one_by_one(TenderExecutor(params, config), x, weights, none, SCATTERED)
+        )
+
+    def test_perturbed_table_falls_back_to_per_site_calls(self, rng):
+        config = TenderConfig(bits=8, num_groups=8, row_chunk_size=16)
+        params = qkv_sites(rng, config)
+        params["k_proj"].chunks[2].bias = params["k_proj"].chunks[2].bias + 0.125
+        x, weights, biases = self.operands(rng)
+        stacked = TenderExecutor(params, config)
+        separate = TenderExecutor(params, config)
+        out = stacked.project(
+            QKV, x, np.concatenate(weights, axis=1), np.concatenate(biases), positions=SCATTERED
+        )
+        assert stacked._stacked_cache[QKV].packed is None, "differing tables must not be stacked"
+        assert np.array_equal(out, self.one_by_one(separate, x, weights, biases, SCATTERED))
+        assert stacked.stats == separate.stats
+
+    def test_overflow_bound_falls_back_to_per_site_calls(self, rng):
+        channels = 1100
+        config = TenderConfig(bits=8, num_groups=8, row_chunk_size=16)
+        site = overflow_site(channels, config)["site"]
+        params = {name: site for name in QKV}
+        weights = [np.ones((channels, 3)) * scale for scale in (1.0, 0.5, 2.0)]
+        x = rng.normal(size=(4, channels)) * 0.01
+        out = TenderExecutor(params, config).project(QKV, x, np.concatenate(weights, axis=1), None)
+        reference = TenderExecutor(params, config, fast_kernels=False)
+        assert np.array_equal(out, self.one_by_one(reference, x, weights, [None] * 3, None))
+
+    def test_unknown_site_and_ragged_stack_are_rejected(self, rng):
+        config = TenderConfig(bits=8, num_groups=8, row_chunk_size=16)
+        executor = TenderExecutor(qkv_sites(rng, config), config)
+        x = rng.normal(size=(2, CHANNELS))
+        with pytest.raises(CalibrationError, match="no Tender calibration for matmul site 'o_proj'"):
+            executor.project(("q_proj", "o_proj"), x, rng.normal(size=(CHANNELS, 8)), None)
+        with pytest.raises(ShapeError, match="does not split into 3 equal site blocks"):
+            executor.project(QKV, x, rng.normal(size=(CHANNELS, 10)), None)
 
 
 def overflow_site(channels, config):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import TenderConfig, TenderQuantizer
 from repro.errors import ConfigurationError
 from repro.models import (
     CapturingExecutor,
@@ -17,6 +18,7 @@ from repro.models import (
     run_calibration,
 )
 from repro.nn import TransformerClassifier, TransformerConfig
+from repro.serve.kv_cache import KVCache
 
 
 class TestWeightExtraction:
@@ -71,6 +73,44 @@ class TestTransformerRunner:
     def test_1d_tokens_accepted(self, tiny_weights, eval_tokens):
         logits = TransformerRunner(tiny_weights).logits(eval_tokens[:8])
         assert logits.shape[0] == 1
+
+    @pytest.mark.parametrize("shape", [(12, 64), (3, 5, 32), (1, 1, 7)])
+    def test_layer_norm_is_bit_identical_to_the_mean_var_formula(self, rng, shape):
+        x = rng.normal(size=shape) * 7.0 + 3.0
+        gain, bias = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
+        mean = x.mean(axis=-1, keepdims=True)
+        var = x.var(axis=-1, keepdims=True)
+        expected = (x - mean) / np.sqrt(var + 1e-5) * gain + bias
+        assert np.array_equal(TransformerRunner._layer_norm(x, gain, bias), expected)
+
+    def test_stacked_qkv_is_bit_identical_to_three_projections(self, outlier_weights, calibration, eval_tokens):
+        """Full-sequence and KV-cached forwards, logits and executor counters."""
+        config = TenderConfig(bits=8, num_groups=8, row_chunk_size=16)
+
+        def runner(stacked):
+            built = TenderQuantizer(config, implicit=True).quantize(outlier_weights, calibration)
+            assert built._stacks_qkv
+            built._stacks_qkv = stacked
+            return built
+
+        stacked, separate = runner(True), runner(False)
+        tokens = np.stack([eval_tokens[:40], eval_tokens[60:100]])
+        assert np.array_equal(stacked.logits(tokens), separate.logits(tokens))
+
+        model = outlier_weights.config
+        lengths = np.array([40, 23])
+
+        def cached_steps(built):
+            cache = KVCache(model.num_layers, 2, model.num_heads, model.d_head, 48)
+            steps = [built.prefill(tokens, lengths, cache)]
+            for _ in range(3):
+                steps.append(built.decode_step(steps[-1].argmax(axis=-1), cache))
+            return steps
+
+        for a, b in zip(cached_steps(stacked), cached_steps(separate)):
+            assert np.array_equal(a, b)
+        assert stacked.executor.stats == separate.executor.stats
+        assert stacked.executor._stacked_cache and not separate.executor._stacked_cache
 
 
 class TestExecutors:

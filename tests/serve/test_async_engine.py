@@ -393,8 +393,10 @@ class TestStreamTimeouts:
             ) as engine:
                 running = await engine.submit(prompt_pool[0], max_new_tokens=96)
                 starved = await engine.submit(prompt_pool[1])
+                # Far shorter than the 96 decode steps ahead of it in the one
+                # slot take on any host (a 20 ms wait raced a faster decode).
                 with pytest.raises(asyncio.TimeoutError):
-                    await starved.next(timeout=0.02)
+                    await starved.next(timeout=0.0005)
                 expired = await starved.result()
                 finished = await running.result()
             return expired, finished

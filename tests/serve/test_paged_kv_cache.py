@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.kernels import ForwardPlan, paged_attention
 from repro.errors import ConfigurationError, ResourceExhaustedError
 from repro.nn import TransformerConfig
 from repro.serve import KVCache, PagedKVCache
@@ -235,3 +236,128 @@ class TestTruncateInvalidatesCachedIndexes:
         before = pool.table_version
         assert pool.truncate(slot, 6, min_capacity=8) == 0
         assert pool.table_version > before
+
+
+class TestForwardPlanConsumers:
+    """One plan per forward: the first layer resolves, later layers reuse.
+
+    ``write`` validates, forks and de-indexes on a forward's first layer and
+    only assigns afterwards; ``paged_attention`` builds its run segments and
+    mask once per run table.  Both must re-derive when the block topology
+    moves, and a planned pool must end byte-identical to an unplanned one.
+    """
+
+    TOKENS = np.arange(100, 104)
+
+    def shared_prefix_pool(self, rng):
+        """``parent`` and ``child`` share a published block; ``owner`` holds another alone."""
+        pool = make_pool(layers=2, block_size=4, num_blocks=8)
+        head = rng.normal(size=(1, 2, 4, 4))
+        parent = pool.reserve(8)
+        owner = pool.reserve(8)
+        for layer in range(2):
+            pool.write(layer, [parent], head + layer, head - layer, np.arange(4)[None, :])
+            pool.write(layer, [owner], head * 2 + layer, head * 3, np.arange(4)[None, :])
+        pool.set_length(parent, 4)
+        pool.set_length(owner, 4)
+        assert pool.publish_prefix(parent, self.TOKENS) == 1
+        assert pool.publish_prefix(owner, self.TOKENS + 50) == 1
+        child = pool.reserve(8, shared=pool.match_prefix(self.TOKENS))
+        pool.set_length(child, 3)
+        assert pool.ref_count(pool.block_table(parent)[0]) == 2
+        return pool, parent, child, owner
+
+    def test_fork_and_deindex_happen_on_the_first_layer_only(self, rng, monkeypatch):
+        pool, parent, child, owner = self.shared_prefix_pool(rng)
+        shared_block = pool.block_table(parent)[0]
+        owner_block = pool.block_table(owner)[0]
+        before = [
+            (pool.key_blocks[layer][:, shared_block].copy(), pool.value_blocks[layer][:, shared_block].copy())
+            for layer in range(2)
+        ]
+        resolved = []
+        resolve = pool._scatter_targets
+        monkeypatch.setattr(pool, "_scatter_targets", lambda *args: resolved.append(1) or resolve(*args))
+
+        view = pool.view([child, owner])
+        plan = ForwardPlan(np.array([[3], [2]]))
+        payloads = [rng.normal(size=(2, 2, 1, 4)) for _ in range(4)]
+        view.write(0, payloads[0], payloads[1], plan)
+        forked = pool.block_table(child)[0]
+        assert forked != shared_block and pool.ref_count(shared_block) == 1
+        assert pool.block_key_of(owner_block) is None, "a written sole-owner block leaves the index"
+        assert pool.block_key_of(shared_block) is not None, "the sharer's copy stays matchable"
+        version = pool.table_version
+        view.write(1, payloads[2], payloads[3], plan)
+        assert resolved == [1] and pool.table_version == version
+        # Layer 1 landed in the forked block and the sole-owner block ...
+        np.testing.assert_array_equal(pool.key_blocks[1][:, forked, 3], payloads[2][0, :, 0])
+        np.testing.assert_array_equal(pool.value_blocks[1][:, owner_block, 2], payloads[3][1, :, 0])
+        # ... on top of the history the fork copied, in every layer ...
+        np.testing.assert_array_equal(pool.key_blocks[1][:, forked, :3], before[1][0][:, :3])
+        # ... and the sharer's bytes never moved.
+        for layer in range(2):
+            np.testing.assert_array_equal(pool.key_blocks[layer][:, shared_block], before[layer][0])
+            np.testing.assert_array_equal(pool.value_blocks[layer][:, shared_block], before[layer][1])
+
+    def test_planned_pool_is_byte_identical_to_an_unplanned_one(self):
+        def written(planned):
+            rng = np.random.default_rng(7)
+            pool, _, child, owner = self.shared_prefix_pool(rng)
+            view = pool.view([child, owner])
+            positions = np.array([[3, 4], [2, 3]])
+            given = ForwardPlan(positions) if planned else positions
+            for layer in range(2):
+                view.write(layer, rng.normal(size=(2, 2, 2, 4)), rng.normal(size=(2, 2, 2, 4)), given)
+            return pool, child
+
+        (planned, child), (unplanned, _) = written(True), written(False)
+        for layer in range(2):
+            np.testing.assert_array_equal(planned.key_blocks[layer], unplanned.key_blocks[layer])
+            np.testing.assert_array_equal(planned.value_blocks[layer], unplanned.value_blocks[layer])
+        assert planned.block_table(child) == unplanned.block_table(child)
+        assert planned.radix_entries() == unplanned.radix_entries()
+
+    def test_targets_are_resolved_again_when_the_topology_moves(self, rng):
+        pool = make_pool(layers=2, block_size=4, num_blocks=4)
+        slot = pool.reserve(8)
+        view = pool.view([slot])
+        plan = ForwardPlan(np.array([[5]]))
+        payload = rng.normal(size=(1, 2, 1, 4))
+        view.write(0, payload, payload, plan)
+        pool.truncate(slot, 0)  # the slot keeps one block: position 5 is gone
+        with pytest.raises(ConfigurationError):
+            view.write(1, payload, payload, plan)
+
+    def test_a_plan_does_not_carry_targets_to_another_view(self, rng):
+        pool = make_pool(layers=1, block_size=4, num_blocks=4)
+        first, second = pool.reserve(4), pool.reserve(4)
+        plan = ForwardPlan(np.array([[1]]))
+        payload = rng.normal(size=(1, 2, 1, 4))
+        pool.view([first]).write(0, payload, payload, plan)
+        pool.view([second]).write(0, payload * 2, payload * 2, plan)
+        np.testing.assert_array_equal(pool.key_blocks[0][:, pool.block_table(first)[0], 1], payload[0, :, 0])
+        np.testing.assert_array_equal(pool.key_blocks[0][:, pool.block_table(second)[0], 1], payload[0, :, 0] * 2)
+
+    def test_attention_layout_is_rebuilt_when_the_run_table_changes(self, rng):
+        pool, parent, child, _ = self.shared_prefix_pool(rng)
+        view = pool.view([child])
+        queries = rng.normal(size=(1, 2, 1, 4))
+
+        def attend(given):
+            key_pool, value_pool, runs, block_size = view.attention_operands(0)
+            return paged_attention(queries, key_pool, value_pool, runs, block_size, given), runs
+
+        positions = np.array([[3]])
+        plan = ForwardPlan(positions)
+        shared_context, shared_runs = attend(plan)
+        assert attend(plan)[1] is shared_runs and plan._attention[0] is shared_runs
+        np.testing.assert_array_equal(shared_context, attend(positions)[0])
+        # The write forks the shared block: same plan, new run table.
+        payload = rng.normal(size=(1, 2, 1, 4))
+        view.write(0, payload, payload, plan)
+        forked_context, forked_runs = attend(plan)
+        assert forked_runs is not shared_runs and forked_runs != shared_runs
+        assert plan._attention[0] is forked_runs
+        np.testing.assert_array_equal(forked_context, attend(positions)[0])
+        assert not np.array_equal(forked_context, shared_context)

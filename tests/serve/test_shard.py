@@ -302,6 +302,24 @@ class TestShardedRunnerConstruction:
             assert executor.site_params is solo.executor.site_params
             assert executor is not solo.executor
 
+    @pytest.mark.parametrize("num_shards", [2, 4])
+    @pytest.mark.parametrize("name", ["tender-implicit", "tender-explicit"])
+    def test_one_plan_serves_every_shard(self, num_shards, name, four_head_runners, shard_prompts):
+        """Each shard executor groups rows off the forward's one plan and
+        stacks its own Q/K/V slices: logits match solo (above) and so do the
+        counters — every shard projects every site over every row."""
+        solo = four_head_runners[name]
+        before = dict(solo.executor.stats)
+        expected = _serve(solo, shard_prompts)
+        solo_counts = {key: solo.executor.stats[key] - before[key] for key in before}
+        sharded = ShardedRunner(solo, num_shards)
+        _assert_outputs_identical(_serve(sharded, shard_prompts), expected)
+        for executor in sharded.executors:
+            assert executor.stats == solo_counts
+            stacks = executor._stacked_cache
+            assert len(stacks) == solo.config.num_layers
+            assert all((stack.packed is not None) == (name == "tender-implicit") for stack in stacks.values())
+
     def test_head_bounds_cover_all_heads(self, four_head_runners):
         sharded = ShardedRunner(four_head_runners["fp"], 4)
         assert sharded.head_bounds == [(0, 1), (1, 2), (2, 3), (3, 4)]

@@ -7,17 +7,19 @@ Run from the repository root (tier-1 runs it via ``tests/tools``):
 
 Nine checks run back to back:
 
-1. **Fast kernels** — builds the shared synthetic decode workload from
-   ``repro.core.perf`` (no model training, no checkpoint cache — the same
-   fixture ``benchmarks/bench_executor_kernels.py`` measures), verifies
-   that the fast Index-Buffer projection path is bit-identical to the
-   reference per-chunk loop, then times both.  The fast path has to beat
-   the reference by ``REQUIRED_SPEEDUP`` — a deliberately loose fraction of
-   the ~10-20x the kernels deliver on this workload (see
-   ``BENCH_kernels.json``), so a future PR that accidentally routes the hot
-   path back through per-group gathers or full-array overflow scans fails
-   tier-1 instead of silently shipping the regression, while machine noise
-   alone cannot flake the gate.
+1. **Fast kernels and decode dispatch** — builds the shared synthetic decode
+   workload from ``repro.core.perf`` (no model training, no checkpoint cache
+   — the same fixture ``benchmarks/bench_executor_kernels.py`` measures) and
+   verifies that the fast Index-Buffer projection path is bit-identical to
+   the reference per-chunk loop.  It then counts, exactly and without reading
+   a clock, what one batched ``decode_step`` of the Tender-quantized tiny
+   model dispatches: Python-level calls (``sys.setprofile``) against
+   ``DECODE_CALL_BUDGET`` and ``np.unique`` calls against
+   ``MAX_UNIQUE_PER_DECODE`` — a future PR that re-derives position metadata
+   per projection site or per layer (or routes the hot path back through
+   NumPy's Python wrappers) fails tier-1 on any machine, loaded or not.  The
+   measured projection speed-up over the reference (see
+   ``BENCH_kernels.json``) is printed for information and gates nothing.
 2. **Prefix-cached scheduler** — serves a shared-template trace through
    ``repro.serve.Scheduler`` (random-weight model, no training) with the
    prefix cache on and off, and gates on the *deterministic* accounting:
@@ -109,11 +111,21 @@ import sys
 import numpy as np
 
 from repro.core import TenderConfig, TenderExecutor
-from repro.core.perf import best_of, decode_projection_operands, synthetic_projection_site
+from repro.core.perf import decode_projection_operands, measure, synthetic_projection_site
 
-#: The fast path must be at least this many times faster than the reference.
-REQUIRED_SPEEDUP = 2.0
+#: Python-level calls one batched ``decode_step`` of the Tender-quantized tiny
+#: model (2 layers) may make: the measured count + 10 %.  The count is exact
+#: for a given NumPy (it includes NumPy's own Python-level wrappers); the
+#: headroom is for NumPy versions, not for new per-site work.  Measured 201
+#: (405 before the forward plan, NumPy 2.4).
+DECODE_CALL_BUDGET = 221
+#: ``np.unique`` calls per decode forward: the plan's row-chunk grouping and
+#: the first layer's ``PagedKVCache.write`` (13 projections + 2 writes = 15
+#: before the forward plan).
+MAX_UNIQUE_PER_DECODE = 2
+#: Repeats behind the (informational) projection speed-up.
 REPEATS = 25
+#: Serve attempts of the observability gate's tracing-on/off comparison.
 ATTEMPTS = 4
 #: The prefix cache must serve at least this fraction of the shared trace's
 #: prompt tokens (the trace is built with ~78% overlap).
@@ -386,8 +398,55 @@ def check_serving_smoke() -> int:
     return 0
 
 
+def _decode_dispatch_counts() -> "tuple[int, int]":
+    """``(Python-level calls, np.unique calls)`` of one batched ``decode_step``.
+
+    The tiny serving model, Tender-quantized, decoding four ragged slots of a
+    paged pool — the scheduler's steady-state forward.  ``sys.setprofile``
+    sees one ``call`` event per Python frame entered (NumPy's own Python
+    wrappers included, C functions not), so the count is exact and repeats:
+    no clock is read.
+    """
+    from repro.core import TenderQuantizer
+    from repro.serve import PagedKVCache
+
+    weights = _tiny_serving_runner().weights
+    rng = np.random.default_rng(5)
+    calibration = [rng.integers(0, weights.config.vocab_size, size=40) for _ in range(6)]
+    runner = TenderQuantizer(
+        TenderConfig(bits=8, num_groups=8, row_chunk_size=8), implicit=True
+    ).quantize(weights, calibration)
+
+    lengths = np.array([5, 9, 17, 30])
+    pool = PagedKVCache.for_model(weights.config, max_active=len(lengths), block_size=8)
+    # A ragged prefill writes its padding too: every slot covers the longest prompt.
+    view = pool.view([pool.reserve(int(lengths.max()) + 4) for _ in lengths])
+    tokens = rng.integers(0, weights.config.vocab_size, size=(len(lengths), int(lengths.max())))
+    next_tokens = runner.prefill(tokens, lengths, view).argmax(axis=-1)
+    next_tokens = runner.decode_step(next_tokens, view).argmax(axis=-1)  # fills the lazy caches
+
+    unique_code = np.unique.__wrapped__.__code__
+    counts = [0, 0]
+
+    def count_calls(frame, event, arg):
+        if event == "call":
+            counts[0] += 1
+            counts[1] += frame.f_code is unique_code
+
+    sys.setprofile(count_calls)
+    try:
+        runner.decode_step(next_tokens, view)
+    finally:
+        sys.setprofile(None)
+    return counts[0], counts[1]
+
+
 def check_fast_kernels() -> int:
-    """Fast Index-Buffer projection vs the reference per-chunk loop."""
+    """Fast Index-Buffer projection vs the reference per-chunk loop.
+
+    Gated on bit-identity and on the exact dispatch counts of a decode
+    forward; the wall-clock speed-up is printed for information only.
+    """
     config = TenderConfig(bits=8, num_groups=8, row_chunk_size=32)
     params = synthetic_projection_site(config)
     fast = TenderExecutor(params, config, implicit=True, fast_kernels=True)
@@ -400,24 +459,26 @@ def check_fast_kernels() -> int:
         print("perf smoke FAILED: fast projection is not bit-identical to the reference")
         return 1
 
-    speedup = 0.0
-    for _ in range(ATTEMPTS):
-        reference_s = best_of(
-            lambda: reference.project("site", x, weight, None, positions=positions), REPEATS
-        )
-        fast_s = best_of(
-            lambda: fast.project("site", x, weight, None, positions=positions), REPEATS
-        )
-        speedup = max(speedup, reference_s / fast_s)
-        if speedup >= 2 * REQUIRED_SPEEDUP:
-            break
-    if speedup < REQUIRED_SPEEDUP:
+    calls, uniques = _decode_dispatch_counts()
+    if calls > DECODE_CALL_BUDGET or uniques > MAX_UNIQUE_PER_DECODE:
         print(
-            f"perf smoke FAILED: fast decode path only {speedup:.2f}x the reference "
-            f"(required >= {REQUIRED_SPEEDUP:.1f}x) — the fast kernels regressed"
+            f"perf smoke FAILED: one decode_step made {calls} Python-level calls "
+            f"(budget {DECODE_CALL_BUDGET}) and {uniques} np.unique calls (budget "
+            f"{MAX_UNIQUE_PER_DECODE}) — per-site or per-layer work crept back into the forward"
         )
         return 1
-    print(f"perf smoke ok (fast decode path {speedup:.1f}x over reference)")
+
+    reference_s = measure(
+        lambda: reference.project("site", x, weight, None, positions=positions), REPEATS
+    )["median"]
+    fast_s = measure(
+        lambda: fast.project("site", x, weight, None, positions=positions), REPEATS
+    )["median"]
+    print(f"perf smoke ok (fast decode path {reference_s / fast_s:.1f}x over reference, not gated)")
+    print(
+        f"perf smoke ok (decode dispatch {calls} Python-level calls <= {DECODE_CALL_BUDGET}, "
+        f"{uniques} np.unique <= {MAX_UNIQUE_PER_DECODE} per forward)"
+    )
     return 0
 
 
