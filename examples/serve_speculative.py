@@ -9,9 +9,9 @@ This example walks the speculative subsystem end to end:
    the generation echoes prompt content,
 3. serve it with ``Scheduler(speculation=SpecConfig(PromptLookupDraft()))``
    — a zero-cost n-gram drafter proposes continuation runs and the target
-   model verifies each run in ONE multi-token forward
-   (``TransformerRunner.verify``), rolling rejected positions back through
-   ``PagedKVCache.truncate``,
+   model verifies every request's run, each at its own depth, in ONE ragged
+   forward over flat rows (``TransformerRunner.verify(..., lengths=...)``),
+   rolling rejected positions back through ``PagedKVCache.truncate``,
 4. compare decode forwards and tokens-per-forward against plain decoding,
    next to the analytic prediction of ``repro.gpu.SpeculativeWorkload``,
 5. check parity: the speculative token streams are bit-identical to plain
@@ -109,6 +109,13 @@ def main() -> None:
         f"accept rate {lookup_stats.spec_accept_rate():.0%}, "
         f"{lookup_stats.generated_tokens / lookup_stats.decode_iterations:.1f} "
         f"tokens/forward (parity OK)"
+    )
+    wasted = lookup_stats.spec_proposed_tokens - lookup_stats.spec_accepted_tokens
+    print(
+        f"verify rows   : {lookup_stats.spec_verify_rows} over "
+        f"{lookup_stats.spec_verify_iterations} ragged forwards = proposed drafts + one "
+        f"pending token per request (no padding); "
+        f"{wasted / lookup_stats.spec_verify_rows:.0%} were rejected drafts"
     )
 
     draft_model = ModelDraft.truncated(runner, 1)

@@ -239,8 +239,26 @@ class RowChunks:
         return groups
 
 
+def _row_layout(lengths: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(sequence of every flat row, (batch + 1,) row offsets)`` for per-sequence ``lengths``."""
+    bounds = np.zeros(lengths.shape[0] + 1, dtype=np.int64)
+    lengths.cumsum(out=bounds[1:])
+    return np.arange(lengths.shape[0]).repeat(lengths), bounds
+
+
 class ForwardPlan:
-    """What one runner forward derives from its token positions, held once.
+    """What one runner forward derives from its token rows, held once.
+
+    A forward's rows are *flat*: the concatenation of each sequence's new
+    tokens, sequence after sequence, with no padding — ``positions[r]`` is
+    row ``r``'s absolute token position and ``lengths[b]`` the number of
+    consecutive rows sequence ``b`` contributes.  Tender looks quantization
+    tables up by position and requantizes by exact shifts, so a row's result
+    does not depend on which rows share its forward: a decode step (one row
+    per sequence), a prefill chunk, a rectangular verify and a ragged verify
+    are all this one shape.  Without ``lengths`` a ``(batch, new_len)``
+    positions array is a rectangle (``new_len`` rows per sequence) and a 1-D
+    array is one row per sequence.
 
     ``TransformerRunner`` builds one plan at the top of ``prefill`` /
     ``decode_step`` / ``verify`` (and the full-sequence backbone) and hands
@@ -263,15 +281,27 @@ class ForwardPlan:
     A plan describes one forward: build a new one when the positions change.
     """
 
-    __slots__ = ("positions", "flat", "negative", "attended", "_row_chunks", "scatter", "_attention")
+    __slots__ = (
+        "positions", "lengths", "batch", "negative", "attended",
+        "_layout", "_row_chunks", "scatter", "_attention",
+    )  # fmt: skip
 
-    def __init__(self, positions) -> None:
-        #: Token position of every row, in the caller's shape.
-        self.positions = np.asarray(positions, dtype=np.int64)
-        self.flat = self.positions.reshape(-1)
-        self.negative = bool(self.flat.size) and bool(self.flat.min() < 0)
+    def __init__(self, positions, lengths=None) -> None:
+        positions = np.asarray(positions, dtype=np.int64)
+        if lengths is None:
+            batch = positions.shape[0] if positions.ndim else 1
+            lengths = np.empty(batch, dtype=np.int64)
+            lengths.fill(positions.size // batch if batch else 0)
+        #: Rows each sequence owns, ``(batch,)``; they are consecutive.
+        self.lengths = np.asarray(lengths, dtype=np.int64).reshape(-1)
+        #: Sequences in the forward.
+        self.batch = self.lengths.shape[0]
+        #: Token position of every flat row.
+        self.positions = positions.reshape(-1)
+        self.negative = bool(self.positions.size) and bool(self.positions.min() < 0)
         #: Cache slots a query of this forward can see: the highest position + 1.
-        self.attended = int(self.flat.max(initial=-1)) + 1
+        self.attended = int(self.positions.max(initial=-1)) + 1
+        self._layout: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._row_chunks: Optional[RowChunks] = None
         #: ``(block index, table version, targets, offsets)`` — owned by ``PagedKVCache.write``.
         self.scatter: Optional[tuple] = None
@@ -282,43 +312,82 @@ class ForwardPlan:
         """``positions`` itself when it already is a plan, else a plan over it."""
         return positions if isinstance(positions, cls) else cls(positions)
 
+    @classmethod
+    def ragged(cls, starts: np.ndarray, lengths: np.ndarray) -> "ForwardPlan":
+        """Sequence ``b`` contributes rows at ``starts[b] .. starts[b] + lengths[b] - 1``."""
+        lengths = np.asarray(lengths, dtype=np.int64).reshape(-1)
+        rows, bounds = _row_layout(lengths)
+        plan = cls(np.asarray(starts)[rows] + np.arange(bounds[-1]) - bounds[rows], lengths)
+        plan._layout = (rows, bounds)
+        return plan
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The sequence (batch row of the cache view) every flat row belongs to."""
+        if self._layout is None:
+            self._layout = _row_layout(self.lengths)
+        return self._layout[0]
+
+    @property
+    def bounds(self) -> np.ndarray:
+        """``(batch + 1,)`` offsets: sequence ``b`` owns flat rows ``bounds[b]:bounds[b + 1]``."""
+        if self._layout is None:
+            self._layout = _row_layout(self.lengths)
+        return self._layout[1]
+
     def row_chunks(self, chunk_size: int) -> RowChunks:
         """The rows grouped by calibrated chunk (one plan serves every shard executor)."""
         chunks = self._row_chunks
         if chunks is None or chunks.chunk_size != chunk_size:
             if self.negative:
                 raise CalibrationError(
-                    f"token positions must be >= 0, got {int(self.flat.min())}"
+                    f"token positions must be >= 0, got {int(self.positions.min())}"
                 )
-            chunks = self._row_chunks = RowChunks(self.flat, chunk_size)
+            chunks = self._row_chunks = RowChunks(self.positions, chunk_size)
         return chunks
 
     def attention_layout(self, runs, block_size: int) -> Tuple[list, np.ndarray]:
         """Run segments and visibility mask for :func:`paged_attention`.
 
-        Segments are ``(row, start, stop, first, last)``: scores columns
-        ``[start, stop)`` of batch row ``row`` come from slots ``[first,
-        last)`` of the pool flattened to ``(num_heads, num_blocks *
-        block_size, d_head)``.  ``runs`` is the block index's run table —
-        a new list after every refresh, so its identity is the freshness
-        check.  The mask hides slot ``s`` from a query at position ``p``
-        when ``s > p``.
+        Segments are ``(lo, hi, start, stop, first, last)``: scores columns
+        ``[start, stop)`` of flat query rows ``[lo, hi)`` — one sequence's
+        rows — come from slots ``[first, last)`` of the pool flattened to
+        ``(num_heads, num_blocks * block_size, d_head)``.  ``runs`` is the
+        block index's run table — a new list after every refresh, so its
+        identity is the freshness check.  The mask hides slot ``s`` from a
+        query at position ``p`` when ``s > p``.
         """
         layout = self._attention
         if layout is None or layout[0] is not runs:
             attended = self.attended
+            bounds = self.bounds.tolist()
             segments = []
-            for row, row_runs in enumerate(runs):
+            for sequence, row_runs in enumerate(runs):
+                lo, hi = bounds[sequence], bounds[sequence + 1]
                 for first_index, first_physical, count in row_runs:
                     start = first_index * block_size
                     if start >= attended:
                         break
                     stop = min(start + count * block_size, attended)
                     first = first_physical * block_size
-                    segments.append((row, start, stop, first, first + stop - start))
-            hidden_slots = np.arange(attended)[None, None, None, :] > self.positions[:, None, :, None]
+                    segments.append((lo, hi, start, stop, first, first + stop - start))
+            hidden_slots = np.arange(attended)[None, None, :] > self.positions[None, :, None]
             layout = self._attention = (runs, segments, hidden_slots)
         return layout[1], layout[2]
+
+
+def flat_heads(payload: np.ndarray) -> np.ndarray:
+    """Head tensors as flat ``(num_heads, rows, d_head)`` rows.
+
+    The flat form passes through; a ``(batch, num_heads, new_len, d_head)``
+    rectangle — the ragged case with equal lengths — is laid out sequence
+    after sequence, the row order of a :class:`ForwardPlan` over its
+    ``(batch, new_len)`` positions.
+    """
+    if payload.ndim == 3:
+        return payload
+    batch, num_heads, new_len, d_head = payload.shape
+    return payload.transpose(1, 0, 2, 3).reshape(num_heads, batch * new_len, d_head)
 
 
 # ----------------------------------------------------------------------
@@ -505,7 +574,6 @@ def paged_attention(
     runs: Sequence[Sequence[Tuple[int, int, int]]],
     block_size: int,
     positions: np.ndarray,
-    valid: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Blocked attention reading K/V straight from paged-pool storage.
 
@@ -519,12 +587,17 @@ def paged_attention(
     ``(num_heads, k * block_size, d_head)`` strided view, so each run costs
     one QK^T slice and one SV accumulation with no KV bytes moved.
 
+    Query rows are *flat* (see :class:`ForwardPlan`): each sequence's rows
+    are scored against that sequence's own block runs, so a forward mixing
+    one-row decode sequences with long draft runs computes exactly its real
+    rows — there are no padding queries to neutralise.
+
     Bit-exactness contract (pinned by ``tests/core/test_paged_attention.py``
-    and the serving parity sweeps): scores are assembled into the same
-    ``(batch, heads, q_len, attended)`` array the dense path produces —
+    and the serving parity sweeps): scores are assembled into the
+    ``(heads, rows, attended)`` array whose rows are the dense path's —
     each column is the same length-``d_head`` dot product, untouched
     columns hold the same zeros the gather's zero-fill would — then the
-    scale, the ``-1e9`` causal/padding mask, and the shared
+    scale, the ``-1e9`` causal mask, and the shared
     :func:`repro.tensor.ops.softmax` are applied in the identical
     expressions, so the attention probabilities match the reference bit
     for bit.  The SV product accumulates per run; masked columns carry
@@ -542,45 +615,40 @@ def paged_attention(
     Parameters
     ----------
     queries : ndarray
-        ``(batch, num_heads, q_len, d_head)`` query heads.
+        ``(num_heads, rows, d_head)`` query heads, flat rows.
     key_pool, value_pool : ndarray
         One layer's pool storage, ``(num_heads, num_blocks, block_size,
         d_head)``.
     runs : sequence of sequence of (int, int, int)
-        Per batch row, maximal consecutive physical-block runs as
+        Per sequence, maximal consecutive physical-block runs as
         ``(first_block_index, first_physical_block, count)`` — the
         ``_BlockIndex.runs`` table.
     block_size : int
         Positions per block.
     positions : ndarray or ForwardPlan
-        ``(batch, q_len)`` absolute position of each query token, or the
-        forward's plan over them — every layer of a forward then shares one
-        set of run segments and one visibility mask.
-    valid : ndarray, optional
-        ``(batch, q_len)`` mask of real (non-padding) rows; padded
-        probability rows are replaced by the first row's, exactly as in
-        the dense path.
+        The forward's plan — every layer of a forward then shares one set
+        of run segments and one visibility mask — or a positions array it
+        is built from (``(batch, q_len)``: ``q_len`` rows per sequence).
 
     Returns
     -------
     ndarray
-        ``(batch, num_heads, q_len, d_head)`` attention context.
+        ``(rows, num_heads, d_head)`` attention context — row-major, so the
+        caller's ``reshape(rows, num_heads * d_head)`` moves nothing.
     """
     plan = ForwardPlan.of(positions)
-    batch, num_heads, q_len, d_head = queries.shape
+    num_heads, rows, d_head = queries.shape
     segments, hidden_slots = plan.attention_layout(runs, block_size)
     # Zero-copy: the pools are C-contiguous with heads outermost.
     flat_keys = key_pool.reshape(num_heads, -1, d_head)
     flat_values = value_pool.reshape(num_heads, -1, d_head)
-    scores = np.zeros((batch, num_heads, q_len, plan.attended), dtype=np.float64)
-    for row, start, stop, first, last in segments:
-        scores[row, :, :, start:stop] = queries[row] @ flat_keys[:, first:last].transpose(0, 2, 1)
+    scores = np.zeros((num_heads, rows, plan.attended), dtype=np.float64)
+    for lo, hi, start, stop, first, last in segments:
+        scores[:, lo:hi, start:stop] = queries[:, lo:hi] @ flat_keys[:, first:last].transpose(0, 2, 1)
     scores = scores / np.sqrt(d_head)
     scores = np.where(hidden_slots, -1e9, scores)
     attention = softmax(scores, axis=-1)
-    if valid is not None and not valid.all():
-        attention = np.where(valid[:, None, :, None], attention, attention[:, :, :1, :])
-    context = np.zeros((batch, num_heads, q_len, d_head), dtype=np.float64)
-    for row, start, stop, first, last in segments:
-        context[row] += attention[row, :, :, start:stop] @ flat_values[:, first:last]
+    context = np.zeros((rows, num_heads, d_head), dtype=np.float64)
+    for lo, hi, start, stop, first, last in segments:
+        context[lo:hi] += (attention[:, lo:hi, start:stop] @ flat_values[:, first:last]).transpose(1, 0, 2)
     return context

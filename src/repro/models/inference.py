@@ -50,43 +50,17 @@ class KVCacheLike(Protocol):
         ...
 
     def write(self, layer: int, keys: np.ndarray, values: np.ndarray, slots) -> None:
-        """Store ``(batch, heads, new_len, d_head)`` payloads at per-row slots.
+        """Store flat ``(heads, rows, d_head)`` payloads at each row's own slot.
 
-        ``slots`` is the ``(batch, new_len)`` positions array or the forward's
-        :class:`~repro.core.kernels.ForwardPlan` over it (what the runner
-        passes, so layers after the first reuse the scatter targets).
+        ``slots`` is the forward's :class:`~repro.core.kernels.ForwardPlan`
+        (what the runner passes, so layers after the first reuse the scatter
+        targets): it names every flat row's sequence and token position.
         """
         ...
 
     def view(self, layer: int, length: int) -> Tuple[np.ndarray, np.ndarray]:
         """Dense ``(keys, values)`` over the first ``length`` slots of each row."""
         ...
-
-
-def neutralize_padding(
-    queries: np.ndarray,
-    keys: np.ndarray,
-    values: np.ndarray,
-    valid: Optional[np.ndarray],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Keep ragged-prefill padding rows out of dynamic quantization statistics.
-
-    Masking already keeps padding out of every attention *output*; this also
-    keeps it out of executors that quantize attention operands dynamically
-    (Tender "all"), whose per-head statistics would otherwise see the garbage
-    rows: padded queries are replaced by a duplicate of the sequence's first
-    row (duplicates never widen a max/min range) and padded keys/values are
-    zeroed (zeros never widen an absmax).  Purely elementwise, so applying it
-    to a column slice of the projections equals slicing its full-width result
-    — the property the tensor-parallel runner relies on.
-    """
-    if valid is None or valid.all():
-        return queries, keys, values
-    row_valid = valid[..., None]
-    queries = np.where(row_valid, queries, queries[:, :1])
-    keys = keys * row_valid
-    values = values * row_valid
-    return queries, keys, values
 
 
 def fused_attention_ready(executor, cache) -> bool:
@@ -109,35 +83,56 @@ def dense_cached_attention(
     queries: np.ndarray,
     cached_keys: np.ndarray,
     cached_values: np.ndarray,
-    positions: np.ndarray,
-    valid: Optional[np.ndarray],
+    plan: ForwardPlan,
     d_head: int,
 ) -> np.ndarray:
     """Masked-softmax attention over densely gathered cache views.
 
-    The reference (gather-then-dense) cached-attention core: scores through
-    the executor's ``attention_matmul``, slot-visibility masking (a slot
-    ``s`` is visible to a query at position ``p`` iff ``s <= p``), softmax,
-    padded-probability-row replacement, and the ``X_S @ X_V`` product.
-    Every step is independent per attention head, so calling it on a
-    contiguous head slice of the operands returns exactly that slice of the
-    full result — the solo runner passes all heads, the tensor-parallel
-    runner each shard's own.  Returns ``(batch, heads, new_len, d_head)``.
+    The reference (gather-then-dense) cached-attention core, and the only
+    path for executors that quantize attention operands *dynamically*
+    (Tender "all"): their per-head statistics want dense ``(batch, heads,
+    new_len, d_head)`` operands, so the forward's flat query rows are laid
+    back out as a right-padded rectangle here — and only here.  Padding
+    queries duplicate their sequence's first row (duplicates never widen a
+    max/min range) and padded probability rows are replaced by the first
+    row's, so the statistics stay independent of batching; padded keys and
+    values need nothing, because a flat forward never writes them.  Then:
+    scores through the executor's ``attention_matmul``, slot-visibility
+    masking (a slot ``s`` is visible to a query at position ``p`` iff ``s <=
+    p``), softmax, and the ``X_S @ X_V`` product.  Every step is independent
+    per attention head, so calling it on a contiguous head slice of the
+    operands returns exactly that slice of the full result — the solo runner
+    passes all heads, the tensor-parallel runner each shard's own.  Takes
+    flat ``(heads, rows, d_head)`` queries and, like
+    :func:`~repro.core.kernels.paged_attention`, returns the context
+    row-major: ``(rows, heads, d_head)``.
     """
+    rows, bounds = plan.rows, plan.bounds
+    columns = np.arange(bounds[-1]) - bounds[rows]
+    width = int(plan.lengths.max())
+    valid = np.zeros((plan.batch, width), dtype=bool)
+    valid[rows, columns] = True
+    dense = np.zeros((plan.batch, queries.shape[0], width, d_head), dtype=queries.dtype)
+    dense[rows, :, columns] = queries.transpose(1, 0, 2)
+    positions = plan.positions[bounds[:-1], None] + np.arange(width)
+    padded = not valid.all()
+    if padded:
+        dense = np.where(valid[:, None, :, None], dense, dense[:, :, :1])
     attended = cached_keys.shape[-2]
     scores = executor.attention_matmul(
-        f"{prefix}.qk", queries, np.swapaxes(cached_keys, -1, -2)
+        f"{prefix}.qk", dense, np.swapaxes(cached_keys, -1, -2)
     ) / np.sqrt(d_head)
     hidden_slots = np.arange(attended)[None, None, None, :] > positions[:, None, :, None]
     scores = np.where(hidden_slots, -1e9, scores)
     attention = softmax(scores, axis=-1)
-    if valid is not None and not valid.all():
+    if padded:
         # Padded probability rows see a wider causal window than the row
         # they were duplicated from; replace them with the first (valid)
         # row's probabilities so dynamically-quantized X_S X_V statistics
         # stay independent of batching.
         attention = np.where(valid[:, None, :, None], attention, attention[:, :, :1, :])
-    return executor.attention_matmul(f"{prefix}.sv", attention, cached_values)
+    context = executor.attention_matmul(f"{prefix}.sv", attention, cached_values)
+    return context[rows, :, columns]
 
 
 class MatmulExecutor(Protocol):
@@ -407,92 +402,84 @@ class TransformerRunner:
     # ------------------------------------------------------------------
     # Incremental decoding over a KV-cache
     # ------------------------------------------------------------------
+    def _row_heads(self, t: np.ndarray, num_heads: int) -> np.ndarray:
+        """``(rows, num_heads * d_head)`` projections as flat ``(num_heads, rows, d_head)`` heads."""
+        return t.reshape(t.shape[0], num_heads, self.config.d_head).transpose(1, 0, 2)
+
     def _attention_cached(
-        self,
-        index: int,
-        x: np.ndarray,
-        cache: KVCacheLike,
-        plan: ForwardPlan,
-        valid: Optional[np.ndarray] = None,
+        self, index: int, x: np.ndarray, cache: KVCacheLike, plan: ForwardPlan
     ) -> np.ndarray:
         """Attention where keys/values come from (and are written to) ``cache``.
 
-        ``x`` is (batch, new_len, d_model) and ``plan`` holds each new
-        token's absolute position, which is also its cache slot.  A slot ``s``
-        is visible to a query at position ``p`` iff ``s <= p`` — this covers
-        both causality and padding, because padded/unwritten slots always sit
-        strictly after the querying token's own position.
-
-        ``valid`` marks the rows that belong to real tokens (padding rows of a
-        ragged prefill are False).  Masking alone already keeps padding out of
-        every *output*; the extra neutralisation below also keeps it out of
-        executors that quantize attention operands *dynamically* (Tender
-        "all"), whose per-head statistics would otherwise see the garbage
-        rows: padded queries are replaced by a duplicate of the sequence's
-        first row (duplicates never widen a max/min range) and padded
-        keys/values are zeroed (zeros never widen an absmax).
+        ``x`` is the forward's flat ``(rows, d_model)`` activations and
+        ``plan`` holds each row's sequence and absolute position, which is
+        also its cache slot.  A slot ``s`` is visible to a query at position
+        ``p`` iff ``s <= p`` — this covers both causality and anything
+        stale in the cache, because unwritten slots always sit strictly
+        after the querying token's own position.  Every row is a real
+        token: nothing is padded, so nothing needs neutralising on the
+        fused path (the dense fallback re-pads for its own operands, see
+        :func:`dense_cached_attention`).
         """
         block = self.weights.blocks[index]
         config = self.config
-        batch, new_len, _ = x.shape
         prefix = f"block{index}.attn"
-
-        queries, keys, values = neutralize_padding(*self._qkv(index, x, plan), valid)
-
-        def split(t: np.ndarray) -> np.ndarray:
-            return t.reshape(batch, new_len, config.num_heads, config.d_head).transpose(0, 2, 1, 3)
-
-        queries, keys, values = split(queries), split(keys), split(values)
-        cache.write(index, keys, values, plan)
+        heads = config.num_heads
+        queries, keys, values = self._qkv(index, x, plan)
+        cache.write(index, self._row_heads(keys, heads), self._row_heads(values, heads), plan)
+        queries = self._row_heads(queries, heads)
         if self.fused_paged_attention and fused_attention_ready(self.executor, cache):
             # Both attention products are plain matmuls, so read K/V straight
             # from block storage — no dense gather.  Operands are fetched
             # *after* the write: any copy-on-write fork the write triggered is
             # already reflected in the run table.
             key_pool, value_pool, runs, block_size = cache.attention_operands(index)
-            context = paged_attention(queries, key_pool, value_pool, runs, block_size, plan, valid)
+            context = paged_attention(queries, key_pool, value_pool, runs, block_size, plan)
         else:
             cached_keys, cached_values = cache.view(index, plan.attended)
             context = dense_cached_attention(
-                self.executor,
-                prefix,
-                queries,
-                cached_keys,
-                cached_values,
-                plan.positions,
-                valid,
-                config.d_head,
+                self.executor, prefix, queries, cached_keys, cached_values, plan, config.d_head
             )
-        context = context.transpose(0, 2, 1, 3).reshape(batch, new_len, config.d_model)
+        context = context.reshape(x.shape[0], config.d_model)
         return self._project(f"{prefix}.out_proj", context, block.attn.wo, block.attn.bo, plan)
 
-    def _incremental_backbone(
-        self,
-        tokens: np.ndarray,
-        cache: KVCacheLike,
-        plan: ForwardPlan,
-        valid: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Run the backbone over new tokens only, attending through the cache.
+    def _forward_rows(self, tokens: np.ndarray, cache: KVCacheLike, plan: ForwardPlan) -> np.ndarray:
+        """The one incremental forward: flat token rows in, flat hidden rows out.
 
-        ``plan`` is the forward's one :class:`~repro.core.kernels.ForwardPlan`:
-        every projection site, every layer's cache write and every layer's
-        paged attention reads what it derives from the positions there.
+        ``tokens`` is the concatenation of every sequence's new tokens and
+        ``plan`` the forward's one :class:`~repro.core.kernels.ForwardPlan`
+        over them: embeddings, LayerNorm, every projection site, every
+        layer's cache write and attention, and the FFN run over exactly
+        those rows.  :meth:`prefill`, :meth:`decode_step` and :meth:`verify`
+        differ only in how they lay their arguments out as rows and which
+        rows they project through the LM head.  Every row is validated
+        against ``max_seq_len`` here, before any layer writes the cache (the
+        cache's first write validates each row against its own reservation).
         """
+        if self.weights.lm_head is None:
+            raise ConfigurationError("model has no LM head; generation requires one")
+        if plan.negative:
+            raise ConfigurationError("start_positions must be >= 0")
         if plan.attended > self.config.max_seq_len:
             raise ConfigurationError(
                 f"position {plan.attended - 1} exceeds max_seq_len {self.config.max_seq_len}"
             )
         cache.ensure_capacity(plan.attended)
-        if valid is not None and valid.all():
-            valid = None  # nothing is padded: no layer needs to look again
         x = self.weights.token_embedding[tokens] + self.weights.position_embedding[plan.positions]
         for index, block in enumerate(self.weights.blocks):
             attn_input = self._layer_norm(x, block.ln_attn.gain, block.ln_attn.bias)
-            x = x + self._attention_cached(index, attn_input, cache, plan, valid)
+            x = x + self._attention_cached(index, attn_input, cache, plan)
             ffn_input = self._layer_norm(x, block.ln_ffn.gain, block.ln_ffn.bias)
             x = x + self._feed_forward(index, ffn_input, plan)
         return self._layer_norm(x, self.weights.ln_final.gain, self.weights.ln_final.bias)
+
+    @staticmethod
+    def _row_starts(start_positions, batch: int) -> np.ndarray:
+        """``start_positions`` as one int64 position per sequence."""
+        start = np.asarray(start_positions, dtype=np.int64).reshape(-1)
+        if start.shape[0] != batch:
+            raise ConfigurationError("start_positions must provide one position per row")
+        return start
 
     def prefill(
         self,
@@ -505,11 +492,12 @@ class TransformerRunner:
         """Populate ``cache`` from right-padded prompts; return next-token logits.
 
         ``tokens`` is (batch, max_prompt_len) with each row holding a prompt of
-        ``lengths[i]`` tokens followed by padding.  Padded rows do write
-        (garbage) cache slots, but those slots are never visible to a valid
-        query and are overwritten as soon as decoding reaches them.  Returns
-        the LM logits at each row's final provided position, shape
-        (batch, vocab).
+        ``lengths[i]`` tokens followed by padding.  Only the real tokens run:
+        the padding is dropped before the forward (see :meth:`_forward_rows`),
+        so a short row costs its own length, writes nothing past it, and is
+        validated against ``max_seq_len`` and its cache reservation on its
+        own extent — not the rectangle's.  Returns the LM logits at each
+        row's final provided position, shape (batch, vocab).
 
         ``start_positions`` makes this a *partial-prompt* prefill: row ``b``'s
         tokens are a chunk starting at absolute position ``start_positions[b]``
@@ -522,8 +510,6 @@ class TransformerRunner:
         ``None`` — only a prompt's final chunk needs logits, so intermediate
         chunks of a chunked prefill save that per-chunk matmul.
         """
-        if self.weights.lm_head is None:
-            raise ConfigurationError("model has no LM head; generation requires one")
         tokens = np.asarray(tokens, dtype=np.int64)
         lengths = np.asarray(lengths, dtype=np.int64)
         batch, max_len = tokens.shape
@@ -532,18 +518,14 @@ class TransformerRunner:
         if start_positions is None:
             start = np.zeros(batch, dtype=np.int64)
         else:
-            start = np.asarray(start_positions, dtype=np.int64).reshape(-1)
-            if start.shape[0] != batch:
-                raise ConfigurationError("start_positions must provide one position per row")
-            if np.any(start < 0):
-                raise ConfigurationError("start_positions must be >= 0")
-        plan = ForwardPlan(start[:, None] + np.arange(max_len, dtype=np.int64)[None, :])
-        valid = np.arange(max_len, dtype=np.int64)[None, :] < lengths[:, None]
-        hidden = self._incremental_backbone(tokens, cache, plan, valid)
+            start = self._row_starts(start_positions, batch)
+        plan = ForwardPlan.ragged(start, lengths)
+        real = np.arange(max_len, dtype=np.int64)[None, :] < lengths[:, None]
+        hidden = self._forward_rows(tokens[real], cache, plan)
         cache.lengths[:] = start + lengths
         if not return_logits:
             return None
-        last = hidden[np.arange(batch), lengths - 1]
+        last = hidden[plan.bounds[1:] - 1]
         return self._project("lm_head", last, self.weights.lm_head, None, start + lengths - 1)
 
     def verify(
@@ -551,54 +533,61 @@ class TransformerRunner:
         tokens: np.ndarray,
         cache: KVCacheLike,
         start_positions: np.ndarray,
+        lengths: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Score a run of draft tokens per sequence in one forward pass.
 
         The multi-token half of speculative decoding (``repro.serve.spec``):
-        row ``b`` of ``tokens`` is ``[pending, draft_1, ..., draft_k]`` — the
-        sequence's already-sampled next token followed by ``k`` speculated
-        continuations — and ``start_positions[b]`` is the row's committed
-        cache length (the position the pending token will occupy).  One
-        incremental forward, the same partial-prompt machinery chunked
-        prefill uses, scores every position: the returned logits have shape
-        ``(batch, new_len, vocab)`` and ``logits[b, j]`` predicts the token
-        at absolute position ``start_positions[b] + j + 1`` — rows ``0..k-1``
-        verify the drafts and row ``k`` is the *bonus* distribution after a
-        fully accepted run.  With ``new_len == 1`` this degenerates exactly
-        to :meth:`decode_step`.
+        sequence ``b`` contributes ``[pending, draft_1, ..., draft_k_b]`` —
+        its already-sampled next token followed by ``k_b`` speculated
+        continuations — and ``start_positions[b]`` is its committed cache
+        length (the position the pending token will occupy).  ``tokens`` is
+        the *concatenation* of those runs and ``lengths[b] = k_b + 1`` the
+        rows each sequence owns: every sequence is verified at its own depth
+        in one incremental forward (:meth:`_forward_rows`) over exactly
+        ``sum(lengths)`` rows, and ``k_b = 0`` is a plain decode row riding
+        along.  The returned logits are flat, ``(rows, vocab)``, in the same
+        order: the row of sequence ``b``'s ``j``-th token predicts the token
+        at absolute position ``start_positions[b] + j + 1`` — rows
+        ``0..k_b-1`` of a run verify its drafts and row ``k_b`` is the
+        *bonus* distribution after a fully accepted run.  (``tokens`` may
+        have any shape holding those ``sum(lengths)`` tokens in order.)
+
+        Without ``lengths`` the batch is the rectangle ``(batch, new_len)``
+        — equal lengths — and the logits come back as ``(batch, new_len,
+        vocab)``; with ``new_len == 1`` that is exactly :meth:`decode_step`.
 
         Every provided token's KV is written to the cache (positions
-        ``start .. start + new_len - 1``) and ``cache.lengths`` advances to
-        ``start + new_len``; the caller rolls rejected positions back (e.g.
+        ``start .. start + length - 1``, never past a short row's
+        reservation) and ``cache.lengths`` advances to ``start + length``;
+        the caller rolls rejected positions back (e.g.
         :meth:`repro.serve.paged_kv_cache.PagedKVCache.truncate`) after
         deciding how many drafts survived.  Because quantization parameters
         are looked up by *position* (see :meth:`decode_step`), the logits at
         every position are bit-identical to the sequential decode steps they
-        replace for executors with statically-determined parameters —
-        greedy speculative decoding is therefore token-exact.
-
-        The batch must be rectangular: all rows carry ``new_len`` real
-        tokens.  Rows with fewer drafts belong in a separate (shorter) call
-        — padding a ragged verify would write garbage KV beyond a short
-        row's reservation.
+        replace — and independent of which rows share the forward — for
+        executors with statically-determined parameters: greedy speculative
+        decoding is therefore token-exact.
         """
-        if self.weights.lm_head is None:
-            raise ConfigurationError("model has no LM head; generation requires one")
         tokens = np.asarray(tokens, dtype=np.int64)
-        if tokens.ndim != 2:
-            raise ConfigurationError("verify() expects (batch, new_len) token rows")
-        batch, new_len = tokens.shape
-        if new_len < 1:
-            raise ConfigurationError("verify() needs at least the pending token per row")
-        start = np.asarray(start_positions, dtype=np.int64).reshape(-1)
-        if start.shape[0] != batch:
-            raise ConfigurationError("start_positions must provide one position per row")
-        if np.any(start < 0):
-            raise ConfigurationError("start_positions must be >= 0")
-        plan = ForwardPlan(start[:, None] + np.arange(new_len, dtype=np.int64)[None, :])
-        hidden = self._incremental_backbone(tokens, cache, plan)
-        cache.lengths[:] = start + new_len
-        return self._project("lm_head", hidden, self.weights.lm_head, None, plan)
+        if lengths is None:
+            if tokens.ndim != 2:
+                raise ConfigurationError(
+                    "verify() expects (batch, new_len) token rows, or flat tokens with lengths="
+                )
+            counts = np.full(tokens.shape[0], tokens.shape[1], dtype=np.int64)
+        else:
+            counts = np.asarray(lengths, dtype=np.int64).reshape(-1)
+        if counts.size == 0 or counts.min() < 1 or counts.sum() != tokens.size:
+            raise ConfigurationError(
+                "verify() needs at least the pending token per row and exactly sum(lengths) tokens"
+            )
+        start = self._row_starts(start_positions, counts.shape[0])
+        plan = ForwardPlan.ragged(start, counts)
+        hidden = self._forward_rows(tokens.reshape(-1), cache, plan)
+        cache.lengths[:] = start + counts
+        logits = self._project("lm_head", hidden, self.weights.lm_head, None, plan)
+        return logits if lengths is not None else logits.reshape(*tokens.shape, -1)
 
     def decode_step(self, tokens: np.ndarray, cache: KVCacheLike) -> np.ndarray:
         """Append one token per sequence and return next-token logits.
@@ -617,16 +606,14 @@ class TransformerRunner:
         ``positions // chunk_size`` (one gather, no per-chunk Python loop —
         see :mod:`repro.core.kernels`).  The positions are fixed before the
         first layer runs, so one :class:`~repro.core.kernels.ForwardPlan`
-        built here carries what every site and layer derives from them.
-        Returns logits of shape (batch, vocab).
+        built here — one flat row per sequence — carries what every site and
+        layer derives from them.  Returns logits of shape (batch, vocab).
         """
-        if self.weights.lm_head is None:
-            raise ConfigurationError("model has no LM head; generation requires one")
-        tokens = np.asarray(tokens, dtype=np.int64).reshape(-1, 1)
-        plan = ForwardPlan(cache.lengths[:, None].copy())
-        hidden = self._incremental_backbone(tokens, cache, plan)
+        tokens = np.asarray(tokens, dtype=np.int64).reshape(-1)
+        plan = ForwardPlan(cache.lengths.copy())
+        hidden = self._forward_rows(tokens, cache, plan)
         cache.lengths += 1
-        return self._project("lm_head", hidden[:, 0], self.weights.lm_head, None, plan)
+        return self._project("lm_head", hidden, self.weights.lm_head, None, plan)
 
 
 def run_calibration(

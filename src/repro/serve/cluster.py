@@ -75,6 +75,7 @@ _POOL_STAT_KEYS = (
     "generated_tokens",
     "decode_iterations",
     "prefill_iterations",
+    "spec_verify_rows",
     "completed_requests",
     "preemptions",
     "degraded_requests",

@@ -12,8 +12,8 @@ against the cache at every step, with operands that only exist at runtime
 The cache is batch-major and slot-addressed: slot ``s`` of sequence ``b``
 holds the key/value of the token at absolute position ``s``.  Ragged batches
 simply track a per-sequence ``lengths`` vector; slots past a sequence's length
-may hold stale or padding data and are masked out by the attention visibility
-rule (``slot <= query position``).
+may hold stale data and are masked out by the attention visibility rule
+(``slot <= query position``).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.core.kernels import ForwardPlan
+from repro.core.kernels import ForwardPlan, flat_heads
 from repro.errors import ConfigurationError
 
 
@@ -150,21 +150,21 @@ class KVCache:
         layer : int
             Layer whose arrays receive the data.
         keys, values : ndarray
-            ``(batch, num_heads, new_len, d_head)`` payloads.
+            Flat ``(num_heads, rows, d_head)`` payloads (see
+            :class:`~repro.core.kernels.ForwardPlan`), or the rectangle
+            ``(batch, num_heads, new_len, d_head)``.
         slots : ndarray or ForwardPlan
-            ``(batch, new_len)`` token slots — different sequences of a
-            ragged batch may write different slots in the same step — or the
-            forward's plan over them.
+            The forward's plan — each flat row names its lane and its token
+            slot, so sequences of a ragged batch write different slots (and
+            different numbers of them) in the same step — or the
+            ``(batch, new_len)`` slots it is built from.
         """
-        batch = keys.shape[0]
         plan = ForwardPlan.of(slots)
-        slots = plan.positions
         self.ensure_capacity(plan.attended)
-        batch_index = np.arange(batch)[:, None]
         # Advanced indices on axes 0 and 2 with a slice between: the head axis
         # moves last in the indexed view, so the payload is transposed to match.
-        self.keys[layer][batch_index, :, slots] = keys.transpose(0, 2, 1, 3)
-        self.values[layer][batch_index, :, slots] = values.transpose(0, 2, 1, 3)
+        self.keys[layer][plan.rows, :, plan.positions] = flat_heads(keys).transpose(1, 0, 2)
+        self.values[layer][plan.rows, :, plan.positions] = flat_heads(values).transpose(1, 0, 2)
 
     def view(self, layer: int, length: int) -> Tuple[np.ndarray, np.ndarray]:
         """Cached key/value arrays truncated to the first ``length`` slots.

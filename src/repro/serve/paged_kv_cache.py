@@ -74,7 +74,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.kernels import ForwardPlan
+from repro.core.kernels import ForwardPlan, flat_heads
 from repro.errors import ConfigurationError, ResourceExhaustedError
 
 #: Radix-index parent of a prompt's first block (no preceding prefix).
@@ -668,17 +668,12 @@ class PagedKVCache:
             )
         return copy
 
-    def _fork_shared_targets(self, index: _BlockIndex, block_rows: np.ndarray, shared: np.ndarray) -> None:
-        """Copy-on-write every (row, block) write target shared with another slot."""
-        seen = set()
-        for row, column in zip(*np.nonzero(shared)):
-            pair = (int(row), int(block_rows[row, column]))
-            if pair in seen:
-                continue
-            seen.add(pair)
-            slot = index.slot_ids[pair[0]]
-            if self._refcounts[self._tables[slot][pair[1]]] > 1:
-                self._copy_on_write(slot, pair[1])
+    def _fork_shared_targets(self, index: _BlockIndex, rows: np.ndarray, block_rows: np.ndarray) -> None:
+        """Copy-on-write every ``(view row, block index)`` write target shared with another slot."""
+        for row, block_index in sorted(set(zip(rows.tolist(), block_rows.tolist()))):
+            slot = index.slot_ids[row]
+            if self._refcounts[self._tables[slot][block_index]] > 1:
+                self._copy_on_write(slot, block_index)
         index.refresh(self)
 
     # ------------------------------------------------------------------
@@ -703,38 +698,43 @@ class PagedKVCache:
     ) -> None:
         """Scatter new head tensors into the blocks of the given slots.
 
-        One vectorized scatter per call: positions are mapped through the
+        One vectorized scatter per call: the forward's flat rows (see
+        :class:`~repro.core.kernels.ForwardPlan`) are mapped through the
         precomputed block table to ``(physical block, in-block offset)``
-        pairs, validated, and assigned in a single fancy-index.  Targets
+        pairs, validated, and assigned in a single fancy-index — each row
+        against *its own* slot's reservation, so a one-token row batched
+        beside a long one writes nothing outside its blocks.  Targets
         shared with another slot (reference count > 1) are forked first
         (copy-on-write), so a write can never leak into a prefix another
         request is still attending.
 
         The targets depend on the positions and the block topology, not on
-        the layer: given the forward's :class:`~repro.core.kernels.ForwardPlan`
-        and a view's ``index``, the first layer's call validates, forks,
-        de-indexes and resolves them (:meth:`_scatter_targets`) and every
-        later layer of that forward only assigns — unless the topology moved
-        in between, which resolves them again.
+        the layer: given the forward's plan and a view's ``index``, the
+        first layer's call validates, forks, de-indexes and resolves them
+        (:meth:`_scatter_targets`) and every later layer of that forward
+        only assigns — unless the topology moved in between, which resolves
+        them again.
 
         Parameters
         ----------
         layer : int
             Layer whose pools receive the data.
         slot_ids : sequence of int
-            One slot per batch row.
+            One slot per sequence of the forward.
         keys, values : ndarray
-            ``(len(slot_ids), num_heads, new_len, d_head)`` payloads.
+            Flat ``(num_heads, rows, d_head)`` payloads, or the rectangle
+            ``(len(slot_ids), num_heads, new_len, d_head)``.
         positions : ndarray or ForwardPlan
-            ``(len(slot_ids), new_len)`` absolute token positions per row, or
-            the forward's plan over them.
+            The forward's plan, or the positions it is built from
+            (``(len(slot_ids), new_len)``: ``new_len`` rows per slot).
         index : _BlockIndex, optional
             A view's cached block table (rebuilt here only if stale).
 
         Raises
         ------
         ConfigurationError
-            If any position lies beyond its slot's reserved capacity.
+            If any position lies beyond its slot's reserved capacity (raised
+            before anything is written).
         """
         plan = ForwardPlan.of(positions)
         scatter = plan.scatter
@@ -744,31 +744,32 @@ class PagedKVCache:
             scatter = plan.scatter = (index, self._table_version, targets, offsets)
         _, _, targets, offsets = scatter
         # Adjacent advanced indices on the block/position axes keep the head
-        # axis leading in the indexed view, so payloads move it up front.
-        self.key_blocks[layer][:, targets, offsets] = keys.transpose(1, 0, 2, 3)
-        self.value_blocks[layer][:, targets, offsets] = values.transpose(1, 0, 2, 3)
+        # axis leading in the indexed view: exactly the flat payload layout.
+        if keys.ndim == 4:
+            keys, values = flat_heads(keys), flat_heads(values)
+        self.key_blocks[layer][:, targets, offsets] = keys
+        self.value_blocks[layer][:, targets, offsets] = values
 
     def _scatter_targets(self, index: _BlockIndex, plan: ForwardPlan) -> Tuple[np.ndarray, np.ndarray]:
         """Validate a forward's write and make its target blocks safe to write.
 
-        Returns the ``(physical block, in-block offset)`` of every position
-        after checking each against its slot's reservation, forking targets
-        shared with another slot, dropping sole-owner targets from the prefix
-        index and marking them dirty.
+        Returns the ``(physical block, in-block offset)`` of every flat row
+        after checking each against its own slot's reservation, forking
+        targets shared with another slot, dropping sole-owner targets from
+        the prefix index and marking them dirty.
         """
-        positions = plan.positions
+        positions, rows = plan.positions, plan.rows
         block_rows = positions // self.block_size
-        beyond = block_rows >= index.blocks_per_row[:, None]
+        beyond = block_rows >= index.blocks_per_row[rows]
         if plan.negative or beyond.any():
             bad = positions[(positions < 0) | beyond]
             raise ConfigurationError(
                 f"position {int(bad[0])} outside the writing slot's reserved capacity"
             )
-        rows = np.arange(len(index.slot_ids))[:, None]
         targets = index.tables[rows, block_rows]
         shared = self._refcounts[targets] > 1
         if shared.any():
-            self._fork_shared_targets(index, block_rows, shared)
+            self._fork_shared_targets(index, rows[shared], block_rows[shared])
             targets = index.tables[rows, block_rows]
         # A sole-owner target can still sit in the prefix index: published,
         # truncated past while a sharer pinned its bytes, then orphaned when
@@ -907,7 +908,7 @@ class SlotBatchView:
             )
 
     def write(self, layer: int, keys: np.ndarray, values: np.ndarray, slots) -> None:
-        """Scatter per-row payloads (``slots``: positions or the forward's plan) to the pool."""
+        """Scatter flat-row payloads (``slots``: the forward's plan, or positions) to the pool."""
         self._paged.write(layer, self.slot_ids, keys, values, slots, index=self._index)
 
     def view(self, layer: int, length: int) -> Tuple[np.ndarray, np.ndarray]:

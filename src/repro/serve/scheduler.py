@@ -241,6 +241,11 @@ class SchedulerStats:
     #: Multi-token verification forwards executed (a subset of
     #: ``decode_iterations``).
     spec_verify_iterations: int = 0
+    #: Token rows those verification forwards computed: every participating
+    #: request's pending token plus its own drafts, nothing else — so
+    #: ``1 - committed / spec_verify_rows`` is the share of verify work the
+    #: drafter wasted.
+    spec_verify_rows: int = 0
     #: Requests completed (finish reason ``"eos"`` or ``"length"``).
     completed_requests: int = 0
     #: Largest number of concurrently admitted requests (prefilling + decoding).
@@ -543,6 +548,10 @@ def _request_output(
     )
 
 
+#: What a request that cannot (or does not) draft proposes this iteration.
+_NO_DRAFT = np.empty(0, dtype=np.int64)
+
+
 def _token_budget(prompt_len: int, max_new_tokens: int, max_seq_len: int) -> int:
     """Per-request token budget: the configured budget, clipped at max_seq_len."""
     return int(min(max_new_tokens, max_seq_len - prompt_len))
@@ -609,11 +618,12 @@ class Scheduler:
         through the request's ordinary sampling rule so the token stream
         (and the logits behind every committed token) match non-speculative
         decoding exactly for Tender implicit/explicit.  Each iteration runs
-        at most one verification forward: every capable request joins it at
-        the depth of the longest proposal, shorter or absent proposals
-        padded with repeated-token guesses; draft lengths adapt per request
-        via an accept-rate EMA.  Chunked prefill interleaves unchanged —
-        speculation only alters the decode half of each :meth:`step`.
+        exactly one forward: a ragged verification in which every active
+        request carries its pending token and its *own* proposal (none = a
+        plain decode row), or an ordinary decode step when nobody drafted;
+        draft lengths adapt per request via an accept-rate EMA.  Chunked
+        prefill interleaves unchanged — speculation only alters the decode
+        half of each :meth:`step`.
     preemption : bool
         Allow admission to evict a strictly lower-priority victim when the
         head of the queue cannot start (no free slot, or
@@ -1450,20 +1460,14 @@ class Scheduler:
         """One batched decode step over every active slot."""
         if self.speculation is not None:
             self._speculative_iteration(finished)
-            return
-        self._plain_decode_step(list(self._active.values()), finished)
+        else:
+            self._plain_decode_step(list(self._active.values()), finished)
 
     def _plain_decode_step(
-        self, states: List[RequestCheckpoint], finished: List[RequestOutput], cached: bool = True
+        self, states: List[RequestCheckpoint], finished: List[RequestOutput]
     ) -> None:
-        """One ordinary one-token decode forward over ``states``.
-
-        ``cached=False`` builds a throwaway view instead of touching the
-        reusable decode view (for transient sub-batches like the
-        final-budget-token rows of a speculative iteration).
-        """
-        slots = [state.slot for state in states]
-        view = self._view_for(slots) if cached else self.cache.view(slots)
+        """One ordinary one-token decode forward over ``states``."""
+        view = self._view_for([state.slot for state in states])
         tokens = np.array([state.next_token for state in states], dtype=np.int64)
         tracer = self.tracer
         if tracer is not None:
@@ -1491,123 +1495,90 @@ class Scheduler:
         return view
 
     def _speculative_iteration(self, finished: List[RequestOutput]) -> None:
-        """One draft-and-verify iteration over every active slot.
+        """One draft-and-verify iteration over every active slot: one forward.
 
-        Each request's drafter proposes up to ``draft_len`` tokens (capped
-        by the remaining token budget — drafting past it could only produce
-        tokens the budget would discard, and would write outside the
-        admission-time block reservation).  The iteration then runs as
-        *one* forward whenever it can:
+        Each request's drafter proposes up to ``draft_len`` tokens, capped
+        by the request's own remaining token budget — drafting past it could
+        only produce tokens the budget would discard, and would write
+        outside the admission-time block reservation.  A request at its last
+        budgeted token, like one whose drafter has nothing to say, proposes
+        nothing.
 
         * **Nobody drafted** — one ordinary batched decode step over the
           whole batch, at exactly plain decode's cost.  Speculation never
           adds forwards on traffic the drafter cannot read.
-        * **Somebody drafted** — one rectangular
-          :meth:`TransformerRunner.verify` forward over every capable row,
-          at the depth of the iteration's *longest* proposal (never deeper
-          than any participating row's remaining budget allows).  Rows with
-          shorter — or no — proposals of their own ride along on padding
-          (their last known token repeated as a guess): a *wrong* pad is
-          rejected exactly where the shorter draft would have stopped (a
-          lucky pad commits like any verified token, it just never counts
-          toward accept statistics), and even a fully-padded row still
-          commits its bonus token — the same one token the decode step it
-          replaced would have committed — so cold rows are never slowed
-          while warm rows sprint.  Splitting
-          the batch into separate verify and decode forwards instead would
-          double the iteration's forward count, and a cold row backfilling
-          a finished warm one makes that mixed state the steady state.
+        * **Somebody drafted** — one ragged
+          :meth:`TransformerRunner.verify` forward in which every active
+          request carries ``[pending, its own drafts...]`` and nothing
+          else: ``sum(proposed + 1)`` rows.  A request with no proposal is
+          a plain decode row riding in the same forward (it commits the one
+          token the decode step it replaces would have), so cold rows are
+          never slowed while warm rows sprint, and no row is ever computed,
+          or written to the cache, for the sake of another row's depth.
 
-        Only genuinely proposed tokens feed the accept-rate EMA and the
-        ``spec_*`` statistics — padding guesses are a batching artifact.
-        Rows at their very last budgeted token cannot write a draft run and
-        take a rare separate decode step.  Rejected positions are rolled
-        back with :meth:`PagedKVCache.truncate` — blocks are kept
-        (``min_capacity`` = the reservation) so the reserve-once guarantee
-        survives, while the rolled-back positions are scrubbed to zeros.
+        Rejected positions are rolled back with
+        :meth:`PagedKVCache.truncate` — blocks are kept (``min_capacity`` =
+        the reservation) so the reserve-once guarantee survives, while the
+        rolled-back positions are scrubbed to zeros.
         """
         spec = self.speculation
         states = list(self._active.values())
-        # remaining - 1 caps the useful draft depth: accepting a drafts
-        # plus the sampled bonus commits a + 1 <= remaining new tokens,
-        # and capacity was reserved for exactly that many cache writes.
-        caps = {
-            state.slot: min(state.spec.draft_len, state.budget - len(state.generated) - 1)
-            for state in states
-        }
-        capable = [state for state in states if caps[state.slot] >= 1]
-        proposals: Dict[int, np.ndarray] = {}
-        for state in capable:
+        drafts: List[np.ndarray] = []
+        for state in states:
+            # remaining - 1 caps the useful draft length: accepting every
+            # draft plus the sampled bonus commits at most `remaining` new
+            # tokens, and capacity was reserved for exactly that many writes.
+            cap = min(state.spec.draft_len, state.budget - len(state.generated) - 1)
+            if cap < 1:
+                drafts.append(_NO_DRAFT)
+                continue
             sequence = np.concatenate(
                 [state.prompt, np.array(state.generated, dtype=np.int64)]
             )
-            proposals[state.slot] = np.asarray(
-                spec.drafter.propose(state.request_id, sequence, caps[state.slot]),
-                dtype=np.int64,
-            ).reshape(-1)[: caps[state.slot]]
-        willing = {state.slot for state in capable if len(proposals[state.slot])}
-        if not willing:
+            drafts.append(
+                np.asarray(
+                    spec.drafter.propose(state.request_id, sequence, cap), dtype=np.int64
+                ).reshape(-1)[:cap]
+            )
+        lengths = np.array([len(draft) + 1 for draft in drafts], dtype=np.int64)
+        rows = int(lengths.sum())
+        if rows == len(states):
             self._plain_decode_step(states, finished)
             return
-        final_token = [state for state in states if caps[state.slot] < 1]
-        if final_token:
-            self._plain_decode_step(final_token, finished, cached=False)
-        # The iteration's depth follows its most confident proposer, clipped
-        # only by what every participating row can still *write* (its
-        # remaining budget) — another row's adaptive draft length caps that
-        # row's own proposal, never the batch.
-        depth = min(
-            max(len(proposals[slot]) for slot in willing),
-            min(state.budget - len(state.generated) - 1 for state in capable),
-        )
-        drafts = []
-        for state in capable:
-            draft = proposals[state.slot][:depth]
-            if len(draft) < depth:
-                # Extend to the iteration depth with repeated-token guesses;
-                # a wrong pad is rejected exactly where the shorter draft
-                # would have stopped, so deep rows never wait on short ones.
-                filler = int(draft[-1]) if len(draft) else state.next_token
-                draft = np.concatenate(
-                    [draft, np.full(depth - len(draft), filler, dtype=np.int64)]
-                )
-            drafts.append(draft)
-        slots = [state.slot for state in capable]
-        view = self._view_for(slots)
+        view = self._view_for([state.slot for state in states])
         self.stats.decode_iterations += 1
-        self.stats.decode_slot_steps += len(capable)
+        self.stats.decode_slot_steps += len(states)
         self.stats.spec_verify_iterations += 1
+        self.stats.spec_verify_rows += rows
         self.now += 1.0
         starts = view.lengths.copy()
-        tokens = np.stack(
-            [
-                np.concatenate([[state.next_token], draft])
-                for state, draft in zip(capable, drafts)
-            ]
+        tokens = np.concatenate(
+            [piece for state, draft in zip(states, drafts) for piece in ([state.next_token], draft)]
         )
         tracer = self.tracer
         if tracer is not None:
-            tracer.begin("verify_step", self.trace_track, batch=len(capable), depth=depth)
+            tracer.begin("verify_step", self.trace_track, batch=len(states), rows=rows)
         try:
-            logits = self.runner.verify(tokens, view, starts)
-            # The runner advanced every row to start + depth + 1; commit that
-            # high-water mark first so truncate() knows how far the optimistic
-            # writes reached, then roll each row back to what its sampling rule
-            # actually committed.
+            # Handed over as one (1, rows) row, which verify() flattens: the
+            # benchmark's span probe reads a 2-D np.shape() off this argument.
+            logits = self.runner.verify(tokens[None, :], view, starts, lengths=lengths)
+            # The runner advanced every row to start + its own length; commit
+            # that high-water mark first so truncate() knows how far the
+            # optimistic writes reached, then roll each row back to what its
+            # sampling rule actually committed.
             view.commit()
         finally:
             if tracer is not None:
                 tracer.end(self.trace_track)
+        bounds = np.cumsum(lengths).tolist()
         outcomes = [
-            self._commit(
-                state, logits[row], draft, proposed=min(len(proposals[state.slot]), depth)
-            )
-            for row, (state, draft) in enumerate(zip(capable, drafts))
+            self._commit(state, logits[stop - len(draft) - 1 : stop], draft)
+            for state, draft, stop in zip(states, drafts, bounds)
         ]
-        for row, (state, (committed, reason)) in enumerate(zip(capable, outcomes)):
+        for row, (state, (committed, reason)) in enumerate(zip(states, outcomes)):
             if reason is not None:
                 self._finalize(state, reason, finished)
-            else:
+            elif committed < lengths[row]:
                 self.cache.truncate(
                     state.slot,
                     int(starts[row]) + committed,
@@ -1616,11 +1587,7 @@ class Scheduler:
                 view.lengths[row] = int(starts[row]) + committed
 
     def _commit(
-        self,
-        record: RequestCheckpoint,
-        logits_rows: np.ndarray,
-        draft: Sequence[int] = (),
-        proposed: int = 0,
+        self, record: RequestCheckpoint, logits_rows: np.ndarray, draft: Sequence[int] = ()
     ) -> Tuple[int, Optional[str]]:
         """Sample and commit tokens for one request, left to right.
 
@@ -1630,10 +1597,9 @@ class Scheduler:
         exactly as a sequential decode step would have sampled it (same
         logits, same per-request generator state) — so the committed stream
         is identical to non-speculative decoding, and the run simply stops
-        at the first token the drafter failed to predict.  ``proposed`` is
-        the number of leading draft positions the drafter genuinely proposed
-        (the rest of ``draft`` being batching pads): only those feed the
-        accept-rate EMA and the ``spec_*`` statistics.
+        at the first token the drafter failed to predict.  Every position
+        of ``draft`` is a genuine proposal and feeds the accept-rate EMA and
+        the ``spec_*`` statistics.
 
         Returns
         -------
@@ -1641,12 +1607,12 @@ class Scheduler:
             Committed token count and the finish reason (``None`` while the
             request stays active; the caller finalizes).
         """
-        num_drafts = len(draft)
+        proposed = len(draft)
         committed = 0
         accepted = 0
         reason: Optional[str] = None
         eos = self.config.eos_token
-        for position in range(num_drafts + 1):
+        for position in range(proposed + 1):
             token = _sample_token(logits_rows[position], self.config, record.rng)
             record.generated.append(token)
             record.next_token = token
@@ -1664,9 +1630,8 @@ class Scheduler:
                     np.asarray(logits_rows[position], dtype=np.float64).copy()
                 )
             committed += 1
-            matched = position < num_drafts and token == int(draft[position])
-            if matched and position < proposed:
-                accepted += 1
+            matched = position < proposed and token == int(draft[position])
+            accepted += matched
             if eos is not None and token == eos:
                 reason = "eos"
                 break

@@ -53,7 +53,6 @@ from repro.models.inference import (
     TransformerRunner,
     dense_cached_attention,
     fused_attention_ready,
-    neutralize_padding,
 )
 from repro.serve.collective import CollectiveGroup
 from repro.tensor.ops import softmax
@@ -242,7 +241,6 @@ class ShardedRunner(TransformerRunner):
         index: int,
         x: np.ndarray,
         positions: Optional[ForwardPlan | np.ndarray],
-        valid: Optional[np.ndarray],
     ) -> Tuple[List[np.ndarray], List[np.ndarray], List[np.ndarray]]:
         """Per-shard Q/K/V column slices aligned to each shard's head range.
 
@@ -272,7 +270,6 @@ class ShardedRunner(TransformerRunner):
                 values = self._shard_project(
                     shard_id, f"{prefix}.v_proj", x, attn.wv[:, c0:c1], attn.bv[c0:c1], positions
                 )
-            queries, keys, values = neutralize_padding(queries, keys, values, valid)
             q_parts.append(queries)
             k_parts.append(keys)
             v_parts.append(values)
@@ -284,36 +281,30 @@ class ShardedRunner(TransformerRunner):
         return t.reshape(batch, new_len, num_heads, d_head).transpose(0, 2, 1, 3)
 
     def _attention_cached(
-        self,
-        index: int,
-        x: np.ndarray,
-        cache: KVCacheLike,
-        plan: ForwardPlan,
-        valid: Optional[np.ndarray] = None,
+        self, index: int, x: np.ndarray, cache: KVCacheLike, plan: ForwardPlan
     ) -> np.ndarray:
         """Head-parallel cached attention meeting at K/V and context gathers.
 
-        Each shard projects and attends over its own contiguous head range;
-        the full-width K/V gather feeds the *single* scheduler-owned cache
-        (one write, exactly like the solo runner), and the per-shard
-        contexts gather back to full width before the column-parallel output
-        projection.  Every per-head step — fused paged attention or the
-        dense reference — is independent per head, so the gathered result is
-        bit-identical to the solo runner's.
+        Each shard projects and attends over its own contiguous head range
+        of the forward's flat rows; the full-width K/V gather feeds the
+        *single* scheduler-owned cache (one write, exactly like the solo
+        runner), and the per-shard contexts gather back to full width before
+        the column-parallel output projection.  Every per-head step — fused
+        paged attention or the dense reference — is independent per head, so
+        the gathered result is bit-identical to the solo runner's.
         """
         block = self.weights.blocks[index]
         config = self.config
-        batch, new_len, _ = x.shape
         prefix = f"block{index}.attn"
         d_head = config.d_head
 
-        q_parts, k_parts, v_parts = self._qkv_shards(index, x, plan, valid)
+        q_parts, k_parts, v_parts = self._qkv_shards(index, x, plan)
         keys = self.group.all_gather(k_parts, axis=-1)
         values = self.group.all_gather(v_parts, axis=-1)
         cache.write(
             index,
-            self._split_heads(keys, config.num_heads, d_head),
-            self._split_heads(values, config.num_heads, d_head),
+            self._row_heads(keys, config.num_heads),
+            self._row_heads(values, config.num_heads),
             plan,
         )
 
@@ -329,16 +320,10 @@ class ShardedRunner(TransformerRunner):
 
         context_parts: List[np.ndarray] = []
         for shard_id, (h0, h1) in enumerate(self.head_bounds):
-            queries = self._split_heads(q_parts[shard_id], h1 - h0, d_head)
+            queries = self._row_heads(q_parts[shard_id], h1 - h0)
             if fused:
                 context = paged_attention(
-                    queries,
-                    key_pool[h0:h1],
-                    value_pool[h0:h1],
-                    runs,
-                    block_size,
-                    plan,
-                    valid,
+                    queries, key_pool[h0:h1], value_pool[h0:h1], runs, block_size, plan
                 )
             else:
                 context = dense_cached_attention(
@@ -347,13 +332,10 @@ class ShardedRunner(TransformerRunner):
                     queries,
                     cached_keys[:, h0:h1],
                     cached_values[:, h0:h1],
-                    plan.positions,
-                    valid,
+                    plan,
                     d_head,
                 )
-            context_parts.append(
-                context.transpose(0, 2, 1, 3).reshape(batch, new_len, (h1 - h0) * d_head)
-            )
+            context_parts.append(context.reshape(x.shape[0], (h1 - h0) * d_head))
         context = self.group.all_gather(context_parts, axis=-1)
         return self._project(f"{prefix}.out_proj", context, block.attn.wo, block.attn.bo, plan)
 
@@ -370,7 +352,7 @@ class ShardedRunner(TransformerRunner):
         prefix = f"block{index}.attn"
         d_head = config.d_head
 
-        q_parts, k_parts, v_parts = self._qkv_shards(index, x, positions, None)
+        q_parts, k_parts, v_parts = self._qkv_shards(index, x, positions)
         mask = (
             np.triu(np.ones((seq, seq), dtype=bool), k=1) if config.causal else None
         )

@@ -85,7 +85,8 @@ class PromptLookupDraft:
     Matching runs over the *whole* committed sequence — prompt and generated
     tokens alike — so both extractive prompts (the continuation copies
     prompt spans) and repetitive generations (the continuation re-enters its
-    own earlier output) draft well.  Costs one vectorized scan, no model.
+    own earlier output) draft well.  Costs one scan for the suffix's last
+    token plus a few gathers over its hits, no model.
 
     Parameters
     ----------
@@ -112,26 +113,39 @@ class PromptLookupDraft:
         self.min_ngram = int(min_ngram)
 
     def propose(self, request_id: int, tokens: np.ndarray, max_tokens: int) -> np.ndarray:
-        """Draft the continuation of the most recent suffix n-gram match."""
+        """Draft the continuation of the most recent suffix n-gram match.
+
+        An earlier occurrence of the suffix n-gram must end on the suffix's
+        last token, so only those positions are candidates; each longer
+        n-gram keeps the candidates whose preceding token matches too.  The
+        longest n-gram that still has a candidate wins, as if every window
+        of every length had been compared.
+        """
         tokens = np.asarray(tokens, dtype=np.int64).reshape(-1)
         length = len(tokens)
         if max_tokens < 1 or length < self.min_ngram + 1:
             return np.empty(0, dtype=np.int64)
-        for ngram in range(min(self.max_ngram, length - 1), self.min_ngram - 1, -1):
-            pattern = tokens[length - ngram :]
-            windows = np.lib.stride_tricks.sliding_window_view(tokens, ngram)
-            # The final window is the suffix itself; only earlier ones count.
-            matches = np.nonzero((windows[:-1] == pattern).all(axis=1))[0]
-            if len(matches):
-                # Prefer the most recent occurrence that still has a full
-                # draft's worth of continuation after it (recent context
-                # drafts best); fall back to the earliest occurrence, whose
-                # continuation is the longest available.
-                starts = matches + ngram
-                full = starts[length - starts >= max_tokens]
-                start = int(full[-1]) if len(full) else int(starts[0])
-                return tokens[start : start + max_tokens].copy()
-        return np.empty(0, dtype=np.int64)
+        # Where an occurrence of the suffix could end (the suffix itself excluded).
+        ends = np.flatnonzero(tokens[:-1] == tokens[-1])
+        matched = None
+        for ngram in range(1, min(self.max_ngram, length - 1) + 1):
+            if ngram > 1:
+                ends = ends[ends >= ngram - 1]
+                ends = ends[tokens[ends - (ngram - 1)] == tokens[length - ngram]]
+            if not len(ends):
+                break
+            if ngram >= self.min_ngram:
+                matched = ends
+        if matched is None:
+            return np.empty(0, dtype=np.int64)
+        # Prefer the most recent occurrence that still has a full draft's
+        # worth of continuation after it (recent context drafts best); fall
+        # back to the earliest occurrence, whose continuation is the longest
+        # available.
+        starts = matched + 1
+        full = starts[length - starts >= max_tokens]
+        start = int(full[-1]) if len(full) else int(starts[0])
+        return tokens[start : start + max_tokens].copy()
 
     def release(self, request_id: int) -> None:
         """No per-request state to drop (lookup is stateless)."""

@@ -17,24 +17,22 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.kernels import paged_attention
+from repro.core.kernels import ForwardPlan, flat_heads, paged_attention
 from repro.serve import PagedKVCache
 from repro.tensor.ops import softmax
 
 BLOCK = 4
 
 
-def dense_reference(queries, view, layer, positions, valid=None):
+def dense_reference(queries, view, layer, positions, attended=None):
     """The gather-then-dense attention math, expression for expression."""
     d_head = queries.shape[-1]
-    attended = int(positions.max()) + 1
+    attended = int(positions.max()) + 1 if attended is None else attended
     cached_keys, cached_values = view.view(layer, attended)
     scores = (queries @ np.swapaxes(cached_keys, -1, -2)) / np.sqrt(d_head)
     hidden = np.arange(attended)[None, None, None, :] > positions[:, None, :, None]
     scores = np.where(hidden, -1e9, scores)
     attention = softmax(scores, axis=-1)
-    if valid is not None and not valid.all():
-        attention = np.where(valid[:, None, :, None], attention, attention[:, :, :1, :])
     return attention @ cached_values, attention
 
 
@@ -56,12 +54,14 @@ def fill_slots(pool, rng, lengths, *, fragment=False):
     return slots
 
 
-def run_both(pool, slots, rng, positions, valid=None, q_len=1):
+def run_both(pool, slots, rng, positions, q_len=1):
+    """The kernel on a rectangle's flat rows, laid back out as the rectangle."""
     view = pool.view(slots)
     queries = rng.normal(size=(len(slots), 2, q_len, BLOCK))
     key_pool, value_pool, runs, block_size = view.attention_operands(0)
-    fused = paged_attention(queries, key_pool, value_pool, runs, block_size, positions, valid)
-    reference, attention = dense_reference(queries, view, 0, positions, valid)
+    fused = paged_attention(flat_heads(queries), key_pool, value_pool, runs, block_size, positions)
+    fused = fused.reshape(len(slots), q_len, 2, BLOCK).transpose(0, 2, 1, 3)
+    reference, attention = dense_reference(queries, view, 0, positions)
     return fused, reference, attention, runs
 
 
@@ -116,14 +116,38 @@ class TestMultiTokenQueries:
         fused, reference, _, _ = run_both(pool, slots, rng, positions, q_len=3)
         np.testing.assert_array_equal(fused, reference)
 
-    def test_valid_mask_replicates_padding_neutralisation(self, rng):
-        """Padded rows take the first row's probabilities, as in the dense path."""
+    @pytest.mark.parametrize("fragment", [False, True])
+    def test_flat_ragged_rows_match_the_dense_reference_per_sequence(self, rng, fragment):
+        """Mixed run lengths in one call — a 3-draft row, a plain decode row and
+        a 1-draft row — score exactly their own rows: each sequence's rows
+        equal the dense reference run on that sequence alone (same attended
+        width), bit for bit on single-run tables and to the context's
+        final-sum rounding on fragmented (multi-run) ones."""
         pool = PagedKVCache(num_layers=1, num_heads=2, d_head=BLOCK, block_size=BLOCK, num_blocks=16)
-        slots = fill_slots(pool, rng, [9, 6])
-        positions = np.stack([np.arange(6, 9), np.arange(3, 6)])
-        valid = np.array([[True, True, True], [True, True, False]])
-        fused, reference, _, _ = run_both(pool, slots, rng, positions, valid=valid, q_len=3)
-        np.testing.assert_array_equal(fused, reference)
+        slots = fill_slots(pool, rng, [3 * BLOCK, 6, 2 * BLOCK + 2], fragment=fragment)
+        lengths = np.array([4, 1, 2])
+        plan = ForwardPlan.ragged(np.array([3 * BLOCK - 4, 5, 2 * BLOCK]), lengths)
+        np.testing.assert_array_equal(plan.positions, [8, 9, 10, 11, 5, 8, 9])
+        view = pool.view(slots)
+        queries = rng.normal(size=(2, int(lengths.sum()), BLOCK))
+        key_pool, value_pool, runs, block_size = view.attention_operands(0)
+        assert any(len(row_runs) > 1 for row_runs in runs) == fragment
+        fused = paged_attention(queries, key_pool, value_pool, runs, block_size, plan)
+        fused = fused.transpose(1, 0, 2)  # the kernel answers row-major
+        assert fused.shape == queries.shape
+        for sequence, slot in enumerate(slots):
+            lo, hi = plan.bounds[sequence], plan.bounds[sequence + 1]
+            reference, _ = dense_reference(
+                queries[None, :, lo:hi],
+                pool.view([slot]),
+                0,
+                plan.positions[None, lo:hi],
+                attended=plan.attended,
+            )
+            if fragment:
+                np.testing.assert_allclose(fused[:, lo:hi], reference[0], rtol=0.0, atol=1e-12)
+            else:
+                np.testing.assert_array_equal(fused[:, lo:hi], reference[0])
 
 
 class TestStorageContract:
@@ -143,7 +167,7 @@ class TestStorageContract:
         pool = PagedKVCache(num_layers=1, num_heads=2, d_head=BLOCK, block_size=BLOCK, num_blocks=16)
         slots = fill_slots(pool, rng, [8, 8])
         view = pool.view(slots)
-        queries = rng.normal(size=(2, 2, 1, BLOCK))
+        queries = rng.normal(size=(2, 2, BLOCK))
         positions = np.array([[7], [7]])
         assert pool.gather_bytes == 0
         key_pool, value_pool, runs, block_size = view.attention_operands(0)

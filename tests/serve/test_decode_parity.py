@@ -24,7 +24,8 @@ import pytest
 
 from repro.core import TenderConfig, TenderQuantizer
 from repro.models import TransformerRunner
-from repro.serve import GenerationConfig, GenerationEngine, KVCache
+from repro.errors import ConfigurationError
+from repro.serve import GenerationConfig, GenerationEngine, KVCache, PagedKVCache
 
 ATOL = 1e-9
 MAX_NEW_TOKENS = 6
@@ -116,14 +117,89 @@ class TestTokenByTokenPriming:
                 np.testing.assert_allclose(logits[0], reference[position], rtol=0.0, atol=ATOL)
 
     def test_decode_past_max_seq_len_rejected(self, runners, corpus_splits):
-        from repro.errors import ConfigurationError
-
         train_tokens, _ = corpus_splits
         runner = runners["float"]
         cache = KVCache.for_model(runner.config, 1)
         cache.lengths[:] = runner.config.max_seq_len
         with pytest.raises(ConfigurationError):
             runner.decode_step(np.array([1]), cache)
+
+
+@pytest.mark.parametrize("cache_kind", ["paged", "dense"])
+class TestRaggedPrefillBoundaries:
+    """Each row of a ragged partial prefill is validated on its own extent.
+
+    The padded rectangle is never computed, so a one-token chunk near
+    ``max_seq_len`` batched beside a long chunk neither trips the length
+    check nor writes past its reservation — and a row that *does* overrun
+    is refused with the usual typed error before any cache write.
+    """
+
+    HISTORY, LONG = 120, 40  # max_seq_len is 128: 120 + 40 overruns, 120 + 1 does not
+
+    def caches(self, runner, cache_kind, history_tokens):
+        """``(batch of two, the rows alone)``, the first row holding ``HISTORY`` tokens."""
+        config = runner.config
+
+        def build(capacities):
+            if cache_kind == "dense":
+                return KVCache.for_model(config, batch_size=len(capacities))
+            pool = PagedKVCache.for_model(config, max_active=len(capacities), block_size=8)
+            return pool.view([pool.reserve(capacity) for capacity in capacities])
+
+        both, alone = build([self.HISTORY + 1, self.LONG]), build([self.HISTORY + 1])
+        for cache in (both, alone):
+            lengths = np.full(len(cache.lengths), self.HISTORY)
+            lengths[1:] = 1  # the second row of ``both`` starts empty below
+            tokens = np.broadcast_to(history_tokens, (len(lengths), self.HISTORY))
+            runner.prefill(tokens, lengths, cache, return_logits=False)
+            cache.lengths[1:] = 0
+        return both, alone, build([self.LONG])
+
+    def test_short_chunk_near_max_seq_len_beside_a_long_one(self, cache_kind, runners, corpus_splits):
+        train_tokens, _ = corpus_splits
+        runner = runners["tender-implicit"]
+        both, short_alone, long_alone = self.caches(runner, cache_kind, train_tokens[: self.HISTORY])
+        long_chunk = train_tokens[200 : 200 + self.LONG]
+        tokens = np.zeros((2, self.LONG), dtype=np.int64)
+        tokens[0, 0] = 77
+        tokens[1] = long_chunk
+        logits = runner.prefill(
+            tokens, np.array([1, self.LONG]), both, start_positions=np.array([self.HISTORY, 0])
+        )
+        assert both.lengths.tolist() == [self.HISTORY + 1, self.LONG]
+        short = runner.prefill(
+            np.array([[77]]), np.array([1]), short_alone, start_positions=np.array([self.HISTORY])
+        )
+        long = runner.prefill(long_chunk[None, :], np.array([self.LONG]), long_alone)
+        assert np.array_equal(logits[0], short[0])
+        assert np.array_equal(logits[1], long[0])
+
+    def test_an_overrunning_row_is_refused_before_any_write(self, cache_kind, runners, corpus_splits):
+        train_tokens, _ = corpus_splits
+        runner = runners["tender-implicit"]
+        both, _, _ = self.caches(runner, cache_kind, train_tokens[: self.HISTORY])
+
+        def stored():
+            if cache_kind == "dense":
+                return [keys.copy() for keys in both.keys]
+            return [blocks.copy() for blocks in both._paged.key_blocks]
+
+        before = stored()
+        tokens = np.zeros((2, 9), dtype=np.int64)
+        overrun = runner.config.max_seq_len - self.HISTORY + 1
+        with pytest.raises(ConfigurationError, match="exceeds max_seq_len"):
+            runner.prefill(
+                tokens, np.array([overrun, 3]), both, start_positions=np.array([self.HISTORY, 0])
+            )
+        if cache_kind == "paged":
+            # Inside max_seq_len but past the second slot's 40 reserved positions.
+            with pytest.raises(ConfigurationError, match="reserved capacity"):
+                runner.prefill(
+                    tokens, np.array([1, 9]), both, start_positions=np.array([self.HISTORY, 36])
+                )
+        for kept, now in zip(before, stored()):
+            assert np.array_equal(kept, now)
 
 
 class TestQuantizedAttentionIsolation:

@@ -20,7 +20,7 @@ import pytest
 
 from repro.core import TenderConfig, TenderQuantizer
 from repro.models import TransformerRunner
-from repro.serve import GenerationConfig, ModelDraft, Scheduler, SpecConfig
+from repro.serve import GenerationConfig, ModelDraft, PagedKVCache, Scheduler, SpecConfig
 
 
 def tender_runner(weights, calibration, implicit: bool, **config_kwargs) -> TransformerRunner:
@@ -135,6 +135,46 @@ class TestFusedMatchesGather:
         )
         assert scheduler.stats.spec_accepted_tokens > 0  # verify path exercised
         assert_outputs_match(name, fused, reference)
+
+    def test_ragged_verify_on_fragmented_tables(self, name, runners, prompts):
+        """Flat rows at mixed depths (4, 0 and 9 drafts) over block tables that
+        span several runs: the fused kernel scores each sequence's rows
+        against its own runs and must agree with gather-then-dense, which
+        re-pads the same rows into a rectangle."""
+        runner = runners[name]
+        drafts = [np.arange(30, 34), np.array([], dtype=int), np.arange(60, 69)]
+
+        def verify(fused):
+            pool = PagedKVCache.for_model(runner.config, max_active=4, block_size=8)
+            holes = [pool.reserve(8) for _ in range(5)]
+            for hole in holes[::2]:
+                pool.free(hole)  # the free list is no longer one consecutive range
+            slots = [pool.reserve(len(p) + len(d) + 1) for p, d in zip(prompts, drafts)]
+            view = pool.view(slots)
+            lengths = np.array([len(p) for p in prompts[:3]])
+            tokens = np.zeros((3, lengths.max()), dtype=np.int64)
+            for row, prompt in enumerate(prompts[:3]):
+                tokens[row, : len(prompt)] = prompt
+            runner.fused_paged_attention = fused
+            try:
+                pending = runner.prefill(tokens, lengths, view).argmax(axis=-1)
+                runs = [np.concatenate([[p], d]) for p, d in zip(pending, drafts)]
+                logits = runner.verify(
+                    np.concatenate(runs), view, lengths, lengths=[len(r) for r in runs]
+                )
+            finally:
+                runner.fused_paged_attention = True
+            fragmented = any(len(row_runs) > 1 for row_runs in view.attention_operands(0)[2])
+            return logits, fragmented, pool.gather_bytes
+
+        fused, fragmented, fused_bytes = verify(True)
+        reference, _, reference_bytes = verify(False)
+        assert fragmented and fused_bytes == 0 < reference_bytes
+        if name == "float":
+            np.testing.assert_allclose(fused, reference, rtol=0.0, atol=1e-12)
+            np.testing.assert_array_equal(fused.argmax(axis=-1), reference.argmax(axis=-1))
+        else:
+            np.testing.assert_array_equal(fused, reference)
 
     def test_seeded_top_k(self, name, runners, prompts):
         runner = runners[name]

@@ -34,6 +34,7 @@ from repro.serve import (
     ReplicaPool,
     Scheduler,
     ShardedRunner,
+    SpecConfig,
 )
 from repro.serve.collective import CollectiveStats
 from repro.serve.cluster import _POOL_STAT_KEYS
@@ -263,6 +264,43 @@ class TestSchedulerLifecycle:
             assert "request.admitted" in names
             assert "request.first_token" in names
             assert names[-1] == "request.finished"
+
+    def test_verify_step_spans_say_what_ran(self, chaos_runner):
+        """``verify_step`` carries ``batch=`` and ``rows=`` (there is no shared
+        depth any more), and the rows add up to the published counter — so
+        the wasted-row share is computable from stats alone."""
+
+        class RepeatLast:
+            def propose(self, request_id, tokens, max_tokens):
+                return np.full(max_tokens, tokens[-1])
+
+            def release(self, request_id):
+                pass
+
+        tracer = Tracer(clock=CountingClock())
+        scheduler = Scheduler(
+            chaos_runner,
+            GenerationConfig(max_new_tokens=6),
+            max_batch_size=3,
+            block_size=8,
+            record_logits=False,
+            speculation=SpecConfig(drafter=RepeatLast(), draft_tokens=3, max_draft=4),
+            tracer=tracer,
+        )
+        for prompt in self._prompts():
+            scheduler.submit(prompt)
+        scheduler.run()
+        spans = [e for e in tracer.events_named("verify_step") if e.phase == "B"]
+        assert spans and all(sorted(e.args) == ["batch", "rows"] for e in spans)
+        assert all(e.args["rows"] > e.args["batch"] for e in spans)
+        stats = scheduler.stats
+        assert sum(e.args["rows"] for e in spans) == stats.spec_verify_rows
+        assert stats.spec_verify_rows == stats.spec_proposed_tokens + sum(e.args["batch"] for e in spans)
+        registry = MetricsRegistry()
+        stats.publish(registry)
+        assert registry.snapshot()["scheduler.spec_verify_rows"] == stats.spec_verify_rows
+        wasted = stats.spec_proposed_tokens - stats.spec_accepted_tokens
+        assert 0 < wasted / stats.spec_verify_rows < 1
 
     def test_spans_are_balanced_per_track(self, chaos_runner):
         tracer = Tracer(clock=CountingClock())

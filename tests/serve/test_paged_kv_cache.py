@@ -300,6 +300,44 @@ class TestForwardPlanConsumers:
             np.testing.assert_array_equal(pool.key_blocks[layer][:, shared_block], before[layer][0])
             np.testing.assert_array_equal(pool.value_blocks[layer][:, shared_block], before[layer][1])
 
+    def test_flat_ragged_write_forks_and_deindexes_per_row(self, rng):
+        """Two rows for the sharer, one for the sole owner, in one flat write.
+
+        Each flat row resolves against its own slot's table: the sharer's
+        first row lands in a shared published block and forks it, its second
+        crosses into its private tail block, and the owner's single row
+        drops its published block from the index — while the parent's bytes
+        stay put and nothing else in the pool moves.
+        """
+        pool, parent, child, owner = self.shared_prefix_pool(rng)
+        shared_block = pool.block_table(parent)[0]
+        owner_block = pool.block_table(owner)[0]
+        child_tail = pool.block_table(child)[1]
+        before = pool.key_blocks[0].copy()
+        plan = ForwardPlan.ragged(np.array([3, 2]), np.array([2, 1]))
+        assert plan.positions.tolist() == [3, 4, 2] and plan.rows.tolist() == [0, 0, 1]
+        payload = rng.normal(size=(2, 3, 4))  # flat (heads, rows, d_head)
+        pool.view([child, owner]).write(0, payload, payload * 2, plan)
+        forked = pool.block_table(child)[0]
+        assert forked != shared_block and pool.ref_count(shared_block) == 1
+        assert pool.block_key_of(shared_block) is not None
+        assert pool.block_key_of(owner_block) is None
+        np.testing.assert_array_equal(pool.key_blocks[0][:, forked, 3], payload[:, 0])
+        np.testing.assert_array_equal(pool.key_blocks[0][:, child_tail, 0], payload[:, 1])
+        np.testing.assert_array_equal(pool.value_blocks[0][:, owner_block, 2], payload[:, 2] * 2)
+        np.testing.assert_array_equal(pool.key_blocks[0][:, forked, :3], before[:, shared_block, :3])
+        untouched = [b for b in range(pool.num_blocks) if b not in (forked, child_tail, owner_block)]
+        np.testing.assert_array_equal(pool.key_blocks[0][:, untouched], before[:, untouched])
+
+    def test_flat_write_is_refused_whole_when_one_row_overruns_its_slot(self, rng):
+        pool = make_pool(layers=1, block_size=4, num_blocks=4)
+        short, deep = pool.reserve(4), pool.reserve(8)
+        plan = ForwardPlan.ragged(np.array([3, 0]), np.array([2, 6]))  # short row reaches 4
+        payload = rng.normal(size=(2, 8, 4))
+        with pytest.raises(ConfigurationError, match="position 4 outside"):
+            pool.view([short, deep]).write(0, payload, payload, plan)
+        assert not pool.key_blocks[0].any()
+
     def test_planned_pool_is_byte_identical_to_an_unplanned_one(self):
         def written(planned):
             rng = np.random.default_rng(7)
@@ -342,7 +380,7 @@ class TestForwardPlanConsumers:
     def test_attention_layout_is_rebuilt_when_the_run_table_changes(self, rng):
         pool, parent, child, _ = self.shared_prefix_pool(rng)
         view = pool.view([child])
-        queries = rng.normal(size=(1, 2, 1, 4))
+        queries = rng.normal(size=(2, 1, 4))
 
         def attend(given):
             key_pool, value_pool, runs, block_size = view.attention_operands(0)

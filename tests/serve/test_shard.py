@@ -40,6 +40,8 @@ from repro.serve import (
     CollectiveFaultInjector,
     CollectiveGroup,
     GenerationConfig,
+    KVCache,
+    PagedKVCache,
     ReplicaPool,
     Scheduler,
     ShardedRunner,
@@ -279,6 +281,41 @@ class TestShardedParity:
         assert group.stats.corruption_caught > 0
         assert group.stats.duplicates_ignored > 0
         assert group.stats.stragglers > 0
+
+    @pytest.mark.parametrize("cache_kind", ["paged", "dense"])
+    def test_flat_verify_parity(self, num_shards, name, cache_kind, four_head_runners, shard_prompts):
+        """A ragged verify (3, 0 and 12 drafts, flat rows) shards bit-identically,
+        and equals the solo runner verifying each sequence alone."""
+        solo = four_head_runners[name]
+        prompts = shard_prompts[:3]
+        drafts = [np.array([7, 11, 13]), np.array([], dtype=int), np.arange(20, 32)]
+
+        def verify(runner, group):
+            prompt_lengths = np.array([len(prompts[i]) for i in group])
+            if cache_kind == "paged":
+                pool = PagedKVCache.for_model(solo.config, max_active=len(group), block_size=8)
+                cache = pool.view(
+                    [pool.reserve(len(prompts[i]) + len(drafts[i]) + 1) for i in group]
+                )
+            else:
+                cache = KVCache.for_model(solo.config, batch_size=len(group))
+            tokens = np.zeros((len(group), prompt_lengths.max()), dtype=np.int64)
+            for row, i in enumerate(group):
+                tokens[row, : prompt_lengths[row]] = prompts[i]
+            pending = runner.prefill(tokens, prompt_lengths, cache).argmax(axis=-1)
+            runs = [np.concatenate([[pending[row]], drafts[i]]) for row, i in enumerate(group)]
+            return runner.verify(
+                np.concatenate(runs), cache, prompt_lengths, lengths=[len(run) for run in runs]
+            )
+
+        sharded = verify(ShardedRunner(solo, num_shards), [0, 1, 2])
+        together = verify(solo, [0, 1, 2])
+        alone = np.concatenate([verify(solo, [i]) for i in range(3)])
+        np.testing.assert_array_equal(sharded, together)
+        if name == "fp":
+            np.testing.assert_allclose(together, alone, rtol=0.0, atol=1e-12)
+        else:
+            np.testing.assert_array_equal(together, alone)
 
     def test_full_forward_logits_parity(self, num_shards, name, four_head_runners):
         """The uncached ``logits()`` path shards bit-identically too."""

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import TenderConfig, TenderQuantizer
 from repro.errors import ConfigurationError
@@ -63,6 +65,31 @@ def prompts(corpus_splits):
     ]
 
 
+class count_forwards:
+    """Record what the scheduler asks of ``runner.decode_step`` / ``runner.verify``."""
+
+    def __init__(self, runner):
+        self.runner = runner
+        self.decode_calls = 0
+        self.verify_rows = 0
+        self.verify_lengths = []
+        decode_step, verify = runner.decode_step, runner.verify
+
+        def counted_decode_step(tokens, cache):
+            self.decode_calls += 1
+            return decode_step(tokens, cache)
+
+        def counted_verify(tokens, cache, start_positions, lengths):
+            self.verify_rows += int(np.size(tokens))
+            self.verify_lengths.append([int(length) for length in lengths])
+            return verify(tokens, cache, start_positions, lengths=lengths)
+
+        runner.decode_step, runner.verify = counted_decode_step, counted_verify
+
+    def restore(self):
+        del self.runner.decode_step, self.runner.verify
+
+
 def serve_all(runner, prompts, config, *, speculation=None, **kwargs):
     scheduler = Scheduler(
         runner,
@@ -81,6 +108,33 @@ def serve_all(runner, prompts, config, *, speculation=None, **kwargs):
 # ----------------------------------------------------------------------
 # Drafters
 # ----------------------------------------------------------------------
+def full_window_scan(tokens, max_tokens, max_ngram, min_ngram):
+    """``PromptLookupDraft.propose`` as it was before candidates were narrowed.
+
+    A verbatim copy, kept as the oracle: compare every window of every
+    n-gram length against the suffix.
+    """
+    tokens = np.asarray(tokens, dtype=np.int64).reshape(-1)
+    length = len(tokens)
+    if max_tokens < 1 or length < min_ngram + 1:
+        return np.empty(0, dtype=np.int64)
+    for ngram in range(min(max_ngram, length - 1), min_ngram - 1, -1):
+        pattern = tokens[length - ngram :]
+        windows = np.lib.stride_tricks.sliding_window_view(tokens, ngram)
+        # The final window is the suffix itself; only earlier ones count.
+        matches = np.nonzero((windows[:-1] == pattern).all(axis=1))[0]
+        if len(matches):
+            # Prefer the most recent occurrence that still has a full
+            # draft's worth of continuation after it (recent context
+            # drafts best); fall back to the earliest occurrence, whose
+            # continuation is the longest available.
+            starts = matches + ngram
+            full = starts[length - starts >= max_tokens]
+            start = int(full[-1]) if len(full) else int(starts[0])
+            return tokens[start : start + max_tokens].copy()
+    return np.empty(0, dtype=np.int64)
+
+
 class TestPromptLookupDraft:
     def test_proposes_continuation_of_most_recent_match(self):
         drafter = PromptLookupDraft(max_ngram=3)
@@ -123,6 +177,24 @@ class TestPromptLookupDraft:
             PromptLookupDraft(max_ngram=2, min_ngram=3)
         with pytest.raises(ConfigurationError):
             PromptLookupDraft(max_ngram=0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        tokens=st.lists(st.integers(0, 3), max_size=40),
+        max_tokens=st.integers(0, 14),
+        bounds=st.tuples(st.integers(1, 4), st.integers(1, 4)).map(sorted),
+    )
+    def test_proposals_equal_the_full_window_scan(self, tokens, max_tokens, bounds):
+        """Narrowing to the suffix's last token never changes a proposal.
+
+        A four-token alphabet makes every n-gram length match, miss and tie
+        often; the oracle is the scan ``propose`` used to run.
+        """
+        min_ngram, max_ngram = bounds
+        drafter = PromptLookupDraft(max_ngram=max_ngram, min_ngram=min_ngram)
+        tokens = np.array(tokens, dtype=np.int64)
+        expected = full_window_scan(tokens, max_tokens, max_ngram, min_ngram)
+        assert drafter.propose(0, tokens, max_tokens).tolist() == expected.tolist()
 
 
 class TestModelDraft:
@@ -219,6 +291,43 @@ class TestSpecConfig:
 # ----------------------------------------------------------------------
 # TransformerRunner.verify vs sequential decode steps
 # ----------------------------------------------------------------------
+def ragged_verify(runner, prompts, drafts, cache_kind, how):
+    """Logits of ``[pending, drafts...]`` per prompt, flat, computed ``how``.
+
+    ``"flat"``: one ragged verify over all sequences; ``"rect"``: one
+    rectangular verify per sequence, each alone; ``"steps"``: sequential
+    decode steps per sequence.  ``cache_kind`` picks a ``SlotBatchView``
+    over exactly-sized reservations (a write past one raises) or the dense
+    ``KVCache``.
+    """
+    config = runner.config
+    groups = [list(range(len(prompts)))] if how == "flat" else [[i] for i in range(len(prompts))]
+    out = []
+    for group in groups:
+        needed = [len(prompts[i]) + len(drafts[i]) + 1 for i in group]
+        if cache_kind == "paged":
+            pool = PagedKVCache.for_model(config, max_active=len(group), block_size=8)
+            cache = pool.view([pool.reserve(capacity) for capacity in needed])
+        else:
+            cache = KVCache.for_model(config, batch_size=len(group))
+        lengths = np.array([len(prompts[i]) for i in group])
+        tokens = np.zeros((len(group), lengths.max()), dtype=np.int64)
+        for row, i in enumerate(group):
+            tokens[row, : lengths[row]] = prompts[i]
+        pending = runner.prefill(tokens, lengths, cache).argmax(axis=-1)
+        runs = [np.concatenate([[pending[row]], drafts[i]]) for row, i in enumerate(group)]
+        if how == "flat":
+            out.append(
+                runner.verify(np.concatenate(runs), cache, lengths, lengths=[len(r) for r in runs])
+            )
+        elif how == "rect":
+            out.append(runner.verify(runs[0][None, :], cache, lengths)[0])
+        else:
+            out.append(np.concatenate([runner.decode_step(np.array([t]), cache) for t in runs[0]]))
+        assert cache.lengths.tolist() == needed
+    return np.concatenate(out)
+
+
 class TestVerifyForward:
     @pytest.mark.parametrize("name", ["tender-implicit", "tender-explicit"])
     def test_verify_logits_match_decode_steps_bitwise(self, runners, prompts, name):
@@ -274,6 +383,82 @@ class TestVerifyForward:
             runner.verify(np.array([[1, 2]]), cache, np.array([0, 1]))
         with pytest.raises(ConfigurationError):
             runner.verify(np.array([[1, 2]]), cache, np.array([-1]))
+        with pytest.raises(ConfigurationError):  # lengths must account for every token
+            runner.verify(np.array([1, 2, 3]), cache, np.array([0]), lengths=np.array([2]))
+        with pytest.raises(ConfigurationError):  # ... and include the pending token
+            runner.verify(np.array([1, 2]), cache, np.array([0]), lengths=np.array([0]))
+        assert cache.lengths[0] == 0 and not cache.keys[0].any(), "rejected before any write"
+
+    @pytest.mark.parametrize("cache_kind", ["paged", "dense"])
+    @pytest.mark.parametrize("name", ["tender-implicit", "tender-explicit", "float"])
+    def test_flat_verify_equals_per_row_verify_equals_decode_steps(
+        self, runners, prompts, name, cache_kind
+    ):
+        """Every row at its own depth, in one forward, changes no row's logits.
+
+        Four ragged sequences carry 3, 0, 12 and 1 drafts: the flat verify
+        over their 20 rows must reproduce, row for row, (a) a rectangular
+        verify of each sequence alone and (b) the sequential decode steps —
+        bit for bit under Tender, tokens plus 1e-12 under the FP baseline.
+        """
+        runner = runners[name]
+        drafts = [np.array([7, 11, 13]), np.array([], dtype=int), np.arange(40, 52), np.array([5])]
+        flat, rect, steps = (
+            ragged_verify(runner, prompts, drafts, cache_kind, how) for how in ("flat", "rect", "steps")
+        )
+        assert flat.shape == (sum(len(d) + 1 for d in drafts), runner.config.vocab_size)
+        if name == "float":
+            for other in (rect, steps):
+                np.testing.assert_allclose(flat, other, rtol=0.0, atol=1e-12)
+                assert np.array_equal(flat.argmax(axis=-1), other.argmax(axis=-1))
+        else:
+            assert np.array_equal(flat, rect)
+            assert np.array_equal(flat, steps)
+
+    def test_a_row_at_its_last_reserved_position_writes_nothing_outside_its_blocks(
+        self, runners, prompts
+    ):
+        """A one-token row beside a 12-draft row: the short row's reservation
+        ends at its own position, and nothing but the two slots' own blocks —
+        and of the short row's block only its one position — changes."""
+        runner = runners["tender-implicit"]
+        config = runner.config
+        pool = PagedKVCache.for_model(config, max_active=4, block_size=8)
+        short, deep = prompts[2], prompts[0]  # 11 and 18 tokens
+        slots = [pool.reserve(len(short) + 1), pool.reserve(len(deep) + 13)]
+        assert pool.capacity_of(slots[0]) == 16
+        for slot, prompt in zip(slots, (short, deep)):
+            view = pool.view([slot])
+            runner.prefill(prompt[None, :], np.array([len(prompt)]), view)
+            view.commit()
+        # Push the short row to the very end of its reservation.
+        view = pool.view([slots[0]])
+        for token in (3, 4, 5, 6):
+            runner.decode_step(np.array([token]), view)
+        view.commit()
+        assert pool.length_of(slots[0]) == pool.capacity_of(slots[0]) - 1
+        before = [blocks.copy() for blocks in pool.key_blocks]
+        view = pool.view(slots)
+        starts = view.lengths.copy()
+        tokens = np.concatenate([[9], [2], np.arange(60, 72)])
+        runner.verify(tokens, view, starts, lengths=np.array([1, 13]))
+        assert view.lengths.tolist() == [16, len(deep) + 13]
+        own = set(pool.block_table(slots[0])) | set(pool.block_table(slots[1]))
+        last_block = pool.block_table(slots[0])[-1]
+        for layer, blocks in enumerate(pool.key_blocks):
+            changed = np.flatnonzero((blocks != before[layer]).any(axis=(0, 2, 3)))
+            assert set(changed.tolist()) <= own
+            moved = (blocks[:, last_block] != before[layer][:, last_block]).any(axis=(0, 2))
+            assert moved.tolist() == [False] * 7 + [True]
+        # One position further and the same forward is refused before writing.
+        view.lengths[:] = starts
+        snapshot = [blocks.copy() for blocks in pool.key_blocks]
+        with pytest.raises(ConfigurationError, match="reserved capacity"):
+            runner.verify(
+                np.concatenate([[9, 9], tokens[1:]]), view, starts, lengths=np.array([2, 13])
+            )
+        for blocks, kept in zip(pool.key_blocks, snapshot):
+            assert np.array_equal(blocks, kept)
 
 
 # ----------------------------------------------------------------------
@@ -581,7 +766,11 @@ class TestSpeculativeScheduling:
         assert sorted(drafter.released) == sorted(outputs)
 
     def test_speculation_never_writes_past_reservation(self, runners, prompts):
-        """Tight budgets exercise the depth clamp at every remaining count."""
+        """Tight budgets exercise each row's own draft cap at every remaining count.
+
+        Reservations are exact (``prompt + budget - 1`` positions), so a
+        draft — or a pad — written past any row's budget would raise.
+        """
         runner = runners["tender-implicit"]
         for budget in (1, 2, 3):
             config = GenerationConfig(max_new_tokens=budget)
@@ -595,6 +784,38 @@ class TestSpeculativeScheduling:
             for request_id, reference in baseline.items():
                 assert np.array_equal(reference.generated, outputs[request_id].generated)
 
+    def test_row_at_its_last_token_rides_beside_a_deep_draft(self, runners, corpus_splits):
+        """A request on its final budgeted token shares the forward of a
+        12-draft neighbour: one forward per iteration, no row past its blocks."""
+        runner = runners["tender-implicit"]
+        train_tokens, _ = corpus_splits
+        seed = train_tokens[:12]
+        warm = GenerationEngine(runner).generate([seed], GenerationConfig(max_new_tokens=40))
+        extractive = np.concatenate([seed, warm.generated[0]])  # the drafter reads the answer
+        config = GenerationConfig(max_new_tokens=30)
+        scheduler = Scheduler(
+            runner,
+            config,
+            max_batch_size=2,
+            block_size=4,
+            speculation=SpecConfig(drafter=PromptLookupDraft(), draft_tokens=12, max_draft=12),
+        )
+        forwards = count_forwards(runner)
+        try:
+            scheduler.submit(extractive)
+            scheduler.submit(train_tokens[40:47], max_new_tokens=2)  # 7 + 2 - 1 = 8: two full blocks
+            outputs = {output.request_id: output for output in scheduler.run()}
+        finally:
+            forwards.restore()
+        assert [1, 13] in [sorted(lengths) for lengths in forwards.verify_lengths], (
+            "the request at its last token never shared a forward with a 12-draft one"
+        )
+        assert len(outputs[1].generated) == 2
+        assert forwards.decode_calls + len(forwards.verify_lengths) == scheduler.stats.decode_iterations
+        plain, _ = serve_all(runner, [extractive], config, block_size=4)
+        assert np.array_equal(outputs[0].generated, plain[0].generated)
+        assert np.array_equal(outputs[0].step_logits, plain[0].step_logits)
+
     def test_engine_passes_speculation_through(self, runners, prompts):
         runner = runners["tender-implicit"]
         config = GenerationConfig(max_new_tokens=8)
@@ -606,6 +827,94 @@ class TestSpeculativeScheduling:
         for reference, produced in zip(baseline.generated, result.generated):
             assert np.array_equal(reference, produced)
         assert np.array_equal(baseline.step_logits, result.step_logits)
+
+
+class TestRaggedVerifyLattice:
+    """Speculation composed with the other scheduler features, one at a time.
+
+    At every lattice point the committed tokens and logits equal the
+    non-speculative run's, every decode iteration is exactly one runner
+    forward, and the verify forwards computed exactly the proposed drafts
+    plus one pending token per participating request — no padding rows.
+    """
+
+    POINTS = {
+        "plain": {},
+        "prefix_cache": dict(prefix_cache=True),
+        "prefill_chunk": dict(prefill_chunk=8),
+        "prefix+chunk": dict(prefix_cache=True, prefill_chunk=8),
+        "preemption": dict(preemption=True, prefix_cache=True, max_batch_size=2),
+        "top_k": dict(config=GenerationConfig(max_new_tokens=10, top_k=4, temperature=0.8, seed=21)),
+        "eos": dict(config="eos"),
+    }
+
+    @staticmethod
+    def serve(runner, prompts, config, speculation=None, **kwargs):
+        scheduler = Scheduler(
+            runner,
+            config,
+            max_batch_size=kwargs.pop("max_batch_size", 3),
+            block_size=8,
+            speculation=speculation,
+            **kwargs,
+        )
+        urgent = len(prompts) - 1 if kwargs.get("preemption") else None
+        for index, prompt in enumerate(prompts):
+            if index == urgent:
+                scheduler.submit(prompt, priority=0, arrival_time=3.0)
+            else:
+                scheduler.submit(prompt, priority=1)
+        return {output.request_id: output for output in scheduler.run()}, scheduler
+
+    @pytest.mark.parametrize("point", list(POINTS))
+    @pytest.mark.parametrize("name", ["tender-implicit", "tender-explicit"])
+    def test_lattice_point(self, runners, prompts, name, point):
+        runner = runners[name]
+        kwargs = dict(self.POINTS[point])
+        config = kwargs.pop("config", GenerationConfig(max_new_tokens=10))
+        if config == "eos":
+            plain, _ = self.serve(runner, prompts, GenerationConfig(max_new_tokens=10))
+            eos = next(int(o.generated[2]) for o in plain.values() if o.num_steps >= 3)
+            config = GenerationConfig(max_new_tokens=10, eos_token=eos)
+        baseline, _ = self.serve(runner, prompts, config, **kwargs)
+
+        class RecordingDrafter(PromptLookupDraft):
+            proposed = 0
+
+            def propose(self, request_id, tokens, max_tokens):
+                draft = super().propose(request_id, tokens, max_tokens)
+                self.proposed += len(draft)
+                return draft
+
+        # Unigram matching drafts constantly (and mostly wrongly), so every
+        # point — sampled tokens included — exercises verify and rollback.
+        drafter = RecordingDrafter(min_ngram=1)
+        forwards = count_forwards(runner)
+        try:
+            outputs, scheduler = self.serve(
+                runner,
+                prompts,
+                config,
+                speculation=SpecConfig(drafter=drafter, draft_tokens=5, max_draft=8),
+                **kwargs,
+            )
+        finally:
+            forwards.restore()
+        for request_id, reference in baseline.items():
+            produced = outputs[request_id]
+            assert reference.finish_reason == produced.finish_reason
+            assert np.array_equal(reference.generated, produced.generated)
+            assert np.array_equal(reference.step_logits, produced.step_logits)
+        stats = scheduler.stats
+        if point == "preemption":
+            assert stats.preemptions > 0
+        if point == "eos":
+            assert any(output.finish_reason == "eos" for output in outputs.values())
+        assert stats.spec_verify_iterations == len(forwards.verify_lengths) > 0
+        assert forwards.decode_calls + len(forwards.verify_lengths) == stats.decode_iterations
+        assert stats.spec_proposed_tokens == drafter.proposed
+        participants = sum(len(lengths) for lengths in forwards.verify_lengths)
+        assert stats.spec_verify_rows == forwards.verify_rows == drafter.proposed + participants
 
 
 class TestStatsGuards:

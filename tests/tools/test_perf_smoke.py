@@ -20,7 +20,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 
 
 class TestPerfSmoke:
-    def test_fast_decode_path_not_slower_than_reference(self):
+    def test_perf_smoke_gates(self):
         environment = dict(os.environ)
         source_path = str(REPO_ROOT / "src")
         existing = environment.get("PYTHONPATH")
@@ -39,6 +39,7 @@ class TestPerfSmoke:
         assert "perf smoke ok (decode dispatch" in result.stdout
         assert "perf smoke ok (prefix cache served" in result.stdout
         assert "perf smoke ok (speculation accepted" in result.stdout
+        assert "perf smoke ok (ragged verify" in result.stdout
         assert "perf smoke ok (fused paged attention" in result.stdout
         assert "perf smoke ok (preemption token-identical" in result.stdout
         assert "perf smoke ok (observability disabled-path" in result.stdout

@@ -37,7 +37,11 @@ Nine checks run back to back:
    accept rate must clear a floor, and the decode forward count must
    actually drop — a broken verify/rollback path fails parity, a broken
    drafter silently degrades to zero accepts, and both fail here instead
-   of shipping.
+   of shipping.  A second, mixed trace (one warm request among cold ones,
+   staggered budgets) pins the *shape* of the forward with exact counts:
+   verify rows equal the drafts proposed plus one pending token per
+   participating request (no padding rows) and no engine step runs more
+   than one decode-side forward.
 
 4. **Fused paged attention** — serves the same random-weight model with
    the fused block-table attention on and off and gates on the
@@ -116,7 +120,7 @@ from repro.core.perf import decode_projection_operands, measure, synthetic_proje
 #: Python-level calls one batched ``decode_step`` of the Tender-quantized tiny
 #: model (2 layers) may make: the measured count + 10 %.  The count is exact
 #: for a given NumPy (it includes NumPy's own Python-level wrappers); the
-#: headroom is for NumPy versions, not for new per-site work.  Measured 201
+#: headroom is for NumPy versions, not for new per-site work.  Measured 202
 #: (405 before the forward plan, NumPy 2.4).
 DECODE_CALL_BUDGET = 221
 #: ``np.unique`` calls per decode forward: the plan's row-chunk grouping and
@@ -350,6 +354,83 @@ def check_speculative_smoke() -> int:
         f"perf smoke ok (speculation accepted {accept_rate:.0%} of drafts, "
         f"{stats_off.decode_iterations} -> {stats_on.decode_iterations} decode forwards)"
     )
+    return _check_ragged_verify(runner, [prompts[0]] + seeds[1:], speculation())
+
+
+def _check_ragged_verify(runner, prompts, speculation) -> int:
+    """Exact gates on the shape of the speculative forward (no clock read).
+
+    ``prompts`` is one warm request (its prompt embeds its own continuation,
+    so it drafts deep from the first step) among cold ones (bare seeds: they
+    propose nothing until their own output starts to cycle), with budgets
+    staggered so requests also reach their last token at different steps.
+    Every engine step may run at most one decode-side forward, and the
+    verify forwards must have computed exactly the drafts proposed plus one
+    pending token per participating request: a pad row, a filler guess or a
+    separate final-token forward all fail here, on any machine.
+    """
+    from repro.serve import GenerationConfig, Scheduler
+
+    budgets = [16, 5, 9, 12, 7, 3]
+
+    def serve(speculation):
+        scheduler = Scheduler(
+            runner,
+            GenerationConfig(max_new_tokens=16),
+            max_batch_size=4,
+            block_size=8,
+            speculation=speculation,
+            record_logits=False,
+        )
+        for prompt, budget in zip(prompts, budgets):
+            scheduler.submit(prompt, max_new_tokens=budget)
+        outputs, worst = {}, 0
+        while scheduler.has_pending:
+            before = len(forwards)
+            for output in scheduler.step():
+                outputs[output.request_id] = output.generated
+            worst = max(worst, len(forwards) - before)
+        return outputs, scheduler.stats, worst
+
+    forwards = []  # rows of every decode-side forward: (rows, participating requests)
+    decode_step, verify = runner.decode_step, runner.verify
+    runner.decode_step = lambda tokens, cache: (
+        forwards.append((len(tokens), len(tokens))),
+        decode_step(tokens, cache),
+    )[1]
+    runner.verify = lambda tokens, cache, starts, lengths: (
+        forwards.append((int(np.size(tokens)), len(lengths))),
+        verify(tokens, cache, starts, lengths=lengths),
+    )[1]
+    try:
+        outputs_off, _, _ = serve(None)
+        del forwards[:]
+        outputs_on, stats, worst = serve(speculation)
+    finally:
+        del runner.decode_step, runner.verify
+    if any(not np.array_equal(outputs_off[i], outputs_on[i]) for i in outputs_off):
+        print("perf smoke FAILED: ragged verify changed generated tokens on the mixed warm/cold trace")
+        return 1
+    if worst > 1:
+        print(
+            f"perf smoke FAILED: a speculative iteration ran {worst} decode-side forwards "
+            "(required: one — no separate final-token or per-length forward)"
+        )
+        return 1
+    verified = [(rows, batch) for rows, batch in forwards if rows > batch]
+    rows = sum(rows for rows, _ in verified)
+    expected = stats.spec_proposed_tokens + sum(batch for _, batch in verified)
+    if not verified or rows != expected or rows != stats.spec_verify_rows:
+        print(
+            f"perf smoke FAILED: verify forwards computed {rows} rows for "
+            f"{stats.spec_proposed_tokens} proposed drafts (expected sum(proposed + 1) = "
+            f"{expected}, stats say {stats.spec_verify_rows}) — padding rows are back"
+        )
+        return 1
+    print(
+        f"perf smoke ok (ragged verify {rows} rows == sum(proposed + 1) over "
+        f"{len(verified)} forwards, <= 1 forward per iteration, tokens identical)"
+    )
     return 0
 
 
@@ -419,8 +500,7 @@ def _decode_dispatch_counts() -> "tuple[int, int]":
 
     lengths = np.array([5, 9, 17, 30])
     pool = PagedKVCache.for_model(weights.config, max_active=len(lengths), block_size=8)
-    # A ragged prefill writes its padding too: every slot covers the longest prompt.
-    view = pool.view([pool.reserve(int(lengths.max()) + 4) for _ in lengths])
+    view = pool.view([pool.reserve(int(length) + 4) for length in lengths])
     tokens = rng.integers(0, weights.config.vocab_size, size=(len(lengths), int(lengths.max())))
     next_tokens = runner.prefill(tokens, lengths, view).argmax(axis=-1)
     next_tokens = runner.decode_step(next_tokens, view).argmax(axis=-1)  # fills the lazy caches
