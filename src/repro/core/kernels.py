@@ -355,23 +355,30 @@ class ForwardPlan:
         ``(num_heads, num_blocks * block_size, d_head)``.  ``runs`` is the
         block index's run table — a new list after every refresh, so its
         identity is the freshness check.  The mask hides slot ``s`` from a
-        query at position ``p`` when ``s > p``.
+        query at position ``p`` when ``s > p``, so a sequence's segments stop
+        at *its own* reach (its highest position + 1), not the forward's:
+        every column past it is masked to an exactly-zero probability for
+        all of that sequence's rows, and skipping it changes no bit.
         """
         layout = self._attention
         if layout is None or layout[0] is not runs:
-            attended = self.attended
+            # A sequence with no rows keeps reach 0: no segments.
+            reach = np.zeros(self.batch, dtype=np.int64)
+            owners = self.lengths.nonzero()[0]
+            reach[owners] = np.maximum.reduceat(self.positions, self.bounds[owners]) + 1
+            reach = reach.tolist()
             bounds = self.bounds.tolist()
             segments = []
             for sequence, row_runs in enumerate(runs):
                 lo, hi = bounds[sequence], bounds[sequence + 1]
                 for first_index, first_physical, count in row_runs:
                     start = first_index * block_size
-                    if start >= attended:
+                    if start >= reach[sequence]:
                         break
-                    stop = min(start + count * block_size, attended)
+                    stop = min(start + count * block_size, reach[sequence])
                     first = first_physical * block_size
                     segments.append((lo, hi, start, stop, first, first + stop - start))
-            hidden_slots = np.arange(attended)[None, None, :] > self.positions[None, :, None]
+            hidden_slots = np.arange(self.attended)[None, None, :] > self.positions[None, :, None]
             layout = self._attention = (runs, segments, hidden_slots)
         return layout[1], layout[2]
 
@@ -602,9 +609,15 @@ def paged_attention(
     expressions, so the attention probabilities match the reference bit
     for bit.  The SV product accumulates per run; masked columns carry
     exactly-zero probabilities (their scores underflow ``exp``), so
-    skipping them is an exact no-op and single-run rows — every fresh
-    reservation, since the free list hands out consecutive blocks — are
-    bitwise identical to the dense product.  Multi-run rows can differ
+    skipping them — each sequence's segments stop at its own reach — is an
+    exact no-op and single-run rows are bitwise identical to the dense
+    product.  Whether a row *is* a single run is the allocator's doing, not
+    a given: every run costs a matmul pair (≈ 4-7 µs of a ≈ 25 µs + 0.05
+    µs/score-cell call), the one-block-at-a-time LRU pop left 2.4-9.1 runs
+    per sequence on the ``BENCHMARK.json`` workloads, and
+    ``PagedKVCache``'s extent-aware pick brings those whose reservations
+    come out of unpublished free space to 1.0-1.5 (table in
+    ``docs/architecture.md``).  Multi-run rows can differ
     from the dense product only in the final-sum rounding of the context
     vector (~1e-15 relative); under Tender both operands of every
     *subsequent* matmul are statically requantized, which rounds that

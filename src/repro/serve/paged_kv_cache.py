@@ -22,17 +22,28 @@ Since the prefix-caching PR, blocks additionally carry *identity*:
 * writes into a block shared with another slot trigger **copy-on-write**:
   the writer gets a private copy and the original keeps serving the other
   holders (and future prefix matches);
-* freed blocks go to an **LRU free-list** instead of being scrubbed:
-  published blocks keep their index entry (and stay matchable) until memory
+* freed *published* blocks go to an **LRU free-list** with their bytes
+  intact: they keep their index entry (and stay matchable) until memory
   pressure actually reclaims them, at which point the block — and every
-  radix descendant, whose chained identity it anchored — is de-indexed.
+  radix descendant, whose chained identity it anchored — is de-indexed;
+* freed *unpublished* blocks — nothing can match them, so they are
+  interchangeable — coalesce into a map of **free extents**, and every
+  reservation is carved out of it as consecutive runs (the extent that
+  continues the shared prefix, else the best fit, else the fewest extents
+  that cover it): the fused attention kernel pays one matmul pair per run
+  of a table, so *where* a table lands is a performance decision, while
+  *which* cached block dies stays the LRU's — the extents are drained
+  before the oldest published block is reclaimed, exactly the order a
+  single list with unpublished blocks at its front would give.
 
 Blocks are scrubbed *lazily*: a per-block dirty bit marks blocks that have
-ever been written, and only dirty blocks are zeroed when (re)allocated for
-fresh use — a prefix-hit reservation overwrites nothing and therefore pays
-no memset.  Output isolation alone would already follow from the attention
-visibility rule (a sequence only ever attends to slots at positions it has
-itself written), but executors that quantize attention operands
+been written, and a dirty block is zeroed once, when it stops being worth
+keeping — released unpublished, or reclaimed/orphaned off the LRU — so the
+extents only ever hold zeroed blocks, a prefix-hit reservation overwrites
+nothing, and no reservation pays a memset.  Output isolation alone would
+already follow from the attention visibility rule (a sequence only ever
+attends to slots at positions it has itself written), but executors that
+quantize attention operands
 *dynamically* (Tender ``quantize_attention=True``) take per-column
 statistics over the whole attended window — stale values there would
 perturb quantization scales even though they never reach an output, so the
@@ -131,6 +142,108 @@ def _consecutive_runs(table: Sequence[int]) -> List[Tuple[int, int, int]]:
     return runs
 
 
+class _FreeExtents:
+    """Coalescing map of free, interchangeable blocks, handed out as runs.
+
+    Holds the pool's unreferenced *unpublished* blocks — nothing can match
+    them, so which one a reservation gets is free to choose — as maximal
+    extents of consecutive ids, boundary-tagged both ways (``length`` by
+    first block, ``start_of`` by one-past-the-last) so a released run
+    coalesces with its neighbours without a search.  A pick scans extents —
+    a handful, because they coalesce — never blocks.
+    """
+
+    __slots__ = ("length", "start_of", "blocks")
+
+    def __init__(self, num_blocks: int) -> None:
+        #: First block of every extent -> its number of blocks.
+        self.length: Dict[int, int] = {}
+        #: One past the last block of every extent -> its first block.
+        self.start_of: Dict[int, int] = {}
+        #: Blocks held, over all extents.
+        self.blocks = 0
+        self._insert(0, num_blocks)
+
+    def _insert(self, start: int, end: int) -> None:
+        """Register the extent ``[start, end)``."""
+        self.length[start] = end - start
+        self.start_of[end] = start
+        self.blocks += end - start
+
+    def _remove(self, start: int) -> int:
+        """Unregister the extent beginning at ``start``; returns its end."""
+        size = self.length.pop(start)
+        del self.start_of[start + size]
+        self.blocks -= size
+        return start + size
+
+    def add(self, first: int, count: int = 1) -> None:
+        """Return the run ``[first, first + count)``, merging it with the extents it touches."""
+        start, end = self.start_of.get(first, first), first + count
+        if start != first:
+            self._remove(start)
+        if end in self.length:
+            end = self._remove(end)
+        self._insert(start, end)
+
+    def _cut(self, start: int, first: int, count: int) -> Tuple[int, int]:
+        """Take ``[first, first + count)`` out of the extent beginning at ``start``."""
+        end = self._remove(start)
+        if first > start:
+            self._insert(start, first)
+        if first + count < end:
+            self._insert(first + count, end)
+        return first, count
+
+    def take(
+        self, count: int, after: Optional[int] = None, before: Optional[int] = None
+    ) -> List[Tuple[int, int]]:
+        """Carve out ``count`` blocks as ``(first, count)`` runs, in table order.
+
+        The blocks will sit between table neighbours ``after`` and
+        ``before`` (either may be absent): the extent directly continuing
+        ``after`` is used first and the one ending right at ``before`` last,
+        so the new blocks extend the neighbours' runs.  What remains comes
+        from the best-fitting single extent (smallest that holds it; ties to
+        the lowest address), else largest-first with a best-fit remainder,
+        laid out in ascending order.  The caller guarantees ``count`` blocks
+        are held.
+        """
+        head: List[Tuple[int, int]] = []
+        tail: List[Tuple[int, int]] = []
+        if after is not None and after + 1 in self.length:
+            head.append(self._cut(after + 1, after + 1, min(count, self.length[after + 1])))
+            count -= head[0][1]
+        if count and before in self.start_of:
+            start = self.start_of[before]
+            size = min(count, before - start)
+            tail.append(self._cut(start, before - size, size))
+            count -= size
+        middle = []
+        if count == self.blocks:  # everything left goes (a forced reclaim): nothing to fit
+            middle, count, self.blocks = self.extents(), 0, 0
+            self.length.clear()
+            self.start_of.clear()
+        while count:
+            # One pass: the smallest extent that holds the rest, else the
+            # largest; ties to the lowest address either way.
+            start, size = -1, 0
+            for first, length in self.length.items():
+                if length >= count:
+                    better = size < count or length < size
+                else:
+                    better = size < count and length > size
+                if better or (length == size and first < start):
+                    start, size = first, length
+            middle.append(self._cut(start, start, min(count, size)))
+            count -= middle[-1][1]
+        return head + sorted(middle) + tail
+
+    def extents(self) -> List[Tuple[int, int]]:
+        """``(first block, number of blocks)`` of every extent, ascending."""
+        return sorted(self.length.items())
+
+
 class PagedKVCache:
     """A pool of fixed-size KV blocks shared by all live requests.
 
@@ -184,10 +297,17 @@ class PagedKVCache:
         #: traffic the fused paged-attention path exists to avoid.  Reset
         #: freely; the perf-smoke gate asserts it stays 0 on fused decodes.
         self.gather_bytes = 0
+        #: Consecutive-block runs over every table :meth:`reserve` has built —
+        #: the matmul pairs a full-length attention over each would pay.
+        #: ``table_runs / reservations`` is the mean; 1.0 means no fragmentation.
+        self.table_runs = 0
         self._refcounts = np.zeros(num_blocks, dtype=np.int64)
         self._dirty = np.zeros(num_blocks, dtype=bool)
-        #: Refcount-0 blocks in reclaim order (front reclaimed first).
-        self._free_lru: "OrderedDict[int, None]" = OrderedDict((b, None) for b in range(num_blocks))
+        #: Unreferenced *unpublished* blocks, as coalesced extents.
+        self._extents = _FreeExtents(num_blocks)
+        #: Unreferenced *published* blocks in reclaim order (front reclaimed
+        #: first, and only once the extents are exhausted).
+        self._free_lru: "OrderedDict[int, None]" = OrderedDict()
         self._tables: Dict[int, List[int]] = {}
         self._lengths: Dict[int, int] = {}
         self._next_slot = 0
@@ -245,8 +365,13 @@ class PagedKVCache:
 
     @property
     def free_block_count(self) -> int:
-        """Blocks currently available for :meth:`reserve` (the LRU free-list)."""
-        return len(self._free_lru)
+        """Blocks currently available for :meth:`reserve` (extents plus LRU)."""
+        return self._extents.blocks + len(self._free_lru)
+
+    @property
+    def reservations(self) -> int:
+        """Slots reserved over the pool's lifetime (the ``table_runs`` denominator)."""
+        return self._next_slot
 
     @property
     def cached_block_count(self) -> int:
@@ -289,12 +414,23 @@ class PagedKVCache:
         return list(self._tables[slot])
 
     def free_blocks(self) -> List[int]:
-        """Ids of unreferenced blocks, in LRU reclaim order (a copy).
+        """Ids of unreferenced blocks, in the order memory pressure takes them (a copy).
 
-        Introspection for invariant checkers (``repro.serve.stress``):
-        together with :meth:`ref_count` this exposes the free-list side of
-        the refcount/free-list duality without touching private state.
+        The unpublished blocks of :meth:`free_extents` first (ascending),
+        then :meth:`cached_free_blocks`.  Introspection for invariant
+        checkers (``repro.serve.stress``): together with :meth:`ref_count`
+        this exposes the free side of the refcount/free-list duality
+        without touching private state.
         """
+        unpublished = [b for first, count in self.free_extents() for b in range(first, first + count)]
+        return unpublished + self.cached_free_blocks()
+
+    def free_extents(self) -> List[Tuple[int, int]]:
+        """Unreferenced unpublished blocks as ascending ``(first, count)`` extents (a copy)."""
+        return self._extents.extents()
+
+    def cached_free_blocks(self) -> List[int]:
+        """Unreferenced published blocks, oldest (reclaimed first) to newest (a copy)."""
         return list(self._free_lru)
 
     def radix_entries(self) -> Dict[Tuple[int, bytes], int]:
@@ -313,6 +449,18 @@ class PagedKVCache:
     def block_key_of(self, block: int) -> Optional[Tuple[int, bytes]]:
         """The radix key ``block`` is published under, or None if unpublished."""
         return self._block_key.get(block)
+
+    def publish(self, registry, prefix: str = "cache") -> None:
+        """Publish the pool's counters into a :class:`repro.obs.MetricsRegistry`.
+
+        ``<prefix>.gather_bytes``, ``<prefix>.table_runs`` and
+        ``<prefix>.reservations`` — the last two give mean runs per reserved
+        table, the fragmentation the fused attention kernel pays a matmul
+        pair per unit of.  Counters accumulate — snapshot/delta around each
+        publish to diff phases.
+        """
+        for name in ("gather_bytes", "table_runs", "reservations"):
+            registry.counter(f"{prefix}.{name}").inc(getattr(self, name))
 
     # ------------------------------------------------------------------
     # Prefix identity (radix of chained block hashes)
@@ -403,20 +551,31 @@ class PagedKVCache:
     def _deindex(self, block: int) -> None:
         """Drop ``block`` and its radix descendants from the prefix index.
 
-        Descendants necessarily have refcount 0 (any slot holding a block
-        also holds its whole prefix chain), so they simply lose matchability
-        and remain ordinary free blocks.
+        A de-indexed block that is unreferenced — a descendant whose chained
+        identity ``block`` anchored — has nothing left worth keeping, so it
+        moves from the LRU to the free extents, where the next reservation
+        takes it before evicting anything still matchable.
         """
+        orphans: List[int] = []
+        self._unindex(block, orphans)
+        if orphans:
+            self._recycle(orphans)
+
+    def _unindex(self, block: int, orphans: List[int]) -> None:
+        """:meth:`_deindex`, with the unreferenced blocks taken off the LRU left in ``orphans``."""
         key = self._block_key.pop(block, None)
         if key is None:
             return
+        if block in self._free_lru:
+            del self._free_lru[block]
+            orphans.append(block)
         if self._prefix_index.get(key) == block:
             del self._prefix_index[key]
         parent_children = self._children.get(key[0])
         if parent_children is not None:
             parent_children.discard(block)
         for child in list(self._children.get(block, ())):
-            self._deindex(child)
+            self._unindex(child, orphans)
         self._children.pop(block, None)
 
     # ------------------------------------------------------------------
@@ -455,7 +614,8 @@ class PagedKVCache:
         ResourceExhaustedError
             If the pool does not currently hold enough free blocks.
         ConfigurationError
-            If ``shared`` holds more blocks than ``capacity`` needs.
+            If ``shared`` holds more blocks than ``capacity`` needs, or names
+            an unreferenced block that is no longer published (a stale chain).
         """
         needed = self.blocks_needed(capacity)
         shared = [int(b) for b in shared]
@@ -465,34 +625,35 @@ class PagedKVCache:
                 f"for {capacity} positions"
             )
         fork_needed = bool(private_tail and shared and self._refcounts[shared[-1]] >= 1)
-        revivals = sum(1 for block in shared if self._refcounts[block] == 0)
+        revivals = [block for block in shared if self._refcounts[block] == 0]
+        if any(block not in self._free_lru for block in revivals):
+            raise ConfigurationError(
+                "shared prefix chain names an unreferenced, unpublished block; "
+                "pass the chain match_prefix returned for this reservation"
+            )
         fresh_needed = needed - len(shared) + (1 if fork_needed else 0)
-        if fresh_needed > len(self._free_lru) - revivals:
+        if fresh_needed > self.free_block_count - len(revivals):
             raise ResourceExhaustedError(
                 f"need {fresh_needed} free KV blocks for {capacity} positions "
-                f"({len(shared)} reused) but only {len(self._free_lru) - revivals} "
+                f"({len(shared)} reused) but only {self.free_block_count - len(revivals)} "
                 f"of {self.num_blocks} are free"
             )
+        for block in revivals:
+            del self._free_lru[block]
         for block in shared:
-            if self._refcounts[block] == 0:
-                del self._free_lru[block]
             self._refcounts[block] += 1
-        blocks = shared + [self._allocate_fresh() for _ in range(needed - len(shared))]
+        # One pick for everything this table needs: the eager fork's private
+        # copy takes the forked block's place, so it leads the fresh blocks.
+        kept = shared[:-1] if fork_needed else shared
+        picked = self._take(fresh_needed, after=kept[-1] if kept else None)
+        fresh = [block for first, count in picked for block in range(first, first + count)]
         slot = self._next_slot
         self._next_slot += 1
-        self._tables[slot] = blocks
+        self._tables[slot] = shared + fresh[1:] if fork_needed else shared + fresh
         self._lengths[slot] = 0
         self._table_version += 1
-        if self.tracer is not None:
-            self.tracer.instant(
-                "cache.block_alloc",
-                self.trace_track,
-                slot=slot,
-                fresh=needed - len(shared),
-                shared=len(shared),
-            )
         if fork_needed:
-            self._copy_on_write(slot, len(shared) - 1)
+            self._copy_on_write(slot, len(shared) - 1, fresh[0])
         elif private_tail and shared:
             # Sole owner of the revived tail block: writing in place is safe
             # *now*, but the block must stop being matchable or a later
@@ -501,42 +662,88 @@ class PagedKVCache:
             # the write-within-capacity guarantee; the block is re-published
             # when this slot's prefill completes.
             self._deindex(shared[-1])
+        # Runs of the finished table: the kept prefix's and the picked ones,
+        # less one when the first pick continues the prefix.
+        runs = len(picked)
+        if kept:
+            runs += len(_consecutive_runs(kept)) - (bool(picked) and picked[0][0] == kept[-1] + 1)
+        self.table_runs += runs
+        if self.tracer is not None:
+            self.tracer.instant(
+                "cache.block_alloc",
+                self.trace_track,
+                slot=slot,
+                fresh=needed - len(shared),
+                shared=len(shared),
+                runs=runs,
+            )
         return slot
 
-    def _allocate_fresh(self, scrub: bool = True) -> int:
-        """Claim the head of the LRU free-list for exclusive use.
+    def _take(
+        self, count: int, after: Optional[int] = None, before: Optional[int] = None
+    ) -> List[Tuple[int, int]]:
+        """Claim ``count`` free blocks for exclusive use, as few runs as possible.
 
-        Reclaiming a published block removes it (and its now-unanchored
-        radix descendants) from the prefix index; dirty blocks are zeroed
-        here — and only here — so prefix-hit reservations never pay the
-        memset (see the module docstring for why zeros matter).
+        Unpublished blocks are interchangeable, so they are handed out as
+        consecutive ``(first, count)`` runs placed against the table
+        neighbours ``after`` / ``before`` (see :meth:`_FreeExtents.take`),
+        already zeroed (:meth:`_recycle`).  Published blocks are reclaimed
+        only when the extents cannot cover the request, oldest first and
+        one at a time — exactly the blocks, in exactly the order, a single
+        LRU list would give up — each dropping out of the prefix index with
+        its now-unanchored radix descendants.
         """
-        if not self._free_lru:
+        if count > self.free_block_count:
             raise ResourceExhaustedError(
-                f"all {self.num_blocks} KV blocks are referenced; none can be "
-                f"reclaimed for a fresh allocation"
+                f"need {count} free KV blocks but only {self.free_block_count} of "
+                f"{self.num_blocks} are unreferenced; none can be reclaimed"
             )
-        block = next(iter(self._free_lru))
-        del self._free_lru[block]
-        self._deindex(block)
-        if scrub and self._dirty[block]:
-            for layer in range(self.num_layers):
-                self.key_blocks[layer][:, block] = 0.0
-                self.value_blocks[layer][:, block] = 0.0
-            self._dirty[block] = False
-        self._refcounts[block] = 1
-        return block
+        reclaimed: List[int] = []
+        while self._extents.blocks + len(reclaimed) < count:
+            self._unindex(next(iter(self._free_lru)), reclaimed)
+        if reclaimed:
+            self._recycle(reclaimed)
+        picked = self._extents.take(count, after, before)
+        for first, run in picked:
+            self._refcounts[first : first + run] = 1
+        return picked
 
-    def _release(self, block: int) -> None:
-        """Put an unreferenced block on the LRU free-list.
+    def _unref(self, blocks) -> None:
+        """Drop one reference from each of ``blocks``; release those nobody holds.
 
-        Published blocks keep their contents and index entry and are
-        appended at the *back* (reclaimed last, least-recently-freed first
-        among themselves); unpublished blocks carry nothing reusable and go
-        to the front.
+        Published blocks keep their contents and index entry and join the
+        *back* of the LRU in the order given (reclaimed last,
+        least-recently-freed first among themselves); unpublished blocks
+        carry nothing reusable and are recycled.
         """
-        self._free_lru[block] = None
-        self._free_lru.move_to_end(block, last=block in self._block_key)
+        unpublished = []
+        for block in blocks:
+            self._refcounts[block] -= 1
+            if self._refcounts[block] == 0:
+                if block in self._block_key:
+                    self._free_lru[block] = None
+                else:
+                    unpublished.append(block)
+        if unpublished:
+            self._recycle(unpublished)
+
+    def _recycle(self, blocks: List[int]) -> None:
+        """Zero unreferenced unpublished ``blocks`` and coalesce them into the extents.
+
+        Dirty blocks are zeroed here — and only here — so every block the
+        extents hand out reads zero and prefix-hit reservations never pay a
+        memset (see the module docstring for why zeros matter): one slice
+        assignment per consecutive dirty stretch per layer; clean blocks are
+        not touched at all, so never-written pool pages stay unmapped.
+        """
+        blocks = sorted(blocks)
+        for _, first, count in _consecutive_runs([block for block in blocks if self._dirty[block]]):
+            for layer in range(self.num_layers):
+                self.key_blocks[layer][:, first : first + count] = 0.0
+                self.value_blocks[layer][:, first : first + count] = 0.0
+            self._dirty[first : first + count] = False
+        for _, first, count in _consecutive_runs(blocks):
+            self._extents.add(first, count)
 
     def free(self, slot: int) -> None:
         """Drop ``slot``'s references; unreferenced blocks join the free-list.
@@ -546,10 +753,7 @@ class PagedKVCache:
         prefix one tail block at a time instead of reclaiming the chain's
         radix root (which would de-index every descendant at once).
         """
-        for block in reversed(self._tables.pop(slot)):
-            self._refcounts[block] -= 1
-            if self._refcounts[block] == 0:
-                self._release(block)
+        self._unref(reversed(self._tables.pop(slot)))
         del self._lengths[slot]
         self._table_version += 1
 
@@ -563,9 +767,11 @@ class PagedKVCache:
 
         * **Tail blocks** no longer needed to cover ``new_length`` (nor
           ``min_capacity``) have their reference counts dropped; blocks that
-          reach zero join the LRU free-list exactly as :meth:`free` releases
-          them — published blocks stay matchable there, and ancestors of a
-          released block are never de-indexed.
+          reach zero are released exactly as :meth:`free` releases them —
+          published blocks stay matchable on the LRU, unpublished ones
+          coalesce back into the free extents (so a regrow gets the same
+          consecutive run), and ancestors of a released block are never
+          de-indexed.
         * **Retained blocks** at or beyond the cut will be rewritten by this
           slot's future decode steps.  A sole-owner (refcount 1) published
           block there is de-indexed first — the same rule :meth:`reserve`
@@ -609,12 +815,8 @@ class PagedKVCache:
         table = self._tables[slot]
         keep = min(self.blocks_needed(max(new_length, min_capacity, 1)), len(table))
         released = len(table) - keep
-        for block in reversed(table[keep:]):
-            self._refcounts[block] -= 1
-            if self._refcounts[block] == 0:
-                self._release(block)
-        if released:
-            del table[keep:]
+        self._unref(reversed(table[keep:]))
+        del table[keep:]
         # Invalidate unconditionally, not just when blocks were released: a
         # cached _BlockIndex built before the rollback must never keep
         # addressing rolled-back positions once the freed blocks regrow into
@@ -649,18 +851,27 @@ class PagedKVCache:
     # ------------------------------------------------------------------
     # Copy-on-write
     # ------------------------------------------------------------------
-    def _copy_on_write(self, slot: int, block_index: int) -> int:
-        """Give ``slot`` a private copy of its ``block_index``-th block."""
-        source = self._tables[slot][block_index]
-        copy = self._allocate_fresh(scrub=False)
+    def _copy_on_write(self, slot: int, block_index: int, copy: Optional[int] = None) -> int:
+        """Give ``slot`` a private copy of its ``block_index``-th block.
+
+        The copy lands in ``copy`` when :meth:`reserve` already claimed a
+        block for it, else in the free neighbour of the table's adjacent
+        blocks when there is one, so a fork does not split a run.
+        """
+        table = self._tables[slot]
+        source = table[block_index]
+        if copy is None:
+            ((copy, _),) = self._take(
+                1,
+                after=table[block_index - 1] if block_index else None,
+                before=table[block_index + 1] if block_index + 1 < len(table) else None,
+            )
         for layer in range(self.num_layers):
             self.key_blocks[layer][:, copy] = self.key_blocks[layer][:, source]
             self.value_blocks[layer][:, copy] = self.value_blocks[layer][:, source]
         self._dirty[copy] = True
-        self._tables[slot][block_index] = copy
-        self._refcounts[source] -= 1
-        if self._refcounts[source] == 0:
-            self._release(source)
+        table[block_index] = copy
+        self._unref([source])
         self._table_version += 1
         if self.tracer is not None:
             self.tracer.instant(

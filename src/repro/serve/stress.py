@@ -1,9 +1,10 @@
 """Randomized stress/property harness for the paged KV cache invariant web.
 
 The :class:`~repro.serve.paged_kv_cache.PagedKVCache` correctness story now
-spans reference counts, a radix prefix index, copy-on-write forks, an LRU
-free-list whose published blocks stay matchable, lazy dirty-bit scrubbing,
-and speculative-rollback truncation.  Example-based tests pin each feature
+spans reference counts, a radix prefix index, copy-on-write forks, a free
+side split into coalesced extents of unpublished blocks and an LRU whose
+published blocks stay matchable, lazy dirty-bit scrubbing, and
+speculative-rollback truncation.  Example-based tests pin each feature
 in isolation; this module drives *mixed* schedules of the operations the
 scheduler actually issues — admit (with prefix matching and the
 ``private_tail`` rule), decode writes, prefix forks, truncation, preemption
@@ -18,8 +19,12 @@ the pool must be bit-for-bit indifferent) — and asserts the global
 invariants after every single operation:
 
 * **Refcount duality** — every block's reference count equals its number of
-  occurrences across live slot tables, and a block is on the LRU free-list
-  exactly when that count is zero.
+  occurrences across live slot tables, and a block is free exactly when
+  that count is zero.
+* **Free-structure partition** — the free extents hold exactly the
+  unreferenced *unpublished* blocks (disjoint, maximal runs), the LRU
+  exactly the unreferenced *published* ones, and the two partition
+  ``free_blocks()``.
 * **Radix consistency** — the prefix index, reverse key map, and children
   sets agree; every indexed block is live or LRU-matchable; every non-root
   parent is itself indexed.
@@ -109,6 +114,27 @@ def check_pool_invariants(cache: PagedKVCache, last_version: Optional[int] = Non
             raise InvariantViolation(
                 f"block {block} (refcount {refs}) and the free-list disagree"
             )
+    # The free side is two structures: coalesced extents of unpublished
+    # blocks, and the LRU of published ones.  Together they are exactly
+    # ``free_blocks()``; apart, each holds exactly its own kind.
+    extents = cache.free_extents()
+    unpublished = [block for first, count in extents for block in range(first, first + count)]
+    cached = cache.cached_free_blocks()
+    published_free = set(cached)
+    if free != unpublished + cached:
+        raise InvariantViolation("free_blocks() is not the free extents followed by the LRU")
+    for (first, count), (following, _) in zip(extents, extents[1:] + [(cache.num_blocks + 1, 0)]):
+        if count < 1 or first < 0 or first + count >= following:
+            raise InvariantViolation(
+                f"free extent ({first}, {count}) is empty, out of range, or overlaps/touches "
+                f"the next one at {following} (extents must be disjoint and maximal)"
+            )
+    for block in free:
+        if (cache.block_key_of(block) is not None) != (block in published_free):
+            raise InvariantViolation(
+                f"free block {block} sits in the wrong free structure: published blocks "
+                "belong on the LRU, unpublished ones in the extents"
+            )
     entries = cache.radix_entries()
     for (parent, run), block in entries.items():
         if cache.block_key_of(block) != (parent, run):
@@ -142,6 +168,58 @@ def check_pool_invariants(cache: PagedKVCache, last_version: Optional[int] = Non
             f"table_version moved backwards: {last_version} -> {version}"
         )
     return version
+
+
+class LruReferencePool(PagedKVCache):
+    """The retired one-list allocation policy, kept as the eviction oracle.
+
+    Every unreferenced block — published or not — sits on one LRU list:
+    released unpublished blocks go to the front, published ones to the back,
+    a block orphaned by :meth:`_unindex` stays where it was, and an
+    allocation pops the head once per block (scrubbing it if dirty).
+    :class:`PagedKVCache` must evict the same published blocks in the same
+    order (or spare one, when it spends an orphan this policy leaves deep
+    in the list) — what ``tests/serve/test_block_allocator.py`` and the
+    perf-smoke contiguity gate compare against.  Not a serving path: it
+    fragments tables.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._extents.take(self.num_blocks)  # nothing lives in the extents here
+        self._free_lru.update((block, None) for block in range(self.num_blocks))
+
+    def _unindex(self, block: int, orphans: List[int]) -> None:
+        """Drop ``block`` and its radix descendants from the index, in place on the LRU."""
+        key = self._block_key.pop(block, None)
+        if key is None:
+            return
+        if self._prefix_index.get(key) == block:
+            del self._prefix_index[key]
+        self._children.get(key[0], set()).discard(block)
+        for child in list(self._children.pop(block, ())):
+            self._unindex(child, orphans)
+
+    def _take(self, count: int, after=None, before=None):
+        """Pop the LRU head ``count`` times, wherever those blocks happen to lie."""
+        if count > len(self._free_lru):
+            raise ResourceExhaustedError(f"need {count} free KV blocks, {len(self._free_lru)} left")
+        blocks = [self._free_lru.popitem(last=False)[0] for _ in range(count)]
+        for block in blocks:
+            self._deindex(block)
+            if self._dirty[block]:  # this policy scrubs on the way out, block by block
+                for layer in range(self.num_layers):
+                    self.key_blocks[layer][:, block] = 0.0
+                    self.value_blocks[layer][:, block] = 0.0
+        self._dirty[blocks] = False
+        self._refcounts[blocks] = 1
+        return [(block, 1) for block in blocks]
+
+    def _recycle(self, blocks: List[int]) -> None:
+        """Unpublished blocks go to the front of the one list, as they are."""
+        for block in blocks:
+            self._free_lru[block] = None
+            self._free_lru.move_to_end(block, last=False)
 
 
 class _SlotModel:

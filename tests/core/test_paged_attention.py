@@ -37,12 +37,15 @@ def dense_reference(queries, view, layer, positions, attended=None):
 
 
 def fill_slots(pool, rng, lengths, *, fragment=False):
-    """Reserve one slot per length (optionally fragmenting the free list)."""
+    """Reserve one slot per length (optionally on a fully fragmented pool)."""
     if fragment:
-        # Interleave reserve/free so later tables span non-consecutive blocks.
-        holes = [pool.reserve(BLOCK) for _ in range(3)]
-        for hole in holes[::2]:
-            pool.free(hole)
+        # The allocator hands out consecutive runs whenever an extent can
+        # hold the request, so pin every other block under a one-block
+        # spacer: the free extents are all single blocks and each table
+        # below is one run per block.
+        spacers = [pool.reserve(BLOCK) for _ in range(pool.num_blocks)]
+        for spacer in spacers[::2]:
+            pool.free(spacer)
     slots = []
     for length in lengths:
         slot = pool.reserve(length)

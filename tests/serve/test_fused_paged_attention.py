@@ -146,9 +146,9 @@ class TestFusedMatchesGather:
 
         def verify(fused):
             pool = PagedKVCache.for_model(runner.config, max_active=4, block_size=8)
-            holes = [pool.reserve(8) for _ in range(5)]
-            for hole in holes[::2]:
-                pool.free(hole)  # the free list is no longer one consecutive range
+            spacers = [pool.reserve(8) for _ in range(pool.num_blocks)]
+            for spacer in spacers[::2]:
+                pool.free(spacer)  # every free extent is now a single block
             slots = [pool.reserve(len(p) + len(d) + 1) for p, d in zip(prompts, drafts)]
             view = pool.view(slots)
             lengths = np.array([len(p) for p in prompts[:3]])

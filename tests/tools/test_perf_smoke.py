@@ -41,6 +41,7 @@ class TestPerfSmoke:
         assert "perf smoke ok (speculation accepted" in result.stdout
         assert "perf smoke ok (ragged verify" in result.stdout
         assert "perf smoke ok (fused paged attention" in result.stdout
+        assert "perf smoke ok (block contiguity" in result.stdout
         assert "perf smoke ok (preemption token-identical" in result.stdout
         assert "perf smoke ok (observability disabled-path" in result.stdout
         assert "perf smoke ok (serving stress clean" in result.stdout

@@ -5,7 +5,7 @@ Run from the repository root (tier-1 runs it via ``tests/tools``):
 
     PYTHONPATH=src python tools/check_perf_smoke.py
 
-Nine checks run back to back:
+Ten checks run back to back:
 
 1. **Fast kernels and decode dispatch** — builds the shared synthetic decode
    workload from ``repro.core.perf`` (no model training, no checkpoint cache
@@ -105,6 +105,21 @@ Nine checks run back to back:
    fails parity, and a recovery that recomputes whole contexts fails the
    goodput floor.
 
+10. **Block contiguity** — replays a seeded churn trace of mixed-size
+   requests through the scheduler twice, once on ``PagedKVCache`` and once
+   on ``repro.serve.stress.LruReferencePool`` (the retired one-list
+   allocation policy), first with the prefix cache off, then with it on in
+   a pool small enough that cached blocks are reclaimed.  Gates on exact
+   counts: mean consecutive-block runs per live table (sampled after every
+   step) must stay at or under ``MAX_RUNS_PER_TABLE`` with the cache off —
+   every run is one more matmul pair per attention call — and never above
+   the reference's; prefix-hit tokens must equal the reference's with the
+   cache on (the allocator chooses *where* a table lands, never *which*
+   cached block dies); tokens must be identical and the fused path must
+   gather nothing.  An allocator that goes back to popping blocks one at a
+   time fails the first gate, and one that evicts differently fails the
+   second.
+
 Exit status 0 when clean; 1 with a one-line diagnosis otherwise.
 """
 
@@ -120,7 +135,7 @@ from repro.core.perf import decode_projection_operands, measure, synthetic_proje
 #: Python-level calls one batched ``decode_step`` of the Tender-quantized tiny
 #: model (2 layers) may make: the measured count + 10 %.  The count is exact
 #: for a given NumPy (it includes NumPy's own Python-level wrappers); the
-#: headroom is for NumPy versions, not for new per-site work.  Measured 202
+#: headroom is for NumPy versions, not for new per-site work.  Measured 203
 #: (405 before the forward plan, NumPy 2.4).
 DECODE_CALL_BUDGET = 221
 #: ``np.unique`` calls per decode forward: the plan's row-chunk grouping and
@@ -162,6 +177,10 @@ REQUIRED_FT_GOODPUT = 0.8
 #: ~0.01% — a future emit site that builds attribute dicts outside its
 #: guard blows well past this).
 MAX_DISABLED_TRACE_OVERHEAD = 0.01
+#: Mean consecutive-block runs per live block table the churn trace may
+#: reach with the prefix cache off (measured 1.00; the one-list LRU
+#: reference policy reads 2.94 on the same trace).
+MAX_RUNS_PER_TABLE = 1.2
 
 
 def _tiny_serving_runner():
@@ -622,6 +641,95 @@ def check_fused_attention() -> int:
     print(
         f"perf smoke ok (fused paged attention token-identical, 0 vs "
         f"{reference_bytes} gathered KV bytes)"
+    )
+    return 0
+
+
+def check_block_contiguity() -> int:
+    """Deterministic table-fragmentation and eviction-equivalence gate."""
+    from repro.serve import GenerationConfig, PagedKVCache, Scheduler
+    from repro.serve.stress import LruReferencePool
+
+    runner = _tiny_serving_runner()
+    rng = np.random.default_rng(23)
+    # Mixed sizes, staggered arrivals, per-request budgets: requests of 1-9
+    # blocks start and finish out of phase, so the free space churns.
+    sizes = rng.integers(3, 60, size=48)
+    budgets = rng.integers(2, 20, size=48)
+    unshared = [rng.integers(0, 64, size=size) for size in sizes]
+    templates = [rng.integers(0, 64, size=size) for size in (40, 28, 52)]
+    templated = [
+        np.concatenate([templates[i % 3][: 8 * int(rng.integers(1, 7))], rng.integers(0, 64, size=int(rng.integers(1, 12)))])
+        for i in range(48)
+    ]
+
+    def serve(pool_class, prompts, **pool):
+        scheduler = Scheduler(
+            runner, GenerationConfig(max_new_tokens=20), max_batch_size=4, block_size=8,
+            record_logits=False, **pool,
+        )  # fmt: skip
+        if pool_class is not PagedKVCache:
+            cache = scheduler.cache
+            heads, _, _, d_head = cache.key_blocks[0].shape
+            scheduler.cache = pool_class(cache.num_layers, heads, d_head, cache.block_size, cache.num_blocks)
+        for index, prompt in enumerate(prompts):
+            scheduler.submit(prompt, max_new_tokens=int(budgets[index]), arrival_time=1.5 * index)
+        outputs, runs, tables, evictions, cached = {}, 0, 0, 0, 0
+        while scheduler.has_pending:
+            for output in scheduler.step():
+                outputs[output.request_id] = output.generated
+            cache = scheduler.cache
+            for slot in cache.active_slots:
+                table = cache.block_table(slot)
+                runs += 1 + sum(1 for block, following in zip(table, table[1:]) if following != block + 1)
+                tables += 1
+            evictions += cache.cached_block_count < cached
+            cached = cache.cached_block_count
+        return outputs, runs / tables, scheduler.stats.prefix_hit_tokens, evictions, scheduler.cache.gather_bytes
+
+    results = {}
+    for phase, prompts, pool in (
+        ("cache off", unshared, dict(prefix_cache=False)),
+        ("cache on", templated, dict(prefix_cache=True, num_blocks=28)),
+    ):
+        outputs, mean_runs, hits, evictions, gathered = serve(PagedKVCache, prompts, **pool)
+        reference_outputs, reference_runs, reference_hits, _, _ = serve(LruReferencePool, prompts, **pool)
+        if outputs.keys() != reference_outputs.keys() or any(
+            not np.array_equal(outputs[i], reference_outputs[i]) for i in outputs
+        ):
+            print(f"perf smoke FAILED: block placement changed generated tokens ({phase})")
+            return 1
+        if gathered != 0:
+            print(f"perf smoke FAILED: the churn trace gathered {gathered} dense KV bytes ({phase})")
+            return 1
+        if mean_runs > reference_runs:
+            print(
+                f"perf smoke FAILED: {mean_runs:.2f} runs per live table ({phase}) exceeds the "
+                f"one-list reference policy's {reference_runs:.2f} — extent picking regressed"
+            )
+            return 1
+        results[phase] = (mean_runs, reference_runs, hits, reference_hits, evictions)
+    mean_runs, reference_runs, _, _, _ = results["cache off"]
+    if mean_runs > MAX_RUNS_PER_TABLE:
+        print(
+            f"perf smoke FAILED: {mean_runs:.2f} consecutive-block runs per live table with the "
+            f"prefix cache off (allowed {MAX_RUNS_PER_TABLE}) — reservations are being fragmented"
+        )
+        return 1
+    cached_runs, cached_reference_runs, hits, reference_hits, evictions = results["cache on"]
+    if not evictions:
+        print("perf smoke FAILED: the cache-on churn trace never reclaimed a cached block")
+        return 1
+    if hits != reference_hits:
+        print(
+            f"perf smoke FAILED: {hits} prefix-hit tokens under eviction vs {reference_hits} with the "
+            f"one-list reference policy — the allocator changed which cached blocks die"
+        )
+        return 1
+    print(
+        f"perf smoke ok (block contiguity {mean_runs:.2f} runs per live table cache off (reference "
+        f"{reference_runs:.2f}), {cached_runs:.2f} cache on (reference {cached_reference_runs:.2f}); "
+        f"{hits} hit tokens identical to the reference under {evictions} evicting steps, 0 gathered bytes)"
     )
     return 0
 
@@ -1102,6 +1210,7 @@ def main() -> int:
         or check_serving_smoke()
         or check_speculative_smoke()
         or check_fused_attention()
+        or check_block_contiguity()
         or check_preemption_smoke()
         or check_observability()
         or check_serving_stress()
