@@ -1,42 +1,47 @@
 """Benchmark: Index-Buffer fast kernels vs the reference Tender hot path.
 
-Three measurements ride in one benchmark round, each asserting bit-identical
-results before timing anything:
+Four comparisons, each gated on bit-identical results and on an exact count
+of the work the fast path avoids — never on a clock:
 
 1. **Projection kernel** — ``TenderExecutor.project`` on a continuous-batching
    decode shape (batched rows at scattered positions spanning several row
-   chunks), fast packed path vs the reference per-chunk loop.  This is the
-   paper-faithful hot path the tentpole targets: the fast path must be at
-   least 3x faster at ``num_groups=8``.
-2. **Attention kernels** — the stacked fast kernels vs the reference
-   vectorized (masked int64) kernel on decode- and prefill-shaped operands,
-   implicit and explicit.
+   chunks), fast packed path vs the reference per-chunk loop: one fused
+   matmul kernel call against one per row chunk.
+2. **Attention kernels** — the stacked fast kernels vs the per-head reference
+   loop on decode- and prefill-shaped operands, implicit and explicit: one
+   stacked kernel call against one dynamic matmul per (batch, head).
 3. **End-to-end decode step** — ``TransformerRunner.prefill`` +
-   ``decode_step`` over a KV-cache with ragged per-request positions, fast
-   vs reference executor, on the same zoo model as
-   ``bench_generate_decode.py``.
+   ``decode_step`` over a KV-cache with ragged per-request positions, fast vs
+   reference executor on a zoo model: Python-level calls per step.
+4. **Paged attention** — fused block-table attention vs the gather-then-dense
+   reference at several contexts: dense KV bytes gathered per step (zero
+   against the closed form ``layers * 2 * batch * attended * d_model * 8``).
 
-The results are written to ``BENCH_kernels.json`` at the repository root —
-a committed perf-trajectory record — but only when ``REPRO_WRITE_BENCH=1``
-(or a full evaluation) is requested, so ordinary tier-1 runs never dirty
-the working tree with machine-local timings.  The tier-1 gate in
-``tools/check_perf_smoke.py`` separately keeps the fast path from
-regressing below the reference; both measure the shared workload from
-``repro.core.perf``.
+Wall-clock medians (``repro.core.perf.measure``, with their IQR) are taken
+and written to ``BENCH_kernels.json`` — a committed perf-trajectory diary —
+only when ``REPRO_WRITE_BENCH=1`` (or a full evaluation) asks for a fresh
+record; they gate nothing.  The time these kernels buy end to end is carried
+by ``BENCHMARK.json``: ``tokens_per_s`` / ``tpot_ms_p50`` on ``decode_steady``
+(projection, decode step, fused attention) with ``bench.py_calls_per_step``
+and ``cache.gather_bytes`` as the traced counters.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import time
 from pathlib import Path
 
 import numpy as np
 
 from benchmarks.conftest import run_once
 from repro.core import TenderConfig, TenderExecutor, TenderQuantizer
-from repro.core.perf import decode_projection_operands, measure, synthetic_projection_site
+from repro.core.perf import (
+    count_calls,
+    decode_projection_operands,
+    measure,
+    synthetic_projection_site,
+)
 from repro.data import calibration_samples, load_corpus
 from repro.experiments.report import format_table, full_evaluation_enabled
 from repro.models import TransformerRunner, get_language_model
@@ -46,87 +51,63 @@ from repro.serve.paged_kv_cache import PagedKVCache
 MODEL_NAME = "opt-6.7b-sim"
 NUM_GROUPS = 8
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
-#: Tier-1 floors on the fast path's speed-up over the reference (ratio of medians).
-PROJECTION_FLOOR = 3.0
-DECODE_FLOOR = 3.0
 #: Greedy decode steps behind the decode entry's token-identity check.
 IDENTITY_STEPS = 5
 
 
 def _record_requested() -> bool:
-    """Whether this run should (over)write the committed perf record."""
+    """Whether this run should time the kernels and (over)write the committed record."""
     return full_evaluation_enabled() or os.environ.get("REPRO_WRITE_BENCH") == "1"
 
 
-def _best_ratio(slow, fast, repeats, attempts=3, target=None):
-    """(slow_s, fast_s) with the best ratio over a few attempts.
-
-    A transient load spike on a shared machine can skew one sample, so the
-    measurement is retried and the best ratio kept — contention has to
-    persist across attempts to flake the tier-1 gate.
-    """
-    slow_s = fast_s = None
-    for _ in range(attempts):
-        attempt_slow = measure(slow, repeats)["min"]
-        attempt_fast = measure(fast, repeats)["min"]
-        if slow_s is None or attempt_slow / attempt_fast > slow_s / fast_s:
-            slow_s, fast_s = attempt_slow, attempt_fast
-        if target is not None and slow_s / fast_s >= target:
-            break
-    return slow_s, fast_s
+def _is_matmul_kernel(code) -> bool:
+    """A matmul kernel of ``repro.core`` / ``repro.quant`` (not the executor methods routing to one)."""
+    return code.co_name.endswith("_matmul") and not code.co_filename.endswith("executor.py")
 
 
-def _median_pair(slow, fast, repeats, floor, attempts=3):
-    """``measure`` both sides; medians and IQRs in seconds, ratio of medians.
+def _kernel_calls(function) -> dict:
+    """``function()``'s Python-level calls, and how many of them are matmul kernels."""
+    function()  # lazy caches (packed tables, permuted weights) fill outside the count
+    calls, kernels = count_calls(function, _is_matmul_kernel)
+    return {"py_calls": calls, "matmul_kernel_calls": kernels}
 
-    What is reported is one measurement, not the best of several: the pair is
-    measured again (at most ``attempts`` times) only while the ratio sits
-    under the tier-1 ``floor``, so a load spike on a shared machine has to
-    persist to flake the gate, and an unloaded run reports its first pair.
-    """
-    for _ in range(attempts):
-        slow_stats, fast_stats = measure(slow, repeats), measure(fast, repeats)
-        if slow_stats["median"] / fast_stats["median"] >= floor:
-            break
-    return slow_stats, fast_stats
+
+def _timings(reference, fast, repeats: int, unit: float) -> dict:
+    """Recorded, never gated: medians and IQRs of both sides when a record is requested."""
+    if not _record_requested():
+        return {}
+    slow, quick = measure(reference, repeats), measure(fast, repeats)
+    return {
+        "reference": slow["median"] * unit,
+        "reference_iqr": slow["iqr"] * unit,
+        "fast": quick["median"] * unit,
+        "fast_iqr": quick["iqr"] * unit,
+        "speedup": slow["median"] / quick["median"],
+    }
 
 
 def run_projection_bench() -> dict:
     """Fast packed projection vs the reference per-chunk loop (decode shape)."""
-    repeats = 40 if full_evaluation_enabled() else 25
     config = TenderConfig(bits=8, num_groups=NUM_GROUPS, row_chunk_size=32)
     params = synthetic_projection_site(config)
     x, positions, weight = decode_projection_operands()  # rows scattered over 8 chunks
 
-    fast = TenderExecutor(params, config, implicit=True, fast_kernels=True)
-    reference = TenderExecutor(params, config, implicit=True, fast_kernels=False)
-    identical = bool(
-        np.array_equal(
-            fast.project("site", x, weight, None, positions=positions),
-            reference.project("site", x, weight, None, positions=positions),
-        )
-    )
-    reference_stats, fast_stats = _median_pair(
-        lambda: reference.project("site", x, weight, None, positions=positions),
-        lambda: fast.project("site", x, weight, None, positions=positions),
-        repeats,
-        floor=PROJECTION_FLOOR,
-    )
+    def project(fast_kernels):
+        executor = TenderExecutor(params, config, implicit=True, fast_kernels=fast_kernels)
+        return lambda: executor.project("site", x, weight, None, positions=positions)
+
+    fast, reference = project(True), project(False)
     return {
-        "identical": identical,
-        "repeats": repeats,
-        "reference_us": reference_stats["median"] * 1e6,
-        "reference_iqr_us": reference_stats["iqr"] * 1e6,
-        "fast_us": fast_stats["median"] * 1e6,
-        "fast_iqr_us": fast_stats["iqr"] * 1e6,
-        "fast_min_us": fast_stats["min"] * 1e6,
-        "speedup": reference_stats["median"] / fast_stats["median"],
+        "identical": bool(np.array_equal(fast(), reference())),
+        "row_chunks": int(np.unique(positions // config.row_chunk_size).size),
+        "fast": _kernel_calls(fast),
+        "reference": _kernel_calls(reference),
+        "us": _timings(reference, fast, repeats=25, unit=1e6),
     }
 
 
 def run_attention_bench() -> dict:
-    """Stacked fast attention kernels vs the reference vectorized kernel."""
-    repeats = 15 if full_evaluation_enabled() else 8
+    """Stacked fast attention kernels vs the per-head reference loop."""
     rng = np.random.default_rng(23)
     config = TenderConfig(bits=8, num_groups=NUM_GROUPS, quantize_attention=True)
     shapes = {
@@ -139,36 +120,33 @@ def run_attention_bench() -> dict:
         a[..., 1] *= 30.0
         b = rng.normal(size=b_shape)
         for implicit in (True, False):
-            fast = TenderExecutor({}, config, implicit=implicit, fast_kernels=True)
-            reference = TenderExecutor({}, config, implicit=implicit, fast_kernels=False)
-            identical = bool(
-                np.array_equal(
-                    fast.attention_matmul("qk", a, b), reference.attention_matmul("qk", a, b)
-                )
-            )
-            reference_s, fast_s = _best_ratio(
-                lambda: reference.attention_matmul("qk", a, b),
-                lambda: fast.attention_matmul("qk", a, b),
-                repeats,
-                target=4.0 if shape_name == "prefill" else 1.2,
-            )
-            key = f"{shape_name}_{'implicit' if implicit else 'explicit'}"
-            results[key] = {
-                "identical": identical,
-                "reference_us": reference_s * 1e6,
-                "fast_us": fast_s * 1e6,
-                "speedup": reference_s / fast_s,
+
+            def attend(fast_kernels):
+                executor = TenderExecutor({}, config, implicit=implicit, fast_kernels=fast_kernels)
+                return lambda: executor.attention_matmul("qk", a, b)
+
+            fast, reference = attend(True), attend(False)
+            results[f"{shape_name}_{'implicit' if implicit else 'explicit'}"] = {
+                "identical": bool(np.array_equal(fast(), reference())),
+                "heads": a_shape[0] * a_shape[1],
+                "fast": _kernel_calls(fast),
+                "reference": _kernel_calls(reference),
+                "us": _timings(reference, fast, repeats=8, unit=1e6),
             }
     return results
 
 
-def run_decode_step_bench() -> dict:
-    """End-to-end decode steps at scattered positions, fast vs reference."""
-    steps = 40 if full_evaluation_enabled() else 20
-    batch = 16
+def _zoo_model():
+    """``(weights, training corpus)`` of the zoo model both end-to-end entries decode with."""
     weights = get_language_model(MODEL_NAME)
+    corpus_train, _ = load_corpus("wiki", vocab_size=weights.config.vocab_size).split()
+    return weights, corpus_train
+
+
+def run_decode_step_bench(weights, corpus_train) -> dict:
+    """End-to-end decode steps at scattered positions, fast vs reference."""
+    batch = 16
     model_config = weights.config
-    corpus_train, _ = load_corpus("wiki", vocab_size=model_config.vocab_size).split()
     calibration = calibration_samples(corpus_train, seq_len=96, num_samples=4, seed=7)
     tender_config = TenderConfig(bits=8, num_groups=NUM_GROUPS, row_chunk_size=32)
     runners = {
@@ -191,60 +169,51 @@ def run_decode_step_bench() -> dict:
         cache = KVCache(
             model_config.num_layers, batch, model_config.num_heads, model_config.d_head,
             max_len + IDENTITY_STEPS + 1,
-        )
+        )  # fmt: skip
         return cache, runner.prefill(tokens, lengths, cache).argmax(axis=-1)
-
-    def decoded_tokens(runner):
-        cache, next_tokens = primed(runner)
-        for _ in range(IDENTITY_STEPS):
-            next_tokens = runner.decode_step(next_tokens, cache).argmax(axis=-1)
-        return next_tokens
 
     def one_step(runner):
         """The first decode step after the prefill, repeatable: lengths rewound each call."""
         cache, next_tokens = primed(runner)
         prefilled = cache.lengths.copy()
 
-        def step():
-            cache.lengths[:] = prefilled
+        def step(next_tokens=next_tokens, rewind=True):
+            if rewind:
+                cache.lengths[:] = prefilled
             return runner.decode_step(next_tokens, cache)
 
         return step
 
-    identical = bool(np.array_equal(decoded_tokens(runners[True]), decoded_tokens(runners[False])))
-    reference_stats, fast_stats = _median_pair(
-        one_step(runners[False]), one_step(runners[True]), steps, floor=DECODE_FLOOR
-    )
+    def decoded_tokens(step):
+        """Greedy tokens after ``IDENTITY_STEPS`` steps on from the prefill."""
+        next_tokens = step().argmax(axis=-1)
+        for _ in range(IDENTITY_STEPS - 1):
+            next_tokens = step(next_tokens, rewind=False).argmax(axis=-1)
+        return next_tokens
+
+    fast, reference = one_step(runners[True]), one_step(runners[False])
     return {
-        "identical": identical,
+        "identical": bool(np.array_equal(decoded_tokens(fast), decoded_tokens(reference))),
         "batch": batch,
-        "steps": steps,
-        "reference_ms_per_step": reference_stats["median"] * 1e3,
-        "reference_iqr_ms": reference_stats["iqr"] * 1e3,
-        "fast_ms_per_step": fast_stats["median"] * 1e3,
-        "fast_iqr_ms": fast_stats["iqr"] * 1e3,
-        "fast_min_ms": fast_stats["min"] * 1e3,
-        "speedup": reference_stats["median"] / fast_stats["median"],
+        "fast": _kernel_calls(fast),
+        "reference": _kernel_calls(reference),
+        "ms_per_step": _timings(reference, fast, repeats=20, unit=1e3),
     }
 
 
-def run_paged_attention_bench() -> dict:
+def run_paged_attention_bench(weights, corpus_train) -> dict:
     """Long-context decode over the paged pool: fused block-table attention
     vs the gather-then-dense reference, at several attended context lengths.
 
     Both paths run the identical ``decode_step`` GEMMs; the reference
     additionally fancy-indexes every slot's KV blocks into dense per-view
     copies each layer each step (tallied by ``PagedKVCache.gather_bytes``),
-    so the gap widens with context.  Tokens must match exactly and the
-    fused path must move zero dense KV bytes; the analytic counterpart is
-    ``repro.gpu.PagedAttentionWorkload``.
+    so the gap widens with context.  Tokens must match exactly, the fused
+    path must move zero dense KV bytes and the reference exactly the closed
+    form; the analytic counterpart is ``repro.gpu.PagedAttentionWorkload``.
     """
-    steps = 8 if full_evaluation_enabled() else 6
-    batch = 16
-    contexts = (64, 128, 240)
-    weights = get_language_model(MODEL_NAME)
+    steps, batch, contexts = 6, 16, (64, 240)
     model_config = weights.config
-    corpus_train, _ = load_corpus("wiki", vocab_size=model_config.vocab_size).split()
     runner = TransformerRunner(weights)
 
     def decode_run(context, fused):
@@ -257,45 +226,42 @@ def run_paged_attention_bench() -> dict:
             view.commit()
             gather_bytes = pool.gather_bytes
             generated = []
-            start = time.perf_counter()
             for _ in range(steps):
                 next_tokens = runner.decode_step(next_tokens, view).argmax(axis=-1)
                 generated.append(next_tokens.copy())
-            elapsed = (time.perf_counter() - start) / steps
         finally:
             runner.fused_paged_attention = True
-        return elapsed, np.array(generated), pool.gather_bytes - gather_bytes
+        return np.array(generated), pool.gather_bytes - gather_bytes
 
     results: dict = {"batch": batch, "steps": steps}
     for context in contexts:
-        _, fused_tokens, fused_bytes = decode_run(context, fused=True)
-        _, reference_tokens, reference_bytes = decode_run(context, fused=False)
-        fused_s = reference_s = None
-        for _ in range(3):
-            attempt_fused, _, _ = decode_run(context, fused=True)
-            attempt_reference, _, _ = decode_run(context, fused=False)
-            if fused_s is None or attempt_reference / attempt_fused > reference_s / fused_s:
-                fused_s, reference_s = attempt_fused, attempt_reference
-            if reference_s / fused_s >= 1.8:
-                break
+        fused_tokens, fused_bytes = decode_run(context, fused=True)
+        reference_tokens, reference_bytes = decode_run(context, fused=False)
+        # Step s attends context + s + 1 positions: K and V, float64, every layer.
+        attended = sum(context + step + 1 for step in range(steps))
         results[f"context_{context}"] = {
             "identical": bool(np.array_equal(fused_tokens, reference_tokens)),
-            "fused_gather_bytes_per_step": fused_bytes / steps,
-            "reference_gather_bytes_per_step": reference_bytes / steps,
-            "gather_tokens_per_s": batch / reference_s,
-            "fused_tokens_per_s": batch / fused_s,
-            "speedup": reference_s / fused_s,
+            "fused_gather_bytes": fused_bytes,
+            "reference_gather_bytes": reference_bytes,
+            "closed_form_gather_bytes": (
+                model_config.num_layers * 2 * batch * attended * model_config.d_model * 8
+            ),
+            "run_s": _timings(
+                lambda: decode_run(context, fused=False), lambda: decode_run(context, fused=True),
+                repeats=3, unit=1.0,
+            ),  # fmt: skip
         }
     return results
 
 
 def run_bench() -> dict:
+    zoo = _zoo_model()
     results = {
         "num_groups": NUM_GROUPS,
         "projection": run_projection_bench(),
         "attention": run_attention_bench(),
-        "decode_step": run_decode_step_bench(),
-        "paged_attention": run_paged_attention_bench(),
+        "decode_step": run_decode_step_bench(*zoo),
+        "paged_attention": run_paged_attention_bench(*zoo),
     }
     if _record_requested():
         RESULT_PATH.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
@@ -307,58 +273,53 @@ def test_executor_kernels(benchmark, render):
     projection = results["projection"]
     attention = results["attention"]
     decode = results["decode_step"]
-    paged = results["paged_attention"]
-    paged_rows = {
-        key: row for key, row in paged.items() if key.startswith("context_")
-    }
+    paged = {key: row for key, row in results["paged_attention"].items() if key.startswith("context_")}
+    counted = {"project (decode rows)": projection, "decode_step": decode}
+    counted.update({f"attention {key}": row for key, row in attention.items()})
     render(
         format_table(
-            ["Path", "Reference", "Fast", "Speedup"],
+            ["Path", "Reference calls", "Fast calls", "Reference kernels", "Fast kernels"],
             [
                 [
-                    "project (decode rows, us)",
-                    projection["reference_us"],
-                    projection["fast_us"],
-                    projection["speedup"],
-                ],
-                *[
-                    [f"attention {key} (us)", row["reference_us"], row["fast_us"], row["speedup"]]
-                    for key, row in attention.items()
-                ],
-                [
-                    "decode_step (ms/step)",
-                    decode["reference_ms_per_step"],
-                    decode["fast_ms_per_step"],
-                    decode["speedup"],
-                ],
-                *[
-                    [
-                        f"paged decode @{key.split('_')[1]} (tok/s)",
-                        row["gather_tokens_per_s"],
-                        row["fused_tokens_per_s"],
-                        row["speedup"],
-                    ]
-                    for key, row in paged_rows.items()
-                ],
-            ],
-            title=f"Index-Buffer fast kernels vs reference (num_groups={NUM_GROUPS})",
+                    name,
+                    row["reference"]["py_calls"],
+                    row["fast"]["py_calls"],
+                    row["reference"]["matmul_kernel_calls"],
+                    row["fast"]["matmul_kernel_calls"],
+                ]
+                for name, row in counted.items()
+            ]
+            + [
+                [f"paged decode @{key.split('_')[1]} (gathered bytes)", row["reference_gather_bytes"],
+                 row["fused_gather_bytes"], "-", "-"]
+                for key, row in paged.items()
+            ],  # fmt: skip
+            title=f"Index-Buffer fast kernels vs reference, exact dispatch counts (num_groups={NUM_GROUPS})",
         )
     )
     # Bit-identity is non-negotiable on every measured path.
-    assert projection["identical"]
-    assert decode["identical"]
-    assert all(row["identical"] for row in attention.values())
-    assert all(row["identical"] for row in paged_rows.values())
-    # The acceptance bar: >= 3x on the decode hot path at num_groups=8.
-    assert projection["speedup"] >= PROJECTION_FLOOR, f"projection only {projection['speedup']:.2f}x"
-    assert decode["speedup"] >= DECODE_FLOOR, f"decode step only {decode['speedup']:.2f}x"
-    # Attention kernels must win clearly where FLOPs dominate (prefill).
-    assert attention["prefill_implicit"]["speedup"] >= 2.0
-    assert attention["prefill_explicit"]["speedup"] >= 2.0
-    # Gather-free decode: zero dense KV copies, >= 1.3x at the longest context.
-    assert all(row["fused_gather_bytes_per_step"] == 0 for row in paged_rows.values())
-    longest = paged_rows[f"context_{max(int(k.split('_')[1]) for k in paged_rows)}"]
-    assert longest["speedup"] >= 1.3, f"paged decode only {longest['speedup']:.2f}x"
+    assert all(row["identical"] for row in (*counted.values(), *paged.values()))
+    # Projection (retired floor: >= 3x): one fused matmul kernel call for the
+    # whole batch, where the reference dispatches one requantized matmul (and
+    # its per-group integer matmuls) per row chunk the batch touches.
+    assert projection["fast"]["matmul_kernel_calls"] == 1
+    assert projection["reference"]["matmul_kernel_calls"] >= projection["row_chunks"]
+    assert projection["fast"]["py_calls"] * 3 <= projection["reference"]["py_calls"]
+    # Attention (retired floors: prefill >= 2x): one stacked kernel call for
+    # every head at once, where the reference loop runs one dynamic Tender
+    # matmul per (batch, head).
+    for row in attention.values():
+        assert row["fast"]["matmul_kernel_calls"] == 1
+        assert row["reference"]["matmul_kernel_calls"] >= row["heads"]
+        assert row["fast"]["py_calls"] * 4 <= row["reference"]["py_calls"]
+    # Decode step (retired floor: >= 3x): the whole forward makes at most a
+    # third of the reference's Python-level calls (the tiny-model count is
+    # budgeted exactly in tools/check_perf_smoke.py: 203 <= 221).
+    assert decode["fast"]["py_calls"] * 3 <= decode["reference"]["py_calls"]
+    # Gather-free decode (retired floor: >= 1.3x at the longest context): zero
+    # dense KV copies, where the reference copies exactly the closed form.
+    assert all(row["fused_gather_bytes"] == 0 for row in paged.values())
+    assert all(row["reference_gather_bytes"] == row["closed_form_gather_bytes"] for row in paged.values())
     # The committed perf-trajectory record exists (rewritten only when
     # REPRO_WRITE_BENCH=1 / full evaluation asks for fresh numbers).
     assert RESULT_PATH.is_file()

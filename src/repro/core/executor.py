@@ -16,7 +16,7 @@ all BERT results in Table IV); they use dynamic per-head decomposition since
 their operands are produced at runtime.
 
 Two implementations back every matmul site.  The *reference* paths follow the
-equations literally (per-chunk Python loop, per-group gathered or masked
+equations literally (per-chunk and per-head Python loops, per-group gathered
 products, full-array accumulator overflow scans); the *fast* paths
 (:mod:`repro.core.kernels`, on by default via ``fast_kernels=True``) mirror
 the accelerator's Index-Buffer dataflow — packed per-chunk calibration
@@ -111,17 +111,12 @@ class TenderExecutor:
         site_params: Dict[str, TenderSiteParams],
         config: Optional[TenderConfig] = None,
         implicit: bool = True,
-        vectorized_attention: bool = True,
         fast_kernels: bool = True,
     ) -> None:
         self.site_params = site_params
         self.config = config or TenderConfig()
         #: Whether to use implicit (shift-accumulate) or explicit requantization.
         self.implicit = implicit
-        #: Whether activation-activation matmuls use the batched (stacked-head)
-        #: kernel or the reference per-batch/per-head loop.  Both produce
-        #: bit-identical results; the loop is kept for regression tests.
-        self.vectorized_attention = vectorized_attention
         #: Whether the Index-Buffer-ordered fast kernels (repro.core.kernels)
         #: serve the hot path.  They are bit-identical to the reference
         #: implementations (pinned by tests/core/test_fast_kernels.py), which
@@ -441,8 +436,6 @@ class TenderExecutor:
         self.stats["attention_matmuls"] += 1
         if self.fast_kernels:
             return self._attention_matmul_fast(a, b)
-        if self.vectorized_attention:
-            return self._attention_matmul_vectorized(a, b)
         return self._attention_matmul_loop(a, b)
 
     def _attention_matmul_loop(self, a, b):
@@ -459,8 +452,8 @@ class TenderExecutor:
     def _quantize_attention_operands(self, a, b):
         """Stacked dynamic Tender quantization of both attention operands.
 
-        The shared preamble of the vectorized reference kernel and the fast
-        Index-Buffer kernels: per-(batch, head) bias subtraction,
+        The preamble of the fast Index-Buffer kernels: per-(batch, head)
+        bias subtraction,
         power-of-alpha channel classification (the same rule as
         ``repro.core.decomposition.decompose_channels``, vectorized over
         heads), activation quantization, and per-column quantization of the
@@ -470,8 +463,8 @@ class TenderExecutor:
 
         ``quantized`` and ``right_q`` are integer-valued float64 (exact
         integers — see the dtype note in :mod:`repro.core.kernels`): the
-        fast kernels consume them directly on BLAS, and the reference
-        grouped kernels widen them to int64 at entry.
+        fast kernels consume them directly on BLAS, and the scanning
+        overflow fallback widens them to int64 at entry.
         """
         config = self.config
         qmax = integer_range(config.bits)
@@ -511,52 +504,16 @@ class TenderExecutor:
         right_q = np.clip(np.round(b / right_scale), -qmax, qmax)
         return quantized, group_index, group_scales, right_q, right_scale, bias
 
-    def _attention_matmul_vectorized(self, a, b):
-        """Batched dynamic Tender matmul over all (batch, head) pairs at once.
-
-        Produces bit-identical results to :meth:`_attention_matmul_loop`: every
-        floating-point operation is elementwise (hence order-independent) and
-        the integer group partial sums are exact, so collapsing the Python
-        loops into stacked einsum/matmul calls changes performance only.
-        Per-group channel gathers are replaced by masked full-width integer
-        matmuls, which keeps a single kernel shape across heads even though
-        each head has its own channel-to-group assignment (the fast kernels
-        remove that redundancy; this path is the pinned reference).
-        """
-        num_groups = self.config.num_groups
-        lead = a.shape[:-2]
-        quantized, group_index, group_scales, right_q, right_scale, bias = (
-            self._quantize_attention_operands(a, b)
-        )
-
-        if self.implicit:
-            result = self._implicit_grouped_matmul(
-                quantized, group_index, group_scales, right_q, right_scale
-            )
-        else:
-            result = self._explicit_grouped_matmul(
-                quantized, group_index, group_scales, right_q, right_scale
-            )
-
-        if bias is not None:
-            # Stacked ``bias @ right`` products; BLAS evaluates each head's
-            # row-times-matrix product with the same reduction order as the
-            # reference loop's 1-D ``bias @ right``, so results stay
-            # bit-identical (the regression suite checks this).
-            result = result + bias[..., None, :] @ b
-        self.stats["rescales"] += int(np.prod(lead, dtype=np.int64)) * (num_groups - 1)
-        return result
-
     def _attention_matmul_fast(self, a, b):
         """Index-Buffer-ordered fast attention path over stacked heads.
 
-        Shares the exact quantization preamble with the reference kernels,
-        then multiplies without masked full-width products: the implicit
-        path fuses all groups into one alpha-weighted integer matmul
-        (falling back to the scanning reference kernel only when the
-        analytic bound says the 32-bit accumulator could overflow), and the
-        explicit path multiplies per-head group-contiguous segments.
-        Bit-identical to both reference paths.
+        Quantizes every head at once, then multiplies without masked
+        full-width products: the implicit path fuses all groups into one
+        alpha-weighted integer matmul (falling back to the scanning
+        :meth:`_implicit_grouped_matmul` only when the analytic bound says
+        the 32-bit accumulator could overflow), and the explicit path
+        multiplies per-head group-contiguous segments.  Bit-identical to the
+        per-head reference loop (pinned by tests/core/test_fast_kernels.py).
         """
         config = self.config
         num_groups, alpha = config.num_groups, config.alpha
@@ -608,26 +565,6 @@ class TenderExecutor:
                 )
         final_scale = group_scales[..., -1][..., None, None]
         return accumulator.astype(np.float64) * final_scale * right_scale
-
-    def _explicit_grouped_matmul(self, quantized, group_index, group_scales, right_q, right_scale):
-        """Equation 1 over stacked heads: dequantize and accumulate each group."""
-        quantized = quantized.astype(np.int64, copy=False)
-        right_q = right_q.astype(np.int64, copy=False)
-        lead_mn = quantized.shape[:-1] + (right_q.shape[-1],)
-        result = np.zeros(lead_mn, dtype=np.float64)
-        for group in range(self.config.num_groups):
-            mask = group_index == group
-            if not mask.any():
-                continue
-            partial = (quantized * mask[..., None, :]) @ right_q
-            if partial.max(initial=0) > _ACC_MAX or partial.min(initial=0) < _ACC_MIN:
-                raise QuantizationError(
-                    "integer matmul overflowed the 32-bit accumulator; reduce the "
-                    "reduction length or the operand bit widths"
-                )
-            group_scale = group_scales[..., group][..., None, None]
-            result = result + partial.astype(np.float64) * group_scale * right_scale
-        return result
 
     def _dynamic_tender_matmul(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """Tender quantization of one head's activation-activation product.

@@ -3,12 +3,13 @@
 ``benchmarks/bench_executor_kernels.py`` (the perf-trajectory benchmark) and
 ``tools/check_perf_smoke.py`` (the tier-1 regression gate) must measure the
 *same* decode workload, or a change to one silently decouples the gate from
-the numbers it is supposed to protect.  Both build their fixture and timing
-loop from here.
+the numbers it is supposed to protect.  Both build their fixture from here,
+gate on :func:`count_calls` (exact, no clock) and report :func:`measure`.
 """
 
 from __future__ import annotations
 
+import sys
 import time
 from typing import Callable, Dict, Tuple
 
@@ -49,6 +50,28 @@ def decode_projection_operands(seed: int = 29) -> Tuple[np.ndarray, np.ndarray, 
     x = rng.normal(size=(PROJECTION_BATCH, PROJECTION_CHANNELS))
     positions = rng.integers(0, CALIBRATED_ROWS, size=PROJECTION_BATCH)
     return x, positions, weight
+
+
+def count_calls(function: Callable[[], object], matches=lambda code: False) -> Tuple[int, int]:
+    """Python-level calls ``function()`` makes: ``(all, those whose code object matches)``.
+
+    ``sys.setprofile`` reports one ``call`` per Python frame entered (NumPy's
+    Python wrappers included, C functions not): exact on any machine, loaded
+    or not — the unit the tier-1 gates budget dispatch work in.
+    """
+    counts = [0, 0]
+
+    def profile(frame, event, arg):
+        if event == "call":
+            counts[0] += 1
+            counts[1] += bool(matches(frame.f_code))
+
+    sys.setprofile(profile)
+    try:
+        function()
+    finally:
+        sys.setprofile(None)
+    return counts[0], counts[1]
 
 
 def measure(function: Callable[[], object], repeats: int) -> Dict[str, float]:

@@ -31,6 +31,7 @@ from repro.models.weights import (
     LayerNormWeights,
     ModelWeights,
     extract_weights,
+    random_weights,
 )
 from repro.models.zoo import LANGUAGE_MODEL_NAMES, MODEL_ZOO, ZooEntry, get_zoo_entry
 
@@ -41,6 +42,7 @@ __all__ = [
     "FeedForwardWeights",
     "LayerNormWeights",
     "extract_weights",
+    "random_weights",
     "TransformerRunner",
     "MatmulExecutor",
     "FloatExecutor",

@@ -180,6 +180,50 @@ class ModelWeights:
         )
 
 
+def random_weights(
+    config: TransformerConfig,
+    seed: int = 7,
+    scale: float = 0.25,
+    position_scale: Optional[float] = None,
+    head_scale: Optional[float] = None,
+    position_period: Optional[int] = None,
+) -> ModelWeights:
+    """Untrained ``N(0, scale)`` weights, zero biases, identity norms: the model of tests and gates.
+
+    With ``position_period`` the position embedding repeats its first rows
+    with that period; at a ``position_scale`` that dominates ``scale`` the
+    greedy next token is a function of ``position mod period``, so generation
+    cycles at once: repetition-heavy traffic that cannot drift.
+    """
+    rng = np.random.default_rng(seed)
+    d_model, d_ff = config.d_model, config.d_ff
+
+    def dense(*shape, scale=scale):
+        return rng.normal(scale=scale, size=shape)
+
+    def norm():
+        return LayerNormWeights(gain=np.ones(d_model), bias=np.zeros(d_model))
+
+    def projection():
+        return dense(d_model, d_model), np.zeros(d_model)
+
+    blocks = [
+        BlockWeights(
+            norm(),
+            AttentionWeights(*projection(), *projection(), *projection(), *projection()),
+            norm(),
+            FeedForwardWeights(dense(d_model, d_ff), np.zeros(d_ff), dense(d_ff, d_model), np.zeros(d_model)),
+        )
+        for _ in range(config.num_layers)
+    ]
+    token_embedding = dense(config.vocab_size, d_model)
+    position = dense(config.max_seq_len, d_model, scale=position_scale or scale)
+    if position_period:
+        position = np.resize(position[:position_period], position.shape)
+    head = dense(d_model, config.vocab_size, scale=head_scale or scale)
+    return ModelWeights(config, token_embedding, position, blocks, norm(), head)
+
+
 def extract_weights(model) -> ModelWeights:
     """Extract inference weights from a trained :class:`TransformerLM` or classifier."""
     config: TransformerConfig = model.config

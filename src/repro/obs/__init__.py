@@ -12,7 +12,7 @@ publish into.
 
 Tracing is opt-in everywhere: serving layers default to ``tracer=None``
 and skip all trace work — including attribute-dict construction — when
-disabled, a property measured and gated by ``tools/check_perf_smoke.py``.
+disabled, a property counted and gated by ``tools/check_perf_smoke.py``.
 """
 
 from repro.obs.clock import CountingClock, WallClock

@@ -31,8 +31,9 @@ to which request.  Three pieces:
 Tracing is **strictly opt-in**.  The serving layers hold ``tracer=None``
 by default and guard every emit site with ``if tracer is not None`` —
 the disabled path constructs no spans, no attribute dicts, and never
-reads the clock.  ``tools/check_perf_smoke.py`` measures and gates that
-claim; ``repro.gpu.ObservabilityOverheadWorkload`` models it.
+reads the clock.  ``tools/check_perf_smoke.py`` counts and gates that
+claim (a ``tracer=None`` serve enters no frame of this package);
+``repro.gpu.ObservabilityOverheadWorkload`` models it.
 """
 
 from __future__ import annotations

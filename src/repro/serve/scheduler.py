@@ -645,7 +645,7 @@ class Scheduler:
         shares the tracer with its :class:`PagedKVCache` for ``cache.*``
         events.  The default ``None`` disables tracing completely — every
         emit site is guarded, so the disabled path builds no spans and no
-        attribute dicts (measured and gated in ``tools/check_perf_smoke.py``).
+        attribute dicts (counted and gated in ``tools/check_perf_smoke.py``).
     trace_track : str, optional
         Trace track (Perfetto process row) this scheduler emits onto;
         defaults to ``"scheduler"``.  The replica pool names one track per

@@ -94,7 +94,6 @@ def _clone_executor(executor: MatmulExecutor) -> MatmulExecutor:
             executor.site_params,
             executor.config,
             implicit=executor.implicit,
-            vectorized_attention=executor.vectorized_attention,
             fast_kernels=executor.fast_kernels,
         )
     try:

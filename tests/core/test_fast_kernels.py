@@ -338,11 +338,25 @@ class TestOverflowGuard:
         )
         a = np.ones((1, 1, 2, channels)) * 10.0
         b = np.ones((1, 1, channels, 3))
-        for fast_kernels, vectorized in ((True, True), (False, True), (False, False)):
-            executor = TenderExecutor(
-                {}, config, implicit=True, fast_kernels=fast_kernels, vectorized_attention=vectorized
-            )
+        for fast_kernels in (True, False):
+            executor = TenderExecutor({}, config, implicit=True, fast_kernels=fast_kernels)
             with pytest.raises(QuantizationError, match="implicit requantization overflowed"):
+                executor.attention_matmul("qk", a, b)
+
+    def test_attention_rescale_overflow_raises_alike(self):
+        """An enormous outlier channel leaves ~19 empty groups between it and
+        the rest; the rescale at each boundary overflows INT32.  Constant
+        rows keep the decomposition deterministic, so bias subtraction is off
+        (the midpoint shift would otherwise zero the tensor)."""
+        config = TenderConfig(
+            bits=8, num_groups=40, quantize_attention=True, subtract_bias=False
+        )
+        a = np.full((1, 1, 2, 4), 1000.0)
+        a[..., 0] = 1e9
+        b = np.full((1, 1, 4, 2), 1000.0)
+        for fast_kernels in (True, False):
+            executor = TenderExecutor({}, config, implicit=True, fast_kernels=fast_kernels)
+            with pytest.raises(QuantizationError):
                 executor.attention_matmul("qk", a, b)
 
 
@@ -353,50 +367,69 @@ def attention_operands(rng, batch=3, heads=4, rows=7, channels=16, out=9, outlie
     return a, b
 
 
+def _zero_head(a):
+    a[0, 1] = 0.0  # one head entirely zero -> degenerate decomposition
+
+
+def _ragged_heads(a):
+    a[0, 0, :, 2] *= 400.0  # extreme outlier -> empty middle groups in head (0, 0)
+    a[1, 2] *= 0.01  # head (1, 2): uniformly tiny values
+
+
+#: Operand cases of the fast-vs-loop parity test: (config overrides, operand
+#: shape overrides, in-place edit of the left operand).
+ATTENTION_CASES = {
+    "decode_single_row_queries": (
+        dict(num_groups=8), dict(batch=8, heads=4, rows=1, channels=16, out=40), None
+    ),
+    "all_zero_head": (
+        dict(num_groups=4), dict(batch=2, heads=2, rows=5, channels=8, out=3), _zero_head
+    ),
+    "ragged_group_assignments": (
+        dict(num_groups=8), dict(batch=2, heads=3, rows=6, channels=12), _ragged_heads
+    ),
+}
+
+
 class TestAttentionBitExact:
     @pytest.mark.parametrize("implicit", [True, False])
     @pytest.mark.parametrize("alpha", [2, 3])
     @pytest.mark.parametrize("bits", [4, 8])
     @pytest.mark.parametrize("subtract_bias", [True, False])
-    def test_fast_equals_loop_and_vectorized(self, rng, implicit, alpha, bits, subtract_bias):
+    def test_fast_equals_loop(self, rng, implicit, alpha, bits, subtract_bias):
         config = TenderConfig(
             bits=bits, num_groups=6, alpha=alpha, subtract_bias=subtract_bias,
             quantize_attention=True,
         )
         fast = TenderExecutor({}, config, implicit=implicit, fast_kernels=True)
-        reference = TenderExecutor({}, config, implicit=implicit, fast_kernels=False)
-        loop = TenderExecutor(
-            {}, config, implicit=implicit, fast_kernels=False, vectorized_attention=False
-        )
+        loop = TenderExecutor({}, config, implicit=implicit, fast_kernels=False)
         a, b = attention_operands(rng)
-        fast_out = fast.attention_matmul("qk", a, b)
-        assert np.array_equal(fast_out, loop.attention_matmul("qk", a, b))
-        assert np.array_equal(fast_out, reference.attention_matmul("qk", a, b))
-        assert fast.stats == reference.stats == loop.stats
+        for _ in range(2):
+            assert np.array_equal(
+                fast.attention_matmul("qk", a, b), loop.attention_matmul("qk", a, b)
+            )
+        assert fast.stats == loop.stats
+        assert fast.stats["attention_matmuls"] == 2
+        # (G - 1) rescales per (batch, head) pair per call.
+        assert fast.stats["rescales"] == 2 * 3 * 4 * 5
 
-    def test_decode_shape_single_row_queries(self, rng):
-        config = TenderConfig(bits=8, num_groups=8, quantize_attention=True)
-        fast = TenderExecutor({}, config, fast_kernels=True)
-        loop = TenderExecutor({}, config, fast_kernels=False, vectorized_attention=False)
-        a, b = attention_operands(rng, batch=8, heads=4, rows=1, channels=16, out=40)
+    @pytest.mark.parametrize("implicit", [True, False])
+    @pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
+    def test_fast_equals_loop_on_degenerate_operands(self, rng, case, implicit):
+        overrides, shape, edit = ATTENTION_CASES[case]
+        config = TenderConfig(bits=8, quantize_attention=True, **overrides)
+        fast = TenderExecutor({}, config, implicit=implicit, fast_kernels=True)
+        loop = TenderExecutor({}, config, implicit=implicit, fast_kernels=False)
+        a, b = attention_operands(rng, **shape)
+        if edit is not None:
+            edit(a)
         assert np.array_equal(fast.attention_matmul("qk", a, b), loop.attention_matmul("qk", a, b))
 
-    def test_degenerate_all_zero_head(self, rng):
-        config = TenderConfig(bits=8, num_groups=4, quantize_attention=True)
-        fast = TenderExecutor({}, config, fast_kernels=True)
-        loop = TenderExecutor({}, config, fast_kernels=False, vectorized_attention=False)
-        a, b = attention_operands(rng, batch=2, heads=2, rows=5, channels=8, out=3)
-        a[0, 1] = 0.0
-        assert np.array_equal(fast.attention_matmul("qk", a, b), loop.attention_matmul("qk", a, b))
-
-    def test_heads_with_different_group_assignments(self, rng):
-        config = TenderConfig(bits=8, num_groups=8, quantize_attention=True)
-        fast = TenderExecutor({}, config, fast_kernels=True)
-        loop = TenderExecutor({}, config, fast_kernels=False, vectorized_attention=False)
-        a, b = attention_operands(rng, batch=2, heads=3, rows=6, channels=12)
-        a[0, 0, :, 2] *= 400.0
-        a[1, 2] *= 0.01
-        assert np.array_equal(fast.attention_matmul("qk", a, b), loop.attention_matmul("qk", a, b))
+    def test_unquantized_attention_untouched(self, rng):
+        executor = TenderExecutor({}, TenderConfig(bits=8, num_groups=6, quantize_attention=False))
+        a, b = attention_operands(rng)
+        np.testing.assert_array_equal(executor.attention_matmul("qk", a, b), a @ b)
+        assert executor.stats["attention_matmuls"] == 0
 
 
 class TestPackedTables:

@@ -16,15 +16,6 @@ import json
 import numpy as np
 import pytest
 
-from repro.models.inference import TransformerRunner
-from repro.models.weights import (
-    AttentionWeights,
-    BlockWeights,
-    FeedForwardWeights,
-    LayerNormWeights,
-    ModelWeights,
-)
-from repro.nn import TransformerConfig
 from repro.obs import CountingClock, FlightRecorder, MetricsRegistry, Tracer
 from repro.serve import (
     CollectiveFaultInjector,
@@ -38,48 +29,13 @@ from repro.serve import (
 )
 from repro.serve.collective import CollectiveStats
 from repro.serve.cluster import _POOL_STAT_KEYS
+from repro.serve.workloads import tiny_runner
 
 
 @pytest.fixture(scope="module")
 def chaos_runner():
-    """A random-weight runner (no training) for the chaos-trace scenario."""
-    config = TransformerConfig(
-        vocab_size=64, d_model=32, num_heads=2, num_layers=2, d_ff=64, max_seq_len=128, seed=0
-    )
-    rng = np.random.default_rng(7)
-
-    def dense(shape):
-        return rng.normal(scale=0.25, size=shape)
-
-    def norm():
-        return LayerNormWeights(gain=np.ones(config.d_model), bias=np.zeros(config.d_model))
-
-    blocks = [
-        BlockWeights(
-            ln_attn=norm(),
-            attn=AttentionWeights(
-                wq=dense((config.d_model, config.d_model)), bq=np.zeros(config.d_model),
-                wk=dense((config.d_model, config.d_model)), bk=np.zeros(config.d_model),
-                wv=dense((config.d_model, config.d_model)), bv=np.zeros(config.d_model),
-                wo=dense((config.d_model, config.d_model)), bo=np.zeros(config.d_model),
-            ),
-            ln_ffn=norm(),
-            ffn=FeedForwardWeights(
-                w1=dense((config.d_model, config.d_ff)), b1=np.zeros(config.d_ff),
-                w2=dense((config.d_ff, config.d_model)), b2=np.zeros(config.d_model),
-            ),
-        )
-        for _ in range(config.num_layers)
-    ]
-    weights = ModelWeights(
-        config=config,
-        token_embedding=dense((config.vocab_size, config.d_model)),
-        position_embedding=dense((config.max_seq_len, config.d_model)),
-        blocks=blocks,
-        ln_final=norm(),
-        lm_head=dense((config.d_model, config.vocab_size)),
-    )
-    return TransformerRunner(weights)
+    """The random-weight tiny runner (no training) for the chaos-trace scenario."""
+    return tiny_runner()
 
 
 def _chaos_prompts():

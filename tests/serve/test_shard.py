@@ -20,7 +20,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import TenderConfig, TenderQuantizer
 from repro.errors import (
     CollectiveTransportError,
     ConfigurationError,
@@ -28,14 +27,6 @@ from repro.errors import (
 )
 from repro.gpu import TensorParallelWorkload, tensor_parallel_speedup
 from repro.models.inference import TransformerRunner
-from repro.models.weights import (
-    AttentionWeights,
-    BlockWeights,
-    FeedForwardWeights,
-    LayerNormWeights,
-    ModelWeights,
-)
-from repro.nn import TransformerConfig
 from repro.serve import (
     CollectiveFaultInjector,
     CollectiveGroup,
@@ -47,59 +38,17 @@ from repro.serve import (
     ShardedRunner,
 )
 from repro.serve.shard import partition_bounds
-
-
-def _four_head_weights():
-    """A random-weight 4-head model (no training) so N=4 sharding is legal."""
-    config = TransformerConfig(
-        vocab_size=64, d_model=32, num_heads=4, num_layers=2, d_ff=64, max_seq_len=128, seed=0
-    )
-    rng = np.random.default_rng(7)
-
-    def dense(shape):
-        return rng.normal(scale=0.25, size=shape)
-
-    def norm():
-        return LayerNormWeights(gain=np.ones(config.d_model), bias=np.zeros(config.d_model))
-
-    blocks = [
-        BlockWeights(
-            ln_attn=norm(),
-            attn=AttentionWeights(
-                wq=dense((config.d_model, config.d_model)), bq=np.zeros(config.d_model),
-                wk=dense((config.d_model, config.d_model)), bk=np.zeros(config.d_model),
-                wv=dense((config.d_model, config.d_model)), bv=np.zeros(config.d_model),
-                wo=dense((config.d_model, config.d_model)), bo=np.zeros(config.d_model),
-            ),
-            ln_ffn=norm(),
-            ffn=FeedForwardWeights(
-                w1=dense((config.d_model, config.d_ff)), b1=np.zeros(config.d_ff),
-                w2=dense((config.d_ff, config.d_model)), b2=np.zeros(config.d_model),
-            ),
-        )
-        for _ in range(config.num_layers)
-    ]
-    return ModelWeights(
-        config=config,
-        token_embedding=dense((config.vocab_size, config.d_model)),
-        position_embedding=dense((config.max_seq_len, config.d_model)),
-        blocks=blocks,
-        ln_final=norm(),
-        lm_head=dense((config.d_model, config.vocab_size)),
-    )
+from repro.serve.workloads import tiny_runner
 
 
 @pytest.fixture(scope="module")
 def four_head_runners():
-    """Solo runners over the 4-head model: FP plus Tender implicit/explicit."""
-    weights = _four_head_weights()
-    rng = np.random.default_rng(3)
-    calibration = [rng.integers(0, 64, size=40) for _ in range(6)]
-    config = TenderConfig(bits=8, num_groups=8, row_chunk_size=8)
+    """Solo runners over the 4-head tiny model (N=4 sharding is legal): FP plus Tender implicit/explicit."""
     return {
-        "fp": TransformerRunner(weights),
-        "tender-implicit": TenderQuantizer(config, implicit=True).quantize(weights, calibration),
-        "tender-explicit": TenderQuantizer(config, implicit=False).quantize(weights, calibration),
+        name: tiny_runner(scheme, num_heads=4)
+        for name, scheme in (
+            ("fp", "fp"), ("tender-implicit", "tender-implicit"), ("tender-explicit", "tender-explicit")
+        )
     }
 
 

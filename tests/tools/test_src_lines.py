@@ -9,7 +9,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 
 
-def test_package_rows_sum_to_the_total_row():
+def test_package_rows_sum_to_src_and_src_plus_the_stacks_to_the_total_row():
     in_git = subprocess.run(
         ["git", "rev-parse", "HEAD"], capture_output=True, cwd=REPO_ROOT
     ).returncode == 0
@@ -21,8 +21,15 @@ def test_package_rows_sum_to_the_total_row():
         cwd=REPO_ROOT,
     )
     assert result.returncode == 0, result.stderr
-    *packages, total = [line.split() for line in result.stdout.splitlines()]
-    assert total[0] == "total" and "serve" in {row[0] for row in packages}
+    rows = [line.split() for line in result.stdout.splitlines()]
+    names = [row[0] for row in rows]
+    source = names.index("src/repro")
+    *packages, source_row = rows[: source + 1]
+    *stacks, total = rows[source + 1 :]
+    # The measurement stack outside bench/ is part of the house-rule report.
+    assert [row[0] for row in stacks] == ["benchmarks/", "tools/"] and total[0] == "total"
+    assert "serve" in {row[0] for row in packages}
     for column in range(1, len(total)):
-        assert sum(int(row[column]) for row in packages) == int(total[column])
-    assert int(total[1]) > 0
+        assert sum(int(row[column]) for row in packages) == int(source_row[column])
+        assert sum(int(row[column]) for row in (source_row, *stacks)) == int(total[column])
+    assert all(int(row[1]) > 0 for row in (source_row, *stacks))

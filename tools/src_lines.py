@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Line counts of ``src/repro`` per package, and the net delta against a revision.
+"""Line counts of ``src/repro`` per package, ``tools/``, ``benchmarks/``; net delta against a revision.
 
 House rule (b) of ROADMAP.md — every PR reports its net ``src/`` line delta —
 as a command instead of a hand count:
@@ -8,11 +8,13 @@ as a command instead of a hand count:
     python tools/src_lines.py --base HEAD~1   # ... plus the delta against a revision
 
 A *package* is the first directory under ``src/repro`` (``serve``, ``core``,
-...); modules directly under ``src/repro`` count as ``.``.  Lines are
-physical lines of ``*.py`` files.  The base side is read with ``git
-ls-tree`` / ``git show``, so it needs no second checkout; the working-tree
-side is read from disk, so uncommitted edits count.  No third-party
-dependencies.
+...); modules directly under ``src/repro`` count as ``.``; the package rows
+add up to the ``src/repro`` row.  ``tools/`` and ``benchmarks/`` — the
+measurement stack outside ``bench/`` — are one row each, and ``total`` is the
+three together.  Lines are physical lines of ``*.py`` files.  The base side
+is read with ``git ls-tree`` / ``git show``, so it needs no second checkout;
+the working-tree side is read from disk, so uncommitted edits count.  No
+third-party dependencies.
 """
 
 from __future__ import annotations
@@ -25,10 +27,14 @@ from typing import Dict, Iterable, Tuple
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SOURCE = "src/repro"
+#: Directories counted whole, one row each, beside the ``src/repro`` packages.
+STACKS = ("tools", "benchmarks")
 
 
 def package_of(path: str) -> str:
-    """The package a ``src/repro/...`` path (POSIX, repo-relative) belongs to."""
+    """The row a path (POSIX, repo-relative) belongs to: its package, or its stack."""
+    if not path.startswith(SOURCE + "/"):
+        return path.split("/", 1)[0] + "/"
     parts = Path(path).relative_to(SOURCE).parts
     return parts[0] if len(parts) > 1 else "."
 
@@ -43,9 +49,10 @@ def tally(files: Iterable[Tuple[str, str]]) -> Dict[str, int]:
 
 
 def worktree_files() -> Iterable[Tuple[str, str]]:
-    """Every ``*.py`` under ``src/repro`` as it is on disk."""
-    for file in sorted((REPO_ROOT / SOURCE).rglob("*.py")):
-        yield file.relative_to(REPO_ROOT).as_posix(), file.read_text()
+    """Every ``*.py`` under ``src/repro`` and the stacks as it is on disk."""
+    for directory in (SOURCE, *STACKS):
+        for file in sorted((REPO_ROOT / directory).rglob("*.py")):
+            yield file.relative_to(REPO_ROOT).as_posix(), file.read_text()
 
 
 def git(*args: str) -> str:
@@ -55,8 +62,8 @@ def git(*args: str) -> str:
 
 
 def revision_files(revision: str) -> Iterable[Tuple[str, str]]:
-    """Every ``*.py`` under ``src/repro`` at ``revision`` (from the object store)."""
-    for path in git("ls-tree", "-r", "--name-only", revision, "--", SOURCE).splitlines():
+    """Every ``*.py`` under ``src/repro`` and the stacks at ``revision`` (from the object store)."""
+    for path in git("ls-tree", "-r", "--name-only", revision, "--", SOURCE, *STACKS).splitlines():
         if path.endswith(".py"):
             yield path, git("show", f"{revision}:{path}")
 
@@ -67,11 +74,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     now = tally(worktree_files())
     base = tally(revision_files(args.base)) if args.base else None
-    rows = [
-        (package, now.get(package, 0), None if base is None else base.get(package, 0))
-        for package in sorted(set(now) | set(base or ()))
-    ]
-    rows.append(("total", sum(now.values()), None if base is None else sum(base.values())))
+    def row(name, keys):
+        before = None if base is None else sum(base.get(key, 0) for key in keys)
+        return name, sum(now.get(key, 0) for key in keys), before
+
+    names = set(now) | set(base or ())
+    packages = sorted(name for name in names if not name.endswith("/"))
+    stacks = sorted(name for name in names if name.endswith("/"))
+    rows = [row(package, [package]) for package in packages]
+    rows.append(row(SOURCE, packages))
+    rows.extend(row(stack, [stack]) for stack in stacks)
+    rows.append(row("total", names))
     for name, lines, before in rows:
         print(f"{name:<14s} {lines:>7d}" + ("" if before is None else f" {lines - before:>+7d}"))
     return 0
