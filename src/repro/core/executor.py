@@ -42,7 +42,6 @@ from repro.core.decomposition import (
 from repro.core.kernels import (
     ForwardPlan,
     PackedSiteParams,
-    RowChunks,
     chunk_row_groups,
     fused_implicit_matmul,
     ordered_explicit_matmul,
@@ -66,22 +65,24 @@ _SHARED_TABLES = ("bias", "channel_scales", "alpha_weights", "final_scales", "im
 
 
 class _StackedSite:
-    """Cached operands of one tuple of sites projected together.
+    """Cached state of one tuple of sites projected together.
 
-    ``bounds`` are the sites' column ranges in the stacked weight and bias.
-    ``packed`` and the column concatenations after it are set only when the
-    sites' packed tables are identical — what lets one quantized activation
-    serve all of them; they stand in for the per-site float64 weights, which
-    are then never cached.  Otherwise ``weights`` keeps the per-site column
-    blocks the site-by-site path is handed on every call.
+    ``packed`` is the activation side: the tables every site quantizes by
+    when they are identical — what lets one quantized activation serve all
+    of them — else ``None``.  The rest is the weight side, filled by the
+    first ``project``: ``bounds`` are the sites' column ranges in the
+    stacked weight and bias; with shared tables the column concatenations
+    after it stand in for the per-site float64 weights, which are then never
+    cached; otherwise ``weights`` keeps the per-site column blocks the
+    site-by-site path is handed on every call.
     """
 
-    __slots__ = ("bounds", "weights", "packed", "weight64", "weight_scale", "bias_projection")
+    __slots__ = ("packed", "bounds", "weights", "weight64", "weight_scale", "bias_projection")
 
-    def __init__(self, bounds: List[Tuple[int, int]]) -> None:
-        self.bounds = bounds
+    def __init__(self, packed: Optional[PackedSiteParams]) -> None:
+        self.packed = packed
+        self.bounds: Optional[List[Tuple[int, int]]] = None
         self.weights: Optional[List[np.ndarray]] = None
-        self.packed: Optional[PackedSiteParams] = None
         self.weight64: Optional[np.ndarray] = None
         self.weight_scale: Optional[np.ndarray] = None
         self.bias_projection: Optional[np.ndarray] = None
@@ -93,6 +94,40 @@ class _StackedSite:
         the array a single-site call would have been handed.
         """
         return self.weights or [np.ascontiguousarray(weight[:, a:b]) for a, b in self.bounds]
+
+
+class QuantizedActivation:
+    """The activation side of one projection: everything that does not read the weight.
+
+    Tender's decomposition is a property of the activation, and every weight
+    column multiplies the same quantized rows (the MSA streams one tile past
+    all PE columns).  :meth:`TenderExecutor.quantize` fills one of these per
+    site per forward and ``project`` consumes it, so executors holding the
+    same calibration (a tensor-parallel shard group) share one instead of
+    each deriving it.
+
+    ``x`` is the raw ``(rows, channels)`` activation (never copied; the
+    reference arithmetic consumes it) and ``chunks`` the forward's
+    :class:`~repro.core.kernels.RowChunks`.  ``packed`` / ``chunk_idx`` are
+    the tables the rows were quantized against and each row's table row, and
+    ``operand`` the quantized rows (integer-valued float64); ``packed`` is
+    ``None`` when nothing was quantized here.  ``final_scales`` is set when
+    the overflow bound lets one fused implicit matmul serve the rows:
+    ``operand`` is then already alpha-weighted, else it goes to the ordered
+    per-chunk kernels as it is.  ``stacked`` says the activation serves a
+    tuple of sites, and ``parts`` then holds one activation side per site
+    when they cannot share one fused operand.
+    """
+
+    # No ``__init__`` (a Python frame per projection): ``quantize`` sets ``x``
+    # and ``chunks`` on every instance and whichever of these it derives.
+    packed = chunk_idx = operand = final_scales = parts = None
+    stacked = False
+
+    @property
+    def shape(self) -> Tuple[int, ...]:
+        """``(rows, channels)``, as the raw activation would report it."""
+        return self.x.shape
 
 
 class TenderExecutor:
@@ -192,6 +227,14 @@ class TenderExecutor:
     def project(self, name, x, weight, bias, positions=None):
         """Decomposed-quantized ``x @ weight + bias``.
 
+        Two halves: the *activation side* (:meth:`quantize`) and the *weight
+        side* — the integer matmul against this executor's cached quantized
+        ``weight``, the column scale, the ``bias @ W`` compensation, the
+        layer bias, ``stats``.  ``x`` is the raw ``(rows, channels)``
+        activation, quantized here, or the :class:`QuantizedActivation` an
+        executor holding the same calibration already made of it
+        (``positions`` is then not read); both run the same code from there.
+
         ``positions`` (optional) gives the token position of each row of ``x``
         — as an array, or as the forward's :class:`~repro.core.kernels.ForwardPlan`
         over them; row-chunk calibration parameters are then looked up by
@@ -208,12 +251,29 @@ class TenderExecutor:
         and multiplied by the stacked weight in one matmul whenever the
         sites' calibration tables are identical (see :meth:`_project_stacked`),
         and the result is the per-site outputs side by side, bit for bit.
+        """
+        activation = x if isinstance(x, QuantizedActivation) else self.quantize(name, x, positions)
+        if activation.stacked:
+            return self._project_stacked(name, activation, weight, bias)
+        return self._project_site(name, activation, weight, bias)
 
-        With ``fast_kernels`` (the default) the packed Index-Buffer path
-        serves the call — one gather of the per-chunk calibration tables
-        indexed by ``positions // chunk_size``, one vectorized quantize, and
-        a fused or group-contiguous integer matmul; the reference per-chunk
-        loop is kept selectable and both produce bit-identical outputs.
+    def quantize(self, name, x, positions=None) -> QuantizedActivation:
+        """The activation side of :meth:`project`, for site(s) ``name`` over ``x``.
+
+        With ``fast_kernels`` (the default) every row's calibration metadata
+        is gathered from the packed tables by ``positions // chunk_size`` in
+        one shot and the whole batch is quantized at once.  When the
+        analytic overflow bound fits the 32-bit accumulator (the common
+        case) the implicit path needs only the alpha-weighted rows and the
+        per-row final scale: one fused matmul per weight then produces the
+        final accumulator.  Otherwise, and for explicit requantization, the
+        quantized rows go to the ordered per-chunk kernels as they are.  A
+        tuple of sites shares one fused operand, or carries one activation
+        side per site (see :meth:`_project_stacked`).  The reference
+        arithmetic (``fast_kernels=False``) takes the raw activation
+        untouched.  Nothing here reads a weight, so the result serves every
+        executor built on the same ``site_params``, configuration and
+        kernel choice.
         """
         rows = x.shape[0]
         plan = ForwardPlan.of(np.arange(rows, dtype=np.int64) if positions is None else positions)
@@ -222,23 +282,54 @@ class TenderExecutor:
             raise CalibrationError(
                 f"positions has {chunks.row_chunk.shape[0]} entries for {rows} activation rows"
             )
-        if isinstance(name, tuple):
-            return self._project_stacked(name, x, weight, bias, chunks)
-        return self._project_site(name, x, weight, bias, chunks)
-
-    def _project_site(self, name, x, weight, bias, chunks: RowChunks):
-        """One site's projection over rows already grouped by ``chunks``."""
-        if name not in self.site_params:
-            raise CalibrationError(f"no Tender calibration for matmul site {name!r}")
-        self.stats["projections"] += 1
-        params = self.site_params[name]
-        q_weight, w_scale = self._quantized_weight(name, weight)
-        if self.fast_kernels:
-            output = self._project_fast(name, params, x, chunks, q_weight, w_scale, weight)
+        activation = QuantizedActivation()
+        activation.x, activation.chunks = x, chunks
+        if name in self.site_params:
+            packed = self.site_params[name].packed() if self.fast_kernels else None
+        elif isinstance(name, tuple):
+            activation.stacked = True
+            packed = (self._stacked_cache.get(name) or self._stacked_site(name)).packed
         else:
+            raise CalibrationError(f"no Tender calibration for matmul site {name!r}")
+        if packed is not None:
+            chunk_idx = chunks.clipped(packed.num_chunks)
+            fused = self.implicit and packed.implicit_bounds[chunk_idx].max(initial=0.0) <= _ACC_MAX
+            if fused or not activation.stacked:
+                operand = self._quantize_rows(packed, x, chunk_idx)
+                if fused:
+                    operand *= packed.alpha_weights[chunk_idx]
+                    activation.final_scales = packed.final_scales[chunk_idx]
+                activation.packed, activation.chunk_idx, activation.operand = packed, chunk_idx, operand
+                return activation
+        if activation.stacked:
+            activation.parts = [self.quantize(site, x, plan) for site in name]
+        return activation
+
+    def _project_site(self, name, activation: QuantizedActivation, weight, bias):
+        """One site's weight side over an activation :meth:`quantize` prepared.
+
+        A fused activation is one matmul; an unfused one is grouped by chunk
+        (the plan's single argsort pass) and each chunk runs the
+        group-contiguous ordered kernel against its cached
+        Index-Buffer-permuted weight; a raw one (reference kernels) runs the
+        per-chunk loop of gathered-group matmuls.
+        """
+        self.stats["projections"] += 1
+        q_weight, w_scale = self._quantized_weight(name, weight)
+        packed, chunks = activation.packed, activation.chunks
+        if packed is None:
             output = self._project_reference(
-                name, params, x, chunks.row_chunk, q_weight, w_scale, weight
+                name, self.site_params[name], activation.x, chunks.row_chunk, q_weight, w_scale, weight
             )
+        else:
+            if activation.final_scales is not None:
+                output = fused_implicit_matmul(
+                    activation.operand, activation.final_scales, self._weight_f64(name, q_weight), w_scale
+                )
+            else:
+                output = self._project_ordered(name, activation, q_weight, w_scale)
+            if self.config.subtract_bias:
+                output = output + self._bias_projection_stack(name, weight)[activation.chunk_idx]
         self.stats["rescales"] += (self.config.num_groups - 1) * chunks.distinct
         if bias is not None:
             output = output + bias
@@ -282,78 +373,48 @@ class TenderExecutor:
         np.minimum(quantized, packed.qmax, out=quantized)
         return quantized
 
-    def _project_fast(self, name, params, x, chunks: RowChunks, q_weight, w_scale, weight):
-        """Packed fast projection: gather, quantize, fused/grouped matmul.
+    def _project_ordered(self, name, activation: QuantizedActivation, q_weight, w_scale):
+        """Quantized rows through the ordered kernels, one row chunk at a time.
 
-        Every row's calibration metadata (bias, per-channel scales, rescale
-        weights) is gathered from the packed tables by chunk index in one
-        shot, and quantization runs over the whole batch at once.  The
-        implicit path then needs no Python loop at all: when the analytic
-        overflow bound fits the 32-bit accumulator (the common case), the
-        alpha-weighted fused matmul produces the final accumulator directly.
-        Otherwise — and for the explicit path, whose per-group FP accumulate
-        is inherently ordered — rows are grouped by chunk (the plan's single
-        argsort pass) and each chunk runs the group-contiguous ordered kernel
-        against its cached Index-Buffer-permuted weight.
+        The explicit path's per-group FP accumulate is inherently ordered,
+        and so is the implicit path once the analytic bound says the
+        accumulator could overflow (the kernel then scans as it goes).
         """
-        packed = params.packed()
-        chunk_idx = chunks.clipped(packed.num_chunks)
-        quantized = self._quantize_rows(packed, x, chunk_idx)
-        if self.implicit and packed.implicit_bounds[chunk_idx].max(initial=0.0) <= _ACC_MAX:
-            result = fused_implicit_matmul(
-                quantized,
-                packed.alpha_weights[chunk_idx],
-                packed.final_scales[chunk_idx],
-                self._weight_f64(name, q_weight),
-                w_scale,
-            )
-        else:
-            result = np.empty((x.shape[0], weight.shape[1]), dtype=np.float64)
-            for chunk_index, row_indices in chunks.groups(packed.num_chunks):
-                ordered = quantized[np.ix_(row_indices, packed.channel_order[chunk_index])]
-                ordered_weight = self._permuted_weight(name, chunk_index, q_weight, packed)
-                if self.implicit:
-                    result[row_indices] = ordered_implicit_matmul(
-                        ordered,
-                        ordered_weight,
-                        packed.group_sizes[chunk_index],
-                        packed.final_scales[chunk_index],
-                        w_scale,
-                        packed.alpha,
-                        scan_overflow=bool(packed.implicit_bounds[chunk_index] > _ACC_MAX),
-                    )
-                else:
-                    result[row_indices] = ordered_explicit_matmul(
-                        ordered,
-                        ordered_weight,
-                        packed.group_sizes[chunk_index],
-                        packed.group_scales[chunk_index],
-                        w_scale,
-                        scan_groups=packed.explicit_bounds[chunk_index] > _ACC_MAX,
-                    )
-        if self.config.subtract_bias:
-            result = result + self._bias_projection_stack(name, weight)[chunk_idx]
+        packed, quantized = activation.packed, activation.operand
+        result = np.empty((quantized.shape[0], q_weight.shape[1]), dtype=np.float64)
+        for chunk_index, row_indices in activation.chunks.groups(packed.num_chunks):
+            ordered = quantized[np.ix_(row_indices, packed.channel_order[chunk_index])]
+            ordered_weight = self._permuted_weight(name, chunk_index, q_weight, packed)
+            if self.implicit:
+                result[row_indices] = ordered_implicit_matmul(
+                    ordered,
+                    ordered_weight,
+                    packed.group_sizes[chunk_index],
+                    packed.final_scales[chunk_index],
+                    w_scale,
+                    packed.alpha,
+                    scan_overflow=bool(packed.implicit_bounds[chunk_index] > _ACC_MAX),
+                )
+            else:
+                result[row_indices] = ordered_explicit_matmul(
+                    ordered,
+                    ordered_weight,
+                    packed.group_sizes[chunk_index],
+                    packed.group_scales[chunk_index],
+                    w_scale,
+                    scan_groups=packed.explicit_bounds[chunk_index] > _ACC_MAX,
+                )
         return result
 
     # ------------------------------------------------------------------
     # Stacked projection (several sites over one activation)
     # ------------------------------------------------------------------
-    def _stacked_site(self, names: Tuple[str, ...], weight) -> _StackedSite:
-        """The per-``names`` stack: column blocks split once, tables compared once."""
-        stack = self._stacked_cache.get(names)
-        if stack is not None:
-            return stack
+    def _stacked_site(self, names: Tuple[str, ...]) -> _StackedSite:
+        """The per-``names`` stack, tables compared once (weights join in :meth:`_stack_weights`)."""
         for name in names:
             if name not in self.site_params:
                 raise CalibrationError(f"no Tender calibration for matmul site {name!r}")
-        width, remainder = divmod(weight.shape[1], len(names))
-        if remainder:
-            raise ShapeError(
-                f"a stacked weight of {weight.shape[1]} columns does not split into "
-                f"{len(names)} equal site blocks"
-            )
-        stack = _StackedSite([(i * width, (i + 1) * width) for i in range(len(names))])
-        weights = stack.site_weights(weight)
+        shared = None
         if self.fast_kernels and self.implicit:
             first, *others = [self.site_params[name].packed() for name in names]
             if all(
@@ -364,19 +425,31 @@ class TenderExecutor:
                 )
                 for other in others
             ):
-                quantized = [self._quantized_weight(n, w) for n, w in zip(names, weights)]
-                stack.packed = first
-                stack.weight64 = np.concatenate([q for q, _ in quantized], axis=1).astype(np.float64)
-                stack.weight_scale = np.concatenate([scale for _, scale in quantized], axis=-1)
-                stack.bias_projection = np.concatenate(
-                    [self._bias_projection_stack(n, w) for n, w in zip(names, weights)], axis=1
-                )
-        if stack.packed is None:
-            stack.weights = weights
-        self._stacked_cache[names] = stack
+                shared = first
+        stack = self._stacked_cache[names] = _StackedSite(shared)
         return stack
 
-    def _project_stacked(self, names, x, weight, bias, chunks: RowChunks):
+    def _stack_weights(self, stack: _StackedSite, names: Tuple[str, ...], weight) -> None:
+        """The weight side of ``stack``: column blocks split and concatenated once."""
+        width, remainder = divmod(weight.shape[1], len(names))
+        if remainder:
+            raise ShapeError(
+                f"a stacked weight of {weight.shape[1]} columns does not split into "
+                f"{len(names)} equal site blocks"
+            )
+        stack.bounds = [(i * width, (i + 1) * width) for i in range(len(names))]
+        weights = stack.site_weights(weight)
+        if stack.packed is None:
+            stack.weights = weights
+            return
+        quantized = [self._quantized_weight(n, w) for n, w in zip(names, weights)]
+        stack.weight64 = np.concatenate([q for q, _ in quantized], axis=1).astype(np.float64)
+        stack.weight_scale = np.concatenate([scale for _, scale in quantized], axis=-1)
+        stack.bias_projection = np.concatenate(
+            [self._bias_projection_stack(n, w) for n, w in zip(names, weights)], axis=1
+        )
+
+    def _project_stacked(self, names, activation: QuantizedActivation, weight, bias):
         """Several sites over one activation: one quantize, one fused matmul.
 
         A block's ``q_proj`` / ``k_proj`` / ``v_proj`` consume the same
@@ -388,33 +461,32 @@ class TenderExecutor:
         compensation and the layer bias are elementwise per column, so every
         output column is bit-identical to its own site's :meth:`project`.
         When the tables differ, the analytic overflow bound fails, or the
-        executor runs explicit or reference kernels, the sites are projected
-        one by one over the shared ``chunks`` instead.  ``stats`` advance as
-        for ``len(names)`` separate calls either way.
+        executor runs explicit or reference kernels, the activation carries
+        one part per site and the sites are projected one by one instead.
+        ``stats`` advance as for ``len(names)`` separate calls either way.
         """
-        stack = self._stacked_site(names, weight)
-        packed = stack.packed
-        if packed is not None and self.fast_kernels and self.implicit:
-            chunk_idx = chunks.clipped(packed.num_chunks)
-            if packed.implicit_bounds[chunk_idx].max(initial=0.0) <= _ACC_MAX:
-                self.stats["projections"] += len(names)
-                self.stats["rescales"] += len(names) * (self.config.num_groups - 1) * chunks.distinct
-                result = fused_implicit_matmul(
-                    self._quantize_rows(packed, x, chunk_idx),
-                    packed.alpha_weights[chunk_idx],
-                    packed.final_scales[chunk_idx],
-                    stack.weight64,
-                    stack.weight_scale,
-                )
-                if self.config.subtract_bias:
-                    result = result + stack.bias_projection[chunk_idx]
-                if bias is not None:
-                    result = result + bias
-                return result
+        stack = self._stacked_cache.get(names) or self._stacked_site(names)
+        if stack.bounds is None:
+            self._stack_weights(stack, names, weight)
+        if activation.parts is None:
+            self.stats["projections"] += len(names)
+            self.stats["rescales"] += (
+                len(names) * (self.config.num_groups - 1) * activation.chunks.distinct
+            )
+            result = fused_implicit_matmul(
+                activation.operand, activation.final_scales, stack.weight64, stack.weight_scale
+            )
+            if self.config.subtract_bias:
+                result = result + stack.bias_projection[activation.chunk_idx]
+            if bias is not None:
+                result = result + bias
+            return result
         return np.concatenate(
             [
-                self._project_site(name, x, site_weight, None if bias is None else bias[a:b], chunks)
-                for name, site_weight, (a, b) in zip(names, stack.site_weights(weight), stack.bounds)
+                self._project_site(name, part, site_weight, None if bias is None else bias[a:b])
+                for name, part, site_weight, (a, b) in zip(
+                    names, activation.parts, stack.site_weights(weight), stack.bounds
+                )
             ],
             axis=1,
         )

@@ -401,26 +401,28 @@ def flat_heads(payload: np.ndarray) -> np.ndarray:
 # Static projection kernels (activation x weight)
 # ----------------------------------------------------------------------
 def fused_implicit_matmul(
-    quantized: np.ndarray,
-    alpha_weights: np.ndarray,
+    scaled: np.ndarray,
     final_scales: np.ndarray,
     quantized_weight: np.ndarray,
     weight_scale: np.ndarray,
 ) -> np.ndarray:
     """Implicit requantization (Equation 2) as one fused integer matmul.
 
-    ``quantized`` is ``(rows, channels)`` integer-valued float64,
-    ``alpha_weights`` the per-row gathered ``alpha^(G-1-g_c)`` table,
-    ``final_scales`` the per-row final group scale, ``quantized_weight`` the
+    ``scaled`` is the ``(rows, channels)`` quantized activation already
+    multiplied by its per-row gathered ``alpha^(G-1-g_c)`` table (both
+    integer-valued float64, so the product is too), ``final_scales`` the
+    per-row final group scale, ``quantized_weight`` the
     per-column-quantized weight (also integer-valued float64).  The
     alpha-weighted product equals the reference implicit accumulator exactly
     (integer arithmetic is exact, and each channel's contribution is
     rescaled ``G-1-g_c`` times in both formulations), so the result is
-    bit-identical with zero Python loops.  Callers must have verified the
-    analytic overflow bound first — it also guarantees every BLAS partial
-    sum stays far below 2^53, where float64 integer arithmetic is exact.
+    bit-identical with zero Python loops — and ``scaled`` does not depend on
+    the weight, so one activation serves any number of column blocks.
+    Callers must have verified the analytic overflow bound first — it also
+    guarantees every BLAS partial sum stays far below 2^53, where float64
+    integer arithmetic is exact.
     """
-    accumulator = (quantized * alpha_weights) @ quantized_weight
+    accumulator = scaled @ quantized_weight
     return accumulator * final_scales[:, None] * weight_scale
 
 

@@ -158,6 +158,7 @@ class FaultInjector:
         self.max_kills = max_kills
         #: Every event fired, in firing order (the chaos audit log).
         self.events: List[FaultEvent] = []
+        self._kills = 0
 
     def draw(self, iteration: int, replica_id: int) -> Optional[str]:
         """The fault (if any) to inject on this replica this iteration.
@@ -183,10 +184,10 @@ class FaultInjector:
                 kind = "exhaust"
             elif draws[2] < self.stall_rate:
                 kind = "stall"
-        if kind == "kill" and self.max_kills is not None:
-            fired = sum(1 for event in self.events if event.kind == "kill")
-            if fired >= self.max_kills:
-                kind = None
+        if kind == "kill":
+            if self.max_kills is not None and self._kills >= self.max_kills:
+                return None
+            self._kills += 1
         if kind is not None:
             self.events.append(FaultEvent(iteration, replica_id, kind))
         return kind

@@ -13,8 +13,9 @@ usable serving unit.  This module reproduces that contract in simulation:
   checksums**.  Every message delivery runs under a per-call timeout with
   bounded exponential-backoff retry; deliveries that arrive late trip the
   straggler detector, which either *hedges* (resends and takes the faster
-  copy) or *waits*, governed by configuration.  Duplicate deliveries are
-  deduplicated by sequence number.
+  copy) or *waits*, governed by configuration.  A receiver remembers the
+  highest sequence number it has accepted from each shard, and discards any
+  copy that does not exceed it (a duplicate).
 * :class:`CollectiveFaultInjector` decides, per message attempt, whether the
   wire drops, corrupts, delays, or duplicates it — or kills the sending
   shard outright.  Like the replica-level ``FaultInjector`` it supports both
@@ -34,8 +35,9 @@ treats the whole shard group as one fault unit.
 
 from __future__ import annotations
 
+import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -72,6 +74,24 @@ class CollectiveFaultEvent:
     attempt: int
 
 
+#: Message attempts whose five uniforms one generator call draws ahead.
+_DRAW_BLOCK = 64
+
+
+def _require_rate(name: str, rate: float) -> float:
+    # ``not (0 <= rate <= 1)`` also rejects NaN, which fails every comparison.
+    if not 0.0 <= rate <= 1.0:
+        raise ConfigurationError(f"{name} must lie in [0, 1], got {rate}")
+    return float(rate)
+
+
+def _require_duration(name: str, value: float, positive: bool = False) -> float:
+    if not math.isfinite(value) or value < 0.0 or (positive and value == 0.0):
+        bound = "> 0" if positive else ">= 0"
+        raise ConfigurationError(f"{name} must be finite and {bound}, got {value}")
+    return float(value)
+
+
 class CollectiveFaultInjector:
     """Seeded scripted + randomized fault source for collective messages.
 
@@ -83,17 +103,22 @@ class CollectiveFaultInjector:
     bounds shard kills across the injector's lifetime — shared across
     rebuilt groups, it guarantees chaos runs terminate.
 
+    The generator is private and consumed in blocks (the uniforms of
+    ``_DRAW_BLOCK`` attempts per call, which yields the same doubles as one
+    call per attempt): nothing else may draw from it.
+
     Parameters
     ----------
     seed:
         Seed for the random-rate generator.
     drop_rate, corrupt_rate, delay_rate, duplicate_rate, kill_rate:
-        Per-message-attempt probabilities of each fault kind.
+        Per-message-attempt probabilities of each fault kind, in ``[0, 1]``.
     max_kills:
         Lifetime cap on ``"kill"`` faults (scripted and random combined).
     drop_at, corrupt_at, delay_at, duplicate_at, kill_at:
-        Scripted ``{collective_seq: shard_id}`` maps; each fires once, on
-        the victim message's first attempt.
+        Scripted ``{collective_seq: shard_id}`` maps, read at construction;
+        each fires once, on the victim message's first attempt.  A group
+        rejects shard ids it does not have (:meth:`require_shards`).
     """
 
     def __init__(
@@ -112,58 +137,74 @@ class CollectiveFaultInjector:
         duplicate_at: Optional[Dict[int, int]] = None,
         kill_at: Optional[Dict[int, int]] = None,
     ) -> None:
-        self.rng = np.random.default_rng(seed)
-        self.drop_rate = drop_rate
-        self.corrupt_rate = corrupt_rate
-        self.delay_rate = delay_rate
-        self.duplicate_rate = duplicate_rate
-        self.kill_rate = kill_rate
+        if max_kills < 0:
+            raise ConfigurationError(f"max_kills must be >= 0, got {max_kills}")
+        self.drop_rate = _require_rate("drop_rate", drop_rate)
+        self.corrupt_rate = _require_rate("corrupt_rate", corrupt_rate)
+        self.delay_rate = _require_rate("delay_rate", delay_rate)
+        self.duplicate_rate = _require_rate("duplicate_rate", duplicate_rate)
+        self.kill_rate = _require_rate("kill_rate", kill_rate)
         self.max_kills = max_kills
-        self.drop_at = dict(drop_at or {})
-        self.corrupt_at = dict(corrupt_at or {})
-        self.delay_at = dict(delay_at or {})
-        self.duplicate_at = dict(duplicate_at or {})
-        self.kill_at = dict(kill_at or {})
+        #: ``{collective_seq: ((kind, shard_id), ...)}`` in the order the kinds
+        #: are tried, so one lookup resolves every scripted map.
+        self._scripted: Dict[int, Tuple[Tuple[str, int], ...]] = {}
+        scripts = (("kill", kill_at), ("drop", drop_at), ("corrupt", corrupt_at),
+                   ("delay", delay_at), ("duplicate", duplicate_at))  # fmt: skip
+        for kind, script in scripts:
+            for seq, shard_id in (script or {}).items():
+                self._scripted[seq] = self._scripted.get(seq, ()) + ((kind, shard_id),)
+        self._rng = np.random.default_rng(seed)
+        self._draws: List[float] = []
+        self._cursor = 0
+        self._kills = 0
         self.events: List[CollectiveFaultEvent] = []
 
-    def _kills_fired(self) -> int:
-        return sum(1 for event in self.events if event.kind == "kill")
+    def require_shards(self, num_shards: int) -> None:
+        """Reject scripted victims a group of ``num_shards`` does not have."""
+        for seq, scripted in self._scripted.items():
+            for kind, shard_id in scripted:
+                if not 0 <= shard_id < num_shards:
+                    raise ConfigurationError(
+                        f"scripted {kind} at collective #{seq} names shard {shard_id}, "
+                        f"outside [0, {num_shards})"
+                    )
 
     def draw(self, seq: int, shard_id: int, attempt: int) -> Optional[str]:
         """Decide the fate of one message attempt.
 
         Scripted faults fire only on ``attempt == 0`` (so the retry path can
         actually succeed); random rates apply to every attempt.  Exactly
-        five random draws happen per call regardless of outcome, keeping the
-        generator stream — and therefore the whole chaos schedule —
+        five uniforms are consumed per call regardless of outcome, keeping
+        the generator stream — and therefore the whole chaos schedule —
         deterministic for a given event sequence.
         """
+        cursor = self._cursor
+        if cursor == len(self._draws):
+            self._draws = self._rng.random(5 * _DRAW_BLOCK).tolist()
+            cursor = 0
+        self._cursor = cursor + 5
         kind: Optional[str] = None
-        if attempt == 0:
-            if self.kill_at.get(seq) == shard_id and self._kills_fired() < self.max_kills:
-                kind = "kill"
-            elif self.drop_at.get(seq) == shard_id:
-                kind = "drop"
-            elif self.corrupt_at.get(seq) == shard_id:
-                kind = "corrupt"
-            elif self.delay_at.get(seq) == shard_id:
-                kind = "delay"
-            elif self.duplicate_at.get(seq) == shard_id:
-                kind = "duplicate"
-        draws = self.rng.random(5)
+        if attempt == 0 and self._scripted:
+            for scripted, victim in self._scripted.get(seq, ()):
+                if victim == shard_id and (scripted != "kill" or self._kills < self.max_kills):
+                    kind = scripted
+                    break
         if kind is None:
-            if draws[0] < self.kill_rate and self._kills_fired() < self.max_kills:
+            draws = self._draws
+            if draws[cursor] < self.kill_rate and self._kills < self.max_kills:
                 kind = "kill"
-            elif draws[1] < self.drop_rate:
+            elif draws[cursor + 1] < self.drop_rate:
                 kind = "drop"
-            elif draws[2] < self.corrupt_rate:
+            elif draws[cursor + 2] < self.corrupt_rate:
                 kind = "corrupt"
-            elif draws[3] < self.delay_rate:
+            elif draws[cursor + 3] < self.delay_rate:
                 kind = "delay"
-            elif draws[4] < self.duplicate_rate:
+            elif draws[cursor + 4] < self.duplicate_rate:
                 kind = "duplicate"
-        if kind is not None:
-            self.events.append(CollectiveFaultEvent(seq, shard_id, kind, attempt))
+            else:
+                return None
+        self._kills += kind == "kill"
+        self.events.append(CollectiveFaultEvent(seq, shard_id, kind, attempt))
         return kind
 
 
@@ -238,8 +279,9 @@ class CollectiveGroup:
     checksummed message per shard.  A message delivery may be dropped
     (timeout, then exponential-backoff retry), corrupted (CRC32 mismatch —
     caught, discarded, retried from the pristine payload), delayed (the
-    straggler detector hedges or waits), or duplicated (deduplicated by
-    sequence number).  Retries are bounded: a message that cannot be
+    straggler detector hedges or waits), or duplicated (the second copy's
+    sequence number does not exceed the highest one already accepted from
+    that shard, so it is discarded).  Retries are bounded: a message that cannot be
     delivered within ``max_retries`` resends raises
     :class:`repro.errors.CollectiveTransportError`, and a killed shard
     raises :class:`repro.errors.ShardFailureError` and leaves the group
@@ -302,22 +344,25 @@ class CollectiveGroup:
             raise ConfigurationError("a collective group needs at least one shard")
         if max_retries < 0:
             raise ConfigurationError("max_retries must be >= 0")
+        if fault_injector is not None:
+            fault_injector.require_shards(num_shards)
         self.num_shards = num_shards
         self.fault_injector = fault_injector
-        self.latency_ms = latency_ms
-        self.bandwidth_gb_s = bandwidth_gb_s
-        self.timeout_ms = timeout_ms
+        self.latency_ms = _require_duration("latency_ms", latency_ms)
+        self.bandwidth_gb_s = _require_duration("bandwidth_gb_s", bandwidth_gb_s, positive=True)
+        self.timeout_ms = _require_duration("timeout_ms", timeout_ms)
         self.max_retries = max_retries
-        self.backoff_ms = backoff_ms
-        self.straggler_ms = straggler_ms
-        self.delay_ms = delay_ms
+        self.backoff_ms = _require_duration("backoff_ms", backoff_ms)
+        self.straggler_ms = _require_duration("straggler_ms", straggler_ms)
+        self.delay_ms = _require_duration("delay_ms", delay_ms)
         self.hedge = hedge
         self.tracer = tracer
         self.trace_track = trace_track
         self.stats = CollectiveStats()
         self.dead_shards: Set[int] = set()
         self._seq = 0
-        self._delivered: Set[Tuple[int, int]] = set()
+        #: Highest sequence number accepted from each shard (the dedup state).
+        self._accepted = [-1] * num_shards
 
     @property
     def healthy(self) -> bool:
@@ -331,26 +376,34 @@ class CollectiveGroup:
     # ------------------------------------------------------------------
     # Message plumbing
     # ------------------------------------------------------------------
-    def _cost_ms(self, nbytes: int) -> float:
-        return self.latency_ms + nbytes / (self.bandwidth_gb_s * 1e6)
+    def _accept(self, seq: int, shard_id: int) -> bool:
+        """Whether a copy of shard ``shard_id``'s message ``seq`` is new.
 
-    def _deliver(self, seq: int, shard_id: int, payload: np.ndarray) -> np.ndarray:
-        """Move one shard's checksummed message, riding out injected faults.
-
-        Returns the pristine payload on success (corrupted copies are
-        discarded at the checksum, duplicates at the dedup set), raises
-        ``ShardFailureError`` on a kill and ``CollectiveTransportError``
-        when the retry budget runs dry.
+        Sequence numbers only grow, so a copy that does not exceed the
+        highest one already accepted from its sender is a duplicate: it is
+        counted and discarded.
         """
-        wire_bytes = np.ascontiguousarray(payload).tobytes()
-        checksum = zlib.crc32(wire_bytes)
-        cost = self._cost_ms(len(wire_bytes))
+        if seq <= self._accepted[shard_id]:
+            self.stats.duplicates_ignored += 1
+            return False
+        self._accepted[shard_id] = seq
+        return True
+
+    def _deliver(
+        self, seq: int, shard_id: int, payload: np.ndarray, checksum: int, fault: str
+    ) -> None:
+        """Ride out the fault injected into one message's first attempt.
+
+        ``fault`` is that attempt's draw; every retry draws its own.  The
+        receiver keeps the pristine payload on success (corrupted copies are
+        discarded at ``checksum``, duplicates at :meth:`_accept`); a kill
+        raises ``ShardFailureError`` and a dry retry budget
+        ``CollectiveTransportError``.  Counters go straight to ``stats``.
+        """
+        cost = self.latency_ms + payload.nbytes / (self.bandwidth_gb_s * 1e6)
         for attempt in range(self.max_retries + 1):
-            fault = (
-                self.fault_injector.draw(seq, shard_id, attempt)
-                if self.fault_injector is not None
-                else None
-            )
+            if attempt:
+                fault = self.fault_injector.draw(seq, shard_id, attempt)
             if fault == "kill":
                 self.fail_shard(shard_id)
                 if self.tracer is not None:
@@ -375,7 +428,7 @@ class CollectiveGroup:
                     )
                 continue
             if fault == "corrupt":
-                tampered = bytearray(wire_bytes)
+                tampered = bytearray(payload.tobytes())
                 tampered[0] ^= 0xFF
                 if zlib.crc32(bytes(tampered)) == checksum:  # pragma: no cover
                     raise CollectiveTransportError("checksum failed to catch corruption")
@@ -409,10 +462,10 @@ class CollectiveGroup:
                         hedged=self.hedge,
                     )
             elif fault == "duplicate":
-                # Two copies cross the wire; the second finds (seq, shard)
-                # already in the dedup set and is discarded.
+                # Two copies cross the wire.  This is the first; the second,
+                # below, finds its sequence number taken and is discarded.
                 self.stats.simulated_ms += 2 * cost
-                self.stats.duplicates_ignored += 1
+                self._accept(seq, shard_id)
                 if self.tracer is not None:
                     self.tracer.instant(
                         "collective.duplicate",
@@ -422,10 +475,10 @@ class CollectiveGroup:
                     )
             else:
                 self.stats.simulated_ms += cost
-            self._delivered.add((seq, shard_id))
+            self._accept(seq, shard_id)
             self.stats.messages += 1
-            self.stats.bytes_moved += len(wire_bytes) * max(1, self.num_shards - 1)
-            return payload
+            self.stats.bytes_moved += payload.nbytes * max(1, self.num_shards - 1)
+            return
         if self.tracer is not None:
             self.tracer.instant(
                 "collective.exhausted", self.trace_track, seq=seq, shard=shard_id
@@ -436,21 +489,49 @@ class CollectiveGroup:
         )
 
     def _exchange(self, payloads: Sequence[np.ndarray]) -> List[np.ndarray]:
+        """Move one sequenced, checksummed message per shard; the payloads as arrays.
+
+        One pass: a message whose first attempt drew no fault is priced and
+        counted here, in locals written back once; one whose draw fired goes
+        through :meth:`_deliver`, the only fault path.  ``simulated_ms`` is
+        summed message by message in shard order either way.
+        """
         if len(payloads) != self.num_shards:
             raise ConfigurationError(
                 f"collective expects {self.num_shards} payloads, got {len(payloads)}"
             )
-        if not self.healthy:
+        if self.dead_shards:
             raise ShardFailureError(
                 f"collective group has dead shards: {sorted(self.dead_shards)}"
             )
         seq = self._seq
         self._seq += 1
-        delivered = [
-            self._deliver(seq, shard_id, np.asarray(payload))
-            for shard_id, payload in enumerate(payloads)
-        ]
-        self.stats.collectives += 1
+        stats, injector, accepted = self.stats, self.fault_injector, self._accepted
+        latency_ms, bytes_per_ms = self.latency_ms, self.bandwidth_gb_s * 1e6
+        messages = nbytes = 0
+        simulated_ms = stats.simulated_ms
+        delivered = []
+        try:
+            for shard_id, payload in enumerate(payloads):
+                payload = np.asarray(payload)
+                delivered.append(payload)
+                # Over the payload's own buffer when that is one run of bytes.
+                checksum = zlib.crc32(payload if payload.flags.c_contiguous else payload.tobytes())
+                fault = injector.draw(seq, shard_id, 0) if injector is not None else None
+                if fault is not None:
+                    stats.simulated_ms = simulated_ms
+                    self._deliver(seq, shard_id, payload, checksum, fault)
+                    simulated_ms = stats.simulated_ms
+                    continue
+                accepted[shard_id] = seq
+                messages += 1
+                nbytes += payload.nbytes
+                simulated_ms += latency_ms + payload.nbytes / bytes_per_ms
+        finally:  # a kill or a dry retry budget leaves the messages before it counted
+            stats.messages += messages
+            stats.bytes_moved += nbytes * max(1, self.num_shards - 1)
+        stats.simulated_ms = simulated_ms
+        stats.collectives += 1
         return delivered
 
     # ------------------------------------------------------------------

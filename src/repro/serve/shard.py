@@ -20,7 +20,10 @@ a shard sees all ``d_model`` (or ``d_ff``) input channels and only slices
 output columns.  Per-column weight scales, permuted-row weight caches, and
 ``bias @ W`` compensations are re-derived per shard from the shared tables
 and the shard's own column slice, which equals slicing the full-width result
-column-for-column.  The alternative — row-parallel splits meeting at
+column-for-column.  What the tables make identical on every shard — the
+forward's plan and each site's *quantized activation* — is derived once per
+forward and handed to every shard executor, which runs only its own weight
+side (``TenderExecutor.quantize`` / ``project``).  The alternative — row-parallel splits meeting at
 ``all_reduce`` — would partition the channel axis, split Tender's per-chunk
 scale groups across shards, and break bit-exactness at the floating-point
 partial-sum reduction; that is why the runner meets at gathers and
@@ -105,6 +108,26 @@ def _clone_executor(executor: MatmulExecutor) -> MatmulExecutor:
         ) from error
 
 
+def _share_activation_side(executors: List[MatmulExecutor]) -> bool:
+    """Whether one executor's ``quantize`` yields what every other one's would.
+
+    True when every executor has an activation side (``quantize``), holds
+    the *same* calibration object and agrees on configuration and kernel
+    choice: the quantized activation is then replicated by construction,
+    like the tables it is derived from.  Executors with no activation-side
+    work (FP, the baselines) and factories handing out their own
+    calibration keep one whole ``project`` per shard.
+    """
+    first = executors[0]
+    return hasattr(first, "quantize") and all(
+        type(executor) is type(first)
+        and executor.site_params is first.site_params
+        and (executor.config, executor.implicit, executor.fast_kernels)
+        == (first.config, first.implicit, first.fast_kernels)
+        for executor in executors[1:]
+    )
+
+
 class ShardedRunner(TransformerRunner):
     """Column-parallel tensor sharding behind the ``TransformerRunner`` surface.
 
@@ -160,6 +183,8 @@ class ShardedRunner(TransformerRunner):
         # The shard executors serve the projections, so their capabilities count.
         self._uses_positions = all(getattr(e, "uses_positions", False) for e in self.executors)
         self._stacks_qkv = all(getattr(e, "stacks_sites", False) for e in self.executors)
+        #: Whether shard 0's ``quantize`` serves the whole group.
+        self._shares_activation = _share_activation_side(self.executors)
         #: Contiguous head ranges per shard (attention head parallelism).
         self.head_bounds = partition_bounds(config.num_heads, num_shards)
         self._column_bounds: Dict[int, List[Tuple[int, int]]] = {}
@@ -180,27 +205,33 @@ class ShardedRunner(TransformerRunner):
             self._column_bounds[width] = bounds
         return bounds
 
-    def _shard_project(
+    def _shard_projections(
         self,
-        shard_id: int,
         name: str | Tuple[str, ...],
         x: np.ndarray,
-        weight: np.ndarray,
-        bias: Optional[np.ndarray],
+        operands: List[Tuple[np.ndarray, Optional[np.ndarray]]],
         positions: Optional[ForwardPlan | np.ndarray] = None,
-    ) -> np.ndarray:
-        """One shard's slice of a projection: full-width input, sliced columns.
+    ) -> List[np.ndarray]:
+        """Every shard's slice of one projection: full-width input, sliced columns.
 
-        ``positions`` is the forward's plan (or a plain array): one plan
-        serves every shard executor, which all group rows the same way.
+        ``operands`` holds one ``(weight, bias)`` column slice per shard.
+        The activation side — identical on every shard, the calibration
+        being replicated — runs once when the group shares it, and each
+        shard executor runs its own weight side only.  ``positions`` is the
+        forward's plan (or a plain array): one plan serves every shard
+        executor, which all group rows the same way.
         """
         leading = x.shape[:-1]
         flat = x.reshape(-1, x.shape[-1])
-        if positions is not None and self._uses_positions:
-            out = self.executors[shard_id].project(name, flat, weight, bias, positions=positions)
-        else:
-            out = self.executors[shard_id].project(name, flat, weight, bias)
-        return out.reshape(*leading, weight.shape[-1])
+        keywords = {}
+        if self._shares_activation:
+            flat = self.executors[0].quantize(name, flat, positions)
+        elif positions is not None and self._uses_positions:
+            keywords["positions"] = positions
+        return [
+            executor.project(name, flat, weight, bias, **keywords).reshape(*leading, weight.shape[-1])
+            for executor, (weight, bias) in zip(self.executors, operands)
+        ]
 
     def _project(
         self,
@@ -219,18 +250,11 @@ class ShardedRunner(TransformerRunner):
         solo runner's operands — the concatenation is bit-identical to the
         unsharded projection.
         """
-        parts = [
-            self._shard_project(
-                shard_id,
-                name,
-                x,
-                weight[:, start:stop],
-                None if bias is None else bias[start:stop],
-                positions,
-            )
-            for shard_id, (start, stop) in enumerate(self._bounds_for(weight.shape[-1]))
+        operands = [
+            (weight[:, start:stop], None if bias is None else bias[start:stop])
+            for start, stop in self._bounds_for(weight.shape[-1])
         ]
-        return self.group.all_gather(parts, axis=-1)
+        return self.group.all_gather(self._shard_projections(name, x, operands, positions), axis=-1)
 
     # ------------------------------------------------------------------
     # Head-parallel attention
@@ -246,33 +270,29 @@ class ShardedRunner(TransformerRunner):
         Each shard stacks its own three column blocks into one ``project``
         call when its executor takes that (see ``TransformerRunner._qkv``).
         """
+        d_head = self.config.d_head
+        columns = [(h0 * d_head, h1 * d_head) for h0, h1 in self.head_bounds]
+        if self._stacks_qkv:
+            stacks = [self._qkv_stack(index, cut) for cut in columns]
+            operands = [(weight, bias) for _, weight, bias in stacks]
+            split = [
+                self._split_qkv(part)
+                for part in self._shard_projections(stacks[0][0], x, operands, positions)
+            ]
+            return tuple(list(parts) for parts in zip(*split))
         attn = self.weights.blocks[index].attn
         prefix = f"block{index}.attn"
-        d_head = self.config.d_head
-        q_parts: List[np.ndarray] = []
-        k_parts: List[np.ndarray] = []
-        v_parts: List[np.ndarray] = []
-        for shard_id, (h0, h1) in enumerate(self.head_bounds):
-            c0, c1 = h0 * d_head, h1 * d_head
-            if self._stacks_qkv:
-                names, weight, bias = self._qkv_stack(index, (c0, c1))
-                queries, keys, values = self._split_qkv(
-                    self._shard_project(shard_id, names, x, weight, bias, positions)
-                )
-            else:
-                queries = self._shard_project(
-                    shard_id, f"{prefix}.q_proj", x, attn.wq[:, c0:c1], attn.bq[c0:c1], positions
-                )
-                keys = self._shard_project(
-                    shard_id, f"{prefix}.k_proj", x, attn.wk[:, c0:c1], attn.bk[c0:c1], positions
-                )
-                values = self._shard_project(
-                    shard_id, f"{prefix}.v_proj", x, attn.wv[:, c0:c1], attn.bv[c0:c1], positions
-                )
-            q_parts.append(queries)
-            k_parts.append(keys)
-            v_parts.append(values)
-        return q_parts, k_parts, v_parts
+        return tuple(
+            self._shard_projections(
+                f"{prefix}.{site}_proj",
+                x,
+                [(weight[:, c0:c1], bias[c0:c1]) for c0, c1 in columns],
+                positions,
+            )
+            for site, weight, bias in (
+                ("q", attn.wq, attn.bq), ("k", attn.wk, attn.bk), ("v", attn.wv, attn.bv)
+            )
+        )
 
     @staticmethod
     def _split_heads(t: np.ndarray, num_heads: int, d_head: int) -> np.ndarray:

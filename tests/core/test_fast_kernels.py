@@ -45,6 +45,18 @@ def make_pair(rng, implicit=True, **config_kwargs):
     return fast, reference, config
 
 
+def project_split(executor, name, x, weight, bias, positions=None):
+    """``project`` in its two halves, the way a shard group runs it: the
+    activation side from another executor over the same calibration, the
+    weight side from ``executor``."""
+    donor = TenderExecutor(
+        executor.site_params, executor.config, implicit=executor.implicit, fast_kernels=executor.fast_kernels
+    )
+    activation = donor.quantize(name, x, positions)
+    assert activation.shape == x.shape
+    return executor.project(name, activation, weight, bias)
+
+
 class TestProjectionBitExact:
     @pytest.mark.parametrize("implicit", [True, False])
     @pytest.mark.parametrize("subtract_bias", [True, False])
@@ -153,6 +165,10 @@ class TestForwardPlan:
             )
         unplanned.project("site", x, weight, layer_bias, positions=SCATTERED)
         assert planned.stats == unplanned.stats
+        # Quantized ahead of the call, by another executor: the same bits and counters again.
+        assert np.array_equal(project_split(planned, "site", x, weight, layer_bias, plan), expected)
+        unplanned.project("site", x, weight, layer_bias, positions=SCATTERED)
+        assert planned.stats == unplanned.stats
 
     def test_planned_equals_unplanned_on_the_overflow_fallback(self, rng):
         channels = 1100
@@ -168,6 +184,12 @@ class TestForwardPlan:
             )
             for fk in (True, False)
             for given in (positions, ForwardPlan(positions))
+        ]
+        outputs += [
+            project_split(
+                TenderExecutor(params, config, implicit=True, fast_kernels=fk), "site", x, weight, None, positions
+            )
+            for fk in (True, False)
         ]
         assert all(np.array_equal(outputs[0], other) for other in outputs[1:])
 
@@ -232,6 +254,11 @@ class TestStackedProjection:
         assert stacked.stats["projections"] == 3
         # One fused matmul serves the three sites exactly when the kernels allow it.
         assert (stacked._stacked_cache[QKV].packed is not None) == (fast_kernels and implicit)
+        split = project_split(
+            stacked, QKV, x, np.concatenate(weights, axis=1), np.concatenate(biases), plan
+        )
+        assert np.array_equal(split, out)
+        assert stacked.stats["projections"] == 6
 
     def test_stacked_without_layer_bias(self, rng):
         config = TenderConfig(bits=8, num_groups=8, row_chunk_size=16)
@@ -258,6 +285,10 @@ class TestStackedProjection:
         assert stacked._stacked_cache[QKV].packed is None, "differing tables must not be stacked"
         assert np.array_equal(out, self.one_by_one(separate, x, weights, biases, SCATTERED))
         assert stacked.stats == separate.stats
+        split = project_split(
+            stacked, QKV, x, np.concatenate(weights, axis=1), np.concatenate(biases), SCATTERED
+        )
+        assert np.array_equal(split, out)
 
     def test_overflow_bound_falls_back_to_per_site_calls(self, rng):
         channels = 1100
@@ -269,6 +300,8 @@ class TestStackedProjection:
         out = TenderExecutor(params, config).project(QKV, x, np.concatenate(weights, axis=1), None)
         reference = TenderExecutor(params, config, fast_kernels=False)
         assert np.array_equal(out, self.one_by_one(reference, x, weights, [None] * 3, None))
+        split = project_split(TenderExecutor(params, config), QKV, x, np.concatenate(weights, axis=1), None)
+        assert np.array_equal(split, out)
 
     def test_unknown_site_and_ragged_stack_are_rejected(self, rng):
         config = TenderConfig(bits=8, num_groups=8, row_chunk_size=16)

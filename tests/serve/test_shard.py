@@ -17,9 +17,15 @@ in-flight requests replay, bit-identically, onto a rebuilt group.
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import TenderExecutor
 from repro.errors import (
     CollectiveTransportError,
     ConfigurationError,
@@ -37,6 +43,7 @@ from repro.serve import (
     Scheduler,
     ShardedRunner,
 )
+from repro.serve.collective import CollectiveFaultEvent
 from repro.serve.shard import partition_bounds
 from repro.serve.workloads import tiny_runner
 
@@ -195,6 +202,148 @@ class TestCollectiveTransport:
         assert injector.draw(0, 0, 0) == "kill"
         assert injector.draw(1, 0, 0) is None
 
+    def test_a_duplicate_is_discarded_by_the_sequence_comparison(self):
+        """The receiver keeps the highest sequence number per shard; a copy
+        that does not exceed it — the second of a pair, or a stale resend —
+        is counted and dropped, and nothing else is."""
+        group = CollectiveGroup(2)
+        assert group._accept(0, 1) and not group._accept(0, 1)
+        assert group._accept(3, 1) and not group._accept(2, 1)
+        assert group._accept(0, 0), "shards are told apart"
+        assert group.stats.duplicates_ignored == 2
+        # The scripted fault goes through the same comparison: pretend shard
+        # 1's message #0 already arrived and both copies of it are dropped.
+        group = CollectiveGroup(2, fault_injector=CollectiveFaultInjector(duplicate_at={0: 1}))
+        group._accepted[1] = 0
+        group.all_gather([self.payload(0), self.payload(1)])
+        assert group.stats.duplicates_ignored == 2
+
+    def test_group_state_does_not_grow_with_traffic(self):
+        """Dedup state is one integer per shard, not one entry per message."""
+
+        def footprint(group):
+            return sum(len(value) for value in vars(group).values() if hasattr(value, "__len__"))
+
+        group = CollectiveGroup(2, fault_injector=CollectiveFaultInjector(seed=1, duplicate_rate=0.01))
+        payloads = [self.payload(0), self.payload(1)]
+        group.all_gather(payloads)
+        before = footprint(group)
+        for _ in range(10_000):
+            group.all_gather(payloads)
+        assert group.stats.duplicates_ignored > 0
+        assert footprint(group) == before
+
+    def test_strided_payloads_are_checksummed_and_gathered(self):
+        """A column slice is not one run of bytes; it still crosses the wire whole."""
+        wide = np.arange(24.0).reshape(4, 6)
+        injector = CollectiveFaultInjector(corrupt_at={0: 0})
+        group = CollectiveGroup(2, fault_injector=injector)
+        out = group.all_gather([wide[:, 1:3], wide[:, 3:6]])
+        np.testing.assert_array_equal(out, wide[:, 1:6])
+        assert group.stats.corruption_caught == 1
+        assert group.stats.bytes_moved == wide[:, 1:6].nbytes
+
+    @pytest.mark.parametrize(
+        "build, options, match",
+        [
+            (CollectiveFaultInjector, dict(drop_rate=1.5), "drop_rate"),
+            (CollectiveFaultInjector, dict(corrupt_rate=-0.1), "corrupt_rate"),
+            (CollectiveFaultInjector, dict(delay_rate=math.nan), "delay_rate"),
+            (CollectiveFaultInjector, dict(duplicate_rate=math.inf), "duplicate_rate"),
+            (CollectiveFaultInjector, dict(kill_rate=2), "kill_rate"),
+            (CollectiveFaultInjector, dict(max_kills=-1), "max_kills"),
+            (CollectiveGroup, dict(fault_injector=CollectiveFaultInjector(drop_at={4: 2})), "shard 2"),
+            (CollectiveGroup, dict(fault_injector=CollectiveFaultInjector(kill_at={0: -1})), "shard -1"),
+            (CollectiveGroup, dict(bandwidth_gb_s=0.0), "bandwidth_gb_s"),
+            (CollectiveGroup, dict(bandwidth_gb_s=math.inf), "bandwidth_gb_s"),
+            (CollectiveGroup, dict(latency_ms=-0.01), "latency_ms"),
+            (CollectiveGroup, dict(timeout_ms=math.nan), "timeout_ms"),
+            (CollectiveGroup, dict(backoff_ms=-1.0), "backoff_ms"),
+            (CollectiveGroup, dict(straggler_ms=math.inf), "straggler_ms"),
+            (CollectiveGroup, dict(delay_ms=-0.5), "delay_ms"),
+            (CollectiveGroup, dict(max_retries=-1), "max_retries"),
+        ],
+    )
+    def test_configuration_is_validated(self, build, options, match):
+        arguments = (2,) if build is CollectiveGroup else ()
+        with pytest.raises(ConfigurationError, match=match):
+            build(*arguments, **options)
+        # The boundaries themselves are legal.
+        CollectiveFaultInjector(drop_rate=0.0, kill_rate=1.0, max_kills=0)
+        CollectiveGroup(2, latency_ms=0.0, timeout_ms=0.0, backoff_ms=0.0, straggler_ms=0.0, delay_ms=0.0)
+
+
+class ReferenceInjector:
+    """``CollectiveFaultInjector.draw`` as it stood before it read its uniforms
+    in blocks, verbatim: one ``rng.random(5)`` per attempt, five scripted-map
+    lookups, kills counted by re-scanning the log."""
+
+    def __init__(self, seed, rates, max_kills, scripts):
+        self.rng = np.random.default_rng(seed)
+        self.kill_rate, self.drop_rate, self.corrupt_rate, self.delay_rate, self.duplicate_rate = rates
+        self.max_kills = max_kills
+        self.kill_at, self.drop_at, self.corrupt_at, self.delay_at, self.duplicate_at = scripts
+        self.events = []
+
+    def _kills_fired(self):
+        return sum(1 for event in self.events if event.kind == "kill")
+
+    def draw(self, seq, shard_id, attempt):
+        kind = None
+        if attempt == 0:
+            if self.kill_at.get(seq) == shard_id and self._kills_fired() < self.max_kills:
+                kind = "kill"
+            elif self.drop_at.get(seq) == shard_id:
+                kind = "drop"
+            elif self.corrupt_at.get(seq) == shard_id:
+                kind = "corrupt"
+            elif self.delay_at.get(seq) == shard_id:
+                kind = "delay"
+            elif self.duplicate_at.get(seq) == shard_id:
+                kind = "duplicate"
+        draws = self.rng.random(5)
+        if kind is None:
+            if draws[0] < self.kill_rate and self._kills_fired() < self.max_kills:
+                kind = "kill"
+            elif draws[1] < self.drop_rate:
+                kind = "drop"
+            elif draws[2] < self.corrupt_rate:
+                kind = "corrupt"
+            elif draws[3] < self.delay_rate:
+                kind = "delay"
+            elif draws[4] < self.duplicate_rate:
+                kind = "duplicate"
+        if kind is not None:
+            self.events.append(CollectiveFaultEvent(seq, shard_id, kind, attempt))
+        return kind
+
+
+_RATE = st.sampled_from([0.0, 0.0, 0.02, 0.3, 1.0])
+_SCRIPT = st.dictionaries(st.integers(0, 12), st.integers(0, 3), max_size=4)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rates=st.tuples(_RATE, _RATE, _RATE, _RATE, _RATE),
+    max_kills=st.integers(0, 3),
+    scripts=st.tuples(_SCRIPT, _SCRIPT, _SCRIPT, _SCRIPT, _SCRIPT),
+    calls=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 3), st.integers(0, 2)), max_size=200),
+)
+def test_block_reading_injector_replays_the_per_attempt_schedule(seed, rates, max_kills, scripts, calls):
+    """Same kinds, same event log, for any interleaving of message attempts —
+    across the 64-attempt block boundary too."""
+    reference = ReferenceInjector(seed, rates, max_kills, scripts)
+    kill_rate, drop_rate, corrupt_rate, delay_rate, duplicate_rate = rates
+    kill_at, drop_at, corrupt_at, delay_at, duplicate_at = scripts
+    injector = CollectiveFaultInjector(
+        seed, kill_rate=kill_rate, drop_rate=drop_rate, corrupt_rate=corrupt_rate, delay_rate=delay_rate,
+        duplicate_rate=duplicate_rate, max_kills=max_kills, kill_at=kill_at, drop_at=drop_at,
+        corrupt_at=corrupt_at, delay_at=delay_at, duplicate_at=duplicate_at,
+    )  # fmt: skip
+    assert [injector.draw(*call) for call in calls] == [reference.draw(*call) for call in calls]
+    assert injector.events == reference.events
+
 
 @pytest.mark.parametrize("num_shards", [2, 4])
 @pytest.mark.parametrize("name", ["tender-implicit", "tender-explicit", "fp"])
@@ -305,6 +454,78 @@ class TestShardedRunnerConstruction:
             stacks = executor._stacked_cache
             assert len(stacks) == solo.config.num_layers
             assert all((stack.packed is not None) == (name == "tender-implicit") for stack in stacks.values())
+
+    @pytest.mark.parametrize("num_shards", [2, 4])
+    @pytest.mark.parametrize("name", ["tender-implicit", "tender-explicit"])
+    def test_the_group_quantizes_each_site_once(
+        self, num_shards, name, four_head_runners, shard_prompts, monkeypatch
+    ):
+        """The activation side is replicated by construction (same tables,
+        same rows), so a forward runs it once per site, not once per shard —
+        unless the shard executors were handed calibration objects of their
+        own, when every shard falls back to its whole ``project``."""
+        solo = four_head_runners[name]
+        quantized = []
+        quantize_rows = TenderExecutor._quantize_rows
+        monkeypatch.setattr(
+            TenderExecutor,
+            "_quantize_rows",
+            lambda self, *args: (quantized.append(self), quantize_rows(self, *args))[1],
+        )
+
+        def counted(runner):
+            del quantized[:]
+            outputs = _serve(runner, shard_prompts)
+            return outputs, len(quantized)
+
+        expected, solo_count = counted(solo)
+        shared = ShardedRunner(solo, num_shards)
+        actual, shared_count = counted(shared)
+        _assert_outputs_identical(actual, expected)
+        assert shared_count == solo_count
+        assert all(executor is shared.executors[0] for executor in quantized)
+
+        executor = solo.executor
+        private = ShardedRunner(
+            solo,
+            num_shards,
+            executor_factory=lambda shard_id: TenderExecutor(
+                dict(executor.site_params), executor.config, implicit=executor.implicit
+            ),
+        )
+        actual, private_count = counted(private)
+        _assert_outputs_identical(actual, expected)
+        assert private_count == num_shards * solo_count
+        assert all(shard.stats == private.executors[0].stats for shard in private.executors)
+
+    #: ``CollectiveStats`` of ``_serve(ShardedRunner(tender-implicit, N), shard_prompts)``
+    #: recorded before the exchange became one pass: fault-free, and under
+    #: the chaos injector of ``test_serving_parity_under_chaos``.
+    RECORDED_STATS = {
+        (2, False): dict(collectives=299, messages=598, bytes_moved=354304, retries=0, timeouts=0,
+                         corruption_caught=0, duplicates_ignored=0, stragglers=0, hedges=0,
+                         simulated_ms=29.903543039999974),
+        (2, True): dict(collectives=299, messages=598, bytes_moved=354304, retries=15, timeouts=8,
+                        corruption_caught=7, duplicates_ignored=3, stragglers=4, hedges=4,
+                        simulated_ms=37.103584000000204),
+        (4, False): dict(collectives=299, messages=1196, bytes_moved=1062912, retries=0, timeouts=0,
+                         corruption_caught=0, duplicates_ignored=0, stragglers=0, hedges=0,
+                         simulated_ms=59.80354303999914),
+        (4, True): dict(collectives=299, messages=1196, bytes_moved=1062912, retries=34, timeouts=18,
+                        corruption_caught=16, duplicates_ignored=12, stragglers=12, hedges=12,
+                        simulated_ms=77.30361535999998),
+    }  # fmt: skip
+
+    @pytest.mark.parametrize("key", sorted(RECORDED_STATS))
+    def test_transport_accounting_is_unchanged(self, key, four_head_runners, shard_prompts):
+        """Every counter, and the simulated link time to the last bit."""
+        num_shards, chaos = key
+        injector = CollectiveFaultInjector(
+            seed=2, drop_rate=0.01, corrupt_rate=0.01, delay_rate=0.01, duplicate_rate=0.01
+        )
+        group = CollectiveGroup(num_shards, fault_injector=injector if chaos else None, max_retries=4)
+        _serve(ShardedRunner(four_head_runners["tender-implicit"], num_shards, group=group), shard_prompts)
+        assert dataclasses.asdict(group.stats) == self.RECORDED_STATS[key]
 
     def test_head_bounds_cover_all_heads(self, four_head_runners):
         sharded = ShardedRunner(four_head_runners["fp"], 4)

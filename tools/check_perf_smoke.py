@@ -21,7 +21,8 @@ counts depend on the NumPy build, so they are budgets only (``BUDGET_ONLY``).
 
 Beside the table run three checks that serve no trace: the fast projection
 against the reference per-chunk loop (bit-identity), the exact dispatch count
-of one Tender decode step, and the randomized pool-invariant sweep.
+of one Tender decode step (solo, and as a 2-shard group on a fault-injected
+transport), and the randomized pool-invariant sweep.
 
 Exit status 0 when clean; 1 with a one-line diagnosis per failure otherwise.
 """
@@ -66,15 +67,23 @@ from repro.serve.stress import LruReferencePool
 
 RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_serving.json"
 #: Python-level calls one batched ``decode_step`` of the Tender-quantized tiny
-#: model may make: the measured count (203; 405 before the forward plan)
-#: + 10 % for NumPy versions, not for new per-site work.
-DECODE_CALL_BUDGET = 221
+#: model may make, by shard count (0: the solo runner): the measured count
+#: (203, 405 before the forward plan; 2 shards 398, 521 while every shard
+#: quantized the activation for itself and every message was delivered by its
+#: own call) + 10 % for NumPy versions, not for new per-site or per-shard work.
+DECODE_CALL_BUDGET = {0: 221, 2: 438}
 #: ``np.unique`` calls per decode forward: the plan's row-chunk grouping and
 #: the first layer's ``PagedKVCache.write``.
 MAX_UNIQUE_PER_DECODE = 2
 STRESS_SEEDS, STRESS_OPS = 2, 120
 #: Fields checked against budgets but kept out of the record (NumPy-build dependent).
 BUDGET_ONLY = ("py_calls", "traced_calls_per_step")
+#: What a profiled serve counts beside all Python-level calls, by ``profile=`` name.
+PROFILED = {
+    "obs": lambda code: "/repro/obs/" in code.co_filename,
+    # One per activation the executors quantize: the activation side of a projection.
+    "quantize": lambda code: code is TenderExecutor._quantize_rows.__code__,
+}
 #: Paper-scale dimensions (OPT-6.7B) the ``analytic_*`` siblings are priced at.
 PAPER = dict(d_model=4096, d_ff=16384, num_heads=32, num_layers=32)
 DEVICE = "rtx3090"
@@ -93,7 +102,7 @@ DRAFTERS = {
 #: Options the driver and :func:`serve` consume; everything else goes to the engine.
 HARNESS = dict(
     max_new_tokens=3, fifo=False, fused=True, pool=None, speculation=None, shards=0,
-    transport=None, replicas=0, kill_at=None, tracer=False, profile=False,
+    transport=None, replicas=0, kill_at=None, tracer=False, profile=None,
     fast_kernels=True, quantize_attention=False,
 )  # fmt: skip
 REQUIRED_EVENTS = (
@@ -131,7 +140,7 @@ def serve(runner, trace, h: SimpleNamespace, options: dict) -> SimpleNamespace:
     """
     options = dict(options)
     if h.profile:  # a first serve fills every lazy cache, so the call counts below repeat
-        serve(runner, trace, SimpleNamespace(**{**vars(h), "profile": False}), options)
+        serve(runner, trace, SimpleNamespace(**{**vars(h), "profile": None}), options)
     tracer = Tracer(clock=CountingClock()) if h.tracer else None
     injector = CollectiveFaultInjector(seed=0, **h.transport) if h.transport else None
     groups = []
@@ -193,7 +202,7 @@ def serve(runner, trace, h: SimpleNamespace, options: dict) -> SimpleNamespace:
         model.fused_paged_attention = h.fused
     try:
         if h.profile:
-            calls = count_calls(drain, lambda code: "/repro/obs/" in code.co_filename)
+            calls = count_calls(drain, PROFILED[h.profile])
         else:
             drain()
     finally:
@@ -259,7 +268,7 @@ def serve(runner, trace, h: SimpleNamespace, options: dict) -> SimpleNamespace:
     if tracer is not None:
         fields.update(events=len(tracer.events), events_per_step=len(tracer.events) / fields["forwards"])
     if h.profile:
-        fields.update(py_calls=calls[0], obs_calls=calls[1])
+        fields.update({"py_calls": calls[0], h.profile + "_calls": calls[1]})
     return SimpleNamespace(outputs=outputs, fields=fields, tracer=tracer)
 
 
@@ -520,7 +529,7 @@ SCENARIOS = (
     ),
     Scenario(
         "observability", ("fp",), _two_class,
-        dict(TWO_CLASS, preemption=True, profile=True), {}, dict(tracer=True),
+        dict(TWO_CLASS, preemption=True, profile="obs"), {}, dict(tracer=True),
         # Disabled, tracing is one `is not None` branch per site and enters no
         # repro.obs frame; enabled, it stays inside exact per-step budgets
         # (measured 2.71 events and 10.4 calls: a site that formats strings
@@ -538,15 +547,18 @@ SCENARIOS = (
     ),
     Scenario(
         "tensor parallel 2 shards", TENDER, _templated,
-        dict(DIGEST, prefix_cache=True), {}, dict(shards=2, transport=TRANSPORT_FAULTS),
-        # A transport that silently reduces a corrupted payload fails parity.
-        (("collective_corruption_caught", ">=", 1), ("collective_retries", ">=", 1)),
-    ),
+        dict(DIGEST, prefix_cache=True, profile="quantize"), {}, dict(shards=2, transport=TRANSPORT_FAULTS),
+        # A transport that silently reduces a corrupted payload fails parity; a
+        # group that quantizes an activation once per shard fails the equality.
+        (("collective_corruption_caught", ">=", 1), ("collective_retries", ">=", 1),
+         ("quantize_calls", "==", "base.quantize_calls")),
+    ),  # fmt: skip
     Scenario(
         "tensor parallel 4 shards", TENDER, _templated,
-        dict(DIGEST, prefix_cache=True), {}, dict(shards=4),
-        (("collective_collectives", ">", 0), ("collective_retries", "==", 0)),
-    ),
+        dict(DIGEST, prefix_cache=True, profile="quantize"), {}, dict(shards=4),
+        (("collective_collectives", ">", 0), ("collective_retries", "==", 0),
+         ("quantize_calls", "==", "base.quantize_calls")),
+    ),  # fmt: skip
     Scenario(
         "shard kill", ("tender-implicit",), _templated,
         dict(POOL, replicas=2, shards=2, max_new_tokens=8), {},
@@ -651,15 +663,20 @@ def check_fast_projection() -> str:
     return "" if np.array_equal(fast, reference) else "fast projection is not bit-identical to the reference"
 
 
-def decode_dispatch_counts() -> Tuple[int, int]:
+def decode_dispatch_counts(shards: int = 0) -> Tuple[int, int]:
     """``(Python-level calls, np.unique calls)`` of one batched ``decode_step``.
 
     The tiny model, Tender-quantized, decoding four ragged slots of a paged
-    pool — the scheduler's steady-state forward.  ``sys.setprofile`` sees one
-    ``call`` event per Python frame entered (NumPy's own Python wrappers
-    included, C functions not), so the count is exact and repeats.
+    pool — the scheduler's steady-state forward; with ``shards``, as a shard
+    group meeting on a transport with a fault injector attached (no fault
+    fires).  ``sys.setprofile`` sees one ``call`` event per Python frame
+    entered (NumPy's own Python wrappers included, C functions not), so the
+    count is exact and repeats.
     """
-    runner = workloads.tiny_runner("tender-implicit")
+    runner = workloads.tiny_runner("tender-implicit", num_heads=4 if shards else 2)
+    if shards:
+        group = CollectiveGroup(shards, fault_injector=CollectiveFaultInjector(seed=0))
+        runner = ShardedRunner(runner, shards, group=group)
     config = runner.config
     rng = np.random.default_rng(5)
     lengths = np.array([5, 9, 17, 30])
@@ -673,13 +690,14 @@ def decode_dispatch_counts() -> Tuple[int, int]:
 
 
 def check_decode_dispatch() -> str:
-    """A PR that re-derives position metadata per site or per layer fails here."""
-    calls, uniques = decode_dispatch_counts()
-    if calls > DECODE_CALL_BUDGET or uniques > MAX_UNIQUE_PER_DECODE:
-        return (
-            f"one decode_step made {calls} Python-level calls (budget {DECODE_CALL_BUDGET}) and "
-            f"{uniques} np.unique calls (budget {MAX_UNIQUE_PER_DECODE})"
-        )
+    """A PR that re-derives position metadata per site, per layer or per shard fails here."""
+    for shards, budget in DECODE_CALL_BUDGET.items():
+        calls, uniques = decode_dispatch_counts(shards)
+        if calls > budget or uniques > MAX_UNIQUE_PER_DECODE:
+            return (
+                f"one decode_step ({shards or 'no'} shards) made {calls} Python-level calls (budget "
+                f"{budget}) and {uniques} np.unique calls (budget {MAX_UNIQUE_PER_DECODE})"
+            )
     return ""
 
 
