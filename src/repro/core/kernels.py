@@ -615,10 +615,11 @@ def paged_attention(
     exact no-op and single-run rows are bitwise identical to the dense
     product.  Whether a row *is* a single run is the allocator's doing, not
     a given: every run costs a matmul pair (≈ 4-7 µs of a ≈ 25 µs + 0.05
-    µs/score-cell call), the one-block-at-a-time LRU pop left 2.4-9.1 runs
+    µs/score-cell call), the one-block-at-a-time LRU pop left 2.1-7.2 runs
     per sequence on the ``BENCHMARK.json`` workloads, and
-    ``PagedKVCache``'s extent-aware pick brings those whose reservations
-    come out of unpublished free space to 1.0-1.5 (table in
+    ``PagedKVCache``'s extent-aware pick — with cached blocks relocated out
+    of a reservation's way under eviction pressure — brings them to 1.0-1.6,
+    2.8 where most of a table is a shared prefix (table in
     ``docs/architecture.md``).  Multi-run rows can differ
     from the dense product only in the final-sum rounding of the context
     vector (~1e-15 relative); under Tender both operands of every

@@ -34,7 +34,13 @@ Since the prefix-caching PR, blocks additionally carry *identity*:
   of a table, so *where* a table lands is a performance decision, while
   *which* cached block dies stays the LRU's — the extents are drained
   before the oldest published block is reclaimed, exactly the order a
-  single list with unpublished blocks at its front would give.
+  single list with unpublished blocks at its front would give;
+* a *cached* block — published, unreferenced — is in no table and is known
+  by its radix key, not its address, so it can be **relocated**: when the
+  free blocks are there but no extent is long enough (under eviction
+  pressure the extents are a mosaic between cached blocks), a reservation
+  moves the cached blocks out of a window — bytes, dirty bit, radix identity,
+  LRU position — and is still one run; which prefix dies next is untouched.
 
 Blocks are scrubbed *lazily*: a per-block dirty bit marks blocks that have
 been written, and a dirty block is zeroed once, when it stops being worth
@@ -243,6 +249,15 @@ class _FreeExtents:
         """``(first block, number of blocks)`` of every extent, ascending."""
         return sorted(self.length.items())
 
+    def reset(self, free: np.ndarray) -> None:
+        """Rebuild the map from a boolean mask of the blocks it holds."""
+        padded = np.zeros(len(free) + 2, dtype=bool)
+        padded[1:-1] = free
+        edges = np.flatnonzero(padded[1:] != padded[:-1]).tolist()  # starts and ends alternate
+        self.length = {start: end - start for start, end in zip(edges[::2], edges[1::2])}
+        self.start_of = dict(zip(edges[1::2], edges[::2]))
+        self.blocks = sum(self.length.values())
+
 
 class PagedKVCache:
     """A pool of fixed-size KV blocks shared by all live requests.
@@ -250,7 +265,9 @@ class PagedKVCache:
     Storage is one ``(num_heads, num_blocks, block_size, d_head)`` key array
     and one value array per layer — heads outermost, so consecutive physical
     blocks are contiguous per head and a consecutive-block run reshapes into
-    an attention operand without copying.  A *slot* (one live request) owns a list
+    an attention operand without copying — all of them views of a single
+    allocation, so a block is copied or scrubbed in every layer by one
+    assignment.  A *slot* (one live request) owns a list
     of block ids covering positions ``[0, capacity)``; :meth:`reserve`
     allocates the whole table up front so a request admitted by the
     scheduler can never run out of cache mid-decode.  Blocks are reference
@@ -289,10 +306,12 @@ class PagedKVCache:
     ) -> None:
         if min(num_layers, num_heads, d_head, block_size, num_blocks) < 1:
             raise ConfigurationError("PagedKVCache dimensions must all be >= 1")
-        shape = (num_heads, num_blocks, block_size, d_head)
         self.block_size = int(block_size)
-        self.key_blocks: List[np.ndarray] = [np.zeros(shape, dtype=np.float64) for _ in range(num_layers)]
-        self.value_blocks: List[np.ndarray] = [np.zeros(shape, dtype=np.float64) for _ in range(num_layers)]
+        #: Every layer's pools are views of one array (block id on axis 2), so
+        #: copying or scrubbing a block in all layers is a single assignment.
+        self._pools = np.zeros((2 * num_layers, num_heads, num_blocks, block_size, d_head), dtype=np.float64)
+        self.key_blocks: List[np.ndarray] = list(self._pools[0::2])
+        self.value_blocks: List[np.ndarray] = list(self._pools[1::2])
         #: Bytes of dense KV copies materialised by :meth:`gather` — the
         #: traffic the fused paged-attention path exists to avoid.  Reset
         #: freely; the perf-smoke gate asserts it stays 0 on fused decodes.
@@ -301,6 +320,11 @@ class PagedKVCache:
         #: the matmul pairs a full-length attention over each would pay.
         #: ``table_runs / reservations`` is the mean; 1.0 means no fragmentation.
         self.table_runs = 0
+        #: Cached blocks :meth:`_open_window` has moved, and the reservations
+        #: it moved them for.  Copy traffic of the reservation path, tallied
+        #: apart from ``gather_bytes`` (per-forward dense copies) on purpose.
+        self.relocated_blocks = 0
+        self.compactions = 0
         self._refcounts = np.zeros(num_blocks, dtype=np.int64)
         self._dirty = np.zeros(num_blocks, dtype=bool)
         #: Unreferenced *unpublished* blocks, as coalesced extents.
@@ -391,7 +415,7 @@ class PagedKVCache:
     @property
     def memory_bytes(self) -> int:
         """Total bytes held by the block pools (allocated once, up front)."""
-        return sum(k.nbytes + v.nbytes for k, v in zip(self.key_blocks, self.value_blocks))
+        return self._pools.nbytes
 
     def blocks_needed(self, capacity: int) -> int:
         """Blocks required to cover ``capacity`` token positions."""
@@ -456,10 +480,12 @@ class PagedKVCache:
         ``<prefix>.gather_bytes``, ``<prefix>.table_runs`` and
         ``<prefix>.reservations`` — the last two give mean runs per reserved
         table, the fragmentation the fused attention kernel pays a matmul
-        pair per unit of.  Counters accumulate — snapshot/delta around each
-        publish to diff phases.
+        pair per unit of — and ``<prefix>.relocated_blocks`` /
+        ``<prefix>.compactions``, what keeping that at one run cost in block
+        copies.  Counters accumulate — snapshot/delta around each publish to
+        diff phases.
         """
-        for name in ("gather_bytes", "table_runs", "reservations"):
+        for name in ("gather_bytes", "table_runs", "reservations", "relocated_blocks", "compactions"):
             registry.counter(f"{prefix}.{name}").inc(getattr(self, name))
 
     # ------------------------------------------------------------------
@@ -472,7 +498,9 @@ class PagedKVCache:
         parent matched (chained identity, so two different prompts sharing a
         token run mid-sequence can never alias) and its token run equals the
         prompt's next ``block_size`` tokens.  Pure lookup — reference counts
-        are only taken when the chain is passed to :meth:`reserve`.
+        are only taken when the chain is passed to :meth:`reserve`, and the
+        chain is good only until the next :meth:`reserve`, which may evict or
+        relocate its unreferenced members: match, then reserve, back to back.
 
         Parameters
         ----------
@@ -597,7 +625,9 @@ class PagedKVCache:
             A matched prefix chain from :meth:`match_prefix`; these blocks
             become the head of the new table with their reference counts
             incremented (revived from the free-list if unreferenced) instead
-            of being recomputed.
+            of being recomputed.  An intervening ``reserve`` may have evicted
+            or relocated a member, so a list naming any published block must
+            still be a radix chain; one naming none is a share of live blocks.
         private_tail : bool
             Fork the last shared block eagerly when other slots still
             reference it.  The scheduler sets this when the prompt's final
@@ -614,8 +644,9 @@ class PagedKVCache:
         ResourceExhaustedError
             If the pool does not currently hold enough free blocks.
         ConfigurationError
-            If ``shared`` holds more blocks than ``capacity`` needs, or names
-            an unreferenced block that is no longer published (a stale chain).
+            If ``shared`` holds more blocks than ``capacity`` needs, or is a
+            stale chain: it names an unreferenced block that is no longer
+            published, or a published one among blocks that do not chain.
         """
         needed = self.blocks_needed(capacity)
         shared = [int(b) for b in shared]
@@ -626,10 +657,13 @@ class PagedKVCache:
             )
         fork_needed = bool(private_tail and shared and self._refcounts[shared[-1]] >= 1)
         revivals = [block for block in shared if self._refcounts[block] == 0]
-        if any(block not in self._free_lru for block in revivals):
+        keys = [self._block_key.get(block) for block in shared]
+        if any(block not in self._free_lru for block in revivals) or (
+            any(keys) and any(key is None or key[0] != parent for key, parent in zip(keys, [_ROOT] + shared))
+        ):
             raise ConfigurationError(
-                "shared prefix chain names an unreferenced, unpublished block; "
-                "pass the chain match_prefix returned for this reservation"
+                "shared prefix chain is stale (a member is unpublished, or no longer follows its "
+                "predecessor); pass the chain match_prefix returned for this reservation"
             )
         fresh_needed = needed - len(shared) + (1 if fork_needed else 0)
         if fresh_needed > self.free_block_count - len(revivals):
@@ -691,7 +725,9 @@ class PagedKVCache:
         only when the extents cannot cover the request, oldest first and
         one at a time — exactly the blocks, in exactly the order, a single
         LRU list would give up — each dropping out of the prefix index with
-        its now-unanchored radix descendants.
+        its now-unanchored radix descendants.  When the blocks are there but
+        no single extent holds them, :meth:`_open_window` first moves cached
+        blocks out of the way so the pick below is still one run.
         """
         if count > self.free_block_count:
             raise ResourceExhaustedError(
@@ -701,12 +737,94 @@ class PagedKVCache:
         reclaimed: List[int] = []
         while self._extents.blocks + len(reclaimed) < count:
             self._unindex(next(iter(self._free_lru)), reclaimed)
-        if reclaimed:
-            self._recycle(reclaimed)
-        picked = self._extents.take(count, after, before)
+        picked: List[Tuple[int, int]] = []
+        if count > 1 and self._free_lru and (reclaimed or max(self._extents.length.values()) < count):
+            # No extent holds the request (unless the reclaimed blocks coalesce into one).
+            picked = self._open_window(count, after, reclaimed)
+        if not picked:
+            if reclaimed:
+                self._recycle(reclaimed)
+            picked = self._extents.take(count, after, before)
         for first, run in picked:
             self._refcounts[first : first + run] = 1
         return picked
+
+    def _open_window(self, count: int, after: Optional[int], reclaimed: List[int]) -> List[Tuple[int, int]]:
+        """Clear ``count`` consecutive blocks by moving the cached blocks among them away.
+
+        Among the windows of ``count`` consecutive blocks holding no
+        referenced block, the one continuing ``after`` is opened when it costs
+        at most ``count // 2`` more moves than the cheapest, else the cheapest
+        (ties to the lowest address).  Its cached blocks are copied out — K/V
+        bytes in every layer, dirty bit, radix identity, position in the LRU —
+        onto the blocks this call just ``reclaimed`` (dead bytes the copy
+        overwrites: no scrub is owed), then the lowest free addresses (holes
+        fill, free space coalesces); the vacated blocks and the reclaimed
+        ones left over are scrubbed, and the window is the run returned.
+        Nothing a forward reads moves and the LRU keeps its order.
+
+        Returns no run, having changed nothing, when every window holds a
+        referenced block (the fewest-extents split stands) or one is already
+        free; ``reclaimed`` is then still the caller's to recycle.
+        """
+        # One weight per block: 0 free, 1 cached (a move), and for a referenced
+        # block more than any clear window can total.
+        weight = np.where(self._refcounts, 2 * count, 1)
+        weight[reclaimed] = 0
+        for start, length in self._extents.length.items():
+            weight[start : start + length] = 0
+        moves = np.convolve(weight, np.ones(count, dtype=np.int64), "valid")
+        first = int(moves.argmin())
+        cheapest = int(moves[first])
+        if not 0 < cheapest <= count:
+            return []
+        if after is not None and after + 1 < len(moves) and moves[after + 1] <= cheapest + count // 2:
+            first = after + 1
+        window = range(first, first + count)
+        source = (first + weight[first : first + count].nonzero()[0]).tolist()
+        free = weight == 0
+        free[first : first + count] = False  # handed out right here, and no target lies inside
+        target = sorted(block for block in reclaimed if block not in window)[: len(source)]
+        free[target] = False
+        if len(target) < len(source):
+            target += free.nonzero()[0][: len(source) - len(target)].tolist()
+            free[target] = False
+        self._pools[:, :, target] = self._pools.take(source, axis=2)
+        self._dirty[target] = self._dirty[source]
+        order = list(self._free_lru)
+        for old, new in zip(source, target):
+            self._rename(old, new)
+            order[order.index(old)] = new
+        self._free_lru = OrderedDict.fromkeys(order)
+        self._scrub(sorted(set(source).union(reclaimed).difference(target)))
+        self._extents.reset(free)
+        self.compactions += 1
+        self.relocated_blocks += len(source)
+        if self.tracer is not None:
+            self.tracer.instant("cache.compact", self.trace_track, count=count, moved=len(source), first=first)
+        return [(first, count)]
+
+    def _rename(self, old: int, new: int) -> None:
+        """Move published block ``old``'s radix identity to address ``new``.
+
+        Chained keys embed the parent's physical id, so every child of
+        ``old`` — live, cached, or itself moving in the same batch — is
+        re-keyed ``(old, run) -> (new, run)``.  Each call leaves the index
+        consistent, so a batch may rename parents and children in any order.
+        """
+        key = self._block_key[new] = self._block_key.pop(old)
+        self._prefix_index[key] = new
+        siblings = self._children[key[0]]
+        siblings.remove(old)
+        siblings.add(new)
+        children = self._children.pop(old, None)
+        if children is not None:
+            self._children[new] = children
+            for child in children:
+                run = self._block_key[child][1]
+                del self._prefix_index[old, run]
+                self._prefix_index[new, run] = child
+                self._block_key[child] = (new, run)
 
     def _unref(self, blocks) -> None:
         """Drop one reference from each of ``blocks``; release those nobody holds.
@@ -728,22 +846,24 @@ class PagedKVCache:
             self._recycle(unpublished)
 
     def _recycle(self, blocks: List[int]) -> None:
-        """Zero unreferenced unpublished ``blocks`` and coalesce them into the extents.
+        """Zero unreferenced unpublished ``blocks`` and coalesce them into the extents."""
+        blocks = sorted(blocks)
+        self._scrub(blocks)
+        for _, first, count in _consecutive_runs(blocks):
+            self._extents.add(first, count)
+
+    def _scrub(self, blocks: List[int]) -> None:
+        """Zero the dirty ones among ``blocks`` (ascending) and clear their dirty bits.
 
         Dirty blocks are zeroed here — and only here — so every block the
         extents hand out reads zero and prefix-hit reservations never pay a
         memset (see the module docstring for why zeros matter): one slice
-        assignment per consecutive dirty stretch per layer; clean blocks are
-        not touched at all, so never-written pool pages stay unmapped.
+        assignment per consecutive dirty stretch, every layer at once; clean
+        blocks are not touched at all, so never-written pool pages stay unmapped.
         """
-        blocks = sorted(blocks)
         for _, first, count in _consecutive_runs([block for block in blocks if self._dirty[block]]):
-            for layer in range(self.num_layers):
-                self.key_blocks[layer][:, first : first + count] = 0.0
-                self.value_blocks[layer][:, first : first + count] = 0.0
+            self._pools[:, :, first : first + count] = 0.0
             self._dirty[first : first + count] = False
-        for _, first, count in _consecutive_runs(blocks):
-            self._extents.add(first, count)
 
     def free(self, slot: int) -> None:
         """Drop ``slot``'s references; unreferenced blocks join the free-list.
@@ -833,9 +953,7 @@ class PagedKVCache:
             begin = max(new_length - index * self.block_size, 0)
             end = min(length - index * self.block_size, self.block_size)
             if begin < end:
-                for layer in range(self.num_layers):
-                    self.key_blocks[layer][:, block, begin:end] = 0.0
-                    self.value_blocks[layer][:, block, begin:end] = 0.0
+                self._pools[:, :, block, begin:end] = 0.0
         self._lengths[slot] = new_length
         return released
 
@@ -866,9 +984,7 @@ class PagedKVCache:
                 after=table[block_index - 1] if block_index else None,
                 before=table[block_index + 1] if block_index + 1 < len(table) else None,
             )
-        for layer in range(self.num_layers):
-            self.key_blocks[layer][:, copy] = self.key_blocks[layer][:, source]
-            self.value_blocks[layer][:, copy] = self.value_blocks[layer][:, source]
+        self._pools[:, :, copy] = self._pools[:, :, source]
         self._dirty[copy] = True
         table[block_index] = copy
         self._unref([source])

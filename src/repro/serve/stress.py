@@ -22,9 +22,9 @@ invariants after every single operation:
   occurrences across live slot tables, and a block is free exactly when
   that count is zero.
 * **Free-structure partition** — the free extents hold exactly the
-  unreferenced *unpublished* blocks (disjoint, maximal runs), the LRU
-  exactly the unreferenced *published* ones, and the two partition
-  ``free_blocks()``.
+  unreferenced *unpublished* blocks (disjoint, maximal runs, every block
+  scrubbed: zero in every layer, dirty bit clear), the LRU exactly the
+  unreferenced *published* ones, and the two partition ``free_blocks()``.
 * **Radix consistency** — the prefix index, reverse key map, and children
   sets agree; every indexed block is live or LRU-matchable; every non-root
   parent is itself indexed.
@@ -33,7 +33,8 @@ invariants after every single operation:
   position of every live slot.  Payloads are a pure function of the
   token prefix and position (mirroring the scheduler contract that KV is a
   function of the tokens that produced it), so prefix hits must surface
-  byte-identical content, copy-on-write must preserve it, freshly allocated
+  byte-identical content (wherever relocation has moved the cached block
+  since), copy-on-write must preserve it, freshly allocated
   blocks must read zero (the dirty-bit scrub rule), and truncation must
   scrub exactly the sole-owner positions it rolls back.
 
@@ -129,6 +130,12 @@ def check_pool_invariants(cache: PagedKVCache, last_version: Optional[int] = Non
                 f"free extent ({first}, {count}) is empty, out of range, or overlaps/touches "
                 f"the next one at {following} (extents must be disjoint and maximal)"
             )
+    # The extents only ever hold scrubbed blocks: a missed scrub is caught at
+    # the operation that caused it, not at whichever reservation reads it.
+    if cache._dirty[unpublished].any() or any(
+        pool[:, unpublished].any() for pool in cache.key_blocks + cache.value_blocks
+    ):
+        raise InvariantViolation("a block in the free extents is dirty or does not read zero")
     for block in free:
         if (cache.block_key_of(block) is not None) != (block in published_free):
             raise InvariantViolation(

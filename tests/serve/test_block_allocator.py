@@ -3,14 +3,18 @@
 ``PagedKVCache`` keeps its unreferenced blocks in two structures — coalesced
 extents of *unpublished* blocks, which are interchangeable and handed out as
 consecutive runs, and the LRU of *published* blocks, reclaimed oldest-first
-only when the extents run dry.  The unit tests pin each placement rule on
-hand-built pools; the property test drives the stress harness's mixed
-schedules against :class:`repro.serve.stress.LruReferencePool` (the retired
-one-list policy) and asserts that only *where* a table lands changed, never
-*which cached prefix* dies.
+only when the extents run dry; when the blocks are there but no extent holds
+them, cached blocks (published, unreferenced) are *relocated* out of a window
+so the reservation is still one run.  The unit tests pin each placement and
+relocation rule on hand-built pools; the property test drives the stress
+harness's mixed schedules against :class:`repro.serve.stress.LruReferencePool`
+(the retired one-list policy) and asserts that only *where* a block lives
+changed, never *which cached prefix* dies.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -18,22 +22,40 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, ResourceExhaustedError
-from repro.serve import PagedKVCache, ServingStressHarness, check_pool_invariants
+from repro.obs import MetricsRegistry, Tracer
+from repro.serve import (
+    GenerationConfig,
+    PagedKVCache,
+    Scheduler,
+    ServingStressHarness,
+    check_pool_invariants,
+    workloads,
+)
 from repro.serve.stress import LruReferencePool
 
 BLOCK = 4
 
 
-def make_pool(num_blocks=16):
-    return PagedKVCache(num_layers=1, num_heads=1, d_head=2, block_size=BLOCK, num_blocks=num_blocks)
+def make_pool(num_blocks=16, kind=PagedKVCache):
+    return kind(num_layers=1, num_heads=1, d_head=2, block_size=BLOCK, num_blocks=num_blocks)
 
 
-def fill(pool, slot, tokens):
-    """Write and commit ``tokens`` worth of payload, then publish the full blocks."""
-    payload = np.ones((1, 1, len(tokens), 2))
-    pool.write(0, [slot], payload, payload, np.arange(len(tokens))[None, :])
+def fill(pool, slot, tokens, start=0):
+    """Write and commit ``tokens[start:]`` (payload ``token + 1``), then publish the full blocks."""
+    payload = np.broadcast_to(np.asarray(tokens[start:], dtype=float)[None, None, :, None] + 1.0, (1, 1, len(tokens) - start, 2))
+    pool.set_length(slot, start)
+    pool.write(0, [slot], payload, payload, np.arange(start, len(tokens))[None, :])
     pool.set_length(slot, len(tokens))
     pool.publish_prefix(slot, tokens)
+
+
+def chain(name, blocks=2):
+    """A prompt no other chain shares a block with."""
+    return 100 * (1 + "abcdefgh".index(name)) + np.arange(blocks * BLOCK)
+
+
+def bytes_of(pool, blocks):
+    return pool.key_blocks[0][:, blocks].copy(), pool.value_blocks[0][:, blocks].copy()
 
 
 def runs_of(table):
@@ -101,12 +123,15 @@ class TestPlacement:
         assert pool.cached_free_blocks() == [1, 0, 3, 2, 5, 4]
         assert pool.free_extents() == [(6, 2)]
         table = pool.block_table(pool.reserve(5 * BLOCK))
-        # Two unpublished blocks, then exactly the three oldest published ones.
-        assert table == [0, 1, 3, 6, 7]
-        assert pool.cached_free_blocks() == [2, 5, 4]
+        # Two unpublished blocks and exactly the three oldest published ones
+        # make five free; the two survivors inside the cheapest window move
+        # out to the unpublished pair, and the table is one ascending run.
+        assert table == [0, 1, 2, 3, 4]
+        assert pool.relocated_blocks == 2
+        assert pool.cached_free_blocks() == [6, 5, 7]  # same chains, same ages
         assert pool.match_prefix(chains["old"][1]) == []
-        assert pool.match_prefix(chains["mid"][1]) == [2]
-        assert pool.match_prefix(chains["new"][1]) == [4, 5]
+        assert pool.match_prefix(chains["mid"][1]) == [6]
+        assert pool.match_prefix(chains["new"][1]) == [7, 5]
         check_pool_invariants(pool)
 
     def test_published_blocks_survive_while_unpublished_ones_are_free(self):
@@ -186,8 +211,6 @@ class TestPlacement:
         check_pool_invariants(pool)
 
     def test_block_alloc_event_and_counter_report_runs(self):
-        from repro.obs import MetricsRegistry, Tracer
-
         pool = make_pool(num_blocks=8)
         pool.tracer = Tracer()
         holes(pool, [-1, 1, -1, 1, -1])  # free: 0, 2, 4 and [5, 8)
@@ -201,6 +224,207 @@ class TestPlacement:
         assert snapshot["cache.table_runs"] == pool.table_runs == 9
         assert snapshot["cache.reservations"] == 7
         assert snapshot["cache.gather_bytes"] == 0
+
+
+# ----------------------------------------------------------------------
+# Relocation: cached blocks move out of the way of a reservation
+# ----------------------------------------------------------------------
+def mosaic(pool):
+    """Twelve blocks: published heads on the LRU, unpublished tails free, block 3 pinned.
+
+    Cached: 0 1 (chain a), 4 5 (b), 7 8 (c).  Free: 2, 6, 9 10 11 — five
+    blocks, no extent longer than three.
+    """
+    slots = {}
+    for name in "abc":
+        slots[name] = pool.reserve(3 * BLOCK)
+        fill(pool, slots[name], chain(name))
+        if name == "a":
+            pool.reserve(BLOCK)  # block 3 stays referenced
+    for name in "abc":
+        pool.free(slots[name])
+    assert pool.cached_free_blocks() == [1, 0, 5, 4, 8, 7]
+    assert pool.free_extents() == [(2, 1), (6, 1), (9, 3)]
+
+
+class TestRelocation:
+    def test_a_mosaic_yields_one_run_and_the_moved_block_still_matches(self):
+        pool = make_pool(num_blocks=12)
+        pool.tracer = Tracer()
+        mosaic(pool)
+        before = bytes_of(pool, [7, 8])
+        table = pool.block_table(pool.reserve(4 * BLOCK))
+        # [8, 12) is the cheapest clear window: one cached block, which moves
+        # to the lowest free address outside it.
+        assert table == [8, 9, 10, 11]
+        assert pool.match_prefix(chain("c")) == [7, 2]
+        for got, want in zip(bytes_of(pool, [7, 2]), before):
+            np.testing.assert_array_equal(got, want)
+        assert not pool.key_blocks[0][:, table].any() and not pool.value_blocks[0][:, table].any()
+        assert pool.cached_free_blocks() == [1, 0, 5, 4, 2, 7]
+        assert pool.free_extents() == [(6, 1)]
+        check_pool_invariants(pool)
+        # Counted and traced apart from gather_bytes, which stays per-forward traffic.
+        assert (pool.relocated_blocks, pool.compactions, pool.gather_bytes) == (1, 1, 0)
+        registry = MetricsRegistry()
+        pool.publish(registry)
+        snapshot = registry.snapshot()
+        assert snapshot["cache.relocated_blocks"] == snapshot["cache.compactions"] == 1
+        (event,) = pool.tracer.events_named("cache.compact")
+        assert event.args == {"count": 4, "moved": 1, "first": 8}
+        assert pool.tracer.events_named("cache.block_alloc")[-1].args["runs"] == 1
+
+    @pytest.mark.parametrize("parent, child", [(1, 3), (3, 1)])
+    def test_parent_and_child_relocated_in_one_batch_in_either_order(self, parent, child):
+        pool = make_pool(num_blocks=7)
+        tokens = chain("a")
+        singles = [pool.reserve(BLOCK) for _ in range(5)]  # blocks 0..4; 5 and 6 stay free
+        fill(pool, singles[parent], tokens[:BLOCK])
+        pool.free(singles[child])
+        sharer = pool.reserve(2 * BLOCK, shared=pool.match_prefix(tokens))
+        assert pool.block_table(sharer) == [parent, child]  # the best fit, wherever it lies
+        fill(pool, sharer, tokens, start=BLOCK)
+        for slot in (sharer, singles[parent], singles[2]):
+            pool.free(slot)
+        assert sorted(pool.cached_free_blocks()) == [1, 3] and pool.free_extents() == [(2, 1), (5, 2)]
+        before = bytes_of(pool, [parent, child])
+        # Blocks 0 and 4 are pinned: [1, 4) is the only clear window, and the
+        # moves are processed in address order whichever of the two is the parent.
+        assert pool.block_table(pool.reserve(3 * BLOCK)) == [1, 2, 3]
+        moved = {1: 5, 3: 6}
+        assert pool.match_prefix(tokens) == [moved[parent], moved[child]]
+        assert pool.block_key_of(moved[child])[0] == moved[parent]
+        assert pool.radix_children(moved[parent]) == {moved[child]}
+        for got, want in zip(bytes_of(pool, [moved[parent], moved[child]]), before):
+            np.testing.assert_array_equal(got, want)
+        check_pool_invariants(pool)
+
+    def test_a_live_child_keeps_matching_when_its_unreferenced_parent_moves(self):
+        pool = make_pool(num_blocks=6)
+        tokens = chain("a")
+        singles = [pool.reserve(BLOCK) for _ in range(6)]
+        pool.free(singles[1])
+        pool.free(singles[4])
+        owner = pool.reserve(2 * BLOCK)
+        assert pool.block_table(owner) == [1, 4]
+        fill(pool, owner, tokens)
+        sharer = pool.reserve(2 * BLOCK, shared=pool.match_prefix(tokens))
+        # The sharer rolls back into the first block and rewrites it: a fork,
+        # after which only the owner still references the published parent.
+        pool.set_length(sharer, 2 * BLOCK)
+        pool.truncate(sharer, 1, min_capacity=2 * BLOCK)
+        pool.free(singles[5])
+        payload = np.ones((1, 1, 1, 2))
+        pool.write(0, [sharer], payload, payload, np.array([[1]]))
+        assert pool.block_table(sharer) == [5, 4]
+        pool.free(owner)
+        assert pool.cached_free_blocks() == [1] and pool.ref_count(4) == 1
+        pool.free(singles[0])
+        pool.free(singles[2])
+        version = pool.table_version
+        assert pool.block_table(pool.reserve(2 * BLOCK)) == [0, 1]
+        assert pool.match_prefix(tokens) == [2, 4]  # the parent moved, its live child was re-keyed
+        assert pool.block_key_of(4)[0] == 2 and pool.radix_children(2) == {4}
+        assert pool.block_table(sharer) == [5, 4] and pool.table_version == version + 1
+        check_pool_invariants(pool)
+
+    @pytest.mark.parametrize("edges_cached, table", [(False, [0, 1, 2, 3, 4, 5]), (True, [0, 1, 8, 9, 10, 11])])
+    def test_the_window_continuing_the_prefix_wins_within_half_a_count_of_slack(self, edges_cached, table):
+        pool = make_pool()
+        tokens = chain("a")
+        owner = pool.reserve(2 * BLOCK)  # [0, 1], kept live: the shared prefix
+        fill(pool, owner, tokens)
+        cached = {3: "b", 4: "c", 9: "d"}
+        if edges_cached:
+            cached.update({2: "e", 5: "f"})
+        sizes = [1, 1, 1, 1, 2, 1, 1, 2, 1, 1, 2]  # blocks 2 3 4 5 [6 7] 8 9 [10 11] 12 13 [14 15]
+        slots = [pool.reserve(size * BLOCK) for size in sizes]
+        for slot in slots:
+            (first, *_) = pool.block_table(slot)
+            if first in cached:
+                fill(pool, slot, chain(cached[first], 1))
+        for slot in slots:
+            if pool.block_table(slot)[0] in (2, 3, 4, 5, 8, 9, 10, 13):
+                pool.free(slot)
+        assert sorted(pool.cached_free_blocks()) == sorted(cached)
+        # Four fresh blocks, no extent of four.  [8, 12) costs one move;
+        # [2, 6) continues the prefix and costs two (within 4 // 2 of the
+        # cheapest: taken) or, with its edges cached too, four (not taken).
+        sharer = pool.reserve(6 * BLOCK, shared=pool.match_prefix(tokens))
+        assert pool.block_table(sharer) == table
+        assert pool.relocated_blocks == (1 if edges_cached else 2)
+        for name in cached.values():
+            assert len(pool.match_prefix(chain(name, 1))) == 1
+        check_pool_invariants(pool)
+
+    def test_a_relocated_block_keeps_its_lru_rank(self):
+        def survivors_after_each_eviction(pool):
+            slots = [pool.reserve(BLOCK) for _ in range(7)]  # block 7 stays free
+            for block, name in ((0, "a"), (2, "b"), (5, "c")):
+                fill(pool, slots[block], chain(name, 1))
+            for block in (0, 2, 5, 3):  # oldest first; block 3 is unpublished
+                pool.free(slots[block])
+            pool.reserve(2 * BLOCK)  # two free blocks, not adjacent
+            history = []
+            for _ in range(3):
+                pool.reserve(BLOCK)  # nothing free: evicts the oldest cached block
+                history.append({name for name in "abc" if pool.match_prefix(chain(name, 1))})
+            return history
+
+        pool, reference = make_pool(num_blocks=8), make_pool(num_blocks=8, kind=LruReferencePool)
+        history = survivors_after_each_eviction(pool)
+        # Chain b moved from block 2 to block 7 for the two-block table, and
+        # still dies second: its age is its identity's, not its address's.
+        assert pool.relocated_blocks == 1 and reference.relocated_blocks == 0
+        assert history == survivors_after_each_eviction(reference) == [{"b", "c"}, {"c"}, set()]
+
+    def test_nothing_moves_when_an_extent_fits_or_one_block_is_wanted_or_nothing_is_cached(self):
+        pool = make_pool(num_blocks=12)
+        mosaic(pool)
+        assert pool.block_table(pool.reserve(3 * BLOCK)) == [9, 10, 11]  # an extent fits
+        assert pool.block_table(pool.reserve(BLOCK)) == [2]
+        unpublished = make_pool(num_blocks=8)
+        holes(unpublished, [-1, 1, -1, 1, -1, 1, 1, 1])
+        assert runs_of(unpublished.block_table(unpublished.reserve(3 * BLOCK))) == 3  # only live blocks in the way
+        assert pool.compactions == pool.relocated_blocks == unpublished.compactions == 0
+
+    def test_an_exhausted_pool_raises_before_anything_moves(self):
+        pool = make_pool(num_blocks=12)
+        mosaic(pool)
+        cached, extents, entries = pool.cached_free_blocks(), pool.free_extents(), pool.radix_entries()
+        with pytest.raises(ResourceExhaustedError):
+            pool.reserve(12 * BLOCK)  # eleven unreferenced blocks
+        assert (pool.cached_free_blocks(), pool.free_extents(), pool.radix_entries()) == (cached, extents, entries)
+        assert pool.relocated_blocks == 0
+        check_pool_invariants(pool)
+
+    def test_a_chain_matched_before_a_relocating_reserve_is_refused(self):
+        pool = make_pool(num_blocks=12)
+        mosaic(pool)
+        stale = pool.match_prefix(chain("c"))
+        other = pool.reserve(4 * BLOCK)  # moves block 8 away and takes its address
+        assert stale == [7, 8] and 8 in pool.block_table(other) and pool.relocated_blocks == 1
+        self.assert_refused_untouched(pool, stale, other)
+
+    def test_a_chain_matched_before_an_evicting_reserve_is_refused(self):
+        pool = make_pool(num_blocks=4)
+        owner = pool.reserve(2 * BLOCK)
+        fill(pool, owner, chain("a"))
+        pool.free(owner)
+        stale = pool.match_prefix(chain("a"))
+        other = pool.reserve(3 * BLOCK)  # evicts the chain's leaf and takes its address
+        assert stale == [0, 1] and pool.block_table(other) == [1, 2, 3] and pool.relocated_blocks == 0
+        # Block 0 is still cached; block 1 is another request's private memory.
+        self.assert_refused_untouched(pool, stale, other)
+
+    @staticmethod
+    def assert_refused_untouched(pool, stale, other):
+        state = (pool.block_table(other), pool.cached_free_blocks(), pool.free_extents(), pool.table_version)
+        with pytest.raises(ConfigurationError, match="stale"):
+            pool.reserve(2 * BLOCK, shared=stale)
+        assert state == (pool.block_table(other), pool.cached_free_blocks(), pool.free_extents(), pool.table_version)
+        assert [pool.ref_count(block) for block in stale] == [0, 1]
+        check_pool_invariants(pool)
 
 
 # ----------------------------------------------------------------------
@@ -310,3 +534,59 @@ class TestSameEvictionsAsTheLruPolicy:
             for handle, model in harness.live.items():
                 twin = reference.live[handle]
                 assert harness.cache.length_of(model.slot) == reference.cache.length_of(twin.slot)
+
+
+class TestThePropertyExercisesRelocation:
+    @pytest.mark.parametrize("seed, num_blocks, max_slots", [(1, 12, 3), (3, 16, 4)])
+    def test_fixed_seeds_relocate_and_never_copy_more_than_the_request(self, monkeypatch, seed, num_blocks, max_slots):
+        calls, open_window = [], PagedKVCache._open_window
+
+        def counted(pool, count, after, reclaimed):
+            before = pool.relocated_blocks
+            picked = open_window(pool, count, after, reclaimed)
+            calls.append((count, pool.relocated_blocks - before))
+            return picked
+
+        monkeypatch.setattr(PagedKVCache, "_open_window", counted)
+        TestSameEvictionsAsTheLruPolicy.test_random_schedules.hypothesis.inner_test(
+            TestSameEvictionsAsTheLruPolicy(), seed, num_blocks, max_slots
+        )
+        assert sum(moved for _, moved in calls) >= 5
+        assert all(count >= 2 and moved <= count for count, moved in calls)
+
+
+# ----------------------------------------------------------------------
+# Serving: relocation changes addresses, never values
+# ----------------------------------------------------------------------
+class TestServingParity:
+    @pytest.mark.parametrize("scheme", ["tender-implicit", "tender-explicit"])
+    def test_tokens_and_logits_match_the_one_list_pool_under_churn_and_preemption(self, scheme):
+        runner = workloads.tiny_runner(scheme, num_heads=4)
+        trace = workloads.churn_trace(True, 24)
+
+        def serve(kind):
+            scheduler = Scheduler(
+                runner, GenerationConfig(max_new_tokens=20), max_batch_size=4, block_size=8,
+                num_blocks=28, prefix_cache=True, preemption=True, record_logits=True,
+            )  # fmt: skip
+            pool = scheduler.cache
+            heads, _, _, d_head = pool.key_blocks[0].shape
+            scheduler.cache = kind(pool.num_layers, heads, d_head, pool.block_size, pool.num_blocks)
+            for index, request in enumerate(trace):
+                # Every fourth request is urgent, so admissions preempt.
+                scheduler.submit(dataclasses.replace(request, priority=0 if index % 4 == 3 else 5))
+            outputs = {}
+            while scheduler.has_pending:
+                for output in scheduler.step():
+                    outputs[output.request_id] = output
+            return scheduler, outputs
+
+        scheduler, outputs = serve(PagedKVCache)
+        reference, expected = serve(LruReferencePool)
+        assert scheduler.cache.relocated_blocks > 0 and reference.cache.relocated_blocks == 0
+        assert scheduler.stats.preemptions == reference.stats.preemptions > 0
+        assert scheduler.stats.prefix_hit_tokens == reference.stats.prefix_hit_tokens > 0
+        assert outputs.keys() == expected.keys()
+        for request_id, output in outputs.items():
+            np.testing.assert_array_equal(output.generated, expected[request_id].generated)
+            np.testing.assert_array_equal(output.step_logits, expected[request_id].step_logits)
