@@ -602,24 +602,29 @@ def paged_attention(
     rows — there are no padding queries to neutralise.
 
     Bit-exactness contract (pinned by ``tests/core/test_paged_attention.py``
-    and the serving parity sweeps): scores are assembled into the
-    ``(heads, rows, attended)`` array whose rows are the dense path's —
-    each column is the same length-``d_head`` dot product, untouched
-    columns hold the same zeros the gather's zero-fill would — then the
-    scale, the ``-1e9`` causal mask, and the shared
-    :func:`repro.tensor.ops.softmax` are applied in the identical
-    expressions, so the attention probabilities match the reference bit
-    for bit.  The SV product accumulates per run; masked columns carry
+    and the serving parity sweeps): every run's product is written straight
+    into its own columns of the call's one ``(heads, rows, attended)`` score
+    buffer, whose rows are the dense path's — each column is the same
+    length-``d_head`` dot product, untouched columns hold the same zeros the
+    gather's zero-fill would — and the scale, the ``-1e9`` causal mask and
+    the shared :func:`repro.tensor.ops.softmax` then rewrite that buffer
+    where it stands: the elementwise operations of the dense path's
+    allocating expressions, in their order, so the attention probabilities
+    match the reference bit for bit while the call holds one score-sized
+    array instead of six (``tracemalloc`` peak 1.19x score buffer + context
+    on a 64-row chunk, where the buffer is past the allocator's large-block
+    threshold).  The SV product accumulates per run; masked columns carry
     exactly-zero probabilities (their scores underflow ``exp``), so
     skipping them — each sequence's segments stop at its own reach — is an
     exact no-op and single-run rows are bitwise identical to the dense
     product.  Whether a row *is* a single run is the allocator's doing, not
-    a given: every run costs a matmul pair (≈ 4-7 µs of a ≈ 25 µs + 0.05
-    µs/score-cell call), the one-block-at-a-time LRU pop left 2.1-7.2 runs
-    per sequence on the ``BENCHMARK.json`` workloads, and
-    ``PagedKVCache``'s extent-aware pick — with cached blocks relocated out
-    of a reservation's way under eviction pressure — brings them to 1.0-1.6,
-    2.8 where most of a table is a shared prefix (table in
+    a given: every run costs a matmul pair (≈ 4-6 µs of a call that reads,
+    warm, ≈ 14 µs + 5.5 µs/sequence + 6-16 ns/score-cell — 14-28 ns while
+    every pass allocated; about double in situ), the one-block-at-a-time LRU
+    pop left 2.1-7.2 runs per sequence on the ``BENCHMARK.json`` workloads,
+    and ``PagedKVCache``'s extent-aware pick — with cached blocks relocated
+    out of a reservation's way under eviction pressure — brings them to
+    1.0-1.6, 2.8 where most of a table is a shared prefix (table in
     ``docs/architecture.md``).  Multi-run rows can differ
     from the dense product only in the final-sum rounding of the context
     vector (~1e-15 relative); under Tender both operands of every
@@ -658,12 +663,14 @@ def paged_attention(
     # Zero-copy: the pools are C-contiguous with heads outermost.
     flat_keys = key_pool.reshape(num_heads, -1, d_head)
     flat_values = value_pool.reshape(num_heads, -1, d_head)
+    # The call's one score-sized array: products, scale, mask and softmax all write it.
     scores = np.zeros((num_heads, rows, plan.attended), dtype=np.float64)
     for lo, hi, start, stop, first, last in segments:
-        scores[:, lo:hi, start:stop] = queries[:, lo:hi] @ flat_keys[:, first:last].transpose(0, 2, 1)
-    scores = scores / np.sqrt(d_head)
-    scores = np.where(hidden_slots, -1e9, scores)
-    attention = softmax(scores, axis=-1)
+        keys = flat_keys[:, first:last].transpose(0, 2, 1)
+        np.matmul(queries[:, lo:hi], keys, out=scores[:, lo:hi, start:stop])
+    scores /= np.sqrt(d_head)
+    np.copyto(scores, -1e9, where=hidden_slots)
+    attention = softmax(scores, axis=-1, out=scores)
     context = np.zeros((rows, num_heads, d_head), dtype=np.float64)
     for lo, hi, start, stop, first, last in segments:
         context[lo:hi] += (attention[:, lo:hi, start:stop] @ flat_values[:, first:last]).transpose(1, 0, 2)

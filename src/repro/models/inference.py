@@ -452,12 +452,21 @@ class TransformerRunner:
         layer's cache write and attention, and the FFN run over exactly
         those rows.  :meth:`prefill`, :meth:`decode_step` and :meth:`verify`
         differ only in how they lay their arguments out as rows and which
-        rows they project through the LM head.  Every row is validated
-        against ``max_seq_len`` here, before any layer writes the cache (the
-        cache's first write validates each row against its own reservation).
+        rows they project through the LM head.  The batch is validated here,
+        before any layer writes the cache — one sequence per cache row, one
+        token per plan row, ids inside the vocabulary, every row within
+        ``max_seq_len`` (the cache's first write validates each row against
+        its own reservation).
         """
         if self.weights.lm_head is None:
             raise ConfigurationError("model has no LM head; generation requires one")
+        rows, vocab = plan.positions.size, self.config.vocab_size
+        if plan.batch != len(cache.lengths):
+            raise ConfigurationError(f"{plan.batch} sequences, but {len(cache.lengths)} cache rows")
+        if tokens.size != rows:
+            raise ConfigurationError(f"{tokens.size} tokens for the batch's {rows} rows")
+        if tokens.min(initial=0) < 0 or tokens.max(initial=0) >= vocab:
+            raise ConfigurationError(f"token ids {tokens.min()} .. {tokens.max()} outside [0, {vocab})")
         if plan.negative:
             raise ConfigurationError("start_positions must be >= 0")
         if plan.attended > self.config.max_seq_len:

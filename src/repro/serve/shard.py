@@ -7,10 +7,17 @@ per-shard column ranges (Q/K/V by attention-head blocks, FC1 by ``d_ff``
 columns, output/FC2/LM-head by balanced column ranges), each shard computes
 its slice against the full-width activation, and the slices meet at explicit
 ``all_gather`` collectives on a :class:`~repro.serve.collective.CollectiveGroup`.
-Attention itself runs head-parallel: each shard attends only over its own
-contiguous head range (``repro.core.kernels.paged_attention`` is independent
-per head), and the per-shard contexts gather back to full width before the
-output projection.
+Attention itself is head-parallel — each shard owns a contiguous head range
+and every per-head step is independent per head — and the fused kernel runs
+*once* per layer for the group: the shards' query slices side by side are the
+solo runner's operand, and the context cuts back into the per-shard column
+slices that gather to full width before the output projection.  What the
+group simulates per shard is the transport (messages, bytes, faults, retries,
+``simulated_ms``) and the weight side (each executor's GEMM and ``stats``),
+not host dispatch: a device runs the N head slices concurrently, so N kernel
+calls in turn over the same pool, plan and layout simulated nothing.  Only
+the dense branch, where each shard's executor quantizes its own heads'
+operands, attends shard by shard.
 
 **Where Tender's calibration lives** (the decomposition decision, also in
 architecture.md): every shard holds a *full replica* of the per-chunk
@@ -304,13 +311,14 @@ class ShardedRunner(TransformerRunner):
     ) -> np.ndarray:
         """Head-parallel cached attention meeting at K/V and context gathers.
 
-        Each shard projects and attends over its own contiguous head range
-        of the forward's flat rows; the full-width K/V gather feeds the
-        *single* scheduler-owned cache (one write, exactly like the solo
-        runner), and the per-shard contexts gather back to full width before
-        the column-parallel output projection.  Every per-head step — fused
-        paged attention or the dense reference — is independent per head, so
-        the gathered result is bit-identical to the solo runner's.
+        Each shard projects Q/K/V for its own contiguous head range of the
+        forward's flat rows; the full-width K/V gather feeds the *single*
+        scheduler-owned cache (one write, exactly like the solo runner), and
+        the per-shard contexts gather back to full width before the
+        column-parallel output projection.  Every per-head step is
+        independent per head, so the gathered result is bit-identical to the
+        solo runner's — whether the fused kernel serves all heads in one
+        call or, on the dense branch, each shard's executor its own.
         """
         block = self.weights.blocks[index]
         config = self.config
@@ -327,34 +335,34 @@ class ShardedRunner(TransformerRunner):
             plan,
         )
 
-        fused = self.fused_paged_attention and all(
+        rows = x.shape[0]
+        if self.fused_paged_attention and all(
             fused_attention_ready(executor, cache) for executor in self.executors
-        )
-        if fused:
-            # Operands fetched after the write, same as the solo runner: any
-            # copy-on-write fork is already reflected in the run table.
+        ):
+            # One call for the group: head ranges are contiguous and in shard
+            # order, so the query slices side by side are the solo runner's
+            # operand.  Operands fetched after the write, same as the solo runner:
+            # any copy-on-write fork is already reflected in the run table.
             key_pool, value_pool, runs, block_size = cache.attention_operands(index)
+            queries = self._row_heads(np.concatenate(q_parts, axis=-1), config.num_heads)
+            context = paged_attention(queries, key_pool, value_pool, runs, block_size, plan)
+            context = context.reshape(rows, config.d_model)
+            context_parts = [context[:, h0 * d_head : h1 * d_head] for h0, h1 in self.head_bounds]
         else:
+            # Each shard's own executor quantizes (and counts) its own heads.
             cached_keys, cached_values = cache.view(index, plan.attended)
-
-        context_parts: List[np.ndarray] = []
-        for shard_id, (h0, h1) in enumerate(self.head_bounds):
-            queries = self._row_heads(q_parts[shard_id], h1 - h0)
-            if fused:
-                context = paged_attention(
-                    queries, key_pool[h0:h1], value_pool[h0:h1], runs, block_size, plan
-                )
-            else:
-                context = dense_cached_attention(
-                    self.executors[shard_id],
+            context_parts = [
+                dense_cached_attention(
+                    executor,
                     prefix,
-                    queries,
+                    self._row_heads(q_part, h1 - h0),
                     cached_keys[:, h0:h1],
                     cached_values[:, h0:h1],
                     plan,
                     d_head,
-                )
-            context_parts.append(context.reshape(x.shape[0], (h1 - h0) * d_head))
+                ).reshape(rows, (h1 - h0) * d_head)
+                for executor, q_part, (h0, h1) in zip(self.executors, q_parts, self.head_bounds)
+            ]
         context = self.group.all_gather(context_parts, axis=-1)
         return self._project(f"{prefix}.out_proj", context, block.attn.wo, block.attn.bo, plan)
 

@@ -120,11 +120,16 @@ def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
-def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Numerically stable softmax on plain NumPy arrays (inference helper)."""
-    shifted = logits - logits.max(axis=axis, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=axis, keepdims=True)
+def softmax(logits: np.ndarray, axis: int = -1, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Numerically stable softmax on plain NumPy arrays (inference helper).
+
+    With ``out`` (which may be ``logits`` itself) the three elementwise passes
+    write there instead of allocating a result each: same operations, same
+    order, same bits.
+    """
+    shifted = np.subtract(logits, logits.max(axis=axis, keepdims=True), out=out)
+    exp = np.exp(shifted, out=out)
+    return np.divide(exp, exp.sum(axis=axis, keepdims=True), out=out)
 
 
 def gelu(x: np.ndarray) -> np.ndarray:

@@ -153,6 +153,164 @@ class TestMultiTokenQueries:
                 np.testing.assert_array_equal(fused[:, lo:hi], reference[0])
 
 
+HEADS, D_HEAD, WIDE_BLOCK = 4, 16, 8
+#: ``(starts, lengths)`` of one forward's sequences, by the shape they exercise.
+LATTICE = {
+    "decode batch of mixed reach": ([3 + 7 * i for i in range(16)], [1] * 16),
+    "one chunk at depth": ([128], [64]),
+    "ragged verify": ([40, 9, 77, 30, 64, 5, 100, 18], [3, 1, 5, 1, 13, 2, 1, 1]),
+    "a sequence with no rows": ([20, 33, 7], [2, 0, 4]),
+    "a row at position 0": ([0, 12, 0], [1, 3, 9]),
+}
+
+
+def lattice_forward(rng, starts, lengths, extent=None, strided=False):
+    """Kernel operands for one flat forward over freshly written sequences.
+
+    With ``extent`` the free space is cut into extents of that many blocks
+    first (one pinned spacer block between them), so a sequence needing
+    ``k * extent`` blocks holds a ``k``-run table.
+    """
+    reaches = [start + length for start, length in zip(starts, lengths)]
+    needed = sum(-(-reach // WIDE_BLOCK) for reach in reaches)
+    pool = PagedKVCache(
+        num_layers=1, num_heads=HEADS, d_head=D_HEAD, block_size=WIDE_BLOCK,
+        num_blocks=needed if extent is None else 2 * needed + extent,
+    )  # fmt: skip
+    if extent is not None:
+        spacers = [pool.reserve(WIDE_BLOCK) for _ in range(pool.num_blocks)]
+        for index, spacer in enumerate(spacers):
+            if index % (extent + 1) != extent:
+                pool.free(spacer)
+    slots = []
+    for reach in reaches:
+        slot = pool.reserve(reach)
+        payload = rng.normal(size=(2, 1, HEADS, reach, D_HEAD))
+        pool.write(0, [slot], payload[0], payload[1], np.arange(reach)[None, :])
+        pool.set_length(slot, reach)
+        slots.append(slot)
+    plan = ForwardPlan.ragged(np.array(starts), np.array(lengths))
+    rows = int(plan.positions.size)
+    if strided:  # the runner's own operand: a head-split view of a (rows, d_model) projection
+        queries = rng.normal(size=(rows, HEADS * D_HEAD)).reshape(rows, HEADS, D_HEAD).transpose(1, 0, 2)
+        assert not queries.flags.c_contiguous
+    else:
+        queries = rng.normal(size=(HEADS, rows, D_HEAD))
+    return pool, slots, plan, queries
+
+
+def allocating_kernel(queries, key_pool, value_pool, runs, block_size, plan):
+    """``paged_attention`` as it stood while every pass allocated its result, verbatim."""
+    num_heads, rows, d_head = queries.shape
+    segments, hidden_slots = plan.attention_layout(runs, block_size)
+    flat_keys = key_pool.reshape(num_heads, -1, d_head)
+    flat_values = value_pool.reshape(num_heads, -1, d_head)
+    scores = np.zeros((num_heads, rows, plan.attended), dtype=np.float64)
+    for lo, hi, start, stop, first, last in segments:
+        scores[:, lo:hi, start:stop] = queries[:, lo:hi] @ flat_keys[:, first:last].transpose(0, 2, 1)
+    scores = scores / np.sqrt(d_head)
+    scores = np.where(hidden_slots, -1e9, scores)
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    exp = np.exp(shifted)
+    attention = exp / exp.sum(axis=-1, keepdims=True)
+    context = np.zeros((rows, num_heads, d_head), dtype=np.float64)
+    for lo, hi, start, stop, first, last in segments:
+        context[lo:hi] += (attention[:, lo:hi, start:stop] @ flat_values[:, first:last]).transpose(1, 0, 2)
+    return context
+
+
+def dense_alone(queries, view, positions, attended):
+    """Gather-then-dense attention on one sequence, with the products taken at
+    the sequence's own reach — the columns past it hold gathered zeros and
+    exactly-zero probabilities, which only BLAS's blocking of a wider product
+    can tell from absent ones — and the softmax at the forward's width."""
+    reach = int(positions.max()) + 1
+    cached_keys, cached_values = view.view(0, reach)
+    scores = np.zeros(queries.shape[:-1] + (attended,))
+    scores[..., :reach] = queries @ np.swapaxes(cached_keys, -1, -2)
+    scores = scores / np.sqrt(queries.shape[-1])
+    hidden = np.arange(attended)[None, None, None, :] > positions[:, None, :, None]
+    attention = softmax(np.where(hidden, -1e9, scores), axis=-1)
+    return attention[..., :reach] @ cached_values
+
+
+def assert_matches_references(pool, slots, plan, queries, single_run):
+    """The kernel against the allocating kernel (every bit, on any table) and,
+    sequence by sequence, against the gather-then-dense math on that sequence
+    alone: bit for bit on single-run tables, and to the context's final-sum
+    rounding against the full-width reference on any."""
+    key_pool, value_pool, runs, block_size = pool.view(slots).attention_operands(0)
+    assert all(len(row_runs) == 1 for row_runs in runs) == single_run
+    context = paged_attention(queries, key_pool, value_pool, runs, block_size, plan)
+    np.testing.assert_array_equal(
+        context, allocating_kernel(queries, key_pool, value_pool, runs, block_size, plan)
+    )
+    for sequence, slot in enumerate(slots):
+        lo, hi = plan.bounds[sequence], plan.bounds[sequence + 1]
+        if lo == hi:
+            continue
+        ours = context[lo:hi].transpose(1, 0, 2)
+        operands = (queries[None, :, lo:hi], pool.view([slot]))
+        positions = plan.positions[None, lo:hi]
+        reference, _ = dense_reference(*operands, 0, positions, attended=plan.attended)
+        np.testing.assert_allclose(ours, reference[0], rtol=0.0, atol=1e-12)
+        if single_run:
+            np.testing.assert_array_equal(ours, dense_alone(*operands, positions, plan.attended)[0])
+    return context, runs
+
+
+class TestLattice:
+    """The in-place kernel against the retained references, one lattice of shapes."""
+
+    @pytest.mark.parametrize("strided", [False, True])
+    @pytest.mark.parametrize("shape", sorted(LATTICE))
+    def test_single_run_tables_bitwise(self, rng, shape, strided):
+        pool, slots, plan, queries = lattice_forward(rng, *LATTICE[shape], strided=strided)
+        context, _ = assert_matches_references(pool, slots, plan, queries, single_run=True)
+        assert context.shape == (plan.positions.size, HEADS, D_HEAD)
+        # Row-major, so the runner's reshape to (rows, d_model) copies nothing.
+        assert context.flags.c_contiguous
+        assert np.shares_memory(context, context.reshape(plan.positions.size, HEADS * D_HEAD))
+
+    @pytest.mark.parametrize("run_count", [2, 3])
+    @pytest.mark.parametrize("shape", ["one chunk at depth", "ragged verify"])
+    def test_two_and_three_run_tables(self, rng, shape, run_count):
+        _, lengths = LATTICE[shape]
+        # Every sequence reaches 24 blocks, and no free extent holds more than 24 / run_count.
+        starts = [24 * WIDE_BLOCK - length for length in lengths]
+        pool, slots, plan, queries = lattice_forward(
+            rng, starts, lengths, extent=24 // run_count, strided=True
+        )
+        _, runs = assert_matches_references(pool, slots, plan, queries, single_run=False)
+        assert {len(row_runs) for row_runs in runs} == {run_count}
+
+    def test_the_operand_layout_changes_no_bit(self, rng):
+        pool, slots, plan, queries = lattice_forward(rng, *LATTICE["ragged verify"], strided=True)
+        operands = pool.view(slots).attention_operands(0)
+        np.testing.assert_array_equal(
+            paged_attention(queries, *operands, plan),
+            paged_attention(np.ascontiguousarray(queries), *operands, plan),
+        )
+
+    def test_a_row_at_position_0_attends_to_its_own_value_only(self, rng):
+        pool, slots, plan, queries = lattice_forward(rng, *LATTICE["a row at position 0"])
+        key_pool, value_pool, runs, block_size = pool.view(slots).attention_operands(0)
+        context = paged_attention(queries, key_pool, value_pool, runs, block_size, plan)
+        np.testing.assert_array_equal(context[0], value_pool[:, runs[0][0][1], 0])
+
+    def test_operands_are_left_untouched(self, rng):
+        """In place means in the kernel's own buffer: the queries, the pools
+        and the plan's mask (shared by every layer) come back as they went in."""
+        pool, slots, plan, queries = lattice_forward(rng, *LATTICE["ragged verify"])
+        key_pool, value_pool, runs, block_size = pool.view(slots).attention_operands(0)
+        _, hidden_slots = plan.attention_layout(runs, block_size)
+        operands = (queries, key_pool, value_pool, hidden_slots)
+        kept = [array.copy() for array in operands]
+        paged_attention(queries, key_pool, value_pool, runs, block_size, plan)
+        for before, after in zip(kept, operands):
+            np.testing.assert_array_equal(before, after)
+
+
 class TestStorageContract:
     def test_run_views_share_pool_memory(self, rng):
         """The kernel's per-run K/V views must alias pool storage (no copy)."""

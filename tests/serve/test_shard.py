@@ -423,6 +423,132 @@ class TestShardedParity:
         np.testing.assert_array_equal(sharded.logits(tokens), solo.logits(tokens))
 
 
+class TestGroupAttention:
+    """One fused attention call serves the shard group; the dense branch stays per shard."""
+
+    @pytest.mark.parametrize("chaos", [False, True])
+    @pytest.mark.parametrize("name", ["tender-implicit", "tender-explicit"])
+    def test_uneven_head_ranges(self, name, chaos, four_head_runners, shard_prompts):
+        """Three shards own 2 / 1 / 1 heads, so the context cuts back into
+        unequal column slices.  Through ``prefill``, ``decode_step`` and a
+        ragged ``verify``, the context layer 0's attention hands its output
+        projection is the solo runner's bit for bit — no bit of a head's
+        attention depends on who owns it — and so is every token, dropped
+        and corrupted messages included.  The *logits* of a 3-way split are
+        held to the FP bar instead: its 11 / 11 / 10-column weight slices
+        change BLAS's blocking of each shard's ``bias @ W`` compensation
+        (~1e-16, on either side of this kernel), which 2 and 4 shards' even
+        slices never did."""
+        solo = four_head_runners[name]
+        injector = CollectiveFaultInjector(seed=2, drop_rate=0.01, corrupt_rate=0.01)
+        group = CollectiveGroup(3, fault_injector=injector if chaos else None, max_retries=4)
+        sharded = ShardedRunner(solo, 3, group=group)
+        assert sharded.head_bounds == [(0, 2), (2, 3), (3, 4)]
+
+        def ragged_verify(runner):
+            pool = PagedKVCache.for_model(solo.config, max_active=3, block_size=8)
+            view = pool.view([pool.reserve(16) for _ in range(3)])
+            starts = np.array([6, 4, 5])
+            pending = runner.prefill(np.arange(18).reshape(3, 6), starts, view).argmax(axis=-1)
+            drafts = [[7, 11, 13], [], list(range(20, 28))]
+            runs = [[token, *draft] for token, draft in zip(pending, drafts)]
+            logits = runner.verify(np.concatenate(runs), view, starts, lengths=[len(run) for run in runs])
+            return [(logits.argmax(axis=-1), logits)]
+
+        def serve(runner):
+            outputs = _serve(runner, shard_prompts)
+            return [(outputs[i].generated, outputs[i].step_logits) for i in sorted(outputs)]
+
+        def watched(runner, drive):
+            """``drive(runner)``, and every context layer 0's attention produced meanwhile."""
+            contexts, project = [], runner._project
+            runner._project = lambda site, x, *rest: (
+                contexts.append(x) if site == "block0.attn.out_proj" else None,
+                project(site, x, *rest),
+            )[1]
+            try:
+                return drive(runner), contexts
+            finally:
+                del runner._project
+
+        for drive in (serve, ragged_verify):
+            expected, solo_contexts = watched(solo, drive)
+            actual, contexts = watched(sharded, drive)
+            assert len(contexts) == len(solo_contexts) > 0
+            for ours, theirs in zip(contexts, solo_contexts):
+                np.testing.assert_array_equal(ours, theirs)
+            for (tokens, logits), (solo_tokens, solo_logits) in zip(actual, expected):
+                np.testing.assert_array_equal(tokens, solo_tokens)
+                np.testing.assert_allclose(logits, solo_logits, rtol=0.0, atol=1e-12)
+        assert (group.stats.retries > 0) == chaos
+
+    @pytest.mark.parametrize("num_shards", [2, 3, 4])
+    def test_quantized_attention_stays_per_shard(self, num_shards, shard_prompts):
+        """Tender "all" quantizes attention operands per head at run time:
+        each shard's own executor runs — and counts — its own heads' two
+        products per layer and forward, exactly as many calls as the solo
+        executor makes over all heads."""
+        solo = tiny_runner("tender-implicit", num_heads=4, quantize_attention=True)
+        expected = _serve(solo, shard_prompts)
+        solo_count = solo.executor.stats["attention_matmuls"]
+        assert solo_count > 0
+        sharded = ShardedRunner(solo, num_shards)
+        actual = _serve(sharded, shard_prompts)
+        assert [executor.stats["attention_matmuls"] for executor in sharded.executors] == (
+            [solo_count] * num_shards
+        )
+        for request_id, output in expected.items():
+            np.testing.assert_array_equal(actual[request_id].generated, output.generated)
+
+
+class TestMalformedBatches:
+    """The forward entry points refuse a malformed batch before any layer runs."""
+
+    @pytest.fixture(params=[0, 2], ids=["solo", "2 shards"])
+    def runner(self, request, four_head_runners):
+        solo = four_head_runners["tender-implicit"]
+        return ShardedRunner(solo, request.param) if request.param else solo
+
+    @pytest.fixture
+    def primed(self, runner):
+        """A 2-slot view holding two prompts, and a snapshot of everything a refusal must leave alone."""
+        pool = PagedKVCache.for_model(runner.config, max_active=2, block_size=8)
+        view = pool.view([pool.reserve(24), pool.reserve(24)])
+        runner.prefill(np.arange(12).reshape(2, 6), np.array([6, 4]), view)
+
+        def state():
+            arrays = [*pool.key_blocks, *pool.value_blocks, view.lengths]
+            return [np.array(array) for array in arrays]
+
+        return view, state
+
+    @pytest.mark.parametrize(
+        "call, match",
+        [
+            (lambda r, v: r.decode_step(np.array([1, 2, 3]), v), "3 tokens.* 2 rows"),
+            (lambda r, v: r.decode_step(np.array([1]), v), "1 tokens.* 2 rows"),
+            (lambda r, v: r.verify(np.array([1, 2, 3]), v, [6, 4, 2], lengths=[1, 1, 1]), "3 sequences.* 2 cache rows"),
+            (lambda r, v: r.prefill(np.ones((3, 2), dtype=int), np.array([2, 2, 2]), v), "3 sequences.* 2 cache rows"),
+            (lambda r, v: r.prefill(np.ones((1, 2), dtype=int), np.array([2]), v), "1 sequences.* 2 cache rows"),
+            (lambda r, v: r.decode_step(np.array([1, 10**6]), v), r"1 \.\. 1000000 outside \[0, 64\)"),
+            (lambda r, v: r.decode_step(np.array([64, 1]), v), r"1 \.\. 64 outside \[0, 64\)"),
+            (lambda r, v: r.verify(np.array([3, -1, 5]), v, [6, 4], lengths=[2, 1]), r"-1 \.\. 5 outside \[0, 64\)"),
+        ],
+        ids=["decode +1 token", "decode -1 token", "verify +1 sequence", "prefill +1 sequence",
+             "prefill -1 sequence", "token id 10**6", "token id == vocab", "negative token id"],
+    )  # fmt: skip
+    def test_typed_refusal_leaves_the_cache_untouched(self, runner, primed, call, match):
+        view, state = primed
+        before = state()
+        with pytest.raises(ConfigurationError, match=match):
+            call(runner, view)
+        for kept, now in zip(before, state()):
+            np.testing.assert_array_equal(kept, now)
+        # Still serviceable: the same view takes a well-formed step.
+        assert runner.decode_step(np.array([1, 2]), view).shape == (2, runner.config.vocab_size)
+        assert view.lengths.tolist() == [7, 5]
+
+
 class TestShardedRunnerConstruction:
     def test_calibration_tables_are_shared_replicas(self, four_head_runners):
         """Every shard executor holds the *same* calibration-table object.
@@ -499,8 +625,9 @@ class TestShardedRunnerConstruction:
         assert all(shard.stats == private.executors[0].stats for shard in private.executors)
 
     #: ``CollectiveStats`` of ``_serve(ShardedRunner(tender-implicit, N), shard_prompts)``
-    #: recorded before the exchange became one pass: fault-free, and under
-    #: the chaos injector of ``test_serving_parity_under_chaos``.
+    #: recorded before the exchange became one pass (3 shards: before attention
+    #: became one call for the group): fault-free, and under the chaos injector
+    #: of ``test_serving_parity_under_chaos``.
     RECORDED_STATS = {
         (2, False): dict(collectives=299, messages=598, bytes_moved=354304, retries=0, timeouts=0,
                          corruption_caught=0, duplicates_ignored=0, stragglers=0, hedges=0,
@@ -508,6 +635,12 @@ class TestShardedRunnerConstruction:
         (2, True): dict(collectives=299, messages=598, bytes_moved=354304, retries=15, timeouts=8,
                         corruption_caught=7, duplicates_ignored=3, stragglers=4, hedges=4,
                         simulated_ms=37.103584000000204),
+        (3, False): dict(collectives=299, messages=897, bytes_moved=708608, retries=0, timeouts=0,
+                         corruption_caught=0, duplicates_ignored=0, stragglers=0, hedges=0,
+                         simulated_ms=44.853543039999686),
+        (3, True): dict(collectives=299, messages=897, bytes_moved=708608, retries=22, timeouts=13,
+                        corruption_caught=9, duplicates_ignored=11, stragglers=6, hedges=6,
+                        simulated_ms=56.353623919999784),
         (4, False): dict(collectives=299, messages=1196, bytes_moved=1062912, retries=0, timeouts=0,
                          corruption_caught=0, duplicates_ignored=0, stragglers=0, hedges=0,
                          simulated_ms=59.80354303999914),

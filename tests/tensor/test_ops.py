@@ -131,6 +131,22 @@ class TestNumpyHelpers:
         logits = rng.normal(size=(3, 7))
         np.testing.assert_allclose(softmax(logits), np.exp(log_softmax(logits)))
 
+    @pytest.mark.parametrize("axis", [-1, 1])
+    def test_softmax_in_place_is_bitwise_the_allocating_call(self, rng, axis):
+        """Masked (-1e9) cells and a fully masked row included: same passes, same order."""
+        logits = rng.normal(size=(4, 9, 33)) * 6.0
+        logits[:, 2:, 20:] = -1e9
+        logits[1, 1] = -1e9
+        expected = softmax(logits, axis=axis)
+        separate = np.full_like(logits, np.nan)
+        assert softmax(logits, axis=axis, out=separate) is separate
+        np.testing.assert_array_equal(separate, expected)
+        assert softmax(logits, axis=axis, out=logits) is logits
+        np.testing.assert_array_equal(logits, expected)
+        assert (expected[:, 2:, 20:] == 0.0).all()
+        if axis == -1:
+            assert (expected[1, 1] == 1.0 / 33).all()
+
     def test_relu_and_gelu_limits(self):
         x = np.array([-100.0, 0.0, 100.0])
         np.testing.assert_allclose(relu(x), [0.0, 0.0, 100.0])

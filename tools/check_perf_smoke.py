@@ -19,10 +19,12 @@ committed file differs from what it just computed (a changed token, logit or
 counter is a diff to review and re-record, never noise).  Python-level call
 counts depend on the NumPy build, so they are budgets only (``BUDGET_ONLY``).
 
-Beside the table run three checks that serve no trace: the fast projection
+Beside the table run four checks that serve no trace: the fast projection
 against the reference per-chunk loop (bit-identity), the exact dispatch count
-of one Tender decode step (solo, and as a 2-shard group on a fault-injected
-transport), and the randomized pool-invariant sweep.
+of one Tender decode step (solo, and as a 2- and a 4-shard group on a
+fault-injected transport; one ``paged_attention`` call per layer at every
+shard count), the allocation peak of one ``paged_attention`` call, and the
+randomized pool-invariant sweep.
 
 Exit status 0 when clean; 1 with a one-line diagnosis per failure otherwise.
 """
@@ -36,6 +38,8 @@ import operator
 import os
 import sys
 import tempfile
+import tracemalloc
+from collections import Counter
 from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
@@ -45,6 +49,7 @@ import numpy as np
 
 from repro import gpu
 from repro.core import TenderConfig, TenderExecutor
+from repro.core.kernels import ForwardPlan, paged_attention
 from repro.core.perf import count_calls, decode_projection_operands, synthetic_projection_site
 from repro.obs import CountingClock, Tracer
 from repro.serve import (
@@ -68,10 +73,16 @@ from repro.serve.stress import LruReferencePool
 RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_serving.json"
 #: Python-level calls one batched ``decode_step`` of the Tender-quantized tiny
 #: model may make, by shard count (0: the solo runner): the measured count
-#: (203, 405 before the forward plan; 2 shards 398, 521 while every shard
-#: quantized the activation for itself and every message was delivered by its
-#: own call) + 10 % for NumPy versions, not for new per-site or per-shard work.
-DECODE_CALL_BUDGET = {0: 221, 2: 438}
+#: (205, 405 before the forward plan; 2 shards 386, 398 while every shard made
+#: its own ``paged_attention`` call, 521 while every shard also quantized the
+#: activation for itself and every message was delivered by its own call; 4
+#: shards 528, 576) + 10 % for NumPy versions, not for new per-site or
+#: per-shard work.
+DECODE_CALL_BUDGET = {0: 221, 2: 424, 4: 580}
+#: ``tracemalloc`` peak of one ``paged_attention`` call over its score buffer +
+#: context: measured 1.19 (the mask, the row maxima and sums, one run's SV
+#: product), 3.88 while scale, mask and each softmax pass allocated their result.
+MAX_ATTENTION_PEAK_RATIO = 1.25
 #: ``np.unique`` calls per decode forward: the plan's row-chunk grouping and
 #: the first layer's ``PagedKVCache.write``.
 MAX_UNIQUE_PER_DECODE = 2
@@ -670,8 +681,8 @@ def check_fast_projection() -> str:
     return "" if np.array_equal(fast, reference) else "fast projection is not bit-identical to the reference"
 
 
-def decode_dispatch_counts(shards: int = 0) -> Tuple[int, int]:
-    """``(Python-level calls, np.unique calls)`` of one batched ``decode_step``.
+def decode_dispatch_counts(shards: int = 0) -> Tuple[int, int, int]:
+    """``(Python-level calls, np.unique calls, paged_attention calls)`` of one batched ``decode_step``.
 
     The tiny model, Tender-quantized, decoding four ragged slots of a paged
     pool — the scheduler's steady-state forward; with ``shards``, as a shard
@@ -692,19 +703,59 @@ def decode_dispatch_counts(shards: int = 0) -> Tuple[int, int]:
     tokens = rng.integers(0, config.vocab_size, size=(len(lengths), int(lengths.max())))
     next_tokens = runner.prefill(tokens, lengths, view).argmax(axis=-1)
     next_tokens = runner.decode_step(next_tokens, view).argmax(axis=-1)  # fills the lazy caches
-    unique_code = np.unique.__wrapped__.__code__
-    return count_calls(partial(runner.decode_step, next_tokens, view), lambda code: code is unique_code)
+    entered = Counter()  # by code object; ``update`` returns None, so nothing "matches"
+    calls, _ = count_calls(partial(runner.decode_step, next_tokens, view), lambda code: entered.update((code,)))
+    return calls, entered[np.unique.__wrapped__.__code__], entered[paged_attention.__code__]
 
 
 def check_decode_dispatch() -> str:
-    """A PR that re-derives position metadata per site, per layer or per shard fails here."""
+    """A PR that re-derives position metadata per site, per layer or per shard,
+    or runs the fused attention kernel once per shard, fails here."""
+    layers = workloads.tiny_runner().config.num_layers
     for shards, budget in DECODE_CALL_BUDGET.items():
-        calls, uniques = decode_dispatch_counts(shards)
-        if calls > budget or uniques > MAX_UNIQUE_PER_DECODE:
+        calls, uniques, attentions = decode_dispatch_counts(shards)
+        if calls > budget or uniques > MAX_UNIQUE_PER_DECODE or attentions != layers:
             return (
                 f"one decode_step ({shards or 'no'} shards) made {calls} Python-level calls (budget "
-                f"{budget}) and {uniques} np.unique calls (budget {MAX_UNIQUE_PER_DECODE})"
+                f"{budget}), {uniques} np.unique calls (budget {MAX_UNIQUE_PER_DECODE}) and "
+                f"{attentions} paged_attention calls (one per layer: {layers})"
             )
+    return ""
+
+
+def attention_peak_ratio() -> float:
+    """``tracemalloc`` peak across one ``paged_attention`` call, over (score buffer + context) bytes.
+
+    The fixed chunk shape: 4 heads, 64 rows at positions 128..191 of one
+    single-run sequence — a 393 KB score buffer, above the allocator's
+    large-block threshold.  NumPy reports every array it allocates to
+    ``tracemalloc``, so the ratio counts score-sized temporaries exactly
+    and reads no clock.
+    """
+    heads, d_head, block, depth, rows = 4, 16, 16, 128, 64
+    pool = PagedKVCache(
+        num_layers=1, num_heads=heads, d_head=d_head, block_size=block, num_blocks=(depth + rows) // block
+    )
+    operands = pool.view([pool.reserve(depth + rows)]).attention_operands(0)
+    queries = np.random.default_rng(5).normal(size=(heads, rows, d_head))
+    plan = ForwardPlan.ragged([depth], [rows])
+    tracemalloc.start()
+    try:
+        context = paged_attention(queries, *operands, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (heads * rows * (depth + rows) * 8 + context.nbytes)
+
+
+def check_attention_memory() -> str:
+    """A kernel that allocates a score-sized array per pass (3.88 when it did) fails here."""
+    ratio = attention_peak_ratio()
+    if ratio > MAX_ATTENTION_PEAK_RATIO:
+        return (
+            f"one paged_attention call peaked at {ratio:.2f}x its score buffer + context "
+            f"(budget {MAX_ATTENTION_PEAK_RATIO})"
+        )
     return ""
 
 
@@ -725,6 +776,7 @@ def check_serving_stress() -> str:
 CHECKS = {
     "fast projection": check_fast_projection,
     "decode dispatch": check_decode_dispatch,
+    "attention memory": check_attention_memory,
     "serving stress": check_serving_stress,
 }
 
