@@ -184,6 +184,16 @@ class TenderExecutor:
             self._bias_projection_cache[name] = [chunk.bias @ weight for chunk in params.chunks]
         return self._bias_projection_cache[name]
 
+    def adopt_bias_projection(self, name: str, source: "TenderExecutor", weight: np.ndarray, columns) -> None:
+        """Take site ``name``'s compensation from ``source``: its full-width one, cut to ``columns``.
+
+        For an executor projecting ``weight[:, a:b]`` (a tensor-parallel shard)
+        on ``source``'s calibration, before its first projection of the site:
+        every column then adds the full-width projection's bits, whatever the split.
+        """
+        a, b = columns
+        self._bias_projection_cache[name] = [row[a:b] for row in source._bias_projection(name, weight)]
+
     def _bias_projection_stack(self, name: str, weight: np.ndarray) -> np.ndarray:
         """The per-chunk ``bias @ W`` compensations as one (chunks, out) table.
 

@@ -543,6 +543,7 @@ class TransformerRunner:
         cache: KVCacheLike,
         start_positions: np.ndarray,
         lengths: Optional[np.ndarray] = None,
+        logit_rows: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Score a run of draft tokens per sequence in one forward pass.
 
@@ -565,6 +566,17 @@ class TransformerRunner:
         Without ``lengths`` the batch is the rectangle ``(batch, new_len)``
         — equal lengths — and the logits come back as ``(batch, new_len,
         vocab)``; with ``new_len == 1`` that is exactly :meth:`decode_step`.
+
+        ``logit_rows[b]`` (optional, one integer in ``[0, lengths[b]]`` per
+        sequence) says how many *trailing* rows of sequence ``b`` need
+        logits: every row still runs and writes its KV, and only those rows'
+        logits come back, flat in order — ``(sum(logit_rows), vocab)``.  A
+        resumed request catches up this way (:class:`repro.serve.Scheduler`):
+        its rows are ``[replay tail..., pending, drafts...]`` and nothing is
+        sampled from the tail.  The LM head is skipped when nothing is asked
+        for; otherwise it runs over the forward's own plan and the rows are
+        cut from its result — the tail is shorter than a KV block, and a
+        second plan over the kept rows costs more than projecting them all.
 
         Every provided token's KV is written to the cache (positions
         ``start .. start + length - 1``, never past a short row's
@@ -592,10 +604,21 @@ class TransformerRunner:
                 "verify() needs at least the pending token per row and exactly sum(lengths) tokens"
             )
         start = self._row_starts(start_positions, counts.shape[0])
+        if logit_rows is not None:
+            wanted = np.asarray(logit_rows).reshape(-1)
+            if wanted.dtype.kind not in "iu" or wanted.size != counts.size or np.any((wanted < 0) | (wanted > counts)):
+                raise ConfigurationError(
+                    f"logit_rows {wanted.tolist()} must be one integer in [0, lengths[b]] per sequence, "
+                    f"lengths {counts.tolist()}"
+                )
         plan = ForwardPlan.ragged(start, counts)
         hidden = self._forward_rows(tokens.reshape(-1), cache, plan)
         cache.lengths[:] = start + counts
+        if logit_rows is not None and not wanted.any():
+            return np.zeros((0, self.config.vocab_size), dtype=np.float64)
         logits = self._project("lm_head", hidden, self.weights.lm_head, None, plan)
+        if logit_rows is not None:
+            return logits[plan.positions >= (start + counts - wanted)[plan.rows]]
         return logits if lengths is not None else logits.reshape(*tokens.shape, -1)
 
     def decode_step(self, tokens: np.ndarray, cache: KVCacheLike) -> np.ndarray:

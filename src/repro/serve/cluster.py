@@ -71,6 +71,7 @@ from repro.serve.scheduler import (
 #: rebuilds) for its merged ``stats`` view.
 _POOL_STAT_KEYS = (
     "prefill_tokens",
+    "resume_tail_rows",
     "prefix_hit_tokens",
     "generated_tokens",
     "decode_iterations",

@@ -46,6 +46,13 @@ carries the same object, so nothing a request accumulated — tokens, logits,
 sampler stream, speculation and preemption counters — can be dropped on
 the way.
 
+A **resume** is the admission of a record that already holds sampled tokens
+(a preemption replay, a :meth:`Scheduler.submit_checkpoint` recovery): it
+replays ``prompt + generated[:-1]`` into the cache and samples nothing.
+When the prefix match leaves less than one block of that replay to compute,
+the resume gets no forward of its own — those rows *ride* the step's decode
+forward in front of its pending token (:meth:`Scheduler._admit`).
+
 Determinism and parity are load-bearing: each request samples from its *own*
 ``numpy`` generator seeded with :attr:`GenerationConfig.seed`, and each
 prefill chunk runs as its own batch-of-one forward, so a request's output is
@@ -222,10 +229,15 @@ class RequestOutput:
 class SchedulerStats:
     """Iteration accounting of one scheduler run (deterministic, not wall time)."""
 
-    #: Prefill forward passes executed (one per prefill chunk).
+    #: Prefill *forwards* executed (one per chunk; a riding resume runs none).
     prefill_iterations: int = 0
-    #: Prompt tokens actually computed by prefill forwards.
+    #: Prompt / replay tokens computed rather than served from the prefix
+    #: cache: by prefill forwards or, ``resume_tail_rows`` of them, while riding.
     prefill_tokens: int = 0
+    #: The part of ``prefill_tokens`` resumes caught up on inside a decode
+    #: forward (:meth:`Scheduler._admit`): the rows a runner sees on its decode
+    #: side are ``decode_slot_steps + spec_proposed_tokens + resume_tail_rows``.
+    resume_tail_rows: int = 0
     #: Prompt tokens served from the prefix cache instead of being computed.
     prefix_hit_tokens: int = 0
     #: Batched decode forward passes executed.
@@ -421,8 +433,6 @@ class RequestCheckpoint(Request):
     budget: int = 0
     #: KV slot while admitted, ``-1`` while queued or detached.
     slot: int = -1
-    #: The newest committed token — the next decode step's input.
-    next_token: int = -1
     #: Tick of the first admission on the current scheduler (-1.0 before);
     #: survives preemption, restarts on another scheduler's clock.
     admitted_at: float = -1.0
@@ -436,8 +446,9 @@ class RequestCheckpoint(Request):
     #: Recovery attempts already spent on this request (bumped by the
     #: replica pool each time it re-admits the record after a failure).
     retries: int = 0
-    #: Tokens the current prefill must cover (see :meth:`replay_tokens`);
-    #: set while the record is prefilling, ``None`` otherwise.
+    #: Tokens the cache must hold before decoding (see :meth:`replay_tokens`):
+    #: set while the record is prefilling, or sits in the decode set with a
+    #: resume tail for this step's forward to compute; ``None`` otherwise.
     replay: Optional[np.ndarray] = None
     #: Leading ``replay`` tokens already in the KV cache (prefix hits plus
     #: prefilled chunks).
@@ -548,8 +559,8 @@ def _request_output(
     )
 
 
-#: What a request that cannot (or does not) draft proposes this iteration.
-_NO_DRAFT = np.empty(0, dtype=np.int64)
+#: The rows of a request with no replay tail to catch up on, or no proposal.
+_NO_TOKENS = np.empty(0, dtype=np.int64)
 
 
 def _token_budget(prompt_len: int, max_new_tokens: int, max_seq_len: int) -> int:
@@ -617,21 +628,19 @@ class Scheduler:
         verifies whole draft runs in multi-token forwards, committing
         through the request's ordinary sampling rule so the token stream
         (and the logits behind every committed token) match non-speculative
-        decoding exactly for Tender implicit/explicit.  Each iteration runs
-        exactly one forward: a ragged verification in which every active
-        request carries its pending token and its *own* proposal (none = a
-        plain decode row), or an ordinary decode step when nobody drafted;
-        draft lengths adapt per request via an accept-rate EMA.  Chunked
-        prefill interleaves unchanged — speculation only alters the decode
-        half of each :meth:`step`.
+        decoding exactly for Tender implicit/explicit.  Each iteration still
+        runs exactly one forward (see :meth:`_decode_iteration`); draft
+        lengths adapt per request via an accept-rate EMA.  Chunked prefill
+        interleaves unchanged — speculation only alters the decode half of
+        each :meth:`step`.
     preemption : bool
         Allow admission to evict a strictly lower-priority victim when the
         head of the queue cannot start (no free slot, or
         :class:`ResourceExhaustedError` from the block pool).  The victim's
         blocks are released to the LRU free-list (published blocks stay
-        matchable, so resume usually re-maps its prefix instead of
-        recomputing it) and the victim is re-queued for prompt replay; its
-        token stream is bit-identical to an unpreempted run because resume
+        matchable, so its resume usually re-maps the prefix and rides the
+        decode forward for the rest) and the victim is re-queued; its token
+        stream is bit-identical to an unpreempted run because a resume
         replays already-sampled tokens without re-sampling.
     on_token : callable, optional
         ``on_token(request_id, token)`` invoked synchronously for every
@@ -873,7 +882,15 @@ class Scheduler:
     # Serving loop
     # ------------------------------------------------------------------
     def step(self) -> List[RequestOutput]:
-        """Run one scheduler iteration: admit, prefill, then one decode.
+        """Run one scheduler iteration: admit, prefill, then one decode forward.
+
+        An ordered pipeline: promote arrivals, admit (expiring and preempting
+        on the way; an unchunked prefill runs at admission), spend the
+        ``prefill_chunk`` budget, then the decode half — every active
+        request's rows assembled into one forward and committed.  The clock
+        ticks once per model forward, so a resume that rides the decode
+        forward adds no tick of its own, and no pending tail outlives the
+        step that admitted it.
 
         With an empty batch and every waiting arrival still in the future,
         the clock jumps to the next arrival (recorded as ``stats.idle_time``)
@@ -1013,6 +1030,19 @@ class Scheduler:
         may need far fewer fresh blocks than its reservation suggests.
         With ``preemption=True`` a head that cannot start evicts strictly
         lower-priority victims (worst first) until it fits or none remain.
+
+        A resume (see the module docstring) with fewer than ``block_size``
+        rows of its replay left to compute after the match is not a prefill:
+        the record joins the decode set with that tail pending
+        (``replay[prefill_pos:]``) and this step's decode forward computes it
+        (:meth:`_decode_iteration`) — no forward, no clock tick, none of the
+        ``prefill_chunk`` budget.  The threshold is the pool's granularity,
+        not a knob: prefixes match in whole blocks, so under prefix caching
+        a sub-block tail *means* every full block hit, while a resume that
+        missed (evicted prefix, cache off, another replica's record) has a
+        block or more to recompute and is the prefill it always was.  A ride
+        evicted again later in the same pass goes back to the queue with
+        nothing forwarded: its cache length never advanced.
         """
         self._promote_arrivals()
         self._expire_deadlines(finished)
@@ -1062,9 +1092,13 @@ class Scheduler:
                     prefix_hit=start,
                     replay=bool(record.preemptions or record.generated),
                 )
-            self._prefilling.append(record)
+            rides = bool(record.generated) and len(tokens) - start < block_size
+            if rides:
+                self._active[slot] = record
+            else:
+                self._prefilling.append(record)
             self.stats.peak_active = max(self.stats.peak_active, self.num_active)
-            if self.prefill_chunk is None:
+            if self.prefill_chunk is None and not rides:
                 # Unchunked serving: the whole remaining prompt is prefilled
                 # in one forward at admission.
                 self._advance_prefill(record, len(tokens) - start, finished)
@@ -1183,10 +1217,8 @@ class Scheduler:
                     heapq.heapify(queue)
                     break
             return record
-        if record.replay is not None:
+        if self._active.pop(record.slot, None) is None:
             self._prefilling.remove(record)
-        else:
-            del self._active[record.slot]
         self._decode_view = None
         self.cache.free(record.slot)
         record.slot = -1
@@ -1434,21 +1466,23 @@ class Scheduler:
         self.now += 1.0
         if end == len(tokens):
             self._prefilling.remove(record)
-            record.prefill_view = None
-            record.replay = None
-            if self.prefix_cache:
-                self.cache.publish_prefix(record.slot, tokens)
+            self._replay_complete(record)
             self._active[record.slot] = record
+            # A replay samples nothing: the last token sampled before the
+            # detach was never fed to the model, and is the next decode
+            # step's input exactly as in the undisturbed run.
             if samples:
                 reason = self._commit(record, logits)[1]
                 if reason is not None:
                     self._finalize(record, reason, finished)
-            else:
-                # Replay: the last token sampled before the detach was never
-                # fed to the model; it becomes the next decode step's input,
-                # exactly as in the undisturbed run.
-                record.next_token = record.generated[-1]
         return len(chunk)
+
+    def _replay_complete(self, record: RequestCheckpoint) -> None:
+        """The cache now holds all of ``record.replay``: publish it for sharing, drop it."""
+        if self.prefix_cache:
+            self.cache.publish_prefix(record.slot, record.replay)
+        record.replay = None
+        record.prefill_view = None
 
     def _prefill_iteration(self, finished: List[RequestOutput]) -> None:
         """Spend this step's ``prefill_chunk`` token budget, FIFO."""
@@ -1456,135 +1490,117 @@ class Scheduler:
         while budget > 0 and self._prefilling:
             budget -= self._advance_prefill(self._prefilling[0], budget, finished)
 
-    def _decode_iteration(self, finished: List[RequestOutput]) -> None:
-        """One batched decode step over every active slot."""
-        if self.speculation is not None:
-            self._speculative_iteration(finished)
-        else:
-            self._plain_decode_step(list(self._active.values()), finished)
+    def _draft(self, state: RequestCheckpoint) -> np.ndarray:
+        """``state``'s proposal for this iteration: up to ``draft_len`` tokens, possibly none.
 
-    def _plain_decode_step(
-        self, states: List[RequestCheckpoint], finished: List[RequestOutput]
-    ) -> None:
-        """One ordinary one-token decode forward over ``states``."""
-        view = self._view_for([state.slot for state in states])
-        tokens = np.array([state.next_token for state in states], dtype=np.int64)
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.begin("decode_step", self.trace_track, batch=len(states))
-        try:
-            logits = self.runner.decode_step(tokens, view)
-            view.commit()
-        finally:
-            if tracer is not None:
-                tracer.end(self.trace_track)
-        self.stats.decode_iterations += 1
-        self.stats.decode_slot_steps += len(states)
-        self.now += 1.0
-        for row, state in enumerate(states):
-            reason = self._commit(state, logits[row : row + 1])[1]
-            if reason is not None:
-                self._finalize(state, reason, finished)
-
-    def _view_for(self, slots: List[int]) -> SlotBatchView:
-        """The cached decode-batch view for ``slots`` (rebuilt on change)."""
-        view = self._decode_view
-        if view is None or view.slot_ids != slots:
-            view = self.cache.view(slots)
-            self._decode_view = view
-        return view
-
-    def _speculative_iteration(self, finished: List[RequestOutput]) -> None:
-        """One draft-and-verify iteration over every active slot: one forward.
-
-        Each request's drafter proposes up to ``draft_len`` tokens, capped
-        by the request's own remaining token budget — drafting past it could
-        only produce tokens the budget would discard, and would write
-        outside the admission-time block reservation.  A request at its last
-        budgeted token, like one whose drafter has nothing to say, proposes
-        nothing.
-
-        * **Nobody drafted** — one ordinary batched decode step over the
-          whole batch, at exactly plain decode's cost.  Speculation never
-          adds forwards on traffic the drafter cannot read.
-        * **Somebody drafted** — one ragged
-          :meth:`TransformerRunner.verify` forward in which every active
-          request carries ``[pending, its own drafts...]`` and nothing
-          else: ``sum(proposed + 1)`` rows.  A request with no proposal is
-          a plain decode row riding in the same forward (it commits the one
-          token the decode step it replaces would have), so cold rows are
-          never slowed while warm rows sprint, and no row is ever computed,
-          or written to the cache, for the sake of another row's depth.
-
-        Rejected positions are rolled back with
-        :meth:`PagedKVCache.truncate` — blocks are kept (``min_capacity`` =
-        the reservation) so the reserve-once guarantee survives, while the
-        rolled-back positions are scrubbed to zeros.
+        ``remaining - 1`` caps it: accepting every draft plus the sampled
+        bonus commits at most ``remaining`` new tokens, and the admission-time
+        reservation holds exactly that many writes.
         """
-        spec = self.speculation
+        cap = min(state.spec.draft_len, state.budget - len(state.generated) - 1)
+        if cap < 1:
+            return _NO_TOKENS
+        sequence = np.concatenate([state.prompt, np.array(state.generated, dtype=np.int64)])
+        proposal = self.speculation.drafter.propose(state.request_id, sequence, cap)
+        return np.asarray(proposal, dtype=np.int64).reshape(-1)[:cap]
+
+    def _decode_iteration(self, finished: List[RequestOutput]) -> None:
+        """The decode half of a step: assemble rows, one forward, commit.
+
+        Every active request contributes ``[tail..., pending, drafts...]``:
+        the replay rows a riding resume still owes the cache (:meth:`_admit`;
+        none for everyone else), its already-sampled next token, and — under
+        speculation — its *own* proposal (:meth:`_draft`; none is a plain
+        decode row).  No row is computed, or written to the cache, for the
+        sake of another row's depth.  One row each is an ordinary batched
+        :meth:`~repro.models.inference.TransformerRunner.decode_step`, so
+        neither speculation nor resumption costs traffic that has neither;
+        anything else is one ragged
+        :meth:`~repro.models.inference.TransformerRunner.verify` over exactly
+        those rows, asked (``logit_rows``) only for the logits something is
+        sampled from when a tail rides.
+
+        A tail completes its replay as a prefill's last chunk would —
+        publish, then commit — so a request that finishes in the forward it
+        rode publishes before its slot is freed.  Rejected draft positions
+        are rolled back with :meth:`PagedKVCache.truncate`: blocks are kept
+        (``min_capacity`` = the reservation, so reserve-once survives) and
+        the rolled-back positions scrubbed to zeros.
+        """
         states = list(self._active.values())
-        drafts: List[np.ndarray] = []
-        for state in states:
-            # remaining - 1 caps the useful draft length: accepting every
-            # draft plus the sampled bonus commits at most `remaining` new
-            # tokens, and capacity was reserved for exactly that many writes.
-            cap = min(state.spec.draft_len, state.budget - len(state.generated) - 1)
-            if cap < 1:
-                drafts.append(_NO_DRAFT)
-                continue
-            sequence = np.concatenate(
-                [state.prompt, np.array(state.generated, dtype=np.int64)]
-            )
-            drafts.append(
-                np.asarray(
-                    spec.drafter.propose(state.request_id, sequence, cap), dtype=np.int64
-                ).reshape(-1)[:cap]
-            )
-        lengths = np.array([len(draft) + 1 for draft in drafts], dtype=np.int64)
-        rows = int(lengths.sum())
-        if rows == len(states):
-            self._plain_decode_step(states, finished)
-            return
-        view = self._view_for([state.slot for state in states])
-        self.stats.decode_iterations += 1
-        self.stats.decode_slot_steps += len(states)
-        self.stats.spec_verify_iterations += 1
-        self.stats.spec_verify_rows += rows
-        self.now += 1.0
-        starts = view.lengths.copy()
-        tokens = np.concatenate(
-            [piece for state, draft in zip(states, drafts) for piece in ([state.next_token], draft)]
-        )
+        batch, slots = len(states), [state.slot for state in states]
+        view = self._decode_view
+        if view is None or view.slot_ids != slots:  # rebuilt only when the slot set changed
+            view = self._decode_view = self.cache.view(slots)
+        riders = [state for state in states if state.replay is not None]
+        drafts, rows, tail_rows = [_NO_TOKENS] * batch, batch, 0
+        if riders or self.speculation is not None:  # else one row each: nothing to lay out
+            tails = [_NO_TOKENS if s.replay is None else s.replay[s.prefill_pos :] for s in states]
+            if self.speculation is not None:
+                drafts = [self._draft(state) for state in states]
+            lengths = [len(tail) + 1 + len(draft) for tail, draft in zip(tails, drafts)]
+            rows, tail_rows = sum(lengths), sum(map(len, tails))
+        drafted = rows - batch - tail_rows
         tracer = self.tracer
         if tracer is not None:
-            tracer.begin("verify_step", self.trace_track, batch=len(states), rows=rows)
+            ragged = {"rows": rows} if rows > batch else {}
+            tracer.begin(
+                "verify_step" if drafted else "decode_step", self.trace_track, batch=batch, **ragged
+            )
         try:
-            # Handed over as one (1, rows) row, which verify() flattens: the
-            # benchmark's span probe reads a 2-D np.shape() off this argument.
-            logits = self.runner.verify(tokens[None, :], view, starts, lengths=lengths)
-            # The runner advanced every row to start + its own length; commit
-            # that high-water mark first so truncate() knows how far the
-            # optimistic writes reached, then roll each row back to what its
-            # sampling rule actually committed.
+            if rows == batch:
+                tokens = np.array([state.generated[-1] for state in states], dtype=np.int64)
+                logits = self.runner.decode_step(tokens, view)
+            else:
+                tokens = np.concatenate(
+                    [
+                        piece
+                        for state, tail, draft in zip(states, tails, drafts)
+                        for piece in (tail, state.generated[-1:], draft)
+                    ]
+                )
+                # Nothing is sampled from a tail row; without one every row's logits are wanted.
+                heads = {"logit_rows": [len(draft) + 1 for draft in drafts]} if tail_rows else {}
+                # Handed over as one (1, rows) row, which verify() flattens: the
+                # benchmark's span probe reads a 2-D np.shape() off this argument.
+                logits = self.runner.verify(
+                    tokens[None, :],
+                    view,
+                    view.lengths.copy(),
+                    lengths=np.array(lengths, dtype=np.int64),
+                    **heads,
+                )
+            # The runner advanced every row by its own length; commit that
+            # high-water mark first so truncate() knows how far the optimistic
+            # writes reached, then roll each row back to what its sampling
+            # rule actually committed.
             view.commit()
         finally:
             if tracer is not None:
                 tracer.end(self.trace_track)
-        bounds = np.cumsum(lengths).tolist()
-        outcomes = [
-            self._commit(state, logits[stop - len(draft) - 1 : stop], draft)
-            for state, draft, stop in zip(states, drafts, bounds)
-        ]
-        for row, (state, (committed, reason)) in enumerate(zip(states, outcomes)):
+        self.stats.decode_iterations += 1
+        self.stats.decode_slot_steps += batch
+        self.stats.prefill_tokens += tail_rows
+        self.stats.resume_tail_rows += tail_rows
+        if drafted:
+            self.stats.spec_verify_iterations += 1
+            self.stats.spec_verify_rows += batch + drafted
+        self.now += 1.0
+        for state in riders:
+            self._replay_complete(state)
+        stop = 0
+        for row, (state, draft) in enumerate(zip(states, drafts)):
+            width = len(draft) + 1
+            start, stop = stop, stop + width
+            committed, reason = self._commit(state, logits[start:stop], draft)
             if reason is not None:
                 self._finalize(state, reason, finished)
-            elif committed < lengths[row]:
+            elif committed < width:
+                kept = int(view.lengths[row]) - (width - committed)
                 self.cache.truncate(
-                    state.slot,
-                    int(starts[row]) + committed,
-                    min_capacity=self.cache.capacity_of(state.slot),
+                    state.slot, kept, min_capacity=self.cache.capacity_of(state.slot)
                 )
-                view.lengths[row] = int(starts[row]) + committed
+                view.lengths[row] = kept
 
     def _commit(
         self, record: RequestCheckpoint, logits_rows: np.ndarray, draft: Sequence[int] = ()
@@ -1615,7 +1631,6 @@ class Scheduler:
         for position in range(proposed + 1):
             token = _sample_token(logits_rows[position], self.config, record.rng)
             record.generated.append(token)
-            record.next_token = token
             self.stats.generated_tokens += 1
             if record.first_token_at < 0:
                 record.first_token_at = self.now

@@ -24,10 +24,12 @@ architecture.md): every shard holds a *full replica* of the per-chunk
 calibration tables and Index-Buffer channel orders, because column-parallel
 sharding never splits the **channel (reduction) axis** those tables index —
 a shard sees all ``d_model`` (or ``d_ff``) input channels and only slices
-output columns.  Per-column weight scales, permuted-row weight caches, and
-``bias @ W`` compensations are re-derived per shard from the shared tables
-and the shard's own column slice, which equals slicing the full-width result
-column-for-column.  What the tables make identical on every shard — the
+output columns.  Per-column weight scales and permuted-row weight caches are
+re-derived per shard from the shared tables and the shard's own column
+slice, which equals slicing the full-width result column-for-column; the
+``bias @ W`` compensation, a GEMV whose BLAS blocking depends on the slice's
+width, is derived once at full width and sliced (:meth:`ShardedRunner._compensate`).
+What the tables make identical on every shard — the
 forward's plan and each site's *quantized activation* — is derived once per
 forward and handed to every shard executor, which runs only its own weight
 side (``TenderExecutor.quantize`` / ``project``).  The alternative — row-parallel splits meeting at
@@ -192,6 +194,12 @@ class ShardedRunner(TransformerRunner):
         self._stacks_qkv = all(getattr(e, "stacks_sites", False) for e in self.executors)
         #: Whether shard 0's ``quantize`` serves the whole group.
         self._shares_activation = _share_activation_side(self.executors)
+        #: Sites whose ``bias @ W`` compensation the shards took from the solo
+        #: executor (:meth:`_compensate`); ``None`` when that one is not built
+        #: on the calibration the shards share, and each shard derives its own.
+        self._compensated: Optional[set] = set() if (
+            self._shares_activation and _share_activation_side([runner.executor, self.executors[0]])
+        ) else None
         #: Contiguous head ranges per shard (attention head parallelism).
         self.head_bounds = partition_bounds(config.num_heads, num_shards)
         self._column_bounds: Dict[int, List[Tuple[int, int]]] = {}
@@ -211,6 +219,19 @@ class ShardedRunner(TransformerRunner):
             bounds = partition_bounds(width, self.num_shards)
             self._column_bounds[width] = bounds
         return bounds
+
+    def _compensate(self, name: str, weight: np.ndarray, bounds: List[Tuple[int, int]]) -> None:
+        """Hand every shard its slice of site ``name``'s ``bias @ W`` compensation.
+
+        The solo executor derives it once at full width — the values a solo
+        forward adds — and each shard executor adopts its column range before
+        its first projection of the site.  Derived from a shard's own slice it
+        is right column for column but not bit for bit: an uneven split (three
+        shards of four heads) drifted ~1e-16 from solo.
+        """
+        self._compensated.add(name)
+        for executor, columns in zip(self.executors, bounds):
+            executor.adopt_bias_projection(name, self.executor, weight, columns)
 
     def _shard_projections(
         self,
@@ -257,9 +278,11 @@ class ShardedRunner(TransformerRunner):
         solo runner's operands — the concatenation is bit-identical to the
         unsharded projection.
         """
+        bounds = self._bounds_for(weight.shape[-1])
+        if self._compensated is not None and name not in self._compensated:
+            self._compensate(name, weight, bounds)
         operands = [
-            (weight[:, start:stop], None if bias is None else bias[start:stop])
-            for start, stop in self._bounds_for(weight.shape[-1])
+            (weight[:, start:stop], None if bias is None else bias[start:stop]) for start, stop in bounds
         ]
         return self.group.all_gather(self._shard_projections(name, x, operands, positions), axis=-1)
 
@@ -279,6 +302,12 @@ class ShardedRunner(TransformerRunner):
         """
         d_head = self.config.d_head
         columns = [(h0 * d_head, h1 * d_head) for h0, h1 in self.head_bounds]
+        attn = self.weights.blocks[index].attn
+        prefix = f"block{index}.attn"
+        if self._compensated is not None and f"{prefix}.q_proj" not in self._compensated:
+            for site, weight in zip("qkv", (attn.wq, attn.wk, attn.wv)):
+                # Contiguous, as the solo runner's stacked path hands each site its block.
+                self._compensate(f"{prefix}.{site}_proj", np.ascontiguousarray(weight), columns)
         if self._stacks_qkv:
             stacks = [self._qkv_stack(index, cut) for cut in columns]
             operands = [(weight, bias) for _, weight, bias in stacks]
@@ -287,8 +316,6 @@ class ShardedRunner(TransformerRunner):
                 for part in self._shard_projections(stacks[0][0], x, operands, positions)
             ]
             return tuple(list(parts) for parts in zip(*split))
-        attn = self.weights.blocks[index].attn
-        prefix = f"block{index}.attn"
         return tuple(
             self._shard_projections(
                 f"{prefix}.{site}_proj",

@@ -342,6 +342,7 @@ class TestStatsMergeAudit:
         for key in _POOL_STAT_KEYS:
             expected = pool._retired_stats[key] + sum(getattr(s, key) for s in live)
             assert pool.stats[key] == expected, key
+        assert 0 < pool.stats["resume_tail_rows"] < pool.stats["prefill_tokens"]  # resumes rode here
 
     def test_registry_merge_is_associative_across_replicas(self, chaos_runner):
         pool = ReplicaPool(

@@ -434,11 +434,9 @@ class TestGroupAttention:
         ragged ``verify``, the context layer 0's attention hands its output
         projection is the solo runner's bit for bit — no bit of a head's
         attention depends on who owns it — and so is every token, dropped
-        and corrupted messages included.  The *logits* of a 3-way split are
-        held to the FP bar instead: its 11 / 11 / 10-column weight slices
-        change BLAS's blocking of each shard's ``bias @ W`` compensation
-        (~1e-16, on either side of this kernel), which 2 and 4 shards' even
-        slices never did."""
+        and corrupted messages included.  So are the logits: the 11 / 11 /
+        10-column weight slices of a 3-way split all add the ``bias @ W``
+        compensation the solo executor derived at full width."""
         solo = four_head_runners[name]
         injector = CollectiveFaultInjector(seed=2, drop_rate=0.01, corrupt_rate=0.01)
         group = CollectiveGroup(3, fault_injector=injector if chaos else None, max_retries=4)
@@ -479,8 +477,26 @@ class TestGroupAttention:
                 np.testing.assert_array_equal(ours, theirs)
             for (tokens, logits), (solo_tokens, solo_logits) in zip(actual, expected):
                 np.testing.assert_array_equal(tokens, solo_tokens)
-                np.testing.assert_allclose(logits, solo_logits, rtol=0.0, atol=1e-12)
+                np.testing.assert_array_equal(logits, solo_logits)
         assert (group.stats.retries > 0) == chaos
+
+    def test_compensation_is_the_full_width_one_whoever_derives_it_first(self, shard_prompts):
+        """The shards take ``bias @ W`` from the solo executor's full-width
+        derivation even when the solo runner has never run, and a private
+        calibration per shard keeps deriving its own (tokens only, then)."""
+        expected = _serve(tiny_runner("tender-implicit", num_heads=4), shard_prompts)
+        cold = tiny_runner("tender-implicit", num_heads=4)
+        _assert_outputs_identical(_serve(ShardedRunner(cold, 3), shard_prompts), expected)
+        _assert_outputs_identical(_serve(cold, shard_prompts), expected)
+        executor = cold.executor
+        private = ShardedRunner(
+            cold, 3, executor_factory=lambda shard_id: TenderExecutor(
+                dict(executor.site_params), executor.config, implicit=executor.implicit
+            ),
+        )  # fmt: skip
+        assert private._compensated is None
+        for request_id, output in _serve(private, shard_prompts).items():
+            np.testing.assert_array_equal(output.generated, expected[request_id].generated)
 
     @pytest.mark.parametrize("num_shards", [2, 3, 4])
     def test_quantized_attention_stays_per_shard(self, num_shards, shard_prompts):
@@ -517,7 +533,8 @@ class TestMalformedBatches:
         runner.prefill(np.arange(12).reshape(2, 6), np.array([6, 4]), view)
 
         def state():
-            arrays = [*pool.key_blocks, *pool.value_blocks, view.lengths]
+            committed = [pool.length_of(slot) for slot in view.slot_ids]
+            arrays = [*pool.key_blocks, *pool.value_blocks, view.lengths, committed]
             return [np.array(array) for array in arrays]
 
         return view, state
@@ -533,9 +550,18 @@ class TestMalformedBatches:
             (lambda r, v: r.decode_step(np.array([1, 10**6]), v), r"1 \.\. 1000000 outside \[0, 64\)"),
             (lambda r, v: r.decode_step(np.array([64, 1]), v), r"1 \.\. 64 outside \[0, 64\)"),
             (lambda r, v: r.verify(np.array([3, -1, 5]), v, [6, 4], lengths=[2, 1]), r"-1 \.\. 5 outside \[0, 64\)"),
+            (lambda r, v: r.verify(np.array([3, 4, 5]), v, [6, 4], lengths=[2, 1], logit_rows=[-1, 1]),
+             r"logit_rows \[-1, 1\] must be .* lengths \[2, 1\]"),
+            (lambda r, v: r.verify(np.array([3, 4, 5]), v, [6, 4], lengths=[2, 1], logit_rows=[2, 2]),
+             r"logit_rows \[2, 2\] must be .* lengths \[2, 1\]"),
+            (lambda r, v: r.verify(np.array([3, 4, 5]), v, [6, 4], lengths=[2, 1], logit_rows=[1]),
+             r"logit_rows \[1\] must be .* lengths \[2, 1\]"),
+            (lambda r, v: r.verify(np.array([3, 4, 5]), v, [6, 4], lengths=[2, 1], logit_rows=[1.0, 1.0]),
+             r"logit_rows \[1\.0, 1\.0\] must be one integer .* lengths \[2, 1\]"),
         ],
         ids=["decode +1 token", "decode -1 token", "verify +1 sequence", "prefill +1 sequence",
-             "prefill -1 sequence", "token id 10**6", "token id == vocab", "negative token id"],
+             "prefill -1 sequence", "token id 10**6", "token id == vocab", "negative token id",
+             "logit_rows < 0", "logit_rows > length", "logit_rows -1 sequence", "logit_rows float"],
     )  # fmt: skip
     def test_typed_refusal_leaves_the_cache_untouched(self, runner, primed, call, match):
         view, state = primed
@@ -547,6 +573,28 @@ class TestMalformedBatches:
         # Still serviceable: the same view takes a well-formed step.
         assert runner.decode_step(np.array([1, 2]), view).shape == (2, runner.config.vocab_size)
         assert view.lengths.tolist() == [7, 5]
+
+    def test_logit_rows_select_trailing_rows(self, runner, primed):
+        """``logit_rows`` returns each sequence's trailing rows, bit for bit the
+        full verify's; every row still runs and writes its KV.  Nothing asked
+        for: an empty ``(0, vocab)`` array, and no LM-head projection at all."""
+        view, _ = primed
+        tokens, lengths = np.array([3, 4, 5, 6, 7]), [3, 2]
+        full = runner.verify(tokens, view, [6, 4], lengths=lengths)
+        sites, project = [], runner._project
+        runner._project = lambda site, *rest: (sites.append(site), project(site, *rest))[1]
+        try:
+            for wanted in ([1, 1], [0, 2], [3, 0], [0, 0]):
+                del sites[:]
+                view.lengths[:] = [6, 4]
+                logits = runner.verify(tokens, view, [6, 4], lengths=lengths, logit_rows=wanted)
+                expected = np.concatenate([full[3 - wanted[0] : 3], full[5 - wanted[1] : 5]])
+                assert logits.shape == (sum(wanted), runner.config.vocab_size)
+                np.testing.assert_array_equal(logits, expected)
+                assert view.lengths.tolist() == [9, 6]
+                assert ("lm_head" in sites) == bool(sum(wanted))
+        finally:
+            del runner._project
 
 
 class TestShardedRunnerConstruction:

@@ -71,18 +71,23 @@ class count_forwards:
     def __init__(self, runner):
         self.runner = runner
         self.decode_calls = 0
+        self.decode_rows = 0
         self.verify_rows = 0
         self.verify_lengths = []
+        #: Rows per sequence the LM head ran on: all of them unless a resume tail rode.
+        self.verify_heads = []
         decode_step, verify = runner.decode_step, runner.verify
 
         def counted_decode_step(tokens, cache):
             self.decode_calls += 1
+            self.decode_rows += len(tokens)
             return decode_step(tokens, cache)
 
-        def counted_verify(tokens, cache, start_positions, lengths):
+        def counted_verify(tokens, cache, start_positions, lengths, **kwargs):
             self.verify_rows += int(np.size(tokens))
             self.verify_lengths.append([int(length) for length in lengths])
-            return verify(tokens, cache, start_positions, lengths=lengths)
+            self.verify_heads.append([int(rows) for rows in kwargs.get("logit_rows", lengths)])
+            return verify(tokens, cache, start_positions, lengths=lengths, **kwargs)
 
         runner.decode_step, runner.verify = counted_decode_step, counted_verify
 
@@ -910,11 +915,19 @@ class TestRaggedVerifyLattice:
             assert stats.preemptions > 0
         if point == "eos":
             assert any(output.finish_reason == "eos" for output in outputs.values())
-        assert stats.spec_verify_iterations == len(forwards.verify_lengths) > 0
+        # A forward verifies when somebody drafted; a resume tail alone also
+        # makes one ragged, and its rows are booked apart from the verify rows.
+        verifying = [heads for heads in forwards.verify_heads if max(heads) > 1]
+        assert stats.spec_verify_iterations == len(verifying) > 0
         assert forwards.decode_calls + len(forwards.verify_lengths) == stats.decode_iterations
         assert stats.spec_proposed_tokens == drafter.proposed
-        participants = sum(len(lengths) for lengths in forwards.verify_lengths)
-        assert stats.spec_verify_rows == forwards.verify_rows == drafter.proposed + participants
+        participants = sum(len(heads) for heads in verifying)
+        assert stats.spec_verify_rows == sum(map(sum, verifying)) == drafter.proposed + participants
+        tail_rows = forwards.verify_rows - sum(map(sum, forwards.verify_heads))
+        assert tail_rows == stats.resume_tail_rows
+        assert (tail_rows > 0) == (point == "preemption")
+        decode_side = forwards.decode_rows + forwards.verify_rows
+        assert decode_side == stats.decode_slot_steps + drafter.proposed + tail_rows
 
 
 class TestStatsGuards:
