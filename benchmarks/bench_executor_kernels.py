@@ -210,7 +210,7 @@ def run_paged_attention_bench(weights, corpus_train) -> dict:
     copies each layer each step (tallied by ``PagedKVCache.gather_bytes``),
     so the gap widens with context.  Tokens must match exactly, the fused
     path must move zero dense KV bytes and the reference exactly the closed
-    form; the analytic counterpart is ``repro.gpu.PagedAttentionWorkload``.
+    form; the analytic counterpart is ``repro.gpu.paged_attention_gather``.
     """
     steps, batch, contexts = 6, 16, (64, 240)
     model_config = weights.config

@@ -12,7 +12,7 @@ This example drives the serving layer the way a traffic generator would:
 4. serve the *same* trace as classic static batches — submit one batch of
    ``MAX_BATCH`` requests, drain it, submit the next — and compare
    tokens-per-forward-pass, next to the analytic prediction of
-   ``repro.gpu.ContinuousBatchWorkload`` (the harmonic number of the batch
+   ``repro.gpu.batching_occupancy`` (the harmonic number of the batch
    size, under saturation),
 5. check per-request parity: scheduling never changes what any individual
    request generates,
@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.core import TenderConfig, TenderQuantizer
 from repro.data import calibration_samples, load_corpus
-from repro.gpu import ContinuousBatchWorkload
+from repro.gpu import batching_occupancy
 from repro.models import TransformerRunner, get_language_model
 from repro.serve import GenerationConfig, Scheduler
 
@@ -110,10 +110,7 @@ def main() -> None:
             f"{stats.tokens_per_iteration():>14.2f}  {stats.peak_active:>10d}"
         )
     measured = static.total_iterations / continuous.total_iterations
-    analytic = ContinuousBatchWorkload(
-        max_batch=MAX_BATCH, mean_new_tokens=total_tokens / len(trace),
-        context=64, d_model=4096, d_ff=16384, num_heads=32, num_layers=32,
-    ).speedup_over_static()
+    analytic = batching_occupancy(max_batch=MAX_BATCH)["speedup"]
     print(f"\n  measured speedup : {measured:.2f}x")
     print(f"  analytic (H({MAX_BATCH}), saturated, memoryless lengths): {analytic:.2f}x")
 

@@ -13,7 +13,7 @@ This example walks the speculative subsystem end to end:
    forward over flat rows (``TransformerRunner.verify(..., lengths=...)``),
    rolling rejected positions back through ``PagedKVCache.truncate``,
 4. compare decode forwards and tokens-per-forward against plain decoding,
-   next to the analytic prediction of ``repro.gpu.SpeculativeWorkload``,
+   next to the analytic prediction of ``repro.gpu.speculation``,
 5. check parity: the speculative token streams are bit-identical to plain
    decoding (speculation changes how many forwards serving takes, never
    what it serves),
@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.core import TenderConfig, TenderQuantizer
 from repro.data import calibration_samples, load_corpus
-from repro.gpu import SpeculativeWorkload
+from repro.gpu import ModelShape, speculation
 from repro.models import get_language_model
 from repro.models.zoo import get_zoo_entry
 from repro.serve import (
@@ -130,21 +130,17 @@ def main() -> None:
         f"accept rate {model_stats.spec_accept_rate():.0%} (parity OK)"
     )
 
-    entry = get_zoo_entry("opt-6.7b-sim")
-    analytic = SpeculativeWorkload(
+    analytic = speculation(
+        shape=ModelShape.from_zoo(get_zoo_entry("opt-6.7b-sim")),
+        device_name="rtx3090",
         draft_tokens=8,
         accept_rate=lookup_stats.spec_accept_rate(),
         context=len(prompts[0]) + MAX_NEW,
-        d_model=entry.paper_d_model,
-        d_ff=entry.paper_d_ff,
-        num_heads=entry.paper_num_heads,
-        num_layers=entry.paper_num_layers,
         batch=MAX_BATCH,
-    )
-    modeled = analytic.speedup("rtx3090")["Tender SW"]
+    )["Tender SW"]
     print(
-        f"analytic      : expected {analytic.expected_tokens_per_step():.1f} "
-        f"tokens/verify at this accept rate -> {modeled:.1f}x modeled decode speedup"
+        f"analytic      : expected {analytic['expected_tokens_per_step']:.1f} "
+        f"tokens/verify at this accept rate -> {analytic['speedup']:.1f}x modeled decode speedup"
     )
 
 

@@ -1,54 +1,34 @@
-"""Analytical GPU latency models: Figure 12 GEMMs, decode steps, serving.
+"""Analytical GPU latency models: Figure 12 GEMMs, one priced forward, serving.
 
-``figure12_latencies`` reproduces the paper's Figure 12;
-:class:`DecodeWorkload` extends the same roofline to one KV-cached decode
-step, :class:`ContinuousBatchWorkload` to a whole serving trace
-(continuous vs static batching under Poisson arrivals),
-:class:`PrefixCacheWorkload` to shared-prompt serving (prefix-cache hit
-rate → request throughput), :class:`SpeculativeWorkload` to
-draft-and-verify decoding (accept rate → decode throughput), and
-:class:`PagedAttentionWorkload` to gather-free paged attention (the dense
-KV copy the fused kernel avoids, versus context length),
-:class:`PreemptionWorkload` to priority preemption (the urgent-TTFT gain
-of evicting a victim versus the recompute its resume pays), and
-:class:`FaultToleranceWorkload` to replica-pool fault tolerance (the
-goodput kept under failures when recovery replays checkpoints over
-prefix-cache hits instead of recomputing whole contexts), and
-:class:`TensorParallelWorkload` to column-parallel tensor sharding (the
-compute divided across shards versus the per-layer all-gathers added
-back, and the goodput a shard group keeps when any shard's death fails
-the whole group), and :class:`ObservabilityOverheadWorkload` to
-request-lifecycle tracing (the per-step emit tax with tracing enabled
-versus the guard-branch residue of the disabled path).
+``figure12_latencies`` reproduces the paper's Figure 12 over the four
+per-scheme GEMM prices.  :func:`forward_ms` extends the same roofline to every
+GEMM of one forward of a :class:`ModelShape` — a decode step, a prefill
+chunk, a verify forward and a recovery replay differ only in ``(rows,
+context)``.  Each serving scenario is one closed form over priced forwards:
+:func:`continuous_batching` / :func:`batching_occupancy`,
+:func:`prefix_caching`, :func:`speculation`, :func:`paged_attention_gather`,
+:func:`preemption`, :func:`sharded_serving` (replica-pool fault tolerance is
+its one-shard case) and :func:`tracing_overhead`.
 """
 
 from repro.gpu.devices import GPU_SPECS, GPUSpec, get_gpu
 from repro.gpu.latency import (
-    ContinuousBatchWorkload,
-    DecodeWorkload,
-    FaultToleranceWorkload,
     GemmLatency,
-    ObservabilityOverheadWorkload,
-    PagedAttentionWorkload,
-    PreemptionWorkload,
-    PrefixCacheWorkload,
-    SpeculativeWorkload,
-    TensorParallelWorkload,
-    continuous_batch_throughput,
-    decode_step_latencies,
-    decode_throughput_tokens_per_s,
-    fault_tolerance_goodput,
+    ModelShape,
+    batching_occupancy,
+    continuous_batching,
     figure12_latencies,
+    forward_ms,
     fp16_latency_ms,
     int8_latency_ms,
-    observability_overhead,
-    paged_attention_throughput,
+    paged_attention_gather,
     per_channel_latency_ms,
-    preemption_tradeoff,
-    prefix_cache_throughput,
-    speculative_throughput,
+    preemption,
+    prefix_caching,
+    sharded_serving,
+    speculation,
     tender_software_latency_ms,
-    tensor_parallel_speedup,
+    tracing_overhead,
 )
 
 __all__ = [
@@ -56,28 +36,19 @@ __all__ = [
     "GPU_SPECS",
     "get_gpu",
     "GemmLatency",
-    "DecodeWorkload",
-    "ContinuousBatchWorkload",
-    "FaultToleranceWorkload",
-    "ObservabilityOverheadWorkload",
-    "PagedAttentionWorkload",
-    "PreemptionWorkload",
-    "PrefixCacheWorkload",
-    "SpeculativeWorkload",
-    "TensorParallelWorkload",
-    "continuous_batch_throughput",
-    "fault_tolerance_goodput",
-    "observability_overhead",
-    "paged_attention_throughput",
-    "preemption_tradeoff",
-    "prefix_cache_throughput",
-    "speculative_throughput",
-    "tensor_parallel_speedup",
+    "ModelShape",
     "fp16_latency_ms",
     "int8_latency_ms",
     "per_channel_latency_ms",
     "tender_software_latency_ms",
     "figure12_latencies",
-    "decode_step_latencies",
-    "decode_throughput_tokens_per_s",
+    "forward_ms",
+    "batching_occupancy",
+    "continuous_batching",
+    "prefix_caching",
+    "speculation",
+    "paged_attention_gather",
+    "preemption",
+    "sharded_serving",
+    "tracing_overhead",
 ]

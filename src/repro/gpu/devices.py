@@ -1,8 +1,8 @@
 """GPU device specifications shared by all latency models in this package.
 
-Originally introduced for the Figure 12 reproduction; the decode-step and
-continuous-batching serving models (``repro.gpu.latency``) price their GEMMs
-against the same specs.
+Originally introduced for the Figure 12 reproduction; the priced forward
+and the serving closed forms over it (``repro.gpu.latency``) price their
+GEMMs against the same specs.
 """
 
 from __future__ import annotations

@@ -1,23 +1,25 @@
-"""Analytical GPU GEMM latency model: Figure 12, decode steps, and serving.
+"""Analytical GPU latency model: Figure 12, one priced forward, serving closed forms.
 
-Four layers of modelling share one roofline:
+Three layers share one roofline:
 
-* :func:`figure12_latencies` — the paper's Figure 12 (one prefill-shaped
+* the GEMM prices — :func:`fp16_latency_ms`, :func:`int8_latency_ms`,
+  :func:`per_channel_latency_ms`, :func:`tender_software_latency_ms` — and
+  :func:`figure12_latencies`, the paper's Figure 12 (one prefill-shaped
   query-projection GEMM per scheme);
-* :class:`DecodeWorkload` / :func:`decode_step_latencies` — all GEMMs of one
-  KV-cached decode step (the skinny-GEMM serving regime);
-* :class:`ContinuousBatchWorkload` / :func:`continuous_batch_throughput` —
-  token throughput of a decode *service* under Poisson arrivals, comparing
-  continuous batching against static (gang) batching;
-* :class:`PrefixCacheWorkload` / :func:`prefix_cache_throughput` — request
-  throughput as a function of the *prefix-cache hit rate*: cached prompt
-  blocks skip their prefill GEMMs entirely, so the serving speedup is the
-  ratio of cold to suffix-only request latency;
-* :class:`SpeculativeWorkload` / :func:`speculative_throughput` — decode
-  throughput as a function of the *draft accept rate*: one multi-token
-  verification forward replaces an expected run of sequential decode
-  steps, so the speedup is the expected committed tokens discounted by the
-  wider verify GEMMs and the drafting cost.
+* :func:`forward_ms` — every GEMM of one forward of a :class:`ModelShape`
+  over ``rows`` token rows attending ``context`` positions.  A decode step,
+  a prefill chunk, a speculative verify forward and a recovery replay are
+  the same forward at different ``(rows, context)``, so it is priced here
+  and nowhere else;
+* the serving scenarios — one closed form over priced forwards each, all
+  returning ``{scheme: {field: value}}``: :func:`continuous_batching`
+  (``H(B)`` occupancy, also alone as :func:`batching_occupancy`),
+  :func:`prefix_caching` (cold vs suffix-only request),
+  :func:`speculation` (expected committed run vs the wider verify),
+  :func:`paged_attention_gather` (the dense KV copy the fused kernel
+  avoids), :func:`preemption` (wait vs recompute), :func:`sharded_serving`
+  (compute divided, collectives added back, goodput under failures — a
+  replica pool is its one-shard case) and :func:`tracing_overhead`.
 
 Figure 12 measures, for one query-projection GEMM, the latency of:
 
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil
-from typing import Dict, List, Optional
+from typing import Dict, List, Tuple
 
 from repro.errors import ConfigurationError
 from repro.gpu.devices import GPUSpec, get_gpu
@@ -51,6 +53,27 @@ from repro.gpu.devices import GPUSpec, get_gpu
 #: Tensor-core INT8 kernels require operand tiles aligned to 16 elements
 #: (128-bit vectors), so each channel-group submatrix is padded up to this.
 TENSOR_CORE_ALIGNMENT = 16
+#: Per-row INT8 pays a slightly costlier epilogue than per-tensor (the rescale
+#: reads a scale vector instead of a scalar).
+PER_ROW_EPILOGUE_FACTOR = 1.02
+#: One trace emit — clock read, attribute dict, ring/list append — microseconds.
+TRACE_EVENT_COST_US = 1.0
+#: One evaluated ``tracer is not None`` guard on the disabled path, nanoseconds.
+TRACE_GUARD_COST_NS = 30.0
+
+#: ``{scheme: value}`` and ``{scheme: {field: value}}``, keyed like Figure 12.
+SchemeValues = Dict[str, float]
+SchemeTable = Dict[str, Dict[str, float]]
+
+
+def _require(holds: bool, message: str) -> None:
+    if not holds:
+        raise ConfigurationError(message)
+
+
+def _check_gemm(m: int, k: int, n: int) -> None:
+    if min(m, k, n) < 1:  # not _require: every roofline call passes here, the message is built on failure only
+        raise ConfigurationError(f"GEMM dimensions must be >= 1, got m={m}, k={k}, n={n}")
 
 
 @dataclass
@@ -72,6 +95,7 @@ def _roofline_ms(
     extra_bytes: int = 0,
 ) -> float:
     """Roofline latency (ms) of a GEMM at the given precision."""
+    _check_gemm(m, k, n)
     macs = m * k * n
     flops = 2.0 * macs
     if precision == "fp16":
@@ -116,14 +140,7 @@ def per_channel_latency_ms(m: int, k: int, n: int, device: GPUSpec) -> float:
     return _roofline_ms(m, k, n, device, "fp16", num_kernels=2, extra_bytes=dequant_bytes)
 
 
-def tender_software_latency_ms(
-    m: int,
-    k: int,
-    n: int,
-    device: GPUSpec,
-    num_groups: int = 8,
-    group_fractions: List[float] | None = None,
-) -> float:
+def tender_software_latency_ms(m: int, k: int, n: int, device: GPUSpec, num_groups: int = 8) -> float:
     """Tender implemented in software on a GPU (no hardware rescaler).
 
     The activation is split into ``num_groups`` column groups; each group runs
@@ -131,18 +148,14 @@ def tender_software_latency_ms(
     results are dequantized and accumulated in FP32 — the explicit
     requantization path of Figure 5(a).
     """
-    if group_fractions is None:
-        # Channel groups are heavily skewed: the outlier groups are tiny and
-        # the final (normal-value) group holds most channels.
-        remaining = 1.0
-        group_fractions = []
-        for _ in range(num_groups - 1):
-            fraction = remaining * 0.15
-            group_fractions.append(fraction)
-            remaining -= fraction
-        group_fractions.append(remaining)
-    total_ms = 0.0
-    for fraction in group_fractions:
+    _require(num_groups >= 1, f"num_groups must be >= 1, got {num_groups}")
+    _check_gemm(m, k, n)  # here as well: the per-group padding below would price k = 0 as 16
+    remaining, total_ms = 1.0, 0.0
+    for group in range(num_groups):
+        # Channel groups are heavily skewed: each outlier group is a tiny share
+        # of what is left and the final (normal-value) group holds the rest.
+        fraction = remaining * 0.15 if group < num_groups - 1 else remaining
+        remaining -= fraction
         group_k = max(int(round(k * fraction)), 1)
         padded_k = ceil(group_k / TENSOR_CORE_ALIGNMENT) * TENSOR_CORE_ALIGNMENT
         accumulate_bytes = m * n * 8  # read + write the FP32 accumulator
@@ -150,12 +163,7 @@ def tender_software_latency_ms(
     return total_ms
 
 
-#: Per-row INT8 pays a slightly costlier epilogue than per-tensor (the rescale
-#: reads a scale vector instead of a scalar).
-PER_ROW_EPILOGUE_FACTOR = 1.02
-
-
-def _scheme_latencies_ms(m: int, k: int, n: int, device: GPUSpec, num_groups: int) -> Dict[str, float]:
+def _scheme_latencies_ms(m: int, k: int, n: int, device: GPUSpec, num_groups: int) -> SchemeValues:
     """Latency of every Figure 12 scheme on one GEMM (the shared scheme table)."""
     int8 = int8_latency_ms(m, k, n, device)
     return {
@@ -167,7 +175,11 @@ def _scheme_latencies_ms(m: int, k: int, n: int, device: GPUSpec, num_groups: in
     }
 
 
-def _normalized_to_fp16(totals: Dict[str, float]) -> Dict[str, GemmLatency]:
+def figure12_latencies(
+    m: int, k: int, n: int, device_name: str, num_groups: int = 8
+) -> Dict[str, GemmLatency]:
+    """All Figure 12 schemes on one GEMM, normalized to FP16."""
+    totals = _scheme_latencies_ms(m, k, n, get_gpu(device_name), num_groups)
     fp16 = totals["FP16"]
     return {
         scheme: GemmLatency(scheme=scheme, milliseconds=value, normalized_to_fp16=value / fp16)
@@ -175,671 +187,157 @@ def _normalized_to_fp16(totals: Dict[str, float]) -> Dict[str, GemmLatency]:
     }
 
 
-def figure12_latencies(
-    m: int,
-    k: int,
-    n: int,
-    device_name: str,
-    num_groups: int = 8,
-) -> Dict[str, GemmLatency]:
-    """All Figure 12 schemes on one GEMM, normalized to FP16."""
-    device = get_gpu(device_name)
-    return _normalized_to_fp16(_scheme_latencies_ms(m, k, n, device, num_groups))
-
-
 # ----------------------------------------------------------------------
-# Autoregressive decode workload
+# One model shape, one priced forward
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class DecodeWorkload:
-    """The GEMMs of one KV-cached decode step of a decoder-only model.
+class ModelShape:
+    """The dimensions of a decoder-only model: all a forward's GEMMs depend on.
 
-    Unlike the prefill GEMMs of Figure 12, decode GEMMs are skinny — the row
-    dimension is the *batch size*, not ``batch x sequence`` — and the
-    activation-activation matmuls grow with the attended ``context`` length.
-    This is the regime where per-kernel overheads and underutilization
-    dominate, which is exactly why Tender's software fallback (one GEMM per
-    channel group) is disproportionately expensive during serving.
+    Parameters
+    ----------
+    d_model, d_ff, num_heads, num_layers :
+        Hidden width, feed-forward width, attention heads and layer count.
+    vocab : int
+        Include the LM-head GEMM when > 0 (applied once, outside the layers).
     """
 
-    batch: int
-    context: int
     d_model: int
     d_ff: int
     num_heads: int
     num_layers: int = 1
-    #: Include the LM-head GEMM when > 0 (applied once, outside the layers).
     vocab: int = 0
 
     def __post_init__(self) -> None:
-        if min(self.batch, self.context, self.d_model, self.d_ff, self.num_heads, self.num_layers) < 1:
-            raise ConfigurationError("DecodeWorkload dimensions must be >= 1")
-        if self.d_model % self.num_heads:
-            raise ConfigurationError("d_model must be divisible by num_heads")
+        sized = min(self.d_model, self.d_ff, self.num_heads, self.num_layers) >= 1 and self.vocab >= 0
+        _require(sized, f"model dimensions must be >= 1 (vocab >= 0), got {self}")
+        heads = f"{self.d_model} and {self.num_heads}"
+        _require(self.d_model % self.num_heads == 0, f"d_model must be divisible by num_heads, got {heads}")
+
+    @classmethod
+    def from_zoo(cls, entry) -> "ModelShape":
+        """The full-scale model a :class:`repro.models.zoo.ZooEntry` stands in for."""
+        return cls(entry.paper_d_model, entry.paper_d_ff, entry.paper_num_heads, entry.paper_num_layers)
 
     @property
     def d_head(self) -> int:
         """Per-head dimension."""
         return self.d_model // self.num_heads
 
-    def layer_gemms(self) -> List[tuple]:
-        """(m, k, n) of every GEMM in one Transformer layer's decode step."""
-        rows = self.batch
-        head_rows = self.batch * self.num_heads
-        return [
-            (rows, self.d_model, self.d_model),        # Q projection
-            (rows, self.d_model, self.d_model),        # K projection
-            (rows, self.d_model, self.d_model),        # V projection
-            (head_rows, self.d_head, self.context),    # X_Q @ X_K^T over the cache
-            (head_rows, self.context, self.d_head),    # X_S @ X_V over the cache
-            (rows, self.d_model, self.d_model),        # output projection
-            (rows, self.d_model, self.d_ff),           # FC1
-            (rows, self.d_ff, self.d_model),           # FC2
-        ]
+    def layer_gemms(self, rows: int, context: int) -> List[Tuple[int, int, int]]:
+        """(m, k, n) of every GEMM one Transformer layer runs over ``rows`` token rows.
 
-    def step_gemms(self) -> List[tuple]:
-        """All GEMMs of one decode step (layers plus optional LM head)."""
-        gemms = self.layer_gemms() * self.num_layers
+        Unlike the prefill GEMM of Figure 12, serving GEMMs are skinny — a
+        decode step's row dimension is the *batch size*, not ``batch x
+        sequence`` — and the activation-activation matmuls grow with the
+        attended ``context``.  This is the regime where per-kernel overheads
+        and underutilization dominate, which is exactly why Tender's software
+        fallback (one GEMM per channel group) is disproportionately expensive
+        during serving.
+        """
+        head_rows = rows * self.num_heads
+        return [
+            (rows, self.d_model, self.d_model),   # Q projection
+            (rows, self.d_model, self.d_model),   # K projection
+            (rows, self.d_model, self.d_model),   # V projection
+            (head_rows, self.d_head, context),    # X_Q @ X_K^T over the cache
+            (head_rows, context, self.d_head),    # X_S @ X_V over the cache
+            (rows, self.d_model, self.d_model),   # output projection
+            (rows, self.d_model, self.d_ff),      # FC1
+            (rows, self.d_ff, self.d_model),      # FC2
+        ]  # fmt: skip
+
+    def forward_gemms(self, rows: int, context: int) -> List[Tuple[int, int, int]]:
+        """All GEMMs of one forward, in execution order (layers, then the LM head)."""
+        gemms = self.layer_gemms(rows, context) * self.num_layers
         if self.vocab:
-            gemms.append((self.batch, self.d_model, self.vocab))
+            gemms.append((rows, self.d_model, self.vocab))
         return gemms
 
 
-def decode_step_latencies(
-    workload: DecodeWorkload,
-    device_name: str,
-    num_groups: int = 8,
-) -> Dict[str, GemmLatency]:
-    """Per-scheme latency of one full decode step, normalized to FP16."""
+def forward_ms(
+    shape: ModelShape, rows: int, context: int, device_name: str, num_groups: int = 8
+) -> SchemeValues:
+    """Per-scheme latency (ms) of one forward: ``rows`` token rows attending ``context``.
+
+    The one place a forward is priced.  A decode step is ``rows = batch``; a
+    prefill chunk ``rows = tokens`` against the prompt so far; a speculative
+    verify ``rows = batch x (k + 1)``; a recovery replay ``rows = batch x
+    recomputed tokens`` — every scenario below is a closed form over calls
+    to this function.
+    """
+    sized = rows >= 1 and context >= 1
+    _require(sized, f"a forward needs rows >= 1 and context >= 1, got rows={rows}, context={context}")
     device = get_gpu(device_name)
-    totals: Dict[str, float] = {}
-    for m, k, n in workload.step_gemms():
-        for scheme, latency in _scheme_latencies_ms(m, k, n, device, num_groups).items():
-            totals[scheme] = totals.get(scheme, 0.0) + latency
-    return _normalized_to_fp16(totals)
+    gemms = shape.forward_gemms(rows, context)
+    priced = {gemm: _scheme_latencies_ms(*gemm, device, num_groups) for gemm in set(gemms)}
+    # Summed GEMM by GEMM in execution order.  Float addition does not
+    # associate: multiplying a layer's sum by ``num_layers``, or adding the LM
+    # head first, changes the last bits BENCH_serving.json commits.
+    totals = dict.fromkeys(priced[gemms[0]], 0.0)
+    for gemm in gemms:
+        for scheme, milliseconds in priced[gemm].items():
+            totals[scheme] += milliseconds
+    return totals
 
 
-def decode_throughput_tokens_per_s(
-    workload: DecodeWorkload,
-    device_name: str,
-    num_groups: int = 8,
-) -> Dict[str, float]:
-    """Generated tokens per second per scheme (batch / step latency)."""
-    latencies = decode_step_latencies(workload, device_name, num_groups)
-    return {
-        scheme: workload.batch / (latency.milliseconds * 1e-3)
-        for scheme, latency in latencies.items()
-    }
+def _uncached_tokens(tokens: int, hit_rate: float) -> int:
+    """Tokens of a replayed context the prefix cache cannot serve (at least the final one)."""
+    return max(1, int(round(tokens * (1.0 - hit_rate))))
 
 
 # ----------------------------------------------------------------------
-# Continuous-batching serving workload
+# Serving scenarios: closed forms over priced forwards
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ContinuousBatchWorkload:
-    """A decode *service* under request arrivals, not just one decode step.
+def batching_occupancy(*, max_batch: int, offered_load: float = 1.0) -> Dict[str, float]:
+    """Useful slots per decode step under continuous and static (gang) batching.
 
-    Models the serving loop of ``repro.serve.Scheduler``: requests arrive as
-    a Poisson process, each generating a geometrically distributed number of
-    tokens with mean ``mean_new_tokens``, and the engine runs batched decode
-    steps over up to ``max_batch`` concurrently live requests.
-
-    Two batching disciplines are compared on identical hardware and GEMMs:
-
-    * **continuous** — a finished request's slot is backfilled immediately,
-      so under saturation every decode step carries ``max_batch`` useful
-      tokens;
-    * **static (gang)** — the batch is admitted together and drains
-      together, so a gang's step count is the *maximum* of its members'
-      lengths.  With memoryless lengths the expected maximum of ``B`` draws
-      of mean ``L`` is ``L * H(B)`` (the ``B``-th harmonic number), while the
-      useful work is ``B * L`` token-slots — an expected occupancy of only
-      ``B / H(B)`` slots per step.
-
-    The resulting analytic speedup of continuous over static batching under
-    saturation is exactly ``H(max_batch)`` — independent of scheme and
-    device, because both disciplines execute the same per-step GEMMs.  Under
-    light load both disciplines serve the offered tokens and the speedup
+    Requests arrive as a Poisson process, each generating a geometrically
+    distributed (memoryless) number of tokens, into a batch of ``max_batch``
+    slots.  **Continuous**: a finished request's slot is backfilled
+    immediately, so under saturation every step carries ``max_batch`` useful
+    tokens.  **Static**: the gang is admitted together and drains together,
+    so its step count is the *maximum* of its members' lengths.  The expected
+    maximum of ``B`` memoryless draws of mean ``L`` is ``L * H(B)`` (the
+    ``B``-th harmonic number) while the useful work is ``B * L`` token-slots:
+    an expected occupancy of only ``B / H(B)`` slots per step.  The speedup
+    of continuous over static under saturation is therefore exactly
+    ``H(max_batch)`` — independent of the mean length, of the model, the
+    scheme and the device, because both disciplines run the same per-step
+    GEMMs — and under light load both serve the offered tokens and it
     collapses toward 1.
 
     Parameters
     ----------
     max_batch : int
         Slot count of the serving batch.
-    mean_new_tokens : float
-        Mean generated tokens per request (geometric / memoryless).
-    context : int
-        Representative attended context length of a decode step (prompt
-        plus in-flight generation).
-    d_model, d_ff, num_heads, num_layers, vocab :
-        Model dimensions, as in :class:`DecodeWorkload`.
     offered_load : float
-        Offered token demand as a fraction of the full-batch decode
-        capacity; ``>= 1`` means saturation (the default).
-    """
-
-    max_batch: int
-    mean_new_tokens: float
-    context: int
-    d_model: int
-    d_ff: int
-    num_heads: int
-    num_layers: int = 1
-    vocab: int = 0
-    offered_load: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.max_batch < 1:
-            raise ConfigurationError("max_batch must be >= 1")
-        if self.mean_new_tokens < 1.0:
-            raise ConfigurationError("mean_new_tokens must be >= 1")
-        if self.offered_load <= 0.0:
-            raise ConfigurationError("offered_load must be > 0")
-        # Delegate the remaining dimension checks to DecodeWorkload.
-        self.decode_workload()
-
-    @staticmethod
-    def harmonic(n: int) -> float:
-        """The n-th harmonic number ``H(n) = 1 + 1/2 + ... + 1/n``."""
-        return sum(1.0 / i for i in range(1, n + 1))
-
-    def decode_workload(self, batch: int = 0) -> DecodeWorkload:
-        """The per-step GEMM workload at a given (default: full) batch size."""
-        return DecodeWorkload(
-            batch=batch or self.max_batch,
-            context=self.context,
-            d_model=self.d_model,
-            d_ff=self.d_ff,
-            num_heads=self.num_heads,
-            num_layers=self.num_layers,
-            vocab=self.vocab,
-        )
-
-    def continuous_occupancy(self) -> float:
-        """Expected useful slots per decode step under continuous batching."""
-        return self.max_batch * min(1.0, self.offered_load)
-
-    def static_occupancy(self) -> float:
-        """Expected useful slots per decode step under gang scheduling.
-
-        A gang of ``B`` memoryless requests decodes for ``mean * H(B)``
-        expected steps to deliver ``B * mean`` useful token-slots.
-        """
-        return min(
-            self.max_batch / self.harmonic(self.max_batch),
-            self.max_batch * self.offered_load,
-        )
-
-    def speedup_over_static(self) -> float:
-        """Continuous-over-static token-throughput ratio (``H(B)`` saturated)."""
-        return self.continuous_occupancy() / self.static_occupancy()
-
-
-# ----------------------------------------------------------------------
-# Prefix-cached serving workload
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class PrefixCacheWorkload:
-    """A decode service where prompts share cached KV prefixes.
-
-    Models the serving behavior of ``repro.serve.Scheduler`` with
-    ``prefix_cache=True``: a fraction ``hit_rate`` of each request's prompt
-    tokens is served straight from previously published KV blocks, so only
-    the remaining suffix pays prefill GEMMs.  Decode work is unchanged —
-    every generated token still runs its skinny per-step GEMMs — which is
-    why the speedup saturates at ``(prefill + decode) / decode`` as the hit
-    rate approaches 1, and why prefix caching compounds with (rather than
-    replaces) continuous batching.
-
-    Parameters
-    ----------
-    prompt_tokens : int
-        Prompt length of a representative request.
-    mean_new_tokens : float
-        Mean generated tokens per request.
-    hit_rate : float
-        Fraction of prompt tokens whose KV comes from the cache (``0`` =
-        cold, disjoint prompts; ``0.8`` = the benchmark's shared-template
-        trace).
-    d_model, d_ff, num_heads, num_layers, vocab :
-        Model dimensions, as in :class:`DecodeWorkload`.
-    batch : int
-        Decode batch size sharing each decode step's cost.
-    """
-
-    prompt_tokens: int
-    mean_new_tokens: float
-    hit_rate: float
-    d_model: int
-    d_ff: int
-    num_heads: int
-    num_layers: int = 1
-    vocab: int = 0
-    batch: int = 1
-
-    def __post_init__(self) -> None:
-        if self.prompt_tokens < 2:
-            raise ConfigurationError("prompt_tokens must be >= 2 (the final token is always computed)")
-        if self.mean_new_tokens < 1.0:
-            raise ConfigurationError("mean_new_tokens must be >= 1")
-        if not 0.0 <= self.hit_rate <= 1.0:
-            raise ConfigurationError("hit_rate must lie in [0, 1]")
-        if self.batch < 1:
-            raise ConfigurationError("batch must be >= 1")
-        self.decode_workload()
-
-    def suffix_tokens(self, hit_rate: Optional[float] = None) -> int:
-        """Prompt tokens actually prefilled (at least the final one).
-
-        Parameters
-        ----------
-        hit_rate : float, optional
-            Override of the workload's configured hit rate (used to price
-            the cold baseline).
-        """
-        rate = self.hit_rate if hit_rate is None else hit_rate
-        return max(1, int(round(self.prompt_tokens * (1.0 - rate))))
-
-    def prefill_workload(self, rows: int) -> DecodeWorkload:
-        """The GEMMs of prefilling ``rows`` prompt tokens in one forward.
-
-        Reuses :class:`DecodeWorkload` with the row count as the batch
-        dimension: projections become ``(rows, d, d)`` GEMMs and the
-        attention products attend the full prompt context.
-        """
-        return DecodeWorkload(
-            batch=max(1, rows),
-            context=self.prompt_tokens,
-            d_model=self.d_model,
-            d_ff=self.d_ff,
-            num_heads=self.num_heads,
-            num_layers=self.num_layers,
-            vocab=self.vocab,
-        )
-
-    def decode_workload(self) -> DecodeWorkload:
-        """The per-step GEMM workload of the decode batch."""
-        return DecodeWorkload(
-            batch=self.batch,
-            context=self.prompt_tokens + int(self.mean_new_tokens),
-            d_model=self.d_model,
-            d_ff=self.d_ff,
-            num_heads=self.num_heads,
-            num_layers=self.num_layers,
-            vocab=self.vocab,
-        )
-
-    def request_latency_ms(self, device_name: str, hit_rate: float, num_groups: int = 8) -> Dict[str, float]:
-        """Per-scheme latency of one request at a given hit rate.
-
-        One request pays the prefill of its uncached suffix plus its share
-        (``1 / batch``) of ``mean_new_tokens`` batched decode steps.
-        """
-        prefill = decode_step_latencies(
-            self.prefill_workload(self.suffix_tokens(hit_rate)), device_name, num_groups
-        )
-        decode = decode_step_latencies(self.decode_workload(), device_name, num_groups)
-        return {
-            scheme: prefill[scheme].milliseconds
-            + self.mean_new_tokens * decode[scheme].milliseconds / self.batch
-            for scheme in prefill
-        }
-
-    def speedup_over_cold(self, device_name: str, num_groups: int = 8) -> Dict[str, float]:
-        """Per-scheme request-throughput gain of the configured hit rate vs cold."""
-        cold = self.request_latency_ms(device_name, 0.0, num_groups)
-        warm = self.request_latency_ms(device_name, self.hit_rate, num_groups)
-        return {scheme: cold[scheme] / warm[scheme] for scheme in cold}
-
-
-def prefix_cache_throughput(
-    workload: PrefixCacheWorkload,
-    device_name: str,
-    num_groups: int = 8,
-) -> Dict[str, Dict[str, float]]:
-    """Serving throughput per scheme with and without prefix caching.
-
-    Parameters
-    ----------
-    workload : PrefixCacheWorkload
-        The serving scenario (prompt length, hit rate, decode batch).
-    device_name : str
-        A key of :data:`repro.gpu.devices.GPU_SPECS`.
-    num_groups : int
-        Tender channel groups (forwarded to the per-scheme GEMM model).
+        Offered token demand as a fraction of the full-batch decode capacity;
+        ``>= 1`` means saturation (the default).
 
     Returns
     -------
     dict
-        ``{scheme: {"cold_tokens_per_s", "cached_tokens_per_s",
-        "speedup"}}`` — generated tokens per second per request stream.
+        ``{"continuous", "static", "speedup"}``.
     """
-    cold = workload.request_latency_ms(device_name, 0.0, num_groups)
-    warm = workload.request_latency_ms(device_name, workload.hit_rate, num_groups)
-    results: Dict[str, Dict[str, float]] = {}
-    for scheme in cold:
-        results[scheme] = {
-            "cold_tokens_per_s": workload.mean_new_tokens / (cold[scheme] * 1e-3),
-            "cached_tokens_per_s": workload.mean_new_tokens / (warm[scheme] * 1e-3),
-            "speedup": cold[scheme] / warm[scheme],
-        }
-    return results
+    _require(max_batch >= 1, f"max_batch must be >= 1, got {max_batch}")
+    _require(offered_load > 0.0, f"offered_load must be > 0, got {offered_load}")
+    harmonic = sum(1.0 / i for i in range(1, max_batch + 1))
+    continuous = max_batch * min(1.0, offered_load)
+    static = min(max_batch / harmonic, max_batch * offered_load)
+    return {"continuous": continuous, "static": static, "speedup": continuous / static}
 
 
-# ----------------------------------------------------------------------
-# Speculative-decoding serving workload
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class SpeculativeWorkload:
-    """A decode service running draft-and-verify speculative decoding.
-
-    Models the serving behavior of ``repro.serve.Scheduler`` with
-    ``speculation=SpecConfig(...)``: each iteration verifies
-    ``draft_tokens`` speculated continuations per sequence in one
-    multi-token forward instead of running one forward per token.  With a
-    per-position draft acceptance probability ``accept_rate`` (treated as
-    i.i.d.), the expected committed tokens per verify step are
-
-    ``E[m] = (1 - p^(k+1)) / (1 - p)``  (``k + 1`` at ``p = 1``),
-
-    the accepted run plus the bonus token.  The verify forward prices the
-    same per-layer GEMMs as a decode step with ``batch x (k + 1)`` rows —
-    exactly how :meth:`repro.models.inference.TransformerRunner.verify`
-    executes — so the speedup is ``E[m]`` discounted by how much wider the
-    verify GEMMs are and by the drafting cost itself.  Zero-cost drafting
-    (``draft_cost_ratio = 0``) matches ``PromptLookupDraft``; a model
-    drafter pays ``draft_cost_ratio`` of a baseline decode step per
-    proposed token (e.g. ``0.25`` for a quarter-depth truncated copy).
-
-    Parameters
-    ----------
-    draft_tokens : int
-        Draft run length ``k`` verified per iteration.
-    accept_rate : float
-        Per-position probability a draft token is accepted.
-    context : int
-        Representative attended context length of a decode step.
-    d_model, d_ff, num_heads, num_layers, vocab :
-        Model dimensions, as in :class:`DecodeWorkload`.
-    batch : int
-        Sequences sharing each (verify) forward.
-    draft_cost_ratio : float
-        Cost of proposing one draft token, as a fraction of one baseline
-        decode step of the target model (``0`` = free drafting).
-    """
-
-    draft_tokens: int
-    accept_rate: float
-    context: int
-    d_model: int
-    d_ff: int
-    num_heads: int
-    num_layers: int = 1
-    vocab: int = 0
-    batch: int = 1
-    draft_cost_ratio: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.draft_tokens < 1:
-            raise ConfigurationError("draft_tokens must be >= 1")
-        if not 0.0 <= self.accept_rate <= 1.0:
-            raise ConfigurationError("accept_rate must lie in [0, 1]")
-        if self.draft_cost_ratio < 0.0:
-            raise ConfigurationError("draft_cost_ratio must be >= 0")
-        self.decode_workload()
-
-    def expected_tokens_per_step(self) -> float:
-        """Expected committed tokens per verify forward (accepted run + bonus)."""
-        p = self.accept_rate
-        k = self.draft_tokens
-        if p >= 1.0:
-            return float(k + 1)
-        return (1.0 - p ** (k + 1)) / (1.0 - p)
-
-    def decode_workload(self) -> DecodeWorkload:
-        """The baseline one-token decode step this workload replaces."""
-        return DecodeWorkload(
-            batch=self.batch,
-            context=self.context,
-            d_model=self.d_model,
-            d_ff=self.d_ff,
-            num_heads=self.num_heads,
-            num_layers=self.num_layers,
-            vocab=self.vocab,
-        )
-
-    def verify_workload(self) -> DecodeWorkload:
-        """The multi-token verify forward: ``batch x (k + 1)`` GEMM rows."""
-        return DecodeWorkload(
-            batch=self.batch * (self.draft_tokens + 1),
-            context=self.context + self.draft_tokens,
-            d_model=self.d_model,
-            d_ff=self.d_ff,
-            num_heads=self.num_heads,
-            num_layers=self.num_layers,
-            vocab=self.vocab,
-        )
-
-    def speedup(self, device_name: str, num_groups: int = 8) -> Dict[str, float]:
-        """Per-scheme decode-throughput gain of speculation over plain decode.
-
-        Parameters
-        ----------
-        device_name : str
-            A key of :data:`repro.gpu.devices.GPU_SPECS`.
-        num_groups : int
-            Tender channel groups (forwarded to the per-scheme GEMM model).
-
-        Returns
-        -------
-        dict
-            ``{scheme: expected speedup}`` — above 1 when the expected
-            committed run outweighs the wider verify forward plus drafting.
-        """
-        decode = decode_step_latencies(self.decode_workload(), device_name, num_groups)
-        verify = decode_step_latencies(self.verify_workload(), device_name, num_groups)
-        expected = self.expected_tokens_per_step()
-        return {
-            scheme: expected
-            * decode[scheme].milliseconds
-            / (
-                verify[scheme].milliseconds
-                + self.draft_tokens * self.draft_cost_ratio * decode[scheme].milliseconds
-            )
-            for scheme in decode
-        }
-
-
-def speculative_throughput(
-    workload: SpeculativeWorkload,
-    device_name: str,
+def continuous_batching(
+    *, shape: ModelShape, device_name: str, max_batch: int, context: int, offered_load: float = 1.0,
     num_groups: int = 8,
-) -> Dict[str, Dict[str, float]]:
-    """Decode throughput per scheme with and without speculative decoding.
-
-    Parameters
-    ----------
-    workload : SpeculativeWorkload
-        The speculation scenario (draft length, accept rate, model shape).
-    device_name : str
-        A key of :data:`repro.gpu.devices.GPU_SPECS`.
-    num_groups : int
-        Tender channel groups (forwarded to the per-scheme GEMM model).
-
-    Returns
-    -------
-    dict
-        ``{scheme: {"baseline_tokens_per_s", "speculative_tokens_per_s",
-        "speedup", "expected_tokens_per_step"}}``.
-    """
-    decode = decode_step_latencies(workload.decode_workload(), device_name, num_groups)
-    verify = decode_step_latencies(workload.verify_workload(), device_name, num_groups)
-    expected = workload.expected_tokens_per_step()
-    results: Dict[str, Dict[str, float]] = {}
-    for scheme in decode:
-        decode_s = decode[scheme].milliseconds * 1e-3
-        step_s = (
-            verify[scheme].milliseconds * 1e-3
-            + workload.draft_tokens * workload.draft_cost_ratio * decode_s
-        )
-        results[scheme] = {
-            "baseline_tokens_per_s": workload.batch / decode_s,
-            "speculative_tokens_per_s": workload.batch * expected / step_s,
-            "speedup": expected * decode_s / step_s,
-            "expected_tokens_per_step": expected,
-        }
-    return results
-
-
-# ----------------------------------------------------------------------
-# Gather-free paged attention workload
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class PagedAttentionWorkload:
-    """A decode step whose KV history lives in paged block storage.
-
-    Models the two serving realisations in ``repro.serve``: the *gather*
-    reference fancy-indexes every slot's KV blocks into a dense per-view
-    copy before the attention matmuls (one read of the pool plus one write
-    of the copy, for K and V, per layer, per step), while the *fused* path
-    (:func:`repro.core.kernels.paged_attention`) multiplies strided views
-    of consecutive-block runs straight out of the pool and moves no KV
-    bytes at all.  The attention GEMMs themselves are identical, so the
-    analytic speedup is pure memory traffic: the gathered copy is
-    ``O(batch x heads x context x d_head)`` per layer *per generated
-    token*, which is why the gap — like the KV-cache read itself — grows
-    linearly with context length while the projection GEMMs stay fixed.
-
-    Parameters
-    ----------
-    batch, context, d_model, d_ff, num_heads, num_layers, vocab :
-        Model dimensions, as in :class:`DecodeWorkload`.
-    kv_bytes_per_element : int
-        Bytes per stored KV scalar (2 for FP16 serving).
-    """
-
-    batch: int
-    context: int
-    d_model: int
-    d_ff: int
-    num_heads: int
-    num_layers: int = 1
-    vocab: int = 0
-    kv_bytes_per_element: int = 2
-
-    def __post_init__(self) -> None:
-        if self.kv_bytes_per_element < 1:
-            raise ConfigurationError("kv_bytes_per_element must be >= 1")
-        # Delegate the remaining dimension checks to DecodeWorkload.
-        self.decode_workload()
-
-    def decode_workload(self) -> DecodeWorkload:
-        """The per-step GEMM workload (identical on both paths)."""
-        return DecodeWorkload(
-            batch=self.batch,
-            context=self.context,
-            d_model=self.d_model,
-            d_ff=self.d_ff,
-            num_heads=self.num_heads,
-            num_layers=self.num_layers,
-            vocab=self.vocab,
-        )
-
-    def with_context(self, context: int) -> "PagedAttentionWorkload":
-        """The same workload at a different attended context length."""
-        return PagedAttentionWorkload(
-            batch=self.batch,
-            context=context,
-            d_model=self.d_model,
-            d_ff=self.d_ff,
-            num_heads=self.num_heads,
-            num_layers=self.num_layers,
-            vocab=self.vocab,
-            kv_bytes_per_element=self.kv_bytes_per_element,
-        )
-
-    def gather_bytes_per_step(self) -> int:
-        """Dense KV bytes the gather path moves per decode step.
-
-        Each layer copies the attended K and V histories out of the pool
-        into a contiguous buffer: one read of the blocks plus one write of
-        the copy, both ``batch * heads * context * d_head`` elements.
-        This is exactly the traffic ``PagedKVCache.gather_bytes`` tallies
-        (doubled for the read), and exactly what the fused path avoids.
-        """
-        dense = (
-            self.batch
-            * self.num_heads
-            * self.context
-            * self.decode_workload().d_head
-            * self.kv_bytes_per_element
-        )
-        return self.num_layers * 2 * 2 * dense  # K and V, read + write
-
-    def gather_ms(self, device: GPUSpec) -> float:
-        """Time the per-step gather traffic occupies on the memory bus."""
-        return self.gather_bytes_per_step() / (device.memory_bandwidth_gbps * 1e9) * 1e3
-
-
-def paged_attention_throughput(
-    workload: PagedAttentionWorkload,
-    device_name: str,
-    num_groups: int = 8,
-) -> Dict[str, Dict[str, float]]:
-    """Decode throughput per scheme with gathered vs in-place paged KV.
-
-    Parameters
-    ----------
-    workload : PagedAttentionWorkload
-        The decode scenario (model shape, context, KV precision).
-    device_name : str
-        A key of :data:`repro.gpu.devices.GPU_SPECS`.
-    num_groups : int
-        Tender channel groups (forwarded to the per-scheme GEMM model).
-
-    Returns
-    -------
-    dict
-        ``{scheme: {"gather_tokens_per_s", "fused_tokens_per_s",
-        "speedup", "gather_bytes_per_step"}}`` — the speedup is
-        scheme-independent in the GEMMs and grows with context because the
-        avoided copy does while the projections stay fixed.
-    """
-    device = get_gpu(device_name)
-    step = decode_step_latencies(workload.decode_workload(), device_name, num_groups)
-    gather_ms = workload.gather_ms(device)
-    results: Dict[str, Dict[str, float]] = {}
-    for scheme, latency in step.items():
-        fused_s = latency.milliseconds * 1e-3
-        gather_s = (latency.milliseconds + gather_ms) * 1e-3
-        results[scheme] = {
-            "gather_tokens_per_s": workload.batch / gather_s,
-            "fused_tokens_per_s": workload.batch / fused_s,
-            "speedup": gather_s / fused_s,
-            "gather_bytes_per_step": float(workload.gather_bytes_per_step()),
-        }
-    return results
-
-
-def continuous_batch_throughput(
-    workload: ContinuousBatchWorkload,
-    device_name: str,
-    num_groups: int = 8,
-) -> Dict[str, Dict[str, float]]:
+) -> SchemeTable:  # fmt: skip
     """Serving throughput per scheme under continuous vs static batching.
 
-    Both disciplines pay the same full-batch decode-step latency (a gang
-    step still runs ``max_batch`` GEMM rows — the finished lanes are dead
-    weight, which is exactly the inefficiency continuous batching removes).
-
-    Parameters
-    ----------
-    workload : ContinuousBatchWorkload
-        The serving scenario.
-    device_name : str
-        A key of :data:`repro.gpu.devices.GPU_SPECS`.
-    num_groups : int
-        Tender channel groups (forwarded to the per-scheme GEMM model).
+    Both disciplines pay the same full-batch decode step at a representative
+    attended ``context`` (a gang step still runs ``max_batch`` GEMM rows —
+    the finished lanes are dead weight, which is exactly the inefficiency
+    continuous batching removes), so only :func:`batching_occupancy` differs.
 
     Returns
     -------
@@ -847,163 +345,177 @@ def continuous_batch_throughput(
         ``{scheme: {"continuous_tokens_per_s", "static_tokens_per_s",
         "speedup"}}`` — the speedup is scheme-independent by construction.
     """
-    step = decode_step_latencies(workload.decode_workload(), device_name, num_groups)
-    results: Dict[str, Dict[str, float]] = {}
-    for scheme, latency in step.items():
-        step_s = latency.milliseconds * 1e-3
-        results[scheme] = {
-            "continuous_tokens_per_s": workload.continuous_occupancy() / step_s,
-            "static_tokens_per_s": workload.static_occupancy() / step_s,
-            "speedup": workload.speedup_over_static(),
+    slots = batching_occupancy(max_batch=max_batch, offered_load=offered_load)
+    step = forward_ms(shape, max_batch, context, device_name, num_groups)
+    return {
+        scheme: {
+            "continuous_tokens_per_s": slots["continuous"] / (step_ms * 1e-3),
+            "static_tokens_per_s": slots["static"] / (step_ms * 1e-3),
+            "speedup": slots["speedup"],
         }
-    return results
+        for scheme, step_ms in step.items()
+    }
 
 
-# ----------------------------------------------------------------------
-# Preemption (recompute-vs-wait) serving workload
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class PreemptionWorkload:
-    """The recompute-vs-wait tradeoff behind priority preemption.
+def prefix_caching(
+    *, shape: ModelShape, device_name: str, prompt_tokens: int, mean_new_tokens: float, hit_rate: float,
+    batch: int = 1, num_groups: int = 8,
+) -> SchemeTable:  # fmt: skip
+    """Request throughput per scheme with and without prefix caching.
 
-    Models the decision ``repro.serve.Scheduler`` (``preemption=True``)
-    faces when an urgent request arrives into a full batch: either the
-    request **waits** for a slot to drain naturally (its TTFT absorbs
-    ``expected_wait_steps`` batched decode steps before its own prefill),
-    or the scheduler **preempts** a low-priority victim — the urgent TTFT
-    collapses to its own prefill, at the cost of re-prefilling the
-    victim's uncached context when it resumes.  Because preemption frees
-    blocks to the LRU free-list where published prefixes stay matchable,
-    the resume usually re-maps most of the victim's context
-    (``resume_hit_rate``) instead of recomputing it — which is what makes
-    preemption cheap enough to win.
+    Models ``repro.serve.Scheduler`` with ``prefix_cache=True``: a fraction
+    ``hit_rate`` of each request's ``prompt_tokens`` is served straight from
+    previously published KV blocks, so only the remaining suffix (at least
+    the final token) pays prefill GEMMs.  One request costs the prefill of
+    its uncached suffix plus its ``1 / batch`` share of ``mean_new_tokens``
+    batched decode steps.  Decode work is unchanged — every generated token
+    still runs its skinny per-step GEMMs — which is why the speedup
+    saturates at ``(prefill + decode) / decode`` as the hit rate approaches
+    1, and why prefix caching compounds with (rather than replaces)
+    continuous batching.  ``hit_rate = 0.8`` is the benchmark's
+    shared-template trace.
 
-    Parameters
-    ----------
-    victim_context : int
-        Committed tokens (prompt + generated) the victim holds when
-        preempted — the upper bound on its resume recompute.
-    resume_hit_rate : float
-        Fraction of the victim's context re-served from still-matchable
-        prefix blocks at resume (``0`` = everything recomputed, the
-        no-prefix-cache case).
-    high_prompt_tokens : int
-        Prompt length of the urgent request.
-    expected_wait_steps : float
-        Batched decode steps until a slot frees without preemption (for a
-        drain-limited batch, roughly the victims' mean remaining tokens).
-    d_model, d_ff, num_heads, num_layers, vocab :
-        Model dimensions, as in :class:`DecodeWorkload`.
-    batch : int
-        Active decode batch size while the urgent request waits.
+    Returns
+    -------
+    dict
+        ``{scheme: {"cold_tokens_per_s", "cached_tokens_per_s",
+        "speedup"}}`` — generated tokens per second per request stream.
     """
+    _require(prompt_tokens >= 2, f"prompt_tokens must be >= 2 (the last always runs), got {prompt_tokens}")
+    _require(mean_new_tokens >= 1.0, f"mean_new_tokens must be >= 1, got {mean_new_tokens}")
+    _require(0.0 <= hit_rate <= 1.0, f"hit_rate must lie in [0, 1], got {hit_rate}")
+    _require(batch >= 1, f"batch must be >= 1, got {batch}")
+    decode = forward_ms(shape, batch, prompt_tokens + int(mean_new_tokens), device_name, num_groups)
 
-    victim_context: int
-    resume_hit_rate: float
-    high_prompt_tokens: int
-    expected_wait_steps: float
-    d_model: int
-    d_ff: int
-    num_heads: int
-    num_layers: int = 1
-    vocab: int = 0
-    batch: int = 1
+    def request_ms(rate: float) -> SchemeValues:
+        suffix = _uncached_tokens(prompt_tokens, rate)
+        prefill = forward_ms(shape, suffix, prompt_tokens, device_name, num_groups)
+        return {scheme: prefill[scheme] + mean_new_tokens * decode[scheme] / batch for scheme in decode}
 
-    def __post_init__(self) -> None:
-        if self.victim_context < 1:
-            raise ConfigurationError("victim_context must be >= 1")
-        if not 0.0 <= self.resume_hit_rate <= 1.0:
-            raise ConfigurationError("resume_hit_rate must lie in [0, 1]")
-        if self.high_prompt_tokens < 1:
-            raise ConfigurationError("high_prompt_tokens must be >= 1")
-        if self.expected_wait_steps < 0.0:
-            raise ConfigurationError("expected_wait_steps must be >= 0")
-        if self.batch < 1:
-            raise ConfigurationError("batch must be >= 1")
-        self.decode_workload()
-
-    def recompute_tokens(self) -> int:
-        """Victim tokens re-prefilled at resume (at least the final one)."""
-        return max(1, int(round(self.victim_context * (1.0 - self.resume_hit_rate))))
-
-    def prefill_workload(self, rows: int, context: int) -> DecodeWorkload:
-        """The GEMMs of prefilling ``rows`` tokens against ``context``."""
-        return DecodeWorkload(
-            batch=max(1, rows),
-            context=max(1, context),
-            d_model=self.d_model,
-            d_ff=self.d_ff,
-            num_heads=self.num_heads,
-            num_layers=self.num_layers,
-            vocab=self.vocab,
-        )
-
-    def decode_workload(self) -> DecodeWorkload:
-        """Per-step GEMMs of the batch the urgent request would wait behind."""
-        return DecodeWorkload(
-            batch=self.batch,
-            context=self.victim_context,
-            d_model=self.d_model,
-            d_ff=self.d_ff,
-            num_heads=self.num_heads,
-            num_layers=self.num_layers,
-            vocab=self.vocab,
-        )
-
-    def wait_ttft_ms(self, device_name: str, num_groups: int = 8) -> Dict[str, float]:
-        """Per-scheme urgent TTFT without preemption: wait out the drain."""
-        step = decode_step_latencies(self.decode_workload(), device_name, num_groups)
-        prefill = decode_step_latencies(
-            self.prefill_workload(self.high_prompt_tokens, self.high_prompt_tokens),
-            device_name,
-            num_groups,
-        )
-        return {
-            scheme: self.expected_wait_steps * step[scheme].milliseconds
-            + prefill[scheme].milliseconds
-            for scheme in step
+    cold, warm = request_ms(0.0), request_ms(hit_rate)
+    return {
+        scheme: {
+            "cold_tokens_per_s": mean_new_tokens / (cold[scheme] * 1e-3),
+            "cached_tokens_per_s": mean_new_tokens / (warm[scheme] * 1e-3),
+            "speedup": cold[scheme] / warm[scheme],
         }
-
-    def preempt_ttft_ms(self, device_name: str, num_groups: int = 8) -> Dict[str, float]:
-        """Per-scheme urgent TTFT with preemption: just its own prefill."""
-        prefill = decode_step_latencies(
-            self.prefill_workload(self.high_prompt_tokens, self.high_prompt_tokens),
-            device_name,
-            num_groups,
-        )
-        return {scheme: prefill[scheme].milliseconds for scheme in prefill}
-
-    def recompute_ms(self, device_name: str, num_groups: int = 8) -> Dict[str, float]:
-        """Per-scheme cost of re-prefilling the victim's uncached context."""
-        prefill = decode_step_latencies(
-            self.prefill_workload(self.recompute_tokens(), self.victim_context),
-            device_name,
-            num_groups,
-        )
-        return {scheme: prefill[scheme].milliseconds for scheme in prefill}
-
-    def ttft_speedup(self, device_name: str, num_groups: int = 8) -> Dict[str, float]:
-        """Per-scheme urgent-TTFT gain of preempting over waiting."""
-        wait = self.wait_ttft_ms(device_name, num_groups)
-        preempt = self.preempt_ttft_ms(device_name, num_groups)
-        return {scheme: wait[scheme] / preempt[scheme] for scheme in wait}
+        for scheme in cold
+    }
 
 
-def preemption_tradeoff(
-    workload: PreemptionWorkload,
-    device_name: str,
+def speculation(
+    *, shape: ModelShape, device_name: str, draft_tokens: int, accept_rate: float, context: int,
+    batch: int = 1, draft_cost_ratio: float = 0.0, num_groups: int = 8,
+) -> SchemeTable:  # fmt: skip
+    """Decode throughput per scheme with and without draft-and-verify speculation.
+
+    Models ``repro.serve.Scheduler`` with ``speculation=SpecConfig(...)``:
+    each iteration verifies ``draft_tokens`` speculated continuations per
+    sequence in one multi-token forward instead of one forward per token.
+    With a per-position acceptance probability ``accept_rate`` (i.i.d.) the
+    expected committed tokens per verify are
+
+    ``E[m] = (1 - p^(k+1)) / (1 - p)``  (``k + 1`` at ``p = 1``),
+
+    the accepted run plus the bonus token.  The verify forward prices the
+    same per-layer GEMMs as a decode step with ``batch x (k + 1)`` rows —
+    exactly how :meth:`repro.models.inference.TransformerRunner.verify`
+    executes — so the speedup is ``E[m]`` discounted by how much wider the
+    verify GEMMs are and by the drafting itself: ``draft_cost_ratio`` of one
+    baseline decode step per proposed token (``0`` = free drafting, which
+    matches ``PromptLookupDraft``; ``0.25`` a quarter-depth ``ModelDraft``).
+
+    Returns
+    -------
+    dict
+        ``{scheme: {"baseline_tokens_per_s", "speculative_tokens_per_s",
+        "speedup", "expected_tokens_per_step"}}`` — speedup above 1 when the
+        expected run outweighs the wider verify forward plus drafting.
+    """
+    _require(draft_tokens >= 1, f"draft_tokens must be >= 1, got {draft_tokens}")
+    _require(0.0 <= accept_rate <= 1.0, f"accept_rate must lie in [0, 1], got {accept_rate}")
+    _require(draft_cost_ratio >= 0.0, f"draft_cost_ratio must be >= 0, got {draft_cost_ratio}")
+    if accept_rate >= 1.0:
+        expected = float(draft_tokens + 1)
+    else:
+        expected = (1.0 - accept_rate ** (draft_tokens + 1)) / (1.0 - accept_rate)
+    decode = forward_ms(shape, batch, context, device_name, num_groups)
+    verify = forward_ms(shape, batch * (draft_tokens + 1), context + draft_tokens, device_name, num_groups)
+    table: SchemeTable = {}
+    for scheme, decode_ms in decode.items():
+        # Everything in milliseconds, converted once per throughput: the same
+        # ratio taken over seconds differs in the last bit on half of all inputs.
+        step_ms = verify[scheme] + draft_tokens * draft_cost_ratio * decode_ms
+        table[scheme] = {
+            "baseline_tokens_per_s": batch / (decode_ms * 1e-3),
+            "speculative_tokens_per_s": batch * expected / (step_ms * 1e-3),
+            "speedup": expected * decode_ms / step_ms,
+            "expected_tokens_per_step": expected,
+        }
+    return table
+
+
+def paged_attention_gather(
+    *, shape: ModelShape, device_name: str, batch: int, context: int, kv_bytes_per_element: int = 2,
     num_groups: int = 8,
-) -> Dict[str, Dict[str, float]]:
-    """Price both sides of a preemption decision, per scheme.
+) -> SchemeTable:  # fmt: skip
+    """Decode throughput per scheme with gathered vs in-place paged KV.
 
-    Parameters
-    ----------
-    workload : PreemptionWorkload
-        The serving scenario.
-    device_name : str
-        A key of :data:`repro.gpu.devices.GPU_SPECS`.
-    num_groups : int
-        Tender channel groups (forwarded to the per-scheme GEMM model).
+    Models the two serving realisations in ``repro.serve``: the *gather*
+    reference fancy-indexes every slot's KV blocks into a dense per-view
+    copy before the attention matmuls, while the *fused* path
+    (:func:`repro.core.kernels.paged_attention`) multiplies strided views of
+    consecutive-block runs straight out of the pool and moves no KV bytes at
+    all.  Each layer's copy is one read of the blocks plus one write of the
+    copy, for K and for V, each ``batch x heads x context x d_head``
+    elements of ``kv_bytes_per_element`` (2 for FP16 serving) — exactly the
+    traffic ``PagedKVCache.gather_bytes`` tallies, doubled for the read.
+    The attention GEMMs themselves are identical, so the speedup is pure
+    memory traffic, paid *per generated token*: like the KV-cache read
+    itself it grows linearly with context while the projections stay fixed.
+
+    Returns
+    -------
+    dict
+        ``{scheme: {"gather_tokens_per_s", "fused_tokens_per_s",
+        "speedup", "gather_bytes_per_step"}}``.
+    """
+    _require(kv_bytes_per_element >= 1, f"kv_bytes_per_element must be >= 1, got {kv_bytes_per_element}")
+    step = forward_ms(shape, batch, context, device_name, num_groups)
+    dense = batch * shape.num_heads * context * shape.d_head * kv_bytes_per_element
+    gather_bytes = shape.num_layers * 2 * 2 * dense  # K and V, read + write
+    gather_ms = gather_bytes / (get_gpu(device_name).memory_bandwidth_gbps * 1e9) * 1e3
+    table: SchemeTable = {}
+    for scheme, fused_ms in step.items():
+        fused_s, gather_s = fused_ms * 1e-3, (fused_ms + gather_ms) * 1e-3
+        table[scheme] = {
+            "gather_tokens_per_s": batch / gather_s,
+            "fused_tokens_per_s": batch / fused_s,
+            "speedup": gather_s / fused_s,
+            "gather_bytes_per_step": float(gather_bytes),
+        }
+    return table
+
+
+def preemption(
+    *, shape: ModelShape, device_name: str, victim_context: int, resume_hit_rate: float,
+    high_prompt_tokens: int, expected_wait_steps: float, batch: int = 1, num_groups: int = 8,
+) -> SchemeTable:  # fmt: skip
+    """Price both sides of a priority-preemption decision, per scheme.
+
+    Models the choice ``repro.serve.Scheduler`` (``preemption=True``) faces
+    when an urgent request of ``high_prompt_tokens`` arrives into a full
+    batch of ``batch`` rows.  Either it **waits** for a slot to drain (its
+    TTFT absorbs ``expected_wait_steps`` batched decode steps — for a
+    drain-limited batch, roughly the victims' mean remaining tokens — before
+    its own prefill), or the scheduler **preempts** a low-priority victim:
+    the urgent TTFT collapses to its own prefill, at the cost of
+    re-prefilling the victim's uncached context when it resumes.  Because
+    preemption frees blocks to the LRU free-list where published prefixes
+    stay matchable, the resume usually re-maps most of the victim's
+    ``victim_context`` committed tokens (``resume_hit_rate``; ``0`` is the
+    no-prefix-cache case) instead of recomputing them — which is what makes
+    preemption cheap enough to win.
 
     Returns
     -------
@@ -1015,346 +527,129 @@ def preemption_tradeoff(
         ratio falling below one, i.e. the preemption bought more urgent
         latency than it spent in aggregate throughput.
     """
-    wait = workload.wait_ttft_ms(device_name, num_groups)
-    preempt = workload.preempt_ttft_ms(device_name, num_groups)
-    recompute = workload.recompute_ms(device_name, num_groups)
-    results: Dict[str, Dict[str, float]] = {}
-    for scheme in wait:
-        saved = wait[scheme] - preempt[scheme]
+    _require(victim_context >= 1, f"victim_context must be >= 1, got {victim_context}")
+    _require(0.0 <= resume_hit_rate <= 1.0, f"resume_hit_rate must lie in [0, 1], got {resume_hit_rate}")
+    _require(high_prompt_tokens >= 1, f"high_prompt_tokens must be >= 1, got {high_prompt_tokens}")
+    _require(expected_wait_steps >= 0.0, f"expected_wait_steps must be >= 0, got {expected_wait_steps}")
+    _require(batch >= 1, f"batch must be >= 1, got {batch}")
+    step = forward_ms(shape, batch, victim_context, device_name, num_groups)
+    prefill = forward_ms(shape, high_prompt_tokens, high_prompt_tokens, device_name, num_groups)
+    recompute = forward_ms(
+        shape, _uncached_tokens(victim_context, resume_hit_rate), victim_context, device_name, num_groups
+    )
+    table: SchemeTable = {}
+    for scheme, preempt_ms in prefill.items():
+        wait_ms = expected_wait_steps * step[scheme] + preempt_ms
+        saved = wait_ms - preempt_ms
         ratio = recompute[scheme] / saved if saved > 0.0 else float("inf")
-        results[scheme] = {
-            "wait_ttft_ms": wait[scheme],
-            "preempt_ttft_ms": preempt[scheme],
-            "ttft_speedup": wait[scheme] / preempt[scheme],
+        table[scheme] = {
+            "wait_ttft_ms": wait_ms,
+            "preempt_ttft_ms": preempt_ms,
+            "ttft_speedup": wait_ms / preempt_ms,
             "recompute_ms": recompute[scheme],
             "recompute_overhead_ratio": ratio,
             "worthwhile": 1.0 if ratio < 1.0 else 0.0,
         }
-    return results
+    return table
 
 
-# ----------------------------------------------------------------------
-# Fault-tolerance (recompute-cost-vs-failure-rate) replica-pool workload
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class FaultToleranceWorkload:
-    """Goodput of a replica pool under failures and checkpoint/replay recovery.
-
-    Models what ``repro.serve.cluster.ReplicaPool`` pays when a replica
-    dies: every in-flight request is checkpointed and re-admitted
-    elsewhere, re-prefilling the fraction of its context the prefix cache
-    cannot re-serve (``1 - resume_hit_rate``) and sitting out
-    ``retry_backoff_steps`` decode steps of exponential backoff.  The
-    question the model answers is the same shape as the preemption
-    tradeoff: at what failure rate does recovery recompute start to
-    dominate, and how much of it does prefix-hit recovery buy back.
-
-    Parameters
-    ----------
-    num_replicas : int
-        Pool size (failures are per replica, goodput is fleet-wide).
-    batch : int
-        Active decode rows per replica — the requests a single failure
-        checkpoints and replays.
-    mean_context : int
-        Mean committed tokens (prompt + generated) per in-flight request
-        at failure time — the upper bound on per-request recompute.
-    failure_rate : float
-        Per-decode-step probability that a given replica fails (kill,
-        watchdog trip, or unrecoverable stall).
-    resume_hit_rate : float
-        Fraction of a recovered request's replay served from prefix-cache
-        hits on the target replica (``0`` = disjoint caches, everything
-        recomputed; sticky-template routing pushes this up).
-    retry_backoff_steps : float
-        Mean decode steps a recovered request waits out in backoff before
-        re-admission (the retry budget's exponential delay, amortized).
-    d_model, d_ff, num_heads, num_layers, vocab :
-        Model dimensions, as in :class:`DecodeWorkload`.
-    """
-
-    num_replicas: int
-    batch: int
-    mean_context: int
-    failure_rate: float
-    resume_hit_rate: float
-    retry_backoff_steps: float
-    d_model: int
-    d_ff: int
-    num_heads: int
-    num_layers: int = 1
-    vocab: int = 0
-
-    def __post_init__(self) -> None:
-        if self.num_replicas < 1:
-            raise ConfigurationError("num_replicas must be >= 1")
-        if self.batch < 1:
-            raise ConfigurationError("batch must be >= 1")
-        if self.mean_context < 1:
-            raise ConfigurationError("mean_context must be >= 1")
-        if not 0.0 <= self.failure_rate < 1.0:
-            raise ConfigurationError("failure_rate must lie in [0, 1)")
-        if not 0.0 <= self.resume_hit_rate <= 1.0:
-            raise ConfigurationError("resume_hit_rate must lie in [0, 1]")
-        if self.retry_backoff_steps < 0.0:
-            raise ConfigurationError("retry_backoff_steps must be >= 0")
-        self.decode_workload()
-
-    def decode_workload(self) -> DecodeWorkload:
-        """Per-step GEMMs of one replica's healthy decode batch."""
-        return DecodeWorkload(
-            batch=self.batch,
-            context=self.mean_context,
-            d_model=self.d_model,
-            d_ff=self.d_ff,
-            num_heads=self.num_heads,
-            num_layers=self.num_layers,
-            vocab=self.vocab,
-        )
-
-    def recompute_tokens(self) -> int:
-        """Replayed tokens actually recomputed per recovered request."""
-        return max(1, int(round(self.mean_context * (1.0 - self.resume_hit_rate))))
-
-    def recovery_workload(self) -> DecodeWorkload:
-        """The GEMMs of re-prefilling one failed replica's whole batch."""
-        return DecodeWorkload(
-            batch=max(1, self.batch * self.recompute_tokens()),
-            context=self.mean_context,
-            d_model=self.d_model,
-            d_ff=self.d_ff,
-            num_heads=self.num_heads,
-            num_layers=self.num_layers,
-            vocab=self.vocab,
-        )
-
-
-def fault_tolerance_goodput(
-    workload: FaultToleranceWorkload,
-    device_name: str,
+def sharded_serving(
+    *, shape: ModelShape, device_name: str, batch: int, context: int, num_shards: int = 1,
+    num_replicas: int = 1, link_latency_us: float = 5.0, link_bandwidth_gb_s: float = 100.0,
+    failure_rate: float = 0.0, resume_hit_rate: float = 0.0, retry_backoff_steps: float = 0.0,
     num_groups: int = 8,
-) -> Dict[str, Dict[str, float]]:
-    """Expected replica-pool goodput under failures, per scheme.
+) -> SchemeTable:  # fmt: skip
+    """Sharding speedup and goodput under failures of a pool of shard groups.
 
-    Amortizes recovery into the per-step cost: each decode step carries a
-    ``failure_rate`` chance of paying a full recovery (re-prefill of the
-    uncached context of every in-flight request, plus the backoff steps
-    the recovered requests sit out), so the expected effective step is
-    ``step + failure_rate * (recovery + backoff_steps * step)`` and
-    goodput is the healthy step divided by the effective one.
+    Models ``repro.serve.shard.ShardedRunner`` inside
+    ``repro.serve.cluster.ReplicaPool``.  **Sharding.**  Every projection's
+    output columns (and the attention heads) split across ``num_shards``
+    workers, so per-step compute divides by the shard count, but the shards
+    meet at explicit all-gathers — six per layer (K, V, attention context,
+    attention output, FC1 hidden, FC2 output: the simulated runner's meet
+    points exactly, each ``rows x width`` FP16 activations on the wire) plus
+    the LM-head logits gather, each a ring collective over the inter-shard
+    link: ``sharded_step = solo_step / S + comm``.  **Failures.**  A replica
+    — a whole shard group: any shard's death fails it — dies with
+    probability ``1 - (1 - failure_rate)^S`` per decode step; every
+    in-flight request is checkpointed and re-admitted, re-prefilling the
+    fraction of its ``context`` the prefix cache cannot re-serve (``1 -
+    resume_hit_rate``; sticky-template routing pushes the hit rate up) on a
+    rebuilt group, itself sharded and paying collectives on the replay rows,
+    and sitting out ``retry_backoff_steps`` steps of backoff.  Recovery is
+    amortized into the step: ``effective = step + group_rate * (recovery +
+    backoff_steps * step)``, and goodput is the healthy step over the
+    effective one.  A replica pool of solo runners is the ``num_shards = 1``
+    case (no collectives, ``failure_rate`` per replica); tensor parallelism
+    alone is ``num_replicas = 1``.  The questions it answers: at what model
+    size, batch and link quality sharding pays, at what failure rate
+    recovery recompute starts to dominate, and how much of it prefix-hit
+    recovery buys back.
 
     Parameters
     ----------
-    workload : FaultToleranceWorkload
-        The chaos scenario.
-    device_name : str
-        A key of :data:`repro.gpu.devices.GPU_SPECS`.
-    num_groups : int
-        Tender channel groups (forwarded to the per-scheme GEMM model).
+    batch, context : int
+        Active decode rows per replica, and mean committed tokens per row
+        (KV length, and the upper bound on per-request recompute).
+    num_shards, num_replicas : int
+        Tensor-parallel width of one replica, and replicas in the pool
+        (``tokens_per_s`` is fleet-wide; nothing else reads the pool size).
+    link_latency_us, link_bandwidth_gb_s : float
+        Per-hop launch latency of one collective message and the link
+        bandwidth (NVLink-ish defaults).
+    failure_rate : float
+        Per-decode-step probability that a given shard dies.
+    resume_hit_rate, retry_backoff_steps : float
+        Fraction of a replay served from prefix-cache hits, and mean decode
+        steps a recovered request waits out before re-admission.
 
     Returns
     -------
     dict
-        ``{scheme: {"step_ms", "recovery_ms", "effective_step_ms",
-        "goodput_ratio", "fault_free_tokens_per_s", "tokens_per_s"}}`` —
-        ``goodput_ratio`` is the fraction of fault-free throughput the
-        pool keeps (1.0 at ``failure_rate=0``, higher with better
-        ``resume_hit_rate``, which is the analytic case for sticky-template
-        routing).
+        ``{scheme: {"solo_step_ms", "sharded_step_ms", "comm_ms", "speedup",
+        "recovery_ms", "effective_step_ms", "goodput_ratio",
+        "fault_free_tokens_per_s", "tokens_per_s"}}`` — ``goodput_ratio`` is
+        the fraction of fault-free throughput kept (1.0 at ``failure_rate =
+        0``).
     """
-    step = decode_step_latencies(workload.decode_workload(), device_name, num_groups)
-    recovery = decode_step_latencies(workload.recovery_workload(), device_name, num_groups)
-    results: Dict[str, Dict[str, float]] = {}
-    for scheme in step:
-        step_ms = step[scheme].milliseconds
-        recovery_ms = recovery[scheme].milliseconds
-        effective_ms = step_ms + workload.failure_rate * (
-            recovery_ms + workload.retry_backoff_steps * step_ms
-        )
-        fleet_rows = workload.num_replicas * workload.batch
-        results[scheme] = {
-            "step_ms": step_ms,
-            "recovery_ms": recovery_ms,
-            "effective_step_ms": effective_ms,
-            "goodput_ratio": step_ms / effective_ms,
-            "fault_free_tokens_per_s": fleet_rows / (step_ms * 1e-3),
-            "tokens_per_s": fleet_rows / (effective_ms * 1e-3),
-        }
-    return results
+    _require(num_shards >= 1, f"num_shards must be >= 1, got {num_shards}")
+    heads = shape.num_heads
+    _require(num_shards <= heads, f"num_shards must not exceed num_heads, got {num_shards} > {heads}")
+    _require(num_replicas >= 1, f"num_replicas must be >= 1, got {num_replicas}")
+    _require(
+        link_latency_us >= 0.0 and link_bandwidth_gb_s > 0.0,
+        f"link latency/bandwidth must be sane, got {link_latency_us} us, {link_bandwidth_gb_s} GB/s",
+    )
+    _require(0.0 <= failure_rate < 1.0, f"failure_rate must lie in [0, 1), got {failure_rate}")
+    _require(0.0 <= resume_hit_rate <= 1.0, f"resume_hit_rate must lie in [0, 1], got {resume_hit_rate}")
+    _require(retry_backoff_steps >= 0.0, f"retry_backoff_steps must be >= 0, got {retry_backoff_steps}")
+    solo = forward_ms(shape, batch, context, device_name, num_groups)
+    replay_rows = batch * _uncached_tokens(context, resume_hit_rate)
+    replay = forward_ms(shape, replay_rows, context, device_name, num_groups)
 
+    def all_gather_ms(width: int, rows: int) -> float:
+        """Ring all-gather of ``rows`` FP16 activation rows of ``width`` columns (0.0 at one shard)."""
+        hops = num_shards - 1
+        wire_bytes = rows * (width * 2.0) * hops / num_shards
+        return hops * link_latency_us * 1e-3 + wire_bytes / (link_bandwidth_gb_s * 1e6)
 
-@dataclass
-class TensorParallelWorkload:
-    """Speedup and chaos goodput of column-parallel tensor sharding.
-
-    Models what ``repro.serve.shard.ShardedRunner`` pays and gains: every
-    projection's output columns (and the attention heads) split across
-    ``num_shards`` workers, so per-step compute divides by the shard count,
-    but the shards must meet at explicit all-gathers — six per layer (K, V,
-    attention context, attention output, FC1 hidden, FC2 output) plus the
-    LM-head logits gather, each priced as a ring collective over the
-    inter-shard link.  The question the model answers: at what model size,
-    batch, and link quality does sharding pay, and how much goodput a
-    sharded group keeps when shard failures trigger whole-group
-    checkpoint/replay recovery (a shard group is one fault unit — any
-    shard's death fails the group).
-
-    Parameters
-    ----------
-    num_shards : int
-        Tensor-parallel width (1 = solo, no collectives).
-    batch : int
-        Active decode rows per step.
-    context : int
-        Mean committed tokens per row (KV length, and the recovery
-        re-prefill bound).
-    link_latency_us : float
-        Per-hop launch latency of one collective message, microseconds.
-    link_bandwidth_gb_s : float
-        Inter-shard link bandwidth (NVLink-ish defaults).
-    shard_failure_rate : float
-        Per-decode-step probability that a given *shard* dies; the group
-        fails when any of its shards does.
-    resume_hit_rate : float
-        Fraction of a recovered request's replay served from prefix-cache
-        hits on the rebuilt group (as in :class:`FaultToleranceWorkload`).
-    retry_backoff_steps : float
-        Mean decode steps recovered requests wait out in backoff.
-    d_model, d_ff, num_heads, num_layers, vocab :
-        Model dimensions, as in :class:`DecodeWorkload`.
-    """
-
-    num_shards: int
-    batch: int
-    context: int
-    d_model: int
-    d_ff: int
-    num_heads: int
-    num_layers: int = 1
-    vocab: int = 0
-    link_latency_us: float = 5.0
-    link_bandwidth_gb_s: float = 100.0
-    shard_failure_rate: float = 0.0
-    resume_hit_rate: float = 0.0
-    retry_backoff_steps: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.num_shards < 1:
-            raise ConfigurationError("num_shards must be >= 1")
-        if self.num_shards > self.num_heads:
-            raise ConfigurationError("num_shards must not exceed num_heads")
-        if self.link_latency_us < 0.0 or self.link_bandwidth_gb_s <= 0.0:
-            raise ConfigurationError("link latency/bandwidth must be sane")
-        if not 0.0 <= self.shard_failure_rate < 1.0:
-            raise ConfigurationError("shard_failure_rate must lie in [0, 1)")
-        if not 0.0 <= self.resume_hit_rate <= 1.0:
-            raise ConfigurationError("resume_hit_rate must lie in [0, 1]")
-        if self.retry_backoff_steps < 0.0:
-            raise ConfigurationError("retry_backoff_steps must be >= 0")
-        self.decode_workload()
-
-    def decode_workload(self) -> DecodeWorkload:
-        """The unsharded per-step GEMMs (the solo baseline)."""
-        return DecodeWorkload(
-            batch=self.batch,
-            context=self.context,
-            d_model=self.d_model,
-            d_ff=self.d_ff,
-            num_heads=self.num_heads,
-            num_layers=self.num_layers,
-            vocab=self.vocab,
-        )
-
-    def group_failure_rate(self) -> float:
-        """Per-step probability that *any* shard dies (one fault unit)."""
-        return 1.0 - (1.0 - self.shard_failure_rate) ** self.num_shards
-
-    def recompute_tokens(self) -> int:
-        """Replayed tokens actually recomputed per recovered request."""
-        return max(1, int(round(self.context * (1.0 - self.resume_hit_rate))))
-
-    def recovery_workload(self) -> DecodeWorkload:
-        """The GEMMs of re-prefilling the whole batch on a rebuilt group."""
-        return DecodeWorkload(
-            batch=max(1, self.batch * self.recompute_tokens()),
-            context=self.context,
-            d_model=self.d_model,
-            d_ff=self.d_ff,
-            num_heads=self.num_heads,
-            num_layers=self.num_layers,
-            vocab=self.vocab,
-        )
-
-    def _all_gather_ms(self, row_bytes: float, rows: int) -> float:
-        """Ring all-gather cost for ``rows`` activation rows of ``row_bytes``."""
-        if self.num_shards == 1:
-            return 0.0
-        hops = self.num_shards - 1
-        wire_bytes = rows * row_bytes * hops / self.num_shards
-        return hops * self.link_latency_us * 1e-3 + wire_bytes / (
-            self.link_bandwidth_gb_s * 1e6
-        )
-
-    def comm_ms(self, rows: Optional[int] = None) -> float:
-        """Per-step collective time: six gathers per layer plus the LM head.
-
-        Matches the simulated runner's meet points exactly — K, V,
-        attention context, attention output, FC1 hidden, and FC2 output per
-        layer (each ``rows x width`` activations in FP16 on the wire), plus
-        one logits gather when the model has an LM head.
-        """
-        rows = self.batch if rows is None else rows
-        act = 2.0  # FP16 activation bytes on the wire
-        per_layer = 5 * self._all_gather_ms(self.d_model * act, rows) + self._all_gather_ms(
-            self.d_ff * act, rows
-        )
-        total = self.num_layers * per_layer
-        if self.vocab:
-            total += self._all_gather_ms(self.vocab * act, self.batch)
+    def comm_ms(rows: int) -> float:
+        total = shape.num_layers * (5 * all_gather_ms(shape.d_model, rows) + all_gather_ms(shape.d_ff, rows))
+        if shape.vocab:
+            total += all_gather_ms(shape.vocab, batch)  # logits: the sampled rows only
         return total
 
-
-def tensor_parallel_speedup(
-    workload: TensorParallelWorkload,
-    device_name: str,
-    num_groups: int = 8,
-) -> Dict[str, Dict[str, float]]:
-    """Communication-inclusive sharding speedup and chaos goodput, per scheme.
-
-    Column-parallel sharding divides every GEMM's output axis (and the
-    attention heads) by ``num_shards``, so per-shard compute is the solo
-    step over the shard count; the collectives priced by
-    :meth:`TensorParallelWorkload.comm_ms` are added back, giving
-    ``sharded_step = solo_step / S + comm``.  Recovery under chaos is the
-    group-level version of :func:`fault_tolerance_goodput`: any shard death
-    fails the whole group, which re-prefills the uncached context of every
-    in-flight request on a rebuilt group (itself sharded, itself paying
-    collectives on the replay rows).
-
-    Returns
-    -------
-    dict
-        ``{scheme: {"solo_step_ms", "sharded_step_ms", "comm_ms",
-        "speedup", "recovery_ms", "effective_step_ms", "goodput_ratio",
-        "tokens_per_s"}}`` per scheme of :func:`decode_step_latencies`.
-    """
-    solo = decode_step_latencies(workload.decode_workload(), device_name, num_groups)
-    recovery = decode_step_latencies(workload.recovery_workload(), device_name, num_groups)
-    shards = workload.num_shards
-    step_comm = workload.comm_ms()
-    recovery_comm = workload.comm_ms(
-        rows=max(1, workload.batch * workload.recompute_tokens())
-    )
-    group_rate = workload.group_failure_rate()
-    results: Dict[str, Dict[str, float]] = {}
-    for scheme in solo:
-        solo_ms = solo[scheme].milliseconds
-        sharded_ms = solo_ms / shards + step_comm
-        recovery_ms = recovery[scheme].milliseconds / shards + recovery_comm
-        effective_ms = sharded_ms + group_rate * (
-            recovery_ms + workload.retry_backoff_steps * sharded_ms
-        )
-        results[scheme] = {
+    step_comm, replay_comm = comm_ms(batch), comm_ms(replay_rows)
+    # The one-shard rate is the rate itself: 1.0 - (1.0 - r) ** 1 != r in
+    # floating point (0.2, 0.002, 1 / 54, ...), which would move the last digit
+    # of every goodput BENCH_serving.json commits for a pool of solo replicas.
+    group_rate = failure_rate if num_shards == 1 else 1.0 - (1.0 - failure_rate) ** num_shards
+    table: SchemeTable = {}
+    for scheme, solo_ms in solo.items():
+        sharded_ms = solo_ms / num_shards + step_comm
+        recovery_ms = replay[scheme] / num_shards + replay_comm
+        effective_ms = sharded_ms + group_rate * (recovery_ms + retry_backoff_steps * sharded_ms)
+        table[scheme] = {
             "solo_step_ms": solo_ms,
             "sharded_step_ms": sharded_ms,
             "comm_ms": step_comm,
@@ -1362,122 +657,30 @@ def tensor_parallel_speedup(
             "recovery_ms": recovery_ms,
             "effective_step_ms": effective_ms,
             "goodput_ratio": sharded_ms / effective_ms,
-            "tokens_per_s": workload.batch / (effective_ms * 1e-3),
+            "fault_free_tokens_per_s": num_replicas * batch / (sharded_ms * 1e-3),
+            "tokens_per_s": num_replicas * batch / (effective_ms * 1e-3),
         }
-    return results
+    return table
 
 
-# ----------------------------------------------------------------------
-# Observability (tracing-overhead-vs-step-time) workload
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ObservabilityOverheadWorkload:
-    """What request-lifecycle tracing costs a serving step, per scheme.
+def tracing_overhead(
+    *, shape: ModelShape, device_name: str, events_per_step: float, guard_sites_per_step: float = 8.0,
+    batch: int = 1, context: int = 256, num_groups: int = 8,
+) -> SchemeTable:  # fmt: skip
+    """Relative cost of request-lifecycle tracing on a decode step, per scheme.
 
     Models the two prices ``repro.obs.Tracer`` can charge a
     ``repro.serve.Scheduler`` decode step.  **Enabled**, every emit site
-    pays a clock read, an attribute-dict build, and a ring/list append
-    (``event_cost_us`` each, ``events_per_step`` sites firing per batched
-    step — the decode span's begin/end pair plus the cache, speculation,
-    and lifecycle instants that step triggers).  **Disabled**
-    (``tracer=None``), the only residue is the branch itself: each
-    instrumented site still evaluates one ``is not None`` guard
-    (``guard_cost_ns`` × ``guard_sites_per_step``), which is the cost the
-    ≤1 % perf-smoke gate bounds.  Both are fixed per-step taxes, so their
-    *relative* overhead shrinks as the underlying GEMMs grow — the model
-    answers where tracing is free (big models) and where it bites (tiny
-    steps, exactly the regime the correctness suites run in).
-
-    Parameters
-    ----------
-    events_per_step : float
-        Mean trace events emitted per batched decode step with tracing
-        enabled (span endpoints count separately).
-    event_cost_us : float
-        Cost of one emit — clock read, attribute dict, append —
-        microseconds.
-    guard_sites_per_step : float
-        ``tracer is None`` checks evaluated per step on the disabled path.
-    guard_cost_ns : float
-        Cost of one evaluated guard, nanoseconds.
-    d_model, d_ff, num_heads, num_layers, vocab :
-        Model dimensions, as in :class:`DecodeWorkload`.
-    batch : int
-        Active decode rows per step.
-    context : int
-        Mean committed tokens per row (KV length).
-    """
-
-    events_per_step: float
-    d_model: int
-    d_ff: int
-    num_heads: int
-    num_layers: int = 1
-    vocab: int = 0
-    batch: int = 1
-    context: int = 256
-    event_cost_us: float = 1.0
-    guard_sites_per_step: float = 8.0
-    guard_cost_ns: float = 30.0
-
-    def __post_init__(self) -> None:
-        if self.events_per_step < 0.0:
-            raise ConfigurationError("events_per_step must be >= 0")
-        if self.event_cost_us < 0.0:
-            raise ConfigurationError("event_cost_us must be >= 0")
-        if self.guard_sites_per_step < 0.0:
-            raise ConfigurationError("guard_sites_per_step must be >= 0")
-        if self.guard_cost_ns < 0.0:
-            raise ConfigurationError("guard_cost_ns must be >= 0")
-        if self.batch < 1:
-            raise ConfigurationError("batch must be >= 1")
-        if self.context < 1:
-            raise ConfigurationError("context must be >= 1")
-        self.decode_workload()
-
-    def decode_workload(self) -> DecodeWorkload:
-        """The per-step GEMMs the tracing tax is measured against."""
-        return DecodeWorkload(
-            batch=self.batch,
-            context=self.context,
-            d_model=self.d_model,
-            d_ff=self.d_ff,
-            num_heads=self.num_heads,
-            num_layers=self.num_layers,
-            vocab=self.vocab,
-        )
-
-    def enabled_overhead_ms(self) -> float:
-        """Per-step emit cost with tracing on (scheme-independent)."""
-        return self.events_per_step * self.event_cost_us * 1e-3
-
-    def disabled_overhead_ms(self) -> float:
-        """Per-step guard residue with tracing off (scheme-independent)."""
-        return self.guard_sites_per_step * self.guard_cost_ns * 1e-6
-
-
-def observability_overhead(
-    workload: ObservabilityOverheadWorkload,
-    device_name: str,
-    num_groups: int = 8,
-) -> Dict[str, Dict[str, float]]:
-    """Relative cost of tracing on a serving decode step, per scheme.
-
-    Adds the workload's fixed per-step taxes to the modeled GEMM step and
-    reports both absolute and relative overhead, which is what the
-    perf-smoke gate and the serving benchmark's ``observability`` section
-    bound empirically (≤5 % enabled, ≤1 % disabled on the tiny
-    correctness-suite model — both far below measurement noise at real
-    model sizes).
-
-    Parameters
-    ----------
-    workload : ObservabilityOverheadWorkload
-        The instrumentation scenario.
-    device_name : str
-        A key of :data:`repro.gpu.devices.GPU_SPECS`.
-    num_groups : int
-        Tender channel groups (forwarded to the per-scheme GEMM model).
+    pays :data:`TRACE_EVENT_COST_US`, ``events_per_step`` sites firing per
+    batched step (the decode span's begin/end pair — endpoints count
+    separately — plus the cache, speculation and lifecycle instants that
+    step triggers).  **Disabled** (``tracer=None``), the only residue is the
+    branch itself: each of ``guard_sites_per_step`` instrumented sites still
+    evaluates one ``is not None`` guard (:data:`TRACE_GUARD_COST_NS`), the
+    cost the perf-smoke gate bounds.  Both are fixed per-step taxes, so
+    their *relative* overhead shrinks as the underlying GEMMs grow — the
+    model answers where tracing is free (big models) and where it bites
+    (tiny steps, exactly the regime the correctness suites run in).
 
     Returns
     -------
@@ -1485,24 +688,23 @@ def observability_overhead(
         ``{scheme: {"step_ms", "enabled_overhead_ms", "enabled_step_ms",
         "enabled_overhead_ratio", "disabled_overhead_ms",
         "disabled_overhead_ratio", "tokens_per_s",
-        "enabled_tokens_per_s"}}`` per scheme of
-        :func:`decode_step_latencies`.
+        "enabled_tokens_per_s"}}``.
     """
-    step = decode_step_latencies(workload.decode_workload(), device_name, num_groups)
-    enabled_tax = workload.enabled_overhead_ms()
-    disabled_tax = workload.disabled_overhead_ms()
-    results: Dict[str, Dict[str, float]] = {}
-    for scheme in step:
-        step_ms = step[scheme].milliseconds
-        enabled_ms = step_ms + enabled_tax
-        results[scheme] = {
+    _require(events_per_step >= 0.0, f"events_per_step must be >= 0, got {events_per_step}")
+    _require(guard_sites_per_step >= 0.0, f"guard_sites_per_step must be >= 0, got {guard_sites_per_step}")
+    step = forward_ms(shape, batch, context, device_name, num_groups)
+    enabled_tax = events_per_step * TRACE_EVENT_COST_US * 1e-3
+    disabled_tax = guard_sites_per_step * TRACE_GUARD_COST_NS * 1e-6
+    return {
+        scheme: {
             "step_ms": step_ms,
             "enabled_overhead_ms": enabled_tax,
-            "enabled_step_ms": enabled_ms,
+            "enabled_step_ms": step_ms + enabled_tax,
             "enabled_overhead_ratio": enabled_tax / step_ms,
             "disabled_overhead_ms": disabled_tax,
             "disabled_overhead_ratio": disabled_tax / step_ms,
-            "tokens_per_s": workload.batch / (step_ms * 1e-3),
-            "enabled_tokens_per_s": workload.batch / (enabled_ms * 1e-3),
+            "tokens_per_s": batch / (step_ms * 1e-3),
+            "enabled_tokens_per_s": batch / ((step_ms + enabled_tax) * 1e-3),
         }
-    return results
+        for scheme, step_ms in step.items()
+    }

@@ -33,7 +33,7 @@ by default and guard every emit site with ``if tracer is not None`` —
 the disabled path constructs no spans, no attribute dicts, and never
 reads the clock.  ``tools/check_perf_smoke.py`` counts and gates that
 claim (a ``tracer=None`` serve enters no frame of this package);
-``repro.gpu.ObservabilityOverheadWorkload`` models it.
+``repro.gpu.tracing_overhead`` models it.
 """
 
 from __future__ import annotations

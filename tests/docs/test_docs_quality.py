@@ -40,17 +40,26 @@ class TestDocsTooling:
         assert (REPO_ROOT / "docs" / "reproducing.md").is_file()
 
     def test_link_checker_catches_breakage(self, tmp_path):
-        """The checker actually fails on a broken link (it is not a no-op)."""
+        """The checker actually fails on a broken link or a stale symbol (it is not a no-op)."""
         sandbox = tmp_path / "repo"
         (sandbox / "docs").mkdir(parents=True)
         (sandbox / "tools").mkdir()
         tool = (REPO_ROOT / "tools" / "check_doc_links.py").read_text()
         (sandbox / "tools" / "check_doc_links.py").write_text(tool)
-        (sandbox / "README.md").write_text("[missing](does/not/exist.py)\n")
+        (sandbox / "README.md").write_text(
+            "[missing](does/not/exist.py)\n`repro.gpu.ModelShape` replaced `repro.gpu.\nDecodeWorkload`\n"
+        )
         (sandbox / "docs" / "reproducing.md").write_text("no modules here\n")
         (sandbox / "src" / "repro" / "experiments").mkdir(parents=True)
         (sandbox / "src" / "repro" / "experiments" / "table1.py").write_text("")
         (sandbox / "benchmarks").mkdir()
+        # A live package of one symbol: the docs and an example name it and one that is gone.
+        (sandbox / "src" / "repro" / "__init__.py").write_text("")
+        (sandbox / "src" / "repro" / "gpu.py").write_text("class ModelShape:\n    pass\n")
+        (sandbox / "examples").mkdir()
+        (sandbox / "examples" / "demo.py").write_text(
+            "from repro.gpu import ModelShape, decode_step_latencies\nraise SystemExit('examples are never run')\n"
+        )
         result = subprocess.run(
             [sys.executable, str(sandbox / "tools" / "check_doc_links.py")],
             capture_output=True,
@@ -59,3 +68,6 @@ class TestDocsTooling:
         assert result.returncode == 1
         assert "broken link" in result.stdout
         assert "table1.py not mentioned" in result.stdout
+        assert "README.md:2: unresolved symbol -> repro.gpu.DecodeWorkload" in result.stdout
+        assert "examples/demo.py:1: unresolved import -> repro.gpu.decode_step_latencies" in result.stdout
+        assert "ModelShape" not in result.stdout

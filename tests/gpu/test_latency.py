@@ -1,21 +1,36 @@
-"""Tests of the GPU latency model (Figure 12)."""
+"""Tests of the GPU latency model: Figure 12, the priced forward, the serving closed forms."""
 
 from __future__ import annotations
+
+import re
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.gpu import (
-    DecodeWorkload,
-    decode_step_latencies,
-    decode_throughput_tokens_per_s,
+    ModelShape,
+    batching_occupancy,
+    continuous_batching,
     figure12_latencies,
+    forward_ms,
     fp16_latency_ms,
     get_gpu,
     int8_latency_ms,
+    paged_attention_gather,
     per_channel_latency_ms,
+    preemption,
+    prefix_caching,
+    sharded_serving,
+    speculation,
     tender_software_latency_ms,
+    tracing_overhead,
 )
+from repro.gpu.latency import _scheme_latencies_ms
+from repro.models.zoo import get_zoo_entry
+
+SCHEMES = {"FP16", "INT8 (per-tensor)", "INT8 (per-row)", "INT8 (per-channel)", "Tender SW"}
+PAPER = ModelShape(d_model=4096, d_ff=16384, num_heads=32, num_layers=32)
+FOUR_LAYERS = ModelShape(d_model=4096, d_ff=16384, num_heads=32, num_layers=4)
 
 
 class TestDevices:
@@ -68,397 +83,493 @@ class TestLatencyModel:
         big_ratio = int8_latency_ms(4096, 8192, 8192, device) / fp16_latency_ms(4096, 8192, 8192, device)
         assert small_ratio > big_ratio
 
+    @pytest.mark.parametrize("num_groups", [0, -3])
+    def test_rejects_fewer_than_one_group(self, num_groups):
+        """Used to return the one-group price for any ``num_groups < 1``."""
+        with pytest.raises(ConfigurationError, match=f"num_groups must be >= 1, got {num_groups}"):
+            tender_software_latency_ms(**self.DIMS, device=get_gpu("rtx3090"), num_groups=num_groups)
+        with pytest.raises(ConfigurationError, match="num_groups"):
+            figure12_latencies(2048, 4096, 4096, "rtx3090", num_groups=num_groups)
 
-class TestDecodeWorkload:
-    WORKLOAD = DecodeWorkload(
-        batch=8, context=512, d_model=4096, d_ff=16384, num_heads=32, num_layers=32, vocab=50272
-    )
+    @pytest.mark.parametrize("empty", ["m", "k", "n"])
+    def test_rejects_an_empty_gemm(self, empty):
+        """Used to price it: Tender SW "1.88x FP16" on a GEMM with no rows."""
+        dims = dict(self.DIMS, **{empty: 0})
+        with pytest.raises(ConfigurationError, match=f"{empty}=0"):
+            figure12_latencies(dims["m"], dims["k"], dims["n"], "rtx3090")
+        for price in (fp16_latency_ms, int8_latency_ms, per_channel_latency_ms, tender_software_latency_ms):
+            with pytest.raises(ConfigurationError, match=f"{empty}=0"):
+                price(**dims, device=get_gpu("rtx3090"))
 
+
+class TestForward:
     def test_gemm_enumeration(self):
-        workload = DecodeWorkload(batch=2, context=16, d_model=64, d_ff=128, num_heads=4, num_layers=3)
-        per_layer = workload.layer_gemms()
+        shape = ModelShape(d_model=64, d_ff=128, num_heads=4, num_layers=3)
+        per_layer = shape.layer_gemms(2, 16)
         assert len(per_layer) == 8
         assert (2, 64, 64) in per_layer                  # projections are batch-rows GEMMs
         assert (2 * 4, 16, 16) in per_layer              # X_Q X_K^T attends the cache
-        assert len(workload.step_gemms()) == 3 * 8       # no LM head when vocab == 0
-        with_head = DecodeWorkload(
-            batch=2, context=16, d_model=64, d_ff=128, num_heads=4, num_layers=3, vocab=100
-        )
-        assert with_head.step_gemms()[-1] == (2, 64, 100)
+        assert len(shape.forward_gemms(2, 16)) == 3 * 8  # no LM head when vocab == 0
+        with_head = ModelShape(d_model=64, d_ff=128, num_heads=4, num_layers=3, vocab=100)
+        assert with_head.forward_gemms(2, 16)[-1] == (2, 64, 100)
 
     def test_rejects_bad_dimensions(self):
-        with pytest.raises(ConfigurationError):
-            DecodeWorkload(batch=0, context=1, d_model=64, d_ff=64, num_heads=4)
-        with pytest.raises(ConfigurationError):
-            DecodeWorkload(batch=1, context=1, d_model=65, d_ff=64, num_heads=4)
+        with pytest.raises(ConfigurationError, match="must be >= 1"):
+            ModelShape(d_model=64, d_ff=64, num_heads=4, num_layers=0)
+        with pytest.raises(ConfigurationError, match="vocab"):
+            ModelShape(d_model=64, d_ff=64, num_heads=4, vocab=-1)
+        with pytest.raises(ConfigurationError, match="divisible by num_heads, got 65 and 4"):
+            ModelShape(d_model=65, d_ff=64, num_heads=4)
 
-    def test_all_schemes_priced_and_normalized(self):
-        latencies = decode_step_latencies(self.WORKLOAD, "rtx3090")
-        assert set(latencies) == {
-            "FP16", "INT8 (per-tensor)", "INT8 (per-row)", "INT8 (per-channel)", "Tender SW"
-        }
-        assert latencies["FP16"].normalized_to_fp16 == pytest.approx(1.0)
-        assert all(latency.milliseconds > 0 for latency in latencies.values())
+    @pytest.mark.parametrize("rows, context", [(0, 1), (1, 0), (-2, 16)])
+    def test_rejects_an_empty_forward(self, rows, context):
+        with pytest.raises(ConfigurationError, match=f"rows={rows}, context={context}"):
+            forward_ms(PAPER, rows, context, "rtx3090")
+
+    def test_paper_shape_comes_from_the_zoo(self):
+        assert ModelShape.from_zoo(get_zoo_entry("opt-6.7b-sim")) == PAPER
+        assert ModelShape.from_zoo(get_zoo_entry("llama-2-70b-sim")).d_head == 128
+
+    def test_all_schemes_priced(self):
+        latencies = forward_ms(PAPER, 8, 512, "rtx3090")
+        assert set(latencies) == SCHEMES
+        assert all(milliseconds > 0 for milliseconds in latencies.values())
 
     def test_tender_sw_pays_per_group_kernels_in_decode(self):
         """Skinny decode GEMMs make the per-group launches dominate: Tender SW
         lands clearly above single-kernel INT8, the gap Figure 13 motivates."""
-        latencies = decode_step_latencies(self.WORKLOAD, "rtx3090")
-        assert latencies["Tender SW"].milliseconds > latencies["INT8 (per-tensor)"].milliseconds
+        latencies = forward_ms(PAPER, 8, 512, "rtx3090")
+        assert latencies["Tender SW"] > latencies["INT8 (per-tensor)"]
+        assert forward_ms(PAPER, 8, 512, "rtx3090", num_groups=16)["Tender SW"] > latencies["Tender SW"]
 
-    def test_longer_context_costs_more(self):
-        short = decode_step_latencies(
-            DecodeWorkload(batch=8, context=64, d_model=4096, d_ff=16384, num_heads=32, num_layers=32),
-            "a100",
-        )
-        long = decode_step_latencies(
-            DecodeWorkload(batch=8, context=2048, d_model=4096, d_ff=16384, num_heads=32, num_layers=32),
-            "a100",
-        )
-        assert long["FP16"].milliseconds > short["FP16"].milliseconds
+    def test_longer_context_and_more_rows_cost_more(self):
+        short = forward_ms(PAPER, 8, 64, "a100")
+        assert forward_ms(PAPER, 8, 2048, "a100")["FP16"] > short["FP16"]
+        assert forward_ms(PAPER, 64, 64, "a100")["FP16"] > short["FP16"]
 
-    def test_throughput_is_batch_over_latency(self):
-        latencies = decode_step_latencies(self.WORKLOAD, "rtx3090")
-        throughput = decode_throughput_tokens_per_s(self.WORKLOAD, "rtx3090")
-        expected = self.WORKLOAD.batch / (latencies["FP16"].milliseconds * 1e-3)
-        assert throughput["FP16"] == pytest.approx(expected)
-        assert throughput["INT8 (per-tensor)"] > throughput["Tender SW"]
+    def test_accumulation_order_is_part_of_the_committed_bits(self):
+        """GEMM by GEMM in execution order, the LM head last.
+
+        The literals are the parent commit's ``decode_step_latencies``; they
+        feed every ``analytic_*`` entry of ``BENCH_serving.json``.  Float
+        addition does not associate, so a layer sum times ``num_layers`` is a
+        different number.
+        """
+        with_head = ModelShape(d_model=4096, d_ff=16384, num_heads=32, num_layers=32, vocab=512)
+        assert forward_ms(with_head, 3, 40, "rtx3090") == {
+            "FP16": 15.844460854700847,
+            "INT8 (per-tensor)": 8.967566222222228,
+            "INT8 (per-row)": 9.146917546666668,
+            "INT8 (per-channel)": 17.91349716239321,
+            "Tender SW": 23.749513555555517,
+        }
+        assert forward_ms(PAPER, 3, 40, "rtx3090")["Tender SW"] == 23.68309770940167
+        device = get_gpu("rtx3090")
+        in_order = dict.fromkeys(SCHEMES, 0.0)
+        for m, k, n in with_head.forward_gemms(3, 40):
+            for scheme, milliseconds in _scheme_latencies_ms(m, k, n, device, 8).items():
+                in_order[scheme] += milliseconds
+        assert forward_ms(with_head, 3, 40, "rtx3090") == in_order
 
 
-class TestContinuousBatchWorkload:
-    def make(self, **overrides):
-        from repro.gpu import ContinuousBatchWorkload
+# ----------------------------------------------------------------------
+# What every scenario shares: one table, one parametrized test each
+# ----------------------------------------------------------------------
+#: ``(function, valid scenario keywords, shape)`` — the point every class below perturbs.
+SCENARIOS = {
+    "continuous_batching": (continuous_batching, dict(max_batch=8, context=256), PAPER),
+    "prefix_caching": (
+        prefix_caching, dict(prompt_tokens=140, mean_new_tokens=8.0, hit_rate=0.8, batch=4), FOUR_LAYERS
+    ),
+    "speculation": (speculation, dict(draft_tokens=4, accept_rate=0.8, context=160, batch=4), FOUR_LAYERS),
+    "paged_attention_gather": (paged_attention_gather, dict(batch=8, context=2048), FOUR_LAYERS),
+    "preemption": (
+        preemption,
+        dict(victim_context=512, resume_hit_rate=0.9, high_prompt_tokens=64, expected_wait_steps=128.0, batch=4),
+        FOUR_LAYERS,
+    ),
+    "sharded_serving": (
+        sharded_serving, dict(batch=16, context=512), ModelShape(4096, 16384, 32, num_layers=32, vocab=32000)
+    ),
+    "tracing_overhead": (tracing_overhead, dict(events_per_step=7.5, batch=3, context=34), PAPER),
+}  # fmt: skip
 
-        defaults = dict(
-            max_batch=8,
-            mean_new_tokens=32.0,
-            context=256,
-            d_model=4096,
-            d_ff=16384,
-            num_heads=32,
-            num_layers=32,
-            vocab=50272,
-        )
-        defaults.update(overrides)
-        return ContinuousBatchWorkload(**defaults)
 
+def table(name, device_name="a100", **overrides):
+    function, valid, shape = SCENARIOS[name]
+    keywords = dict(valid, shape=shape, device_name=device_name)
+    keywords.update(overrides)
+    return function(**keywords)
+
+
+#: ``(scenario, bad keywords, what the error names)`` — one row per range check.
+REJECTED = [
+    ("continuous_batching", dict(max_batch=0), "max_batch must be >= 1, got 0"),
+    ("continuous_batching", dict(offered_load=0.0), "offered_load must be > 0, got 0.0"),
+    ("continuous_batching", dict(context=0), "context=0"),
+    ("prefix_caching", dict(hit_rate=1.5), "hit_rate must lie in [0, 1], got 1.5"),
+    ("prefix_caching", dict(prompt_tokens=1), "prompt_tokens must be >= 2 (the last always runs), got 1"),
+    ("prefix_caching", dict(mean_new_tokens=0.0), "mean_new_tokens must be >= 1, got 0.0"),
+    ("prefix_caching", dict(batch=0), "batch must be >= 1, got 0"),
+    ("speculation", dict(draft_tokens=0), "draft_tokens must be >= 1, got 0"),
+    ("speculation", dict(accept_rate=1.5), "accept_rate must lie in [0, 1], got 1.5"),
+    ("speculation", dict(draft_cost_ratio=-0.1), "draft_cost_ratio must be >= 0, got -0.1"),
+    ("speculation", dict(batch=0), "rows=0"),
+    ("paged_attention_gather", dict(kv_bytes_per_element=0), "kv_bytes_per_element must be >= 1, got 0"),
+    ("paged_attention_gather", dict(batch=0), "rows=0"),
+    ("preemption", dict(victim_context=0), "victim_context must be >= 1, got 0"),
+    ("preemption", dict(resume_hit_rate=1.5), "resume_hit_rate must lie in [0, 1], got 1.5"),
+    ("preemption", dict(high_prompt_tokens=0), "high_prompt_tokens must be >= 1, got 0"),
+    ("preemption", dict(expected_wait_steps=-1.0), "expected_wait_steps must be >= 0, got -1.0"),
+    ("preemption", dict(batch=0), "batch must be >= 1, got 0"),
+    ("sharded_serving", dict(num_shards=0), "num_shards must be >= 1, got 0"),
+    ("sharded_serving", dict(num_shards=64), "num_shards must not exceed num_heads, got 64 > 32"),
+    ("sharded_serving", dict(num_replicas=0), "num_replicas must be >= 1, got 0"),
+    ("sharded_serving", dict(num_shards=2, failure_rate=1.0), "failure_rate must lie in [0, 1), got 1.0"),
+    ("sharded_serving", dict(num_shards=2, link_bandwidth_gb_s=0.0), "sane, got 5.0 us, 0.0 GB/s"),
+    ("sharded_serving", dict(link_latency_us=-1.0), "latency/bandwidth"),
+    ("sharded_serving", dict(resume_hit_rate=-0.1), "resume_hit_rate must lie in [0, 1], got -0.1"),
+    ("sharded_serving", dict(retry_backoff_steps=-1.0), "retry_backoff_steps must be >= 0, got -1.0"),
+    ("sharded_serving", dict(batch=0), "rows=0"),
+    ("sharded_serving", dict(context=0), "context=0"),
+    ("tracing_overhead", dict(events_per_step=-1.0), "events_per_step must be >= 0, got -1.0"),
+    ("tracing_overhead", dict(guard_sites_per_step=-1.0), "guard_sites_per_step must be >= 0, got -1.0"),
+    ("tracing_overhead", dict(batch=0), "rows=0"),
+    ("tracing_overhead", dict(context=0), "context=0"),
+]  # fmt: skip
+
+
+class TestEveryScenario:
+    @pytest.mark.parametrize("name", SCENARIOS)
+    @pytest.mark.parametrize("device_name", ["a100", "rtx3090"])
+    def test_table_covers_every_scheme(self, name, device_name):
+        rows = table(name, device_name)
+        assert set(rows) == SCHEMES
+        fields = set(rows["FP16"])
+        for row in rows.values():
+            assert set(row) == fields
+            assert all(value >= 0.0 for value in row.values())
+
+    @pytest.mark.parametrize("name, bad, message", REJECTED)
+    def test_rejects_bad_parameters(self, name, bad, message):
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            table(name, **bad)
+
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_scenario_parameters_are_keyword_only(self, name):
+        function, valid, shape = SCENARIOS[name]
+        with pytest.raises(TypeError):
+            function(shape, "a100", **valid)
+
+    @pytest.mark.parametrize(
+        "name, field, rows, context",
+        [
+            ("speculation", "baseline_tokens_per_s", 4, 160),
+            ("paged_attention_gather", "fused_tokens_per_s", 8, 2048),
+            ("sharded_serving", "tokens_per_s", 16, 512),
+            ("tracing_overhead", "tokens_per_s", 3, 34),
+        ],
+    )
+    def test_baseline_throughput_is_batch_over_the_priced_decode_step(self, name, field, rows, context):
+        step = forward_ms(SCENARIOS[name][2], rows, context, "rtx3090")
+        rates = table(name, "rtx3090")
+        for scheme in SCHEMES:
+            assert rates[scheme][field] == rows / (step[scheme] * 1e-3)
+        assert rates["INT8 (per-tensor)"][field] > rates["Tender SW"][field]
+
+
+class TestContinuousBatching:
     def test_saturated_speedup_is_the_harmonic_number(self):
-        workload = self.make()
         expected = sum(1.0 / i for i in range(1, 9))
-        assert workload.speedup_over_static() == pytest.approx(expected)
+        assert batching_occupancy(max_batch=8)["speedup"] == pytest.approx(expected)
         # The gain grows with batch size but only logarithmically.
-        assert self.make(max_batch=32).speedup_over_static() > expected
-        assert self.make(max_batch=1).speedup_over_static() == pytest.approx(1.0)
+        assert batching_occupancy(max_batch=32)["speedup"] > expected
+        assert batching_occupancy(max_batch=1)["speedup"] == pytest.approx(1.0)
+        assert batching_occupancy(max_batch=4)["speedup"] == pytest.approx(25 / 12)
 
     def test_light_load_collapses_the_gap(self):
-        light = self.make(offered_load=0.05)
-        assert light.speedup_over_static() == pytest.approx(1.0)
-        assert light.continuous_occupancy() == pytest.approx(8 * 0.05)
+        light = batching_occupancy(max_batch=8, offered_load=0.05)
+        assert light["speedup"] == pytest.approx(1.0)
+        assert light["continuous"] == pytest.approx(8 * 0.05)
 
-    def test_throughput_table_covers_every_scheme(self):
-        from repro.gpu import continuous_batch_throughput
-
-        table = continuous_batch_throughput(self.make(), "a100")
-        assert set(table) == {
-            "FP16",
-            "INT8 (per-tensor)",
-            "INT8 (per-row)",
-            "INT8 (per-channel)",
-            "Tender SW",
-        }
-        for scheme, row in table.items():
+    def test_both_disciplines_pay_the_same_step(self):
+        rows = table("continuous_batching")
+        step = forward_ms(PAPER, 8, 256, "a100")
+        for scheme, row in rows.items():
             assert row["continuous_tokens_per_s"] > row["static_tokens_per_s"] > 0.0
-            assert row["speedup"] == pytest.approx(table["FP16"]["speedup"])
+            assert row["continuous_tokens_per_s"] == 8 / (step[scheme] * 1e-3)
+            assert row["speedup"] == batching_occupancy(max_batch=8)["speedup"]
 
-    def test_rejects_bad_dimensions(self):
-        with pytest.raises(ConfigurationError):
-            self.make(max_batch=0)
-        with pytest.raises(ConfigurationError):
-            self.make(mean_new_tokens=0.5)
-        with pytest.raises(ConfigurationError):
-            self.make(offered_load=0.0)
-        with pytest.raises(ConfigurationError):
-            self.make(d_model=100, num_heads=3)  # indivisible heads
+    def test_occupancy_rejects_what_the_table_rejects(self):
+        with pytest.raises(ConfigurationError, match="max_batch"):
+            batching_occupancy(max_batch=0)
+        with pytest.raises(ConfigurationError, match="offered_load"):
+            batching_occupancy(max_batch=4, offered_load=-1.0)
 
 
-class TestPrefixCacheWorkload:
-    @staticmethod
-    def make(**overrides):
-        from repro.gpu import PrefixCacheWorkload
-
-        defaults = dict(
-            prompt_tokens=140,
-            mean_new_tokens=8.0,
-            hit_rate=0.8,
-            d_model=4096,
-            d_ff=16384,
-            num_heads=32,
-            num_layers=4,
-            batch=4,
-        )
-        defaults.update(overrides)
-        return PrefixCacheWorkload(**defaults)
-
+class TestPrefixCaching:
     def test_zero_hit_rate_is_the_cold_baseline(self):
-        cold = self.make(hit_rate=0.0)
-        for scheme, speedup in cold.speedup_over_cold("rtx3090").items():
-            assert speedup == pytest.approx(1.0), scheme
+        for scheme, row in table("prefix_caching", "rtx3090", hit_rate=0.0).items():
+            assert row["speedup"] == pytest.approx(1.0), scheme
 
     def test_speedup_grows_with_hit_rate_and_is_bounded_by_decode(self):
-        previous = None
-        for hit_rate in (0.0, 0.4, 0.8, 1.0):
-            workload = self.make(hit_rate=hit_rate)
-            speedup = workload.speedup_over_cold("rtx3090")["Tender SW"]
-            if previous is not None:
-                assert speedup > previous
-            previous = speedup
+        speedups = [
+            table("prefix_caching", "rtx3090", hit_rate=hit_rate)["Tender SW"]["speedup"]
+            for hit_rate in (0.0, 0.4, 0.8, 1.0)
+        ]
+        assert speedups == sorted(set(speedups))
         # Even a perfect hit still prefills the final token and pays every
         # decode step, so the speedup stays below prefill+decode over decode.
-        full = self.make(hit_rate=1.0)
-        latency = full.request_latency_ms("rtx3090", 0.0)["Tender SW"]
-        decode_only = (
-            8.0
-            * decode_step_latencies(full.decode_workload(), "rtx3090")["Tender SW"].milliseconds
-            / 4
-        )
-        assert full.speedup_over_cold("rtx3090")["Tender SW"] < latency / decode_only
+        full = table("prefix_caching", "rtx3090", hit_rate=1.0)["Tender SW"]
+        cold_ms = 8.0 / full["cold_tokens_per_s"] * 1e3
+        decode_only_ms = 8.0 * forward_ms(FOUR_LAYERS, 4, 140 + 8, "rtx3090")["Tender SW"] / 4
+        assert speedups[-1] < cold_ms / decode_only_ms
 
     def test_suffix_always_recomputes_the_final_token(self):
-        assert self.make(hit_rate=1.0).suffix_tokens() == 1
+        """A full hit costs a one-row prefill plus the request's share of decode."""
+        full = table("prefix_caching", "rtx3090", hit_rate=1.0)
+        one_row = forward_ms(FOUR_LAYERS, 1, 140, "rtx3090")
+        decode = forward_ms(FOUR_LAYERS, 4, 140 + 8, "rtx3090")
+        for scheme, row in full.items():
+            assert row["cached_tokens_per_s"] == 8.0 / ((one_row[scheme] + 8.0 * decode[scheme] / 4) * 1e-3)
 
-    def test_throughput_table_covers_every_scheme(self):
-        from repro.gpu import prefix_cache_throughput
-
-        table = prefix_cache_throughput(self.make(), "a100")
-        assert set(table) == {
-            "FP16",
-            "INT8 (per-tensor)",
-            "INT8 (per-row)",
-            "INT8 (per-channel)",
-            "Tender SW",
-        }
-        for row in table.values():
+    def test_caching_beats_cold(self):
+        for row in table("prefix_caching").values():
             assert row["cached_tokens_per_s"] > row["cold_tokens_per_s"] > 0.0
             assert row["speedup"] > 1.0
 
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ConfigurationError):
-            self.make(hit_rate=1.5)
-        with pytest.raises(ConfigurationError):
-            self.make(prompt_tokens=1)
-        with pytest.raises(ConfigurationError):
-            self.make(mean_new_tokens=0.0)
-        with pytest.raises(ConfigurationError):
-            self.make(batch=0)
 
-
-class TestSpeculativeWorkload:
-    @staticmethod
-    def make(**overrides):
-        from repro.gpu import SpeculativeWorkload
-
-        defaults = dict(
-            draft_tokens=4,
-            accept_rate=0.8,
-            context=160,
-            d_model=4096,
-            d_ff=16384,
-            num_heads=32,
-            num_layers=4,
-            batch=4,
-        )
-        defaults.update(overrides)
-        return SpeculativeWorkload(**defaults)
-
+class TestSpeculation:
     def test_expected_tokens_per_step(self):
         # E[m] = (1 - p^(k+1)) / (1 - p): accepted run plus the bonus token.
-        workload = self.make(accept_rate=0.8, draft_tokens=4)
-        assert workload.expected_tokens_per_step() == pytest.approx(
-            (1.0 - 0.8**5) / 0.2
-        )
-        assert self.make(accept_rate=0.0).expected_tokens_per_step() == 1.0
-        assert self.make(accept_rate=1.0, draft_tokens=4).expected_tokens_per_step() == 5.0
+        def expected(**overrides):
+            return table("speculation", **overrides)["FP16"]["expected_tokens_per_step"]
+
+        assert expected(accept_rate=0.8, draft_tokens=4) == pytest.approx((1.0 - 0.8**5) / 0.2)
+        assert expected(accept_rate=0.0) == 1.0
+        assert expected(accept_rate=1.0, draft_tokens=4) == 5.0
 
     def test_speedup_grows_with_accept_rate(self):
-        previous = None
-        for accept_rate in (0.0, 0.4, 0.8, 1.0):
-            speedup = self.make(accept_rate=accept_rate).speedup("rtx3090")["Tender SW"]
-            if previous is not None:
-                assert speedup > previous
-            previous = speedup
+        speedups = [
+            table("speculation", "rtx3090", accept_rate=accept_rate)["Tender SW"]["speedup"]
+            for accept_rate in (0.0, 0.4, 0.8, 1.0)
+        ]
+        assert speedups == sorted(set(speedups))
 
     def test_zero_accept_rate_never_beats_plain_decode(self):
         # One committed token per verify that is strictly wider than a
         # decode step: speculation can only lose when nothing is accepted.
-        for scheme, speedup in self.make(accept_rate=0.0).speedup("rtx3090").items():
-            assert speedup < 1.0, scheme
+        for scheme, row in table("speculation", "rtx3090", accept_rate=0.0).items():
+            assert row["speedup"] < 1.0, scheme
 
     def test_draft_cost_discounts_the_speedup(self):
-        free = self.make(draft_cost_ratio=0.0).speedup("a100")["Tender SW"]
-        paid = self.make(draft_cost_ratio=0.25).speedup("a100")["Tender SW"]
+        free = table("speculation", draft_cost_ratio=0.0)["Tender SW"]["speedup"]
+        paid = table("speculation", draft_cost_ratio=0.25)["Tender SW"]["speedup"]
         assert paid < free
 
-    def test_throughput_table_covers_every_scheme(self):
-        from repro.gpu import speculative_throughput
-
-        table = speculative_throughput(self.make(), "a100")
-        assert set(table) == {
-            "FP16",
-            "INT8 (per-tensor)",
-            "INT8 (per-row)",
-            "INT8 (per-channel)",
-            "Tender SW",
-        }
-        for row in table.values():
+    def test_speculating_beats_plain_decode_at_a_high_accept_rate(self):
+        for row in table("speculation").values():
             assert row["speculative_tokens_per_s"] > row["baseline_tokens_per_s"] > 0.0
             assert row["speedup"] > 1.0
             assert row["expected_tokens_per_step"] > 1.0
+            # One closed form, one number: the table's two throughputs carry the same ratio.
+            assert row["speculative_tokens_per_s"] / row["baseline_tokens_per_s"] == pytest.approx(
+                row["speedup"], rel=1e-12
+            )
 
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ConfigurationError):
-            self.make(draft_tokens=0)
-        with pytest.raises(ConfigurationError):
-            self.make(accept_rate=1.5)
-        with pytest.raises(ConfigurationError):
-            self.make(draft_cost_ratio=-0.1)
-        with pytest.raises(ConfigurationError):
-            self.make(batch=0)
+    def test_speedup_is_the_millisecond_form_to_the_bit(self):
+        """The parent's ``SpeculativeWorkload.speedup()`` — the bits ``BENCH_serving.json`` commits.
 
-
-class TestPagedAttentionWorkload:
-    @staticmethod
-    def make(**overrides):
-        from repro.gpu import PagedAttentionWorkload
-
-        defaults = dict(
-            batch=8,
-            context=2048,
-            d_model=4096,
-            d_ff=16384,
-            num_heads=32,
-            num_layers=4,
+        Its twin ``speculative_throughput()["speedup"]`` took the same ratio
+        over seconds and read 2.5258211802277244 (FP16), 2.489893499410545
+        and 2.489893499410548 (the two INT8 rows) at this very point.
+        """
+        rows = speculation(
+            shape=PAPER, device_name="rtx3090", draft_tokens=8, accept_rate=0.6123, context=40, batch=3
         )
-        defaults.update(overrides)
-        return PagedAttentionWorkload(**defaults)
+        assert {scheme: row["speedup"] for scheme, row in rows.items()} == {
+            "FP16": 2.525821180227725,
+            "INT8 (per-tensor)": 2.4898934994105453,
+            "INT8 (per-row)": 2.4898934994105484,
+            "INT8 (per-channel)": 2.5137757193524726,
+            "Tender SW": 2.3003266974774235,
+        }
 
+
+class TestPagedAttentionGather:
     def test_gather_bytes_scale_linearly_with_context(self):
-        short = self.make(context=1024).gather_bytes_per_step()
-        long = self.make(context=4096).gather_bytes_per_step()
-        assert long == 4 * short
+        def gather_bytes(context):
+            return table("paged_attention_gather", context=context)["FP16"]["gather_bytes_per_step"]
+
+        assert gather_bytes(4096) == 4 * gather_bytes(1024)
         # K and V, read + write, per layer: 2 * 2 * L * B * H * ctx * d * 2B.
-        workload = self.make(context=1024)
-        expected = 2 * 2 * 4 * 8 * 32 * 1024 * (4096 // 32) * 2
-        assert workload.gather_bytes_per_step() == expected
+        assert gather_bytes(1024) == 2 * 2 * 4 * 8 * 32 * 1024 * (4096 // 32) * 2
+        assert table("paged_attention_gather", kv_bytes_per_element=1)["FP16"]["gather_bytes_per_step"] == (
+            gather_bytes(2048) / 2
+        )
 
     def test_speedup_grows_with_context(self):
-        from repro.gpu import paged_attention_throughput
+        speedups = [
+            table("paged_attention_gather", context=context)["Tender SW"]["speedup"]
+            for context in (256, 1024, 4096, 16384)
+        ]
+        assert speedups[0] > 1.0 and speedups == sorted(set(speedups))
 
-        previous = None
-        for context in (256, 1024, 4096, 16384):
-            table = paged_attention_throughput(self.make().with_context(context), "a100")
-            speedup = table["Tender SW"]["speedup"]
-            assert speedup > 1.0
-            if previous is not None:
-                assert speedup > previous
-            previous = speedup
-
-    def test_throughput_table_covers_every_scheme(self):
-        from repro.gpu import paged_attention_throughput
-
-        table = paged_attention_throughput(self.make(), "rtx3090")
-        assert set(table) == {
-            "FP16",
-            "INT8 (per-tensor)",
-            "INT8 (per-row)",
-            "INT8 (per-channel)",
-            "Tender SW",
-        }
-        for row in table.values():
+    def test_the_fused_path_beats_the_gather(self):
+        for row in table("paged_attention_gather", "rtx3090").values():
             assert row["fused_tokens_per_s"] > row["gather_tokens_per_s"] > 0.0
             assert row["speedup"] > 1.0
-            assert row["gather_bytes_per_step"] == self.make().gather_bytes_per_step()
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ConfigurationError):
-            self.make(kv_bytes_per_element=0)
-        with pytest.raises(ConfigurationError):
-            self.make(batch=0)
 
 
-class TestPreemptionWorkload:
-    @staticmethod
-    def make(**overrides):
-        from repro.gpu import PreemptionWorkload
-
-        defaults = dict(
-            victim_context=512,
-            resume_hit_rate=0.9,
-            high_prompt_tokens=64,
-            expected_wait_steps=128.0,
-            d_model=4096,
-            d_ff=16384,
-            num_heads=32,
-            num_layers=4,
-            batch=4,
-        )
-        defaults.update(overrides)
-        return PreemptionWorkload(**defaults)
-
+class TestPreemption:
     def test_recompute_tokens_shrink_with_hit_rate(self):
-        assert self.make(resume_hit_rate=0.0).recompute_tokens() == 512
-        assert self.make(resume_hit_rate=0.75).recompute_tokens() == 128
-        # Even a perfect prefix hit re-prefills the final unfed token.
-        assert self.make(resume_hit_rate=1.0).recompute_tokens() == 1
+        """The resume re-prefills the uncached part of the victim's context, never less than one token."""
+        for resume_hit_rate, recomputed in ((0.0, 512), (0.75, 128), (1.0, 1)):
+            rows = table("preemption", resume_hit_rate=resume_hit_rate)
+            replay = forward_ms(FOUR_LAYERS, recomputed, 512, "a100")
+            assert {scheme: row["recompute_ms"] for scheme, row in rows.items()} == replay
 
     def test_preempting_beats_waiting_on_ttft(self):
-        from repro.gpu import preemption_tradeoff
-
-        table = preemption_tradeoff(self.make(), "a100")
-        for row in table.values():
+        prefill = forward_ms(FOUR_LAYERS, 64, 64, "a100")
+        for scheme, row in table("preemption").items():
             assert row["wait_ttft_ms"] > row["preempt_ttft_ms"] > 0.0
             assert row["ttft_speedup"] > 1.0
+            assert row["preempt_ttft_ms"] == prefill[scheme]  # the urgent request's own prefill, nothing else
 
     def test_speedup_grows_with_wait(self):
-        from repro.gpu import preemption_tradeoff
-
-        previous = None
-        for wait in (16.0, 64.0, 256.0):
-            table = preemption_tradeoff(self.make(expected_wait_steps=wait), "a100")
-            speedup = table["Tender SW"]["ttft_speedup"]
-            if previous is not None:
-                assert speedup > previous
-            previous = speedup
+        speedups = [
+            table("preemption", expected_wait_steps=wait)["Tender SW"]["ttft_speedup"]
+            for wait in (0.0, 16.0, 64.0, 256.0)
+        ]
+        assert speedups[0] == 1.0 and speedups == sorted(set(speedups))
 
     def test_prefix_hits_make_preemption_worthwhile(self):
-        from repro.gpu import preemption_tradeoff
-
-        hit = preemption_tradeoff(self.make(resume_hit_rate=0.9), "a100")
-        cold = preemption_tradeoff(self.make(resume_hit_rate=0.0), "a100")
+        hit = table("preemption", resume_hit_rate=0.9)
+        cold = table("preemption", resume_hit_rate=0.0)
         for scheme in hit:
             assert hit[scheme]["recompute_ms"] < cold[scheme]["recompute_ms"]
             assert hit[scheme]["recompute_overhead_ratio"] < 1.0
             assert hit[scheme]["worthwhile"] == 1.0
+        # Nothing saved, nothing bought: preempting for a wait of zero steps is never worthwhile.
+        assert table("preemption", expected_wait_steps=0.0)["FP16"]["worthwhile"] == 0.0
 
-    def test_tradeoff_table_covers_every_scheme(self):
-        from repro.gpu import preemption_tradeoff
 
-        table = preemption_tradeoff(self.make(), "rtx3090")
-        assert set(table) == {
-            "FP16",
-            "INT8 (per-tensor)",
-            "INT8 (per-row)",
-            "INT8 (per-channel)",
-            "Tender SW",
+class TestShardedServing:
+    """Tensor parallelism (``num_replicas=1``) and replica-pool fault tolerance (``num_shards=1``)."""
+
+    def test_solo_has_no_communication(self):
+        for row in table("sharded_serving", "A100", num_shards=1).values():
+            assert row["comm_ms"] == 0.0
+            assert row["speedup"] == 1.0
+            assert row["sharded_step_ms"] == row["solo_step_ms"]
+
+    def test_sharding_a_large_model_pays(self):
+        assert table("sharded_serving", "A100", num_shards=4)["Tender SW"]["speedup"] > 1.5
+
+    def test_communication_eventually_dominates(self):
+        """On a slow link, wider sharding loses: comm grows, compute shrinks."""
+        slow = dict(link_latency_us=50.0, link_bandwidth_gb_s=5.0)
+        two = table("sharded_serving", "A100", num_shards=2, **slow)["Tender SW"]
+        eight = table("sharded_serving", "A100", num_shards=8, **slow)["Tender SW"]
+        assert eight["comm_ms"] > two["comm_ms"]
+        assert eight["comm_ms"] > table("sharded_serving", "A100", num_shards=8)["Tender SW"]["comm_ms"]
+
+    def test_group_failure_rate_compounds_per_shard(self):
+        """Any shard's death fails the group: the amortized rate is ``1 - (1 - r)^S``."""
+        row = table("sharded_serving", num_shards=4, failure_rate=0.01, retry_backoff_steps=2.0)["FP16"]
+        amortized = (row["effective_step_ms"] - row["sharded_step_ms"]) / (
+            row["recovery_ms"] + 2.0 * row["sharded_step_ms"]
+        )
+        assert amortized == pytest.approx(1.0 - 0.99**4)
+
+    def test_one_shard_rate_is_the_rate_itself(self):
+        """``1.0 - (1.0 - r) ** 1 != r`` in floating point; a pool of solo replicas fails at ``r``."""
+        for rate in (0.2, 0.0123, 0.002, 1 / 54):
+            assert 1.0 - (1.0 - rate) ** 1 != rate
+            row = table("sharded_serving", failure_rate=rate, resume_hit_rate=0.5)["Tender SW"]
+            assert row["effective_step_ms"] == row["sharded_step_ms"] + rate * row["recovery_ms"]
+
+    def test_one_shard_is_the_former_fault_tolerance_model(self):
+        """Two points of the parent's ``fault_tolerance_goodput``, every field, to the bit."""
+        small = sharded_serving(
+            shape=PAPER, device_name="rtx3090", num_replicas=3, batch=2, context=30,
+            failure_rate=1 / 54, resume_hit_rate=0.5,
+        )  # fmt: skip
+        assert small["Tender SW"] == {
+            "solo_step_ms": 23.575878017094052,
+            "sharded_step_ms": 23.575878017094052,
+            "comm_ms": 0.0,
+            "speedup": 1.0,
+            "recovery_ms": 26.510178461538402,
+            "effective_step_ms": 24.06680724786328,
+            "goodput_ratio": 0.9796013976547382,
+            "fault_free_tokens_per_s": 254.49741450348563,
+            "tokens_per_s": 249.30602294713177,
         }
+        large = sharded_serving(
+            shape=PAPER, device_name="rtx3090", num_replicas=4, batch=8, context=512,
+            failure_rate=0.002, resume_hit_rate=0.9, retry_backoff_steps=2.0,
+        )  # fmt: skip
+        assert large["FP16"]["recovery_ms"] == 79.986767075751
+        assert large["FP16"]["effective_step_ms"] == 16.13824011313398
+        assert large["FP16"]["goodput_ratio"] == 0.986142728998369
+        assert large["FP16"]["fault_free_tokens_per_s"] == 2010.7312543064336
+        assert large["FP16"]["tokens_per_s"] == 1982.8680064040595
+        assert large["Tender SW"]["goodput_ratio"] == 0.9882075211601908
+        # Hand-computed: 8 rows x max(1, round(512 x 0.1)) = 408 replayed rows against 512.
+        assert large["Tender SW"]["recovery_ms"] == forward_ms(PAPER, 8 * 51, 512, "rtx3090")["Tender SW"]
 
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ConfigurationError):
-            self.make(victim_context=0)
-        with pytest.raises(ConfigurationError):
-            self.make(resume_hit_rate=1.5)
-        with pytest.raises(ConfigurationError):
-            self.make(high_prompt_tokens=0)
-        with pytest.raises(ConfigurationError):
-            self.make(expected_wait_steps=-1.0)
-        with pytest.raises(ConfigurationError):
-            self.make(batch=0)
+    @pytest.mark.parametrize("num_shards", [1, 2])
+    def test_goodput_degrades_with_failures_and_recovers_with_cache_hits(self, num_shards):
+        chaos = dict(num_shards=num_shards, retry_backoff_steps=2.0)
+        clean = table("sharded_serving", "A100", **chaos)
+        chaotic = table("sharded_serving", "A100", failure_rate=0.002, **chaos)
+        worse = table("sharded_serving", "A100", failure_rate=0.004, **chaos)
+        cached = table("sharded_serving", "A100", failure_rate=0.002, resume_hit_rate=0.9, **chaos)
+        for scheme in clean:
+            assert clean[scheme]["goodput_ratio"] == 1.0
+            assert clean[scheme]["tokens_per_s"] == clean[scheme]["fault_free_tokens_per_s"]
+            assert worse[scheme]["goodput_ratio"] < chaotic[scheme]["goodput_ratio"] < 1.0
+            assert chaotic[scheme]["goodput_ratio"] < cached[scheme]["goodput_ratio"] < 1.0
+
+    def test_replicas_scale_fleet_throughput_only(self):
+        chaos = dict(num_shards=2, failure_rate=0.002, resume_hit_rate=0.6, retry_backoff_steps=1.0)
+        one = table("sharded_serving", **chaos)
+        five = table("sharded_serving", num_replicas=5, **chaos)
+        fleet_wide = {"tokens_per_s", "fault_free_tokens_per_s"}
+        for scheme in one:
+            for field, value in one[scheme].items():
+                if field in fleet_wide:
+                    assert five[scheme][field] == pytest.approx(5 * value, rel=1e-12)
+                else:
+                    assert five[scheme][field] == value
+
+
+class TestTracingOverhead:
+    def test_overhead_is_linear_in_events_per_step(self):
+        def enabled(events):
+            return table("tracing_overhead", events_per_step=events)["Tender SW"]
+
+        assert enabled(0.0)["enabled_overhead_ms"] == 0.0
+        assert enabled(0.0)["enabled_tokens_per_s"] == enabled(0.0)["tokens_per_s"]
+        ten, twenty = enabled(10.0), enabled(20.0)
+        assert twenty["enabled_overhead_ms"] == pytest.approx(2 * ten["enabled_overhead_ms"])
+        assert twenty["enabled_overhead_ratio"] == pytest.approx(2 * ten["enabled_overhead_ratio"])
+        assert ten["enabled_overhead_ms"] == pytest.approx(10 * 1.0e-3)  # 1 us per emit
+        assert ten["enabled_step_ms"] == ten["step_ms"] + ten["enabled_overhead_ms"]
+        assert ten["enabled_tokens_per_s"] < ten["tokens_per_s"]
+
+    def test_disabled_path_pays_guards_only(self):
+        rows = table("tracing_overhead", guard_sites_per_step=10.0)
+        for row in rows.values():
+            assert row["disabled_overhead_ms"] == pytest.approx(10 * 30.0e-6)  # 30 ns per guard
+            assert row["disabled_overhead_ratio"] < row["enabled_overhead_ratio"] < 0.01
+        assert table("tracing_overhead", guard_sites_per_step=0.0)["FP16"]["disabled_overhead_ms"] == 0.0
+
+    def test_relative_overhead_shrinks_as_the_shape_grows(self):
+        tiny = ModelShape(d_model=64, d_ff=128, num_heads=4, num_layers=2)
+        ratios = [
+            table("tracing_overhead", shape=shape)["Tender SW"]["enabled_overhead_ratio"]
+            for shape in (tiny, FOUR_LAYERS, PAPER)
+        ]
+        assert ratios == sorted(ratios, reverse=True) and ratios[0] > 10 * ratios[-1]

@@ -31,7 +31,6 @@ from repro.errors import (
     ConfigurationError,
     ShardFailureError,
 )
-from repro.gpu import TensorParallelWorkload, tensor_parallel_speedup
 from repro.models.inference import TransformerRunner
 from repro.serve import (
     CollectiveFaultInjector,
@@ -785,66 +784,3 @@ class TestPoolIntegration:
         for output in degraded:
             assert output.failure_cause == "retry_budget_exhausted"
         assert pool.cluster_stats.degraded_causes.get("retry_budget_exhausted", 0) >= 1
-
-
-class TestTensorParallelModel:
-    def workload(self, num_shards, **overrides):
-        kwargs = dict(
-            num_shards=num_shards,
-            batch=16,
-            context=512,
-            d_model=4096,
-            d_ff=16384,
-            num_heads=32,
-            num_layers=32,
-            vocab=32000,
-        )
-        kwargs.update(overrides)
-        return TensorParallelWorkload(**kwargs)
-
-    def test_solo_has_no_communication(self):
-        result = tensor_parallel_speedup(self.workload(1), "A100")
-        for scheme in result.values():
-            assert scheme["comm_ms"] == 0.0
-            assert scheme["speedup"] == pytest.approx(1.0)
-
-    def test_sharding_a_large_model_pays(self):
-        result = tensor_parallel_speedup(self.workload(4), "A100")
-        assert result["Tender SW"]["speedup"] > 1.5
-
-    def test_communication_eventually_dominates(self):
-        """On a slow link, wider sharding loses: comm grows, compute shrinks."""
-        slow = dict(link_latency_us=50.0, link_bandwidth_gb_s=5.0)
-        two = tensor_parallel_speedup(self.workload(2, **slow), "A100")
-        eight = tensor_parallel_speedup(self.workload(8, **slow), "A100")
-        assert eight["Tender SW"]["comm_ms"] > two["Tender SW"]["comm_ms"]
-
-    def test_group_failure_rate_compounds_per_shard(self):
-        workload = self.workload(4, shard_failure_rate=0.01)
-        assert workload.group_failure_rate() == pytest.approx(1.0 - 0.99**4)
-
-    def test_goodput_degrades_with_chaos_and_recovers_with_cache_hits(self):
-        clean = tensor_parallel_speedup(self.workload(2), "A100")
-        chaotic = tensor_parallel_speedup(
-            self.workload(2, shard_failure_rate=0.002, retry_backoff_steps=2.0), "A100"
-        )
-        cached = tensor_parallel_speedup(
-            self.workload(
-                2, shard_failure_rate=0.002, retry_backoff_steps=2.0, resume_hit_rate=0.9
-            ),
-            "A100",
-        )
-        for scheme in clean:
-            assert clean[scheme]["goodput_ratio"] == pytest.approx(1.0)
-            assert chaotic[scheme]["goodput_ratio"] < 1.0
-            assert cached[scheme]["goodput_ratio"] > chaotic[scheme]["goodput_ratio"]
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError, match="num_shards"):
-            self.workload(0)
-        with pytest.raises(ConfigurationError, match="num_heads"):
-            self.workload(64)
-        with pytest.raises(ConfigurationError, match="shard_failure_rate"):
-            self.workload(2, shard_failure_rate=1.0)
-        with pytest.raises(ConfigurationError, match="latency/bandwidth"):
-            self.workload(2, link_bandwidth_gb_s=0.0)

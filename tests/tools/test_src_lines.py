@@ -21,7 +21,9 @@ def test_package_rows_sum_to_src_and_src_plus_the_stacks_to_the_total_row():
         cwd=REPO_ROOT,
     )
     assert result.returncode == 0, result.stderr
-    rows = [line.split() for line in result.stdout.splitlines()]
+    header, *rows = [line.split() for line in result.stdout.splitlines()]
+    # Physical lines and code lines side by side, each with its delta against the base.
+    assert header == ["lines", "code"] + (["+lines", "+code"] if in_git else [])
     names = [row[0] for row in rows]
     source = names.index("src/repro")
     *packages, source_row = rows[: source + 1]
@@ -32,4 +34,32 @@ def test_package_rows_sum_to_src_and_src_plus_the_stacks_to_the_total_row():
     for column in range(1, len(total)):
         assert sum(int(row[column]) for row in packages) == int(source_row[column])
         assert sum(int(row[column]) for row in (source_row, *stacks)) == int(total[column])
-    assert all(int(row[1]) > 0 for row in (source_row, *stacks))
+    assert all(int(row[1]) > int(row[2]) > 0 for row in (source_row, *stacks))
+
+
+def test_code_lines_leave_out_blank_comment_and_docstring_lines(tmp_path):
+    """The second column cannot be lowered by deleting documentation."""
+    module = tmp_path / "module.py"
+    module.write_text(
+        '"""Module docstring.\n\nTwo more lines of it.\n"""\n'
+        "\n"
+        "# a comment-only line\n"
+        "import os  # a trailing comment keeps the line\n"
+        "\n"
+        "\n"
+        "def function(argument):\n"
+        '    """One-line docstring."""\n'
+        "    # another comment\n"
+        '    text = """a string that is\n'
+        '    not a docstring"""\n'
+        "    return os.sep + text + argument\n"
+    )
+    result = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "tools" / "src_lines.py"), str(module)],
+        capture_output=True,
+        text=True,
+        cwd=REPO_ROOT,
+    )
+    assert result.returncode == 0, result.stderr
+    # import, def, the two lines of the string, return: 5 of 15.
+    assert result.stdout.split() == [str(module), "15", "5"]

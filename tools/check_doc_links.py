@@ -21,19 +21,31 @@ Checks, in order:
    latest) cannot land without its architecture-doc section;
 5. ``docs/architecture.md`` mentions every observability module
    (``src/repro/obs/*.py``) — tracing/metrics machinery follows the same
-   rule as the serving layers it instruments.
+   rule as the serving layers it instruments;
+6. every backticked dotted name `` `repro.<pkg>.<Name>` `` in those files and
+   in ``bench/README.md`` resolves against the live package
+   (``pkgutil.resolve_name``) — a rename cannot leave the docs pointing at a
+   symbol that is gone;
+7. every ``from repro... import ...`` / ``import repro...`` of
+   ``examples/*.py`` resolves the same way.  The examples are only parsed
+   (AST), never run: nothing in tier-1 imports them, so a rename would
+   otherwise break them unseen.
 
 Exit status 0 when clean; 1 with one line per violation otherwise.
 """
 
 from __future__ import annotations
 
+import ast
+import pkgutil
 import re
 import sys
 from pathlib import Path
 
 LINK_PATTERN = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 SKIP_PREFIXES = ("http://", "https://", "mailto:")
+#: An opening backtick, then ``repro`` and its dotted path (a line may wrap after a dot).
+SYMBOL_PATTERN = re.compile(r"`(repro(?:\.\s*\w+)+)")
 
 
 def iter_markdown_files(root: Path):
@@ -98,12 +110,46 @@ def check_architecture_coverage(root: Path) -> list:
     return errors
 
 
+def resolves(dotted: str) -> bool:
+    """Whether ``repro.a.b.Name`` names something in the package as it is importable now."""
+    try:
+        pkgutil.resolve_name(dotted)  # imports the longest module prefix, getattr()s the rest
+    except (ImportError, AttributeError, ValueError):
+        return False
+    return True
+
+
+def check_symbols(root: Path) -> list:
+    sys.path.insert(0, str(root / "src"))  # the package beside this tool, ahead of any installed one
+    errors = []
+    for markdown in (*iter_markdown_files(root), root / "bench" / "README.md"):
+        text = markdown.read_text() if markdown.exists() else ""
+        for match in SYMBOL_PATTERN.finditer(text):
+            dotted = re.sub(r"\s+", "", match.group(1))
+            if not resolves(dotted):
+                line_number = text.count("\n", 0, match.start()) + 1
+                errors.append(f"{markdown.relative_to(root)}:{line_number}: unresolved symbol -> {dotted}")
+    for example in sorted((root / "examples").glob("*.py")):
+        for node in ast.walk(ast.parse(example.read_text(), filename=str(example))):
+            if isinstance(node, ast.ImportFrom) and not node.level:
+                imported = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Import):
+                imported = [alias.name for alias in node.names]
+            else:
+                continue
+            for dotted in imported:
+                if dotted.split(".")[0] == "repro" and not resolves(dotted):
+                    errors.append(f"{example.relative_to(root)}:{node.lineno}: unresolved import -> {dotted}")
+    return errors
+
+
 def main() -> int:
     root = Path(__file__).resolve().parent.parent
     errors = (
         check_links(root)
         + check_reproducing_coverage(root)
         + check_architecture_coverage(root)
+        + check_symbols(root)
     )
     for error in errors:
         print(error)

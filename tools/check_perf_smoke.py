@@ -51,6 +51,7 @@ from repro import gpu
 from repro.core import TenderConfig, TenderExecutor
 from repro.core.kernels import ForwardPlan, paged_attention
 from repro.core.perf import count_calls, decode_projection_operands, synthetic_projection_site
+from repro.models.zoo import get_zoo_entry
 from repro.obs import CountingClock, Tracer
 from repro.serve import (
     CollectiveFaultInjector,
@@ -97,9 +98,8 @@ PROFILED = {
     # One per activation the executors quantize: the activation side of a projection.
     "quantize": lambda code: code is TenderExecutor._quantize_rows.__code__,
 }
-#: Paper-scale dimensions (OPT-6.7B) the ``analytic_*`` siblings are priced at.
-PAPER = dict(d_model=4096, d_ff=16384, num_heads=32, num_layers=32)
-DEVICE = "rtx3090"
+#: What every ``analytic_*`` sibling is priced at: OPT-6.7B's dimensions on one device.
+PRICED_AT = dict(shape=gpu.ModelShape.from_zoo(get_zoo_entry("opt-6.7b-sim")), device_name="rtx3090")
 
 RUNNERS: Dict[str, Callable] = {
     "fp": partial(workloads.tiny_runner, "fp"),
@@ -316,25 +316,23 @@ def _static_batching(fields, run):
     fields["budgeted_tokens"] = sum(budgets)
     fields["static_forwards"] = sum(max(budgets[i : i + batch]) for i in range(0, len(budgets), batch))
     fields["forwards_vs_static"] = fields["static_forwards"] / fields["forwards"]
-    fields["analytic_saturated_speedup"] = gpu.ContinuousBatchWorkload(
-        max_batch=batch, mean_new_tokens=fields["generated_tokens"] / len(run.trace), context=64, **PAPER
-    ).speedup_over_static()
+    fields["analytic_saturated_speedup"] = gpu.batching_occupancy(max_batch=batch)["speedup"]
 
 
 def _prefix_analytic(fields, run):
     prompt = len(run.trace[0].prompt)
-    fields["analytic_speedup_tender_sw"] = gpu.PrefixCacheWorkload(
+    fields["analytic_speedup_tender_sw"] = gpu.prefix_caching(
         prompt_tokens=prompt, mean_new_tokens=run.options["max_new_tokens"],
-        hit_rate=fields["prefix_hit_rate"], batch=run.options["max_batch_size"], **PAPER,
-    ).speedup_over_cold(DEVICE)["Tender SW"]  # fmt: skip
+        hit_rate=fields["prefix_hit_rate"], batch=run.options["max_batch_size"], **PRICED_AT,
+    )["Tender SW"]["speedup"]  # fmt: skip
 
 
 def _speculative_analytic(fields, run):
-    fields["analytic_speedup_tender_sw"] = gpu.SpeculativeWorkload(
+    fields["analytic_speedup_tender_sw"] = gpu.speculation(
         draft_tokens=8, accept_rate=fields["spec_accept_rate"],
         context=len(run.trace[0].prompt) + run.options["max_new_tokens"],
-        batch=run.options["max_batch_size"], **PAPER,
-    ).speedup(DEVICE)["Tender SW"]  # fmt: skip
+        batch=run.options["max_batch_size"], **PRICED_AT,
+    )["Tender SW"]["speedup"]  # fmt: skip
 
 
 def _gather_floor(fields, run):
@@ -374,13 +372,13 @@ def _preemption(fields, run):
     fields["urgent_ttft_speedup"] = fields["base.urgent_ttft_p99_ticks"] / fields["urgent_ttft_p99_ticks"]
     fields["resume_prefix_hit_tokens"] = fields["prefix_hit_tokens"] - fields["base.prefix_hit_tokens"]
     victims = [output for output in run.var.outputs.values() if output.preemptions]
-    fields["analytic_ttft_speedup_tender_sw"] = gpu.PreemptionWorkload(
+    fields["analytic_ttft_speedup_tender_sw"] = gpu.preemption(
         victim_context=10 + 24, high_prompt_tokens=6, expected_wait_steps=24,
         resume_hit_rate=min(1.0, float(np.mean(
             [o.prefix_hit_tokens / (len(o.prompt) + len(o.generated)) for o in victims]
         ))),
-        batch=run.options["max_batch_size"], **PAPER,
-    ).ttft_speedup(DEVICE)["Tender SW"]  # fmt: skip
+        batch=run.options["max_batch_size"], **PRICED_AT,
+    )["Tender SW"]["ttft_speedup"]  # fmt: skip
 
 
 def _observability(fields, run):
@@ -401,14 +399,10 @@ def _observability(fields, run):
     fields["export_valid"] = bool(
         balanced and not any(depth.values()) and {row["pid"] for row in rows} <= named
     )
-    modeled = gpu.observability_overhead(
-        gpu.ObservabilityOverheadWorkload(
-            events_per_step=fields["events_per_step"], guard_sites_per_step=fields["events_per_step"],
-            batch=run.options["max_batch_size"], context=24 + 10, **PAPER,
-        ),
-        DEVICE,
-    )["Tender SW"]  # fmt: skip
-    fields["analytic_enabled_overhead_tender_sw"] = modeled["enabled_overhead_ratio"]
+    fields["analytic_enabled_overhead_tender_sw"] = gpu.tracing_overhead(
+        events_per_step=fields["events_per_step"], guard_sites_per_step=fields["events_per_step"],
+        batch=run.options["max_batch_size"], context=24 + 10, **PRICED_AT,
+    )["Tender SW"]["enabled_overhead_ratio"]  # fmt: skip
 
 
 def _fault_tolerance(fields, run):
@@ -417,38 +411,26 @@ def _fault_tolerance(fields, run):
     cost = fields["prefill_tokens"] - fields["base.prefill_tokens"]
     fields["resume_hit_rate"] = saved / (saved + cost)
     contexts = [len(o.prompt) + len(o.generated) for o in run.var.outputs.values()]
-    replicas = run.options["replicas"]
-    fields["analytic_goodput_ratio_tender_sw"] = gpu.fault_tolerance_goodput(
-        gpu.FaultToleranceWorkload(
-            num_replicas=replicas, batch=run.options["max_batch_size"],
-            mean_context=int(round(np.mean(contexts))), retry_backoff_steps=0.0,
-            failure_rate=fields["failures"] / (fields["pool_iterations"] * replicas),
-            resume_hit_rate=fields["resume_hit_rate"], **PAPER,
-        ),
-        DEVICE,
+    fields["analytic_goodput_ratio_tender_sw"] = gpu.sharded_serving(
+        batch=run.options["max_batch_size"], context=int(round(np.mean(contexts))),
+        failure_rate=fields["failures"] / (fields["pool_iterations"] * run.options["replicas"]),
+        resume_hit_rate=fields["resume_hit_rate"], **PRICED_AT,
     )["Tender SW"]["goodput_ratio"]  # fmt: skip
 
 
 def _tensor_parallel(fields, run):
     _goodput(fields, run)
     contexts = [len(o.prompt) + len(o.generated) for o in run.var.outputs.values()]
-    fields["analytic_curve_tender_sw"] = [
-        {
-            "num_shards": shards,
-            **{
-                key: gpu.tensor_parallel_speedup(
-                    gpu.TensorParallelWorkload(
-                        num_shards=shards, batch=run.options["max_batch_size"],
-                        context=int(round(np.mean(contexts))), vocab=workloads.VOCAB,
-                        shard_failure_rate=0.002, resume_hit_rate=0.6, retry_backoff_steps=1.0, **PAPER,
-                    ),
-                    DEVICE,
-                )["Tender SW"][key]
-                for key in ("comm_ms", "speedup", "goodput_ratio")
-            },
-        }
-        for shards in (1, 2, 4, 8)
-    ]  # fmt: skip
+    with_head = dict(PRICED_AT, shape=dataclasses.replace(PRICED_AT["shape"], vocab=workloads.VOCAB))
+    fields["analytic_curve_tender_sw"] = []
+    for shards in (1, 2, 4, 8):
+        point = gpu.sharded_serving(
+            num_shards=shards, batch=run.options["max_batch_size"], context=int(round(np.mean(contexts))),
+            failure_rate=0.002, resume_hit_rate=0.6, retry_backoff_steps=1.0, **with_head,
+        )["Tender SW"]  # fmt: skip
+        fields["analytic_curve_tender_sw"].append(
+            {"num_shards": shards, **{key: point[key] for key in ("comm_ms", "speedup", "goodput_ratio")}}
+        )
 
 
 # ----------------------------------------------------------------------
