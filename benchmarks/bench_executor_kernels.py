@@ -45,7 +45,6 @@ from repro.core.perf import (
 from repro.data import calibration_samples, load_corpus
 from repro.experiments.report import format_table, full_evaluation_enabled
 from repro.models import TransformerRunner, get_language_model
-from repro.serve.kv_cache import KVCache
 from repro.serve.paged_kv_cache import PagedKVCache
 
 MODEL_NAME = "opt-6.7b-sim"
@@ -166,10 +165,8 @@ def run_decode_step_bench(weights, corpus_train) -> dict:
         tokens[row, :length] = corpus_train[row * 7 : row * 7 + length]
 
     def primed(runner):
-        cache = KVCache(
-            model_config.num_layers, batch, model_config.num_heads, model_config.d_head,
-            max_len + IDENTITY_STEPS + 1,
-        )  # fmt: skip
+        pool = PagedKVCache.for_model(model_config, max_active=batch)
+        cache = pool.view([pool.reserve(max_len + IDENTITY_STEPS + 1) for _ in range(batch)])
         return cache, runner.prefill(tokens, lengths, cache).argmax(axis=-1)
 
     def one_step(runner):

@@ -383,20 +383,6 @@ class ForwardPlan:
         return layout[1], layout[2]
 
 
-def flat_heads(payload: np.ndarray) -> np.ndarray:
-    """Head tensors as flat ``(num_heads, rows, d_head)`` rows.
-
-    The flat form passes through; a ``(batch, num_heads, new_len, d_head)``
-    rectangle — the ragged case with equal lengths — is laid out sequence
-    after sequence, the row order of a :class:`ForwardPlan` over its
-    ``(batch, new_len)`` positions.
-    """
-    if payload.ndim == 3:
-        return payload
-    batch, num_heads, new_len, d_head = payload.shape
-    return payload.transpose(1, 0, 2, 3).reshape(num_heads, batch * new_len, d_head)
-
-
 # ----------------------------------------------------------------------
 # Static projection kernels (activation x weight)
 # ----------------------------------------------------------------------

@@ -31,50 +31,40 @@ from repro.tensor.ops import gelu, log_softmax, relu, softmax
 
 
 class KVCacheLike(Protocol):
-    """What the incremental decode path needs from a key/value cache.
+    """What the incremental forward needs from the key/value cache.
 
-    Both the dense :class:`repro.serve.kv_cache.KVCache` (one fixed batch
-    lane per sequence) and the continuous-batching scheduler's
-    :class:`repro.serve.paged_kv_cache.SlotBatchView` (a dense facade over
-    whichever paged slots are active this iteration) satisfy this.  Row ``b``
-    of every ``write``/``view`` call refers to the same sequence that
-    ``lengths[b]`` describes; the rows of consecutive calls may map to
-    *different* requests as the scheduler evicts and backfills slots.
+    There is one cache — the block-allocated
+    :class:`repro.serve.paged_kv_cache.PagedKVCache` — and the runner sees it
+    through a :class:`repro.serve.paged_kv_cache.SlotBatchView` over whichever
+    slots are in this forward; the protocol lives here only because models
+    may not import the serving layer.  It lists exactly what
+    :class:`TransformerRunner` and the tensor-parallel runner call.  Sequence
+    ``b`` of every call is the one ``lengths[b]`` describes; consecutive
+    forwards may map it to *different* requests as the scheduler evicts and
+    backfills slots.
     """
 
-    #: Committed tokens per batch row; ``decode_step`` advances it in place.
+    #: Committed tokens per sequence; the entry points advance it in place.
     lengths: np.ndarray
-
-    def ensure_capacity(self, needed: int) -> None:
-        """Make ``needed`` token slots addressable (grow or validate)."""
-        ...
 
     def write(self, layer: int, keys: np.ndarray, values: np.ndarray, slots) -> None:
         """Store flat ``(heads, rows, d_head)`` payloads at each row's own slot.
 
         ``slots`` is the forward's :class:`~repro.core.kernels.ForwardPlan`
-        (what the runner passes, so layers after the first reuse the scatter
-        targets): it names every flat row's sequence and token position.
+        (so layers after the first reuse the scatter targets): it names every
+        flat row's sequence and token position.  The first layer's call
+        checks each row against its own sequence's reservation before
+        anything is written.
         """
         ...
 
     def view(self, layer: int, length: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Dense ``(keys, values)`` over the first ``length`` slots of each row."""
+        """Dense ``(keys, values)`` copies over the first ``length`` slots of each sequence."""
         ...
 
-
-def fused_attention_ready(executor, cache) -> bool:
-    """Whether cached attention may read K/V straight from paged block storage.
-
-    True when both attention products are plain matmuls (the executor's
-    ``plain_attention``) and the cache exposes block-table operands
-    (``supports_paged_attention``) — the gate shared by the solo runner and
-    the tensor-parallel façade.
-    """
-    return bool(
-        getattr(executor, "plain_attention", False)
-        and getattr(cache, "supports_paged_attention", False)
-    )
+    def attention_operands(self, layer: int) -> tuple:
+        """``(key_pool, value_pool, runs, block_size)`` for :func:`~repro.core.kernels.paged_attention`."""
+        ...
 
 
 def dense_cached_attention(
@@ -224,13 +214,14 @@ class TransformerRunner:
         #: a block's Q/K/V as one stacked call (``stacks_sites``).
         self._uses_positions = bool(getattr(self.executor, "uses_positions", False))
         self._stacks_qkv = bool(getattr(self.executor, "stacks_sites", False))
+        #: Whether both attention products are plain matmuls (``plain_attention``).
+        self._plain_attention = bool(getattr(self.executor, "plain_attention", False))
         #: ``(names, [wq|wk|wv], [bq|bk|bv])`` per (block, column range).
         self._qkv_stacks: Dict[tuple, tuple] = {}
         #: Read KV straight from paged-block storage during cached attention
         #: (see :func:`repro.core.kernels.paged_attention`).  Takes effect
-        #: only when both the executor (``plain_attention``) and the cache
-        #: (``supports_paged_attention``) allow it; clear it to force the
-        #: gather-then-dense reference path.
+        #: only when the executor's attention products are plain matmuls;
+        #: clear it to force the gather-then-dense reference path.
         self.fused_paged_attention = True
 
     # ------------------------------------------------------------------
@@ -428,7 +419,7 @@ class TransformerRunner:
         queries, keys, values = self._qkv(index, x, plan)
         cache.write(index, self._row_heads(keys, heads), self._row_heads(values, heads), plan)
         queries = self._row_heads(queries, heads)
-        if self.fused_paged_attention and fused_attention_ready(self.executor, cache):
+        if self.fused_paged_attention and self._plain_attention:
             # Both attention products are plain matmuls, so read K/V straight
             # from block storage — no dense gather.  Operands are fetched
             # *after* the write: any copy-on-write fork the write triggered is
@@ -473,7 +464,6 @@ class TransformerRunner:
             raise ConfigurationError(
                 f"position {plan.attended - 1} exceeds max_seq_len {self.config.max_seq_len}"
             )
-        cache.ensure_capacity(plan.attended)
         x = self.weights.token_embedding[tokens] + self.weights.position_embedding[plan.positions]
         for index, block in enumerate(self.weights.blocks):
             attn_input = self._layer_norm(x, block.ln_attn.gain, block.ln_attn.bias)
@@ -542,7 +532,7 @@ class TransformerRunner:
         tokens: np.ndarray,
         cache: KVCacheLike,
         start_positions: np.ndarray,
-        lengths: Optional[np.ndarray] = None,
+        lengths: np.ndarray,
         logit_rows: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Score a run of draft tokens per sequence in one forward pass.
@@ -561,11 +551,8 @@ class TransformerRunner:
         at absolute position ``start_positions[b] + j + 1`` — rows
         ``0..k_b-1`` of a run verify its drafts and row ``k_b`` is the
         *bonus* distribution after a fully accepted run.  (``tokens`` may
-        have any shape holding those ``sum(lengths)`` tokens in order.)
-
-        Without ``lengths`` the batch is the rectangle ``(batch, new_len)``
-        — equal lengths — and the logits come back as ``(batch, new_len,
-        vocab)``; with ``new_len == 1`` that is exactly :meth:`decode_step`.
+        have any shape holding those ``sum(lengths)`` tokens in order; with
+        every length 1 the forward is exactly :meth:`decode_step`.)
 
         ``logit_rows[b]`` (optional, one integer in ``[0, lengths[b]]`` per
         sequence) says how many *trailing* rows of sequence ``b`` need
@@ -591,14 +578,7 @@ class TransformerRunner:
         decoding is therefore token-exact.
         """
         tokens = np.asarray(tokens, dtype=np.int64)
-        if lengths is None:
-            if tokens.ndim != 2:
-                raise ConfigurationError(
-                    "verify() expects (batch, new_len) token rows, or flat tokens with lengths="
-                )
-            counts = np.full(tokens.shape[0], tokens.shape[1], dtype=np.int64)
-        else:
-            counts = np.asarray(lengths, dtype=np.int64).reshape(-1)
+        counts = np.asarray(lengths, dtype=np.int64).reshape(-1)
         if counts.size == 0 or counts.min() < 1 or counts.sum() != tokens.size:
             raise ConfigurationError(
                 "verify() needs at least the pending token per row and exactly sum(lengths) tokens"
@@ -619,7 +599,7 @@ class TransformerRunner:
         logits = self._project("lm_head", hidden, self.weights.lm_head, None, plan)
         if logit_rows is not None:
             return logits[plan.positions >= (start + counts - wanted)[plan.rows]]
-        return logits if lengths is not None else logits.reshape(*tokens.shape, -1)
+        return logits
 
     def decode_step(self, tokens: np.ndarray, cache: KVCacheLike) -> np.ndarray:
         """Append one token per sequence and return next-token logits.

@@ -8,10 +8,10 @@ served and measured in the decode regime.
 
 Three layers, bottom up:
 
-* :class:`KVCache` / :class:`PagedKVCache` — dense per-batch-lane and
-  block-allocated per-slot key/value storage (the paged pool is
-  reference-counted, with prefix-block identity, copy-on-write, and an LRU
-  free-list for cross-request KV reuse);
+* :class:`PagedKVCache` — block-allocated per-slot key/value storage
+  (reference-counted, with prefix-block identity, copy-on-write, and an LRU
+  free-list for cross-request KV reuse), handed to a runner as a
+  :class:`SlotBatchView` over the slots of one forward;
 * :class:`Scheduler` — the continuous-batching serving loop (FIFO
   admission, chunked prefill interleaved with decode, shared-prompt prefix
   caching, speculative draft-and-verify decoding, mid-flight eviction);
@@ -49,7 +49,6 @@ from repro.serve.collective import (
     CollectiveStats,
 )
 from repro.serve.engine import GenerationEngine, GenerationResult, generate
-from repro.serve.kv_cache import KVCache
 from repro.serve.paged_kv_cache import PagedKVCache, SlotBatchView
 from repro.serve.scheduler import (
     GenerationConfig,
@@ -75,7 +74,6 @@ __all__ = [
     "CollectiveGroup",
     "CollectiveStats",
     "FaultInjector",
-    "KVCache",
     "PagedKVCache",
     "ReplicaPool",
     "RequestStream",

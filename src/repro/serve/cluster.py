@@ -63,24 +63,21 @@ from repro.serve.scheduler import (
     RequestCheckpoint,
     RequestOutput,
     Scheduler,
+    SchedulerStats,
     _as_request,
     _request_output,
 )
 
-#: SchedulerStats counters the pool aggregates (and retains across crash
-#: rebuilds) for its merged ``stats`` view.
-_POOL_STAT_KEYS = (
-    "prefill_tokens",
-    "resume_tail_rows",
-    "prefix_hit_tokens",
-    "generated_tokens",
-    "decode_iterations",
-    "prefill_iterations",
-    "spec_verify_rows",
-    "completed_requests",
-    "preemptions",
-    "degraded_requests",
-)
+#: Every integer field of ``SchedulerStats``: what the pool's merged ``stats``
+#: view totals, schedulers retired by crash rebuilds included.
+_POOL_STAT_KEYS = tuple(f.name for f in fields(SchedulerStats) if f.type in (int, "int"))
+
+
+def _fold_stats(totals: Dict[str, int], stats: SchedulerStats) -> None:
+    """Add one scheduler's counters to ``totals`` (``peak_active``, a high-water mark, by ``max``)."""
+    for key in totals:
+        value = getattr(stats, key)
+        totals[key] = max(totals[key], value) if key == "peak_active" else totals[key] + value
 
 
 @dataclass
@@ -560,15 +557,14 @@ speculation, preemption
         ``engine.stats`` for a single engine; for a pool the per-replica
         breakdown is ``replica_stats`` and the robustness accounting is
         :attr:`cluster_stats`.  This property returns the merged view used
-        by benchmarks: a dict of aggregate counters, including the work of
+        by benchmarks: a dict of every integer ``SchedulerStats`` field,
+        summed (``peak_active``: the maximum), including the work of
         schedulers that were discarded by crash rebuilds (pre-crash tokens
         are part of what the trace paid for, so they stay in the totals).
         """
         totals = dict(self._retired_stats)
         for replica in self.replicas:
-            stats = replica.scheduler.stats
-            for key in totals:
-                totals[key] += getattr(stats, key)
+            _fold_stats(totals, replica.scheduler.stats)
         return totals
 
     def replica_stats(self) -> List:
@@ -956,8 +952,7 @@ speculation, preemption
             if replica.healthy or iteration < replica.cooldown_until:
                 continue
             if not replica.alive:
-                for key in _POOL_STAT_KEYS:
-                    self._retired_stats[key] += getattr(replica.scheduler.stats, key)
+                _fold_stats(self._retired_stats, replica.scheduler.stats)
                 replica.scheduler = self._build_scheduler(replica.replica_id)
                 replica.alive = True
                 if self.tracer is not None:

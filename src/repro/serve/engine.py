@@ -67,10 +67,6 @@ class GenerationResult:
     step_logits: np.ndarray
     num_steps: int = 0
 
-    def text_lengths(self) -> np.ndarray:
-        """Total committed tokens per request (prompt + kept continuation)."""
-        return np.array([len(s) for s in self.sequences], dtype=np.int64)
-
 
 class GenerationEngine:
     """Fixed-batch generation: submit everything at once, run to completion.
@@ -152,7 +148,7 @@ class GenerationEngine:
             raise ConfigurationError("generate() requires at least one prompt")
         # All requests are known up front, so size the KV pool to their exact
         # reservations instead of the scheduler's worst case (every slot at
-        # max_seq_len) — the same memory profile the dense cache had.
+        # max_seq_len).
         block_size = 16
         scheduler = Scheduler(
             self.runner,

@@ -1,14 +1,23 @@
 """Block-allocated, slot-granular key/value cache with cross-request reuse.
 
-The dense :class:`~repro.serve.kv_cache.KVCache` ties one batch *lane* to one
-request for the lifetime of the whole batch: a lane's memory is only
-reclaimed when the entire batch drains.  Under continuous batching, requests
+Full-sequence inference recomputes every key and value projection for every
+token at every step; a KV cache stores each layer's key/value head tensors
+once, so a decode step only projects the *new* token and attends over the
+cached history.  This is the serving regime in which Tender's runtime
+requantization matters most: the activation-activation matmuls (``X_Q X_K^T``
+and ``X_S X_V``) are recomputed against the cache at every step, with
+operands that only exist at runtime (Figures 12/13 of the paper).
+
+This is the repository's one KV cache.  Under continuous batching, requests
 finish (and new ones arrive) mid-flight, so the cache must be able to free
 one request's memory the moment it completes and hand it to the next
 arrival.  :class:`PagedKVCache` does exactly that, following the paging
 design popularised by vLLM: physical storage is a pool of fixed-size
 *blocks*, and each live request (a *slot*) owns a block table mapping its
-token positions onto blocks in the pool.
+token positions onto blocks in the pool.  A fixed batch
+(:class:`~repro.serve.engine.GenerationEngine`) and a per-request drafter
+(:class:`~repro.serve.spec.ModelDraft`) are the same pool with as many slots
+as they have sequences.
 
 Since the prefix-caching PR, blocks additionally carry *identity*:
 
@@ -52,17 +61,18 @@ attends to slots at positions it has itself written), but executors that
 quantize attention operands
 *dynamically* (Tender ``quantize_attention=True``) take per-column
 statistics over the whole attended window — stale values there would
-perturb quantization scales even though they never reach an output, so the
-zeros-never-widen-an-absmax invariant of the dense cache is preserved for
-every freshly allocated block.  ``tests/serve/test_scheduler.py`` and
-``tests/serve/test_prefix_cache.py`` pin these properties down.
+perturb quantization scales even though they never reach an output, so
+every freshly allocated block holds zeros, which never widen an absmax.
+``tests/serve/test_scheduler.py`` and ``tests/serve/test_prefix_cache.py``
+pin these properties down.
 
 Two pieces cooperate:
 
 * :class:`PagedKVCache` — the physical pool plus per-slot block tables
   (``reserve`` / ``free`` / ``write`` / ``gather``), and
-* :class:`SlotBatchView` — a dense, :class:`~repro.serve.kv_cache.KVCache`
-  compatible facade over an arbitrary *subset* of slots, which is what lets
+* :class:`SlotBatchView` — the whole runner-to-cache contract
+  (:class:`~repro.models.inference.KVCacheLike`) over an arbitrary *subset*
+  of slots, which is what lets
   :meth:`repro.models.inference.TransformerRunner.decode_step` run one
   batched iteration over whichever requests the scheduler has active without
   knowing anything about paging.  The view precomputes a dense
@@ -91,7 +101,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.kernels import ForwardPlan, flat_heads
+from repro.core.kernels import ForwardPlan
 from repro.errors import ConfigurationError, ResourceExhaustedError
 
 #: Radix-index parent of a prompt's first block (no preceding prefix).
@@ -121,7 +131,12 @@ class _BlockIndex:
 
     def refresh(self, paged: "PagedKVCache") -> None:
         """Re-read the slots' block tables from the pool."""
-        tables = [paged._tables[slot] for slot in self.slot_ids]
+        try:
+            tables = [paged._tables[slot] for slot in self.slot_ids]
+        except KeyError as missing:
+            raise ConfigurationError(
+                f"slot {missing.args[0]} of {self.slot_ids} is not reserved (freed, or never was)"
+            ) from None
         width = max(len(table) for table in tables)
         dense = np.full((len(tables), width), _ROOT, dtype=np.int64)
         for row, table in enumerate(tables):
@@ -1049,8 +1064,7 @@ class PagedKVCache:
         slot_ids : sequence of int
             One slot per sequence of the forward.
         keys, values : ndarray
-            Flat ``(num_heads, rows, d_head)`` payloads, or the rectangle
-            ``(len(slot_ids), num_heads, new_len, d_head)``.
+            Flat ``(num_heads, rows, d_head)`` payloads, one row per plan row.
         positions : ndarray or ForwardPlan
             The forward's plan, or the positions it is built from
             (``(len(slot_ids), new_len)``: ``new_len`` rows per slot).
@@ -1072,8 +1086,6 @@ class PagedKVCache:
         _, _, targets, offsets = scatter
         # Adjacent advanced indices on the block/position axes keep the head
         # axis leading in the indexed view: exactly the flat payload layout.
-        if keys.ndim == 4:
-            keys, values = flat_heads(keys), flat_heads(values)
         self.key_blocks[layer][:, targets, offsets] = keys
         self.value_blocks[layer][:, targets, offsets] = values
 
@@ -1169,20 +1181,20 @@ class PagedKVCache:
         return keys, values
 
     def view(self, slot_ids: Sequence[int]) -> "SlotBatchView":
-        """Build a dense cache facade over ``slot_ids`` (see :class:`SlotBatchView`)."""
+        """The runner's view of ``slot_ids``, one sequence each (see :class:`SlotBatchView`)."""
         return SlotBatchView(self, slot_ids)
 
 
 class SlotBatchView:
-    """Dense-cache facade over a subset of :class:`PagedKVCache` slots.
+    """A subset of :class:`PagedKVCache` slots as the sequences of one forward.
 
-    Implements the interface :class:`~repro.models.inference.TransformerRunner`
-    expects from a :class:`~repro.serve.kv_cache.KVCache` — ``write``,
-    ``view``, ``ensure_capacity`` and a mutable ``lengths`` vector — so one
-    batched ``prefill``/``decode_step`` call can run over exactly the slots
-    the scheduler currently has active.  Length updates made by the runner
-    stay local to the view until :meth:`commit` copies them back to the pool
-    (the scheduler commits after every successful forward).
+    The whole runner-to-cache contract
+    (:class:`~repro.models.inference.KVCacheLike`): ``write``, ``view``,
+    ``attention_operands`` and a mutable ``lengths`` vector, so one batched
+    ``prefill`` / ``decode_step`` / ``verify`` call runs over exactly the
+    slots the scheduler currently has active.  Length updates made by the
+    runner stay local to the view until :meth:`commit` copies them back to
+    the pool (the scheduler commits after every successful forward).
 
     The view owns a cached block-index table (see ``_BlockIndex``): the
     scheduler keeps one view alive across decode iterations while its slot
@@ -1193,9 +1205,16 @@ class SlotBatchView:
     Attributes
     ----------
     slot_ids : list of int
-        The slots backing each batch row, in row order.
+        The slot backing each sequence, in batch order.
     lengths : ndarray
-        Per-row committed-token counts, advanced in place by the runner.
+        Per-sequence committed-token counts, advanced in place by the runner.
+
+    Raises
+    ------
+    ConfigurationError
+        If ``slot_ids`` is empty, repeats a slot (two sequences would write
+        over each other) or names one that is not reserved — here, and from
+        any later forward through the view once one of its slots was freed.
     """
 
     def __init__(self, paged: PagedKVCache, slot_ids: Sequence[int]) -> None:
@@ -1203,36 +1222,11 @@ class SlotBatchView:
         self.slot_ids = [int(s) for s in slot_ids]
         if not self.slot_ids:
             raise ConfigurationError("a SlotBatchView needs at least one slot")
-        self.lengths = np.array([paged.length_of(s) for s in self.slot_ids], dtype=np.int64)
+        if len(set(self.slot_ids)) != len(self.slot_ids):
+            repeated = sorted({s for s in self.slot_ids if self.slot_ids.count(s) > 1})
+            raise ConfigurationError(f"slots {repeated} appear more than once in view {self.slot_ids}")
         self._index = _BlockIndex(paged, self.slot_ids)
-
-    @property
-    def num_layers(self) -> int:
-        """Number of layers of the backing pool."""
-        return self._paged.num_layers
-
-    @property
-    def batch_size(self) -> int:
-        """Number of slots (batch rows) in this view."""
-        return len(self.slot_ids)
-
-    @property
-    def capacity(self) -> int:
-        """Largest reserved token capacity among the viewed slots."""
-        return max(self._paged.capacity_of(s) for s in self.slot_ids)
-
-    def ensure_capacity(self, needed: int) -> None:
-        """Validate that the *pool* could ever address ``needed`` positions.
-
-        Unlike the dense cache, a paged pool never grows: every slot's blocks
-        were reserved at admission, and per-slot bounds are enforced by
-        ``write``.  This only rejects positions no slot could ever hold.
-        """
-        if needed > self._paged.num_blocks * self._paged.block_size:
-            raise ConfigurationError(
-                f"position {needed - 1} can never fit a pool of "
-                f"{self._paged.num_blocks} x {self._paged.block_size} slots"
-            )
+        self.lengths = np.array([paged.length_of(s) for s in self.slot_ids], dtype=np.int64)
 
     def write(self, layer: int, keys: np.ndarray, values: np.ndarray, slots) -> None:
         """Scatter flat-row payloads (``slots``: the forward's plan, or positions) to the pool."""
@@ -1241,10 +1235,6 @@ class SlotBatchView:
     def view(self, layer: int, length: int) -> Tuple[np.ndarray, np.ndarray]:
         """Dense (keys, values) over the first ``length`` positions of each slot."""
         return self._paged.gather(layer, self.slot_ids, length, index=self._index)
-
-    #: The fused paged-attention path can read this view's KV straight from
-    #: block storage (see :meth:`attention_operands`).
-    supports_paged_attention = True
 
     def attention_operands(
         self, layer: int

@@ -59,13 +59,7 @@ import numpy as np
 
 from repro.core.kernels import ForwardPlan, paged_attention
 from repro.errors import ConfigurationError
-from repro.models.inference import (
-    KVCacheLike,
-    MatmulExecutor,
-    TransformerRunner,
-    dense_cached_attention,
-    fused_attention_ready,
-)
+from repro.models.inference import KVCacheLike, MatmulExecutor, TransformerRunner, dense_cached_attention
 from repro.serve.collective import CollectiveGroup
 from repro.tensor.ops import softmax
 
@@ -192,6 +186,7 @@ class ShardedRunner(TransformerRunner):
         # The shard executors serve the projections, so their capabilities count.
         self._uses_positions = all(getattr(e, "uses_positions", False) for e in self.executors)
         self._stacks_qkv = all(getattr(e, "stacks_sites", False) for e in self.executors)
+        self._plain_attention = all(getattr(e, "plain_attention", False) for e in self.executors)
         #: Whether shard 0's ``quantize`` serves the whole group.
         self._shares_activation = _share_activation_side(self.executors)
         #: Sites whose ``bias @ W`` compensation the shards took from the solo
@@ -363,9 +358,7 @@ class ShardedRunner(TransformerRunner):
         )
 
         rows = x.shape[0]
-        if self.fused_paged_attention and all(
-            fused_attention_ready(executor, cache) for executor in self.executors
-        ):
+        if self.fused_paged_attention and self._plain_attention:
             # One call for the group: head ranges are contiguous and in shard
             # order, so the query slices side by side are the solo runner's
             # operand.  Operands fetched after the write, same as the solo runner:

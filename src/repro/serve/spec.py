@@ -30,7 +30,7 @@ Two drafters ship here:
   extractive or repetitive generations.
 * :class:`ModelDraft` — a smaller :class:`~repro.models.inference.TransformerRunner`
   (e.g. a truncated-layer copy, see :meth:`ModelDraft.truncated`) decodes
-  the draft greedily over its own dense per-request KV cache, catching up
+  the draft greedily over its own one-slot KV pool per request, catching up
   on committed tokens and rolling back rejected ones automatically.
 
 :class:`SpecConfig` wires a drafter into the
@@ -49,7 +49,7 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.models.inference import TransformerRunner
 from repro.models.weights import ModelWeights
-from repro.serve.kv_cache import KVCache
+from repro.serve.paged_kv_cache import PagedKVCache, SlotBatchView
 
 __all__ = ["DraftProposer", "PromptLookupDraft", "ModelDraft", "SpecConfig"]
 
@@ -157,8 +157,9 @@ class ModelDraft:
     Any :class:`~repro.models.inference.TransformerRunner` works as the
     drafter — typically a cheaper stand-in for the target such as a
     truncated-layer copy (:meth:`truncated`).  Per request the drafter keeps
-    a dense batch-of-one :class:`~repro.serve.kv_cache.KVCache` plus the
-    token history its cache covers; each :meth:`propose` call first
+    a one-slot :class:`~repro.serve.paged_kv_cache.PagedKVCache` reserved at
+    ``max_seq_len`` (seen through its view) plus the token history that
+    cache covers; each :meth:`propose` call first
     reconciles that history against the committed sequence (rolling back
     drafts the target rejected, prefilling tokens the target added) and
     then greedily decodes the requested number of draft tokens.
@@ -175,7 +176,7 @@ class ModelDraft:
 
     def __init__(self, runner: TransformerRunner) -> None:
         self.runner = runner
-        self._states: Dict[int, Tuple[KVCache, np.ndarray]] = {}
+        self._states: Dict[int, Tuple[SlotBatchView, np.ndarray]] = {}
 
     @classmethod
     def truncated(cls, runner: TransformerRunner, num_layers: int) -> "ModelDraft":
@@ -229,13 +230,16 @@ class ModelDraft:
             return np.empty(0, dtype=np.int64)
         state = self._states.get(request_id)
         if state is None:
-            cache = KVCache.for_model(self.runner.config, batch_size=1)
+            pool = PagedKVCache.for_model(self.runner.config, 1)
+            cache = pool.view([pool.reserve(self.runner.config.max_seq_len)])
             history = np.empty(0, dtype=np.int64)
         else:
             cache, history = state
         # The cache must cover exactly tokens[:-1]; the shared prefix with
         # the previous call's history survives, everything after it (drafts
-        # the target rejected) is rolled back by rewinding the length.
+        # the target rejected) is rolled back by rewinding the view's length:
+        # the slot is private and a row attends nothing past its own position,
+        # so the stale rows above are overwritten before anything reads them.
         context = tokens[:-1]
         agree = min(len(history), len(context))
         mismatch = np.nonzero(history[:agree] != context[:agree])[0]

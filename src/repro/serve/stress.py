@@ -466,10 +466,7 @@ class ServingStressHarness:
         tokens = np.asarray(model.tokens, dtype=np.int64)
         bases = np.array([_base_value(tokens, int(p)) for p in positions])
         for layer in range(cache.num_layers):
-            keys = np.broadcast_to(
-                bases[None, None, :, None] + layer * 0.125,
-                (1, heads, len(positions), d_head),
-            )
+            keys = np.broadcast_to(bases[None, :, None] + layer * 0.125, (heads, len(positions), d_head))
             values = keys + 0.0625
             cache.write(layer, [model.slot], keys, values, positions[None, :])
 

@@ -17,6 +17,7 @@ import pytest
 from repro.data import calibration_samples, load_corpus
 from repro.models import OutlierSpec, extract_weights, inject_outliers, train_language_model
 from repro.nn import TransformerConfig
+from repro.serve import PagedKVCache
 
 
 def pytest_configure(config):
@@ -116,3 +117,19 @@ def eval_tokens(corpus_splits):
 def rng():
     """A fresh deterministic random generator per test."""
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="session")
+def paged_view():
+    """``paged_view(config, batch)``: a fresh pool's slots as the sequences of a runner forward.
+
+    One slot per sequence, each reserved at ``max_seq_len`` — or at
+    ``capacities[b]`` when given.  ``view._paged`` is the pool behind it.
+    """
+
+    def build(config, batch=1, block_size=16, capacities=None):
+        capacities = [config.max_seq_len] * batch if capacities is None else capacities
+        pool = PagedKVCache.for_model(config, max_active=len(capacities), block_size=block_size)
+        return pool.view([pool.reserve(capacity) for capacity in capacities])
+
+    return build

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.kernels import ForwardPlan, flat_heads, paged_attention
+from repro.core.kernels import ForwardPlan, paged_attention
 from repro.serve import PagedKVCache
 from repro.tensor.ops import softmax
 
@@ -49,8 +49,8 @@ def fill_slots(pool, rng, lengths, *, fragment=False):
     slots = []
     for length in lengths:
         slot = pool.reserve(length)
-        keys = rng.normal(size=(1, 2, length, BLOCK))
-        values = rng.normal(size=(1, 2, length, BLOCK))
+        keys = rng.normal(size=(2, length, BLOCK))
+        values = rng.normal(size=(2, length, BLOCK))
         pool.write(0, [slot], keys, values, np.arange(length)[None, :])
         pool.set_length(slot, length)
         slots.append(slot)
@@ -62,7 +62,8 @@ def run_both(pool, slots, rng, positions, q_len=1):
     view = pool.view(slots)
     queries = rng.normal(size=(len(slots), 2, q_len, BLOCK))
     key_pool, value_pool, runs, block_size = view.attention_operands(0)
-    fused = paged_attention(flat_heads(queries), key_pool, value_pool, runs, block_size, positions)
+    flat = queries.transpose(1, 0, 2, 3).reshape(2, len(slots) * q_len, BLOCK)  # sequence after sequence
+    fused = paged_attention(flat, key_pool, value_pool, runs, block_size, positions)
     fused = fused.reshape(len(slots), q_len, 2, BLOCK).transpose(0, 2, 1, 3)
     reference, attention = dense_reference(queries, view, 0, positions)
     return fused, reference, attention, runs

@@ -40,7 +40,7 @@ class TestDocsTooling:
         assert (REPO_ROOT / "docs" / "reproducing.md").is_file()
 
     def test_link_checker_catches_breakage(self, tmp_path):
-        """The checker actually fails on a broken link or a stale symbol (it is not a no-op)."""
+        """The checker actually fails on a broken link, a stale symbol or a stale docstring role (it is not a no-op)."""
         sandbox = tmp_path / "repo"
         (sandbox / "docs").mkdir(parents=True)
         (sandbox / "tools").mkdir()
@@ -55,7 +55,9 @@ class TestDocsTooling:
         (sandbox / "benchmarks").mkdir()
         # A live package of one symbol: the docs and an example name it and one that is gone.
         (sandbox / "src" / "repro" / "__init__.py").write_text("")
-        (sandbox / "src" / "repro" / "gpu.py").write_text("class ModelShape:\n    pass\n")
+        (sandbox / "src" / "repro" / "gpu.py").write_text(
+            'class ModelShape:\n    """See :class:`~repro.gpu.ModelShape`, not :class:`~repro.gpu.DecodeWorkload` or :meth:`_admit`."""\n'
+        )
         (sandbox / "examples").mkdir()
         (sandbox / "examples" / "demo.py").write_text(
             "from repro.gpu import ModelShape, decode_step_latencies\nraise SystemExit('examples are never run')\n"
@@ -70,4 +72,5 @@ class TestDocsTooling:
         assert "table1.py not mentioned" in result.stdout
         assert "README.md:2: unresolved symbol -> repro.gpu.DecodeWorkload" in result.stdout
         assert "examples/demo.py:1: unresolved import -> repro.gpu.decode_step_latencies" in result.stdout
-        assert "ModelShape" not in result.stdout
+        assert "src/repro/gpu.py:2: unresolved role -> repro.gpu.DecodeWorkload" in result.stdout
+        assert "ModelShape" not in result.stdout and "_admit" not in result.stdout

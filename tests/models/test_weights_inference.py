@@ -18,7 +18,6 @@ from repro.models import (
     run_calibration,
 )
 from repro.nn import TransformerClassifier, TransformerConfig
-from repro.serve.kv_cache import KVCache
 
 
 class TestWeightExtraction:
@@ -83,7 +82,9 @@ class TestTransformerRunner:
         expected = (x - mean) / np.sqrt(var + 1e-5) * gain + bias
         assert np.array_equal(TransformerRunner._layer_norm(x, gain, bias), expected)
 
-    def test_stacked_qkv_is_bit_identical_to_three_projections(self, outlier_weights, calibration, eval_tokens):
+    def test_stacked_qkv_is_bit_identical_to_three_projections(
+        self, outlier_weights, calibration, eval_tokens, paged_view
+    ):
         """Full-sequence and KV-cached forwards, logits and executor counters."""
         config = TenderConfig(bits=8, num_groups=8, row_chunk_size=16)
 
@@ -101,7 +102,7 @@ class TestTransformerRunner:
         lengths = np.array([40, 23])
 
         def cached_steps(built):
-            cache = KVCache(model.num_layers, 2, model.num_heads, model.d_head, 48)
+            cache = paged_view(model, capacities=[48, 48])
             steps = [built.prefill(tokens, lengths, cache)]
             for _ in range(3):
                 steps.append(built.decode_step(steps[-1].argmax(axis=-1), cache))

@@ -42,7 +42,7 @@ def make_pool(num_blocks=16, kind=PagedKVCache):
 
 def fill(pool, slot, tokens, start=0):
     """Write and commit ``tokens[start:]`` (payload ``token + 1``), then publish the full blocks."""
-    payload = np.broadcast_to(np.asarray(tokens[start:], dtype=float)[None, None, :, None] + 1.0, (1, 1, len(tokens) - start, 2))
+    payload = np.broadcast_to(np.asarray(tokens[start:], dtype=float)[None, :, None] + 1.0, (1, len(tokens) - start, 2))
     pool.set_length(slot, start)
     pool.write(0, [slot], payload, payload, np.arange(start, len(tokens))[None, :])
     pool.set_length(slot, len(tokens))
@@ -160,7 +160,7 @@ class TestPlacement:
         pool.free(spacer)
         assert pool.free_extents()[:2] == [(1, 1), (4, 1)]
         pool.set_length(sharer, BLOCK)
-        payload = np.ones((1, 1, 1, 2))
+        payload = np.ones((1, 1, 2))
         pool.write(0, [sharer], payload, payload, np.array([[BLOCK]]))  # into shared block 3
         # Block 1 is the lowest-address fit, but 4 sits right before block 5.
         assert pool.block_table(sharer) == [2, 4, 5, 6]
@@ -314,7 +314,7 @@ class TestRelocation:
         pool.set_length(sharer, 2 * BLOCK)
         pool.truncate(sharer, 1, min_capacity=2 * BLOCK)
         pool.free(singles[5])
-        payload = np.ones((1, 1, 1, 2))
+        payload = np.ones((1, 1, 2))
         pool.write(0, [sharer], payload, payload, np.array([[1]]))
         assert pool.block_table(sharer) == [5, 4]
         pool.free(owner)

@@ -14,6 +14,7 @@ degradation under memory pressure or an exhausted retry budget.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 
 import numpy as np
 import pytest
@@ -26,9 +27,12 @@ from repro.serve import (
     FaultInjector,
     GenerationConfig,
     GenerationEngine,
+    PromptLookupDraft,
     ReplicaPool,
     Request,
     Router,
+    SchedulerStats,
+    SpecConfig,
 )
 
 
@@ -395,6 +399,38 @@ class TestPoolSurface:
         assert stats["generated_tokens"] == pool.cluster_stats.merged_generated_tokens(
             pool.replicas
         )
+
+    def test_merged_stats_fold_every_integer_field_over_live_and_retired_schedulers(
+        self, runner, template_prompts
+    ):
+        """A speculating pool with one kill: nothing ``SchedulerStats`` counts is
+        dropped from the totals, the rebuilt replica's first scheduler included."""
+        pool = ReplicaPool(
+            runner,
+            num_replicas=2,
+            config=GenerationConfig(max_new_tokens=6),
+            max_batch_size=2,
+            block_size=4,
+            breaker_cooldown=2,
+            speculation=SpecConfig(PromptLookupDraft(min_ngram=1), draft_tokens=3),
+            fault_injector=FaultInjector(seed=0, kill_at={2: 0}),
+        )
+        schedulers = [replica.scheduler for replica in pool.replicas]
+        build = pool._build_scheduler
+        pool._build_scheduler = lambda replica_id: schedulers.append(build(replica_id)) or schedulers[-1]
+        for prompt in template_prompts:
+            pool.submit(prompt)
+        outputs = pool.run()
+        assert len(schedulers) == 3 and pool.cluster_stats.failures == 1
+        merged = pool.stats
+        counters = [f.name for f in dataclasses.fields(SchedulerStats) if f.type in (int, "int")]
+        for name in counters:
+            fold = max if name == "peak_active" else sum
+            assert merged[name] == fold(getattr(s.stats, name) for s in schedulers), name
+        assert sorted(merged) == sorted(counters) and len(counters) == 17
+        assert merged["spec_proposed_tokens"] > 0 and merged["decode_slot_steps"] > 0
+        assert merged["generated_tokens"] == sum(len(output.generated) for output in outputs)
+        assert AsyncEngine(pool=pool).stats == merged
 
     def test_validation(self, runner):
         with pytest.raises(ConfigurationError, match="num_replicas"):

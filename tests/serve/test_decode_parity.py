@@ -25,7 +25,7 @@ import pytest
 from repro.core import TenderConfig, TenderQuantizer
 from repro.models import TransformerRunner
 from repro.errors import ConfigurationError
-from repro.serve import GenerationConfig, GenerationEngine, KVCache, PagedKVCache
+from repro.serve import GenerationConfig, GenerationEngine
 
 ATOL = 1e-9
 MAX_NEW_TOKENS = 6
@@ -78,18 +78,21 @@ class TestDecodeMatchesFullForward:
                 expected = int(np.argmax(reference[len(prompt) - 1 + step]))
                 assert int(result.generated[row][step]) == expected
 
-    def test_prefill_matches_full_forward(self, name, runners, ragged_prompts):
+    @pytest.mark.parametrize("attention", ["fused", "gather"])
+    def test_prefill_matches_full_forward(self, name, attention, runners, ragged_prompts, paged_view, monkeypatch):
         runner = runners[name]
+        monkeypatch.setattr(runner, "fused_paged_attention", attention == "fused")
         lengths = np.array([len(p) for p in ragged_prompts])
         padded = np.zeros((len(ragged_prompts), int(lengths.max())), dtype=np.int64)
         for row, prompt in enumerate(ragged_prompts):
             padded[row, : len(prompt)] = prompt
-        cache = KVCache.for_model(runner.config, len(ragged_prompts))
+        cache = paged_view(runner.config, len(ragged_prompts))
         logits = runner.prefill(padded, lengths, cache)
         for row, prompt in enumerate(ragged_prompts):
             reference = runner.logits(np.asarray(prompt)[None, :])[0, -1]
             np.testing.assert_allclose(logits[row], reference, rtol=0.0, atol=ATOL)
         np.testing.assert_array_equal(cache.lengths, lengths)
+        assert bool(cache._paged.gather_bytes) == (attention == "gather")
 
     def test_ragged_batching_is_isolation_safe(self, name, runners, ragged_prompts):
         """Each request's step logits are identical alone or in a ragged batch."""
@@ -105,47 +108,52 @@ class TestDecodeMatchesFullForward:
 
 
 class TestTokenByTokenPriming:
-    def test_decode_step_without_prefill(self, runners, corpus_splits):
+    @pytest.mark.parametrize("attention", ["fused", "gather"])
+    def test_decode_step_without_prefill(self, attention, runners, corpus_splits, paged_view, monkeypatch):
         """Feeding a prompt one decode_step at a time equals the full forward."""
         train_tokens, _ = corpus_splits
         prompt = train_tokens[50:59]
         for runner in runners.values():
-            cache = KVCache.for_model(runner.config, 1, capacity=16)
+            monkeypatch.setattr(runner, "fused_paged_attention", attention == "fused")
+            cache = paged_view(runner.config, capacities=[16])
             stepwise = [runner.decode_step(np.array([token]), cache) for token in prompt]
             reference = runner.logits(np.asarray(prompt)[None, :])[0]
             for position, logits in enumerate(stepwise):
                 np.testing.assert_allclose(logits[0], reference[position], rtol=0.0, atol=ATOL)
 
-    def test_decode_past_max_seq_len_rejected(self, runners, corpus_splits):
-        train_tokens, _ = corpus_splits
+    def test_decode_past_max_seq_len_rejected(self, runners, paged_view):
         runner = runners["float"]
-        cache = KVCache.for_model(runner.config, 1)
+        cache = paged_view(runner.config)
         cache.lengths[:] = runner.config.max_seq_len
         with pytest.raises(ConfigurationError):
             runner.decode_step(np.array([1]), cache)
 
 
-@pytest.mark.parametrize("cache_kind", ["paged", "dense"])
+@pytest.mark.parametrize("attention", ["fused", "gather"])
 class TestRaggedPrefillBoundaries:
     """Each row of a ragged partial prefill is validated on its own extent.
 
     The padded rectangle is never computed, so a one-token chunk near
     ``max_seq_len`` batched beside a long chunk neither trips the length
     check nor writes past its reservation — and a row that *does* overrun
-    is refused with the usual typed error before any cache write.
+    is refused with the usual typed error before any cache write.  Both
+    attention paths: the fused kernel, and ``dense_cached_attention`` over
+    gathered copies (which re-pads the short row beside the long one).
     """
 
     HISTORY, LONG = 120, 40  # max_seq_len is 128: 120 + 40 overruns, 120 + 1 does not
 
-    def caches(self, runner, cache_kind, history_tokens):
+    @pytest.fixture
+    def runner(self, attention, runners, monkeypatch):
+        runner = runners["tender-implicit"]
+        monkeypatch.setattr(runner, "fused_paged_attention", attention == "fused")
+        return runner
+
+    def caches(self, runner, paged_view, history_tokens):
         """``(batch of two, the rows alone)``, the first row holding ``HISTORY`` tokens."""
-        config = runner.config
 
         def build(capacities):
-            if cache_kind == "dense":
-                return KVCache.for_model(config, batch_size=len(capacities))
-            pool = PagedKVCache.for_model(config, max_active=len(capacities), block_size=8)
-            return pool.view([pool.reserve(capacity) for capacity in capacities])
+            return paged_view(runner.config, block_size=8, capacities=capacities)
 
         both, alone = build([self.HISTORY + 1, self.LONG]), build([self.HISTORY + 1])
         for cache in (both, alone):
@@ -156,10 +164,9 @@ class TestRaggedPrefillBoundaries:
             cache.lengths[1:] = 0
         return both, alone, build([self.LONG])
 
-    def test_short_chunk_near_max_seq_len_beside_a_long_one(self, cache_kind, runners, corpus_splits):
+    def test_short_chunk_near_max_seq_len_beside_a_long_one(self, runner, paged_view, corpus_splits):
         train_tokens, _ = corpus_splits
-        runner = runners["tender-implicit"]
-        both, short_alone, long_alone = self.caches(runner, cache_kind, train_tokens[: self.HISTORY])
+        both, short_alone, long_alone = self.caches(runner, paged_view, train_tokens[: self.HISTORY])
         long_chunk = train_tokens[200 : 200 + self.LONG]
         tokens = np.zeros((2, self.LONG), dtype=np.int64)
         tokens[0, 0] = 77
@@ -175,31 +182,22 @@ class TestRaggedPrefillBoundaries:
         assert np.array_equal(logits[0], short[0])
         assert np.array_equal(logits[1], long[0])
 
-    def test_an_overrunning_row_is_refused_before_any_write(self, cache_kind, runners, corpus_splits):
+    def test_an_overrunning_row_is_refused_before_any_write(self, runner, paged_view, corpus_splits):
         train_tokens, _ = corpus_splits
-        runner = runners["tender-implicit"]
-        both, _, _ = self.caches(runner, cache_kind, train_tokens[: self.HISTORY])
-
-        def stored():
-            if cache_kind == "dense":
-                return [keys.copy() for keys in both.keys]
-            return [blocks.copy() for blocks in both._paged.key_blocks]
-
-        before = stored()
+        both, _, _ = self.caches(runner, paged_view, train_tokens[: self.HISTORY])
+        before = both._paged._pools.copy()
         tokens = np.zeros((2, 9), dtype=np.int64)
         overrun = runner.config.max_seq_len - self.HISTORY + 1
         with pytest.raises(ConfigurationError, match="exceeds max_seq_len"):
             runner.prefill(
                 tokens, np.array([overrun, 3]), both, start_positions=np.array([self.HISTORY, 0])
             )
-        if cache_kind == "paged":
-            # Inside max_seq_len but past the second slot's 40 reserved positions.
-            with pytest.raises(ConfigurationError, match="reserved capacity"):
-                runner.prefill(
-                    tokens, np.array([1, 9]), both, start_positions=np.array([self.HISTORY, 36])
-                )
-        for kept, now in zip(before, stored()):
-            assert np.array_equal(kept, now)
+        # Inside max_seq_len but past the second slot's 40 reserved positions.
+        with pytest.raises(ConfigurationError, match="reserved capacity"):
+            runner.prefill(
+                tokens, np.array([1, 9]), both, start_positions=np.array([self.HISTORY, 36])
+            )
+        assert np.array_equal(before, both._paged._pools)
 
 
 class TestQuantizedAttentionIsolation:

@@ -340,7 +340,8 @@ class TestStatsMergeAudit:
         # first must not double-count or drop either.
         live = pool.replica_stats()
         for key in _POOL_STAT_KEYS:
-            expected = pool._retired_stats[key] + sum(getattr(s, key) for s in live)
+            fold = max if key == "peak_active" else sum  # a high-water mark, not a count
+            expected = fold([pool._retired_stats[key], *(getattr(s, key) for s in live)])
             assert pool.stats[key] == expected, key
         assert 0 < pool.stats["resume_tail_rows"] < pool.stats["prefill_tokens"]  # resumes rode here
 

@@ -1,14 +1,23 @@
-"""Tests of the block-allocated paged KV cache and its dense slot views."""
+"""Tests of the block-allocated paged KV cache and its slot views."""
 
 from __future__ import annotations
+
+import inspect
 
 import numpy as np
 import pytest
 
 from repro.core.kernels import ForwardPlan, paged_attention
 from repro.errors import ConfigurationError, ResourceExhaustedError
+from repro.models.inference import KVCacheLike
 from repro.nn import TransformerConfig
-from repro.serve import KVCache, PagedKVCache
+from repro.serve import PagedKVCache, SlotBatchView, check_pool_invariants, workloads
+
+
+def rows(rectangle):
+    """A ``(batch, heads, new_len, d_head)`` rectangle — what ``gather`` returns — as the flat rows ``write`` takes."""
+    batch, heads, new_len, d_head = rectangle.shape
+    return rectangle.transpose(1, 0, 2, 3).reshape(heads, batch * new_len, d_head)
 
 
 def make_pool(layers=2, heads=2, d_head=4, block_size=4, num_blocks=8) -> PagedKVCache:
@@ -72,7 +81,7 @@ class TestDataMovement:
         keys = rng.normal(size=(2, 2, 6, 4))
         values = rng.normal(size=(2, 2, 6, 4))
         positions = np.broadcast_to(np.arange(6), (2, 6))
-        pool.write(0, [slot_a, slot_b], keys, values, positions)
+        pool.write(0, [slot_a, slot_b], rows(keys), rows(values), positions)
         got_keys, got_values = pool.gather(0, [slot_a, slot_b], 6)
         np.testing.assert_array_equal(got_keys, keys)
         np.testing.assert_array_equal(got_values, values)
@@ -83,7 +92,7 @@ class TestDataMovement:
         pool = make_pool(block_size=4)
         slots = [pool.reserve(12), pool.reserve(12)]
         keys = rng.normal(size=(2, 2, 1, 4))
-        pool.write(1, slots, keys, keys, np.array([[2], [9]]))
+        pool.write(1, slots, rows(keys), rows(keys), np.array([[2], [9]]))
         got_keys, _ = pool.gather(1, slots, 12)
         np.testing.assert_array_equal(got_keys[0, :, 2], keys[0, :, 0])
         np.testing.assert_array_equal(got_keys[1, :, 9], keys[1, :, 0])
@@ -93,7 +102,7 @@ class TestDataMovement:
         pool = make_pool(block_size=4)
         short = pool.reserve(4)
         payload = rng.normal(size=(1, 2, 4, 4))
-        pool.write(0, [short], payload, payload, np.arange(4)[None, :])
+        pool.write(0, [short], payload[0], payload[0], np.arange(4)[None, :])
         keys, values = pool.gather(0, [short], 10)  # a longer batch-mate's view
         assert keys.shape == (1, 2, 10, 4)
         np.testing.assert_array_equal(keys[:, :, :4], payload)
@@ -104,7 +113,7 @@ class TestDataMovement:
         slot = pool.reserve(4)
         payload = rng.normal(size=(1, 2, 1, 4))
         with pytest.raises(ConfigurationError):
-            pool.write(0, [slot], payload, payload, np.array([[4]]))
+            pool.write(0, [slot], payload[0], payload[0], np.array([[4]]))
 
     def test_negative_position_rejected_not_wrapped(self, rng):
         """A negative position must raise, not wrap into the last block."""
@@ -112,7 +121,7 @@ class TestDataMovement:
         slot = pool.reserve(8)
         payload = rng.normal(size=(1, 2, 1, 4))
         with pytest.raises(ConfigurationError):
-            pool.write(0, [slot], payload, payload, np.array([[-1]]))
+            pool.write(0, [slot], payload[0], payload[0], np.array([[-1]]))
         assert not pool.key_blocks[0].any()
 
     def test_set_length_validated_against_reservation(self):
@@ -125,22 +134,39 @@ class TestDataMovement:
 
 
 class TestSlotBatchView:
-    def test_view_mirrors_dense_cache_interface(self, rng):
+    def test_write_view_round_trip(self, rng):
+        """What a view writes as flat rows, it reads back per sequence — from the pool's own blocks."""
         pool = make_pool(block_size=4)
-        dense = KVCache(num_layers=2, batch_size=2, num_heads=2, d_head=4, capacity=12)
-        slots = [pool.reserve(12), pool.reserve(12)]
-        view = pool.view(slots)
-        keys = rng.normal(size=(2, 2, 3, 4))
+        view = pool.view([pool.reserve(12), pool.reserve(12)])
+        keys = rng.normal(size=(2, 2, 3, 4))  # (sequences, heads, new tokens, d_head)
         values = rng.normal(size=(2, 2, 3, 4))
-        positions = np.broadcast_to(np.arange(3), (2, 3))
-        for target in (dense, view):
-            target.write(0, keys, values, positions)
-        dense_view = dense.view(0, 3)
-        paged_view = view.view(0, 3)
-        np.testing.assert_array_equal(paged_view[0], dense_view[0])
-        np.testing.assert_array_equal(paged_view[1], dense_view[1])
-        assert view.num_layers == dense.num_layers
-        assert view.batch_size == 2
+        view.write(0, rows(keys), rows(values), np.broadcast_to(np.arange(3), (2, 3)))
+        got_keys, got_values = view.view(0, 3)
+        np.testing.assert_array_equal(got_keys, keys)
+        np.testing.assert_array_equal(got_values, values)
+        key_pool, value_pool, runs, block_size = view.attention_operands(0)
+        assert key_pool is pool.key_blocks[0] and value_pool is pool.value_blocks[0] and block_size == 4
+        for sequence, slot in enumerate(view.slot_ids):
+            assert runs[sequence] == [(0, pool.block_table(slot)[0], 3)]
+            np.testing.assert_array_equal(key_pool[:, pool.block_table(slot)[0], :3], keys[sequence])
+        assert not pool.key_blocks[1].any()
+
+    def test_the_runner_protocol_is_what_the_view_implements(self):
+        """``KVCacheLike`` has one implementer, so nothing else notices drift:
+        every member exists on ``SlotBatchView`` under the same parameter names."""
+        protocol = {
+            name: member
+            for name, member in vars(KVCacheLike).items()
+            if inspect.isfunction(member) and not name.startswith("_")
+        }
+        assert sorted(protocol) == ["attention_operands", "view", "write"]
+        for name, member in protocol.items():
+            assert list(inspect.signature(member).parameters) == list(
+                inspect.signature(getattr(SlotBatchView, name)).parameters
+            ), name
+        assert list(KVCacheLike.__annotations__) == ["lengths"]
+        pool = make_pool()
+        assert isinstance(pool.view([pool.reserve(4)]).lengths, np.ndarray)
 
     def test_lengths_commit_back_to_pool(self):
         pool = make_pool(block_size=4)
@@ -153,12 +179,35 @@ class TestSlotBatchView:
         view.commit()
         assert pool.length_of(slot) == 5
 
-    def test_ensure_capacity_rejects_impossible_positions(self):
-        pool = make_pool(block_size=4, num_blocks=4)  # 16 addressable positions
-        view = pool.view([pool.reserve(4)])
-        view.ensure_capacity(16)  # fine: the pool could address it
-        with pytest.raises(ConfigurationError):
-            view.ensure_capacity(17)
+    def test_unknown_and_repeated_slots_are_rejected(self):
+        """Both were accepted or half-accepted: a bare ``KeyError``, and two
+        sequences silently writing over each other in one slot."""
+        pool = make_pool()
+        slot = pool.reserve(8)
+        before = (pool.table_version, pool.free_block_count, pool.active_slots)
+        with pytest.raises(ConfigurationError, match="slot 99 "):
+            pool.view([slot, 99])
+        with pytest.raises(ConfigurationError, match=rf"slots \[{slot}\] appear more than once"):
+            pool.view([slot, slot])
+        assert (pool.table_version, pool.free_block_count, pool.active_slots) == before
+
+    @pytest.mark.parametrize("attention", ["fused", "gather"])
+    def test_a_forward_through_a_freed_slot_is_refused(self, attention):
+        runner = workloads.tiny_runner("fp")
+        runner.fused_paged_attention = attention == "fused"
+        pool = PagedKVCache.for_model(runner.config, max_active=2, block_size=8)
+        kept, freed = pool.reserve(16), pool.reserve(16)
+        view = pool.view([kept, freed])
+        runner.prefill(np.array([[1, 2, 3], [4, 5, 6]]), np.array([3, 3]), view)
+        view.commit()
+        pool.free(freed)
+        stored, lengths = pool._pools.copy(), view.lengths.copy()
+        with pytest.raises(ConfigurationError, match=f"slot {freed} "):
+            runner.decode_step(np.array([7, 8]), view)
+        np.testing.assert_array_equal(pool._pools, stored)
+        np.testing.assert_array_equal(view.lengths, lengths)
+        assert pool.active_slots == [kept] and pool.length_of(kept) == 3
+        check_pool_invariants(pool)
 
     def test_empty_view_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -180,7 +229,7 @@ class TestTruncateInvalidatesCachedIndexes:
         pool = make_pool(block_size=4, num_blocks=4)
         victim = pool.reserve(8)  # two blocks
         payload = rng.normal(size=(1, 2, 8, 4))
-        pool.write(0, [victim], payload, payload, np.arange(8)[None, :])
+        pool.write(0, [victim], payload[0], payload[0], np.arange(8)[None, :])
         pool.set_length(victim, 8)
         view = pool.view([victim])
         view.view(0, 8)  # caches the two-block index
@@ -189,7 +238,7 @@ class TestTruncateInvalidatesCachedIndexes:
         # ...and another slot's reservation immediately regrows into it.
         other = pool.reserve(4)
         foreign = rng.normal(size=(1, 2, 4, 4))
-        pool.write(0, [other], foreign, foreign, np.arange(4)[None, :])
+        pool.write(0, [other], foreign[0], foreign[0], np.arange(4)[None, :])
         pool.set_length(other, 4)
         # Gather through the pre-rollback view: the stale index must refresh,
         # zero-filling past the truncated capacity instead of leaking the new
@@ -200,7 +249,7 @@ class TestTruncateInvalidatesCachedIndexes:
         # Write through the same view: position 4 is out of the truncated
         # slot's capacity now — rejected, not scattered into the new owner.
         with pytest.raises(ConfigurationError):
-            view.write(0, payload[:, :, :1], payload[:, :, :1], np.array([[4]]))
+            view.write(0, payload[0, :, :1], payload[0, :, :1], np.array([[4]]))
         got, _ = pool.gather(0, [other], 4)
         np.testing.assert_array_equal(got, foreign)
 
@@ -210,19 +259,19 @@ class TestTruncateInvalidatesCachedIndexes:
         pool = make_pool(block_size=4, num_blocks=4)
         parent = pool.reserve(4)
         payload = rng.normal(size=(1, 2, 4, 4))
-        pool.write(0, [parent], payload, payload, np.arange(4)[None, :])
+        pool.write(0, [parent], payload[0], payload[0], np.arange(4)[None, :])
         pool.set_length(parent, 4)
         child = pool.reserve(8, shared=pool.block_table(parent))
         pool.set_length(child, 4)
         tail = rng.normal(size=(1, 2, 4, 4))
-        pool.write(0, [child], tail, tail, np.arange(4, 8)[None, :])
+        pool.write(0, [child], tail[0], tail[0], np.arange(4, 8)[None, :])
         pool.set_length(child, 8)
         view = pool.view([child])
         view.view(0, 8)
         assert pool.truncate(child, 4) == 1  # drop the private tail block
         other = pool.reserve(4)
         foreign = rng.normal(size=(1, 2, 4, 4))
-        pool.write(0, [other], foreign, foreign, np.arange(4)[None, :])
+        pool.write(0, [other], foreign[0], foreign[0], np.arange(4)[None, :])
         keys, _ = view.view(0, 8)
         np.testing.assert_array_equal(keys[:, :, :4], payload)  # shared head intact
         assert not keys[:, :, 4:].any()  # reclaimed tail not leaked
@@ -252,7 +301,7 @@ class TestForwardPlanConsumers:
     def shared_prefix_pool(self, rng):
         """``parent`` and ``child`` share a published block; ``owner`` holds another alone."""
         pool = make_pool(layers=2, block_size=4, num_blocks=8)
-        head = rng.normal(size=(1, 2, 4, 4))
+        head = rng.normal(size=(2, 4, 4))
         parent = pool.reserve(8)
         owner = pool.reserve(8)
         for layer in range(2):
@@ -282,13 +331,13 @@ class TestForwardPlanConsumers:
         view = pool.view([child, owner])
         plan = ForwardPlan(np.array([[3], [2]]))
         payloads = [rng.normal(size=(2, 2, 1, 4)) for _ in range(4)]
-        view.write(0, payloads[0], payloads[1], plan)
+        view.write(0, rows(payloads[0]), rows(payloads[1]), plan)
         forked = pool.block_table(child)[0]
         assert forked != shared_block and pool.ref_count(shared_block) == 1
         assert pool.block_key_of(owner_block) is None, "a written sole-owner block leaves the index"
         assert pool.block_key_of(shared_block) is not None, "the sharer's copy stays matchable"
         version = pool.table_version
-        view.write(1, payloads[2], payloads[3], plan)
+        view.write(1, rows(payloads[2]), rows(payloads[3]), plan)
         assert resolved == [1] and pool.table_version == version
         # Layer 1 landed in the forked block and the sole-owner block ...
         np.testing.assert_array_equal(pool.key_blocks[1][:, forked, 3], payloads[2][0, :, 0])
@@ -346,7 +395,7 @@ class TestForwardPlanConsumers:
             positions = np.array([[3, 4], [2, 3]])
             given = ForwardPlan(positions) if planned else positions
             for layer in range(2):
-                view.write(layer, rng.normal(size=(2, 2, 2, 4)), rng.normal(size=(2, 2, 2, 4)), given)
+                view.write(layer, rng.normal(size=(2, 4, 4)), rng.normal(size=(2, 4, 4)), given)
             return pool, child
 
         (planned, child), (unplanned, _) = written(True), written(False)
@@ -361,7 +410,7 @@ class TestForwardPlanConsumers:
         slot = pool.reserve(8)
         view = pool.view([slot])
         plan = ForwardPlan(np.array([[5]]))
-        payload = rng.normal(size=(1, 2, 1, 4))
+        payload = rng.normal(size=(2, 1, 4))
         view.write(0, payload, payload, plan)
         pool.truncate(slot, 0)  # the slot keeps one block: position 5 is gone
         with pytest.raises(ConfigurationError):
@@ -371,11 +420,11 @@ class TestForwardPlanConsumers:
         pool = make_pool(layers=1, block_size=4, num_blocks=4)
         first, second = pool.reserve(4), pool.reserve(4)
         plan = ForwardPlan(np.array([[1]]))
-        payload = rng.normal(size=(1, 2, 1, 4))
+        payload = rng.normal(size=(2, 1, 4))
         pool.view([first]).write(0, payload, payload, plan)
         pool.view([second]).write(0, payload * 2, payload * 2, plan)
-        np.testing.assert_array_equal(pool.key_blocks[0][:, pool.block_table(first)[0], 1], payload[0, :, 0])
-        np.testing.assert_array_equal(pool.key_blocks[0][:, pool.block_table(second)[0], 1], payload[0, :, 0] * 2)
+        np.testing.assert_array_equal(pool.key_blocks[0][:, pool.block_table(first)[0], 1], payload[:, 0])
+        np.testing.assert_array_equal(pool.key_blocks[0][:, pool.block_table(second)[0], 1], payload[:, 0] * 2)
 
     def test_attention_layout_is_rebuilt_when_the_run_table_changes(self, rng):
         pool, parent, child, _ = self.shared_prefix_pool(rng)
@@ -392,7 +441,7 @@ class TestForwardPlanConsumers:
         assert attend(plan)[1] is shared_runs and plan._attention[0] is shared_runs
         np.testing.assert_array_equal(shared_context, attend(positions)[0])
         # The write forks the shared block: same plan, new run table.
-        payload = rng.normal(size=(1, 2, 1, 4))
+        payload = rng.normal(size=(2, 1, 4))
         view.write(0, payload, payload, plan)
         forked_context, forked_runs = attend(plan)
         assert forked_runs is not shared_runs and forked_runs != shared_runs

@@ -19,7 +19,7 @@ import pytest
 from repro.core import TenderConfig, TenderQuantizer
 from repro.errors import ConfigurationError
 from repro.models import TransformerRunner
-from repro.serve import GenerationConfig, GenerationEngine, KVCache, Request, Scheduler
+from repro.serve import GenerationConfig, GenerationEngine, Request, Scheduler
 
 
 def tender_runner(weights, calibration, implicit: bool) -> TransformerRunner:
@@ -251,7 +251,7 @@ class TestRefcountAndCow:
         tokens = np.arange(8)
         owner = pool.reserve(8)
         payload = rng.normal(size=(1, 2, 8, 4))
-        pool.write(0, [owner], payload, payload, np.arange(8)[None, :])
+        pool.write(0, [owner], payload[0], payload[0], np.arange(8)[None, :])
         pool.set_length(owner, 8)
         pool.publish_prefix(owner, tokens)
         matched = pool.match_prefix(tokens)
@@ -260,7 +260,7 @@ class TestRefcountAndCow:
         assert pool.ref_count(matched[0]) == 2
         # The sharer rewrites position 5 (inside the second shared block).
         overwrite = rng.normal(size=(1, 2, 1, 4))
-        pool.write(0, [sharer], overwrite, overwrite, np.array([[5]]))
+        pool.write(0, [sharer], overwrite[0], overwrite[0], np.array([[5]]))
         assert pool.block_table(sharer)[0] == matched[0]  # untouched block still shared
         assert pool.block_table(sharer)[1] != matched[1]  # written block forked
         assert pool.ref_count(matched[1]) == 1
@@ -285,7 +285,7 @@ class TestRefcountAndCow:
         tokens = np.arange(12)
         owner = pool.reserve(8)
         payload = rng.normal(size=(1, 1, 8, 2))
-        pool.write(0, [owner], payload, payload, np.arange(8)[None, :])
+        pool.write(0, [owner], payload[0], payload[0], np.arange(8)[None, :])
         pool.publish_prefix(owner, tokens[:8])
         pool.free(owner)
         # Full-match revival with a private tail (prompt length == 2 blocks).
@@ -297,7 +297,7 @@ class TestRefcountAndCow:
         assert pool.free_block_count == 0
         # ...and the deferred final-token write still succeeds in place.
         tail_write = rng.normal(size=(1, 1, 1, 2))
-        pool.write(0, [writer], tail_write, tail_write, np.array([[7]]))
+        pool.write(0, [writer], tail_write[0], tail_write[0], np.array([[7]]))
         keys, _ = pool.gather(0, [writer], 8)
         np.testing.assert_array_equal(keys[0, :, 7], tail_write[0, :, 0])
         pool.free(other)
@@ -312,12 +312,12 @@ class TestRefcountAndCow:
         tokens = np.arange(4)
         owner = pool.reserve(4)
         payload = rng.normal(size=(1, 1, 4, 2))
-        pool.write(0, [owner], payload, payload, np.arange(4)[None, :])
+        pool.write(0, [owner], payload[0], payload[0], np.arange(4)[None, :])
         pool.publish_prefix(owner, tokens)
         sharer = pool.reserve(8, shared=pool.match_prefix(tokens))  # pool now full
         assert pool.free_block_count == 0
         with pytest.raises(ResourceExhaustedError):
-            pool.write(0, [sharer], payload[:, :, :1], payload[:, :, :1], np.array([[2]]))
+            pool.write(0, [sharer], payload[0, :, :1], payload[0, :, :1], np.array([[2]]))
 
     def test_reclamation_shrinks_published_chains_leaf_first(self, rng):
         """Memory pressure consumes a cached prefix from its tail, one block
@@ -328,7 +328,7 @@ class TestRefcountAndCow:
         tokens = np.arange(12)
         slot = pool.reserve(12)
         payload = rng.normal(size=(1, 1, 12, 2))
-        pool.write(0, [slot], payload, payload, np.arange(12)[None, :])
+        pool.write(0, [slot], payload[0], payload[0], np.arange(12)[None, :])
         pool.publish_prefix(slot, tokens)
         assert pool.cached_block_count == 3
         pool.free(slot)
@@ -353,7 +353,7 @@ class TestRefcountAndCow:
         tokens = np.arange(12)
         slot = pool.reserve(12)
         payload = rng.normal(size=(1, 1, 12, 2))
-        pool.write(0, [slot], payload, payload, np.arange(12)[None, :])
+        pool.write(0, [slot], payload[0], payload[0], np.arange(12)[None, :])
         pool.publish_prefix(slot, tokens)
         pool.free(slot)
         # Revive only the chain's head; the middle + tail stay on the LRU.
@@ -377,7 +377,7 @@ class TestRefcountAndCow:
         tokens = np.arange(4)
         slot = pool.reserve(4)
         payload = rng.normal(size=(1, 1, 4, 2))
-        pool.write(0, [slot], payload, payload, np.arange(4)[None, :])
+        pool.write(0, [slot], payload[0], payload[0], np.arange(4)[None, :])
         pool.publish_prefix(slot, tokens)
         pool.free(slot)
         # Prefix-hit reservation: the block keeps its contents (no memset).
@@ -466,14 +466,14 @@ class TestChunkedPrefill:
 class TestPartialPrefill:
     """TransformerRunner.prefill with a starting position."""
 
-    def test_split_prefill_matches_whole_prefill(self, runners, corpus_splits):
+    def test_split_prefill_matches_whole_prefill(self, runners, corpus_splits, paged_view):
         train_tokens, _ = corpus_splits
         prompt = train_tokens[:17]
         for name in ("float", "tender-implicit", "tender-explicit"):
             runner = runners[name]
-            whole = KVCache.for_model(runner.config, 1)
+            whole = paged_view(runner.config)
             reference = runner.prefill(prompt[None, :], np.array([len(prompt)]), whole)
-            split = KVCache.for_model(runner.config, 1)
+            split = paged_view(runner.config)
             runner.prefill(prompt[None, :9], np.array([9]), split)
             logits = runner.prefill(
                 prompt[None, 9:], np.array([len(prompt) - 9]), split,
@@ -482,7 +482,7 @@ class TestPartialPrefill:
             atol = 0.0 if name.startswith("tender") else 1e-12
             np.testing.assert_allclose(logits, reference, rtol=0.0, atol=atol)
             assert split.lengths[0] == len(prompt)
-            for layer in range(whole.num_layers):
+            for layer in range(runner.config.num_layers):
                 for side in (0, 1):
                     np.testing.assert_allclose(
                         split.view(layer, len(prompt))[side],
@@ -491,10 +491,10 @@ class TestPartialPrefill:
                         atol=atol,
                     )
 
-    def test_start_positions_validated(self, runners, corpus_splits):
+    def test_start_positions_validated(self, runners, corpus_splits, paged_view):
         train_tokens, _ = corpus_splits
         runner = runners["float"]
-        cache = KVCache.for_model(runner.config, 2)
+        cache = paged_view(runner.config, 2)
         tokens = np.stack([train_tokens[:4], train_tokens[4:8]])
         with pytest.raises(ConfigurationError):
             runner.prefill(tokens, np.array([4, 4]), cache, start_positions=np.array([0]))
@@ -562,7 +562,7 @@ class TestVectorizedPool:
         slots = [pool.reserve(10), pool.reserve(4), pool.reserve(14)]
         for row, (slot, length) in enumerate(zip(slots, (10, 4, 13))):
             payload = rng.normal(size=(1, 3, length, 4))
-            pool.write(1, [slot], payload, payload + 1, np.arange(length)[None, :])
+            pool.write(1, [slot], payload[0], payload[0] + 1, np.arange(length)[None, :])
         for length in (1, 4, 5, 12, 16):  # spans short-slot zero fill
             got = pool.gather(1, slots, length)
             want = self.reference_gather(pool, slots, 1, length)
@@ -577,7 +577,7 @@ class TestVectorizedPool:
         slot = pool.reserve(8)
         view = pool.view([slot])
         payload = rng.normal(size=(1, 2, 8, 4))
-        view.write(0, payload, payload, np.arange(8)[None, :])
+        view.write(0, payload[0], payload[0], np.arange(8)[None, :])
         view.lengths[:] = 8
         view.commit()
         other = pool.reserve(8)  # bumps the table version under the view
@@ -591,9 +591,9 @@ class TestVectorizedPool:
 
         pool = PagedKVCache(num_layers=1, num_heads=2, d_head=3, block_size=4, num_blocks=8)
         slots = [pool.reserve(12), pool.reserve(12)]
-        payload = rng.normal(size=(2, 2, 1, 3))
+        payload = rng.normal(size=(2, 2, 3))  # (heads, one row per slot, d_head)
         pool.write(0, slots, payload, payload, np.array([[2], [9]]))
         keys, _ = pool.gather(0, slots, 12)
-        np.testing.assert_array_equal(keys[0, :, 2], payload[0, :, 0])
-        np.testing.assert_array_equal(keys[1, :, 9], payload[1, :, 0])
+        np.testing.assert_array_equal(keys[0, :, 2], payload[:, 0])
+        np.testing.assert_array_equal(keys[1, :, 9], payload[:, 1])
         assert not keys[0, :, 9].any() and not keys[1, :, 2].any()

@@ -36,7 +36,6 @@ from repro.serve import (
     CollectiveFaultInjector,
     CollectiveGroup,
     GenerationConfig,
-    KVCache,
     PagedKVCache,
     ReplicaPool,
     Scheduler,
@@ -379,23 +378,23 @@ class TestShardedParity:
         assert group.stats.duplicates_ignored > 0
         assert group.stats.stragglers > 0
 
-    @pytest.mark.parametrize("cache_kind", ["paged", "dense"])
-    def test_flat_verify_parity(self, num_shards, name, cache_kind, four_head_runners, shard_prompts):
+    @pytest.mark.parametrize("attention", ["fused", "gather"])
+    def test_flat_verify_parity(
+        self, num_shards, name, attention, four_head_runners, shard_prompts, paged_view, monkeypatch
+    ):
         """A ragged verify (3, 0 and 12 drafts, flat rows) shards bit-identically,
-        and equals the solo runner verifying each sequence alone."""
+        and equals the solo runner verifying each sequence alone — through the
+        fused kernel and through ``dense_cached_attention`` over gathered copies."""
         solo = four_head_runners[name]
+        monkeypatch.setattr(solo, "fused_paged_attention", attention == "fused")
         prompts = shard_prompts[:3]
         drafts = [np.array([7, 11, 13]), np.array([], dtype=int), np.arange(20, 32)]
 
         def verify(runner, group):
             prompt_lengths = np.array([len(prompts[i]) for i in group])
-            if cache_kind == "paged":
-                pool = PagedKVCache.for_model(solo.config, max_active=len(group), block_size=8)
-                cache = pool.view(
-                    [pool.reserve(len(prompts[i]) + len(drafts[i]) + 1) for i in group]
-                )
-            else:
-                cache = KVCache.for_model(solo.config, batch_size=len(group))
+            cache = paged_view(
+                solo.config, block_size=8, capacities=[len(prompts[i]) + len(drafts[i]) + 1 for i in group]
+            )
             tokens = np.zeros((len(group), prompt_lengths.max()), dtype=np.int64)
             for row, i in enumerate(group):
                 tokens[row, : prompt_lengths[row]] = prompts[i]

@@ -28,7 +28,6 @@ from repro.models import TransformerRunner
 from repro.serve import (
     GenerationConfig,
     GenerationEngine,
-    KVCache,
     ModelDraft,
     PagedKVCache,
     PromptLookupDraft,
@@ -203,7 +202,7 @@ class TestPromptLookupDraft:
 
 
 class TestModelDraft:
-    def test_proposals_match_fresh_greedy_decode(self, runners):
+    def test_proposals_match_fresh_greedy_decode(self, runners, paged_view):
         """Cached catch-up must equal drafting from scratch every time."""
         runner = runners["float"]
         drafter = ModelDraft(runner)
@@ -212,7 +211,7 @@ class TestModelDraft:
         draft = drafter.propose(7, sequence, 4)
 
         # From-scratch reference: prefill everything, greedy-decode 4.
-        cache = KVCache.for_model(runner.config, batch_size=1)
+        cache = paged_view(runner.config)
         runner.prefill(sequence[None, :], np.array([len(sequence)]), cache)
         reference = []
         token = int(sequence[-1])
@@ -231,6 +230,61 @@ class TestModelDraft:
         continued = drafter.propose(7, extended, 3)
         fresh = ModelDraft(runner).propose(7, extended, 3)
         assert continued.tolist() == fresh.tolist()
+
+    @pytest.fixture(scope="class")
+    def draft_runners(self, runners, calibration):
+        """Two layers of FP; one layer of Tender "all" — its dynamic attention
+        statistics span a forward's rows, so only a one-layer stack writes KV
+        that does not depend on how the history was chunked into forwards."""
+        config = TenderConfig(bits=8, num_groups=8, row_chunk_size=8, quantize_attention=True)
+        one_layer = ModelDraft.truncated(runners["float"], 1).runner.weights
+        return {"fp": runners["float"], "tender-all": TenderQuantizer(config).quantize(one_layer, calibration)}
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("scheme", ["fp", "tender-all"])
+    def test_a_warm_drafter_proposes_what_a_cold_one_does(self, scheme, seed, draft_runners):
+        """Rolled-back KV — mid-block, on a block edge, all of it — is never seen again.
+
+        The target accepts a random number of every six drafts and corrects
+        the next (sometimes exactly up to a block edge of the drafter's
+        16-token blocks), and once the request id comes back with another
+        sequence altogether.  The warm drafter rewinds its one slot and
+        catches up; a cold one prefills the committed sequence into a fresh,
+        zeroed pool.  Tender "all" takes its attention statistics over the
+        whole gathered window, so a stale row inside it would show.
+        """
+        runner = draft_runners[scheme]
+        assert runner._plain_attention == (scheme == "fp")
+        vocab, block = runner.config.vocab_size, 16
+        rng = np.random.default_rng(seed)
+        warm = ModelDraft(runner)
+        committed = rng.integers(0, vocab, size=13)
+        landings = []
+        for step in range(12):
+            draft = warm.propose(0, committed, 6)
+            assert draft.tolist() == ModelDraft(runner).propose(0, committed, 6).tolist(), (step, landings)
+            if step == 6:  # the id is reused: nothing of the old sequence survives
+                committed = np.concatenate([[(committed[0] + 1) % vocab], rng.integers(0, vocab, size=20)])
+                landings.append(0)
+                continue
+            accepted = int(rng.integers(0, len(draft) - 1))  # at least one cached draft is rolled back
+            to_edge = -len(committed) % block
+            if to_edge < len(draft) - 1 and rng.random() < 0.5:
+                accepted = to_edge
+            landings.append(len(committed) + accepted)
+            committed = np.concatenate([committed, draft[:accepted], [(draft[accepted] + 1) % vocab]])
+        edges = [landing % block == 0 for landing in landings]
+        assert 0 in landings and any(edges[:6] + edges[7:]) and not all(edges)
+
+    def test_release_drops_the_request_pool(self, runners):
+        drafter = ModelDraft(runners["float"])
+        drafter.propose(3, np.arange(5), 2)
+        ((view, history),) = drafter._states.values()
+        assert view._paged.active_slots == view.slot_ids and history[:5].tolist() == [0, 1, 2, 3, 4]
+        assert view._paged.capacity_of(view.slot_ids[0]) == runners["float"].config.max_seq_len
+        assert view._paged.free_block_count == 0, "one slot at max_seq_len is the whole pool"
+        drafter.release(3)
+        assert not drafter._states
 
     def test_truncated_copy_shares_weights(self, runners):
         runner = runners["float"]
@@ -296,53 +350,45 @@ class TestSpecConfig:
 # ----------------------------------------------------------------------
 # TransformerRunner.verify vs sequential decode steps
 # ----------------------------------------------------------------------
-def ragged_verify(runner, prompts, drafts, cache_kind, how):
+def ragged_verify(runner, prompts, drafts, paged_view, how):
     """Logits of ``[pending, drafts...]`` per prompt, flat, computed ``how``.
 
-    ``"flat"``: one ragged verify over all sequences; ``"rect"``: one
-    rectangular verify per sequence, each alone; ``"steps"``: sequential
-    decode steps per sequence.  ``cache_kind`` picks a ``SlotBatchView``
-    over exactly-sized reservations (a write past one raises) or the dense
-    ``KVCache``.
+    ``"flat"``: one ragged verify over all sequences; ``"alone"``: one verify
+    per sequence, each in a forward of its own; ``"steps"``: sequential
+    decode steps per sequence.  Every slot is reserved at exactly what its
+    sequence needs, so a write past one raises.
     """
-    config = runner.config
     groups = [list(range(len(prompts)))] if how == "flat" else [[i] for i in range(len(prompts))]
     out = []
     for group in groups:
         needed = [len(prompts[i]) + len(drafts[i]) + 1 for i in group]
-        if cache_kind == "paged":
-            pool = PagedKVCache.for_model(config, max_active=len(group), block_size=8)
-            cache = pool.view([pool.reserve(capacity) for capacity in needed])
-        else:
-            cache = KVCache.for_model(config, batch_size=len(group))
+        cache = paged_view(runner.config, block_size=8, capacities=needed)
         lengths = np.array([len(prompts[i]) for i in group])
         tokens = np.zeros((len(group), lengths.max()), dtype=np.int64)
         for row, i in enumerate(group):
             tokens[row, : lengths[row]] = prompts[i]
         pending = runner.prefill(tokens, lengths, cache).argmax(axis=-1)
         runs = [np.concatenate([[pending[row]], drafts[i]]) for row, i in enumerate(group)]
-        if how == "flat":
+        if how == "steps":
+            out.append(np.concatenate([runner.decode_step(np.array([t]), cache) for t in runs[0]]))
+        else:
             out.append(
                 runner.verify(np.concatenate(runs), cache, lengths, lengths=[len(r) for r in runs])
             )
-        elif how == "rect":
-            out.append(runner.verify(runs[0][None, :], cache, lengths)[0])
-        else:
-            out.append(np.concatenate([runner.decode_step(np.array([t]), cache) for t in runs[0]]))
         assert cache.lengths.tolist() == needed
     return np.concatenate(out)
 
 
 class TestVerifyForward:
     @pytest.mark.parametrize("name", ["tender-implicit", "tender-explicit"])
-    def test_verify_logits_match_decode_steps_bitwise(self, runners, prompts, name):
+    def test_verify_logits_match_decode_steps_bitwise(self, runners, prompts, name, paged_view):
         runner = runners[name]
         prompt = prompts[0]
         drafts = np.array([7, 11, 13, 17])
 
         # Sequential reference: prefill, then decode the pending token and
         # each draft one step at a time.
-        cache_a = KVCache.for_model(runner.config, batch_size=1)
+        cache_a = paged_view(runner.config)
         logits = runner.prefill(prompt[None, :], np.array([len(prompt)]), cache_a)
         pending = int(np.argmax(logits[0]))
         sequential = []
@@ -355,69 +401,70 @@ class TestVerifyForward:
         sequential.append(bonus[0])
 
         # One verify forward over [pending, drafts...].
-        cache_b = KVCache.for_model(runner.config, batch_size=1)
+        cache_b = paged_view(runner.config)
         runner.prefill(prompt[None, :], np.array([len(prompt)]), cache_b)
         row = np.concatenate([[pending], drafts])
-        verified = runner.verify(row[None, :], cache_b, np.array([len(prompt)]))
-        assert verified.shape == (1, len(drafts) + 1, runner.config.vocab_size)
+        verified = runner.verify(row, cache_b, np.array([len(prompt)]), np.array([len(row)]))
+        assert verified.shape == (len(drafts) + 1, runner.config.vocab_size)
         for position, reference in enumerate(sequential):
-            assert np.array_equal(verified[0, position], reference), position
+            assert np.array_equal(verified[position], reference), position
         assert cache_b.lengths[0] == len(prompt) + len(drafts) + 1
 
-    def test_verify_float_close(self, runners, prompts):
+    def test_verify_float_close(self, runners, prompts, paged_view):
         runner = runners["float"]
         prompt = prompts[2]
-        cache = KVCache.for_model(runner.config, batch_size=1)
+        cache = paged_view(runner.config)
         logits = runner.prefill(prompt[None, :], np.array([len(prompt)]), cache)
         pending = int(np.argmax(logits[0]))
         reference = runner.decode_step(np.array([pending]), cache)
 
-        cache_b = KVCache.for_model(runner.config, batch_size=1)
+        cache_b = paged_view(runner.config)
         runner.prefill(prompt[None, :], np.array([len(prompt)]), cache_b)
-        verified = runner.verify(
-            np.array([[pending, 3]]), cache_b, np.array([len(prompt)])
-        )
-        np.testing.assert_allclose(verified[0, 0], reference[0], atol=1e-12)
+        verified = runner.verify(np.array([pending, 3]), cache_b, np.array([len(prompt)]), np.array([2]))
+        np.testing.assert_allclose(verified[0], reference[0], atol=1e-12)
 
-    def test_verify_validation(self, runners):
+    def test_verify_validation(self, runners, paged_view):
         runner = runners["float"]
-        cache = KVCache.for_model(runner.config, batch_size=1)
+        cache = paged_view(runner.config)
+        with pytest.raises(TypeError):  # a batch is its tokens *and* the rows each sequence owns
+            runner.verify(np.array([[1, 2]]), cache, np.array([0]))
         with pytest.raises(ConfigurationError):
-            runner.verify(np.array([1, 2]), cache, np.array([0]))  # 1-D tokens
+            runner.verify(np.array([[1, 2]]), cache, np.array([0, 1]), lengths=np.array([2]))
         with pytest.raises(ConfigurationError):
-            runner.verify(np.array([[1, 2]]), cache, np.array([0, 1]))
-        with pytest.raises(ConfigurationError):
-            runner.verify(np.array([[1, 2]]), cache, np.array([-1]))
+            runner.verify(np.array([[1, 2]]), cache, np.array([-1]), lengths=np.array([2]))
         with pytest.raises(ConfigurationError):  # lengths must account for every token
             runner.verify(np.array([1, 2, 3]), cache, np.array([0]), lengths=np.array([2]))
         with pytest.raises(ConfigurationError):  # ... and include the pending token
             runner.verify(np.array([1, 2]), cache, np.array([0]), lengths=np.array([0]))
-        assert cache.lengths[0] == 0 and not cache.keys[0].any(), "rejected before any write"
+        assert cache.lengths[0] == 0 and not cache._paged._pools.any(), "rejected before any write"
 
-    @pytest.mark.parametrize("cache_kind", ["paged", "dense"])
+    @pytest.mark.parametrize("attention", ["fused", "gather"])
     @pytest.mark.parametrize("name", ["tender-implicit", "tender-explicit", "float"])
     def test_flat_verify_equals_per_row_verify_equals_decode_steps(
-        self, runners, prompts, name, cache_kind
+        self, runners, prompts, name, attention, paged_view, monkeypatch
     ):
         """Every row at its own depth, in one forward, changes no row's logits.
 
         Four ragged sequences carry 3, 0, 12 and 1 drafts: the flat verify
-        over their 20 rows must reproduce, row for row, (a) a rectangular
-        verify of each sequence alone and (b) the sequential decode steps —
-        bit for bit under Tender, tokens plus 1e-12 under the FP baseline.
+        over their 20 rows must reproduce, row for row, (a) a verify of each
+        sequence alone and (b) the sequential decode steps — bit for bit
+        under Tender, tokens plus 1e-12 under the FP baseline; through the
+        fused kernel, and through ``dense_cached_attention`` re-padding the
+        same rows over gathered copies.
         """
         runner = runners[name]
+        monkeypatch.setattr(runner, "fused_paged_attention", attention == "fused")
         drafts = [np.array([7, 11, 13]), np.array([], dtype=int), np.arange(40, 52), np.array([5])]
-        flat, rect, steps = (
-            ragged_verify(runner, prompts, drafts, cache_kind, how) for how in ("flat", "rect", "steps")
+        flat, alone, steps = (
+            ragged_verify(runner, prompts, drafts, paged_view, how) for how in ("flat", "alone", "steps")
         )
         assert flat.shape == (sum(len(d) + 1 for d in drafts), runner.config.vocab_size)
         if name == "float":
-            for other in (rect, steps):
+            for other in (alone, steps):
                 np.testing.assert_allclose(flat, other, rtol=0.0, atol=1e-12)
                 assert np.array_equal(flat.argmax(axis=-1), other.argmax(axis=-1))
         else:
-            assert np.array_equal(flat, rect)
+            assert np.array_equal(flat, alone)
             assert np.array_equal(flat, steps)
 
     def test_a_row_at_its_last_reserved_position_writes_nothing_outside_its_blocks(
@@ -476,7 +523,7 @@ class TestTruncate:
         return PagedKVCache(**defaults)
 
     def write_tokens(self, pool, slot, start, count, value=1.0):
-        keys = np.full((1, 1, count, 4), value)
+        keys = np.full((1, count, 4), value)
         positions = np.arange(start, start + count)[None, :]
         pool.write(0, [slot], keys, keys, positions)
 

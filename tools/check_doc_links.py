@@ -29,7 +29,12 @@ Checks, in order:
 7. every ``from repro... import ...`` / ``import repro...`` of
    ``examples/*.py`` resolves the same way.  The examples are only parsed
    (AST), never run: nothing in tier-1 imports them, so a rename would
-   otherwise break them unseen.
+   otherwise break them unseen;
+8. every absolute Sphinx role of ``src/repro/**/*.py`` — ``:class:``,
+   ``:func:``, ``:meth:``, ``:mod:``, ``:attr:`` naming ``repro.…`` or
+   ``~repro.…`` — resolves too (a text scan; relative targets such as
+   ``:meth:`_admit``` are skipped): a deleted class cannot linger in
+   another module's docstring cross-reference.
 
 Exit status 0 when clean; 1 with one line per violation otherwise.
 """
@@ -46,6 +51,8 @@ LINK_PATTERN = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 SKIP_PREFIXES = ("http://", "https://", "mailto:")
 #: An opening backtick, then ``repro`` and its dotted path (a line may wrap after a dot).
 SYMBOL_PATTERN = re.compile(r"`(repro(?:\.\s*\w+)+)")
+#: A Sphinx cross-reference role whose target is an absolute ``repro`` path.
+ROLE_PATTERN = re.compile(r":(?:class|func|meth|mod|attr):`~?(repro(?:\.\w+)+)`")
 
 
 def iter_markdown_files(root: Path):
@@ -119,16 +126,25 @@ def resolves(dotted: str) -> bool:
     return True
 
 
+def unresolved(root: Path, path: Path, pattern: re.Pattern, what: str) -> list:
+    """One error per match of ``pattern`` in ``path`` whose dotted name does not resolve."""
+    text = path.read_text() if path.exists() else ""
+    errors = []
+    for match in pattern.finditer(text):
+        dotted = re.sub(r"\s+", "", match.group(1))
+        if not resolves(dotted):
+            line_number = text.count("\n", 0, match.start()) + 1
+            errors.append(f"{path.relative_to(root)}:{line_number}: unresolved {what} -> {dotted}")
+    return errors
+
+
 def check_symbols(root: Path) -> list:
     sys.path.insert(0, str(root / "src"))  # the package beside this tool, ahead of any installed one
     errors = []
     for markdown in (*iter_markdown_files(root), root / "bench" / "README.md"):
-        text = markdown.read_text() if markdown.exists() else ""
-        for match in SYMBOL_PATTERN.finditer(text):
-            dotted = re.sub(r"\s+", "", match.group(1))
-            if not resolves(dotted):
-                line_number = text.count("\n", 0, match.start()) + 1
-                errors.append(f"{markdown.relative_to(root)}:{line_number}: unresolved symbol -> {dotted}")
+        errors += unresolved(root, markdown, SYMBOL_PATTERN, "symbol")
+    for source in sorted((root / "src" / "repro").rglob("*.py")):
+        errors += unresolved(root, source, ROLE_PATTERN, "role")
     for example in sorted((root / "examples").glob("*.py")):
         for node in ast.walk(ast.parse(example.read_text(), filename=str(example))):
             if isinstance(node, ast.ImportFrom) and not node.level:

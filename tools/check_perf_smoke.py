@@ -74,12 +74,12 @@ from repro.serve.stress import LruReferencePool
 RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_serving.json"
 #: Python-level calls one batched ``decode_step`` of the Tender-quantized tiny
 #: model may make, by shard count (0: the solo runner): the measured count
-#: (205, 405 before the forward plan; 2 shards 386, 398 while every shard made
-#: its own ``paged_attention`` call, 521 while every shard also quantized the
-#: activation for itself and every message was delivered by its own call; 4
-#: shards 528, 576) + 10 % for NumPy versions, not for new per-site or
-#: per-shard work.
-DECODE_CALL_BUDGET = {0: 221, 2: 424, 4: 580}
+#: (199, 205 while every layer re-probed the attention gate, 405 before the
+#: forward plan; 2 shards 370, 386, 398 while every shard made its own
+#: ``paged_attention`` call, 521 while every shard also quantized the activation
+#: for itself and every message was delivered by its own call; 4 shards 500,
+#: 528, 576) + 16 / 38 / 52 for NumPy versions, not for new per-site or per-shard work.
+DECODE_CALL_BUDGET = {0: 215, 2: 408, 4: 552}
 #: ``tracemalloc`` peak of one ``paged_attention`` call over its score buffer +
 #: context: measured 1.19 (the mask, the row maxima and sums, one run's SV
 #: product), 3.88 while scale, mask and each softmax pass allocated their result.
