@@ -50,16 +50,11 @@ from repro.serve.collective import (
 )
 from repro.serve.engine import GenerationEngine, GenerationResult, generate
 from repro.serve.paged_kv_cache import PagedKVCache, SlotBatchView
-from repro.serve.scheduler import (
-    GenerationConfig,
-    Request,
-    RequestCheckpoint,
-    RequestOutput,
-    Scheduler,
-    SchedulerStats,
-)
+from repro.serve.request import GenerationConfig, Request, RequestCheckpoint, RequestOutput
+from repro.serve.scheduler import Scheduler
 from repro.serve.shard import ShardedRunner
 from repro.serve.spec import DraftProposer, ModelDraft, PromptLookupDraft, SpecConfig
+from repro.serve.stats import SchedulerStats
 from repro.serve.stress import (
     InvariantViolation,
     ServingStressHarness,

@@ -8,7 +8,7 @@ frontend:
 * **Streaming** — :meth:`AsyncEngine.submit` returns a
   :class:`RequestStream`, an async iterator that yields tokens the moment
   the scheduler commits them (via the scheduler's ``on_token`` hook) and
-  resolves to the full :class:`~repro.serve.scheduler.RequestOutput` once
+  resolves to the full :class:`~repro.serve.request.RequestOutput` once
   the request finishes.
 * **Admission control** — the waiting queue is bounded
   (``max_waiting``): :meth:`submit` suspends the caller until a seat frees
@@ -53,8 +53,8 @@ import numpy as np
 
 from repro.errors import ConfigurationError, ResourceExhaustedError
 from repro.models.inference import TransformerRunner
-from repro.serve.scheduler import GenerationConfig, Request, RequestOutput, Scheduler
-from repro.serve.spec import SpecConfig
+from repro.serve.request import GenerationConfig, Request, RequestOutput
+from repro.serve.scheduler import Scheduler
 
 #: Sentinel pushed onto a stream's token queue when its request terminates.
 _DONE = object()
@@ -207,29 +207,27 @@ class AsyncEngine:
         A scheduler-shaped engine core — typically a
         :class:`~repro.serve.cluster.ReplicaPool` — to serve from instead
         of constructing a private :class:`Scheduler`.  Mutually exclusive
-        with ``runner`` and the scheduler keywords; the pool keeps whatever
-        fault-tolerance policy it was built with, and the engine installs
-        itself as its ``on_token`` hook.
+        with ``runner``, ``config`` and every scheduler option (each is
+        rejected beside it, never dropped): the pool keeps the configuration,
+        tracer and fault-tolerance policy it was built with, and the engine
+        installs itself as its ``on_token`` hook.
     max_waiting : int
         Bound on the scheduler's waiting queue.  :meth:`submit` applies
         backpressure (awaits) at the bound; :meth:`submit_nowait` raises.
-    preemption : bool
-        Allow urgent submissions to evict lower-priority victims (see
-        :class:`Scheduler`).  Default True — the point of an async
-        frontend is latency under load.
-    max_batch_size, block_size, num_blocks, record_logits, \
-prefix_cache, prefill_chunk, speculation
-        Forwarded to :class:`Scheduler` unchanged.
-    tracer : repro.obs.Tracer, optional
-        Opt-in request-lifecycle tracing, forwarded to the private
-        :class:`Scheduler` (see :mod:`repro.obs`).  Rejected alongside
-        ``pool`` — a pool carries its own tracer wiring.
+    **scheduler_options
+        Keywords of the private :class:`Scheduler` (``max_batch_size``,
+        ``block_size``, ``num_blocks``, ``prefill_chunk``, ``speculation``,
+        ``tracer``, ...), forwarded unchanged.  Three defaults differ from
+        the bare scheduler's, because the point of an async frontend is
+        latency under load: ``preemption=True``, ``prefix_cache=True`` and
+        ``record_logits=False``.
 
     Raises
     ------
     ConfigurationError
         For invalid parameters (``max_waiting < 1``, both ``runner`` and
-        ``pool``, neither, or anything the scheduler rejects).
+        ``pool``, neither, ``config`` or a scheduler option beside ``pool``,
+        or anything the scheduler rejects).
 
     Examples
     --------
@@ -247,15 +245,7 @@ prefix_cache, prefill_chunk, speculation
         *,
         pool=None,
         max_waiting: int = 32,
-        preemption: bool = True,
-        max_batch_size: int = 8,
-        block_size: int = 16,
-        num_blocks: Optional[int] = None,
-        record_logits: bool = False,
-        prefix_cache: bool = True,
-        prefill_chunk: Optional[int] = None,
-        speculation: Optional[SpecConfig] = None,
-        tracer=None,
+        **scheduler_options,
     ) -> None:
         if max_waiting < 1:
             raise ConfigurationError("max_waiting must be >= 1")
@@ -267,32 +257,18 @@ prefix_cache, prefill_chunk, speculation
         self.max_waiting = int(max_waiting)
         if pool is not None:
             if config is not None:
+                scheduler_options["config"] = config
+            if scheduler_options:
                 raise ConfigurationError(
-                    "a pool carries its own GenerationConfig; do not pass "
-                    "config alongside pool"
-                )
-            if tracer is not None:
-                raise ConfigurationError(
-                    "a pool carries its own tracer; pass tracer= to the "
-                    "ReplicaPool constructor instead"
+                    "a pool carries its own configuration; pass "
+                    f"{', '.join(sorted(scheduler_options))} to its constructor, not alongside pool"
                 )
             self.scheduler = pool
             pool.on_token = self._on_token
         else:
-            self.scheduler = Scheduler(
-                runner,
-                config,
-                max_batch_size=max_batch_size,
-                block_size=block_size,
-                num_blocks=num_blocks,
-                record_logits=record_logits,
-                prefix_cache=prefix_cache,
-                prefill_chunk=prefill_chunk,
-                speculation=speculation,
-                preemption=preemption,
-                on_token=self._on_token,
-                tracer=tracer,
-            )
+            options = dict(preemption=True, prefix_cache=True, record_logits=False)
+            options.update(scheduler_options)
+            self.scheduler = Scheduler(runner, config, on_token=self._on_token, **options)
         self._streams: dict = {}
         self._task: Optional["asyncio.Task"] = None
         self._closed = False

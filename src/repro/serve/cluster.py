@@ -22,7 +22,7 @@ past one engine:
   site, and stalls a replica's step loop for a run of iterations.
 * **Request-level recovery** — on replica failure every in-flight request
   is checkpointed as ``(prompt, generated tokens, sampling RNG state)``
-  (:class:`~repro.serve.scheduler.RequestCheckpoint`) and re-admitted on a
+  (:class:`~repro.serve.request.RequestCheckpoint`) and re-admitted on a
   healthy replica via the replay path, governed by a per-request retry
   budget with exponential backoff (the backoff is a *future arrival tick*,
   so it is deterministic in scheduler time) and honoring existing admission
@@ -57,16 +57,16 @@ import numpy as np
 
 from repro.errors import ConfigurationError, ReplicaFailureError, ResourceExhaustedError
 from repro.models.inference import TransformerRunner
-from repro.serve.scheduler import (
+from repro.serve.request import (
     GenerationConfig,
     Request,
     RequestCheckpoint,
     RequestOutput,
-    Scheduler,
-    SchedulerStats,
     _as_request,
     _request_output,
 )
+from repro.serve.scheduler import Scheduler
+from repro.serve.stats import SchedulerStats
 
 #: Every integer field of ``SchedulerStats``: what the pool's merged ``stats``
 #: view totals, schedulers retired by crash rebuilds included.
@@ -568,7 +568,7 @@ speculation, preemption
         return totals
 
     def replica_stats(self) -> List:
-        """Each replica's :class:`~repro.serve.scheduler.SchedulerStats`."""
+        """Each replica's :class:`~repro.serve.stats.SchedulerStats`."""
         return [replica.scheduler.stats for replica in self.replicas]
 
     def healthy_ids(self) -> List[int]:

@@ -35,7 +35,8 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.models.inference import TransformerRunner
-from repro.serve.scheduler import GenerationConfig, Request, Scheduler
+from repro.serve.request import GenerationConfig, Request
+from repro.serve.scheduler import Scheduler
 from repro.serve.spec import SpecConfig
 
 __all__ = ["GenerationConfig", "GenerationResult", "GenerationEngine", "generate"]
@@ -87,8 +88,8 @@ class GenerationEngine:
         with shared prefix blocks counted once.  For Tender's integer
         pipeline the generated tokens are bit-identical either way.
     prefill_chunk : int, optional
-        Per-iteration prompt-token budget for chunked prefill (``None``
-        prefills each prompt in one forward, as before).
+        The scheduler's per-step prefill budget, in prompt tokens (``None``:
+        unbounded — each prompt is prefilled in one forward).
     speculation : SpecConfig, optional
         Enable speculative decoding (see :mod:`repro.serve.spec`): the
         scheduler drafts and verifies multi-token runs per decode

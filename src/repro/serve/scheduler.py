@@ -1,9 +1,8 @@
 """Continuous-batching scheduler: the serving loop behind every frontend.
 
-PR 1's engine ran one fixed batch end to end: every request occupied its
-batch lane until the *slowest* request finished, so a single long generation
-stalled every already-finished slot.  The :class:`Scheduler` instead treats
-the batch as a set of *slots* over a shared :class:`~repro.serve.paged_kv_cache.PagedKVCache`:
+No request waits for the slowest member of a fixed batch: the
+:class:`Scheduler` treats the batch as a set of *slots* over a shared
+:class:`~repro.serve.paged_kv_cache.PagedKVCache`:
 
 * requests are **admitted** from a FIFO queue the moment a slot and enough
   KV blocks are free,
@@ -29,29 +28,23 @@ Two serving-cost levers ride on top of that loop:
   sampling) is prefilled.  Completed prefills publish their blocks back
   into the radix, freed requests leave them matchable on the LRU free-list,
   and writes into still-shared blocks fork a private copy (copy-on-write).
-* ``prefill_chunk=N`` — **chunked prefill**.  Instead of running a newly
-  admitted prompt's whole prefill in one forward (stalling every active
-  decode behind it), each :meth:`step` spends at most ``N`` prompt tokens
-  on the head-of-line prefilling request and then runs its decode iteration
-  as usual — active requests advance every step while long prompts trickle
-  in.
+* ``prefill_chunk=N`` — **chunked prefill**.  Every :meth:`Scheduler.step`
+  has one prefill budget of ``N`` prompt tokens — unbounded when ``None`` —
+  spent on the records already prefilling, oldest first, then on each
+  admission as it is admitted; whatever it does not cover waits for the next
+  step's, so a small ``N`` keeps active requests decoding every step while
+  long prompts trickle in.
 
-One request is **one record** from :meth:`Scheduler.submit` to its
-:class:`RequestOutput`: the waiting heaps hold it, admission fills in its
-slot, preemption detaches it and re-queues it here,
-:meth:`Scheduler.checkpoint` detaches it and hands it out (as a
-:class:`RequestCheckpoint`) to be re-queued on another scheduler, and one
-builder turns it into the output whatever state it ended in.  Every hop
-carries the same object, so nothing a request accumulated — tokens, logits,
-sampler stream, speculation and preemption counters — can be dropped on
-the way.
+One request is one record from :meth:`Scheduler.submit` to its
+:class:`~repro.serve.request.RequestOutput` (see :mod:`repro.serve.request`),
+and :class:`~repro.serve.stats.SchedulerStats` counts what serving it cost.
 
 A **resume** is the admission of a record that already holds sampled tokens
 (a preemption replay, a :meth:`Scheduler.submit_checkpoint` recovery): it
 replays ``prompt + generated[:-1]`` into the cache and samples nothing.
 When the prefix match leaves less than one block of that replay to compute,
 the resume gets no forward of its own — those rows *ride* the step's decode
-forward in front of its pending token (:meth:`Scheduler._admit`).
+forward in front of its pending token (:meth:`Scheduler._admit_next`).
 
 Determinism and parity are load-bearing: each request samples from its *own*
 ``numpy`` generator seeded with :attr:`GenerationConfig.seed`, and each
@@ -74,7 +67,7 @@ per-chunk quantization schedule — the same scoped exception
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field, fields
+import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -82,481 +75,16 @@ import numpy as np
 from repro.errors import ConfigurationError, ResourceExhaustedError
 from repro.models.inference import TransformerRunner
 from repro.serve.paged_kv_cache import PagedKVCache, SlotBatchView
+from repro.serve.request import (
+    GenerationConfig,
+    Request,
+    RequestCheckpoint,
+    RequestOutput,
+    _as_request,
+    _request_output,
+)
 from repro.serve.spec import SpecConfig, _SpecState
-
-
-@dataclass(frozen=True)
-class GenerationConfig:
-    """Decoding parameters shared by every request of a scheduler or batch.
-
-    ``top_k == 0`` selects greedy decoding; ``top_k > 0`` samples from the
-    ``top_k`` highest-probability tokens after ``temperature`` scaling.
-    Sampling draws from a per-request generator seeded with ``seed``, so a
-    request's continuation replays deterministically *and* is independent of
-    how it was batched.  Generation stops early for requests that emit
-    ``eos_token`` (when set).
-
-    Parameters
-    ----------
-    max_new_tokens : int
-        Token budget per request (capped by the model's ``max_seq_len``).
-        Individual requests may lower it via ``Request.max_new_tokens``.
-    top_k : int
-        ``0`` for greedy argmax decoding, ``k > 0`` for top-k sampling.
-    temperature : float
-        Softmax temperature applied before top-k sampling.
-    seed : int
-        Seed of each request's private sampling generator.
-    eos_token : int, optional
-        Token id that terminates a request early (kept in the output).
-
-    Raises
-    ------
-    ConfigurationError
-        If any field is outside its valid range.
-    """
-
-    max_new_tokens: int = 32
-    top_k: int = 0
-    temperature: float = 1.0
-    seed: int = 0
-    eos_token: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.max_new_tokens < 1:
-            raise ConfigurationError("max_new_tokens must be >= 1")
-        if self.top_k < 0:
-            raise ConfigurationError("top_k must be >= 0 (0 = greedy)")
-        if self.temperature <= 0.0:
-            raise ConfigurationError("temperature must be > 0")
-
-
-@dataclass(eq=False)  # compared by identity: the ndarray prompt has no truth value
-class Request:
-    """One generation request submitted to a :class:`Scheduler`.
-
-    Parameters
-    ----------
-    prompt : ndarray
-        Token ids, shape ``(prompt_len,)``.
-    max_new_tokens : int, optional
-        Per-request budget override of the scheduler's
-        :attr:`GenerationConfig.max_new_tokens`.
-    arrival_time : float
-        Scheduler-clock tick at which the request becomes admissible (the
-        clock advances by one per model forward pass).  ``0.0`` means
-        "available immediately".
-    request_id : int, optional
-        Set on the scheduler's internal copy by :meth:`Scheduler.submit`
-        (which also returns it); a caller-constructed request is never
-        mutated and may be resubmitted freely.
-    priority : int
-        Priority class: **lower values are more urgent**.  Admission is
-        ordered by ``(priority, arrival_time, request_id)``, and with
-        ``preemption=True`` an inadmissible head may evict a strictly
-        lower-priority (higher-valued) victim.  Default ``0``.
-    deadline : float, optional
-        Absolute scheduler-clock tick by which admission must have begun.
-        A request still waiting when the clock passes its deadline finishes
-        with ``finish_reason="expired"`` and no generated tokens.  Deadlines
-        never cancel a request that already started (or was preempted after
-        starting) — its partial work is kept.  ``None`` (default) never
-        expires.
-    """
-
-    prompt: np.ndarray
-    max_new_tokens: Optional[int] = None
-    arrival_time: float = 0.0
-    request_id: Optional[int] = None
-    priority: int = 0
-    deadline: Optional[float] = None
-
-
-@dataclass
-class RequestOutput:
-    """Everything the scheduler produced for one finished request."""
-
-    #: Id assigned at submission (submission order).
-    request_id: int
-    #: The request's prompt, as submitted.
-    prompt: np.ndarray
-    #: Prompt followed by the kept continuation.
-    sequence: np.ndarray
-    #: Only the generated tokens (truncated at eos, inclusive).
-    generated: np.ndarray
-    #: Number of prompt tokens.
-    prompt_length: int
-    #: Logits behind each generated token, ``(num_steps, vocab)`` — empty
-    #: when the scheduler was built with ``record_logits=False``.
-    step_logits: np.ndarray
-    #: Decode steps this request took (``len(generated)``).
-    num_steps: int
-    #: ``"eos"``, ``"length"``, ``"expired"`` (deadline passed while still
-    #: waiting), ``"cancelled"`` (caller withdrew the request), or
-    #: ``"degraded"`` (shed under resource pressure instead of crashing the
-    #: serving loop — see :meth:`Scheduler.shed` and ``repro.serve.cluster``).
-    finish_reason: str
-    #: Scheduler-clock ticks at admission (prefill start) and completion.
-    #: ``admitted_at`` is ``-1.0`` for requests that expired unadmitted.
-    admitted_at: float = 0.0
-    finished_at: float = 0.0
-    #: Prompt tokens whose KV came from the prefix cache (0 when disabled).
-    prefix_hit_tokens: int = 0
-    #: Draft tokens proposed / accepted for this request (0 when speculation
-    #: is disabled).
-    spec_proposed_tokens: int = 0
-    spec_accepted_tokens: int = 0
-    #: Priority class the request was submitted with (lower = more urgent).
-    priority: int = 0
-    #: Scheduler-clock tick the request arrived, as submitted.
-    arrival_time: float = 0.0
-    #: Tick the first token was committed (``-1.0`` if none ever was).
-    first_token_at: float = -1.0
-    #: Times the request was preempted and replayed before finishing.
-    preemptions: int = 0
-    #: Structured terminal reason behind a ``"degraded"`` finish —
-    #: ``"shed"`` (dropped under resource pressure),
-    #: ``"retry_budget_exhausted"`` (recovery attempts ran out), or
-    #: ``"no_healthy_replica"`` (nowhere left to recover to).  ``None`` for
-    #: every healthy finish.
-    failure_cause: Optional[str] = None
-    #: Recovery attempts the request consumed before this output (pool
-    #: replays after replica/shard failures; 0 on an undisturbed path).
-    retries: int = 0
-
-
-@dataclass
-class SchedulerStats:
-    """Iteration accounting of one scheduler run (deterministic, not wall time)."""
-
-    #: Prefill *forwards* executed (one per chunk; a riding resume runs none).
-    prefill_iterations: int = 0
-    #: Prompt / replay tokens computed rather than served from the prefix
-    #: cache: by prefill forwards or, ``resume_tail_rows`` of them, while riding.
-    prefill_tokens: int = 0
-    #: The part of ``prefill_tokens`` resumes caught up on inside a decode
-    #: forward (:meth:`Scheduler._admit`): the rows a runner sees on its decode
-    #: side are ``decode_slot_steps + spec_proposed_tokens + resume_tail_rows``.
-    resume_tail_rows: int = 0
-    #: Prompt tokens served from the prefix cache instead of being computed.
-    prefix_hit_tokens: int = 0
-    #: Batched decode forward passes executed.
-    decode_iterations: int = 0
-    #: Sum over decode iterations of the number of active slots.
-    decode_slot_steps: int = 0
-    #: Tokens sampled (across prefill, decode, and verification logits).
-    generated_tokens: int = 0
-    #: Draft tokens proposed by the speculative drafter (0 when disabled).
-    spec_proposed_tokens: int = 0
-    #: Draft tokens the target model's sampling rule accepted.
-    spec_accepted_tokens: int = 0
-    #: Multi-token verification forwards executed (a subset of
-    #: ``decode_iterations``).
-    spec_verify_iterations: int = 0
-    #: Token rows those verification forwards computed: every participating
-    #: request's pending token plus its own drafts, nothing else — so
-    #: ``1 - committed / spec_verify_rows`` is the share of verify work the
-    #: drafter wasted.
-    spec_verify_rows: int = 0
-    #: Requests completed (finish reason ``"eos"`` or ``"length"``).
-    completed_requests: int = 0
-    #: Largest number of concurrently admitted requests (prefilling + decoding).
-    peak_active: int = 0
-    #: Clock ticks spent with an empty batch waiting for the next arrival.
-    idle_time: float = 0.0
-    #: Requests evicted mid-flight to make room for a higher-priority head
-    #: (each re-queued for prompt replay; counts evictions, not requests).
-    preemptions: int = 0
-    #: Requests that expired waiting (deadline passed before admission).
-    expired_requests: int = 0
-    #: Requests withdrawn via :meth:`Scheduler.cancel`.
-    cancelled_requests: int = 0
-    #: Requests shed under resource pressure via :meth:`Scheduler.shed`.
-    degraded_requests: int = 0
-    #: ``"degraded"`` finishes tallied by structured failure cause
-    #: (``"shed"`` here; the replica pool adds its recovery causes).
-    degraded_causes: Dict[str, int] = field(default_factory=dict)
-    #: Per-priority-class time-to-first-token samples, in scheduler ticks
-    #: (``first_token_at - arrival_time``), appended as requests finish.
-    ttft_by_class: Dict[int, List[float]] = field(default_factory=dict)
-    #: Per-priority-class time-per-output-token samples, in scheduler ticks
-    #: (``(finished_at - first_token_at) / (num_steps - 1)``; single-token
-    #: requests contribute no sample).
-    tpot_by_class: Dict[int, List[float]] = field(default_factory=dict)
-
-    @property
-    def total_iterations(self) -> int:
-        """Model forward passes executed (prefill + decode)."""
-        return self.prefill_iterations + self.decode_iterations
-
-    def tokens_per_iteration(self) -> float:
-        """Generated tokens per forward pass — the batching-efficiency metric.
-
-        A scheduler that has not run a forward yet reports ``0.0`` rather
-        than dividing by zero, matching :meth:`prefix_hit_rate`.
-        """
-        if self.total_iterations == 0:
-            return 0.0
-        return self.generated_tokens / self.total_iterations
-
-    def prefix_hit_rate(self) -> float:
-        """Fraction of prompt tokens served from the prefix cache.
-
-        A scheduler that has not prefilled anything yet (fresh, or idle
-        between traces) reports ``0.0`` rather than dividing by zero.
-        """
-        looked_up = self.prefill_tokens + self.prefix_hit_tokens
-        if looked_up == 0:
-            return 0.0
-        return self.prefix_hit_tokens / looked_up
-
-    def spec_accept_rate(self) -> float:
-        """Fraction of proposed draft tokens accepted (0.0 before any draft)."""
-        if self.spec_proposed_tokens == 0:
-            return 0.0
-        return self.spec_accepted_tokens / self.spec_proposed_tokens
-
-    def ttft_values(self, priority: Optional[int] = None) -> List[float]:
-        """TTFT samples in scheduler ticks (one class, or all classes merged)."""
-        if priority is not None:
-            return list(self.ttft_by_class.get(int(priority), []))
-        merged: List[float] = []
-        for values in self.ttft_by_class.values():
-            merged.extend(values)
-        return merged
-
-    def ttft_percentile(self, q: float, priority: Optional[int] = None) -> float:
-        """The ``q``-th percentile TTFT of a class in ticks.
-
-        ``q`` is a fraction in [0, 1] (0 = minimum, 0.5 = median, 1 =
-        maximum, linear interpolation between samples).  Edge semantics are
-        explicit rather than inherited from numpy quirks: with **no
-        samples** — an empty class filter included — the result is ``0.0``
-        (matching :meth:`mean_ttft`); with a **single sample** every ``q``
-        returns that sample.
-
-        Raises
-        ------
-        ValueError
-            If ``q`` is outside [0, 1].
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"percentile fraction q must be in [0, 1], got {q}")
-        values = self.ttft_values(priority)
-        if not values:
-            return 0.0
-        if len(values) == 1:
-            return float(values[0])
-        return float(np.percentile(np.asarray(values, dtype=np.float64), 100.0 * q))
-
-    def mean_ttft(self, priority: Optional[int] = None) -> float:
-        """Mean TTFT of a class in scheduler ticks (0.0 if no samples)."""
-        values = self.ttft_values(priority)
-        if not values:
-            return 0.0
-        return float(np.mean(values))
-
-    def mean_tpot(self, priority: Optional[int] = None) -> float:
-        """Mean time-per-output-token of a class in ticks (0.0 if no samples)."""
-        if priority is not None:
-            values = self.tpot_by_class.get(int(priority), [])
-        else:
-            values = [v for samples in self.tpot_by_class.values() for v in samples]
-        if not values:
-            return 0.0
-        return float(np.mean(values))
-
-    #: Fixed TTFT histogram bounds (scheduler ticks) used by :meth:`publish`.
-    #: Shared across replicas so per-replica histograms merge exactly.
-    TTFT_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
-
-    def publish(self, registry, prefix: str = "scheduler") -> None:
-        """Publish these counters into a :class:`repro.obs.MetricsRegistry`.
-
-        Every integer field becomes a counter named ``<prefix>.<field>``
-        (``peak_active`` and ``idle_time`` are gauges), the per-cause
-        degradation tally becomes ``<prefix>.degraded.<cause>``,
-        and the TTFT samples feed a fixed-bucket ``<prefix>.ttft_ticks``
-        histogram (bounds :attr:`TTFT_BUCKETS`) so per-replica registries
-        merge into fleet totals without rebinning.  Counters accumulate:
-        publishing twice doubles them — snapshot/delta around each publish
-        (or use a fresh registry) when diffing phases.
-        """
-        for spec in fields(self):
-            value = getattr(self, spec.name)
-            if spec.name in ("peak_active", "idle_time"):
-                registry.gauge(f"{prefix}.{spec.name}").set(value)
-            elif isinstance(value, int):
-                registry.counter(f"{prefix}.{spec.name}").inc(value)
-        for cause, count in sorted(self.degraded_causes.items()):
-            registry.counter(f"{prefix}.degraded.{cause}").inc(count)
-        histogram = registry.histogram(f"{prefix}.ttft_ticks", self.TTFT_BUCKETS)
-        for value in self.ttft_values():
-            histogram.observe(value)
-
-
-@dataclass(eq=False)
-class RequestCheckpoint(Request):
-    """The one record of an in-flight request, from submit to output.
-
-    :meth:`Scheduler.submit` creates it, the waiting heaps hold it,
-    admission fills in its ``slot``, and every way out of a slot — finish,
-    preemption, cancellation, checkpointing — *detaches* the same object
-    (``slot == -1``, no views) instead of copying it.  Callers only ever
-    hold it detached, which is why it is exported under this name:
-    :meth:`Scheduler.checkpoint` returns the record itself, and it is
-    everything another :class:`Scheduler` needs to continue the request
-    *bit-identically* — the prompt, the tokens committed so far, the logits
-    behind them, and the request's private sampling generator (the object
-    moves with the record; the source scheduler has relinquished it).
-    Re-admission (:meth:`Scheduler.submit_checkpoint`) rides the same
-    free-then-replay path preemption uses — re-prefill
-    ``prompt + generated[:-1]``, keep the final sampled token pending, never
-    re-sample — so a request recovered onto a healthy replica after a crash
-    produces exactly the tokens (and committed-position logits) an
-    uninterrupted run would have.
-
-    The :class:`Request` fields are the scheduler's own copy of the
-    submission; ``request_id`` is the id on the scheduler that currently (or
-    last) held the record, and ``arrival_time`` is re-timed by
-    :meth:`Scheduler.submit_checkpoint`.
-    """
-
-    #: Tokens committed so far (possibly empty).
-    generated: List[int] = field(default_factory=list)
-    #: Recorded logits behind each committed token (empty when the
-    #: scheduler runs with ``record_logits=False``).
-    step_logits: List[np.ndarray] = field(default_factory=list)
-    #: The request's private sampling generator.
-    rng: Optional[np.random.Generator] = None
-    #: Token budget: the per-request override, clipped at ``max_seq_len``.
-    budget: int = 0
-    #: KV slot while admitted, ``-1`` while queued or detached.
-    slot: int = -1
-    #: Tick of the first admission on the current scheduler (-1.0 before);
-    #: survives preemption, restarts on another scheduler's clock.
-    admitted_at: float = -1.0
-    #: Tick the first token was committed (-1.0 until then); survives
-    #: preemption and recovery so TTFT reflects the *first* admission.
-    first_token_at: float = -1.0
-    #: Times this request has been preempted and re-queued.
-    preemptions: int = 0
-    #: Prefix-cache hits accumulated over every admission.
-    prefix_hit_tokens: int = 0
-    #: Recovery attempts already spent on this request (bumped by the
-    #: replica pool each time it re-admits the record after a failure).
-    retries: int = 0
-    #: Tokens the cache must hold before decoding (see :meth:`replay_tokens`):
-    #: set while the record is prefilling, or sits in the decode set with a
-    #: resume tail for this step's forward to compute; ``None`` otherwise.
-    replay: Optional[np.ndarray] = None
-    #: Leading ``replay`` tokens already in the KV cache (prefix hits plus
-    #: prefilled chunks).
-    prefill_pos: int = 0
-    #: Batch-of-one view reused across this request's prefill chunks.
-    prefill_view: Optional[SlotBatchView] = None
-    #: Per-request adaptive speculation state (None until a speculating
-    #: scheduler admits the record); counters and EMA ride along.
-    spec: Optional[_SpecState] = None
-    #: Correlation id stamped on this request's trace events.
-    trace_corr: str = ""
-
-    @property
-    def started(self) -> bool:
-        """True once the request has committed at least one token."""
-        return bool(self.generated)
-
-    def replay_tokens(self) -> np.ndarray:
-        """Tokens the next prefill must cover when this record is admitted.
-
-        A fresh request replays its prompt.  A request detached after
-        sampling ``G`` tokens replays ``prompt + generated[:G-1]``: the KV
-        cache of an active request always trails its sampled stream by one
-        token (the newest token is fed by the *next* decode step), so the
-        final sampled token stays pending rather than being recomputed —
-        resuming never re-samples, which is what keeps preempted and
-        recovered outputs bit-identical to undisturbed runs.
-        """
-        if not self.generated:
-            return self.prompt
-        return np.concatenate(
-            [self.prompt, np.asarray(self.generated[:-1], dtype=np.int64)]
-        )
-
-
-def _as_request(
-    request: Union[Request, np.ndarray],
-    max_new_tokens: Optional[int],
-    arrival_time: float,
-    priority: int,
-    deadline: Optional[float],
-) -> Request:
-    """The argument normaliser behind every ``submit()``.
-
-    Accepts a full :class:`Request` or a bare prompt plus keywords (never
-    both, so overrides cannot be silently dropped) and returns a fresh
-    :class:`Request` over a flat int64 prompt — the caller's object is
-    never kept or mutated, so it can be resubmitted freely.
-    """
-    if isinstance(request, Request):
-        if (
-            max_new_tokens is not None
-            or arrival_time != 0.0
-            or priority != 0
-            or deadline is not None
-        ):
-            raise ConfigurationError(
-                "pass max_new_tokens/arrival_time/priority/deadline on the "
-                "Request itself, not as submit() keywords alongside one"
-            )
-        max_new_tokens = request.max_new_tokens
-        arrival_time = request.arrival_time
-        priority = request.priority
-        deadline = request.deadline
-        request = request.prompt
-    return Request(
-        prompt=np.asarray(request, dtype=np.int64).reshape(-1),
-        max_new_tokens=max_new_tokens,
-        arrival_time=arrival_time,
-        priority=int(priority),
-        deadline=None if deadline is None else float(deadline),
-    )
-
-
-def _request_output(
-    record: RequestCheckpoint,
-    reason: str,
-    finished_at: float,
-    vocab_size: int,
-    failure_cause: Optional[str] = None,
-) -> RequestOutput:
-    """The terminal :class:`RequestOutput` of a record, whatever state it is in."""
-    continuation = np.array(record.generated, dtype=np.int64)
-    return RequestOutput(
-        request_id=int(record.request_id),
-        prompt=record.prompt,
-        sequence=np.concatenate([record.prompt, continuation]),
-        generated=continuation,
-        prompt_length=len(record.prompt),
-        step_logits=(
-            np.stack(record.step_logits)
-            if record.step_logits
-            else np.zeros((0, vocab_size), dtype=np.float64)
-        ),
-        num_steps=len(continuation),
-        finish_reason=reason,
-        admitted_at=record.admitted_at,
-        finished_at=finished_at,
-        prefix_hit_tokens=record.prefix_hit_tokens,
-        spec_proposed_tokens=record.spec.proposed_tokens if record.spec else 0,
-        spec_accepted_tokens=record.spec.accepted_tokens if record.spec else 0,
-        priority=record.priority,
-        arrival_time=record.arrival_time,
-        first_token_at=record.first_token_at,
-        preemptions=record.preemptions,
-        failure_cause=failure_cause,
-        retries=record.retries,
-    )
+from repro.serve.stats import SchedulerStats
 
 
 #: The rows of a request with no replay tail to catch up on, or no proposal.
@@ -618,30 +146,23 @@ class Scheduler:
         prefix (see the module docstring).  Off by default; for Tender's
         integer pipeline outputs are bit-identical either way.
     prefill_chunk : int, optional
-        Prompt-token budget each :meth:`step` may spend on prefilling
-        before running its decode iteration.  ``None`` (default) prefills a
-        whole admitted prompt in one forward, as before; a small value
-        keeps active decodes advancing while long prompts trickle in.
+        The prefill budget of each :meth:`step`, in prompt tokens (see the
+        module docstring).  ``None`` (default) is no bound: every admitted
+        prompt is prefilled whole, in one forward, at admission.
     speculation : SpecConfig, optional
         Enable speculative decoding (see :mod:`repro.serve.spec`): each
         decode iteration consults the configured drafter per request and
-        verifies whole draft runs in multi-token forwards, committing
-        through the request's ordinary sampling rule so the token stream
-        (and the logits behind every committed token) match non-speculative
-        decoding exactly for Tender implicit/explicit.  Each iteration still
-        runs exactly one forward (see :meth:`_decode_iteration`); draft
-        lengths adapt per request via an accept-rate EMA.  Chunked prefill
-        interleaves unchanged — speculation only alters the decode half of
-        each :meth:`step`.
+        verifies whole draft runs in its one forward (see
+        :meth:`_decode_iteration`), committing through the request's
+        ordinary sampling rule so the token stream (and the logits behind
+        every committed token) match non-speculative decoding exactly for
+        Tender implicit/explicit.
     preemption : bool
         Allow admission to evict a strictly lower-priority victim when the
         head of the queue cannot start (no free slot, or
-        :class:`ResourceExhaustedError` from the block pool).  The victim's
-        blocks are released to the LRU free-list (published blocks stay
-        matchable, so its resume usually re-maps the prefix and rides the
-        decode forward for the rest) and the victim is re-queued; its token
-        stream is bit-identical to an unpreempted run because a resume
-        replays already-sampled tokens without re-sampling.
+        :class:`ResourceExhaustedError` from the block pool).  The victim is
+        re-queued, and its resume (see the module docstring) is bit-identical
+        to an unpreempted run.
     on_token : callable, optional
         ``on_token(request_id, token)`` invoked synchronously for every
         committed token, in commit order — the streaming hook
@@ -783,8 +304,9 @@ class Scheduler:
         ------
         ConfigurationError
             If the prompt is empty, contains out-of-vocabulary ids, leaves
-            no room below ``max_seq_len``, can never fit the KV pool, or
-            the deadline precedes the arrival.
+            no room below ``max_seq_len``, can never fit the KV pool, the
+            deadline precedes the arrival, a tick is not finite, or a count
+            is not an integer (see :func:`~repro.serve.request._as_request`).
         """
         request = _as_request(request, max_new_tokens, arrival_time, priority, deadline)
         prompt = request.prompt
@@ -798,10 +320,6 @@ class Scheduler:
                 f"prompt ({len(prompt)} tokens) leaves no room below "
                 f"max_seq_len {model_config.max_seq_len}"
             )
-        if request.max_new_tokens is not None and request.max_new_tokens < 1:
-            raise ConfigurationError("max_new_tokens must be >= 1")
-        if request.deadline is not None and request.deadline < request.arrival_time:
-            raise ConfigurationError("deadline must not precede arrival_time")
         record = RequestCheckpoint(**vars(request), rng=np.random.default_rng(self.config.seed))
         return self._accept(record, trace_corr)
 
@@ -847,11 +365,6 @@ class Scheduler:
                 (record.priority, record.arrival_time, record.request_id, record),
             )
 
-    def _promote_arrivals(self) -> None:
-        """Move future-queue records whose arrival has come into priority order."""
-        while self._future and self._future[0][0] <= self.now:
-            self._enqueue(heapq.heappop(self._future)[-1])
-
     @property
     def has_pending(self) -> bool:
         """True while any request is waiting, prefilling, or decoding."""
@@ -878,85 +391,6 @@ class Scheduler:
         queued = [item[-1] for item in self._waiting + self._future]
         return sorted(queued, key=lambda record: record.request_id)
 
-    # ------------------------------------------------------------------
-    # Serving loop
-    # ------------------------------------------------------------------
-    def step(self) -> List[RequestOutput]:
-        """Run one scheduler iteration: admit, prefill, then one decode forward.
-
-        An ordered pipeline: promote arrivals, admit (expiring and preempting
-        on the way; an unchunked prefill runs at admission), spend the
-        ``prefill_chunk`` budget, then the decode half — every active
-        request's rows assembled into one forward and committed.  The clock
-        ticks once per model forward, so a resume that rides the decode
-        forward adds no tick of its own, and no pending tail outlives the
-        step that admitted it.
-
-        With an empty batch and every waiting arrival still in the future,
-        the clock jumps to the next arrival (recorded as ``stats.idle_time``)
-        so a ``while scheduler.has_pending: scheduler.step()`` loop always
-        makes progress.
-
-        Returns
-        -------
-        list of RequestOutput
-            Requests that finished during this iteration (possibly empty).
-        """
-        self._promote_arrivals()
-        if not self._active and not self._prefilling and not self._waiting and self._future:
-            next_arrival = self._future[0][0]
-            self.stats.idle_time += next_arrival - self.now
-            self.now = next_arrival
-        finished: List[RequestOutput] = []
-        self._admit(finished)
-        if self.prefill_chunk is not None:
-            self._prefill_iteration(finished)
-        if self._active:
-            self._decode_iteration(finished)
-        return finished
-
-    def run(self) -> List[RequestOutput]:
-        """Serve until every submitted request has finished.
-
-        When the batch is empty and the next arrival lies in the future,
-        :meth:`step` jumps the clock forward (the gap is recorded as
-        ``stats.idle_time``).
-
-        Returns
-        -------
-        list of RequestOutput
-            All outputs, in completion order (sort by ``request_id`` for
-            submission order).
-        """
-        outputs: List[RequestOutput] = []
-        while self.has_pending:
-            before = (
-                self.now,
-                self.stats.total_iterations,
-                len(self._waiting),
-                len(self._future),
-                len(self._prefilling),
-                len(self._active),
-            )
-            outputs.extend(self.step())
-            after = (
-                self.now,
-                self.stats.total_iterations,
-                len(self._waiting),
-                len(self._future),
-                len(self._prefilling),
-                len(self._active),
-            )
-            if before == after:  # pragma: no cover - defensive livelock guard
-                raise ResourceExhaustedError(
-                    "scheduler made no progress; the KV pool is too small for "
-                    "the waiting request"
-                )
-        return outputs
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
     @classmethod
     def blocks_for_requests(
         cls,
@@ -1018,34 +452,143 @@ class Scheduler:
             total += needed
         return max(total, 1)
 
-    def _admit(self, finished: List[RequestOutput]) -> None:
-        """Priority-ordered admission: reserve and start waiting requests.
+    # ------------------------------------------------------------------
+    # Serving loop
+    # ------------------------------------------------------------------
+    def step(self) -> List[RequestOutput]:
+        """Run one scheduler iteration: the phases below, top to bottom.
 
-        Admission is strictly in (priority, arrival_time, request_id) order
-        and stops at the first request that cannot start — a head-of-line
-        request waiting for blocks is never overtaken by a cheaper
-        same-priority later one, which is what makes starvation within a
-        class impossible.  With ``prefix_cache`` the prompt is matched
-        against the radix of published block identities first, so a request
-        may need far fewer fresh blocks than its reservation suggests.
-        With ``preemption=True`` a head that cannot start evicts strictly
-        lower-priority victims (worst first) until it fits or none remain.
+        The only method a forward is reached from.  Wake (with nothing to
+        serve the clock jumps to the next arrival, so a ``while
+        scheduler.has_pending: scheduler.step()`` loop always makes
+        progress), expire, spend the one prefill budget (see the module
+        docstring) on continuing prefills and then on admissions, and run
+        the decode half: every active request's rows in one forward.  The
+        clock ticks once per forward, so a resume that rides the decode
+        forward adds no tick, and no pending tail outlives the step.
 
-        A resume (see the module docstring) with fewer than ``block_size``
-        rows of its replay left to compute after the match is not a prefill:
-        the record joins the decode set with that tail pending
-        (``replay[prefill_pos:]``) and this step's decode forward computes it
-        (:meth:`_decode_iteration`) — no forward, no clock tick, none of the
-        ``prefill_chunk`` budget.  The threshold is the pool's granularity,
-        not a knob: prefixes match in whole blocks, so under prefix caching
-        a sub-block tail *means* every full block hit, while a resume that
-        missed (evicted prefix, cache off, another replica's record) has a
-        block or more to recompute and is the prefill it always was.  A ride
-        evicted again later in the same pass goes back to the queue with
-        nothing forwarded: its cache length never advanced.
+        Returns
+        -------
+        list of RequestOutput
+            Requests that finished during this iteration (possibly empty).
         """
-        self._promote_arrivals()
+        finished: List[RequestOutput] = []
+        self._wake()
         self._expire_deadlines(finished)
+        budget = self._continue_prefills(self.prefill_chunk or math.inf, finished)
+        self._promote_arrivals()  # the continuing chunks' forwards ticked the clock
+        self._prefill_admissions(budget, finished)
+        if self._active:
+            self._decode_iteration(finished)
+        return finished
+
+    def run(self) -> List[RequestOutput]:
+        """Serve until every submitted request has finished.
+
+        Returns
+        -------
+        list of RequestOutput
+            All outputs, in completion order (sort by ``request_id`` for
+            submission order).
+        """
+        outputs: List[RequestOutput] = []
+        while self.has_pending:
+            before = self._progress()
+            outputs.extend(self.step())
+            if self._progress() == before:  # pragma: no cover - defensive livelock guard
+                raise ResourceExhaustedError(
+                    "scheduler made no progress; the KV pool is too small for "
+                    "the waiting request"
+                )
+        return outputs
+
+    def _progress(self) -> Tuple:
+        """What any step that did something changes (the livelock guard's signature)."""
+        queues = (self._waiting, self._future, self._prefilling, self._active)
+        return (self.now, self.stats.total_iterations, *map(len, queues))
+
+    # ------------------------------------------------------------------
+    # The phases of a step, in the order step() reaches them
+    # ------------------------------------------------------------------
+    def _promote_arrivals(self) -> None:
+        """Move future-queue records whose arrival has come into priority order."""
+        while self._future and self._future[0][0] <= self.now:
+            self._enqueue(heapq.heappop(self._future)[-1])
+
+    def _wake(self) -> None:
+        """Promote arrivals; with nothing to serve, jump to the next one (``stats.idle_time``)."""
+        self._promote_arrivals()
+        if not (self._active or self._prefilling or self._waiting) and self._future:
+            next_arrival = self._future[0][0]
+            self.stats.idle_time += next_arrival - self.now
+            self.now = next_arrival
+            self._promote_arrivals()
+
+    def _expire_deadlines(self, finished: List[RequestOutput]) -> None:
+        """Retire waiting requests whose admission deadline has passed.
+
+        Only never-started requests expire (``now > deadline``): a preempted
+        request already held a slot (and usually sampled tokens), and
+        dropping it would turn a scheduling decision into data loss.  Expiry
+        is evaluated once per step, before the step's first forward, so a
+        request whose deadline tick is *reachable* is always offered
+        admission by the step that begins at that tick before it can expire.
+        """
+        overdue = [
+            record
+            for *_, record in self._waiting
+            if record.deadline is not None
+            and self.now > record.deadline
+            and record.admitted_at < 0
+            and not record.generated
+        ]
+        finished.extend(self.expire(record.request_id) for record in overdue)
+
+    def _continue_prefills(self, budget: float, finished: List[RequestOutput]) -> float:
+        """Spend ``budget`` on the records already prefilling, oldest first; return what is left."""
+        while budget > 0 and self._prefilling:
+            budget -= self._advance_prefill(self._prefilling[0], budget, finished)
+        return budget
+
+    def _prefill_admissions(self, budget: float, finished: List[RequestOutput]) -> None:
+        """Admit while the head of the queue can start, prefilling each as it is admitted.
+
+        Interleaved on purpose: a prefill that completes publishes its
+        blocks before the next admission's ``match_prefix``, and a request
+        that finishes on its first token frees its slot within the pass.  An
+        admission that finds ``budget`` spent waits in ``_prefilling`` for
+        the next step's; a rider (:meth:`_admit_next`) never draws on it.
+        Arrivals are not re-promoted between admissions.
+        """
+        while (record := self._admit_next()) is not None:
+            if budget > 0 and record.slot not in self._active:
+                budget -= self._advance_prefill(record, budget, finished)
+
+    def _admit_next(self) -> Optional[RequestCheckpoint]:
+        """Admit the head of the waiting queue; ``None`` when nothing can start.
+
+        A decision, never a forward.  Admission is strictly in (priority,
+        arrival_time, request_id) order and stops at the first request that
+        cannot start — a head-of-line request waiting for blocks is never
+        overtaken by a cheaper same-priority later one, which is what makes
+        starvation within a class impossible.  With ``prefix_cache`` the
+        prompt is matched against the radix of published block identities
+        first, so a request may need far fewer fresh blocks than its
+        reservation suggests.  With ``preemption=True`` a head that cannot
+        start evicts strictly lower-priority victims (worst first) until it
+        fits or none remain.
+
+        A resume (see the module docstring) left with fewer than
+        ``block_size`` replay rows after the match *rides*: it joins the
+        decode set with that tail pending (``replay[prefill_pos:]``) — no
+        forward, no clock tick, none of the prefill budget.  The threshold
+        is the pool's granularity, not a knob: prefixes match in whole
+        blocks, so a sub-block tail *means* every full block hit, while a
+        resume that missed (evicted prefix, cache off, another replica's
+        record) has a block or more to recompute and is the prefill it
+        always was.  A ride evicted again later in the same pass goes back
+        to the queue with nothing forwarded: its cache length never advanced.
+        """
         block_size = self.cache.block_size
         while self._waiting:
             record = self._waiting[0][-1]
@@ -1092,36 +635,13 @@ class Scheduler:
                     prefix_hit=start,
                     replay=bool(record.preemptions or record.generated),
                 )
-            rides = bool(record.generated) and len(tokens) - start < block_size
-            if rides:
-                self._active[slot] = record
+            if record.generated and len(tokens) - start < block_size:
+                self._active[slot] = record  # rides this step's decode forward
             else:
                 self._prefilling.append(record)
             self.stats.peak_active = max(self.stats.peak_active, self.num_active)
-            if self.prefill_chunk is None and not rides:
-                # Unchunked serving: the whole remaining prompt is prefilled
-                # in one forward at admission.
-                self._advance_prefill(record, len(tokens) - start, finished)
-
-    def _expire_deadlines(self, finished: List[RequestOutput]) -> None:
-        """Retire waiting requests whose admission deadline has passed.
-
-        Only never-started requests expire (``now > deadline``): a preempted
-        request already held a slot (and usually sampled tokens), and
-        dropping it would turn a scheduling decision into data loss.  Expiry
-        happens at admission time, so a request whose deadline tick is
-        *reachable* is always offered admission at that tick before it can
-        expire.
-        """
-        overdue = [
-            record
-            for *_, record in self._waiting
-            if record.deadline is not None
-            and self.now > record.deadline
-            and record.admitted_at < 0
-            and not record.generated
-        ]
-        finished.extend(self.expire(record.request_id) for record in overdue)
+            return record
+        return None
 
     def _preempt_for(self, head: Request) -> bool:
         """Evict one strictly lower-priority victim to make room for ``head``.
@@ -1150,12 +670,9 @@ class Scheduler:
     def _preempt(self, record: RequestCheckpoint) -> None:
         """Detach one admitted request from its slot and re-queue it for replay.
 
-        The freed blocks go to the LRU free-list; published prefix blocks
-        stay matchable there, so the replay usually re-maps its prefix
-        instead of recomputing it.  The record itself goes back on the
-        waiting heap — generated tokens, recorded logits, RNG, speculation
-        counters and all — which is what keeps the eventual output
-        bit-identical to an unpreempted run.
+        The record itself goes back on the waiting heap — generated tokens,
+        recorded logits, RNG, speculation counters and all — which is what
+        keeps the eventual output bit-identical to an unpreempted run.
         """
         if self.prefix_cache:
             # Publish every fully-committed block — including blocks the
@@ -1183,249 +700,14 @@ class Scheduler:
         self._requests[record.request_id] = record
         self._enqueue(record)
 
-    def _detach(self, request_id: int) -> RequestCheckpoint:
-        """Take a request out of the scheduler, wherever it is.
-
-        The one exit shared by completion, preemption, cancel / expire /
-        shed, and checkpointing.  A queued record leaves its heap; an
-        admitted one leaves the prefill queue or the decode set, its KV
-        blocks return to the pool (published blocks stay LRU-matchable),
-        the cached batch views are invalidated, and any drafter state is
-        released.  Either way the record comes back with ``slot == -1`` and
-        no views — ready to be finished, re-queued here, or handed to
-        another scheduler.  The freed slot is backfilled by ``_admit`` on
-        the next step.
-
-        Raises
-        ------
-        ConfigurationError
-            If the request is not in flight — already finished, already
-            detached, or unknown.
-        """
-        request_id = int(request_id)
-        record = self._requests.pop(request_id, None)
-        if record is None:
-            raise ConfigurationError(
-                f"request {request_id} is not in flight (already finished, "
-                "already released, or never submitted)"
-            )
-        if record.slot < 0:
-            for queue in (self._waiting, self._future):
-                kept = [item for item in queue if item[-1] is not record]
-                if len(kept) != len(queue):
-                    queue[:] = kept
-                    heapq.heapify(queue)
-                    break
-            return record
-        if self._active.pop(record.slot, None) is None:
-            self._prefilling.remove(record)
-        self._decode_view = None
-        self.cache.free(record.slot)
-        record.slot = -1
-        record.replay = None
-        record.prefill_pos = 0
-        record.prefill_view = None
-        if self.speculation is not None:
-            self.speculation.drafter.release(request_id)
-        return record
-
-    def release_request(self, request_id: int) -> RequestCheckpoint:
-        """Evict an admitted request from its slot, freeing all its KV blocks.
-
-        :meth:`_detach` restricted to requests that hold a slot: the caller
-        takes the record and the scheduler forgets the request.
-
-        Returns
-        -------
-        RequestCheckpoint
-            The request's record (its ``slot`` is reset to ``-1``).
-
-        Raises
-        ------
-        ConfigurationError
-            If the request is not currently admitted — already finished,
-            already released (double release), still waiting, or unknown.
-        """
-        record = self._requests.get(int(request_id))
-        if record is None or record.slot < 0:
-            raise ConfigurationError(
-                f"request {request_id} is not admitted (already finished, "
-                "already released, still waiting, or never submitted)"
-            )
-        return self._detach(request_id)
-
-    def cancel(self, request_id: int) -> RequestOutput:
-        """Withdraw a request wherever it is and free everything it holds.
-
-        A waiting request is removed from its queue; an admitted one is
-        evicted from its slot (all KV blocks freed).  Either way the
-        returned output carries ``finish_reason="cancelled"`` and whatever
-        tokens were committed before the cancellation — cancelled outputs
-        are returned here, never from :meth:`step`.
-
-        Raises
-        ------
-        ConfigurationError
-            If the request is unknown or already finished.
-        """
-        output = self._finish(self._detach(request_id), "cancelled")
-        self.stats.cancelled_requests += 1
-        return output
-
-    def expire(self, request_id: int) -> RequestOutput:
-        """Retire a request through the deadline path, keeping partial work.
-
-        The caller-side twin of the admission-deadline sweep: the returned
-        output carries ``finish_reason="expired"`` plus whatever tokens were
-        committed before the expiry.  :class:`~repro.serve.async_engine.RequestStream`
-        uses it when a per-token ``timeout=`` elapses, so a stalled serving
-        loop can never hang a consumer.
-
-        Raises
-        ------
-        ConfigurationError
-            If the request is unknown or already finished.
-        """
-        output = self._finish(self._detach(request_id), "expired")
-        self.stats.expired_requests += 1
-        return output
-
-    def shed(self, request_id: int, cause: str = "shed") -> RequestOutput:
-        """Drop a request under resource pressure (``finish_reason="degraded"``).
-
-        Graceful degradation: instead of crashing (or livelocking) when the
-        pool cannot serve everyone, the caller — typically the replica-pool
-        router — sheds the least valuable request.  Committed tokens are
-        kept in the returned output, every block is freed, and the drop is
-        tallied in ``stats.degraded_requests`` and, by structured ``cause``,
-        in ``stats.degraded_causes``; the output carries the cause in its
-        ``failure_cause`` field.
-
-        Raises
-        ------
-        ConfigurationError
-            If the request is unknown or already finished.
-        """
-        output = self._finish(self._detach(request_id), "degraded", failure_cause=cause)
-        self.stats.degraded_requests += 1
-        self.stats.degraded_causes[cause] = self.stats.degraded_causes.get(cause, 0) + 1
-        return output
-
-    # ------------------------------------------------------------------
-    # Checkpoint / recovery interface
-    # ------------------------------------------------------------------
-    def checkpoint(self, request_id: int) -> RequestCheckpoint:
-        """Detach one request and hand out its record for resumption elsewhere.
-
-        An admitted request is evicted first (all its KV blocks return to
-        the pool); a waiting one is removed from its queue.  The returned
-        record carries the committed tokens, their recorded logits, and the
-        sampling generator itself, so :meth:`submit_checkpoint` on *any*
-        scheduler over the same model and :class:`GenerationConfig`
-        continues the request bit-identically.  This scheduler forgets the
-        request: a second checkpoint (or cancel) of the same id raises.
-
-        Raises
-        ------
-        ConfigurationError
-            If the request is unknown or already finished.
-        """
-        return self._detach(request_id)
-
-    def checkpoint_all(self) -> List[RequestCheckpoint]:
-        """Checkpoint every in-flight request, in submission (id) order.
-
-        The replica pool's crash-recovery sweep: after this the scheduler
-        holds no requests and every KV block is free, while each returned
-        record can be re-admitted elsewhere via :meth:`submit_checkpoint`.
-        """
-        return [self.checkpoint(request_id) for request_id in sorted(self._requests)]
-
-    def submit_checkpoint(
-        self,
-        checkpoint: RequestCheckpoint,
-        *,
-        delay: float = 0.0,
-        trace_corr: Optional[str] = None,
-    ) -> int:
-        """Re-queue a checkpointed request on this scheduler; return its new id.
-
-        The record joins the waiting heap like any other.  If it holds
-        tokens, admission re-prefills ``prompt + generated[:-1]`` (riding
-        prefix-cache hits where templates overlap) and continues from its
-        own sampling generator without re-sampling, so the finished output
-        is bit-identical to an uninterrupted run; it keeps its place in
-        class FIFO order (its original ``arrival_time``, pushed back only
-        by ``delay``).  A record without tokens is re-timed on this
-        scheduler's clock and keeps its original deadline (it can still
-        expire — a crash does not extend an admission deadline).
-
-        Parameters
-        ----------
-        checkpoint : RequestCheckpoint
-            A record from :meth:`checkpoint` on a compatible scheduler
-            (same model shape and :class:`GenerationConfig`).  This
-            scheduler takes it over; the caller must not reuse it.
-        delay : float
-            Extra scheduler ticks before the re-admitted request becomes
-            admissible — the replica pool's exponential-backoff knob.
-        trace_corr : str, optional
-            Correlation id for the re-admitted request's trace events (see
-            :meth:`submit`) — the pool passes the original pool-level id so
-            a recovery hop extends the request's existing lifecycle instead
-            of starting a fresh one.
-
-        Returns
-        -------
-        int
-            The request id assigned on *this* scheduler.
-
-        Raises
-        ------
-        ConfigurationError
-            If ``delay`` is negative or the request can never fit this
-            scheduler's KV pool.
-        """
-        if delay < 0.0:
-            raise ConfigurationError("delay must be >= 0")
-        arrival = self.now + float(delay)
-        checkpoint.arrival_time = (
-            max(checkpoint.arrival_time, arrival) if checkpoint.started else arrival
-        )
-        if checkpoint.deadline is not None:
-            checkpoint.deadline = max(checkpoint.deadline, checkpoint.arrival_time)
-        checkpoint.admitted_at = -1.0  # restarts on this scheduler's clock
-        return self._accept(checkpoint, trace_corr)
-
-    def _finish(
-        self, record: RequestCheckpoint, reason: str, failure_cause: Optional[str] = None
-    ) -> RequestOutput:
-        """Terminal output of a detached record (emits ``request.finished``)."""
-        if self.tracer is not None:
-            self.tracer.instant(
-                "request.finished",
-                self.trace_track,
-                record.trace_corr,
-                reason=reason,
-                tokens=len(record.generated),
-            )
-        return _request_output(
-            record, reason, self.now, self.runner.config.vocab_size, failure_cause
-        )
-
     def _advance_prefill(
-        self, record: RequestCheckpoint, budget: int, finished: List[RequestOutput]
+        self, record: RequestCheckpoint, budget: float, finished: List[RequestOutput]
     ) -> int:
-        """Prefill up to ``budget`` prompt tokens of one request (one forward).
+        """Prefill up to ``budget`` prompt tokens of one request in one forward; return how many.
 
         When the chunk reaches the end of the prompt the request's prefix
         blocks are published for future sharing, its first token is sampled
         from the chunk's final logits, and it joins the decode batch.
-
-        Returns
-        -------
-        int
-            Prompt tokens computed by this chunk.
         """
         tokens = record.replay
         begin = record.prefill_pos
@@ -1468,9 +750,6 @@ class Scheduler:
             self._prefilling.remove(record)
             self._replay_complete(record)
             self._active[record.slot] = record
-            # A replay samples nothing: the last token sampled before the
-            # detach was never fed to the model, and is the next decode
-            # step's input exactly as in the undisturbed run.
             if samples:
                 reason = self._commit(record, logits)[1]
                 if reason is not None:
@@ -1483,12 +762,6 @@ class Scheduler:
             self.cache.publish_prefix(record.slot, record.replay)
         record.replay = None
         record.prefill_view = None
-
-    def _prefill_iteration(self, finished: List[RequestOutput]) -> None:
-        """Spend this step's ``prefill_chunk`` token budget, FIFO."""
-        budget = self.prefill_chunk
-        while budget > 0 and self._prefilling:
-            budget -= self._advance_prefill(self._prefilling[0], budget, finished)
 
     def _draft(self, state: RequestCheckpoint) -> np.ndarray:
         """``state``'s proposal for this iteration: up to ``draft_len`` tokens, possibly none.
@@ -1508,7 +781,7 @@ class Scheduler:
         """The decode half of a step: assemble rows, one forward, commit.
 
         Every active request contributes ``[tail..., pending, drafts...]``:
-        the replay rows a riding resume still owes the cache (:meth:`_admit`;
+        the replay rows a riding resume still owes the cache (:meth:`_admit_next`;
         none for everyone else), its already-sampled next token, and — under
         speculation — its *own* proposal (:meth:`_draft`; none is a plain
         decode row).  No row is computed, or written to the cache, for the
@@ -1685,3 +958,234 @@ class Scheduler:
                     (self.now - record.first_token_at) / (steps - 1)
                 )
         finished.append(self._finish(record, reason))
+
+    def _finish(
+        self, record: RequestCheckpoint, reason: str, failure_cause: Optional[str] = None
+    ) -> RequestOutput:
+        """Terminal output of a detached record (emits ``request.finished``)."""
+        if self.tracer is not None:
+            self.tracer.instant(
+                "request.finished",
+                self.trace_track,
+                record.trace_corr,
+                reason=reason,
+                tokens=len(record.generated),
+            )
+        return _request_output(
+            record, reason, self.now, self.runner.config.vocab_size, failure_cause
+        )
+
+    # ------------------------------------------------------------------
+    # Leaving the scheduler
+    # ------------------------------------------------------------------
+    def _detach(self, request_id: int) -> RequestCheckpoint:
+        """Take a request out of the scheduler, wherever it is.
+
+        The one exit shared by completion, preemption, cancel / expire /
+        shed, and checkpointing.  A queued record leaves its heap; an
+        admitted one leaves the prefill queue or the decode set, its KV
+        blocks return to the pool (published blocks stay LRU-matchable),
+        the cached batch views are invalidated, and any drafter state is
+        released.  Either way the record comes back with ``slot == -1`` and
+        no views — ready to be finished, re-queued here, or handed to
+        another scheduler.  The freed slot is backfilled by the next
+        admission.
+
+        Raises
+        ------
+        ConfigurationError
+            If the request is not in flight — already finished, already
+            detached, or unknown.
+        """
+        request_id = int(request_id)
+        record = self._requests.pop(request_id, None)
+        if record is None:
+            raise ConfigurationError(
+                f"request {request_id} is not in flight (already finished, "
+                "already released, or never submitted)"
+            )
+        if record.slot < 0:
+            for queue in (self._waiting, self._future):
+                kept = [item for item in queue if item[-1] is not record]
+                if len(kept) != len(queue):
+                    queue[:] = kept
+                    heapq.heapify(queue)
+                    break
+            return record
+        if self._active.pop(record.slot, None) is None:
+            self._prefilling.remove(record)
+        self._decode_view = None
+        self.cache.free(record.slot)
+        record.slot = -1
+        record.replay = None
+        record.prefill_pos = 0
+        record.prefill_view = None
+        if self.speculation is not None:
+            self.speculation.drafter.release(request_id)
+        return record
+
+    def release_request(self, request_id: int) -> RequestCheckpoint:
+        """Evict an admitted request from its slot, freeing all its KV blocks.
+
+        :meth:`_detach` restricted to requests that hold a slot: the caller
+        takes the record and the scheduler forgets the request.
+
+        Returns
+        -------
+        RequestCheckpoint
+            The request's record (its ``slot`` is reset to ``-1``).
+
+        Raises
+        ------
+        ConfigurationError
+            If the request is not currently admitted — already finished,
+            already released (double release), still waiting, or unknown.
+        """
+        record = self._requests.get(int(request_id))
+        if record is None or record.slot < 0:
+            raise ConfigurationError(
+                f"request {request_id} is not admitted (already finished, "
+                "already released, still waiting, or never submitted)"
+            )
+        return self._detach(request_id)
+
+    def cancel(self, request_id: int) -> RequestOutput:
+        """Withdraw a request wherever it is and free everything it holds.
+
+        A waiting request is removed from its queue; an admitted one is
+        evicted from its slot (all KV blocks freed).  Either way the
+        returned output carries ``finish_reason="cancelled"`` and whatever
+        tokens were committed before the cancellation — cancelled outputs
+        are returned here, never from :meth:`step`.
+
+        Raises
+        ------
+        ConfigurationError
+            If the request is unknown or already finished.
+        """
+        output = self._finish(self._detach(request_id), "cancelled")
+        self.stats.cancelled_requests += 1
+        return output
+
+    def expire(self, request_id: int) -> RequestOutput:
+        """Retire a request through the deadline path, keeping partial work.
+
+        The caller-side twin of the admission-deadline sweep: the returned
+        output carries ``finish_reason="expired"`` plus whatever tokens were
+        committed before the expiry.  :class:`~repro.serve.async_engine.RequestStream`
+        uses it when a per-token ``timeout=`` elapses, so a stalled serving
+        loop can never hang a consumer.
+
+        Raises
+        ------
+        ConfigurationError
+            If the request is unknown or already finished.
+        """
+        output = self._finish(self._detach(request_id), "expired")
+        self.stats.expired_requests += 1
+        return output
+
+    def shed(self, request_id: int, cause: str = "shed") -> RequestOutput:
+        """Drop a request under resource pressure (``finish_reason="degraded"``).
+
+        Graceful degradation: instead of crashing (or livelocking) when the
+        pool cannot serve everyone, the caller — typically the replica-pool
+        router — sheds the least valuable request.  Committed tokens are
+        kept in the returned output, every block is freed, and the drop is
+        tallied in ``stats.degraded_requests`` and, by structured ``cause``,
+        in ``stats.degraded_causes``; the output carries the cause in its
+        ``failure_cause`` field.
+
+        Raises
+        ------
+        ConfigurationError
+            If the request is unknown or already finished.
+        """
+        output = self._finish(self._detach(request_id), "degraded", failure_cause=cause)
+        self.stats.degraded_requests += 1
+        self.stats.degraded_causes[cause] = self.stats.degraded_causes.get(cause, 0) + 1
+        return output
+
+    # ------------------------------------------------------------------
+    # Checkpoint / recovery interface
+    # ------------------------------------------------------------------
+    def checkpoint(self, request_id: int) -> RequestCheckpoint:
+        """Detach one request and hand out its record for resumption elsewhere.
+
+        An admitted request is evicted first (all its KV blocks return to
+        the pool); a waiting one is removed from its queue.  The returned
+        record carries the committed tokens, their recorded logits, and the
+        sampling generator itself, so :meth:`submit_checkpoint` on *any*
+        scheduler over the same model and :class:`GenerationConfig`
+        continues the request bit-identically.  This scheduler forgets the
+        request: a second checkpoint (or cancel) of the same id raises.
+
+        Raises
+        ------
+        ConfigurationError
+            If the request is unknown or already finished.
+        """
+        return self._detach(request_id)
+
+    def checkpoint_all(self) -> List[RequestCheckpoint]:
+        """Checkpoint every in-flight request, in submission (id) order.
+
+        The replica pool's crash-recovery sweep: after this the scheduler
+        holds no requests and every KV block is free, while each returned
+        record can be re-admitted elsewhere via :meth:`submit_checkpoint`.
+        """
+        return [self.checkpoint(request_id) for request_id in sorted(self._requests)]
+
+    def submit_checkpoint(
+        self,
+        checkpoint: RequestCheckpoint,
+        *,
+        delay: float = 0.0,
+        trace_corr: Optional[str] = None,
+    ) -> int:
+        """Re-queue a checkpointed request on this scheduler; return its new id.
+
+        The record joins the waiting heap like any other.  If it holds
+        tokens its admission is a resume (see the module docstring), so the
+        finished output is bit-identical to an uninterrupted run, and it
+        keeps its place in class FIFO order (its original ``arrival_time``,
+        pushed back only by ``delay``).  A record without tokens is re-timed
+        on this scheduler's clock and keeps its original deadline (it can
+        still expire — a crash does not extend an admission deadline).
+
+        Parameters
+        ----------
+        checkpoint : RequestCheckpoint
+            A record from :meth:`checkpoint` on a compatible scheduler
+            (same model shape and :class:`GenerationConfig`).  This
+            scheduler takes it over; the caller must not reuse it.
+        delay : float
+            Extra scheduler ticks before the re-admitted request becomes
+            admissible — the replica pool's exponential-backoff knob.
+        trace_corr : str, optional
+            Correlation id for the re-admitted request's trace events (see
+            :meth:`submit`) — the pool passes the original pool-level id so
+            a recovery hop extends the request's existing lifecycle instead
+            of starting a fresh one.
+
+        Returns
+        -------
+        int
+            The request id assigned on *this* scheduler.
+
+        Raises
+        ------
+        ConfigurationError
+            If ``delay`` is negative or not finite, or the request can never
+            fit this scheduler's KV pool.
+        """
+        if not 0.0 <= delay < math.inf:  # nan fails both comparisons
+            raise ConfigurationError(f"delay must be a finite tick >= 0, got {delay!r}")
+        arrival = self.now + float(delay)
+        checkpoint.arrival_time = (
+            max(checkpoint.arrival_time, arrival) if checkpoint.started else arrival
+        )
+        if checkpoint.deadline is not None:
+            checkpoint.deadline = max(checkpoint.deadline, checkpoint.arrival_time)
+        checkpoint.admitted_at = -1.0  # restarts on this scheduler's clock
+        return self._accept(checkpoint, trace_corr)

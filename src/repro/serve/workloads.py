@@ -4,7 +4,7 @@ One place builds the random-weight runner (no training, no checkpoint
 cache) and the traces behind ``tools/check_perf_smoke.py``'s scenario table,
 ``BENCH_serving.json`` and the serving tests, so a gate, its recorded row and
 its test serve the same requests.  A trace is a list of
-:class:`~repro.serve.scheduler.Request`; every builder is a pure function of
+:class:`~repro.serve.request.Request`; every builder is a pure function of
 its arguments (fixed seeds, tokens in ``[0, VOCAB)``) and none reads a clock.
 """
 
@@ -19,7 +19,7 @@ from repro.models.inference import TransformerRunner
 from repro.models.weights import random_weights
 from repro.nn import TransformerConfig
 from repro.serve.engine import generate
-from repro.serve.scheduler import GenerationConfig, Request
+from repro.serve.request import GenerationConfig, Request
 
 VOCAB = 64
 

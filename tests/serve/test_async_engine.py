@@ -120,6 +120,24 @@ class TestStreaming:
         asyncio.run(main())
 
 
+    @pytest.mark.parametrize(
+        "field, value", [("deadline", float("nan")), ("deadline", float("inf")), ("priority", 0.9), ("max_new_tokens", 2.7)]
+    )
+    def test_malformed_submissions_are_rejected_at_both_doors(self, runner, prompt_pool, field, value):
+        async def main():
+            async with AsyncEngine(runner) as engine:
+                with pytest.raises(ConfigurationError, match=f"{field} must be"):
+                    await engine.submit(prompt_pool[0], **{field: value})
+                with pytest.raises(ConfigurationError, match=f"{field} must be"):
+                    engine.submit_nowait(prompt_pool[0], **{field: value})
+                assert engine.scheduler.num_waiting == 0 and not engine._streams
+                stream = await engine.submit(prompt_pool[0])
+                assert stream.request_id == 0  # no id was burned
+                await stream.result()
+
+        asyncio.run(main())
+
+
 class TestBackpressure:
     def test_submit_nowait_sheds_load_at_the_bound(self, runner, prompt_pool):
         async def main():

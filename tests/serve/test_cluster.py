@@ -365,6 +365,18 @@ class TestPoolSurface:
             pool.submit(request, priority=1)
         assert isinstance(pool.submit(request), int)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("arrival_time", float("inf")), ("deadline", float("nan")), ("priority", 0.9), ("max_new_tokens", 2.7)],
+    )
+    def test_malformed_submission_leaves_the_pool_untouched(self, runner, template_prompts, field, value):
+        pool = ReplicaPool(runner, num_replicas=2)
+        with pytest.raises(ConfigurationError, match=f"{field} must be .* got {value!r}"):
+            pool.submit(template_prompts[0], **{field: value})
+        assert pool.num_waiting == 0 and not pool._placements and not pool._local_to_pool
+        assert [replica.scheduler._next_request_id for replica in pool.replicas] == [0, 0]
+        assert pool.submit(template_prompts[0]) == 0  # the next pool id was not burned
+
     def test_cancel_and_expire_translate_pool_ids(self, runner, template_prompts):
         pool = ReplicaPool(
             runner, num_replicas=2, config=GenerationConfig(max_new_tokens=8)
@@ -475,6 +487,17 @@ class TestPoolBackedAsyncEngine:
             AsyncEngine()
         with pytest.raises(ConfigurationError, match="config"):
             AsyncEngine(pool=pool, config=GenerationConfig())
+
+    def test_scheduler_keywords_beside_a_pool_are_rejected_not_dropped(self, runner):
+        """Every replica kept ``max_batch_size == 8`` and ``prefill_chunk is None``."""
+        pool = ReplicaPool(runner, num_replicas=2)
+        with pytest.raises(ConfigurationError, match="max_batch_size, num_blocks, prefill_chunk, tracer"):
+            AsyncEngine(pool=pool, max_batch_size=1, prefill_chunk=4, num_blocks=3, tracer=object())
+        for keyword in ("prefix_cache", "preemption", "record_logits", "block_size", "speculation"):
+            with pytest.raises(ConfigurationError, match=keyword):
+                AsyncEngine(pool=pool, **{keyword: None})
+        assert pool.on_token is None  # a rejected engine never hooked itself in
+        assert AsyncEngine(pool=pool).scheduler is pool
 
 
 class TestRouterShortPrompts:

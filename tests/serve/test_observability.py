@@ -273,7 +273,7 @@ class TestTtftPercentileEdges:
     """Satellite: explicit quantile-edge semantics on SchedulerStats."""
 
     def _stats_with(self, samples_by_class):
-        from repro.serve.scheduler import SchedulerStats
+        from repro.serve.stats import SchedulerStats
 
         stats = SchedulerStats()
         stats.ttft_by_class = {k: list(v) for k, v in samples_by_class.items()}

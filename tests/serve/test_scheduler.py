@@ -263,6 +263,43 @@ class TestValidation:
             outputs_first[id_first].generated, outputs_second[id_second].generated
         )
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("arrival_time", float("inf")),  # run() would end at now == inf, its TTFT sample nan
+            ("arrival_time", float("nan")),  # a heap key whose every comparison is False
+            ("deadline", float("nan")),
+            ("deadline", float("inf")),
+            ("priority", 0.9),  # int() made it class 0, the most urgent
+            ("max_new_tokens", 2.7),  # int() served 2
+        ],
+    )
+    def test_submit_rejects_ticks_that_are_not_finite_and_counts_that_are_not_integers(
+        self, runner, prompt_pool, field, value
+    ):
+        """Keyword and ``Request`` form alike, with the scheduler untouched afterwards."""
+        from repro.serve import Request
+
+        scheduler = Scheduler(runner)
+        for submission in (
+            lambda: scheduler.submit(prompt_pool[0], **{field: value}),
+            lambda: scheduler.submit(Request(prompt_pool[0], **{field: value})),
+        ):
+            with pytest.raises(ConfigurationError, match=f"{field} must be .* got {value!r}"):
+                submission()
+        assert scheduler.num_waiting == 0 and not scheduler.has_pending
+        assert scheduler.submit(prompt_pool[0], priority=np.int64(2), max_new_tokens=True) == 0
+
+    @pytest.mark.parametrize("delay", [float("nan"), float("inf"), -1.0])
+    def test_submit_checkpoint_rejects_a_delay_no_clock_reaches(self, runner, prompt_pool, delay):
+        source, target = Scheduler(runner), Scheduler(runner)
+        record = source.checkpoint(source.submit(prompt_pool[0]))
+        arrival = record.arrival_time
+        with pytest.raises(ConfigurationError, match="delay must be"):
+            target.submit_checkpoint(record, delay=delay)
+        assert target.num_waiting == 0 and record.arrival_time == arrival
+        assert target.submit_checkpoint(record, delay=2.0) == 0  # the record is still good
+
     def test_submit_rejects_request_larger_than_pool(self, runner, prompt_pool):
         scheduler = Scheduler(runner, GenerationConfig(max_new_tokens=32), num_blocks=1, block_size=4)
         with pytest.raises(ConfigurationError):
@@ -312,7 +349,7 @@ class TestStatsGuards:
     """Rate metrics on a scheduler that has done nothing yet: 0.0, not a crash."""
 
     def test_fresh_stats_report_zero_rates(self):
-        from repro.serve.scheduler import SchedulerStats
+        from repro.serve.stats import SchedulerStats
 
         stats = SchedulerStats()
         assert stats.tokens_per_iteration() == 0.0
@@ -320,7 +357,7 @@ class TestStatsGuards:
         assert stats.spec_accept_rate() == 0.0
 
     def test_rates_after_activity_are_unchanged(self):
-        from repro.serve.scheduler import SchedulerStats
+        from repro.serve.stats import SchedulerStats
 
         stats = SchedulerStats(
             prefill_iterations=2,

@@ -445,6 +445,13 @@ DIGEST = dict(max_batch_size=3, block_size=8, max_new_tokens=8)
 TRANSPORT_FAULTS = dict(corrupt_at={3: 1, 11: 0}, drop_at={5: 0}, delay_at={7: 1}, duplicate_at={9: 0})
 
 
+def _final_tick(fields, run):
+    """The tick the last request finished at, both sides; the variant's budget beside the context it spans."""
+    for prefix, side in (("", run.var), ("base.", run.base)):
+        fields[prefix + "final_tick"] = max(output.finished_at for output in side.outputs.values())
+    fields.update(prefill_chunk=run.options["prefill_chunk"], max_seq_len=run.runner.config.max_seq_len)
+
+
 def _extractive(runner):
     return workloads.extractive_trace(runner)
 
@@ -482,6 +489,18 @@ SCENARIOS = (
         # reservations stay whole (the split-around-them allocator reads 2.62).
         (("prefix_hit_tokens", ">", 0), ("evicting_steps", ">=", 1), ("gather_bytes", "==", 0),
          ("relocated_blocks", ">=", 1), ("runs_per_table", "<=", 2.0)),
+    ),  # fmt: skip
+    Scenario(
+        "unchunked is a chunk of infinity", TENDER, lambda runner: workloads.shared_prefix_trace(),
+        dict(SMALL, prefix_cache=True), dict(prefill_chunk=None), dict(prefill_chunk=128),
+        # One prefill budget, spent in one loop: a budget no prompt can exhaust is
+        # no budget.  A second admission policy for the chunked case matches before
+        # its predecessor published and reads fewer hits.
+        (("prefill_chunk", "==", "max_seq_len"), ("prefix_hit_tokens", "==", "base.prefix_hit_tokens"),
+         ("prefill_iterations", "==", "base.prefill_iterations"),
+         ("prefill_tokens", "==", "base.prefill_tokens"),
+         ("decode_iterations", "==", "base.decode_iterations"), ("final_tick", "==", "base.final_tick")),
+        _final_tick,
     ),  # fmt: skip
     Scenario(
         "continuous batching", ("fp",), lambda runner: workloads.poisson_trace(),
