@@ -282,7 +282,7 @@ class ForwardPlan:
     """
 
     __slots__ = (
-        "positions", "lengths", "batch", "negative", "attended",
+        "positions", "lengths", "batch", "negative", "attended", "parent_rows",
         "_layout", "_row_chunks", "scatter", "_attention",
     )  # fmt: skip
 
@@ -301,6 +301,8 @@ class ForwardPlan:
         self.negative = bool(self.positions.size) and bool(self.positions.min() < 0)
         #: Cache slots a query of this forward can see: the highest position + 1.
         self.attended = int(self.positions.max(initial=-1)) + 1
+        #: On a sub-plan (:meth:`select`): its rows' flat indices in the plan it was cut from.
+        self.parent_rows: Optional[np.ndarray] = None
         self._layout: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._row_chunks: Optional[RowChunks] = None
         #: ``(block index, table version, targets, offsets)`` — owned by ``PagedKVCache.write``.
@@ -320,6 +322,18 @@ class ForwardPlan:
         plan = cls(np.asarray(starts)[rows] + np.arange(bounds[-1]) - bounds[rows], lengths)
         plan._layout = (rows, bounds)
         return plan
+
+    def select(self, rows: np.ndarray) -> "ForwardPlan":
+        """The sub-plan over flat rows ``rows`` (ascending): what a forward narrows to.
+
+        Same sequences, each owning its kept rows (maybe none).  A row's
+        position — so its calibration chunk, causal window and run segments —
+        is its own and the score buffer keeps this plan's width: no bit of a
+        kept row depends on the rows that left.
+        """
+        kept = ForwardPlan(self.positions[rows], np.bincount(self.rows[rows], minlength=self.batch))
+        kept.parent_rows, kept.attended = rows, self.attended
+        return kept
 
     @property
     def rows(self) -> np.ndarray:

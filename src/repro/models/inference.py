@@ -398,8 +398,8 @@ class TransformerRunner:
         return t.reshape(t.shape[0], num_heads, self.config.d_head).transpose(1, 0, 2)
 
     def _attention_cached(
-        self, index: int, x: np.ndarray, cache: KVCacheLike, plan: ForwardPlan
-    ) -> np.ndarray:
+        self, index: int, x: np.ndarray, cache: KVCacheLike, plan: ForwardPlan, kept: Optional[ForwardPlan] = None
+    ) -> Optional[np.ndarray]:
         """Attention where keys/values come from (and are written to) ``cache``.
 
         ``x`` is the forward's flat ``(rows, d_model)`` activations and
@@ -411,6 +411,10 @@ class TransformerRunner:
         token: nothing is padded, so nothing needs neutralising on the
         fused path (the dense fallback re-pads for its own operands, see
         :func:`dense_cached_attention`).
+
+        ``kept`` (a prefill's last block, see :meth:`_forward_rows`): every
+        row's K/V is written, then only the kept queries attend and are
+        projected — row-wise work, so theirs is unchanged; ``None`` if none.
         """
         block = self.weights.blocks[index]
         config = self.config
@@ -418,6 +422,10 @@ class TransformerRunner:
         heads = config.num_heads
         queries, keys, values = self._qkv(index, x, plan)
         cache.write(index, self._row_heads(keys, heads), self._row_heads(values, heads), plan)
+        if kept is not None:
+            if not kept.positions.size:
+                return None
+            queries, plan = queries[kept.parent_rows], kept
         queries = self._row_heads(queries, heads)
         if self.fused_paged_attention and self._plain_attention:
             # Both attention products are plain matmuls, so read K/V straight
@@ -431,10 +439,12 @@ class TransformerRunner:
             context = dense_cached_attention(
                 self.executor, prefix, queries, cached_keys, cached_values, plan, config.d_head
             )
-        context = context.reshape(x.shape[0], config.d_model)
+        context = context.reshape(-1, config.d_model)
         return self._project(f"{prefix}.out_proj", context, block.attn.wo, block.attn.bo, plan)
 
-    def _forward_rows(self, tokens: np.ndarray, cache: KVCacheLike, plan: ForwardPlan) -> np.ndarray:
+    def _forward_rows(
+        self, tokens: np.ndarray, cache: KVCacheLike, plan: ForwardPlan, kept: Optional[ForwardPlan] = None
+    ) -> Optional[np.ndarray]:
         """The one incremental forward: flat token rows in, flat hidden rows out.
 
         ``tokens`` is the concatenation of every sequence's new tokens and
@@ -442,12 +452,19 @@ class TransformerRunner:
         over them: embeddings, LayerNorm, every projection site, every
         layer's cache write and attention, and the FFN run over exactly
         those rows.  :meth:`prefill`, :meth:`decode_step` and :meth:`verify`
-        differ only in how they lay their arguments out as rows and which
-        rows they project through the LM head.  The batch is validated here,
-        before any layer writes the cache — one sequence per cache row, one
-        token per plan row, ids inside the vocabulary, every row within
-        ``max_seq_len`` (the cache's first write validates each row against
-        its own reservation).
+        differ only in how they lay their arguments out as rows and in which
+        rows they read: ``kept`` (``plan.select(...)``; default: every row)
+        names those, and their hidden rows come back.  Past the last block's
+        KV write an unread row feeds nothing, and positions — not company —
+        pick a row's calibration, so on the fused path the rest of that block
+        and the final LayerNorm run over ``kept`` alone (``None`` right after
+        the write when it is empty); the gather-then-dense reference carries
+        every row to the end and cuts ``kept`` out — the early exit's oracle.
+
+        The batch is validated here, before any layer writes the cache — one
+        sequence per cache row, one token per plan row, integer ids inside
+        the vocabulary, every row within ``max_seq_len`` (the cache's first
+        write validates each row against its own reservation).
         """
         if self.weights.lm_head is None:
             raise ConfigurationError("model has no LM head; generation requires one")
@@ -456,6 +473,8 @@ class TransformerRunner:
             raise ConfigurationError(f"{plan.batch} sequences, but {len(cache.lengths)} cache rows")
         if tokens.size != rows:
             raise ConfigurationError(f"{tokens.size} tokens for the batch's {rows} rows")
+        if tokens.dtype.kind not in "iu":
+            raise ConfigurationError(f"tokens must hold integers, got dtype {tokens.dtype}")
         if tokens.min(initial=0) < 0 or tokens.max(initial=0) >= vocab:
             raise ConfigurationError(f"token ids {tokens.min()} .. {tokens.max()} outside [0, {vocab})")
         if plan.negative:
@@ -464,21 +483,29 @@ class TransformerRunner:
             raise ConfigurationError(
                 f"position {plan.attended - 1} exceeds max_seq_len {self.config.max_seq_len}"
             )
+        early = kept is not None and self.fused_paged_attention and self._plain_attention
         x = self.weights.token_embedding[tokens] + self.weights.position_embedding[plan.positions]
         for index, block in enumerate(self.weights.blocks):
             attn_input = self._layer_norm(x, block.ln_attn.gain, block.ln_attn.bias)
-            x = x + self._attention_cached(index, attn_input, cache, plan)
+            narrow = kept if early and block is self.weights.blocks[-1] else None
+            attended = self._attention_cached(index, attn_input, cache, plan, narrow)
+            if attended is None:
+                return None
+            if narrow is not None:
+                x, plan = x[kept.parent_rows], kept
+            x = x + attended
             ffn_input = self._layer_norm(x, block.ln_ffn.gain, block.ln_ffn.bias)
             x = x + self._feed_forward(index, ffn_input, plan)
-        return self._layer_norm(x, self.weights.ln_final.gain, self.weights.ln_final.bias)
+        hidden = self._layer_norm(x, self.weights.ln_final.gain, self.weights.ln_final.bias)
+        return hidden if kept is None or plan is kept else hidden[kept.parent_rows]
 
     @staticmethod
-    def _row_starts(start_positions, batch: int) -> np.ndarray:
-        """``start_positions`` as one int64 position per sequence."""
-        start = np.asarray(start_positions, dtype=np.int64).reshape(-1)
-        if start.shape[0] != batch:
-            raise ConfigurationError("start_positions must provide one position per row")
-        return start
+    def _per_sequence(name: str, values, batch: Optional[int] = None) -> np.ndarray:
+        """Argument ``name`` as one int64 per sequence; a dtype the conversion would truncate is refused."""
+        array = np.asarray(values)
+        if array.dtype.kind not in "iu" or array.ndim != 1 or batch not in (None, array.size):
+            raise ConfigurationError(f"{name} must be one integer per sequence, got {array.dtype} {array.shape}")
+        return array.astype(np.int64, copy=False)
 
     def prefill(
         self,
@@ -505,27 +532,33 @@ class TransformerRunner:
         on this).  Each chunk row attends over the full cached history plus
         the chunk's own causal window, exactly as a whole-prompt prefill
         would, and ``cache.lengths`` advances to ``start + lengths`` per row.
-        ``return_logits=False`` skips the LM-head projection and returns
-        ``None`` — only a prompt's final chunk needs logits, so intermediate
-        chunks of a chunked prefill save that per-chunk matmul.
+        ``return_logits=False`` returns ``None``: only a prompt's final
+        chunk is sampled from.  Either way :meth:`_forward_rows` is told
+        which rows are read — each sequence's final one, or none — and on
+        the fused path the others leave after the last block's KV write:
+        logits and every layer's pool bytes are those of carrying them on.
         """
-        tokens = np.asarray(tokens, dtype=np.int64)
-        lengths = np.asarray(lengths, dtype=np.int64)
+        tokens = np.asarray(tokens)
+        if tokens.ndim != 2:
+            raise ConfigurationError(f"tokens must be (batch, max_prompt_len), got shape {tokens.shape}")
         batch, max_len = tokens.shape
+        lengths = self._per_sequence("lengths", lengths, batch)
         if np.any(lengths < 1) or np.any(lengths > max_len):
             raise ConfigurationError("prompt lengths must be in [1, max_prompt_len]")
         if start_positions is None:
             start = np.zeros(batch, dtype=np.int64)
         else:
-            start = self._row_starts(start_positions, batch)
+            start = self._per_sequence("start_positions", start_positions, batch)
         plan = ForwardPlan.ragged(start, lengths)
+        kept = None  # every row is read (one token each); else each sequence's final row, or none
+        if not return_logits or plan.positions.size > batch:
+            kept = plan.select(plan.bounds[1:] - 1 if return_logits else plan.bounds[:0])
         real = np.arange(max_len, dtype=np.int64)[None, :] < lengths[:, None]
-        hidden = self._forward_rows(tokens[real], cache, plan)
+        hidden = self._forward_rows(tokens[real], cache, plan, kept)
         cache.lengths[:] = start + lengths
         if not return_logits:
             return None
-        last = hidden[plan.bounds[1:] - 1]
-        return self._project("lm_head", last, self.weights.lm_head, None, start + lengths - 1)
+        return self._project("lm_head", hidden, self.weights.lm_head, None, plan if kept is None else kept)
 
     def verify(
         self,
@@ -577,13 +610,13 @@ class TransformerRunner:
         executors with statically-determined parameters: greedy speculative
         decoding is therefore token-exact.
         """
-        tokens = np.asarray(tokens, dtype=np.int64)
-        counts = np.asarray(lengths, dtype=np.int64).reshape(-1)
+        tokens = np.asarray(tokens)
+        counts = self._per_sequence("lengths", lengths)
         if counts.size == 0 or counts.min() < 1 or counts.sum() != tokens.size:
             raise ConfigurationError(
                 "verify() needs at least the pending token per row and exactly sum(lengths) tokens"
             )
-        start = self._row_starts(start_positions, counts.shape[0])
+        start = self._per_sequence("start_positions", start_positions, counts.size)
         if logit_rows is not None:
             wanted = np.asarray(logit_rows).reshape(-1)
             if wanted.dtype.kind not in "iu" or wanted.size != counts.size or np.any((wanted < 0) | (wanted > counts)):
@@ -621,7 +654,7 @@ class TransformerRunner:
         built here — one flat row per sequence — carries what every site and
         layer derives from them.  Returns logits of shape (batch, vocab).
         """
-        tokens = np.asarray(tokens, dtype=np.int64).reshape(-1)
+        tokens = np.asarray(tokens).reshape(-1)
         plan = ForwardPlan(cache.lengths.copy())
         hidden = self._forward_rows(tokens, cache, plan)
         cache.lengths += 1

@@ -329,8 +329,8 @@ class ShardedRunner(TransformerRunner):
         return t.reshape(batch, new_len, num_heads, d_head).transpose(0, 2, 1, 3)
 
     def _attention_cached(
-        self, index: int, x: np.ndarray, cache: KVCacheLike, plan: ForwardPlan
-    ) -> np.ndarray:
+        self, index: int, x: np.ndarray, cache: KVCacheLike, plan: ForwardPlan, kept: Optional[ForwardPlan] = None
+    ) -> Optional[np.ndarray]:
         """Head-parallel cached attention meeting at K/V and context gathers.
 
         Each shard projects Q/K/V for its own contiguous head range of the
@@ -341,6 +341,10 @@ class ShardedRunner(TransformerRunner):
         independent per head, so the gathered result is bit-identical to the
         solo runner's — whether the fused kernel serves all heads in one
         call or, on the dense branch, each shard's executor its own.
+
+        ``kept`` (as in the solo runner) cuts the query slices to the rows
+        still read *after* the K/V gathers and the write, which carry every
+        row: the later gathers move kept rows only, or none happen at all.
         """
         block = self.weights.blocks[index]
         config = self.config
@@ -356,8 +360,11 @@ class ShardedRunner(TransformerRunner):
             self._row_heads(values, config.num_heads),
             plan,
         )
-
-        rows = x.shape[0]
+        if kept is not None:
+            if not kept.positions.size:
+                return None
+            q_parts, plan = [part[kept.parent_rows] for part in q_parts], kept
+        rows = plan.positions.size
         if self.fused_paged_attention and self._plain_attention:
             # One call for the group: head ranges are contiguous and in shard
             # order, so the query slices side by side are the solo runner's

@@ -18,6 +18,7 @@ from repro.data import calibration_samples, load_corpus
 from repro.models import OutlierSpec, extract_weights, inject_outliers, train_language_model
 from repro.nn import TransformerConfig
 from repro.serve import PagedKVCache
+from repro.serve.workloads import tiny_runner
 
 
 def pytest_configure(config):
@@ -117,6 +118,12 @@ def eval_tokens(corpus_splits):
 def rng():
     """A fresh deterministic random generator per test."""
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="module")
+def four_head_runners():
+    """Solo runners over the 4-head tiny model (2 / 3 / 4 shards are legal): FP plus Tender implicit/explicit."""
+    return {scheme: tiny_runner(scheme, num_heads=4) for scheme in ("fp", "tender-implicit", "tender-explicit")}
 
 
 @pytest.fixture(scope="session")

@@ -23,9 +23,11 @@ import numpy as np
 import pytest
 
 from repro.core import TenderConfig, TenderQuantizer
+from repro.core.kernels import ForwardPlan
 from repro.models import TransformerRunner
 from repro.errors import ConfigurationError
-from repro.serve import GenerationConfig, GenerationEngine
+from repro.serve import GenerationConfig, GenerationEngine, ModelDraft, ShardedRunner
+from repro.serve.workloads import VOCAB
 
 ATOL = 1e-9
 MAX_NEW_TOKENS = 6
@@ -198,6 +200,148 @@ class TestRaggedPrefillBoundaries:
                 tokens, np.array([1, 9]), both, start_positions=np.array([self.HISTORY, 36])
             )
         assert np.array_equal(before, both._paged._pools)
+
+
+SCHEMES = ["fp", "tender-implicit", "tender-explicit"]
+
+
+def oracle_pair(solo, shards, layers=2):
+    """``(fused, gather)`` runners over the same weights and calibration.
+
+    The fused one lets unread prefill rows leave after the last block's KV
+    write; the gather-then-dense one carries every row to the end.  One layer:
+    the first block is the last (``ModelDraft.truncated``'s weights, under
+    the same executor — the sites keep their names).
+    """
+    if layers == 1:
+        solo = TransformerRunner(ModelDraft.truncated(solo, 1).runner.weights, solo.executor)
+    pair = []
+    for fused in (True, False):
+        runner = TransformerRunner(solo.weights, solo.executor)
+        runner.fused_paged_attention = fused
+        pair.append(ShardedRunner(runner, shards) if shards else runner)
+    return pair
+
+
+def assert_same_logits(scheme, actual, expected):
+    """Bitwise under Tender; FP carries BLAS row-blocking noise that flips no token."""
+    if scheme == "fp":
+        np.testing.assert_allclose(actual, expected, rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(actual.argmax(axis=-1), expected.argmax(axis=-1))
+    else:
+        np.testing.assert_array_equal(actual, expected)
+
+
+def assert_same_pools(scheme, views):
+    """Every layer's K and V storage, unread rows' last-block entries included."""
+    fused, gather = (view._paged._pools for view in views)
+    assert np.abs(fused).max() > 0
+    if scheme == "fp":
+        np.testing.assert_allclose(fused, gather, rtol=0.0, atol=1e-12)
+    else:
+        np.testing.assert_array_equal(fused, gather)
+
+
+@pytest.mark.parametrize("layers", [2, 1], ids=["2 layers", "1 layer"])
+@pytest.mark.parametrize("shards", [0, 2, 3], ids=["solo", "2 shards", "3 shards"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+class TestUnreadRowsLeaveEarly:
+    """In the last block a prefill row continues past the KV write only if it is read.
+
+    The oracle is the gather-then-dense runner, which keeps every row: the
+    fused runner must return its logits (and the full forward's) and leave
+    the same bytes in every layer of the pool — the rows that left wrote
+    their last-block K/V first, or the next chunk would attend zeros.
+    """
+
+    PROMPT = np.random.default_rng(7).integers(0, VOCAB, size=72)
+
+    @pytest.mark.parametrize("chunk", [72, 64, 7, 1], ids=["whole", "chunk 64", "chunk 7", "chunk 1"])
+    def test_chunked_prefill(self, scheme, shards, layers, chunk, four_head_runners, paged_view):
+        pair = oracle_pair(four_head_runners[scheme], shards, layers)
+        views = [paged_view(runner.config, capacities=[len(self.PROMPT)]) for runner in pair]
+        for begin in range(0, len(self.PROMPT), chunk):
+            piece = self.PROMPT[begin : begin + chunk]
+            final = begin + chunk >= len(self.PROMPT)
+            logits = [
+                runner.prefill(piece[None, :], [len(piece)], view, start_positions=[begin], return_logits=final)
+                for runner, view in zip(pair, views)
+            ]
+            assert_same_pools(scheme, views)
+            assert all(view.lengths.tolist() == [begin + len(piece)] for view in views)
+            assert final or logits == [None, None]
+        assert_same_logits(scheme, logits[0], logits[1])
+        assert_same_logits(scheme, logits[0], pair[0].logits(self.PROMPT[None, :])[:, -1])
+
+    def test_ragged_batch(self, scheme, shards, layers, four_head_runners, paged_view):
+        """A one-token row (its only row is its final row) beside a 40-token row."""
+        pair = oracle_pair(four_head_runners[scheme], shards, layers)
+        views = [paged_view(runner.config, capacities=[1, 40]) for runner in pair]
+        tokens = np.stack([np.full(40, 5), self.PROMPT[:40]])  # the first row is one token and padding
+        logits = [runner.prefill(tokens, [1, 40], view) for runner, view in zip(pair, views)]
+        assert_same_pools(scheme, views)
+        assert_same_logits(scheme, logits[0], logits[1])
+        for row, length in enumerate((1, 40)):
+            alone = pair[0].logits(tokens[row : row + 1, :length])[:, -1]
+            assert_same_logits(scheme, logits[0][row : row + 1], alone)
+
+    def test_nothing_read_then_decode(self, scheme, shards, layers, four_head_runners, paged_view):
+        """``return_logits=False`` ends at the last KV write; the decode step after it attends those rows."""
+        pair = oracle_pair(four_head_runners[scheme], shards, layers)
+        views = [paged_view(runner.config, capacities=[len(self.PROMPT)]) for runner in pair]
+        context = self.PROMPT[None, :-1]
+        for runner, view in zip(pair, views):
+            assert runner.prefill(context, [context.shape[1]], view, return_logits=False) is None
+            assert view.lengths.tolist() == [context.shape[1]]
+        assert_same_pools(scheme, views)
+        logits = [runner.decode_step(self.PROMPT[-1:], view) for runner, view in zip(pair, views)]
+        assert_same_logits(scheme, logits[0], logits[1])
+        assert_same_logits(scheme, logits[0], pair[0].logits(self.PROMPT[None, :])[:, -1])
+
+
+@pytest.mark.parametrize("shards", [0, 2], ids=["solo", "2 shards"])
+class TestEarlyExitExactWork:
+    """What one prefill forward runs, counted — no clock."""
+
+    @pytest.mark.parametrize("attention", ["fused", "gather"])
+    def test_an_intermediate_chunk_stops_at_the_last_kv_write(
+        self, shards, attention, four_head_runners, paged_view, monkeypatch
+    ):
+        """Q/K/V in every block, the other three sites in every block but the
+        last — and one ``paged_attention`` call fewer.  The gather runner runs
+        all six sites of every block (and no fused kernel at all)."""
+        from repro.models import inference
+        from repro.serve import shard
+
+        runner = oracle_pair(four_head_runners["tender-implicit"], shards)[attention == "gather"]
+        layers = runner.config.num_layers
+        attended, kernel = [], inference.paged_attention
+        for module in (inference, shard):  # one wrapper, wherever the runner imported the kernel
+            monkeypatch.setattr(module, "paged_attention", lambda *args: (attended.append(1), kernel(*args))[1])
+        executors = runner.executors if shards else [runner.executor]
+        view = paged_view(runner.config, capacities=[32])
+        tokens = np.arange(16)[None, :]
+        before = [executor.stats["projections"] for executor in executors]
+        assert runner.prefill(tokens, [16], view, return_logits=False) is None
+        ran = {executor.stats["projections"] - count for executor, count in zip(executors, before)}
+        if attention == "fused":
+            assert ran == {3 * layers + 3 * (layers - 1)} and len(attended) == layers - 1
+        else:
+            assert ran == {6 * layers} and not attended
+
+    def test_one_token_prompts_build_no_second_plan(self, shards, four_head_runners, paged_view, monkeypatch):
+        """Every row of a one-token batch is read: the forward's own plan
+        serves the LM head.  A longer prompt adds exactly the kept sub-plan,
+        which the LM head reuses."""
+        runner = oracle_pair(four_head_runners["tender-implicit"], shards)[0]
+        built, init = [], ForwardPlan.__init__
+        monkeypatch.setattr(ForwardPlan, "__init__", lambda plan, *args: (built.append(plan), init(plan, *args))[1])
+        runner.prefill(np.array([[3], [4]]), [1, 1], paged_view(runner.config, capacities=[8, 8]))
+        assert len(built) == 1 and built[0].parent_rows is None
+        del built[:]
+        runner.prefill(np.arange(12).reshape(2, 6), [6, 4], paged_view(runner.config, capacities=[8, 8]))
+        assert [plan.positions.tolist() for plan in built] == [[0, 1, 2, 3, 4, 5, 0, 1, 2, 3], [5, 3]]
+        assert built[1].parent_rows.tolist() == [5, 9]
 
 
 class TestQuantizedAttentionIsolation:

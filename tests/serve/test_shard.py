@@ -47,17 +47,6 @@ from repro.serve.workloads import tiny_runner
 
 
 @pytest.fixture(scope="module")
-def four_head_runners():
-    """Solo runners over the 4-head tiny model (N=4 sharding is legal): FP plus Tender implicit/explicit."""
-    return {
-        name: tiny_runner(scheme, num_heads=4)
-        for name, scheme in (
-            ("fp", "fp"), ("tender-implicit", "tender-implicit"), ("tender-explicit", "tender-explicit")
-        )
-    }
-
-
-@pytest.fixture(scope="module")
 def shard_prompts():
     """Eight short prompts, two sharing a template (prefix-cache pressure)."""
     rng = np.random.default_rng(11)
@@ -515,6 +504,9 @@ class TestGroupAttention:
             np.testing.assert_array_equal(actual[request_id].generated, output.generated)
 
 
+TWO_ROWS = np.arange(8).reshape(2, 4)
+
+
 class TestMalformedBatches:
     """The forward entry points refuse a malformed batch before any layer runs."""
 
@@ -532,7 +524,7 @@ class TestMalformedBatches:
 
         def state():
             committed = [pool.length_of(slot) for slot in view.slot_ids]
-            arrays = [*pool.key_blocks, *pool.value_blocks, view.lengths, committed]
+            arrays = [*pool.key_blocks, *pool.value_blocks, view.lengths, committed, pool.table_version]
             return [np.array(array) for array in arrays]
 
         return view, state
@@ -556,10 +548,27 @@ class TestMalformedBatches:
              r"logit_rows \[1\] must be .* lengths \[2, 1\]"),
             (lambda r, v: r.verify(np.array([3, 4, 5]), v, [6, 4], lengths=[2, 1], logit_rows=[1.0, 1.0]),
              r"logit_rows \[1\.0, 1\.0\] must be one integer .* lengths \[2, 1\]"),
+            # int64 conversion used to truncate these without a word: 2 and 3 tokens served, ids 1 and 2 decoded.
+            (lambda r, v: r.prefill(TWO_ROWS, np.array([2.7, 3.2]), v, [6, 4]), r"lengths must be one integer per sequence, got float64 \(2,\)"),
+            (lambda r, v: r.prefill(TWO_ROWS, [2, 3], v, np.array([6.5, 4.5])), r"start_positions must be one integer per sequence, got float64 \(2,\)"),
+            (lambda r, v: r.prefill(TWO_ROWS + 0.6, [2, 3], v, [6, 4]), "tokens must hold integers, got dtype float64"),
+            (lambda r, v: r.decode_step(np.array([1.7, 2.2]), v), "tokens must hold integers, got dtype float64"),
+            (lambda r, v: r.verify(np.array([3.0, 4.0, 5.0]), v, [6, 4], lengths=[2, 1]), "tokens must hold integers, got dtype float64"),
+            (lambda r, v: r.verify(np.array([3, 4, 5]), v, [6, 4], lengths=[2.0, 1.0]), r"lengths must be one integer per sequence, got float64 \(2,\)"),
+            (lambda r, v: r.verify(np.array([3, 4, 5]), v, [6.0, 4.0], lengths=[2, 1]), r"start_positions must be one integer per sequence, got float64 \(2,\)"),
+            (lambda r, v: r.decode_step(np.array([True, False]), v), "tokens must hold integers, got dtype bool"),
+            # These used to surface as raw NumPy errors (unpack ValueError, IndexError, broadcast ValueError).
+            (lambda r, v: r.prefill(np.arange(4), [2, 2], v, [6, 4]), r"tokens must be \(batch, max_prompt_len\), got shape \(4,\)"),
+            (lambda r, v: r.prefill(TWO_ROWS, [2], v, [6, 4]), r"lengths must be one integer per sequence, got int64 \(1,\)"),
+            (lambda r, v: r.prefill(TWO_ROWS, [2, 3, 3], v, [6, 4]), r"lengths must be one integer per sequence, got int64 \(3,\)"),
+            (lambda r, v: r.prefill(TWO_ROWS, [[2, 3]], v, [6, 4]), r"lengths must be one integer per sequence, got int64 \(1, 2\)"),
         ],
         ids=["decode +1 token", "decode -1 token", "verify +1 sequence", "prefill +1 sequence",
              "prefill -1 sequence", "token id 10**6", "token id == vocab", "negative token id",
-             "logit_rows < 0", "logit_rows > length", "logit_rows -1 sequence", "logit_rows float"],
+             "logit_rows < 0", "logit_rows > length", "logit_rows -1 sequence", "logit_rows float",
+             "prefill float lengths", "prefill float starts", "prefill float tokens", "decode float tokens",
+             "verify float tokens", "verify float lengths", "verify float starts", "decode bool tokens",
+             "prefill 1-D tokens", "prefill -1 length", "prefill +1 length", "prefill 2-D lengths"],
     )  # fmt: skip
     def test_typed_refusal_leaves_the_cache_untouched(self, runner, primed, call, match):
         view, state = primed
@@ -673,27 +682,68 @@ class TestShardedRunnerConstruction:
     #: ``CollectiveStats`` of ``_serve(ShardedRunner(tender-implicit, N), shard_prompts)``
     #: recorded before the exchange became one pass (3 shards: before attention
     #: became one call for the group): fault-free, and under the chaos injector
-    #: of ``test_serving_parity_under_chaos``.
+    #: of ``test_serving_parity_under_chaos``.  ``bytes_moved`` (and the link
+    #: time it prices) fell when unread prefill rows stopped at the last
+    #: block's KV write — by exactly ``unread_row_bytes`` below; the trace is
+    #: unchunked, so every collective still happens and every fault draw is
+    #: the one it was.
     RECORDED_STATS = {
-        (2, False): dict(collectives=299, messages=598, bytes_moved=354304, retries=0, timeouts=0,
+        (2, False): dict(collectives=299, messages=598, bytes_moved=297984, retries=0, timeouts=0,
                          corruption_caught=0, duplicates_ignored=0, stragglers=0, hedges=0,
-                         simulated_ms=29.903543039999974),
-        (2, True): dict(collectives=299, messages=598, bytes_moved=354304, retries=15, timeouts=8,
+                         simulated_ms=29.902979839999944),
+        (2, True): dict(collectives=299, messages=598, bytes_moved=297984, retries=15, timeouts=8,
                         corruption_caught=7, duplicates_ignored=3, stragglers=4, hedges=4,
-                        simulated_ms=37.103584000000204),
-        (3, False): dict(collectives=299, messages=897, bytes_moved=708608, retries=0, timeouts=0,
+                        simulated_ms=37.10301696000017),
+        (3, False): dict(collectives=299, messages=897, bytes_moved=595968, retries=0, timeouts=0,
                          corruption_caught=0, duplicates_ignored=0, stragglers=0, hedges=0,
-                         simulated_ms=44.853543039999686),
-        (3, True): dict(collectives=299, messages=897, bytes_moved=708608, retries=22, timeouts=13,
+                         simulated_ms=44.85297983999969),
+        (3, True): dict(collectives=299, messages=897, bytes_moved=595968, retries=22, timeouts=13,
                         corruption_caught=9, duplicates_ignored=11, stragglers=6, hedges=6,
-                        simulated_ms=56.353623919999784),
-        (4, False): dict(collectives=299, messages=1196, bytes_moved=1062912, retries=0, timeouts=0,
+                        simulated_ms=56.3530308799998),
+        (4, False): dict(collectives=299, messages=1196, bytes_moved=893952, retries=0, timeouts=0,
                          corruption_caught=0, duplicates_ignored=0, stragglers=0, hedges=0,
-                         simulated_ms=59.80354303999914),
-        (4, True): dict(collectives=299, messages=1196, bytes_moved=1062912, retries=34, timeouts=18,
+                         simulated_ms=59.80297983999923),
+        (4, True): dict(collectives=299, messages=1196, bytes_moved=893952, retries=34, timeouts=18,
                         corruption_caught=16, duplicates_ignored=12, stragglers=12, hedges=12,
-                        simulated_ms=77.30361535999998),
+                        simulated_ms=77.30303808000001),
     }  # fmt: skip
+    #: ``bytes_moved`` while every prompt row crossed the links in all six gathers of the last block.
+    BYTES_WITH_EVERY_ROW = {2: 354304, 3: 708608, 4: 1062912}
+
+    @pytest.mark.parametrize("num_shards", sorted(BYTES_WITH_EVERY_ROW))
+    def test_unread_rows_cross_no_link_after_the_last_kv_write(self, num_shards, four_head_runners, shard_prompts):
+        """The drop in ``bytes_moved``, derived: every prompt row but each
+        sequence's last (52 - 8 = 44) skips the last block's context, out_proj,
+        fc1 and fc2 gathers — 32 + 32 + 64 + 32 float64 columns, sent to each
+        of the other shards: 44 x 160 x 8 = 56 320 bytes per peer."""
+        config = four_head_runners["tender-implicit"].config
+        unread = sum(len(prompt) for prompt in shard_prompts) - len(shard_prompts)
+        unread_row_bytes = unread * (3 * config.d_model + config.d_ff) * 8 * (num_shards - 1)
+        assert unread_row_bytes == 56_320 * (num_shards - 1)
+        for chaos in (False, True):
+            recorded = self.RECORDED_STATS[num_shards, chaos]["bytes_moved"]
+            assert recorded == self.BYTES_WITH_EVERY_ROW[num_shards] - unread_row_bytes
+
+    @pytest.mark.parametrize("attention", ["fused", "gather"])
+    def test_collectives_per_prefill_chunk(self, attention, four_head_runners):
+        """Six gathers a block (K, V, context, out_proj, fc1, fc2) and the LM
+        head's; a chunk nobody samples from ends after the last block's K and
+        V gathers — four collectives fewer, and no LM head.  The gather
+        reference carries every row through every one."""
+        solo = four_head_runners["tender-implicit"]
+        sharded = ShardedRunner(solo, 2)
+        sharded.fused_paged_attention = attention == "fused"
+        layers = solo.config.num_layers
+        pool = PagedKVCache.for_model(solo.config, max_active=1, block_size=8)
+        view = pool.view([pool.reserve(32)])
+
+        def collectives(begin, final):
+            before = sharded.group.stats.collectives
+            sharded.prefill(np.arange(16)[None, :], [16], view, start_positions=[begin], return_logits=final)
+            return sharded.group.stats.collectives - before
+
+        assert collectives(0, final=False) == 6 * layers - (4 if attention == "fused" else 0)
+        assert collectives(16, final=True) == 6 * layers + 1
 
     @pytest.mark.parametrize("key", sorted(RECORDED_STATS))
     def test_transport_accounting_is_unchanged(self, key, four_head_runners, shard_prompts):

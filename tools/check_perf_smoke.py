@@ -452,6 +452,12 @@ def _final_tick(fields, run):
     fields.update(prefill_chunk=run.options["prefill_chunk"], max_seq_len=run.runner.config.max_seq_len)
 
 
+def _unread_rows(fields, run):
+    """Prefill forwards nobody samples from (intermediate chunks), and the activations not quantized for them."""
+    fields["unread_prefills"] = sum(1 for _, logits in run.var.prefills if not logits)
+    fields["quantize_calls_saved"] = fields["base.quantize_calls"] - fields["quantize_calls"]
+
+
 def _extractive(runner):
     return workloads.extractive_trace(runner)
 
@@ -558,6 +564,20 @@ SCENARIOS = (
         (("gather_bytes", "==", 0), ("base.gather_bytes", ">=", "gather_bytes_floor")),
         _gather_floor,
     ),
+    Scenario(
+        "a prefill row stops where nobody reads it", TENDER, lambda runner: workloads.shared_prefix_trace(),
+        dict(SMALL, prefill_chunk=16, profile="quantize"), dict(fused=False), {},
+        # Same rows in the same forwards; past the last block's KV write only the rows
+        # sampled from go on.  The gather reference carries every row to the end, so it
+        # quantizes three activations more (out_proj, fc1, fc2) in each of the 22 chunks
+        # nobody samples from; a final chunk quantizes as many as before, over one row.
+        (("tokens_sha256", "==", "base.tokens_sha256"), ("logits_sha256", "==", "base.logits_sha256"),
+         ("prefill_tokens", "==", "base.prefill_tokens"),
+         ("prefill_iterations", "==", "base.prefill_iterations"),
+         ("quantize_calls", "<", "base.quantize_calls"), ("quantize_calls_saved", "==", 66),
+         ("unread_prefills", "==", 22), ("gather_bytes", "==", 0)),
+        _unread_rows,
+    ),  # fmt: skip
     Scenario(
         "block contiguity cache off", ("fp",), lambda runner: workloads.churn_trace(False), CHURN,
         dict(pool=LruReferencePool, prefix_cache=False), dict(prefix_cache=False),
