@@ -102,9 +102,8 @@ class QuantizedActivation:
     Tender's decomposition is a property of the activation, and every weight
     column multiplies the same quantized rows (the MSA streams one tile past
     all PE columns).  :meth:`TenderExecutor.quantize` fills one of these per
-    site per forward and ``project`` consumes it, so executors holding the
-    same calibration (a tensor-parallel shard group) share one instead of
-    each deriving it.
+    site per forward and ``project`` consumes it — its own, or one an
+    executor holding the same calibration made.
 
     ``x`` is the raw ``(rows, channels)`` activation (never copied; the
     reference arithmetic consumes it) and ``chunks`` the forward's
@@ -183,16 +182,6 @@ class TenderExecutor:
             params = self.site_params[name]
             self._bias_projection_cache[name] = [chunk.bias @ weight for chunk in params.chunks]
         return self._bias_projection_cache[name]
-
-    def adopt_bias_projection(self, name: str, source: "TenderExecutor", weight: np.ndarray, columns) -> None:
-        """Take site ``name``'s compensation from ``source``: its full-width one, cut to ``columns``.
-
-        For an executor projecting ``weight[:, a:b]`` (a tensor-parallel shard)
-        on ``source``'s calibration, before its first projection of the site:
-        every column then adds the full-width projection's bits, whatever the split.
-        """
-        a, b = columns
-        self._bias_projection_cache[name] = [row[a:b] for row in source._bias_projection(name, weight)]
 
     def _bias_projection_stack(self, name: str, weight: np.ndarray) -> np.ndarray:
         """The per-chunk ``bias @ W`` compensations as one (chunks, out) table.

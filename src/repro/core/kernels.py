@@ -350,7 +350,7 @@ class ForwardPlan:
         return self._layout[1]
 
     def row_chunks(self, chunk_size: int) -> RowChunks:
-        """The rows grouped by calibrated chunk (one plan serves every shard executor)."""
+        """The rows grouped by calibrated chunk (one plan serves every projection site)."""
         chunks = self._row_chunks
         if chunks is None or chunks.chunk_size != chunk_size:
             if self.negative:

@@ -4,9 +4,12 @@ Having a small hierarchy of library-specific exceptions lets callers
 distinguish configuration mistakes (bad arguments, impossible shapes) from
 numerical problems detected at runtime (overflow in an integer pipeline,
 invalid calibration state) without catching built-in exceptions too broadly.
+:func:`require_count` is the one check integer options pass where they are set.
 """
 
 from __future__ import annotations
+
+import numbers
 
 
 class ReproError(Exception):
@@ -57,3 +60,14 @@ class CollectiveTransportError(ReplicaFailureError):
     :class:`repro.serve.collective.CollectiveGroup`; the group then counts as
     failed and the pool recovers its in-flight requests elsewhere.
     """
+
+
+def require_count(name: str, value, minimum: int) -> int:
+    """``value`` as an ``int``, or a :class:`ConfigurationError` naming ``name``, ``value`` and ``minimum``.
+
+    ``numbers.Integral`` — Python and NumPy integers, bools — passes if it is
+    at least ``minimum``; a float is refused rather than truncated by ``int()``.
+    """
+    if not isinstance(value, numbers.Integral) or value < minimum:
+        raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)

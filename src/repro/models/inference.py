@@ -216,8 +216,8 @@ class TransformerRunner:
         self._stacks_qkv = bool(getattr(self.executor, "stacks_sites", False))
         #: Whether both attention products are plain matmuls (``plain_attention``).
         self._plain_attention = bool(getattr(self.executor, "plain_attention", False))
-        #: ``(names, [wq|wk|wv], [bq|bk|bv])`` per (block, column range).
-        self._qkv_stacks: Dict[tuple, tuple] = {}
+        #: ``(names, [wq|wk|wv], [bq|bk|bv])`` per block.
+        self._qkv_stacks: Dict[int, tuple] = {}
         #: Read KV straight from paged-block storage during cached attention
         #: (see :func:`repro.core.kernels.paged_attention`).  Takes effect
         #: only when the executor's attention products are plain matmuls;
@@ -265,21 +265,15 @@ class TransformerRunner:
             out = self.executor.project(name, flat, weight, bias)
         return out.reshape(*leading, weight.shape[-1])
 
-    def _qkv_stack(self, index: int, columns: Optional[Tuple[int, int]] = None) -> tuple:
-        """Block ``index``'s Q/K/V sites as one stacked ``project`` operand, cached.
-
-        ``columns`` restricts every site to one column range (a
-        tensor-parallel shard's heads); the three blocks stay equal-width.
-        """
-        key = (index, columns)
-        stack = self._qkv_stacks.get(key)
+    def _qkv_stack(self, index: int) -> tuple:
+        """Block ``index``'s Q/K/V sites as one stacked ``project`` operand, cached."""
+        stack = self._qkv_stacks.get(index)
         if stack is None:
             attn = self.weights.blocks[index].attn
-            cut = slice(None) if columns is None else slice(*columns)
-            stack = self._qkv_stacks[key] = (
+            stack = self._qkv_stacks[index] = (
                 tuple(f"block{index}.attn.{site}_proj" for site in "qkv"),
-                np.concatenate([attn.wq[:, cut], attn.wk[:, cut], attn.wv[:, cut]], axis=1),
-                np.concatenate([attn.bq[cut], attn.bk[cut], attn.bv[cut]]),
+                np.concatenate([attn.wq, attn.wk, attn.wv], axis=1),
+                np.concatenate([attn.bq, attn.bk, attn.bv]),
             )
         return stack
 
@@ -296,16 +290,19 @@ class TransformerRunner:
 
         One stacked call when the executor takes it (the three sites consume
         the same activation), split back into views; three calls otherwise.
+        Always this class's :meth:`_project`: the runner attends over them
+        itself, so no subclass's collective belongs here.
         """
+        project = TransformerRunner._project
         if self._stacks_qkv:
             names, weight, bias = self._qkv_stack(index)
-            return self._split_qkv(self._project(names, x, weight, bias, positions))
+            return self._split_qkv(project(self, names, x, weight, bias, positions))
         attn = self.weights.blocks[index].attn
         prefix = f"block{index}.attn"
         return (
-            self._project(f"{prefix}.q_proj", x, attn.wq, attn.bq, positions),
-            self._project(f"{prefix}.k_proj", x, attn.wk, attn.bk, positions),
-            self._project(f"{prefix}.v_proj", x, attn.wv, attn.bv, positions),
+            project(self, f"{prefix}.q_proj", x, attn.wq, attn.bq, positions),
+            project(self, f"{prefix}.k_proj", x, attn.wk, attn.bk, positions),
+            project(self, f"{prefix}.v_proj", x, attn.wv, attn.bv, positions),
         )
 
     def _attention(

@@ -55,7 +55,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.errors import ConfigurationError, ReplicaFailureError, ResourceExhaustedError
+from repro.errors import ConfigurationError, ReplicaFailureError, ResourceExhaustedError, require_count
 from repro.models.inference import TransformerRunner
 from repro.serve.request import (
     GenerationConfig,
@@ -436,8 +436,7 @@ speculation, preemption
         on_token: Optional[Callable[[int, int], None]] = None,
         tracer=None,
     ) -> None:
-        if num_replicas < 1:
-            raise ConfigurationError("num_replicas must be >= 1")
+        num_replicas = require_count("num_replicas", num_replicas, 1)
         if max_retries < 0:
             raise ConfigurationError("max_retries must be >= 0")
         if backoff_base < 0.0:

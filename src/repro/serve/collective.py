@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.errors import CollectiveTransportError, ConfigurationError, ShardFailureError
+from repro.errors import CollectiveTransportError, ConfigurationError, ShardFailureError, require_count
 
 __all__ = [
     "CollectiveFaultEvent",
@@ -340,10 +340,8 @@ class CollectiveGroup:
         tracer=None,
         trace_track: str = "collective",
     ) -> None:
-        if num_shards < 1:
-            raise ConfigurationError("a collective group needs at least one shard")
-        if max_retries < 0:
-            raise ConfigurationError("max_retries must be >= 0")
+        num_shards = require_count("num_shards", num_shards, 1)
+        max_retries = require_count("max_retries", max_retries, 0)
         if fault_injector is not None:
             fault_injector.require_shards(num_shards)
         self.num_shards = num_shards
@@ -488,8 +486,8 @@ class CollectiveGroup:
             f"{self.max_retries} retries"
         )
 
-    def _exchange(self, payloads: Sequence[np.ndarray]) -> List[np.ndarray]:
-        """Move one sequenced, checksummed message per shard; the payloads as arrays.
+    def _exchange(self, payloads: Sequence[np.ndarray]) -> None:
+        """Move one sequenced, checksummed message per shard.
 
         One pass: a message whose first attempt drew no fault is priced and
         counted here, in locals written back once; one whose draw fired goes
@@ -510,11 +508,9 @@ class CollectiveGroup:
         latency_ms, bytes_per_ms = self.latency_ms, self.bandwidth_gb_s * 1e6
         messages = nbytes = 0
         simulated_ms = stats.simulated_ms
-        delivered = []
         try:
             for shard_id, payload in enumerate(payloads):
                 payload = np.asarray(payload)
-                delivered.append(payload)
                 # Over the payload's own buffer when that is one run of bytes.
                 checksum = zlib.crc32(payload if payload.flags.c_contiguous else payload.tobytes())
                 fault = injector.draw(seq, shard_id, 0) if injector is not None else None
@@ -532,18 +528,31 @@ class CollectiveGroup:
             stats.bytes_moved += nbytes * max(1, self.num_shards - 1)
         stats.simulated_ms = simulated_ms
         stats.collectives += 1
-        return delivered
 
     # ------------------------------------------------------------------
     # Collectives
     # ------------------------------------------------------------------
+    @staticmethod
+    def _malformed(kind: str, payloads: Sequence[np.ndarray], error: ValueError) -> ConfigurationError:
+        shapes = [np.shape(payload) for payload in payloads]
+        return ConfigurationError(f"cannot {kind} payloads of shapes {shapes}: {error}")
+
     def all_gather(self, payloads: Sequence[np.ndarray], axis: int = -1) -> np.ndarray:
         """Concatenate every shard's payload along ``axis``, in shard order.
 
         The concatenation order is the shard order, so a column-partitioned
-        tensor reassembles bit-identically to its unsharded original.
+        tensor reassembles bit-identically to its unsharded original.  The
+        receivers keep the pristine payloads, so the result is assembled
+        before anything crosses the wire: payloads that do not concatenate
+        are a :class:`~repro.errors.ConfigurationError` that consumes no
+        sequence number, fault draw or counter.
         """
-        return np.concatenate(self._exchange(payloads), axis=axis)
+        try:
+            gathered = np.concatenate(payloads, axis=axis)
+        except ValueError as error:
+            raise self._malformed("all_gather", payloads, error) from None
+        self._exchange(payloads)
+        return gathered
 
     def all_reduce(self, payloads: Sequence[np.ndarray]) -> np.ndarray:
         """Sum every shard's payload elementwise, accumulated in shard order.
@@ -553,10 +562,16 @@ class CollectiveGroup:
         is still order-sensitive relative to an unsharded matmul — which is
         why the sharded runner meets at :meth:`all_gather` points instead
         (see architecture.md); ``all_reduce`` serves the analytic model and
-        non-bit-exact consumers.
+        non-bit-exact consumers.  Like :meth:`all_gather`, it sums before
+        the exchange, so payloads that do not add up are refused untouched.
         """
-        delivered = self._exchange(payloads)
-        total = np.array(delivered[0], dtype=np.result_type(*delivered), copy=True)
-        for payload in delivered[1:]:
-            total += payload
+        payloads = [np.asarray(payload) for payload in payloads]
+        try:
+            dtype = np.result_type(*payloads)
+            total = np.array(payloads[0], dtype=dtype, copy=True)
+            for payload in payloads[1:]:
+                total += payload
+        except ValueError as error:
+            raise self._malformed("all_reduce", payloads, error) from None
+        self._exchange(payloads)
         return total

@@ -72,7 +72,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.errors import ConfigurationError, ResourceExhaustedError
+from repro.errors import ConfigurationError, ResourceExhaustedError, require_count
 from repro.models.inference import TransformerRunner
 from repro.serve.paged_kv_cache import PagedKVCache, SlotBatchView
 from repro.serve.request import (
@@ -212,20 +212,22 @@ class Scheduler:
         tracer=None,
         trace_track: Optional[str] = None,
     ) -> None:
-        if max_batch_size < 1:
-            raise ConfigurationError("max_batch_size must be >= 1")
-        if prefill_chunk is not None and prefill_chunk < 1:
-            raise ConfigurationError("prefill_chunk must be >= 1 (or None to disable)")
+        max_batch_size = require_count("max_batch_size", max_batch_size, 1)
+        block_size = require_count("block_size", block_size, 1)
+        if num_blocks is not None:
+            num_blocks = require_count("num_blocks", num_blocks, 1)
+        if prefill_chunk is not None:
+            prefill_chunk = require_count("prefill_chunk", prefill_chunk, 1)
         if speculation is not None and not isinstance(speculation, SpecConfig):
             raise ConfigurationError("speculation must be a SpecConfig (or None)")
         self.preemption = bool(preemption)
         self.on_token = on_token
         self.runner = runner
         self.config = config or GenerationConfig()
-        self.max_batch_size = int(max_batch_size)
+        self.max_batch_size = max_batch_size
         self.record_logits = record_logits
         self.prefix_cache = bool(prefix_cache)
-        self.prefill_chunk = None if prefill_chunk is None else int(prefill_chunk)
+        self.prefill_chunk = prefill_chunk
         self.speculation = speculation
         model_config = runner.config
         if num_blocks is None:

@@ -14,9 +14,12 @@ import os
 import numpy as np
 import pytest
 
+from repro.baselines import UniformQuantExecutor
 from repro.data import calibration_samples, load_corpus
 from repro.models import OutlierSpec, extract_weights, inject_outliers, train_language_model
+from repro.models.inference import TransformerRunner
 from repro.nn import TransformerConfig
+from repro.quant import Granularity
 from repro.serve import PagedKVCache
 from repro.serve.workloads import tiny_runner
 
@@ -122,8 +125,15 @@ def rng():
 
 @pytest.fixture(scope="module")
 def four_head_runners():
-    """Solo runners over the 4-head tiny model (2 / 3 / 4 shards are legal): FP plus Tender implicit/explicit."""
-    return {scheme: tiny_runner(scheme, num_heads=4) for scheme in ("fp", "tender-implicit", "tender-explicit")}
+    """Solo runners over the 4-head tiny model (2 / 3 / 4 shards are legal).
+
+    FP, Tender implicit / explicit, and one baseline: per-row W8A8
+    (``"int8-row"``), which takes no positions, stacks no sites and attends
+    on the dense branch.
+    """
+    runners = {scheme: tiny_runner(scheme, num_heads=4) for scheme in ("fp", "tender-implicit", "tender-explicit")}
+    runners["int8-row"] = TransformerRunner(runners["fp"].weights, UniformQuantExecutor(8, Granularity.PER_ROW))
+    return runners
 
 
 @pytest.fixture(scope="session")

@@ -46,9 +46,8 @@ def make_pair(rng, implicit=True, **config_kwargs):
 
 
 def project_split(executor, name, x, weight, bias, positions=None):
-    """``project`` in its two halves, the way a shard group runs it: the
-    activation side from another executor over the same calibration, the
-    weight side from ``executor``."""
+    """``project`` in its two halves: the activation side from another
+    executor over the same calibration, the weight side from ``executor``."""
     donor = TenderExecutor(
         executor.site_params, executor.config, implicit=executor.implicit, fast_kernels=executor.fast_kernels
     )

@@ -450,6 +450,12 @@ class TestPoolSurface:
         with pytest.raises(ConfigurationError, match="max_retries"):
             ReplicaPool(runner, max_retries=-1)
 
+    def test_num_replicas_is_an_integer(self, runner):
+        """``range()`` used to raise a bare ``TypeError`` for 1.5; NumPy integers pass."""
+        with pytest.raises(ConfigurationError, match=r"num_replicas must be an integer >= 1, got 1\.5"):
+            ReplicaPool(runner, num_replicas=1.5)
+        assert len(ReplicaPool(runner, num_replicas=np.int64(3)).replicas) == 3
+
 
 class TestPoolBackedAsyncEngine:
     def test_streams_chaos_run_to_solo_parity(self, runner, template_prompts):

@@ -318,16 +318,15 @@ class TestEarlyExitExactWork:
         attended, kernel = [], inference.paged_attention
         for module in (inference, shard):  # one wrapper, wherever the runner imported the kernel
             monkeypatch.setattr(module, "paged_attention", lambda *args: (attended.append(1), kernel(*args))[1])
-        executors = runner.executors if shards else [runner.executor]
         view = paged_view(runner.config, capacities=[32])
         tokens = np.arange(16)[None, :]
-        before = [executor.stats["projections"] for executor in executors]
+        before = runner.executor.stats["projections"]
         assert runner.prefill(tokens, [16], view, return_logits=False) is None
-        ran = {executor.stats["projections"] - count for executor, count in zip(executors, before)}
+        ran = runner.executor.stats["projections"] - before  # a shard group's one full-width executor
         if attention == "fused":
-            assert ran == {3 * layers + 3 * (layers - 1)} and len(attended) == layers - 1
+            assert ran == 3 * layers + 3 * (layers - 1) and len(attended) == layers - 1
         else:
-            assert ran == {6 * layers} and not attended
+            assert ran == 6 * layers and not attended
 
     def test_one_token_prompts_build_no_second_plan(self, shards, four_head_runners, paged_view, monkeypatch):
         """Every row of a one-token batch is read: the forward's own plan

@@ -300,6 +300,24 @@ class TestValidation:
         assert target.num_waiting == 0 and record.arrival_time == arrival
         assert target.submit_checkpoint(record, delay=2.0) == 0  # the record is still good
 
+    @pytest.mark.parametrize(
+        "option, value, minimum",
+        [
+            ("max_batch_size", 2.5, 1),  # int() served 2 slots
+            ("prefill_chunk", 2.5, 1),  # int() spent 2 tokens a step
+            ("block_size", 0, 1),  # ZeroDivisionError sizing the pool
+            ("num_blocks", 7.5, 1),  # TypeError from np.zeros
+        ],
+    )
+    def test_integer_options_are_checked_where_they_are_set(self, runner, prompt_pool, option, value, minimum):
+        """A typed refusal naming option, minimum and value; NumPy integers and bools pass."""
+        with pytest.raises(ConfigurationError, match=rf"{option} must be an integer >= {minimum}, got {value!r}"):
+            Scheduler(runner, **{option: value})
+        scheduler = Scheduler(runner, GenerationConfig(max_new_tokens=2), **{option: np.int64(4)})
+        scheduler.submit(prompt_pool[0])
+        assert len(scheduler.run()) == 1
+        Scheduler(runner, **{option: True})
+
     def test_submit_rejects_request_larger_than_pool(self, runner, prompt_pool):
         scheduler = Scheduler(runner, GenerationConfig(max_new_tokens=32), num_blocks=1, block_size=4)
         with pytest.raises(ConfigurationError):

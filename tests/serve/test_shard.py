@@ -41,7 +41,7 @@ from repro.serve import (
     Scheduler,
     ShardedRunner,
 )
-from repro.serve.collective import CollectiveFaultEvent
+from repro.serve.collective import CollectiveFaultEvent, CollectiveStats
 from repro.serve.shard import partition_bounds
 from repro.serve.workloads import tiny_runner
 
@@ -168,6 +168,40 @@ class TestCollectiveTransport:
         group = CollectiveGroup(3)
         with pytest.raises(ConfigurationError, match="expects 3 payloads"):
             group.all_gather([self.payload(0)])
+
+    @pytest.mark.parametrize("collective", ["all_gather", "all_reduce"])
+    def test_a_malformed_collective_is_refused_before_it_is_charged(self, collective):
+        """Payloads that do not concatenate (or add up) are a typed error naming
+        their shapes, and consume no sequence number, counter, dedup state or
+        fault draw: the next collective is the one a fresh twin group runs."""
+
+        def group():
+            return CollectiveGroup(2, fault_injector=CollectiveFaultInjector(seed=3, drop_rate=0.3, corrupt_rate=0.3))
+
+        refused, twin = group(), group()
+        with pytest.raises(ConfigurationError, match=rf"cannot {collective} payloads of shapes \[\(2, 3\), \(3, 3\)\]"):
+            getattr(refused, collective)([np.zeros((2, 3)), np.zeros((3, 3))])
+        assert refused._seq == 0 and refused._accepted == [-1, -1]
+        assert refused.stats == CollectiveStats() and refused.fault_injector._cursor == 0
+        payloads = [self.payload(0), self.payload(1)]
+        for _ in range(5):
+            np.testing.assert_array_equal(getattr(refused, collective)(payloads), getattr(twin, collective)(payloads))
+        assert refused.stats == twin.stats and refused.fault_injector.events == twin.fault_injector.events
+
+    @pytest.mark.parametrize(
+        "arguments, options, match",
+        [
+            ((2.5,), {}, r"num_shards must be an integer >= 1, got 2\.5"),  # TypeError from [-1] * 2.5
+            ((2,), dict(max_retries=1.5), r"max_retries must be an integer >= 0, got 1\.5"),  # range() on a drop
+        ],
+        ids=["num_shards", "max_retries"],
+    )
+    def test_integer_options_are_checked_where_they_are_set(self, arguments, options, match):
+        with pytest.raises(ConfigurationError, match=match):
+            CollectiveGroup(*arguments, **options)
+        group = CollectiveGroup(np.int64(2), max_retries=np.int64(1))
+        assert type(group.num_shards) is type(group.max_retries) is int
+        assert CollectiveGroup(True, max_retries=False).num_shards == 1
 
     def test_injector_schedule_is_seed_deterministic(self):
         def schedule(seed):
@@ -332,10 +366,15 @@ def test_block_reading_injector_replays_the_per_attempt_schedule(seed, rates, ma
     assert injector.events == reference.events
 
 
-@pytest.mark.parametrize("num_shards", [2, 4])
-@pytest.mark.parametrize("name", ["tender-implicit", "tender-explicit", "fp"])
+@pytest.mark.parametrize("num_shards", [2, 3, 4])
+@pytest.mark.parametrize("name", ["tender-implicit", "tender-explicit", "fp", "int8-row"])
 class TestShardedParity:
-    """The acceptance gate: sharded output must be bit-identical to solo."""
+    """The acceptance gate: sharded output must be bit-identical to solo.
+
+    For every executor, FP and a baseline included, with no tolerance: the
+    group projects each site through the solo runner's own executor, at full
+    width, and only the transport is per shard.
+    """
 
     def test_serving_parity(self, num_shards, name, four_head_runners, shard_prompts):
         solo = four_head_runners[name]
@@ -397,7 +436,7 @@ class TestShardedParity:
         together = verify(solo, [0, 1, 2])
         alone = np.concatenate([verify(solo, [i]) for i in range(3)])
         np.testing.assert_array_equal(sharded, together)
-        if name == "fp":
+        if not name.startswith("tender"):  # BLAS blocking of attention over a different batch
             np.testing.assert_allclose(together, alone, rtol=0.0, atol=1e-12)
         else:
             np.testing.assert_array_equal(together, alone)
@@ -468,22 +507,12 @@ class TestGroupAttention:
         assert (group.stats.retries > 0) == chaos
 
     def test_compensation_is_the_full_width_one_whoever_derives_it_first(self, shard_prompts):
-        """The shards take ``bias @ W`` from the solo executor's full-width
-        derivation even when the solo runner has never run, and a private
-        calibration per shard keeps deriving its own (tokens only, then)."""
+        """A group whose solo runner has never run derives ``bias @ W`` at
+        full width itself — the compensation the solo runner then reuses."""
         expected = _serve(tiny_runner("tender-implicit", num_heads=4), shard_prompts)
         cold = tiny_runner("tender-implicit", num_heads=4)
         _assert_outputs_identical(_serve(ShardedRunner(cold, 3), shard_prompts), expected)
         _assert_outputs_identical(_serve(cold, shard_prompts), expected)
-        executor = cold.executor
-        private = ShardedRunner(
-            cold, 3, executor_factory=lambda shard_id: TenderExecutor(
-                dict(executor.site_params), executor.config, implicit=executor.implicit
-            ),
-        )  # fmt: skip
-        assert private._compensated is None
-        for request_id, output in _serve(private, shard_prompts).items():
-            np.testing.assert_array_equal(output.generated, expected[request_id].generated)
 
     @pytest.mark.parametrize("num_shards", [2, 3, 4])
     def test_quantized_attention_stays_per_shard(self, num_shards, shard_prompts):
@@ -621,30 +650,35 @@ class TestShardedRunnerConstruction:
     @pytest.mark.parametrize("num_shards", [2, 4])
     @pytest.mark.parametrize("name", ["tender-implicit", "tender-explicit"])
     def test_one_plan_serves_every_shard(self, num_shards, name, four_head_runners, shard_prompts):
-        """Each shard executor groups rows off the forward's one plan and
-        stacks its own Q/K/V slices: logits match solo (above) and so do the
-        counters — every shard projects every site over every row."""
+        """The group's one executor — the solo runner's — projects every site
+        once per forward, at full width, off the forward's one plan: it
+        advances by exactly the solo delta, and no shard executor projects."""
         solo = four_head_runners[name]
-        before = dict(solo.executor.stats)
-        expected = _serve(solo, shard_prompts)
-        solo_counts = {key: solo.executor.stats[key] - before[key] for key in before}
+
+        def delta(runner):
+            before = dict(runner.executor.stats)
+            outputs = _serve(runner, shard_prompts)
+            return outputs, {key: runner.executor.stats[key] - before[key] for key in before}
+
+        expected, solo_counts = delta(solo)
         sharded = ShardedRunner(solo, num_shards)
-        _assert_outputs_identical(_serve(sharded, shard_prompts), expected)
+        assert sharded.executor is solo.executor
+        actual, sharded_counts = delta(sharded)
+        _assert_outputs_identical(actual, expected)
+        assert sharded_counts == solo_counts
+        stacks = sharded.executor._stacked_cache
+        assert len(stacks) == solo.config.num_layers
+        assert all((stack.packed is not None) == (name == "tender-implicit") for stack in stacks.values())
         for executor in sharded.executors:
-            assert executor.stats == solo_counts
-            stacks = executor._stacked_cache
-            assert len(stacks) == solo.config.num_layers
-            assert all((stack.packed is not None) == (name == "tender-implicit") for stack in stacks.values())
+            assert executor.stats["projections"] == executor.stats["rescales"] == 0
 
     @pytest.mark.parametrize("num_shards", [2, 4])
     @pytest.mark.parametrize("name", ["tender-implicit", "tender-explicit"])
     def test_the_group_quantizes_each_site_once(
         self, num_shards, name, four_head_runners, shard_prompts, monkeypatch
     ):
-        """The activation side is replicated by construction (same tables,
-        same rows), so a forward runs it once per site, not once per shard —
-        unless the shard executors were handed calibration objects of their
-        own, when every shard falls back to its whole ``project``."""
+        """A forward quantizes each site's activation once, not once per
+        shard, and always on the group's one executor."""
         solo = four_head_runners[name]
         quantized = []
         quantize_rows = TenderExecutor._quantize_rows
@@ -660,24 +694,11 @@ class TestShardedRunnerConstruction:
             return outputs, len(quantized)
 
         expected, solo_count = counted(solo)
-        shared = ShardedRunner(solo, num_shards)
-        actual, shared_count = counted(shared)
+        sharded = ShardedRunner(solo, num_shards)
+        actual, sharded_count = counted(sharded)
         _assert_outputs_identical(actual, expected)
-        assert shared_count == solo_count
-        assert all(executor is shared.executors[0] for executor in quantized)
-
-        executor = solo.executor
-        private = ShardedRunner(
-            solo,
-            num_shards,
-            executor_factory=lambda shard_id: TenderExecutor(
-                dict(executor.site_params), executor.config, implicit=executor.implicit
-            ),
-        )
-        actual, private_count = counted(private)
-        _assert_outputs_identical(actual, expected)
-        assert private_count == num_shards * solo_count
-        assert all(shard.stats == private.executors[0].stats for shard in private.executors)
+        assert sharded_count == solo_count
+        assert all(executor is sharded.executor for executor in quantized)
 
     #: ``CollectiveStats`` of ``_serve(ShardedRunner(tender-implicit, N), shard_prompts)``
     #: recorded before the exchange became one pass (3 shards: before attention
@@ -774,6 +795,14 @@ class TestShardedRunnerConstruction:
             ShardedRunner(solo, 0)
         with pytest.raises(ConfigurationError, match="spans 3 shards"):
             ShardedRunner(solo, 2, group=CollectiveGroup(3))
+
+    def test_num_shards_is_an_integer(self, four_head_runners):
+        """2.0 used to pass the range check and raise a bare ``TypeError`` from ``range()``."""
+        solo = four_head_runners["fp"]
+        with pytest.raises(ConfigurationError, match=r"num_shards must be an integer >= 1, got 2\.0"):
+            ShardedRunner(solo, 2.0)
+        sharded = ShardedRunner(solo, np.int64(2))
+        assert sharded.num_shards == 2 and len(sharded.executors) == 2
 
 
 class TestPoolIntegration:

@@ -75,11 +75,12 @@ RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_serving.json"
 #: Python-level calls one batched ``decode_step`` of the Tender-quantized tiny
 #: model may make, by shard count (0: the solo runner): the measured count
 #: (199, 205 while every layer re-probed the attention gate, 405 before the
-#: forward plan; 2 shards 370, 386, 398 while every shard made its own
-#: ``paged_attention`` call, 521 while every shard also quantized the activation
-#: for itself and every message was delivered by its own call; 4 shards 500,
-#: 528, 576) + 16 / 38 / 52 for NumPy versions, not for new per-site or per-shard work.
-DECODE_CALL_BUDGET = {0: 215, 2: 408, 4: 552}
+#: forward plan; 2 shards 297, 370 while every shard projected its own weight
+#: slice, 386, 398 while every shard made its own ``paged_attention`` call, 521
+#: while every shard also quantized the activation for itself and every message
+#: was delivered by its own call; 4 shards 323, 500, 528, 576) + 16 / 38 / 52 for
+#: NumPy versions, not for new per-site or per-shard work.
+DECODE_CALL_BUDGET = {0: 215, 2: 335, 4: 375}
 #: ``tracemalloc`` peak of one ``paged_attention`` call over its score buffer +
 #: context: measured 1.19 (the mask, the row maxima and sums, one run's SV
 #: product), 3.88 while scale, mask and each softmax pass allocated their result.
