@@ -349,6 +349,14 @@ class ForwardPlan:
             self._layout = _row_layout(self.lengths)
         return self._layout[1]
 
+    @property
+    def reach(self) -> np.ndarray:
+        """``(batch,)`` cache slots each sequence's rows can see: its highest position + 1 (0 without rows)."""
+        reach = np.zeros(self.batch, dtype=np.int64)
+        owners = self.lengths.nonzero()[0]
+        reach[owners] = np.maximum.reduceat(self.positions, self.bounds[owners]) + 1
+        return reach
+
     def row_chunks(self, chunk_size: int) -> RowChunks:
         """The rows grouped by calibrated chunk (one plan serves every projection site)."""
         chunks = self._row_chunks
@@ -370,17 +378,14 @@ class ForwardPlan:
         block index's run table — a new list after every refresh, so its
         identity is the freshness check.  The mask hides slot ``s`` from a
         query at position ``p`` when ``s > p``, so a sequence's segments stop
-        at *its own* reach (its highest position + 1), not the forward's:
-        every column past it is masked to an exactly-zero probability for
-        all of that sequence's rows, and skipping it changes no bit.
+        at *its own* :attr:`reach`, not the forward's: every column past it
+        is masked to an exactly-zero probability for all of that sequence's
+        rows, and skipping it changes no bit.  A sequence with no rows has
+        reach 0: no segments.
         """
         layout = self._attention
         if layout is None or layout[0] is not runs:
-            # A sequence with no rows keeps reach 0: no segments.
-            reach = np.zeros(self.batch, dtype=np.int64)
-            owners = self.lengths.nonzero()[0]
-            reach[owners] = np.maximum.reduceat(self.positions, self.bounds[owners]) + 1
-            reach = reach.tolist()
+            reach = self.reach.tolist()
             bounds = self.bounds.tolist()
             segments = []
             for sequence, row_runs in enumerate(runs):
@@ -606,14 +611,15 @@ def paged_attention(
     into its own columns of the call's one ``(heads, rows, attended)`` score
     buffer, whose rows are the dense path's — each column is the same
     length-``d_head`` dot product, untouched columns hold the same zeros the
-    gather's zero-fill would — and the scale, the ``-1e9`` causal mask and
-    the shared :func:`repro.tensor.ops.softmax` then rewrite that buffer
-    where it stands: the elementwise operations of the dense path's
-    allocating expressions, in their order, so the attention probabilities
-    match the reference bit for bit while the call holds one score-sized
-    array instead of six (``tracemalloc`` peak 1.19x score buffer + context
-    on a 64-row chunk, where the buffer is past the allocator's large-block
-    threshold).  The SV product accumulates per run; masked columns carry
+    dense reader's reach mask puts there
+    (:func:`repro.models.inference.dense_cached_attention`) — and the scale,
+    the ``-1e9`` causal mask and the shared :func:`repro.tensor.ops.softmax`
+    then rewrite that buffer where it stands: the elementwise operations of
+    the dense path's allocating expressions, in their order, so the attention
+    probabilities match the reference bit for bit while the call holds one
+    score-sized array instead of six (``tracemalloc`` peak 1.19x score
+    buffer + context on a 64-row chunk, where the buffer is past the
+    allocator's large-block threshold).  The SV product accumulates per run; masked columns carry
     exactly-zero probabilities (their scores underflow ``exp``), so
     skipping them — each sequence's segments stop at its own reach — is an
     exact no-op and single-run rows are bitwise identical to the dense

@@ -85,9 +85,18 @@ def dense_cached_attention(
     back out as a right-padded rectangle here — and only here.  Padding
     queries duplicate their sequence's first row (duplicates never widen a
     max/min range) and padded probability rows are replaced by the first
-    row's, so the statistics stay independent of batching; padded keys and
-    values need nothing, because a flat forward never writes them.  Then:
-    scores through the executor's ``attention_matmul``, slot-visibility
+    row's, so the statistics stay independent of batching.
+
+    This is also the one place stale cache bytes are handled.  The gathered
+    window is the forward's widest, so a shorter sequence's columns at or
+    past its :attr:`~repro.core.kernels.ForwardPlan.reach` hold whatever the
+    pool left there — a freed request's KV, rolled-back drafts — which no
+    row can see but a dynamic per-column scale over ``X_V`` would still
+    read.  Those columns are set to zero in both operands first, so the
+    dense copy holds exactly what :func:`~repro.core.kernels.paged_attention`
+    reads (its segments stop at each reach and its score buffer is zero
+    past them), and the pool promises nothing about bytes no row can see.
+    Then: scores through the executor's ``attention_matmul``, slot-visibility
     masking (a slot ``s`` is visible to a query at position ``p`` iff ``s <=
     p``), softmax, and the ``X_S @ X_V`` product.  Every step is independent
     per attention head, so calling it on a contiguous head slice of the
@@ -109,6 +118,9 @@ def dense_cached_attention(
     if padded:
         dense = np.where(valid[:, None, :, None], dense, dense[:, :, :1])
     attended = cached_keys.shape[-2]
+    stale = (np.arange(attended) >= plan.reach[:, None])[:, None, :, None]
+    cached_keys = np.where(stale, 0.0, cached_keys)
+    cached_values = np.where(stale, 0.0, cached_values)
     scores = executor.attention_matmul(
         f"{prefix}.qk", dense, np.swapaxes(cached_keys, -1, -2)
     ) / np.sqrt(d_head)

@@ -48,23 +48,20 @@ Since the prefix-caching PR, blocks additionally carry *identity*:
   by its radix key, not its address, so it can be **relocated**: when the
   free blocks are there but no extent is long enough (under eviction
   pressure the extents are a mosaic between cached blocks), a reservation
-  moves the cached blocks out of a window — bytes, dirty bit, radix identity,
-  LRU position — and is still one run; which prefix dies next is untouched.
+  moves the cached blocks out of a window — bytes, radix identity, LRU
+  position — and is still one run; which prefix dies next is untouched.
 
-Blocks are scrubbed *lazily*: a per-block dirty bit marks blocks that have
-been written, and a dirty block is zeroed once, when it stops being worth
-keeping — released unpublished, or reclaimed/orphaned off the LRU — so the
-extents only ever hold zeroed blocks, a prefix-hit reservation overwrites
-nothing, and no reservation pays a memset.  Output isolation alone would
-already follow from the attention visibility rule (a sequence only ever
-attends to slots at positions it has itself written), but executors that
-quantize attention operands
-*dynamically* (Tender ``quantize_attention=True``) take per-column
-statistics over the whole attended window — stale values there would
-perturb quantization scales even though they never reach an output, so
-every freshly allocated block holds zeros, which never widen an absmax.
-``tests/serve/test_scheduler.py`` and ``tests/serve/test_prefix_cache.py``
-pin these properties down.
+The pool promises nothing about bytes no row can see: freed, reclaimed and
+vacated blocks and rolled-back positions keep whatever they held, and
+nothing is zeroed after construction.  A sequence only attends to positions
+it has itself written (the visibility rule), so the fused kernel never reads
+past them; the one reader that does — the dense copy under executors that
+quantize attention operands dynamically (Tender ``quantize_attention=True``),
+whose per-column scales span the forward's widest window — zeroes every
+column past each sequence's reach itself
+(:func:`repro.models.inference.dense_cached_attention`).
+``tests/serve/test_stale_pool.py`` serves from a pool full of stale bytes to
+pin this down.
 
 Two pieces cooperate:
 
@@ -96,13 +93,14 @@ path truly never materializes a dense KV copy.
 
 from __future__ import annotations
 
+import numbers
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.core.kernels import ForwardPlan
-from repro.errors import ConfigurationError, ResourceExhaustedError
+from repro.errors import ConfigurationError, ResourceExhaustedError, require_count
 
 #: Radix-index parent of a prompt's first block (no preceding prefix).
 _ROOT = -1
@@ -281,11 +279,11 @@ class PagedKVCache:
     and one value array per layer — heads outermost, so consecutive physical
     blocks are contiguous per head and a consecutive-block run reshapes into
     an attention operand without copying — all of them views of a single
-    allocation, so a block is copied or scrubbed in every layer by one
-    assignment.  A *slot* (one live request) owns a list
-    of block ids covering positions ``[0, capacity)``; :meth:`reserve`
-    allocates the whole table up front so a request admitted by the
-    scheduler can never run out of cache mid-decode.  Blocks are reference
+    allocation, so a block is copied in every layer by one assignment.  A
+    *slot* (one live request) owns a list of block ids covering positions
+    ``[0, capacity)``; :meth:`reserve` allocates the whole table up front so
+    a request admitted by the scheduler can never run out of cache
+    mid-decode.  Blocks are reference
     counted: a reservation may *share* published prefix blocks with other
     slots (see :meth:`match_prefix` / :meth:`publish_prefix`), writes into a
     shared block fork a private copy, and freed blocks linger on an LRU
@@ -308,7 +306,7 @@ class PagedKVCache:
     Raises
     ------
     ConfigurationError
-        If any dimension is < 1.
+        If any dimension is not an integer >= 1.
     """
 
     def __init__(
@@ -319,11 +317,13 @@ class PagedKVCache:
         block_size: int = 16,
         num_blocks: int = 64,
     ) -> None:
-        if min(num_layers, num_heads, d_head, block_size, num_blocks) < 1:
-            raise ConfigurationError("PagedKVCache dimensions must all be >= 1")
-        self.block_size = int(block_size)
+        num_layers = require_count("num_layers", num_layers, 1)
+        num_heads = require_count("num_heads", num_heads, 1)
+        d_head = require_count("d_head", d_head, 1)
+        self.block_size = block_size = require_count("block_size", block_size, 1)
+        num_blocks = require_count("num_blocks", num_blocks, 1)
         #: Every layer's pools are views of one array (block id on axis 2), so
-        #: copying or scrubbing a block in all layers is a single assignment.
+        #: copying a block in all layers is a single assignment.
         self._pools = np.zeros((2 * num_layers, num_heads, num_blocks, block_size, d_head), dtype=np.float64)
         self.key_blocks: List[np.ndarray] = list(self._pools[0::2])
         self.value_blocks: List[np.ndarray] = list(self._pools[1::2])
@@ -341,7 +341,6 @@ class PagedKVCache:
         self.relocated_blocks = 0
         self.compactions = 0
         self._refcounts = np.zeros(num_blocks, dtype=np.int64)
-        self._dirty = np.zeros(num_blocks, dtype=bool)
         #: Unreferenced *unpublished* blocks, as coalesced extents.
         self._extents = _FreeExtents(num_blocks)
         #: Unreferenced *published* blocks in reclaim order (front reclaimed
@@ -659,12 +658,17 @@ class PagedKVCache:
         ResourceExhaustedError
             If the pool does not currently hold enough free blocks.
         ConfigurationError
-            If ``shared`` holds more blocks than ``capacity`` needs, or is a
-            stale chain: it names an unreferenced block that is no longer
-            published, or a published one among blocks that do not chain.
+            If ``capacity`` is not an integer >= 0, or ``shared`` names a
+            block outside the pool, holds more blocks than ``capacity``
+            needs, or is a stale chain: it names an unreferenced block that
+            is no longer published, or a published one among blocks that do
+            not chain.  Nothing has changed when it is raised.
         """
-        needed = self.blocks_needed(capacity)
+        needed = self.blocks_needed(require_count("capacity", capacity, 0))
         shared = [int(b) for b in shared]
+        outside = [block for block in shared if not 0 <= block < self.num_blocks]
+        if outside:
+            raise ConfigurationError(f"shared block {outside[0]} outside the pool's {self.num_blocks} blocks")
         if len(shared) > needed:
             raise ConfigurationError(
                 f"{len(shared)} shared prefix blocks exceed the {needed} needed "
@@ -736,7 +740,7 @@ class PagedKVCache:
         Unpublished blocks are interchangeable, so they are handed out as
         consecutive ``(first, count)`` runs placed against the table
         neighbours ``after`` / ``before`` (see :meth:`_FreeExtents.take`),
-        already zeroed (:meth:`_recycle`).  Published blocks are reclaimed
+        with whatever bytes they last held.  Published blocks are reclaimed
         only when the extents cannot cover the request, oldest first and
         one at a time — exactly the blocks, in exactly the order, a single
         LRU list would give up — each dropping out of the prefix index with
@@ -770,13 +774,13 @@ class PagedKVCache:
         Among the windows of ``count`` consecutive blocks holding no
         referenced block, the one continuing ``after`` is opened when it costs
         at most ``count // 2`` more moves than the cheapest, else the cheapest
-        (ties to the lowest address).  Its cached blocks are copied out — K/V
-        bytes in every layer, dirty bit, radix identity, position in the LRU —
-        onto the blocks this call just ``reclaimed`` (dead bytes the copy
-        overwrites: no scrub is owed), then the lowest free addresses (holes
-        fill, free space coalesces); the vacated blocks and the reclaimed
-        ones left over are scrubbed, and the window is the run returned.
-        Nothing a forward reads moves and the LRU keeps its order.
+        (ties to the lowest address).  The move list is copy + rename: its
+        cached blocks' K/V bytes in every layer are copied onto the blocks
+        this call just ``reclaimed``, then the lowest free addresses (holes
+        fill, free space coalesces), and their radix identity and LRU
+        position follow; the window is the run returned, and the reclaimed
+        blocks left over join the extents.  Nothing a forward reads moves
+        and the LRU keeps its order.
 
         Returns no run, having changed nothing, when every window holds a
         referenced block (the fewest-extents split stands) or one is already
@@ -805,13 +809,11 @@ class PagedKVCache:
             target += free.nonzero()[0][: len(source) - len(target)].tolist()
             free[target] = False
         self._pools[:, :, target] = self._pools.take(source, axis=2)
-        self._dirty[target] = self._dirty[source]
         order = list(self._free_lru)
         for old, new in zip(source, target):
             self._rename(old, new)
             order[order.index(old)] = new
         self._free_lru = OrderedDict.fromkeys(order)
-        self._scrub(sorted(set(source).union(reclaimed).difference(target)))
         self._extents.reset(free)
         self.compactions += 1
         self.relocated_blocks += len(source)
@@ -861,24 +863,9 @@ class PagedKVCache:
             self._recycle(unpublished)
 
     def _recycle(self, blocks: List[int]) -> None:
-        """Zero unreferenced unpublished ``blocks`` and coalesce them into the extents."""
-        blocks = sorted(blocks)
-        self._scrub(blocks)
-        for _, first, count in _consecutive_runs(blocks):
+        """Coalesce unreferenced unpublished ``blocks`` into the extents, bytes as they are."""
+        for _, first, count in _consecutive_runs(sorted(blocks)):
             self._extents.add(first, count)
-
-    def _scrub(self, blocks: List[int]) -> None:
-        """Zero the dirty ones among ``blocks`` (ascending) and clear their dirty bits.
-
-        Dirty blocks are zeroed here — and only here — so every block the
-        extents hand out reads zero and prefix-hit reservations never pay a
-        memset (see the module docstring for why zeros matter): one slice
-        assignment per consecutive dirty stretch, every layer at once; clean
-        blocks are not touched at all, so never-written pool pages stay unmapped.
-        """
-        for _, first, count in _consecutive_runs([block for block in blocks if self._dirty[block]]):
-            self._pools[:, :, first : first + count] = 0.0
-            self._dirty[first : first + count] = False
 
     def free(self, slot: int) -> None:
         """Drop ``slot``'s references; unreferenced blocks join the free-list.
@@ -887,7 +874,14 @@ class PagedKVCache:
         on the LRU leaf-first: memory pressure then shrinks the cached
         prefix one tail block at a time instead of reclaiming the chain's
         radix root (which would de-index every descendant at once).
+
+        Raises
+        ------
+        ConfigurationError
+            If ``slot`` is not reserved (freed, or never was).
         """
+        if slot not in self._tables:
+            raise ConfigurationError(f"slot {slot} is not reserved (freed, or never was)")
         self._unref(reversed(self._tables.pop(slot)))
         del self._lengths[slot]
         self._table_version += 1
@@ -909,14 +903,13 @@ class PagedKVCache:
           de-indexed.
         * **Retained blocks** at or beyond the cut will be rewritten by this
           slot's future decode steps.  A sole-owner (refcount 1) published
-          block there is de-indexed first — the same rule :meth:`reserve`
-          applies to a revived ``private_tail`` — and its rolled-back
-          positions are scrubbed to zero so the zeros-invariant dynamic
-          attention statistics rely on (see the module docstring) survives
-          speculation.  No copy-on-write happens here: a *shared*
-          (refcount > 1) block is left byte-for-byte intact — the rollback
-          only moves this slot's length, and any later write into it forks
-          a private copy through the ordinary COW path.
+          block there is de-indexed — the same rule :meth:`reserve` applies
+          to a revived ``private_tail``.  Every retained block keeps its
+          bytes, the rolled-back positions included (no row can see them;
+          see the module docstring), and no copy-on-write happens here: the
+          rollback only moves this slot's length, and any later write into
+          a *shared* (refcount > 1) block forks a private copy through the
+          ordinary COW path.
 
         Parameters
         ----------
@@ -938,11 +931,13 @@ class PagedKVCache:
         Raises
         ------
         ConfigurationError
-            If ``new_length`` is negative or exceeds the committed length.
+            If ``new_length`` is not an integer in ``[0, committed length]``,
+            or ``min_capacity`` not one >= 0.
         """
         length = self._lengths[slot]
-        new_length = int(new_length)
-        if new_length < 0 or new_length > length:
+        new_length = require_count("new_length", new_length, 0)
+        min_capacity = require_count("min_capacity", min_capacity, 0)
+        if new_length > length:
             raise ConfigurationError(
                 f"truncate target {new_length} outside slot {slot}'s committed "
                 f"length {length} (truncate only rolls back)"
@@ -955,29 +950,21 @@ class PagedKVCache:
         # Invalidate unconditionally, not just when blocks were released: a
         # cached _BlockIndex built before the rollback must never keep
         # addressing rolled-back positions once the freed blocks regrow into
-        # another slot's reservation, and a scrub-only rollback still
-        # changes which positions of the retained blocks hold live data.
+        # another slot's reservation, and a rollback that releases nothing
+        # still changes which positions of the retained blocks hold live data.
         self._table_version += 1
-        first_cut = new_length // self.block_size if new_length < length else keep
-        for index in range(first_cut, keep):
-            block = table[index]
-            if self._refcounts[block] != 1:
-                continue  # shared: copy-on-write protects any later write
-            if block in self._block_key:
-                self._deindex(block)
-            begin = max(new_length - index * self.block_size, 0)
-            end = min(length - index * self.block_size, self.block_size)
-            if begin < end:
-                self._pools[:, :, block, begin:end] = 0.0
+        if new_length < length:  # a shared block past the cut stays indexed: COW protects it
+            for block in table[new_length // self.block_size :]:
+                if self._refcounts[block] == 1 and block in self._block_key:
+                    self._deindex(block)
         self._lengths[slot] = new_length
         return released
 
     def set_length(self, slot: int, length: int) -> None:
-        """Record that ``slot`` now holds ``length`` committed tokens."""
-        if length > self.capacity_of(slot):
+        """Record that ``slot`` now holds ``length`` committed tokens (an integer in ``[0, capacity]``)."""
+        if not isinstance(length, numbers.Integral) or not 0 <= length <= self.capacity_of(slot):
             raise ConfigurationError(
-                f"length {length} exceeds slot {slot}'s reserved capacity "
-                f"{self.capacity_of(slot)}"
+                f"length {length!r} outside slot {slot}'s reserved capacity [0, {self.capacity_of(slot)}]"
             )
         self._lengths[slot] = int(length)
 
@@ -1000,7 +987,6 @@ class PagedKVCache:
                 before=table[block_index + 1] if block_index + 1 < len(table) else None,
             )
         self._pools[:, :, copy] = self._pools[:, :, source]
-        self._dirty[copy] = True
         table[block_index] = copy
         self._unref([source])
         self._table_version += 1
@@ -1094,8 +1080,8 @@ class PagedKVCache:
 
         Returns the ``(physical block, in-block offset)`` of every flat row
         after checking each against its own slot's reservation, forking
-        targets shared with another slot, dropping sole-owner targets from
-        the prefix index and marking them dirty.
+        targets shared with another slot and dropping sole-owner targets
+        from the prefix index.
         """
         positions, rows = plan.positions, plan.rows
         block_rows = positions // self.block_size
@@ -1118,7 +1104,6 @@ class PagedKVCache:
         for block in np.unique(targets):
             if self._block_key.get(int(block)) is not None:
                 self._deindex(int(block))
-        self._dirty[targets] = True
         return targets, positions - block_rows * self.block_size
 
     def gather(
@@ -1135,7 +1120,8 @@ class PagedKVCache:
         reserved capacity are zero-filled: they are only requested when a
         *longer* batch-mate pushes the dense view past a short slot's
         reservation, and the attention mask hides them from every query of
-        that slot.
+        that slot.  Positions inside the reservation but past the slot's
+        length come back as the pool holds them, stale bytes included.
 
         Parameters
         ----------

@@ -800,7 +800,7 @@ class Scheduler:
         rode publishes before its slot is freed.  Rejected draft positions
         are rolled back with :meth:`PagedKVCache.truncate`: blocks are kept
         (``min_capacity`` = the reservation, so reserve-once survives) and
-        the rolled-back positions scrubbed to zeros.
+        only the slot's length moves — no row sees the rolled-back bytes.
         """
         states = list(self._active.values())
         batch, slots = len(states), [state.slot for state in states]

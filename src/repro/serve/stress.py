@@ -3,12 +3,12 @@
 The :class:`~repro.serve.paged_kv_cache.PagedKVCache` correctness story now
 spans reference counts, a radix prefix index, copy-on-write forks, a free
 side split into coalesced extents of unpublished blocks and an LRU whose
-published blocks stay matchable, lazy dirty-bit scrubbing, and
-speculative-rollback truncation.  Example-based tests pin each feature
-in isolation; this module drives *mixed* schedules of the operations the
-scheduler actually issues — admit (with prefix matching and the
-``private_tail`` rule), decode writes, prefix forks, truncation, preemption
-(free-then-replay), eviction, and the cluster fault vocabulary
+published blocks stay matchable, and speculative-rollback truncation.
+Example-based tests pin each feature in isolation; this module drives
+*mixed* schedules of the operations the scheduler actually issues — admit
+(with prefix matching and the ``private_tail`` rule), decode writes, prefix
+forks, truncation, preemption (free-then-replay), eviction, and the cluster
+fault vocabulary
 (``replica_kill``/``shard_kill``: every live slot torn down at once —
 exactly the checkpoint-and-recover sweep a crashed replica or a dead
 tensor-parallel shard triggers, a shard group being one fault unit;
@@ -22,21 +22,21 @@ invariants after every single operation:
   occurrences across live slot tables, and a block is free exactly when
   that count is zero.
 * **Free-structure partition** — the free extents hold exactly the
-  unreferenced *unpublished* blocks (disjoint, maximal runs, every block
-  scrubbed: zero in every layer, dirty bit clear), the LRU exactly the
-  unreferenced *published* ones, and the two partition ``free_blocks()``.
+  unreferenced *unpublished* blocks (disjoint, maximal runs), the LRU
+  exactly the unreferenced *published* ones, and the two partition
+  ``free_blocks()``.
 * **Radix consistency** — the prefix index, reverse key map, and children
   sets agree; every indexed block is live or LRU-matchable; every non-root
   parent is itself indexed.
 * **Version monotonicity** — ``table_version`` never moves backwards.
-* **Content** — a *shadow model* predicts the exact value of every reserved
-  position of every live slot.  Payloads are a pure function of the
-  token prefix and position (mirroring the scheduler contract that KV is a
-  function of the tokens that produced it), so prefix hits must surface
-  byte-identical content (wherever relocation has moved the cached block
-  since), copy-on-write must preserve it, freshly allocated
-  blocks must read zero (the dirty-bit scrub rule), and truncation must
-  scrub exactly the sole-owner positions it rolls back.
+* **Content** — a *shadow model* predicts the exact value of every
+  committed position ``[0, length)`` of every live slot.  Payloads are a
+  pure function of the token prefix and position (mirroring the scheduler
+  contract that KV is a function of the tokens that produced it), so prefix
+  hits must surface byte-identical content (wherever relocation has moved
+  the cached block since), copy-on-write must preserve it, and truncation
+  must leave every position it keeps untouched.  Past ``length`` the pool
+  promises nothing, so nothing is checked there.
 
 Every run records an explicit op log (plain dicts, no hidden RNG), so a
 failure is replayable with :meth:`ServingStressHarness.replay` and
@@ -130,12 +130,6 @@ def check_pool_invariants(cache: PagedKVCache, last_version: Optional[int] = Non
                 f"free extent ({first}, {count}) is empty, out of range, or overlaps/touches "
                 f"the next one at {following} (extents must be disjoint and maximal)"
             )
-    # The extents only ever hold scrubbed blocks: a missed scrub is caught at
-    # the operation that caused it, not at whichever reservation reads it.
-    if cache._dirty[unpublished].any() or any(
-        pool[:, unpublished].any() for pool in cache.key_blocks + cache.value_blocks
-    ):
-        raise InvariantViolation("a block in the free extents is dirty or does not read zero")
     for block in free:
         if (cache.block_key_of(block) is not None) != (block in published_free):
             raise InvariantViolation(
@@ -183,7 +177,7 @@ class LruReferencePool(PagedKVCache):
     Every unreferenced block — published or not — sits on one LRU list:
     released unpublished blocks go to the front, published ones to the back,
     a block orphaned by :meth:`_unindex` stays where it was, and an
-    allocation pops the head once per block (scrubbing it if dirty).
+    allocation pops the head once per block, bytes as they are.
     :class:`PagedKVCache` must evict the same published blocks in the same
     order (or spare one, when it spends an orphan this policy leaves deep
     in the list) — what ``tests/serve/test_block_allocator.py`` and the
@@ -214,11 +208,6 @@ class LruReferencePool(PagedKVCache):
         blocks = [self._free_lru.popitem(last=False)[0] for _ in range(count)]
         for block in blocks:
             self._deindex(block)
-            if self._dirty[block]:  # this policy scrubs on the way out, block by block
-                for layer in range(self.num_layers):
-                    self.key_blocks[layer][:, block] = 0.0
-                    self.value_blocks[layer][:, block] = 0.0
-        self._dirty[blocks] = False
         self._refcounts[blocks] = 1
         return [(block, 1) for block in blocks]
 
@@ -237,7 +226,7 @@ class _SlotModel:
     def __init__(self, slot: int, tokens: List[int], capacity: int) -> None:
         self.slot = slot
         self.tokens = list(tokens)
-        #: Expected payload base per reserved position (0.0 = must read zero).
+        #: Expected payload base per reserved position (read below the slot's length only).
         self.expected = np.zeros(capacity, dtype=np.float64)
 
 
@@ -494,7 +483,7 @@ class ServingStressHarness:
         cache.set_length(model.slot, length + 1)
 
     def _apply_truncate(self, op: dict) -> None:
-        """Speculative-style rollback, mirroring the pool's scrub rule."""
+        """Speculative-style rollback: only the committed length moves."""
         model = self.live.get(op["handle"])
         if model is None:
             return
@@ -503,21 +492,8 @@ class ServingStressHarness:
         new_length = op["new_length"]
         if new_length > length or length == 0:
             return
-        table = cache.block_table(model.slot)
         min_capacity = cache.capacity_of(model.slot) if op["keep_capacity"] else 0
         cache.truncate(model.slot, new_length, min_capacity=min_capacity)
-        keep = len(cache.block_table(model.slot))
-        model.expected = model.expected[: keep * self.block_size].copy()
-        # Sole-owner retained blocks are scrubbed over the rolled-back
-        # window; shared blocks keep their bytes (COW protects later writes).
-        first_cut = new_length // self.block_size if new_length < length else keep
-        for index in range(first_cut, keep):
-            if cache.ref_count(table[index]) != 1:
-                continue
-            begin = max(new_length, index * self.block_size)
-            end = min(length, (index + 1) * self.block_size)
-            if begin < end:
-                model.expected[begin:end] = 0.0
         model.tokens = model.tokens[:new_length]
 
     def _apply_release(self, op: dict) -> None:
@@ -565,18 +541,14 @@ class ServingStressHarness:
             ) from error
 
     def _check_content(self) -> None:
-        """Compare every reserved position of every slot to the shadow."""
+        """Compare every committed position of every slot to the shadow."""
         cache = self.cache
         for handle, model in self.live.items():
-            capacity = cache.capacity_of(model.slot)
+            length = cache.length_of(model.slot)
             for layer in range(cache.num_layers):
-                keys, values = cache.gather(layer, [model.slot], capacity)
-                expected_k = np.where(
-                    model.expected > 0.0, model.expected + layer * 0.125, 0.0
-                )
-                expected_v = np.where(
-                    model.expected > 0.0, model.expected + layer * 0.125 + 0.0625, 0.0
-                )
+                keys, values = cache.gather(layer, [model.slot], length)
+                expected_k = model.expected[:length] + layer * 0.125
+                expected_v = expected_k + 0.0625
                 for name, got, want in (
                     ("key", keys, expected_k),
                     ("value", values, expected_v),

@@ -136,6 +136,33 @@ def four_head_runners():
     return runners
 
 
+@pytest.fixture
+def stale_pool(monkeypatch):
+    """Every ``PagedKVCache`` of the test is full of stale bytes; returns their value.
+
+    Pools start filled with ``1e4`` instead of zeros, and every block a pool
+    frees is refilled with it, so a reader that relies on bytes nobody
+    wrote shows.  Patched on the class, with no hook in the package.  The
+    value is large so a scale that reads it moves, and finite: the fused
+    kernel multiplies masked probabilities of exactly ``0.0`` by whatever
+    sits in V, and ``0.0 * inf`` is NaN.
+    """
+    stale = 1e4
+    construct, recycle = PagedKVCache.__init__, PagedKVCache._recycle
+
+    def filled_init(self, *args, **kwargs):
+        construct(self, *args, **kwargs)
+        self._pools.fill(stale)
+
+    def filled_recycle(self, blocks):
+        self._pools[:, :, blocks] = stale
+        recycle(self, blocks)
+
+    monkeypatch.setattr(PagedKVCache, "__init__", filled_init)
+    monkeypatch.setattr(PagedKVCache, "_recycle", filled_recycle)
+    return stale
+
+
 @pytest.fixture(scope="session")
 def paged_view():
     """``paged_view(config, batch)``: a fresh pool's slots as the sequences of a runner forward.

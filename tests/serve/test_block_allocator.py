@@ -260,7 +260,6 @@ class TestRelocation:
         assert pool.match_prefix(chain("c")) == [7, 2]
         for got, want in zip(bytes_of(pool, [7, 2]), before):
             np.testing.assert_array_equal(got, want)
-        assert not pool.key_blocks[0][:, table].any() and not pool.value_blocks[0][:, table].any()
         assert pool.cached_free_blocks() == [1, 0, 5, 4, 2, 7]
         assert pool.free_extents() == [(6, 1)]
         check_pool_invariants(pool)

@@ -43,6 +43,12 @@ class TestAllocation:
         with pytest.raises(ConfigurationError):
             PagedKVCache(num_layers=0, num_heads=1, d_head=1, block_size=1, num_blocks=1)
 
+    @pytest.mark.parametrize("name", ["num_layers", "num_heads", "d_head", "block_size", "num_blocks"])
+    def test_rejects_fractional_dimensions(self, name):
+        sizes = dict(num_layers=1, num_heads=1, d_head=1, block_size=1, num_blocks=1)
+        with pytest.raises(ConfigurationError, match=f"{name} must be an integer >= 1, got 2.5"):
+            PagedKVCache(**{**sizes, name: 2.5})
+
     def test_reserve_accounting_and_exhaustion(self):
         pool = make_pool(block_size=4, num_blocks=4)
         first = pool.reserve(9)  # 3 blocks
@@ -214,6 +220,67 @@ class TestSlotBatchView:
             make_pool().view([])
 
 
+class TestPublicBoundary:
+    """Malformed arguments are a ``ConfigurationError`` naming them, and change nothing."""
+
+    @staticmethod
+    def state(pool):
+        slots = pool.active_slots
+        return (
+            {slot: (pool.block_table(slot), pool.length_of(slot)) for slot in slots},
+            [pool.ref_count(block) for block in range(pool.num_blocks)],
+            pool.free_extents(),
+            pool.cached_free_blocks(),
+            pool.table_version,
+            pool.reservations,
+        )
+
+    @pytest.fixture
+    def pool(self):
+        """A 4-block pool holding one slot on blocks ``[0, 1]``, 3 positions committed."""
+        pool = make_pool(block_size=4, num_blocks=4)
+        slot = pool.reserve(8)
+        assert pool.block_table(slot) == [0, 1]
+        pool.set_length(slot, 3)
+        return pool
+
+    def refused(self, pool, call, match):
+        before = self.state(pool)
+        with pytest.raises(ConfigurationError, match=match):
+            call()
+        assert self.state(pool) == before
+
+    @pytest.mark.parametrize("block", [-3, 7])
+    def test_reserve_refuses_a_shared_block_outside_the_pool(self, pool, block):
+        self.refused(pool, lambda: pool.reserve(4, shared=[block]), f"shared block {block} outside the pool's 4 blocks")
+        check_pool_invariants(pool)
+
+    @pytest.mark.parametrize("capacity", [-5, 2.5])
+    def test_reserve_refuses_a_capacity_that_is_no_count(self, pool, capacity):
+        self.refused(pool, lambda: pool.reserve(capacity), rf"capacity must be an integer >= 0, got {capacity}")
+
+    def test_reserve_takes_a_zero_capacity_as_one_block(self, pool):
+        assert pool.capacity_of(pool.reserve(0)) == 4
+
+    @pytest.mark.parametrize("length", [-3, 2.5])
+    def test_set_length_refuses_a_length_that_is_no_count(self, pool, length):
+        match = rf"length {length} outside slot 0's reserved capacity \[0, 8\]"
+        self.refused(pool, lambda: pool.set_length(0, length), match)
+
+    def test_set_length_takes_numpy_integers(self, pool):
+        pool.set_length(0, np.int64(8))
+        assert pool.length_of(0) == 8
+
+    @pytest.mark.parametrize("new_length, min_capacity, field", [(1.7, 0, "new_length"), (1, 2.0, "min_capacity")])
+    def test_truncate_refuses_a_fraction(self, pool, new_length, min_capacity, field):
+        self.refused(pool, lambda: pool.truncate(0, new_length, min_capacity), f"{field} must be an integer >= 0")
+
+    def test_free_refuses_an_unknown_slot(self, pool):
+        self.refused(pool, lambda: pool.free(42), "slot 42 is not reserved")
+        pool.free(0)
+        self.refused(pool, lambda: pool.free(0), "slot 0 is not reserved")
+
+
 class TestTruncateInvalidatesCachedIndexes:
     """Regression: a view's cached block index must never outlive a rollback.
 
@@ -221,8 +288,8 @@ class TestTruncateInvalidatesCachedIndexes:
     reservation regrows into them, a ``SlotBatchView`` still holding the
     pre-rollback index would read (gather) or clobber (write) the new
     owner's KV.  Truncate therefore bumps the table version unconditionally
-    — even a scrub-only rollback changes which positions of the retained
-    blocks hold live data — and every view operation freshness-checks first.
+    — even a rollback that releases nothing changes which positions of the
+    retained blocks hold live data — and every view operation freshness-checks first.
     """
 
     def test_truncate_regrow_gather_write_roundtrip(self, rng):
@@ -276,7 +343,7 @@ class TestTruncateInvalidatesCachedIndexes:
         np.testing.assert_array_equal(keys[:, :, :4], payload)  # shared head intact
         assert not keys[:, :, 4:].any()  # reclaimed tail not leaked
 
-    def test_scrub_only_truncate_still_bumps_the_version(self):
+    def test_release_free_truncate_still_bumps_the_version(self):
         """A min_capacity rollback releases nothing yet still invalidates:
         the retained blocks' rolled-back positions changed under the view."""
         pool = make_pool(block_size=4)

@@ -369,8 +369,8 @@ class TestRefcountAndCow:
         pool.free(fresh)
         pool.free(holder)
 
-    def test_dirty_blocks_are_scrubbed_only_when_reused_fresh(self, rng):
-        """Lazy scrub: fresh reuse sees zeros, prefix hits keep their data."""
+    def test_a_prefix_hit_keeps_the_freed_blocks_data(self, rng):
+        """A freed published block is revived by a prefix hit with its bytes intact."""
         from repro.serve import PagedKVCache
 
         pool = PagedKVCache(num_layers=1, num_heads=1, d_head=2, block_size=4, num_blocks=2)
@@ -383,12 +383,6 @@ class TestRefcountAndCow:
         # Prefix-hit reservation: the block keeps its contents (no memset).
         revived = pool.reserve(4, shared=pool.match_prefix(tokens))
         np.testing.assert_array_equal(pool.gather(0, [revived], 4)[0], payload)
-        pool.free(revived)
-        # Fresh reservations must see zeros again once the block is recycled.
-        first = pool.reserve(4)   # takes the never-written (clean) block
-        second = pool.reserve(4)  # reclaims the dirty one -> scrubbed
-        for fresh in (first, second):
-            assert not pool.gather(0, [fresh], 4)[0].any()
 
 
 class TestChunkedPrefill:

@@ -145,9 +145,11 @@ class TestDirtyBlockReuse:
         per-column attention-operand scales over the whole attended window,
         so a recycled slot exposing a *previous* request's stale K/V beyond
         the new request's length would silently coarsen its quantization
-        (the outputs stayed masked — only the scales leaked).  Reservation
-        scrubs blocks to restore the dense cache's zero-init invariant; this
-        pins it with heavy slot reuse and tiny blocks.
+        (the outputs stayed masked — only the scales leaked).  The pool
+        leaves freed blocks as they are; the dense attention reader zeroes
+        every column past each sequence's reach
+        (``dense_cached_attention``).  This pins it with heavy slot reuse and
+        tiny blocks.
         """
         from repro.core import TenderConfig, TenderQuantizer
 
