@@ -38,7 +38,7 @@ class KVCacheLike(Protocol):
     through a :class:`repro.serve.paged_kv_cache.SlotBatchView` over whichever
     slots are in this forward; the protocol lives here only because models
     may not import the serving layer.  It lists exactly what
-    :class:`TransformerRunner` and the tensor-parallel runner call.  Sequence
+    :class:`TransformerRunner` calls, on one device or many.  Sequence
     ``b`` of every call is the one ``lengths[b]`` describes; consecutive
     forwards may map it to *different* requests as the scheduler evicts and
     backfills slots.
@@ -100,8 +100,8 @@ def dense_cached_attention(
     masking (a slot ``s`` is visible to a query at position ``p`` iff ``s <=
     p``), softmax, and the ``X_S @ X_V`` product.  Every step is independent
     per attention head, so calling it on a contiguous head slice of the
-    operands returns exactly that slice of the full result — the solo runner
-    passes all heads, the tensor-parallel runner each shard's own.  Takes
+    operands would return exactly that slice of the full result; every
+    runner, a tensor-parallel one included, passes all heads.  Takes
     flat ``(heads, rows, d_head)`` queries and, like
     :func:`~repro.core.kernels.paged_attention`, returns the context
     row-major: ``(rows, heads, d_head)``.
@@ -216,6 +216,10 @@ class CapturingExecutor:
 
 class TransformerRunner:
     """Runs a Transformer forward pass from :class:`ModelWeights` + executor."""
+
+    #: Where per-head columns meet across devices (a tensor-parallel runner's
+    #: ``all_gather``); ``None`` on one device.
+    _meet_heads = None
 
     def __init__(self, weights: ModelWeights, executor: Optional[MatmulExecutor] = None) -> None:
         self.weights = weights
@@ -340,6 +344,8 @@ class TransformerRunner:
         attention = softmax(scores, axis=-1)
         context = self.executor.attention_matmul(f"{prefix}.sv", attention, values)
         context = context.transpose(0, 2, 1, 3).reshape(batch, seq, config.d_model)
+        if self._meet_heads is not None:
+            context = self._meet_heads(context)
         return self._project(f"{prefix}.out_proj", context, block.attn.wo, block.attn.bo, positions)
 
     def _feed_forward(
@@ -424,12 +430,17 @@ class TransformerRunner:
         ``kept`` (a prefill's last block, see :meth:`_forward_rows`): every
         row's K/V is written, then only the kept queries attend and are
         projected — row-wise work, so theirs is unchanged; ``None`` if none.
+
+        Across devices, K and V meet (:attr:`_meet_heads`) before the one
+        cache write, and the kept rows' context before the output projection.
         """
         block = self.weights.blocks[index]
         config = self.config
         prefix = f"block{index}.attn"
         heads = config.num_heads
         queries, keys, values = self._qkv(index, x, plan)
+        if self._meet_heads is not None:
+            keys, values = self._meet_heads(keys), self._meet_heads(values)
         cache.write(index, self._row_heads(keys, heads), self._row_heads(values, heads), plan)
         if kept is not None:
             if not kept.positions.size:
@@ -449,6 +460,8 @@ class TransformerRunner:
                 self.executor, prefix, queries, cached_keys, cached_values, plan, config.d_head
             )
         context = context.reshape(-1, config.d_model)
+        if self._meet_heads is not None:
+            context = self._meet_heads(context)
         return self._project(f"{prefix}.out_proj", context, block.attn.wo, block.attn.bo, plan)
 
     def _forward_rows(

@@ -14,18 +14,18 @@ requantization alike, so a column's bits do not depend on which call
 computed it.  The group therefore projects each site **once**, at full
 width, through the solo runner's own executor — the result N devices would
 assemble, bit for bit — and cuts it into the per-shard column slices that
-cross the transport.  Q is never gathered: attention is head-parallel and
-the fused kernel runs *once* per layer for the group, over the full-width
-queries, and its context cuts back into the per-shard slices that gather
-before the output projection.
+cross the transport.  Q is never gathered: attention is head-parallel, and
+the solo runner's own attention runs *once* per layer for the group, over
+the full-width queries — on the fused kernel and on the dense branch alike,
+whose run-time requantization (Tender ``quantize_attention=True``) is per
+(batch, head).  K and V cut into the shards' head columns and gather before
+the cache write, the context before the output projection
+(:meth:`ShardedRunner._meet_heads`).
 
 What the group simulates per shard is the transport — messages, bytes,
 sequence numbers, checksums, faults, retries, ``simulated_ms`` — not host
-dispatch or weight-side work: N devices run their slices concurrently, so N
-calls in turn over the same operands simulated nothing.  Only the dense
-attention branch (Tender ``quantize_attention=True``), where each shard's
-own executor (:attr:`ShardedRunner.executors`) quantizes its own heads'
-operands at run time, still runs shard by shard.
+dispatch, weight-side work or attention: N devices run their slices
+concurrently, so N calls in turn over the same operands simulated nothing.
 
 **Where Tender's calibration lives** (the decomposition decision, also in
 architecture.md): every shard holds a *full replica* of the per-chunk
@@ -59,11 +59,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.kernels import ForwardPlan, paged_attention
+from repro.core.kernels import ForwardPlan
 from repro.errors import ConfigurationError, require_count
-from repro.models.inference import KVCacheLike, MatmulExecutor, TransformerRunner, dense_cached_attention
+from repro.models.inference import MatmulExecutor, TransformerRunner
 from repro.serve.collective import CollectiveGroup
-from repro.tensor.ops import softmax
 
 __all__ = ["ShardedRunner", "partition_bounds"]
 
@@ -73,10 +72,11 @@ def partition_bounds(total: int, num_parts: int) -> List[Tuple[int, int]]:
 
     The first ``total % num_parts`` parts take one extra column, so any width
     splits without padding; concatenating the slices in part order always
-    reassembles the original tensor exactly.
+    reassembles the original tensor exactly.  ``total`` must be an integer
+    ``>= 0`` and ``num_parts`` one ``>= 1`` (``ConfigurationError`` otherwise).
     """
-    if num_parts < 1:
-        raise ConfigurationError("cannot partition into fewer than one part")
+    total = require_count("total", total, 0)
+    num_parts = require_count("num_parts", num_parts, 1)
     base, remainder = divmod(total, num_parts)
     bounds = []
     start = 0
@@ -88,12 +88,12 @@ def partition_bounds(total: int, num_parts: int) -> List[Tuple[int, int]]:
 
 
 def _clone_executor(executor: MatmulExecutor) -> MatmulExecutor:
-    """An executor of the same scheme for one shard's dense attention products.
+    """An executor of the same scheme, with ``stats`` of its own, that the runner never calls.
 
-    Tender-style executors (anything carrying ``site_params``) are rebuilt
-    around the *shared* calibration tables with caches and ``stats`` of
-    their own, so each shard counts the attention products it quantizes;
-    any other executor is copied.
+    Kept only for :attr:`ShardedRunner.executors`, which the benchmark's
+    probe (``bench/probes.py``) wraps.  Tender-style executors (anything
+    carrying ``site_params``) are rebuilt around the *shared* calibration
+    tables; any other executor is copied.
     """
     if hasattr(executor, "site_params"):
         return type(executor)(
@@ -112,7 +112,7 @@ class ShardedRunner(TransformerRunner):
     ----------
     runner:
         The solo runner to shard.  Its weights and executor are shared: every
-        projection runs through that executor at full width.
+        projection and attention product runs through that executor at full width.
     num_shards:
         Number of shards; must satisfy ``1 <= num_shards <= num_heads`` so
         every shard owns at least one attention head.
@@ -147,8 +147,9 @@ class ShardedRunner(TransformerRunner):
         self._qkv_stacks = runner._qkv_stacks
         self.num_shards = num_shards
         self.group = group if group is not None else CollectiveGroup(num_shards)
-        #: One clone of the runner's executor per shard, for the dense
-        #: attention branch: same scheme and calibration, its own ``stats``.
+        #: One clone of the runner's executor per shard, which no forward
+        #: calls (every product runs on :attr:`executor`): kept only because
+        #: the benchmark's probe wraps ``runner.executors``.
         self.executors: List[MatmulExecutor] = [_clone_executor(runner.executor) for _ in range(num_shards)]
         #: Contiguous head ranges per shard (attention head parallelism), and
         #: the column range each covers in a Q/K/V or context row.
@@ -162,7 +163,7 @@ class ShardedRunner(TransformerRunner):
         return self.group.healthy
 
     # ------------------------------------------------------------------
-    # Column-parallel projection
+    # Where the shards meet: projection columns and attention heads
     # ------------------------------------------------------------------
     def _gather(self, output: np.ndarray, bounds: List[Tuple[int, int]]) -> np.ndarray:
         """``output``'s per-shard column slices, reassembled by an ``all_gather``."""
@@ -192,100 +193,10 @@ class ShardedRunner(TransformerRunner):
             bounds = self._column_bounds[width] = partition_bounds(width, self.num_shards)
         return self._gather(output, bounds)
 
-    # ------------------------------------------------------------------
-    # Head-parallel attention
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _split_heads(t: np.ndarray, num_heads: int, d_head: int) -> np.ndarray:
-        batch, new_len = t.shape[0], t.shape[1]
-        return t.reshape(batch, new_len, num_heads, d_head).transpose(0, 2, 1, 3)
+    def _meet_heads(self, t: np.ndarray) -> np.ndarray:
+        """``t``'s per-shard head columns, reassembled by an ``all_gather`` (K, V and the attention context).
 
-    def _attention_cached(
-        self, index: int, x: np.ndarray, cache: KVCacheLike, plan: ForwardPlan, kept: Optional[ForwardPlan] = None
-    ) -> Optional[np.ndarray]:
-        """Head-parallel cached attention meeting at K/V and context gathers.
-
-        Q/K/V are the solo runner's projections of the forward's flat rows;
-        K and V cross the transport as each shard's head range and feed the
-        *single* scheduler-owned cache (one write, exactly like the solo
-        runner), and the per-shard contexts gather back to full width before
-        the column-parallel output projection.  Every per-head step is
-        independent per head, so the result is bit-identical to the solo
-        runner's — whether the fused kernel serves all heads in one call or,
-        on the dense branch, each shard's executor its own.
-
-        ``kept`` (as in the solo runner) cuts the queries to the rows still
-        read *after* the K/V gathers and the write, which carry every row:
-        the later gathers move kept rows only, or none happen at all.
+        Every per-head step is independent per head, so each shard's columns
+        hold exactly the bits its own heads' attention would.
         """
-        block = self.weights.blocks[index]
-        config = self.config
-        heads = config.num_heads
-        queries, keys, values = self._qkv(index, x, plan)
-        keys = self._gather(keys, self._head_columns)
-        values = self._gather(values, self._head_columns)
-        cache.write(index, self._row_heads(keys, heads), self._row_heads(values, heads), plan)
-        if kept is not None:
-            if not kept.positions.size:
-                return None
-            queries, plan = queries[kept.parent_rows], kept
-        prefix = f"block{index}.attn"
-        if self.fused_paged_attention and self._plain_attention:
-            # One call for the group: operands fetched after the write, same as
-            # the solo runner, so any copy-on-write fork is in the run table.
-            key_pool, value_pool, runs, block_size = cache.attention_operands(index)
-            context = paged_attention(self._row_heads(queries, heads), key_pool, value_pool, runs, block_size, plan)
-            context = self._gather(context.reshape(-1, config.d_model), self._head_columns)
-        else:
-            # Each shard's own executor quantizes (and counts) its own heads.
-            cached_keys, cached_values = cache.view(index, plan.attended)
-            context = self.group.all_gather(
-                [
-                    dense_cached_attention(
-                        executor,
-                        prefix,
-                        self._row_heads(queries[:, c0:c1], h1 - h0),
-                        cached_keys[:, h0:h1],
-                        cached_values[:, h0:h1],
-                        plan,
-                        config.d_head,
-                    ).reshape(-1, c1 - c0)
-                    for executor, (h0, h1), (c0, c1) in zip(self.executors, self.head_bounds, self._head_columns)
-                ],
-                axis=-1,
-            )
-        return self._project(f"{prefix}.out_proj", context, block.attn.wo, block.attn.bo, plan)
-
-    def _attention(
-        self,
-        index: int,
-        x: np.ndarray,
-        positions: Optional[ForwardPlan | np.ndarray] = None,
-    ) -> np.ndarray:
-        """Head-parallel full-sequence attention (the ``logits()`` path)."""
-        block = self.weights.blocks[index]
-        config = self.config
-        batch, seq, _ = x.shape
-        prefix = f"block{index}.attn"
-        d_head = config.d_head
-
-        queries, keys, values = self._qkv(index, x, positions)
-        mask = (
-            np.triu(np.ones((seq, seq), dtype=bool), k=1) if config.causal else None
-        )
-        context_parts: List[np.ndarray] = []
-        for executor, (h0, h1), (c0, c1) in zip(self.executors, self.head_bounds, self._head_columns):
-            scores = executor.attention_matmul(
-                f"{prefix}.qk",
-                self._split_heads(queries[..., c0:c1], h1 - h0, d_head),
-                np.swapaxes(self._split_heads(keys[..., c0:c1], h1 - h0, d_head), -1, -2),
-            ) / np.sqrt(d_head)
-            if mask is not None:
-                scores = np.where(mask[None, None], -1e9, scores)
-            attention = softmax(scores, axis=-1)
-            context = executor.attention_matmul(
-                f"{prefix}.sv", attention, self._split_heads(values[..., c0:c1], h1 - h0, d_head)
-            )
-            context_parts.append(context.transpose(0, 2, 1, 3).reshape(batch, seq, c1 - c0))
-        context = self.group.all_gather(context_parts, axis=-1)
-        return self._project(f"{prefix}.out_proj", context, block.attn.wo, block.attn.bo, positions)
+        return self.group.all_gather([t[..., c0:c1] for c0, c1 in self._head_columns], axis=-1)

@@ -127,11 +127,13 @@ def rng():
 def four_head_runners():
     """Solo runners over the 4-head tiny model (2 / 3 / 4 shards are legal).
 
-    FP, Tender implicit / explicit, and one baseline: per-row W8A8
-    (``"int8-row"``), which takes no positions, stacks no sites and attends
-    on the dense branch.
+    FP, Tender implicit / explicit, Tender "all" (``"tender-all"``: implicit,
+    attention operands requantized at run time, so it attends on the dense
+    branch), and one baseline: per-row W8A8 (``"int8-row"``), which takes no
+    positions, stacks no sites and attends on the dense branch.
     """
     runners = {scheme: tiny_runner(scheme, num_heads=4) for scheme in ("fp", "tender-implicit", "tender-explicit")}
+    runners["tender-all"] = tiny_runner("tender-implicit", num_heads=4, quantize_attention=True)
     runners["int8-row"] = TransformerRunner(runners["fp"].weights, UniformQuantExecutor(8, Granularity.PER_ROW))
     return runners
 

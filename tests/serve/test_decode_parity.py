@@ -311,13 +311,12 @@ class TestEarlyExitExactWork:
         last — and one ``paged_attention`` call fewer.  The gather runner runs
         all six sites of every block (and no fused kernel at all)."""
         from repro.models import inference
-        from repro.serve import shard
 
         runner = oracle_pair(four_head_runners["tender-implicit"], shards)[attention == "gather"]
         layers = runner.config.num_layers
         attended, kernel = [], inference.paged_attention
-        for module in (inference, shard):  # one wrapper, wherever the runner imported the kernel
-            monkeypatch.setattr(module, "paged_attention", lambda *args: (attended.append(1), kernel(*args))[1])
+        # Solo or sharded, the runner attends through the one attention of ``TransformerRunner``.
+        monkeypatch.setattr(inference, "paged_attention", lambda *args: (attended.append(1), kernel(*args))[1])
         view = paged_view(runner.config, capacities=[32])
         tokens = np.arange(16)[None, :]
         before = runner.executor.stats["projections"]

@@ -23,7 +23,8 @@ Beside the table run four checks that serve no trace: the fast projection
 against the reference per-chunk loop (bit-identity), the exact dispatch count
 of one Tender decode step (solo, and as a 2- and a 4-shard group on a
 fault-injected transport; one ``paged_attention`` call per layer at every
-shard count), the allocation peak of one ``paged_attention`` call, and the
+shard count, and for Tender "all" one ``dense_cached_attention`` call per
+layer), the allocation peak of one ``paged_attention`` call, and the
 randomized pool-invariant sweep.
 
 Exit status 0 when clean; 1 with a one-line diagnosis per failure otherwise.
@@ -51,6 +52,7 @@ from repro import gpu
 from repro.core import TenderConfig, TenderExecutor
 from repro.core.kernels import ForwardPlan, paged_attention
 from repro.core.perf import count_calls, decode_projection_operands, synthetic_projection_site
+from repro.models.inference import dense_cached_attention
 from repro.models.zoo import get_zoo_entry
 from repro.obs import CountingClock, Tracer
 from repro.serve import (
@@ -74,13 +76,19 @@ from repro.serve.stress import LruReferencePool
 RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_serving.json"
 #: Python-level calls one batched ``decode_step`` of the Tender-quantized tiny
 #: model may make, by shard count (0: the solo runner): the measured count
-#: (199, 205 while every layer re-probed the attention gate, 405 before the
-#: forward plan; 2 shards 297, 370 while every shard projected its own weight
-#: slice, 386, 398 while every shard made its own ``paged_attention`` call, 521
-#: while every shard also quantized the activation for itself and every message
-#: was delivered by its own call; 4 shards 323, 500, 528, 576) + 16 / 38 / 52 for
-#: NumPy versions, not for new per-site or per-shard work.
+#: (200 since ``attention_layout`` reads the ``ForwardPlan.reach`` property,
+#: 199 before, 205 while every layer re-probed the attention gate, 405 before
+#: the forward plan; 2 shards 298, 297, 370 while every shard projected its
+#: own weight slice, 386, 398 while every shard made its own
+#: ``paged_attention`` call, 521 while every shard also quantized the
+#: activation for itself and every message was delivered by its own call;
+#: 4 shards 324, 323, 500, 528, 576) + 16 / 38 / 52 for NumPy versions, not
+#: for new per-site or per-shard work.
 DECODE_CALL_BUDGET = {0: 215, 2: 335, 4: 375}
+#: The same step with Tender "all" (``quantize_attention=True``), which
+#: attends on the dense branch: measured 415 / 513 / 539 (2 and 4 shards 737
+#: and 1215 while every shard attended over its own heads) + the same margins.
+DENSE_DECODE_CALL_BUDGET = {0: 431, 2: 551, 4: 591}
 #: ``tracemalloc`` peak of one ``paged_attention`` call over its score buffer +
 #: context: measured 1.19 (the mask, the row maxima and sums, one run's SV
 #: product), 3.88 while scale, mask and each softmax pass allocated their result.
@@ -744,17 +752,21 @@ def check_fast_projection() -> str:
     return "" if np.array_equal(fast, reference) else "fast projection is not bit-identical to the reference"
 
 
-def decode_dispatch_counts(shards: int = 0) -> Tuple[int, int, int]:
-    """``(Python-level calls, np.unique calls, paged_attention calls)`` of one batched ``decode_step``.
+def decode_dispatch_counts(shards: int = 0, quantize_attention: bool = False) -> Tuple[int, int, int]:
+    """``(Python-level calls, np.unique calls, attention calls)`` of one batched ``decode_step``.
 
     The tiny model, Tender-quantized, decoding four ragged slots of a paged
     pool — the scheduler's steady-state forward; with ``shards``, as a shard
     group meeting on a transport with a fault injector attached (no fault
-    fires).  ``sys.setprofile`` sees one ``call`` event per Python frame
-    entered (NumPy's own Python wrappers included, C functions not), so the
-    count is exact and repeats.
+    fires); with ``quantize_attention``, as Tender "all", whose attention
+    calls are ``dense_cached_attention``'s instead of ``paged_attention``'s.
+    ``sys.setprofile`` sees one ``call`` event per Python frame entered
+    (NumPy's own Python wrappers included, C functions not), so the count is
+    exact and repeats.
     """
-    runner = workloads.tiny_runner("tender-implicit", num_heads=4 if shards else 2)
+    runner = workloads.tiny_runner(
+        "tender-implicit", num_heads=4 if shards else 2, quantize_attention=quantize_attention
+    )
     if shards:
         group = CollectiveGroup(shards, fault_injector=CollectiveFaultInjector(seed=0))
         runner = ShardedRunner(runner, shards, group=group)
@@ -768,21 +780,28 @@ def decode_dispatch_counts(shards: int = 0) -> Tuple[int, int, int]:
     next_tokens = runner.decode_step(next_tokens, view).argmax(axis=-1)  # fills the lazy caches
     entered = Counter()  # by code object; ``update`` returns None, so nothing "matches"
     calls, _ = count_calls(partial(runner.decode_step, next_tokens, view), lambda code: entered.update((code,)))
-    return calls, entered[np.unique.__wrapped__.__code__], entered[paged_attention.__code__]
+    return calls, entered[np.unique.__wrapped__.__code__], entered[_attention_kernel(quantize_attention).__code__]
+
+
+def _attention_kernel(quantize_attention: bool) -> Callable:
+    """The function a cached forward attends through: fused, or dense under Tender "all"."""
+    return dense_cached_attention if quantize_attention else paged_attention
 
 
 def check_decode_dispatch() -> str:
     """A PR that re-derives position metadata per site, per layer or per shard,
-    or runs the fused attention kernel once per shard, fails here."""
+    or runs either attention branch once per shard, fails here."""
     layers = workloads.tiny_runner().config.num_layers
-    for shards, budget in DECODE_CALL_BUDGET.items():
-        calls, uniques, attentions = decode_dispatch_counts(shards)
-        if calls > budget or uniques > MAX_UNIQUE_PER_DECODE or attentions != layers:
-            return (
-                f"one decode_step ({shards or 'no'} shards) made {calls} Python-level calls (budget "
-                f"{budget}), {uniques} np.unique calls (budget {MAX_UNIQUE_PER_DECODE}) and "
-                f"{attentions} paged_attention calls (one per layer: {layers})"
-            )
+    for dense, budgets in ((False, DECODE_CALL_BUDGET), (True, DENSE_DECODE_CALL_BUDGET)):
+        for shards, budget in budgets.items():
+            calls, uniques, attentions = decode_dispatch_counts(shards, quantize_attention=dense)
+            if calls > budget or uniques > MAX_UNIQUE_PER_DECODE or attentions != layers:
+                return (
+                    f"one {'Tender all ' if dense else ''}decode_step ({shards or 'no'} shards) made "
+                    f"{calls} Python-level calls (budget {budget}), {uniques} np.unique calls (budget "
+                    f"{MAX_UNIQUE_PER_DECODE}) and {attentions} {_attention_kernel(dense).__name__} calls "
+                    f"(one per layer: {layers})"
+                )
     return ""
 
 
