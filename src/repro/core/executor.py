@@ -64,36 +64,43 @@ _ACC_MIN = -(2**31)
 _SHARED_TABLES = ("bias", "channel_scales", "alpha_weights", "final_scales", "implicit_bounds")
 
 
-class _StackedSite:
-    """Cached state of one tuple of sites projected together.
+class _Site:
+    """What ``project`` knows of one site, or of a tuple of sites over one activation.
 
-    ``packed`` is the activation side: the tables every site quantizes by
-    when they are identical — what lets one quantized activation serve all
-    of them — else ``None``.  The rest is the weight side, filled by the
-    first ``project``: ``bounds`` are the sites' column ranges in the
-    stacked weight and bias; with shared tables the column concatenations
-    after it stand in for the per-site float64 weights, which are then never
-    cached; otherwise ``weights`` keeps the per-site column blocks the
-    site-by-site path is handed on every call.
+    Built by the first :meth:`TenderExecutor.quantize` / ``project`` of
+    ``names``.  ``packed`` is the activation side, the tables the rows are
+    quantized by: the site's own with fast kernels, for a tuple only when
+    the record is fused (its sites' tables are then identical).  ``fused``
+    says the one fused implicit matmul serves every call: implicit fast
+    kernels and ``implicit_fits`` (:class:`~repro.core.kernels.PackedSiteParams`)
+    — decided here, never per call.  The weight side is filled by the first
+    ``project``: the sites' column ``bounds`` in the (stacked) weight, the
+    per-column quantized weight (the reference kernels' operand) and its
+    integer-valued float64 copy, the column scale, the per-chunk ``bias @ W``
+    table (one row per calibrated chunk, columns side by side) and the
+    ordered kernels' Index-Buffer-permuted weights by chunk (``permuted``,
+    filled as chunks are met).  An unfused tuple keeps only its per-site
+    column blocks (``weights``): each site loads its own record.
     """
 
-    __slots__ = ("packed", "bounds", "weights", "weight64", "weight_scale", "bias_projection")
+    __slots__ = (
+        "names", "count", "packed", "fused", "bounds", "weights",
+        "quantized", "weight64", "weight_scale", "bias_projection", "permuted",
+    )  # fmt: skip
 
-    def __init__(self, packed: Optional[PackedSiteParams]) -> None:
+    def __init__(self, names: Tuple[str, ...], packed: Optional[PackedSiteParams], fused: bool) -> None:
+        self.names = names
+        #: Sites served per call: ``stats`` advance by this much.
+        self.count = len(names)
         self.packed = packed
+        self.fused = fused
         self.bounds: Optional[List[Tuple[int, int]]] = None
         self.weights: Optional[List[np.ndarray]] = None
+        self.quantized: Optional[np.ndarray] = None
         self.weight64: Optional[np.ndarray] = None
         self.weight_scale: Optional[np.ndarray] = None
         self.bias_projection: Optional[np.ndarray] = None
-
-    def site_weights(self, weight: np.ndarray) -> List[np.ndarray]:
-        """Per-site column blocks of ``weight`` as contiguous arrays.
-
-        Contiguous copies, so each site's caches are derived from exactly
-        the array a single-site call would have been handed.
-        """
-        return self.weights or [np.ascontiguousarray(weight[:, a:b]) for a, b in self.bounds]
+        self.permuted: Dict[int, np.ndarray] = {}
 
 
 class QuantizedActivation:
@@ -101,27 +108,24 @@ class QuantizedActivation:
 
     Tender's decomposition is a property of the activation, and every weight
     column multiplies the same quantized rows (the MSA streams one tile past
-    all PE columns).  :meth:`TenderExecutor.quantize` fills one of these per
-    site per forward and ``project`` consumes it — its own, or one an
-    executor holding the same calibration made.
+    all PE columns).  :meth:`TenderExecutor.quantize` fills one of these and
+    ``project`` consumes it — its own executor's, or one an executor holding
+    the same calibration made (``project`` quantizes raw rows itself).
 
     ``x`` is the raw ``(rows, channels)`` activation (never copied; the
     reference arithmetic consumes it) and ``chunks`` the forward's
     :class:`~repro.core.kernels.RowChunks`.  ``packed`` / ``chunk_idx`` are
     the tables the rows were quantized against and each row's table row, and
-    ``operand`` the quantized rows (integer-valued float64); ``packed`` is
-    ``None`` when nothing was quantized here.  ``final_scales`` is set when
-    the overflow bound lets one fused implicit matmul serve the rows:
-    ``operand`` is then already alpha-weighted, else it goes to the ordered
-    per-chunk kernels as it is.  ``stacked`` says the activation serves a
-    tuple of sites, and ``parts`` then holds one activation side per site
-    when they cannot share one fused operand.
+    ``operand`` the quantized rows (integer-valued float64) — alpha-weighted
+    when the site's record is fused, as the fused matmul takes them;
+    ``packed`` is ``None`` when nothing was quantized here (reference
+    kernels, or a tuple of sites that cannot share one operand: ``parts``
+    then holds one activation side per site).
     """
 
-    # No ``__init__`` (a Python frame per projection): ``quantize`` sets ``x``
+    # No ``__init__`` (a Python frame per activation): ``quantize`` sets ``x``
     # and ``chunks`` on every instance and whichever of these it derives.
-    packed = chunk_idx = operand = final_scales = parts = None
-    stacked = False
+    packed = chunk_idx = operand = parts = None
 
     @property
     def shape(self) -> Tuple[int, ...]:
@@ -156,69 +160,69 @@ class TenderExecutor:
         #: implementations (pinned by tests/core/test_fast_kernels.py), which
         #: stay selectable for regression testing and benchmarking.
         self.fast_kernels = fast_kernels
-        self._weight_cache: Dict[str, tuple] = {}
-        self._weight64_cache: Dict[str, np.ndarray] = {}
-        self._permuted_weight_cache: Dict[tuple, np.ndarray] = {}
-        self._bias_projection_cache: Dict[str, List[np.ndarray]] = {}
-        self._bias_projection_stack_cache: Dict[str, np.ndarray] = {}
-        self._stacked_cache: Dict[Tuple[str, ...], _StackedSite] = {}
+        #: One :class:`_Site` record per site name, or tuple of site names.
+        self._sites: Dict[object, _Site] = {}
         #: Simple counters useful for tests and the GPU latency model.
         self.stats = {"projections": 0, "attention_matmuls": 0, "rescales": 0}
 
     # ------------------------------------------------------------------
-    # Weight handling
+    # Site records
     # ------------------------------------------------------------------
-    def _quantized_weight(self, name: str, weight: np.ndarray):
-        """Per-column symmetric weight quantization, cached per site."""
-        if name not in self._weight_cache:
-            scale = compute_scale(weight, self.config.bits, Granularity.PER_COLUMN)
-            values = quantize_symmetric(weight, scale, self.config.bits)
-            self._weight_cache[name] = (values, scale)
-        return self._weight_cache[name]
+    def _site(self, name) -> _Site:
+        """The record of site (or tuple of sites) ``name``, built on first use.
 
-    def _bias_projection(self, name: str, weight: np.ndarray) -> List[np.ndarray]:
-        """Pre-computed ``bias @ W`` per chunk (added back after the int matmul)."""
-        if name not in self._bias_projection_cache:
-            params = self.site_params[name]
-            self._bias_projection_cache[name] = [chunk.bias @ weight for chunk in params.chunks]
-        return self._bias_projection_cache[name]
-
-    def _bias_projection_stack(self, name: str, weight: np.ndarray) -> np.ndarray:
-        """The per-chunk ``bias @ W`` compensations as one (chunks, out) table.
-
-        Stacks the exact per-chunk products of :meth:`_bias_projection` (same
-        1-D BLAS calls, hence bit-identical values) so the fast path can
-        gather each row's compensation by chunk index.
+        A tuple's packed tables are compared here, once, by array equality.
         """
-        if name not in self._bias_projection_stack_cache:
-            self._bias_projection_stack_cache[name] = np.stack(self._bias_projection(name, weight))
-        return self._bias_projection_stack_cache[name]
+        site = self._sites.get(name)
+        if site is not None:
+            return site
+        names = name if isinstance(name, tuple) else (name,)
+        for site_name in names:
+            if site_name not in self.site_params:
+                raise CalibrationError(f"no Tender calibration for matmul site {site_name!r}")
+        packed, fused = None, False
+        if self.fast_kernels:
+            first, *others = [self.site_params[site_name].packed() for site_name in names]
+            fused = self.implicit and first.implicit_fits and all(
+                other.qmax == first.qmax
+                and all(np.array_equal(getattr(first, table), getattr(other, table)) for table in _SHARED_TABLES)
+                for other in others
+            )
+            packed = first if fused or not others else None
+        site = self._sites[name] = _Site(names, packed, fused)
+        return site
 
-    def _weight_f64(self, name: str, quantized_weight: np.ndarray) -> np.ndarray:
-        """The quantized weight as integer-valued float64, cached per site.
+    def _load_weights(self, site: _Site, weight: np.ndarray) -> None:
+        """The weight side of ``site``: column blocks split, quantized and concatenated once.
 
-        The fast kernels carry exact integers in float64 so their matmuls
-        dispatch to BLAS (see the dtype note in :mod:`repro.core.kernels`).
+        Per-column symmetric weight quantization and the per-chunk ``bias @ W``
+        compensation (added back after the integer matmul), each site's
+        derived from exactly the array a single-site call would have been
+        handed (a contiguous copy of its column block).  An unfused tuple
+        keeps the blocks: its sites load their own records.
         """
-        cached = self._weight64_cache.get(name)
-        if cached is None:
-            cached = self._weight64_cache[name] = quantized_weight.astype(np.float64)
-        return cached
-
-    def _permuted_weight(self, name: str, chunk_index: int, quantized_weight, packed) -> np.ndarray:
-        """Weight rows in a chunk's Index-Buffer order, cached per (site, chunk).
-
-        The reference path re-gathers ``G`` row subsets of the weight on
-        every call; the hardware instead streams the weight through the
-        systolic array already sorted by the Index Buffer.  Caching the
-        permuted weight makes every group a contiguous row slice.
-        """
-        key = (name, chunk_index)
-        cached = self._permuted_weight_cache.get(key)
-        if cached is None:
-            order = packed.channel_order[chunk_index]
-            cached = self._permuted_weight_cache[key] = self._weight_f64(name, quantized_weight)[order]
-        return cached
+        names = site.names
+        width, remainder = divmod(weight.shape[1], site.count)
+        if remainder:
+            raise ShapeError(
+                f"a stacked weight of {weight.shape[1]} columns does not split into "
+                f"{site.count} equal site blocks"
+            )
+        site.bounds = [(i * width, (i + 1) * width) for i in range(site.count)]
+        weights = [weight] if site.count == 1 else [np.ascontiguousarray(weight[:, a:b]) for a, b in site.bounds]
+        if site.count > 1 and not site.fused:
+            site.weights = weights
+            return
+        scales = [compute_scale(w, self.config.bits, Granularity.PER_COLUMN) for w in weights]
+        site.quantized = np.concatenate(
+            [quantize_symmetric(w, scale, self.config.bits) for w, scale in zip(weights, scales)], axis=1
+        )
+        site.weight64 = site.quantized.astype(np.float64)
+        site.weight_scale = np.concatenate(scales, axis=-1)
+        site.bias_projection = np.concatenate(
+            [np.stack([chunk.bias @ w for chunk in self.site_params[n].chunks]) for n, w in zip(names, weights)],
+            axis=1,
+        )
 
     # ------------------------------------------------------------------
     # Projection path (activation x weight)
@@ -226,13 +230,20 @@ class TenderExecutor:
     def project(self, name, x, weight, bias, positions=None):
         """Decomposed-quantized ``x @ weight + bias``.
 
-        Two halves: the *activation side* (:meth:`quantize`) and the *weight
-        side* — the integer matmul against this executor's cached quantized
-        ``weight``, the column scale, the ``bias @ W`` compensation, the
-        layer bias, ``stats``.  ``x`` is the raw ``(rows, channels)``
-        activation, quantized here, or the :class:`QuantizedActivation` an
-        executor holding the same calibration already made of it
-        (``positions`` is then not read); both run the same code from there.
+        Everything that does not depend on the rows lives in the site's one
+        record (:class:`_Site`), built on the first call.  When the record is
+        fused — fast implicit kernels, every calibrated chunk within the
+        32-bit bound, so no call re-checks it — the call runs straight
+        through: quantize the rows against their chunks' tables and weight
+        them by ``alpha^(G-1-g_c)`` (the *activation side*, :meth:`quantize`),
+        one :func:`~repro.core.kernels.fused_implicit_matmul` against the
+        record's integer weight and column scale, the ``bias @ W``
+        compensation and the layer bias (the *weight side*).  Explicit
+        requantization, a site with any chunk over the bound, and the
+        reference kernels (``fast_kernels=False``) take :meth:`_project_unfused`.
+        ``x`` is the raw ``(rows, channels)`` activation, or the
+        :class:`QuantizedActivation` an executor holding the same calibration
+        already made of it (``positions`` is then not read).
 
         ``positions`` (optional) gives the token position of each row of ``x``
         — as an array, or as the forward's :class:`~repro.core.kernels.ForwardPlan`
@@ -246,98 +257,111 @@ class TenderExecutor:
 
         ``name`` may be a tuple of site names that consume this same
         activation (a block's Q/K/V), with ``weight`` / ``bias`` their
-        equal-width column blocks side by side: ``x`` is then quantized once
-        and multiplied by the stacked weight in one matmul whenever the
-        sites' calibration tables are identical (see :meth:`_project_stacked`),
-        and the result is the per-site outputs side by side, bit for bit.
+        equal-width column blocks side by side.  When the sites' calibration
+        tables are identical the record is fused like a single site's: ``x``
+        is quantized once and multiplied by the column-concatenation of the
+        sites' weights.  Integer partial sums in float64 are exact and the
+        rescale, the compensation and the layer bias are elementwise per
+        column, so every output column is bit-identical to its own site's
+        ``project``; otherwise the sites are projected one by one.  ``stats``
+        advance as for ``len(name)`` separate calls either way.
         """
-        activation = x if isinstance(x, QuantizedActivation) else self.quantize(name, x, positions)
-        if activation.stacked:
-            return self._project_stacked(name, activation, weight, bias)
-        return self._project_site(name, activation, weight, bias)
+        site = self._sites.get(name) or self._site(name)
+        if site.bounds is None:
+            self._load_weights(site, weight)
+        if not site.fused:
+            activation = x if isinstance(x, QuantizedActivation) else self.quantize(name, x, positions)
+            return self._project_unfused(site, activation, bias)
+        packed = site.packed
+        if isinstance(x, QuantizedActivation):
+            chunks, chunk_idx, operand = x.chunks, x.chunk_idx, x.operand
+        else:  # quantize()'s fused branch, inline: no activation object, one frame less per call
+            chunks = self._plan(x, positions).row_chunks(self.config.row_chunk_size)
+            chunk_idx = chunks.clipped(packed.num_chunks)
+            operand = self._quantize_rows(packed, x, chunk_idx, True)
+        output = fused_implicit_matmul(operand, packed.final_scales[chunk_idx], site.weight64, site.weight_scale)
+        if self.config.subtract_bias:
+            output += site.bias_projection[chunk_idx]
+        self.stats["projections"] += site.count
+        self.stats["rescales"] += site.count * (self.config.num_groups - 1) * chunks.distinct
+        if bias is not None:
+            output += bias
+        return output
+
+    @staticmethod
+    def _plan(x, positions) -> ForwardPlan:
+        """The forward's plan over ``x``'s rows: ``positions`` itself, or one built from it."""
+        rows = x.shape[0]
+        if not isinstance(positions, ForwardPlan):
+            positions = ForwardPlan(np.arange(rows, dtype=np.int64) if positions is None else positions)
+        if positions.positions.shape[0] != rows:
+            raise CalibrationError(f"positions has {positions.positions.shape[0]} entries for {rows} activation rows")
+        return positions
 
     def quantize(self, name, x, positions=None) -> QuantizedActivation:
         """The activation side of :meth:`project`, for site(s) ``name`` over ``x``.
 
         With ``fast_kernels`` (the default) every row's calibration metadata
         is gathered from the packed tables by ``positions // chunk_size`` in
-        one shot and the whole batch is quantized at once.  When the
-        analytic overflow bound fits the 32-bit accumulator (the common
-        case) the implicit path needs only the alpha-weighted rows and the
-        per-row final scale: one fused matmul per weight then produces the
-        final accumulator.  Otherwise, and for explicit requantization, the
-        quantized rows go to the ordered per-chunk kernels as they are.  A
-        tuple of sites shares one fused operand, or carries one activation
-        side per site (see :meth:`_project_stacked`).  The reference
-        arithmetic (``fast_kernels=False``) takes the raw activation
-        untouched.  Nothing here reads a weight, so the result serves every
-        executor built on the same ``site_params``, configuration and
-        kernel choice.
+        one shot and the whole batch is quantized at once — alpha-weighted
+        when the site's record is fused, for the fused matmul, else as the
+        ordered per-chunk kernels take it.  A tuple of sites shares one
+        operand when its record is fused, and otherwise carries one
+        activation side per site.  The reference arithmetic
+        (``fast_kernels=False``) takes the raw activation untouched.  Nothing
+        here reads a weight, so the result serves every executor built on
+        the same ``site_params``, configuration and kernel choice.
         """
-        rows = x.shape[0]
-        plan = ForwardPlan.of(np.arange(rows, dtype=np.int64) if positions is None else positions)
-        chunks = plan.row_chunks(self.config.row_chunk_size)
-        if chunks.row_chunk.shape[0] != rows:
-            raise CalibrationError(
-                f"positions has {chunks.row_chunk.shape[0]} entries for {rows} activation rows"
-            )
+        site = self._site(name)
+        plan = self._plan(x, positions)
         activation = QuantizedActivation()
-        activation.x, activation.chunks = x, chunks
-        if name in self.site_params:
-            packed = self.site_params[name].packed() if self.fast_kernels else None
-        elif isinstance(name, tuple):
-            activation.stacked = True
-            packed = (self._stacked_cache.get(name) or self._stacked_site(name)).packed
-        else:
-            raise CalibrationError(f"no Tender calibration for matmul site {name!r}")
+        activation.x = x
+        activation.chunks = chunks = plan.row_chunks(self.config.row_chunk_size)
+        packed = site.packed
         if packed is not None:
-            chunk_idx = chunks.clipped(packed.num_chunks)
-            fused = self.implicit and packed.implicit_bounds[chunk_idx].max(initial=0.0) <= _ACC_MAX
-            if fused or not activation.stacked:
-                operand = self._quantize_rows(packed, x, chunk_idx)
-                if fused:
-                    operand *= packed.alpha_weights[chunk_idx]
-                    activation.final_scales = packed.final_scales[chunk_idx]
-                activation.packed, activation.chunk_idx, activation.operand = packed, chunk_idx, operand
-                return activation
-        if activation.stacked:
-            activation.parts = [self.quantize(site, x, plan) for site in name]
+            activation.packed, activation.chunk_idx = packed, chunks.clipped(packed.num_chunks)
+            activation.operand = self._quantize_rows(packed, x, activation.chunk_idx, site.fused)
+        elif site.count > 1:
+            activation.parts = [self.quantize(site_name, x, plan) for site_name in site.names]
         return activation
 
-    def _project_site(self, name, activation: QuantizedActivation, weight, bias):
-        """One site's weight side over an activation :meth:`quantize` prepared.
+    def _project_unfused(self, site: _Site, activation: QuantizedActivation, bias):
+        """The weight side of a record the fused matmul does not serve.
 
-        A fused activation is one matmul; an unfused one is grouped by chunk
-        (the plan's single argsort pass) and each chunk runs the
-        group-contiguous ordered kernel against its cached
-        Index-Buffer-permuted weight; a raw one (reference kernels) runs the
-        per-chunk loop of gathered-group matmuls.
+        A tuple projects its sites one by one over their own activation
+        sides.  A quantized activation is grouped by chunk (the plan's single
+        argsort pass) and each chunk runs the group-contiguous ordered kernel
+        against its Index-Buffer-permuted weight; a raw one (reference
+        kernels) runs the per-chunk loop of gathered-group matmuls.
         """
-        self.stats["projections"] += 1
-        q_weight, w_scale = self._quantized_weight(name, weight)
-        packed, chunks = activation.packed, activation.chunks
-        if packed is None:
-            output = self._project_reference(
-                name, self.site_params[name], activation.x, chunks.row_chunk, q_weight, w_scale, weight
+        if activation.parts is not None:
+            return np.concatenate(
+                [
+                    self.project(name, part, site_weight, None if bias is None else bias[a:b])
+                    for name, part, site_weight, (a, b) in zip(
+                        site.names, activation.parts, site.weights, site.bounds
+                    )
+                ],
+                axis=1,
             )
+        self.stats["projections"] += 1
+        chunks = activation.chunks
+        if site.packed is None:
+            output = self._project_reference(site, activation.x, chunks.row_chunk)
         else:
-            if activation.final_scales is not None:
-                output = fused_implicit_matmul(
-                    activation.operand, activation.final_scales, self._weight_f64(name, q_weight), w_scale
-                )
-            else:
-                output = self._project_ordered(name, activation, q_weight, w_scale)
+            output = self._project_ordered(site, activation)
             if self.config.subtract_bias:
-                output = output + self._bias_projection_stack(name, weight)[activation.chunk_idx]
+                output += site.bias_projection[activation.chunk_idx]
         self.stats["rescales"] += (self.config.num_groups - 1) * chunks.distinct
         if bias is not None:
-            output = output + bias
+            output += bias
         return output
 
-    def _project_reference(self, name, params, x, row_chunk, q_weight, w_scale, weight):
+    def _project_reference(self, site: _Site, x, row_chunk):
         """Reference projection: per-chunk loop of gathered-group matmuls."""
-        bias_projections = self._bias_projection(name, weight)
-        output = np.empty((x.shape[0], weight.shape[1]), dtype=np.float64)
+        (name,) = site.names
+        params, compensations = self.site_params[name], site.bias_projection
+        output = np.empty((x.shape[0], site.quantized.shape[1]), dtype=np.float64)
         for chunk_index, row_indices in chunk_row_groups(row_chunk):
             chunk_params = params.chunk(chunk_index)
             chunk_x = x[row_indices]
@@ -347,50 +371,59 @@ class TenderExecutor:
             result = requantized_matmul(
                 quantized,
                 chunk_params.decomposition,
-                q_weight,
-                w_scale,
+                site.quantized,
+                site.weight_scale,
                 implicit=self.implicit,
             )
             if self.config.subtract_bias:
-                compensation_index = min(chunk_index, len(bias_projections) - 1)
-                result = result + bias_projections[compensation_index]
+                result = result + compensations[min(chunk_index, len(compensations) - 1)]
             output[row_indices] = result
         return output
 
-    def _quantize_rows(self, packed: PackedSiteParams, x, chunk_idx) -> np.ndarray:
+    def _quantize_rows(self, packed: PackedSiteParams, x, chunk_idx, alpha_weighted: bool) -> np.ndarray:
         """Bias-subtract and quantize ``x`` against each row's packed tables.
 
         Returns integer-valued float64 (exact — see the dtype note in
-        kernels.py), so every downstream multiply runs on BLAS.  Rounding
-        and clipping run in place on the division's own buffer; ``rint`` and
-        ``maximum``/``minimum`` are what ``np.round``/``np.clip`` dispatch to.
+        kernels.py), so every downstream multiply runs on BLAS; with
+        ``alpha_weighted`` each channel is then multiplied by its
+        ``alpha^(G-1-g_c)``, the operand of the fused implicit matmul.
+        Rounding, clipping and the weighting run in place on the division's
+        own buffer; ``rint`` and ``maximum``/``minimum`` are what
+        ``np.round``/``np.clip`` dispatch to.
         """
         shifted = x - packed.bias[chunk_idx] if self.config.subtract_bias else x
         quantized = shifted / packed.channel_scales[chunk_idx]
         np.rint(quantized, out=quantized)
         np.maximum(quantized, -packed.qmax, out=quantized)
         np.minimum(quantized, packed.qmax, out=quantized)
+        if alpha_weighted:
+            quantized *= packed.alpha_weights[chunk_idx]
         return quantized
 
-    def _project_ordered(self, name, activation: QuantizedActivation, q_weight, w_scale):
+    def _project_ordered(self, site: _Site, activation: QuantizedActivation):
         """Quantized rows through the ordered kernels, one row chunk at a time.
 
         The explicit path's per-group FP accumulate is inherently ordered,
-        and so is the implicit path once the analytic bound says the
-        accumulator could overflow (the kernel then scans as it goes).
+        and so is the implicit path once a chunk's analytic bound says the
+        accumulator could overflow (the kernel then scans as it goes).  Each
+        chunk's weight is permuted into its Index-Buffer order once and kept
+        on the record: the hardware streams the weight already sorted, so
+        every group is a contiguous row slice.
         """
         packed, quantized = activation.packed, activation.operand
-        result = np.empty((quantized.shape[0], q_weight.shape[1]), dtype=np.float64)
+        result = np.empty((quantized.shape[0], site.weight64.shape[1]), dtype=np.float64)
         for chunk_index, row_indices in activation.chunks.groups(packed.num_chunks):
             ordered = quantized[np.ix_(row_indices, packed.channel_order[chunk_index])]
-            ordered_weight = self._permuted_weight(name, chunk_index, q_weight, packed)
+            ordered_weight = site.permuted.get(chunk_index)
+            if ordered_weight is None:
+                ordered_weight = site.permuted[chunk_index] = site.weight64[packed.channel_order[chunk_index]]
             if self.implicit:
                 result[row_indices] = ordered_implicit_matmul(
                     ordered,
                     ordered_weight,
                     packed.group_sizes[chunk_index],
                     packed.final_scales[chunk_index],
-                    w_scale,
+                    site.weight_scale,
                     packed.alpha,
                     scan_overflow=bool(packed.implicit_bounds[chunk_index] > _ACC_MAX),
                 )
@@ -400,95 +433,10 @@ class TenderExecutor:
                     ordered_weight,
                     packed.group_sizes[chunk_index],
                     packed.group_scales[chunk_index],
-                    w_scale,
+                    site.weight_scale,
                     scan_groups=packed.explicit_bounds[chunk_index] > _ACC_MAX,
                 )
         return result
-
-    # ------------------------------------------------------------------
-    # Stacked projection (several sites over one activation)
-    # ------------------------------------------------------------------
-    def _stacked_site(self, names: Tuple[str, ...]) -> _StackedSite:
-        """The per-``names`` stack, tables compared once (weights join in :meth:`_stack_weights`)."""
-        for name in names:
-            if name not in self.site_params:
-                raise CalibrationError(f"no Tender calibration for matmul site {name!r}")
-        shared = None
-        if self.fast_kernels and self.implicit:
-            first, *others = [self.site_params[name].packed() for name in names]
-            if all(
-                other.qmax == first.qmax
-                and all(
-                    np.array_equal(getattr(first, table), getattr(other, table))
-                    for table in _SHARED_TABLES
-                )
-                for other in others
-            ):
-                shared = first
-        stack = self._stacked_cache[names] = _StackedSite(shared)
-        return stack
-
-    def _stack_weights(self, stack: _StackedSite, names: Tuple[str, ...], weight) -> None:
-        """The weight side of ``stack``: column blocks split and concatenated once."""
-        width, remainder = divmod(weight.shape[1], len(names))
-        if remainder:
-            raise ShapeError(
-                f"a stacked weight of {weight.shape[1]} columns does not split into "
-                f"{len(names)} equal site blocks"
-            )
-        stack.bounds = [(i * width, (i + 1) * width) for i in range(len(names))]
-        weights = stack.site_weights(weight)
-        if stack.packed is None:
-            stack.weights = weights
-            return
-        quantized = [self._quantized_weight(n, w) for n, w in zip(names, weights)]
-        stack.weight64 = np.concatenate([q for q, _ in quantized], axis=1).astype(np.float64)
-        stack.weight_scale = np.concatenate([scale for _, scale in quantized], axis=-1)
-        stack.bias_projection = np.concatenate(
-            [self._bias_projection_stack(n, w) for n, w in zip(names, weights)], axis=1
-        )
-
-    def _project_stacked(self, names, activation: QuantizedActivation, weight, bias):
-        """Several sites over one activation: one quantize, one fused matmul.
-
-        A block's ``q_proj`` / ``k_proj`` / ``v_proj`` consume the same
-        activation, so calibration hands them identical packed tables; that
-        is verified once per ``names`` by array equality.  ``x`` is then
-        bias-subtracted and quantized once and multiplied by the
-        column-concatenation of the sites' integer-valued weights.  Integer
-        partial sums in float64 are exact and the rescale, the ``bias @ W``
-        compensation and the layer bias are elementwise per column, so every
-        output column is bit-identical to its own site's :meth:`project`.
-        When the tables differ, the analytic overflow bound fails, or the
-        executor runs explicit or reference kernels, the activation carries
-        one part per site and the sites are projected one by one instead.
-        ``stats`` advance as for ``len(names)`` separate calls either way.
-        """
-        stack = self._stacked_cache.get(names) or self._stacked_site(names)
-        if stack.bounds is None:
-            self._stack_weights(stack, names, weight)
-        if activation.parts is None:
-            self.stats["projections"] += len(names)
-            self.stats["rescales"] += (
-                len(names) * (self.config.num_groups - 1) * activation.chunks.distinct
-            )
-            result = fused_implicit_matmul(
-                activation.operand, activation.final_scales, stack.weight64, stack.weight_scale
-            )
-            if self.config.subtract_bias:
-                result = result + stack.bias_projection[activation.chunk_idx]
-            if bias is not None:
-                result = result + bias
-            return result
-        return np.concatenate(
-            [
-                self._project_site(name, part, site_weight, None if bias is None else bias[a:b])
-                for name, part, site_weight, (a, b) in zip(
-                    names, activation.parts, stack.site_weights(weight), stack.bounds
-                )
-            ],
-            axis=1,
-        )
 
     # ------------------------------------------------------------------
     # Activation-activation path (X_Q X_K^T and X_S X_V)

@@ -118,6 +118,11 @@ class PackedSiteParams:
         implicit path: ``qmax^2 * sum_c alpha^(G-1-g_c)``.  Bounds every
         intermediate accumulator state, so when it fits in 32 bits no
         overflow scan is needed at all.
+    implicit_fits:
+        Whether *every* chunk's ``implicit_bounds`` fits the 32-bit
+        accumulator.  Decided once here, so a site that fits runs the fused
+        implicit matmul for any rows with no per-call bound check; a site
+        with one chunk over the bound runs the ordered kernels for all rows.
     explicit_bounds:
         ``(num_chunks, num_groups)`` analytic worst-case per-group partial
         product magnitude ``qmax^2 * group_size`` — the explicit kernel
@@ -135,6 +140,7 @@ class PackedSiteParams:
     final_scales: np.ndarray
     implicit_bounds: np.ndarray
     explicit_bounds: np.ndarray
+    implicit_fits: bool
     qmax: int
     alpha: int
     num_groups: int
@@ -178,6 +184,7 @@ def pack_site_params(chunks: Sequence) -> PackedSiteParams:
         final_scales=group_scales[:, -1].copy(),
         implicit_bounds=implicit_bounds,
         explicit_bounds=explicit_bounds,
+        implicit_fits=bool(implicit_bounds.max() <= _ACC_MAX),
         qmax=qmax,
         alpha=alpha,
         num_groups=num_groups,
@@ -425,10 +432,14 @@ def fused_implicit_matmul(
     the weight, so one activation serves any number of column blocks.
     Callers must have verified the analytic overflow bound first — it also
     guarantees every BLAS partial sum stays far below 2^53, where float64
-    integer arithmetic is exact.
+    integer arithmetic is exact.  Both rescales run in place on the
+    product's own buffer, in the order the allocating expression
+    ``accumulator * final_scales[:, None] * weight_scale`` evaluates them.
     """
     accumulator = scaled @ quantized_weight
-    return accumulator * final_scales[:, None] * weight_scale
+    accumulator *= final_scales[:, None]
+    accumulator *= weight_scale
+    return accumulator
 
 
 def ordered_implicit_matmul(
@@ -599,7 +610,8 @@ def paged_attention(
     ``(num_heads, num_blocks, block_size, d_head)``, a run of ``k``
     *consecutive* physical blocks reshapes into a zero-copy
     ``(num_heads, k * block_size, d_head)`` strided view, so each run costs
-    one QK^T slice and one SV accumulation with no KV bytes moved.
+    one QK^T slice and one SV product with no KV bytes moved (the key view
+    is transposed once per call, and each run slices it).
 
     Query rows are *flat* (see :class:`ForwardPlan`): each sequence's rows
     are scored against that sequence's own block runs, so a forward mixing
@@ -619,14 +631,24 @@ def paged_attention(
     probabilities match the reference bit for bit while the call holds one
     score-sized array instead of six (``tracemalloc`` peak 1.19x score
     buffer + context on a 64-row chunk, where the buffer is past the
-    allocator's large-block threshold).  The SV product accumulates per run; masked columns carry
+    allocator's large-block threshold).  The SV products land in a
+    heads-major ``(heads, rows, d_head)`` context: a sequence's first run
+    writes its rows (``out=``), each later run adds to them, and one
+    ``np.add(context.transpose(1, 0, 2), 0.0, out=...)`` hands the context
+    back row-major.  That ``+ 0.0`` keeps every bit of the retired ``zeros
+    += product`` form: ``0.0 + p`` is ``p`` except that it turns ``-0.0``
+    into ``+0.0``, a running sum started at ``+0.0`` never becomes ``-0.0``,
+    and so the only thing writing the first run directly can change — the
+    sign of a zero — is what the final add normalises.  Masked columns carry
     exactly-zero probabilities (their scores underflow ``exp``), so
     skipping them — each sequence's segments stop at its own reach — is an
     exact no-op and single-run rows are bitwise identical to the dense
     product.  Whether a row *is* a single run is the allocator's doing, not
-    a given: every run costs a matmul pair (≈ 4-6 µs of a call that reads,
-    warm, ≈ 14 µs + 5.5 µs/sequence + 6-16 ns/score-cell — 14-28 ns while
-    every pass allocated; about double in situ), the one-block-at-a-time LRU
+    a given: every run costs a matmul pair (``tools/time_paged_attention.py``
+    fits a warm decode call at ≈ 13-14 µs + 7 µs/sequence + 10 µs per further
+    run + 19-21 ns/score cell on a 2-core Xeon with one BLAS thread — 8-9
+    µs/sequence while each run transposed its own key view and allocated its
+    SV product; about double in situ), the one-block-at-a-time LRU
     pop left 2.1-7.2 runs per sequence on the ``BENCHMARK.json`` workloads,
     and ``PagedKVCache``'s extent-aware pick — with cached blocks relocated
     out of a reservation's way under eviction pressure — brings them to
@@ -666,18 +688,24 @@ def paged_attention(
     plan = ForwardPlan.of(positions)
     num_heads, rows, d_head = queries.shape
     segments, hidden_slots = plan.attention_layout(runs, block_size)
-    # Zero-copy: the pools are C-contiguous with heads outermost.
-    flat_keys = key_pool.reshape(num_heads, -1, d_head)
+    # Zero-copy: the pools are C-contiguous with heads outermost.  The key
+    # view is transposed once; each run slices it.
+    keys_t = key_pool.reshape(num_heads, -1, d_head).transpose(0, 2, 1)
     flat_values = value_pool.reshape(num_heads, -1, d_head)
     # The call's one score-sized array: products, scale, mask and softmax all write it.
     scores = np.zeros((num_heads, rows, plan.attended), dtype=np.float64)
     for lo, hi, start, stop, first, last in segments:
-        keys = flat_keys[:, first:last].transpose(0, 2, 1)
-        np.matmul(queries[:, lo:hi], keys, out=scores[:, lo:hi, start:stop])
+        np.matmul(queries[:, lo:hi], keys_t[:, :, first:last], out=scores[:, lo:hi, start:stop])
     scores /= np.sqrt(d_head)
     np.copyto(scores, -1e9, where=hidden_slots)
     attention = softmax(scores, axis=-1, out=scores)
-    context = np.zeros((rows, num_heads, d_head), dtype=np.float64)
+    context = np.zeros((num_heads, rows, d_head), dtype=np.float64)
+    sequence_lo = -1
     for lo, hi, start, stop, first, last in segments:
-        context[lo:hi] += (attention[:, lo:hi, start:stop] @ flat_values[:, first:last]).transpose(1, 0, 2)
-    return context
+        weights, values = attention[:, lo:hi, start:stop], flat_values[:, first:last]
+        if lo != sequence_lo:  # a sequence's first run writes its rows, later runs add to them
+            np.matmul(weights, values, out=context[:, lo:hi])
+            sequence_lo = lo
+        else:
+            context[:, lo:hi] += weights @ values
+    return np.add(context.transpose(1, 0, 2), 0.0, out=np.empty((rows, num_heads, d_head)))

@@ -250,12 +250,18 @@ class TransformerRunner:
         The reductions are the ones ``ndarray.mean`` / ``ndarray.var`` run
         (``add.reduce`` then a divide by the count; ``var`` over the centred
         values squared), so the result is bit-identical to ``(x - x.mean()) /
-        sqrt(x.var() + eps) * gain + bias`` — without centring twice.
+        sqrt(x.var() + eps) * gain + bias`` — without centring twice, and with
+        every step after the reductions run in place, in that order.
         """
         count = x.shape[-1]
         centered = x - np.add.reduce(x, axis=-1, keepdims=True) / count
-        var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / count
-        return centered / np.sqrt(var + eps) * gain + bias
+        std = np.add.reduce(centered * centered, axis=-1, keepdims=True) / count
+        std += eps
+        np.sqrt(std, out=std)
+        centered /= std
+        centered *= gain
+        centered += bias
+        return centered
 
     def _project(
         self,

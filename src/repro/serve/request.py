@@ -19,7 +19,7 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_count
 from repro.serve.paged_kv_cache import SlotBatchView
 from repro.serve.spec import _SpecState
 
@@ -42,7 +42,8 @@ class GenerationConfig:
         Seed of each request's private sampling generator: a continuation
         replays deterministically *and* is independent of how it was batched.
     eos_token : int, optional
-        Token id that terminates a request early (kept in the output).
+        Token id that terminates a request early (kept in the output); a
+        :class:`Scheduler` refuses one outside its model's vocabulary.
 
     Raises
     ------
@@ -57,12 +58,13 @@ class GenerationConfig:
     eos_token: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.max_new_tokens < 1:
-            raise ConfigurationError("max_new_tokens must be >= 1")
-        if self.top_k < 0:
-            raise ConfigurationError("top_k must be >= 0 (0 = greedy)")
-        if self.temperature <= 0.0:
-            raise ConfigurationError("temperature must be > 0")
+        require_count("max_new_tokens", self.max_new_tokens, 1)
+        require_count("top_k", self.top_k, 0)
+        require_count("seed", self.seed, 0)
+        if not (isinstance(self.temperature, numbers.Real) and 0.0 < self.temperature < math.inf):
+            raise ConfigurationError(f"temperature must be a finite number > 0, got {self.temperature!r}")
+        if self.eos_token is not None:
+            require_count("eos_token", self.eos_token, 0)
 
 
 @dataclass(eq=False)  # compared by identity: the ndarray prompt has no truth value

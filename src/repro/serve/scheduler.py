@@ -220,16 +220,19 @@ class Scheduler:
             prefill_chunk = require_count("prefill_chunk", prefill_chunk, 1)
         if speculation is not None and not isinstance(speculation, SpecConfig):
             raise ConfigurationError("speculation must be a SpecConfig (or None)")
+        config, model_config = config or GenerationConfig(), runner.config
+        eos, vocab = config.eos_token, model_config.vocab_size
+        if eos is not None and eos >= vocab:
+            raise ConfigurationError(f"eos_token {eos!r} is outside the model's vocabulary [0, {vocab})")
         self.preemption = bool(preemption)
         self.on_token = on_token
         self.runner = runner
-        self.config = config or GenerationConfig()
+        self.config = config
         self.max_batch_size = max_batch_size
         self.record_logits = record_logits
         self.prefix_cache = bool(prefix_cache)
         self.prefill_chunk = prefill_chunk
         self.speculation = speculation
-        model_config = runner.config
         if num_blocks is None:
             self.cache = PagedKVCache.for_model(model_config, max_batch_size, block_size)
         else:
@@ -753,7 +756,7 @@ class Scheduler:
             self._replay_complete(record)
             self._active[record.slot] = record
             if samples:
-                reason = self._commit(record, logits)[1]
+                reason = self._commit(record, logits, self._picks(logits))[1]
                 if reason is not None:
                     self._finalize(record, reason, finished)
         return len(chunk)
@@ -863,11 +866,14 @@ class Scheduler:
         self.now += 1.0
         for state in riders:
             self._replay_complete(state)
+        picks = self._picks(logits)
         stop = 0
         for row, (state, draft) in enumerate(zip(states, drafts)):
             width = len(draft) + 1
             start, stop = stop, stop + width
-            committed, reason = self._commit(state, logits[start:stop], draft)
+            committed, reason = self._commit(
+                state, logits[start:stop], None if picks is None else picks[start:stop], draft
+            )
             if reason is not None:
                 self._finalize(state, reason, finished)
             elif committed < width:
@@ -877,14 +883,19 @@ class Scheduler:
                 )
                 view.lengths[row] = kept
 
+    def _picks(self, logits: np.ndarray) -> Optional[List[int]]:
+        """Every row's greedy token from one ``argmax`` (ties: the first index); ``None`` under top-k."""
+        return logits.argmax(axis=-1).tolist() if self.config.top_k == 0 else None
+
     def _commit(
-        self, record: RequestCheckpoint, logits_rows: np.ndarray, draft: Sequence[int] = ()
+        self, record: RequestCheckpoint, logits_rows: np.ndarray, picks: Optional[List[int]], draft: Sequence[int] = ()
     ) -> Tuple[int, Optional[str]]:
         """Sample and commit tokens for one request, left to right.
 
         The one commit path: a prefill's final logits and a plain decode
         step commit one row with no draft; a verification forward commits a
-        run.  Position ``j``'s token is sampled from ``logits_rows[j]``
+        run.  Position ``j``'s token is ``picks[j]`` under greedy decoding
+        (:meth:`_picks` of the rows), else sampled from ``logits_rows[j]``
         exactly as a sequential decode step would have sampled it (same
         logits, same per-request generator state) — so the committed stream
         is identical to non-speculative decoding, and the run simply stops
@@ -904,7 +915,10 @@ class Scheduler:
         reason: Optional[str] = None
         eos = self.config.eos_token
         for position in range(proposed + 1):
-            token = _sample_token(logits_rows[position], self.config, record.rng)
+            if picks is None:
+                token = _sample_token(logits_rows[position], self.config, record.rng)
+            else:
+                token = picks[position]
             record.generated.append(token)
             self.stats.generated_tokens += 1
             if record.first_token_at < 0:

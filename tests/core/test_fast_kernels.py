@@ -252,7 +252,7 @@ class TestStackedProjection:
         assert stacked.stats == separate.stats
         assert stacked.stats["projections"] == 3
         # One fused matmul serves the three sites exactly when the kernels allow it.
-        assert (stacked._stacked_cache[QKV].packed is not None) == (fast_kernels and implicit)
+        assert stacked._sites[QKV].fused == (fast_kernels and implicit)
         split = project_split(
             stacked, QKV, x, np.concatenate(weights, axis=1), np.concatenate(biases), plan
         )
@@ -281,7 +281,7 @@ class TestStackedProjection:
         out = stacked.project(
             QKV, x, np.concatenate(weights, axis=1), np.concatenate(biases), positions=SCATTERED
         )
-        assert stacked._stacked_cache[QKV].packed is None, "differing tables must not be stacked"
+        assert not stacked._sites[QKV].fused, "differing tables must not be stacked"
         assert np.array_equal(out, self.one_by_one(separate, x, weights, biases, SCATTERED))
         assert stacked.stats == separate.stats
         split = project_split(
@@ -320,6 +320,74 @@ def overflow_site(channels, config):
     statistics.update(calibration)
     return {"site": statistics.finalize("site", config)}
 
+
+
+def straddling_site(channels, config):
+    """Two calibrated chunks, one on each side of the implicit bound.
+
+    Chunk 0 has one 1000x outlier channel, which sends every other channel to
+    the finest group (rescale weight 1): its bound fits the accumulator.
+    Chunk 1 is flat, so every channel sits in group 0 (weight
+    ``alpha^(G-1)``): its bound does not.
+    """
+    calibration = np.ones((2 * config.row_chunk_size, channels)) * 10.0
+    calibration[::2] *= -1.0
+    calibration[: config.row_chunk_size, 0] *= 1000.0
+    statistics = _ChunkedStatistics(config.row_chunk_size)
+    statistics.update(calibration)
+    return {"site": statistics.finalize("site", config)}
+
+
+class TestStraddlingBound:
+    """A site with chunks on both sides of the bound is not fused for any rows:
+    every call takes the ordered kernels, which scan only the over-bound
+    chunks.  Whatever chunks the rows land in, fast equals reference — the
+    output, ``stats``, and the overflow error when the data does overflow."""
+
+    CHANNELS = 1100
+    #: Decode positions: chunk 0 only, chunk 1 only (and past it, clipped to it), both.
+    PLACEMENTS = {"fitting": [0, 7, 3, 15], "over": [16, 31, 40, 22], "both": [5, 16, 0, 99]}
+
+    def executors(self):
+        config = TenderConfig(bits=8, num_groups=8, row_chunk_size=16)
+        params = straddling_site(self.CHANNELS, config)
+        bounds = params["site"].packed().implicit_bounds
+        assert bounds[0] <= 2**31 - 1 < bounds[1], "fixture must straddle the bound"
+        return [TenderExecutor(params, config, implicit=True, fast_kernels=fast) for fast in (True, False)]
+
+    @pytest.mark.parametrize("placement", sorted(PLACEMENTS))
+    def test_rows_in_any_chunks_match_the_reference(self, rng, placement):
+        fast, reference = self.executors()
+        positions = np.array(self.PLACEMENTS[placement])
+        weight = rng.normal(size=(self.CHANNELS, 5))
+        x = rng.normal(size=(positions.size, self.CHANNELS)) * 0.01
+        outputs = [e.project("site", x, weight, None, positions=positions) for e in (fast, reference)]
+        assert np.array_equal(*outputs)
+        assert fast.stats == reference.stats
+        assert not fast._sites["site"].fused and fast._sites["site"].packed.implicit_fits is False
+
+    @pytest.mark.parametrize("placement", ["over", "both"])
+    def test_overflowing_rows_raise_the_same_error(self, placement):
+        fast, reference = self.executors()
+        positions = np.array(self.PLACEMENTS[placement])
+        weight = np.ones((self.CHANNELS, 3))
+        x = np.ones((positions.size, self.CHANNELS)) * 10.0
+        errors = []
+        for executor in (fast, reference):
+            with pytest.raises(QuantizationError, match="implicit requantization overflowed") as error:
+                executor.project("site", x, weight, None, positions=positions)
+            errors.append(str(error.value))
+        assert errors[0] == errors[1]
+        assert fast.stats == reference.stats
+
+    def test_fitting_rows_cannot_overflow(self):
+        fast, reference = self.executors()
+        positions = np.array(self.PLACEMENTS["fitting"])
+        weight = np.ones((self.CHANNELS, 3))
+        x = np.ones((positions.size, self.CHANNELS)) * 10.0
+        outputs = [e.project("site", x, weight, None, positions=positions) for e in (fast, reference)]
+        assert np.array_equal(*outputs)
+        assert fast.stats == reference.stats
 
 class TestOverflowGuard:
     def test_implicit_overflow_raises_on_both_paths(self):

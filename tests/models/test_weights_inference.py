@@ -111,7 +111,8 @@ class TestTransformerRunner:
         for a, b in zip(cached_steps(stacked), cached_steps(separate)):
             assert np.array_equal(a, b)
         assert stacked.executor.stats == separate.executor.stats
-        assert stacked.executor._stacked_cache and not separate.executor._stacked_cache
+        assert any(isinstance(names, tuple) for names in stacked.executor._sites)
+        assert not any(isinstance(names, tuple) for names in separate.executor._sites)
 
 
 class TestExecutors:

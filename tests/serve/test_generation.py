@@ -8,7 +8,7 @@ import pytest
 from repro.baselines import SchemeRequest, available_schemes, build_runner
 from repro.errors import ConfigurationError
 from repro.models import TransformerRunner
-from repro.serve import GenerationConfig, GenerationEngine, generate
+from repro.serve import GenerationConfig, GenerationEngine, Scheduler, generate
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +151,40 @@ class TestValidation:
             GenerationConfig(top_k=-1)
         with pytest.raises(ConfigurationError):
             GenerationConfig(temperature=0.0)
+
+    #: Each was accepted, and failed mid-serve or served the wrong thing: a
+    #: fractional ``top_k`` as a slice ``TypeError`` after the prefill ran, a
+    #: NaN temperature as NumPy's "Probabilities contain NaN", a fractional
+    #: seed as a bare ``SeedSequence`` error, a fractional budget as one
+    #: token fewer, a negative or fractional ``eos_token`` as a stop no token
+    #: can trigger.
+    MALFORMED = {
+        "fractional top_k": (dict(top_k=2.5), "top_k", "2.5"),
+        "nan temperature": (dict(top_k=3, temperature=float("nan")), "temperature", "nan"),
+        "infinite temperature": (dict(top_k=3, temperature=float("inf")), "temperature", "inf"),
+        "fractional seed": (dict(seed=1.5), "seed", "1.5"),
+        "negative seed": (dict(seed=-1), "seed", "-1"),
+        "fractional max_new_tokens": (dict(max_new_tokens=2.5), "max_new_tokens", "2.5"),
+        "negative eos_token": (dict(eos_token=-3), "eos_token", "-3"),
+        "fractional eos_token": (dict(eos_token=2.5), "eos_token", "2.5"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_field_is_refused_naming_its_value(self, case):
+        fields, name, value = self.MALFORMED[case]
+        with pytest.raises(ConfigurationError, match=rf"{name} must be .*, got {value}$"):
+            GenerationConfig(**fields)
+
+    def test_integral_fields_accept_numpy_integers(self):
+        config = GenerationConfig(max_new_tokens=np.int64(3), top_k=np.int32(2), seed=np.uint8(7), eos_token=np.int64(0))
+        assert (config.max_new_tokens, config.top_k, config.seed, config.eos_token) == (3, 2, 7, 0)
+
+    def test_scheduler_refuses_an_eos_token_outside_the_vocabulary(self, tiny_weights):
+        runner = TransformerRunner(tiny_weights)
+        vocab = tiny_weights.config.vocab_size
+        Scheduler(runner, GenerationConfig(eos_token=vocab - 1))
+        with pytest.raises(ConfigurationError, match=rf"eos_token {vocab} is outside the model's vocabulary \[0, {vocab}\)"):
+            Scheduler(runner, GenerationConfig(eos_token=vocab))
 
 
 class TestRegistrySchemes:

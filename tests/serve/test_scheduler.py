@@ -428,6 +428,62 @@ class TestSampleTokenTies:
             assert mirrored == 5 - (3 - token)  # same rank among the ties
 
 
+
+class TestGreedyPicks:
+    """Greedy decoding takes one ``argmax`` per forward (``Scheduler._picks``);
+    it must pick what ``_sample_token`` picks row by row."""
+
+    def test_batched_picks_equal_per_row_sampling_ties_included(self, runner):
+        from repro.serve.scheduler import _sample_token
+
+        logits = np.array(
+            [
+                [0.0, 3.0, 1.0, 3.0, -2.0],  # tied maximum: the first index wins
+                [2.0, 2.0, 2.0, 2.0, 2.0],  # every logit tied
+                [-np.inf, -1.0, -np.inf, -1.0, -5.0],
+                [1.0, 0.5, 0.25, 0.0, 7.0],  # the last index
+            ]
+        )
+        scheduler = Scheduler(runner, GenerationConfig())
+        rng = np.random.default_rng(0)
+        expected = [_sample_token(row, scheduler.config, rng) for row in logits]
+        assert scheduler._picks(logits) == expected == [1, 0, 1, 4]
+        assert Scheduler(runner, GenerationConfig(top_k=2))._picks(logits) is None
+
+    @pytest.mark.parametrize("scheme", ["implicit", "explicit"])
+    def test_ragged_verify_commits_what_per_row_sampling_commits(
+        self, tender_runners, prompt_pool, scheme, monkeypatch
+    ):
+        """A speculative serve whose verify forwards are ragged (each request
+        at its own draft depth) commits the same tokens and logits whether
+        the picks come batched or from ``_sample_token`` row by row."""
+        runner = tender_runners[scheme]
+        seen, verify = [], runner.verify
+
+        def recorded_verify(tokens, cache, starts, lengths, **kwargs):
+            seen.append(np.asarray(lengths).tolist())
+            return verify(tokens, cache, starts, lengths=lengths, **kwargs)
+
+        monkeypatch.setattr(runner, "verify", recorded_verify)
+        repetitive = [np.concatenate([prompt, prompt, prompt]) for prompt in prompt_pool[:6]]
+
+        def serve():
+            scheduler = Scheduler(
+                runner, GenerationConfig(max_new_tokens=8), max_batch_size=4,
+                speculation=SpecConfig(PromptLookupDraft()),
+            )  # fmt: skip
+            for prompt in repetitive:
+                scheduler.submit(prompt)
+            return outputs_by_id(scheduler.run())
+
+        batched = serve()
+        assert any(len(set(call)) > 1 for call in seen), "no verify forward was ragged"
+        monkeypatch.setattr(Scheduler, "_picks", lambda self, logits: None)
+        per_row = serve()
+        for request_id, output in batched.items():
+            np.testing.assert_array_equal(output.generated, per_row[request_id].generated)
+            np.testing.assert_array_equal(output.step_logits, per_row[request_id].step_logits)
+
 class TestCheckpointSurface:
     """``checkpoint`` / ``submit_checkpoint`` / ``checkpoint_all``, driven directly.
 

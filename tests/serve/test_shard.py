@@ -651,9 +651,9 @@ class TestShardedRunnerConstruction:
         actual, sharded_counts = delta(sharded)
         _assert_outputs_identical(actual, expected)
         assert sharded_counts == solo_counts
-        stacks = sharded.executor._stacked_cache
+        stacks = [site for names, site in sharded.executor._sites.items() if isinstance(names, tuple)]
         assert len(stacks) == solo.config.num_layers
-        assert all((stack.packed is not None) == (name != "tender-explicit") for stack in stacks.values())
+        assert all(stack.fused == (name != "tender-explicit") for stack in stacks)
         assert all(e.stats["projections"] == e.stats["attention_matmuls"] == 0 for e in sharded.executors)
 
     @pytest.mark.parametrize("num_shards", [2, 4])

@@ -24,7 +24,8 @@ against the reference per-chunk loop (bit-identity), the exact dispatch count
 of one Tender decode step (solo, and as a 2- and a 4-shard group on a
 fault-injected transport; one ``paged_attention`` call per layer at every
 shard count, and for Tender "all" one ``dense_cached_attention`` call per
-layer), the allocation peak of one ``paged_attention`` call, and the
+layer) and of one solo whole prefill, intermediate prefill chunk and ragged
+verify, the allocation peak of one ``paged_attention`` call, and the
 randomized pool-invariant sweep.
 
 Exit status 0 when clean; 1 with a one-line diagnosis per failure otherwise.
@@ -76,26 +77,35 @@ from repro.serve.stress import LruReferencePool
 RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_serving.json"
 #: Python-level calls one batched ``decode_step`` of the Tender-quantized tiny
 #: model may make, by shard count (0: the solo runner): the measured count
-#: (200 since ``attention_layout`` reads the ``ForwardPlan.reach`` property,
-#: 199 before, 205 while every layer re-probed the attention gate, 405 before
-#: the forward plan; 2 shards 298, 297, 370 while every shard projected its
-#: own weight slice, 386, 398 while every shard made its own
-#: ``paged_attention`` call, 521 while every shard also quantized the
-#: activation for itself and every message was delivered by its own call;
-#: 4 shards 324, 323, 500, 528, 576) + 16 / 38 / 52 for NumPy versions, not
-#: for new per-site or per-shard work.
-DECODE_CALL_BUDGET = {0: 215, 2: 335, 4: 375}
+#: (145 since each projection site runs from one record, straight through
+#: the fused matmul; 200 while every call re-checked the overflow bound and
+#: made ~6 cache lookups, 199 before ``attention_layout`` read the
+#: ``ForwardPlan.reach`` property, 205 while every layer re-probed the
+#: attention gate, 405 before the forward plan; 2 shards 243, 298, 297, 370
+#: while every shard projected its own weight slice, 386, 398 while every
+#: shard made its own ``paged_attention`` call, 521 while every shard also
+#: quantized the activation for itself and every message was delivered by
+#: its own call; 4 shards 269, 324, 323, 500, 528, 576) + 16 / 38 / 52 for
+#: NumPy versions, not for new per-site or per-shard work.
+DECODE_CALL_BUDGET = {0: 161, 2: 281, 4: 321}
 #: The same step with Tender "all" (``quantize_attention=True``), which
-#: attends on the dense branch: measured 415 / 513 / 539 (2 and 4 shards 737
-#: and 1215 while every shard attended over its own heads) + the same margins.
-DENSE_DECODE_CALL_BUDGET = {0: 431, 2: 551, 4: 591}
+#: attends on the dense branch: measured 360 / 458 / 484 (415 / 513 / 539
+#: before the per-site records; 2 and 4 shards 737 and 1215 while every
+#: shard attended over its own heads) + the same margins.
+DENSE_DECODE_CALL_BUDGET = {0: 376, 2: 496, 4: 536}
+#: The solo forward through every other entry point: a whole ragged prefill
+#: (measured 173), an intermediate prefill chunk (119) and a ragged verify
+#: (150) — 228 / 146 / 205 before the per-site records, each over its budget
+#: — + the solo margin of 16.
+ENTRY_CALL_BUDGET = {"prefill": 189, "chunk": 135, "verify": 166}
 #: ``tracemalloc`` peak of one ``paged_attention`` call over its score buffer +
 #: context: measured 1.19 (the mask, the row maxima and sums, one run's SV
 #: product), 3.88 while scale, mask and each softmax pass allocated their result.
 MAX_ATTENTION_PEAK_RATIO = 1.25
-#: ``np.unique`` calls per decode forward: the plan's row-chunk grouping and
-#: the first layer's ``PagedKVCache.write``.
-MAX_UNIQUE_PER_DECODE = 2
+#: ``np.unique`` calls per forward: the plan's row-chunk grouping and the
+#: first layer's ``PagedKVCache.write``; a whole prefill also groups the
+#: sub-plan of the rows it reads past the last block's KV write.
+MAX_UNIQUE_PER_FORWARD = {"decode": 2, "prefill": 3, "chunk": 2, "verify": 2}
 STRESS_SEEDS, STRESS_OPS = 2, 120
 #: The default harness pool never needs a relocation on these seeds; this one does on every seed.
 TIGHT_POOL = dict(num_blocks=10, max_slots=4)
@@ -752,14 +762,20 @@ def check_fast_projection() -> str:
     return "" if np.array_equal(fast, reference) else "fast projection is not bit-identical to the reference"
 
 
-def decode_dispatch_counts(shards: int = 0, quantize_attention: bool = False) -> Tuple[int, int, int]:
-    """``(Python-level calls, np.unique calls, attention calls)`` of one batched ``decode_step``.
+def decode_dispatch_counts(
+    shards: int = 0, quantize_attention: bool = False, entry: str = "decode"
+) -> Tuple[int, int, int]:
+    """``(Python-level calls, np.unique calls, attention calls)`` of one forward through ``entry``.
 
-    The tiny model, Tender-quantized, decoding four ragged slots of a paged
-    pool — the scheduler's steady-state forward; with ``shards``, as a shard
-    group meeting on a transport with a fault injector attached (no fault
-    fires); with ``quantize_attention``, as Tender "all", whose attention
-    calls are ``dense_cached_attention``'s instead of ``paged_attention``'s.
+    The tiny model, Tender-quantized, over four ragged slots of a paged pool,
+    once every lazy cache is full.  ``"decode"`` is one batched
+    ``decode_step`` — the scheduler's steady-state forward; with ``shards``,
+    as a shard group meeting on a transport with a fault injector attached
+    (no fault fires); with ``quantize_attention``, as Tender "all", whose
+    attention calls are ``dense_cached_attention``'s instead of
+    ``paged_attention``'s.  The other entry points run solo: ``"prefill"`` a
+    whole ragged prefill into fresh slots, ``"chunk"`` an intermediate
+    prefill chunk (no logits), ``"verify"`` a ragged verify.
     ``sys.setprofile`` sees one ``call`` event per Python frame entered
     (NumPy's own Python wrappers included, C functions not), so the count is
     exact and repeats.
@@ -773,13 +789,30 @@ def decode_dispatch_counts(shards: int = 0, quantize_attention: bool = False) ->
     config = runner.config
     rng = np.random.default_rng(5)
     lengths = np.array([5, 9, 17, 30])
-    pool = PagedKVCache.for_model(config, max_active=len(lengths), block_size=8)
-    view = pool.view([pool.reserve(int(length) + 4) for length in lengths])
+    pool = PagedKVCache.for_model(config, max_active=2 * len(lengths), block_size=8)
+
+    def slots():
+        return pool.view([pool.reserve(int(length) + 8) for length in lengths])
+
+    view = slots()
     tokens = rng.integers(0, config.vocab_size, size=(len(lengths), int(lengths.max())))
     next_tokens = runner.prefill(tokens, lengths, view).argmax(axis=-1)
     next_tokens = runner.decode_step(next_tokens, view).argmax(axis=-1)  # fills the lazy caches
+    draft_rows = np.array([1, 3, 2, 4])
+    forward = {
+        "decode": lambda: partial(runner.decode_step, next_tokens, view),
+        "prefill": lambda: partial(runner.prefill, tokens, lengths, slots()),
+        "chunk": lambda: partial(
+            runner.prefill, tokens[:, :3], np.full(len(lengths), 3), view,
+            start_positions=view.lengths.copy(), return_logits=False,
+        ),
+        "verify": lambda: partial(
+            runner.verify, tokens[:, :4].reshape(-1)[: draft_rows.sum()], view, view.lengths.copy(),
+            lengths=draft_rows,
+        ),
+    }[entry]()  # fmt: skip
     entered = Counter()  # by code object; ``update`` returns None, so nothing "matches"
-    calls, _ = count_calls(partial(runner.decode_step, next_tokens, view), lambda code: entered.update((code,)))
+    calls, _ = count_calls(forward, lambda code: entered.update((code,)))
     return calls, entered[np.unique.__wrapped__.__code__], entered[_attention_kernel(quantize_attention).__code__]
 
 
@@ -790,18 +823,26 @@ def _attention_kernel(quantize_attention: bool) -> Callable:
 
 def check_decode_dispatch() -> str:
     """A PR that re-derives position metadata per site, per layer or per shard,
-    or runs either attention branch once per shard, fails here."""
+    runs either attention branch once per shard, or adds per-call glue at any
+    entry point, fails here."""
     layers = workloads.tiny_runner().config.num_layers
-    for dense, budgets in ((False, DECODE_CALL_BUDGET), (True, DENSE_DECODE_CALL_BUDGET)):
-        for shards, budget in budgets.items():
-            calls, uniques, attentions = decode_dispatch_counts(shards, quantize_attention=dense)
-            if calls > budget or uniques > MAX_UNIQUE_PER_DECODE or attentions != layers:
-                return (
-                    f"one {'Tender all ' if dense else ''}decode_step ({shards or 'no'} shards) made "
-                    f"{calls} Python-level calls (budget {budget}), {uniques} np.unique calls (budget "
-                    f"{MAX_UNIQUE_PER_DECODE}) and {attentions} {_attention_kernel(dense).__name__} calls "
-                    f"(one per layer: {layers})"
-                )
+    rows = [
+        (dense, shards, "decode", budget)
+        for dense, budgets in ((False, DECODE_CALL_BUDGET), (True, DENSE_DECODE_CALL_BUDGET))
+        for shards, budget in budgets.items()
+    ]
+    rows += [(False, 0, entry, budget) for entry, budget in ENTRY_CALL_BUDGET.items()]
+    for dense, shards, entry, budget in rows:
+        calls, uniques, attentions = decode_dispatch_counts(shards, quantize_attention=dense, entry=entry)
+        # An intermediate chunk's last block stops after its KV write: nobody attends there.
+        expected = layers - (entry == "chunk")
+        if calls > budget or uniques > MAX_UNIQUE_PER_FORWARD[entry] or attentions != expected:
+            return (
+                f"one {'Tender all ' if dense else ''}{entry} forward ({shards or 'no'} shards) made "
+                f"{calls} Python-level calls (budget {budget}), {uniques} np.unique calls (budget "
+                f"{MAX_UNIQUE_PER_FORWARD[entry]}) and {attentions} {_attention_kernel(dense).__name__} "
+                f"calls (expected {expected})"
+            )
     return ""
 
 
