@@ -4,7 +4,7 @@ Each benchmark file regenerates one table or figure of the paper.  The
 experiment functions are deterministic but not cheap (they evaluate several
 quantization schemes on trained checkpoints), so every benchmark runs a single
 measured round and prints the rendered table so the output can be compared
-against the paper (and against EXPERIMENTS.md).
+against the paper (docs/reproducing.md maps each one to its artifact).
 
 Scale profiles (see ``repro.experiments.report``):
 

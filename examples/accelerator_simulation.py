@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.accelerator import MultiScaleSystolicArray, model_prefill_workload, simulate_on
+from repro.accelerator import MultiScaleSystolicArray, simulate_on
 from repro.core import decompose_channels, implicit_requantized_matmul, quantize_decomposed
 from repro.experiments import (
     render_figure10,
@@ -30,6 +30,7 @@ from repro.experiments import (
     run_figure13,
     run_table5,
 )
+from repro.models import get_zoo_entry
 from repro.quant import Granularity, compute_scale, quantize_symmetric
 
 
@@ -66,9 +67,9 @@ def main() -> None:
     functional_msa_demo()
 
     # A single-workload drill-down: where does the time go?
-    workload = model_prefill_workload("opt-6.7b-sim", seq_len=2048)
-    result = simulate_on("Tender", workload, num_groups=8)
-    print(f"Tender on {workload.name}: {result.seconds * 1e3:.2f} ms, "
+    shape = get_zoo_entry("opt-6.7b-sim").paper_shape
+    result = simulate_on("Tender", shape, 2048, 2048, num_groups=8)  # a 2048-token prefill
+    print(f"Tender on the OPT-6.7B prefill: {result.seconds * 1e3:.2f} ms, "
           f"{result.throughput_tops():.1f} TMAC/s, {result.energy_j:.3f} J")
     for gemm in result.gemms:
         bound = "memory" if gemm.memory_cycles > gemm.compute_cycles else "compute"

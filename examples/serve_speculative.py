@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.core import TenderConfig, TenderQuantizer
 from repro.data import calibration_samples, load_corpus
-from repro.gpu import ModelShape, speculation
+from repro.gpu import speculation
 from repro.models import get_language_model
 from repro.models.zoo import get_zoo_entry
 from repro.serve import (
@@ -131,7 +131,7 @@ def main() -> None:
     )
 
     analytic = speculation(
-        shape=ModelShape.from_zoo(get_zoo_entry("opt-6.7b-sim")),
+        shape=get_zoo_entry("opt-6.7b-sim").paper_shape,
         device_name="rtx3090",
         draft_tokens=8,
         accept_rate=lookup_stats.spec_accept_rate(),

@@ -32,13 +32,6 @@ from repro.accelerator.systolic import (
     ProcessingElement,
     gemm_cycles,
 )
-from repro.accelerator.workloads import (
-    GemmShape,
-    Workload,
-    model_generation_workload,
-    model_prefill_workload,
-    transformer_layer_gemms,
-)
 
 __all__ = [
     "AcceleratorConfig",
@@ -67,11 +60,6 @@ __all__ = [
     "GemmCycleBreakdown",
     "ProcessingElement",
     "MultiScaleSystolicArray",
-    "GemmShape",
-    "Workload",
-    "transformer_layer_gemms",
-    "model_prefill_workload",
-    "model_generation_workload",
     "AcceleratorSimulator",
     "SimulationResult",
     "GemmSimResult",

@@ -1,12 +1,15 @@
-"""End-to-end accelerator simulation: workload -> cycles, runtime, energy.
+"""End-to-end accelerator simulation: one forward of a model shape -> cycles, runtime, energy.
 
-The simulator walks every GEMM of a workload, asks the systolic-array cycle
-model how long the compute takes on the given accelerator, asks the HBM model
-how long the operand/result transfers take, and overlaps the two (double
-buffering).  The per-GEMM maximum of compute and memory time therefore decides
-whether a layer is compute- or memory-bound, which is what differentiates the
-models in Figures 10/11 (e.g. the attention score/value GEMMs of the larger
-Llama models are closer to memory-bound than the wide FC layers).
+The simulator walks every GEMM of :meth:`repro.models.ModelShape.gemms`, asks
+the systolic-array cycle model how long the compute takes on the given
+accelerator, asks the HBM model how long the operand/result transfers take,
+and overlaps the two (double buffering).  The per-GEMM maximum of compute and
+memory time therefore decides whether a layer is compute- or memory-bound,
+which is what differentiates the models in Figures 10/11 (e.g. the attention
+score/value GEMMs of the larger Llama models are closer to memory-bound than
+the wide FC layers).  Section V-A's workloads are forwards at two ``(rows,
+context)`` points: a prefill of ``batch`` prompts of ``seq_len`` tokens is
+``(seq_len x batch, seq_len)``, one generated token ``(batch, context_len)``.
 """
 
 from __future__ import annotations
@@ -17,9 +20,9 @@ from typing import Dict, List, Optional
 from repro.accelerator.accelerators import AcceleratorModel, build_accelerator
 from repro.accelerator.energy import EnergyBreakdown, workload_energy
 from repro.accelerator.memory import HBMModel
-from repro.accelerator.systolic import GemmCycleBreakdown, gemm_cycles
-from repro.accelerator.workloads import GemmShape, Workload
-from repro.errors import SimulationError
+from repro.accelerator.systolic import gemm_cycles
+from repro.errors import ConfigurationError, require_count
+from repro.models.zoo import ModelShape
 
 
 @dataclass
@@ -35,10 +38,9 @@ class GemmSimResult:
 
 @dataclass
 class SimulationResult:
-    """Timing and energy of a full workload on one accelerator."""
+    """Timing and energy of one forward on one accelerator."""
 
     accelerator: str
-    workload: str
     cycles: int
     seconds: float
     energy: EnergyBreakdown
@@ -60,122 +62,88 @@ class SimulationResult:
 
 
 class AcceleratorSimulator:
-    """Simulates workloads on one accelerator model."""
+    """Simulates forwards on one accelerator model."""
 
     def __init__(self, accelerator: AcceleratorModel) -> None:
         self.accelerator = accelerator
         self.hbm = HBMModel(accelerator.config.memory)
 
-    # ------------------------------------------------------------------
-    def _gemm_compute_cycles(
-        self,
-        gemm: GemmShape,
-        num_groups: int,
-        implicit: bool,
-    ) -> GemmCycleBreakdown:
-        config = self.accelerator.config
-        breakdown = gemm_cycles(
-            gemm.m,
-            gemm.k,
-            gemm.n,
-            config.systolic,
-            operand_bits=config.precision_bits,
-            num_groups=num_groups,
-            implicit_requantization=implicit,
-            decode_cycles_per_tile=config.decode_cycles_per_tile,
-        )
-        return breakdown
-
-    def simulate_gemm(
-        self,
-        gemm: GemmShape,
-        num_groups: int = 1,
-        implicit: bool = True,
-    ) -> GemmSimResult:
-        """Simulate all instances of one GEMM shape."""
-        config = self.accelerator.config
-        breakdown = self._gemm_compute_cycles(gemm, num_groups, implicit)
-        # ANT-style designs run a fraction of the work at 8-bit precision,
-        # which quarters the 4-bit array throughput (4 PEs per MAC) and moves
-        # twice the bytes for that fraction.
-        compute = int(
-            breakdown.total * config.control_overhead * self.accelerator.compute_multiplier
-        )
-        compute *= gemm.count
-        operand_bits = int(round(self.accelerator.effective_activation_bits))
-        memory = self.hbm.transfer_cycles(
-            gemm.operand_bytes(operand_bits, operand_bits),
-            frequency_ghz=config.systolic.frequency_ghz,
-        )
-        total = max(compute, memory)
-        return GemmSimResult(
-            name=gemm.name,
-            compute_cycles=compute,
-            memory_cycles=memory,
-            total_cycles=total,
-            macs=gemm.macs,
-        )
-
     def simulate(
         self,
-        workload: Workload,
+        shape: ModelShape,
+        rows: int,
+        context: int,
         num_groups: int = 1,
         implicit: bool = True,
     ) -> SimulationResult:
-        """Simulate a full workload (all GEMMs, overlapped compute/memory)."""
-        if not workload.gemms:
-            raise SimulationError("workload has no GEMMs")
+        """Simulate one forward of ``shape``: ``rows`` token rows attending ``context``."""
+        num_groups = require_count("num_groups", num_groups, 1)
         config = self.accelerator.config
-        gemm_results = [self.simulate_gemm(g, num_groups, implicit) for g in workload.gemms]
+        operand_bits = int(round(self.accelerator.effective_activation_bits))
+        gemm_results, dram_bytes = [], 0
+        for site, m, k, n, count in shape.gemms(rows, context):
+            instances = count if site == "lm_head" else count * shape.num_layers
+            breakdown = gemm_cycles(
+                m, k, n, config.systolic, operand_bits=config.precision_bits, num_groups=num_groups,
+                implicit_requantization=implicit, decode_cycles_per_tile=config.decode_cycles_per_tile,
+            )  # fmt: skip
+            # ANT-style designs run a fraction of the work at 8-bit precision,
+            # which quarters the 4-bit array throughput (4 PEs per MAC) and moves
+            # twice the bytes for that fraction.
+            compute = int(breakdown.total * config.control_overhead * self.accelerator.compute_multiplier)
+            compute *= instances
+            # Operands and result of every instance, moved in one transfer: the
+            # HBM model rounds up to whole cycles, so splitting it would round more.
+            moved = sum(elements * operand_bits // 8 for elements in (m * k, k * n, m * n)) * instances
+            memory = self.hbm.transfer_cycles(moved, frequency_ghz=config.systolic.frequency_ghz)
+            gemm_results.append(GemmSimResult(site, compute, memory, max(compute, memory), m * k * n * instances))
+            dram_bytes += moved
         cycles = sum(g.total_cycles for g in gemm_results)
         seconds = cycles / (config.systolic.frequency_ghz * 1e9)
-        operand_bits = int(round(self.accelerator.effective_activation_bits))
-        dram_bytes = workload.total_bytes(operand_bits, operand_bits)
         # Every DRAM byte is staged through the scratchpad, and outputs pass
         # through the output buffer once more on their way to the VPU.
         sram_bytes = 2 * dram_bytes
         energy = workload_energy(
             self.accelerator,
-            total_macs=workload.total_macs,
+            total_macs=sum(g.macs for g in gemm_results),
             dram_bytes=dram_bytes,
             sram_bytes=sram_bytes,
             runtime_seconds=seconds,
             compute_cycles=sum(g.compute_cycles for g in gemm_results),
         )
-        return SimulationResult(
-            accelerator=self.accelerator.name,
-            workload=workload.name,
-            cycles=cycles,
-            seconds=seconds,
-            energy=energy,
-            gemms=gemm_results,
-        )
+        return SimulationResult(self.accelerator.name, cycles, seconds, energy, gemm_results)
 
 
-def simulate_on(accelerator_name: str, workload: Workload, num_groups: int = 1, implicit: bool = True) -> SimulationResult:
-    """Convenience wrapper: build the named accelerator and simulate."""
+def simulate_on(
+    accelerator_name: str, shape: ModelShape, rows: int, context: int, num_groups: int = 1, implicit: bool = True
+) -> SimulationResult:
+    """Convenience wrapper: build the named accelerator and simulate one forward."""
     model = build_accelerator(accelerator_name)
-    return AcceleratorSimulator(model).simulate(workload, num_groups=num_groups, implicit=implicit)
+    return AcceleratorSimulator(model).simulate(shape, rows, context, num_groups=num_groups, implicit=implicit)
 
 
 def speedup_table(
-    workloads: Dict[str, Workload],
+    shapes: Dict[str, ModelShape],
+    rows: int,
+    context: int,
     accelerator_names: Optional[List[str]] = None,
     baseline: str = "ANT",
     tender_num_groups: int = 8,
 ) -> Dict[str, Dict[str, float]]:
-    """Speedup of each accelerator over ``baseline`` for each workload.
+    """Speedup of each accelerator over ``baseline`` for one forward of each shape.
 
     Tender's decomposition bubbles are included via ``tender_num_groups``;
     the baselines do not decompose channels, so they run with one group.
     """
     names = accelerator_names or ["ANT", "OLAccel", "OliVe", "Tender"]
+    if baseline not in names:
+        raise ConfigurationError(f"baseline {baseline!r} is not among the simulated accelerators {names}")
     table: Dict[str, Dict[str, float]] = {}
-    for workload_name, workload in workloads.items():
+    for label, shape in shapes.items():
         results = {}
         for name in names:
             groups = tender_num_groups if name == "Tender" else 1
-            results[name] = simulate_on(name, workload, num_groups=groups).seconds
+            results[name] = simulate_on(name, shape, rows, context, num_groups=groups).seconds
         base_seconds = results[baseline]
-        table[workload_name] = {name: base_seconds / seconds for name, seconds in results.items()}
+        table[label] = {name: base_seconds / seconds for name, seconds in results.items()}
     return table

@@ -13,8 +13,8 @@ from math import exp, log
 from typing import Dict, List, Sequence
 
 from repro.accelerator.simulator import speedup_table
-from repro.accelerator.workloads import model_prefill_workload
 from repro.experiments.report import format_table
+from repro.models.zoo import get_zoo_entry
 
 FIGURE10_MODELS = (
     "opt-6.7b-sim",
@@ -39,8 +39,8 @@ def run_figure10(
     tender_num_groups: int = 8,
 ) -> List[SpeedupRow]:
     """Speedup of every accelerator over ANT for every model, plus the geomean."""
-    workloads = {model: model_prefill_workload(model, seq_len=seq_len) for model in models}
-    table = speedup_table(workloads, baseline="ANT", tender_num_groups=tender_num_groups)
+    shapes = {model: get_zoo_entry(model).paper_shape for model in models}
+    table = speedup_table(shapes, seq_len, seq_len, baseline="ANT", tender_num_groups=tender_num_groups)
     rows = [SpeedupRow(model=model, speedups=table[model]) for model in models]
     geomean = {
         name: exp(sum(log(table[model][name]) for model in models) / len(models))

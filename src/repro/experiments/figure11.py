@@ -7,9 +7,9 @@ from math import exp, log
 from typing import Dict, List, Sequence
 
 from repro.accelerator.simulator import simulate_on
-from repro.accelerator.workloads import model_prefill_workload
 from repro.experiments.figure10 import ACCELERATORS, FIGURE10_MODELS
 from repro.experiments.report import format_table
+from repro.models.zoo import get_zoo_entry
 
 
 @dataclass
@@ -28,10 +28,10 @@ def run_figure11(
     rows: List[EnergyRow] = []
     per_model: Dict[str, Dict[str, float]] = {}
     for model in models:
-        workload = model_prefill_workload(model, seq_len=seq_len)
+        shape = get_zoo_entry(model).paper_shape
         energies = {
             name: simulate_on(
-                name, workload, num_groups=tender_num_groups if name == "Tender" else 1
+                name, shape, seq_len, seq_len, num_groups=tender_num_groups if name == "Tender" else 1
             ).energy_j
             for name in ACCELERATORS
         }

@@ -82,10 +82,9 @@ def run_figure12(
         setups = FIGURE12_SETUPS[:1] if current_profile().smoke else FIGURE12_SETUPS
     rows: List[Figure12Row] = []
     for device, model_name in setups:
-        entry = get_zoo_entry(model_name)
+        d_model = get_zoo_entry(model_name).paper_shape.d_model
         latencies = figure12_latencies(
-            m=batch_tokens, k=entry.paper_d_model, n=entry.paper_d_model,
-            device_name=device, num_groups=num_groups,
+            m=batch_tokens, k=d_model, n=d_model, device_name=device, num_groups=num_groups,
         )
         mses = _scheme_mse(model_name, bits=8, num_groups=num_groups)
         for scheme, latency in latencies.items():

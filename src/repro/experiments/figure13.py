@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from repro.accelerator.simulator import simulate_on
-from repro.accelerator.workloads import model_prefill_workload
 from repro.experiments.report import format_table
+from repro.models.zoo import get_zoo_entry
 
 FIGURE13_MODELS = ("opt-6.7b-sim", "llama-2-13b-sim", "llama-2-70b-sim")
 FIGURE13_GROUP_COUNTS = (8, 16)
@@ -47,10 +47,10 @@ def run_figure13(
     rows: List[Figure13Row] = []
     for num_groups in group_counts:
         for model in models:
-            workload = model_prefill_workload(model, seq_len=seq_len)
-            base = simulate_on("Tender", workload, num_groups=1).seconds
-            explicit = simulate_on("Tender", workload, num_groups=num_groups, implicit=False).seconds
-            implicit = simulate_on("Tender", workload, num_groups=num_groups, implicit=True).seconds
+            prefill = (get_zoo_entry(model).paper_shape, seq_len, seq_len)
+            base = simulate_on("Tender", *prefill, num_groups=1).seconds
+            explicit = simulate_on("Tender", *prefill, num_groups=num_groups, implicit=False).seconds
+            implicit = simulate_on("Tender", *prefill, num_groups=num_groups, implicit=True).seconds
             rows.append(
                 Figure13Row(
                     model=model,

@@ -2,8 +2,8 @@
 
 ``figure12_latencies`` reproduces the paper's Figure 12 over the four
 per-scheme GEMM prices.  :func:`forward_ms` extends the same roofline to every
-GEMM of one forward of a :class:`ModelShape` — a decode step, a prefill
-chunk, a verify forward and a recovery replay differ only in ``(rows,
+GEMM of one forward of a :class:`~repro.models.ModelShape` — a decode step, a
+prefill chunk, a verify forward and a recovery replay differ only in ``(rows,
 context)``.  Each serving scenario is one closed form over priced forwards:
 :func:`continuous_batching` / :func:`batching_occupancy`,
 :func:`prefix_caching`, :func:`speculation`, :func:`paged_attention_gather`,
@@ -14,7 +14,6 @@ its one-shard case) and :func:`tracing_overhead`.
 from repro.gpu.devices import GPU_SPECS, GPUSpec, get_gpu
 from repro.gpu.latency import (
     GemmLatency,
-    ModelShape,
     batching_occupancy,
     continuous_batching,
     figure12_latencies,
@@ -36,7 +35,6 @@ __all__ = [
     "GPU_SPECS",
     "get_gpu",
     "GemmLatency",
-    "ModelShape",
     "fp16_latency_ms",
     "int8_latency_ms",
     "per_channel_latency_ms",

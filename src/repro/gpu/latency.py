@@ -6,11 +6,11 @@ Three layers share one roofline:
   :func:`per_channel_latency_ms`, :func:`tender_software_latency_ms` — and
   :func:`figure12_latencies`, the paper's Figure 12 (one prefill-shaped
   query-projection GEMM per scheme);
-* :func:`forward_ms` — every GEMM of one forward of a :class:`ModelShape`
-  over ``rows`` token rows attending ``context`` positions.  A decode step,
-  a prefill chunk, a speculative verify forward and a recovery replay are
-  the same forward at different ``(rows, context)``, so it is priced here
-  and nowhere else;
+* :func:`forward_ms` — every GEMM of one forward of a
+  :class:`~repro.models.ModelShape` over ``rows`` token rows attending
+  ``context`` positions.  A decode step, a prefill chunk, a speculative
+  verify forward and a recovery replay are the same forward at different
+  ``(rows, context)``, so it is priced here and nowhere else;
 * the serving scenarios — one closed form over priced forwards each, all
   returning ``{scheme: {field: value}}``: :func:`continuous_batching`
   (``H(B)`` occupancy, also alone as :func:`batching_occupancy`),
@@ -45,10 +45,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil
-from typing import Dict, List, Tuple
+from numbers import Integral
+from typing import Dict
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_count
 from repro.gpu.devices import GPUSpec, get_gpu
+from repro.models.zoo import ModelShape
 
 #: Tensor-core INT8 kernels require operand tiles aligned to 16 elements
 #: (128-bit vectors), so each channel-group submatrix is padded up to this.
@@ -72,8 +74,9 @@ def _require(holds: bool, message: str) -> None:
 
 
 def _check_gemm(m: int, k: int, n: int) -> None:
-    if min(m, k, n) < 1:  # not _require: every roofline call passes here, the message is built on failure only
-        raise ConfigurationError(f"GEMM dimensions must be >= 1, got m={m}, k={k}, n={n}")
+    # not _require: every roofline call passes here, the message is built on failure only
+    if not all(isinstance(dim, Integral) and dim >= 1 for dim in (m, k, n)):
+        raise ConfigurationError(f"GEMM dimensions must be integers >= 1, got m={m}, k={k}, n={n}")
 
 
 @dataclass
@@ -148,7 +151,7 @@ def tender_software_latency_ms(m: int, k: int, n: int, device: GPUSpec, num_grou
     results are dequantized and accumulated in FP32 — the explicit
     requantization path of Figure 5(a).
     """
-    _require(num_groups >= 1, f"num_groups must be >= 1, got {num_groups}")
+    num_groups = require_count("num_groups", num_groups, 1)
     _check_gemm(m, k, n)  # here as well: the per-group padding below would price k = 0 as 16
     remaining, total_ms = 1.0, 0.0
     for group in range(num_groups):
@@ -188,73 +191,8 @@ def figure12_latencies(
 
 
 # ----------------------------------------------------------------------
-# One model shape, one priced forward
+# One priced forward
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ModelShape:
-    """The dimensions of a decoder-only model: all a forward's GEMMs depend on.
-
-    Parameters
-    ----------
-    d_model, d_ff, num_heads, num_layers :
-        Hidden width, feed-forward width, attention heads and layer count.
-    vocab : int
-        Include the LM-head GEMM when > 0 (applied once, outside the layers).
-    """
-
-    d_model: int
-    d_ff: int
-    num_heads: int
-    num_layers: int = 1
-    vocab: int = 0
-
-    def __post_init__(self) -> None:
-        sized = min(self.d_model, self.d_ff, self.num_heads, self.num_layers) >= 1 and self.vocab >= 0
-        _require(sized, f"model dimensions must be >= 1 (vocab >= 0), got {self}")
-        heads = f"{self.d_model} and {self.num_heads}"
-        _require(self.d_model % self.num_heads == 0, f"d_model must be divisible by num_heads, got {heads}")
-
-    @classmethod
-    def from_zoo(cls, entry) -> "ModelShape":
-        """The full-scale model a :class:`repro.models.zoo.ZooEntry` stands in for."""
-        return cls(entry.paper_d_model, entry.paper_d_ff, entry.paper_num_heads, entry.paper_num_layers)
-
-    @property
-    def d_head(self) -> int:
-        """Per-head dimension."""
-        return self.d_model // self.num_heads
-
-    def layer_gemms(self, rows: int, context: int) -> List[Tuple[int, int, int]]:
-        """(m, k, n) of every GEMM one Transformer layer runs over ``rows`` token rows.
-
-        Unlike the prefill GEMM of Figure 12, serving GEMMs are skinny — a
-        decode step's row dimension is the *batch size*, not ``batch x
-        sequence`` — and the activation-activation matmuls grow with the
-        attended ``context``.  This is the regime where per-kernel overheads
-        and underutilization dominate, which is exactly why Tender's software
-        fallback (one GEMM per channel group) is disproportionately expensive
-        during serving.
-        """
-        head_rows = rows * self.num_heads
-        return [
-            (rows, self.d_model, self.d_model),   # Q projection
-            (rows, self.d_model, self.d_model),   # K projection
-            (rows, self.d_model, self.d_model),   # V projection
-            (head_rows, self.d_head, context),    # X_Q @ X_K^T over the cache
-            (head_rows, context, self.d_head),    # X_S @ X_V over the cache
-            (rows, self.d_model, self.d_model),   # output projection
-            (rows, self.d_model, self.d_ff),      # FC1
-            (rows, self.d_ff, self.d_model),      # FC2
-        ]  # fmt: skip
-
-    def forward_gemms(self, rows: int, context: int) -> List[Tuple[int, int, int]]:
-        """All GEMMs of one forward, in execution order (layers, then the LM head)."""
-        gemms = self.layer_gemms(rows, context) * self.num_layers
-        if self.vocab:
-            gemms.append((rows, self.d_model, self.vocab))
-        return gemms
-
-
 def forward_ms(
     shape: ModelShape, rows: int, context: int, device_name: str, num_groups: int = 8
 ) -> SchemeValues:
@@ -264,12 +202,18 @@ def forward_ms(
     prefill chunk ``rows = tokens`` against the prompt so far; a speculative
     verify ``rows = batch x (k + 1)``; a recovery replay ``rows = batch x
     recomputed tokens`` — every scenario below is a closed form over calls
-    to this function.
+    to this function.  Serving GEMMs are skinny — a decode step's row
+    dimension is the *batch size* — which is where per-kernel overheads
+    dominate, and why Tender's software fallback (one GEMM per channel
+    group) is disproportionately expensive during serving.
     """
-    sized = rows >= 1 and context >= 1
-    _require(sized, f"a forward needs rows >= 1 and context >= 1, got rows={rows}, context={context}")
     device = get_gpu(device_name)
-    gemms = shape.forward_gemms(rows, context)
+    layer, head = [], []  # (m, k, n) per kernel launch
+    for site, m, k, n, count in shape.gemms(rows, context):
+        if site.startswith("attention"):
+            m, count = m * count, 1  # every head in one batched kernel; Q, K and V stay three
+        (head if site == "lm_head" else layer).extend([(m, k, n)] * count)
+    gemms = layer * shape.num_layers + head
     priced = {gemm: _scheme_latencies_ms(*gemm, device, num_groups) for gemm in set(gemms)}
     # Summed GEMM by GEMM in execution order.  Float addition does not
     # associate: multiplying a layer's sum by ``num_layers``, or adding the LM

@@ -33,7 +33,7 @@ from repro.models.weights import (
     extract_weights,
     random_weights,
 )
-from repro.models.zoo import LANGUAGE_MODEL_NAMES, MODEL_ZOO, ZooEntry, get_zoo_entry
+from repro.models.zoo import LANGUAGE_MODEL_NAMES, MODEL_ZOO, ModelShape, ZooEntry, get_zoo_entry
 
 __all__ = [
     "ModelWeights",
@@ -61,6 +61,7 @@ __all__ = [
     "MODEL_ZOO",
     "LANGUAGE_MODEL_NAMES",
     "ZooEntry",
+    "ModelShape",
     "get_zoo_entry",
     "get_language_model",
     "get_classifier",

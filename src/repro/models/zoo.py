@@ -12,16 +12,76 @@ scaled-down stand-in for each, with three properties preserved:
   that BERT-Large outliers "are much smaller").
 
 Every entry also records the training recipe so the checkpoint cache can
-(re)produce it deterministically.
+(re)produce it deterministically, and the :class:`ModelShape` of the
+full-scale model it stands in for — the one GEMM enumeration both cost models
+(``repro.accelerator`` and ``repro.gpu``) price.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_count
 from repro.nn.transformer import TransformerConfig
+
+
+@dataclass(frozen=True)
+class ModelShape:
+    """The dimensions of a decoder-only model: all a forward's GEMMs depend on.
+
+    Parameters
+    ----------
+    d_model, d_ff, num_heads, num_layers :
+        Hidden width, feed-forward width, attention heads and layer count.
+    vocab : int
+        Include the LM-head GEMM when > 0 (applied once, outside the layers).
+    """
+
+    d_model: int
+    d_ff: int
+    num_heads: int
+    num_layers: int = 1
+    vocab: int = 0
+
+    def __post_init__(self) -> None:
+        require_count("d_model", self.d_model, 1)
+        require_count("d_ff", self.d_ff, 1)
+        require_count("num_heads", self.num_heads, 1)
+        require_count("num_layers", self.num_layers, 1)
+        require_count("vocab", self.vocab, 0)
+        if self.d_model % self.num_heads:
+            raise ConfigurationError(
+                f"d_model must be divisible by num_heads, got {self.d_model} and {self.num_heads}"
+            )
+
+    @property
+    def d_head(self) -> int:
+        """Per-head dimension."""
+        return self.d_model // self.num_heads
+
+    def gemms(self, rows: int, context: int) -> Iterator[Tuple[str, int, int, int, int]]:
+        """``(site, m, k, n, count)`` of every GEMM of one forward, in execution order.
+
+        ``rows`` token rows attend ``context`` positions: a prefill of
+        ``batch`` prompts of ``seq_len`` tokens is ``rows = seq_len x batch,
+        context = seq_len``; a decode step ``rows = batch``.  The six layer
+        sites run ``count`` times per layer — Q/K/V three projections, the
+        two attention matmuls once per head (``m`` is the per-head form the
+        systolic model needs) — and every layer repeats them; ``lm_head``
+        (when ``vocab > 0``) runs once, after the last layer.
+        """
+        rows = require_count("rows", rows, 1)
+        context = require_count("context", context, 1)
+        d_model, d_head, heads = self.d_model, self.d_head, self.num_heads
+        yield "qkv_proj", rows, d_model, d_model, 3
+        yield "attention_scores", rows, d_head, context, heads
+        yield "attention_values", rows, context, d_head, heads
+        yield "out_proj", rows, d_model, d_model, 1
+        yield "fc1", rows, d_model, self.d_ff, 1
+        yield "fc2", rows, self.d_ff, d_model, 1
+        if self.vocab:
+            yield "lm_head", rows, d_model, self.vocab, 1
 
 
 @dataclass(frozen=True)
@@ -51,12 +111,9 @@ class ZooEntry:
     outlier_shift_channels: int = 2
     outlier_shift_magnitude: float = 30.0
     outlier_spread: float = 2.0
-    #: GEMM dimensions of the full-scale model this entry stands in for,
-    #: used by the accelerator simulator workloads (Figures 10, 11, 13).
-    paper_d_model: int = 4096
-    paper_d_ff: int = 16384
-    paper_num_layers: int = 32
-    paper_num_heads: int = 32
+    #: The full-scale model this entry stands in for, priced by the
+    #: accelerator simulator (Figures 10, 11, 13) and the GPU model (Figure 12).
+    paper_shape: ModelShape = ModelShape(4096, 16384, 32, 32)
 
     def outlier_spec(self) -> "OutlierSpec":
         """Outlier-injection parameters of this model as an :class:`OutlierSpec`."""
@@ -100,63 +157,63 @@ MODEL_ZOO: Dict[str, ZooEntry] = {
             d_model=64, num_heads=4, num_layers=2, d_ff=192, activation="relu", seed=11,
             outlier_scale_channels=2, outlier_scale_magnitude=80.0,
             outlier_shift_channels=2, outlier_shift_magnitude=40.0,
-            paper_d_model=4096, paper_d_ff=16384, paper_num_layers=32, paper_num_heads=32,
+            paper_shape=ModelShape(4096, 16384, 32, 32),
         ),
         _entry(
             name="opt-13b-sim", paper_name="OPT-13B", family="opt",
             d_model=80, num_heads=4, num_layers=2, d_ff=240, activation="relu", seed=12,
             train_steps=220, outlier_scale_channels=3, outlier_scale_magnitude=90.0,
             outlier_shift_channels=2, outlier_shift_magnitude=45.0,
-            paper_d_model=5120, paper_d_ff=20480, paper_num_layers=40, paper_num_heads=40,
+            paper_shape=ModelShape(5120, 20480, 40, 40),
         ),
         _entry(
             name="opt-66b-sim", paper_name="OPT-66B", family="opt",
             d_model=96, num_heads=4, num_layers=3, d_ff=288, activation="relu", seed=13,
             train_steps=240, outlier_scale_channels=3, outlier_scale_magnitude=100.0,
             outlier_shift_channels=3, outlier_shift_magnitude=50.0,
-            paper_d_model=9216, paper_d_ff=36864, paper_num_layers=64, paper_num_heads=72,
+            paper_shape=ModelShape(9216, 36864, 72, 64),
         ),
         _entry(
             name="llama-2-7b-sim", paper_name="Llama-2-7B", family="llama2",
             d_model=64, num_heads=4, num_layers=2, d_ff=192, activation="gelu", seed=21,
             outlier_scale_channels=2, outlier_scale_magnitude=40.0,
             outlier_shift_channels=2, outlier_shift_magnitude=20.0,
-            paper_d_model=4096, paper_d_ff=11008, paper_num_layers=32, paper_num_heads=32,
+            paper_shape=ModelShape(4096, 11008, 32, 32),
         ),
         _entry(
             name="llama-2-13b-sim", paper_name="Llama-2-13B", family="llama2",
             d_model=80, num_heads=4, num_layers=2, d_ff=240, activation="gelu", seed=22,
             train_steps=220, outlier_scale_channels=2, outlier_scale_magnitude=45.0,
             outlier_shift_channels=2, outlier_shift_magnitude=22.0,
-            paper_d_model=5120, paper_d_ff=13824, paper_num_layers=40, paper_num_heads=40,
+            paper_shape=ModelShape(5120, 13824, 40, 40),
         ),
         _entry(
             name="llama-2-70b-sim", paper_name="Llama-2-70B", family="llama2",
             d_model=96, num_heads=4, num_layers=3, d_ff=288, activation="gelu", seed=23,
             train_steps=240, outlier_scale_channels=3, outlier_scale_magnitude=50.0,
             outlier_shift_channels=2, outlier_shift_magnitude=25.0,
-            paper_d_model=8192, paper_d_ff=28672, paper_num_layers=80, paper_num_heads=64,
+            paper_shape=ModelShape(8192, 28672, 64, 80),
         ),
         _entry(
             name="llama-7b-sim", paper_name="LLaMA-7B", family="llama",
             d_model=64, num_heads=4, num_layers=2, d_ff=192, activation="gelu", seed=31,
             outlier_scale_channels=2, outlier_scale_magnitude=35.0,
             outlier_shift_channels=2, outlier_shift_magnitude=18.0,
-            paper_d_model=4096, paper_d_ff=11008, paper_num_layers=32, paper_num_heads=32,
+            paper_shape=ModelShape(4096, 11008, 32, 32),
         ),
         _entry(
             name="llama-13b-sim", paper_name="LLaMA-13B", family="llama",
             d_model=80, num_heads=4, num_layers=2, d_ff=240, activation="gelu", seed=32,
             train_steps=220, outlier_scale_channels=2, outlier_scale_magnitude=40.0,
             outlier_shift_channels=2, outlier_shift_magnitude=20.0,
-            paper_d_model=5120, paper_d_ff=13824, paper_num_layers=40, paper_num_heads=40,
+            paper_shape=ModelShape(5120, 13824, 40, 40),
         ),
         _entry(
             name="llama-65b-sim", paper_name="LLaMA-65B", family="llama",
             d_model=96, num_heads=4, num_layers=3, d_ff=288, activation="gelu", seed=33,
             train_steps=240, outlier_scale_channels=3, outlier_scale_magnitude=45.0,
             outlier_shift_channels=2, outlier_shift_magnitude=22.0,
-            paper_d_model=8192, paper_d_ff=22016, paper_num_layers=80, paper_num_heads=64,
+            paper_shape=ModelShape(8192, 22016, 64, 80),
         ),
         _entry(
             name="bert-large-sim", paper_name="BERT-Large", family="bert",
@@ -164,7 +221,7 @@ MODEL_ZOO: Dict[str, ZooEntry] = {
             causal=False, seed=41, max_seq_len=64,
             outlier_scale_channels=2, outlier_scale_magnitude=6.0,
             outlier_shift_channels=1, outlier_shift_magnitude=4.0,
-            paper_d_model=1024, paper_d_ff=4096, paper_num_layers=24, paper_num_heads=16,
+            paper_shape=ModelShape(1024, 4096, 16, 24),
         ),
     ]
 }

@@ -8,7 +8,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.gpu import (
-    ModelShape,
     batching_occupancy,
     continuous_batching,
     figure12_latencies,
@@ -26,7 +25,7 @@ from repro.gpu import (
     tracing_overhead,
 )
 from repro.gpu.latency import _scheme_latencies_ms
-from repro.models.zoo import get_zoo_entry
+from repro.models import ModelShape, get_zoo_entry
 
 SCHEMES = {"FP16", "INT8 (per-tensor)", "INT8 (per-row)", "INT8 (per-channel)", "Tender SW"}
 PAPER = ModelShape(d_model=4096, d_ff=16384, num_heads=32, num_layers=32)
@@ -86,7 +85,7 @@ class TestLatencyModel:
     @pytest.mark.parametrize("num_groups", [0, -3])
     def test_rejects_fewer_than_one_group(self, num_groups):
         """Used to return the one-group price for any ``num_groups < 1``."""
-        with pytest.raises(ConfigurationError, match=f"num_groups must be >= 1, got {num_groups}"):
+        with pytest.raises(ConfigurationError, match=f"num_groups must be an integer >= 1, got {num_groups}"):
             tender_software_latency_ms(**self.DIMS, device=get_gpu("rtx3090"), num_groups=num_groups)
         with pytest.raises(ConfigurationError, match="num_groups"):
             figure12_latencies(2048, 4096, 4096, "rtx3090", num_groups=num_groups)
@@ -101,34 +100,65 @@ class TestLatencyModel:
             with pytest.raises(ConfigurationError, match=f"{empty}=0"):
                 price(**dims, device=get_gpu("rtx3090"))
 
+    def test_rejects_a_fractional_gemm(self):
+        """``figure12_latencies(2.5, ...)`` used to price a GEMM of two and a half rows."""
+        with pytest.raises(ConfigurationError, match="integers >= 1, got m=2.5"):
+            figure12_latencies(2.5, 64, 64, "rtx3090")
+        with pytest.raises(ConfigurationError, match="num_groups must be an integer >= 1, got 2.5"):
+            figure12_latencies(64, 64, 64, "rtx3090", num_groups=2.5)
+
 
 class TestForward:
     def test_gemm_enumeration(self):
         shape = ModelShape(d_model=64, d_ff=128, num_heads=4, num_layers=3)
-        per_layer = shape.layer_gemms(2, 16)
-        assert len(per_layer) == 8
-        assert (2, 64, 64) in per_layer                  # projections are batch-rows GEMMs
-        assert (2 * 4, 16, 16) in per_layer              # X_Q X_K^T attends the cache
-        assert len(shape.forward_gemms(2, 16)) == 3 * 8  # no LM head when vocab == 0
+        assert list(shape.gemms(2, 16)) == [
+            ("qkv_proj", 2, 64, 64, 3),              # projections are batch-rows GEMMs
+            ("attention_scores", 2, 16, 16, 4),      # X_Q X_K^T attends the cache, once per head
+            ("attention_values", 2, 16, 16, 4),
+            ("out_proj", 2, 64, 64, 1),
+            ("fc1", 2, 64, 128, 1),
+            ("fc2", 2, 128, 64, 1),
+        ]  # no LM head when vocab == 0
         with_head = ModelShape(d_model=64, d_ff=128, num_heads=4, num_layers=3, vocab=100)
-        assert with_head.forward_gemms(2, 16)[-1] == (2, 64, 100)
+        assert list(with_head.gemms(2, 16))[-1] == ("lm_head", 2, 64, 100, 1)
 
-    def test_rejects_bad_dimensions(self):
-        with pytest.raises(ConfigurationError, match="must be >= 1"):
-            ModelShape(d_model=64, d_ff=64, num_heads=4, num_layers=0)
-        with pytest.raises(ConfigurationError, match="vocab"):
-            ModelShape(d_model=64, d_ff=64, num_heads=4, vocab=-1)
-        with pytest.raises(ConfigurationError, match="divisible by num_heads, got 65 and 4"):
-            ModelShape(d_model=65, d_ff=64, num_heads=4)
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(num_layers=0), "num_layers must be an integer >= 1, got 0"),
+            (dict(vocab=-1), "vocab must be an integer >= 0, got -1"),
+            (dict(d_model=65), "divisible by num_heads, got 65 and 4"),
+            (dict(d_model=64.0), "d_model must be an integer >= 1, got 64.0"),
+            (dict(d_ff=128.5), "d_ff must be an integer >= 1, got 128.5"),
+            (dict(num_heads=4.0), "num_heads must be an integer >= 1, got 4.0"),
+            (dict(num_layers=1.5), "num_layers must be an integer >= 1, got 1.5"),
+            (dict(vocab=10.0), "vocab must be an integer >= 0, got 10.0"),
+        ],
+    )
+    def test_rejects_bad_dimensions(self, fields, message):
+        """A float field used to pass; ``num_layers=1.5`` failed late in list repetition."""
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            ModelShape(**dict(dict(d_model=64, d_ff=64, num_heads=4), **fields))
 
-    @pytest.mark.parametrize("rows, context", [(0, 1), (1, 0), (-2, 16)])
-    def test_rejects_an_empty_forward(self, rows, context):
-        with pytest.raises(ConfigurationError, match=f"rows={rows}, context={context}"):
-            forward_ms(PAPER, rows, context, "rtx3090")
+    @pytest.mark.parametrize(
+        "rows, context, num_groups, message",
+        [
+            (0, 1, 8, "rows must be an integer >= 1, got 0"),
+            (1, 0, 8, "context must be an integer >= 1, got 0"),
+            (-2, 16, 8, "rows must be an integer >= 1, got -2"),
+            (2.5, 16, 8, "rows must be an integer >= 1, got 2.5"),
+            (2, 16.5, 8, "context must be an integer >= 1, got 16.5"),
+            (2, 16, 2.5, "num_groups must be an integer >= 1, got 2.5"),
+        ],
+    )
+    def test_rejects_an_empty_forward(self, rows, context, num_groups, message):
+        """Fractional rows and contexts used to be priced, a fractional group count a bare ``TypeError``."""
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            forward_ms(PAPER, rows, context, "rtx3090", num_groups=num_groups)
 
     def test_paper_shape_comes_from_the_zoo(self):
-        assert ModelShape.from_zoo(get_zoo_entry("opt-6.7b-sim")) == PAPER
-        assert ModelShape.from_zoo(get_zoo_entry("llama-2-70b-sim")).d_head == 128
+        assert get_zoo_entry("opt-6.7b-sim").paper_shape == PAPER
+        assert get_zoo_entry("llama-2-70b-sim").paper_shape.d_head == 128
 
     def test_all_schemes_priced(self):
         latencies = forward_ms(PAPER, 8, 512, "rtx3090")
@@ -166,7 +196,10 @@ class TestForward:
         assert forward_ms(PAPER, 3, 40, "rtx3090")["Tender SW"] == 23.68309770940167
         device = get_gpu("rtx3090")
         in_order = dict.fromkeys(SCHEMES, 0.0)
-        for m, k, n in with_head.forward_gemms(3, 40):
+        # Q, K and V three GEMMs; each attention matmul one GEMM over rows x heads.
+        qkv, attention = [(3, 4096, 4096)] * 3, [(3 * 32, 128, 40), (3 * 32, 40, 128)]
+        layer = qkv + attention + [(3, 4096, 4096), (3, 4096, 16384), (3, 16384, 4096)]
+        for m, k, n in layer * 32 + [(3, 4096, 512)]:
             for scheme, milliseconds in _scheme_latencies_ms(m, k, n, device, 8).items():
                 in_order[scheme] += milliseconds
         assert forward_ms(with_head, 3, 40, "rtx3090") == in_order
@@ -206,7 +239,7 @@ def table(name, device_name="a100", **overrides):
 REJECTED = [
     ("continuous_batching", dict(max_batch=0), "max_batch must be >= 1, got 0"),
     ("continuous_batching", dict(offered_load=0.0), "offered_load must be > 0, got 0.0"),
-    ("continuous_batching", dict(context=0), "context=0"),
+    ("continuous_batching", dict(context=0), "context must be an integer >= 1, got 0"),
     ("prefix_caching", dict(hit_rate=1.5), "hit_rate must lie in [0, 1], got 1.5"),
     ("prefix_caching", dict(prompt_tokens=1), "prompt_tokens must be >= 2 (the last always runs), got 1"),
     ("prefix_caching", dict(mean_new_tokens=0.0), "mean_new_tokens must be >= 1, got 0.0"),
@@ -214,9 +247,9 @@ REJECTED = [
     ("speculation", dict(draft_tokens=0), "draft_tokens must be >= 1, got 0"),
     ("speculation", dict(accept_rate=1.5), "accept_rate must lie in [0, 1], got 1.5"),
     ("speculation", dict(draft_cost_ratio=-0.1), "draft_cost_ratio must be >= 0, got -0.1"),
-    ("speculation", dict(batch=0), "rows=0"),
+    ("speculation", dict(batch=0), "rows must be an integer >= 1, got 0"),
     ("paged_attention_gather", dict(kv_bytes_per_element=0), "kv_bytes_per_element must be >= 1, got 0"),
-    ("paged_attention_gather", dict(batch=0), "rows=0"),
+    ("paged_attention_gather", dict(batch=0), "rows must be an integer >= 1, got 0"),
     ("preemption", dict(victim_context=0), "victim_context must be >= 1, got 0"),
     ("preemption", dict(resume_hit_rate=1.5), "resume_hit_rate must lie in [0, 1], got 1.5"),
     ("preemption", dict(high_prompt_tokens=0), "high_prompt_tokens must be >= 1, got 0"),
@@ -230,12 +263,12 @@ REJECTED = [
     ("sharded_serving", dict(link_latency_us=-1.0), "latency/bandwidth"),
     ("sharded_serving", dict(resume_hit_rate=-0.1), "resume_hit_rate must lie in [0, 1], got -0.1"),
     ("sharded_serving", dict(retry_backoff_steps=-1.0), "retry_backoff_steps must be >= 0, got -1.0"),
-    ("sharded_serving", dict(batch=0), "rows=0"),
-    ("sharded_serving", dict(context=0), "context=0"),
+    ("sharded_serving", dict(batch=0), "rows must be an integer >= 1, got 0"),
+    ("sharded_serving", dict(context=0), "context must be an integer >= 1, got 0"),
     ("tracing_overhead", dict(events_per_step=-1.0), "events_per_step must be >= 0, got -1.0"),
     ("tracing_overhead", dict(guard_sites_per_step=-1.0), "guard_sites_per_step must be >= 0, got -1.0"),
-    ("tracing_overhead", dict(batch=0), "rows=0"),
-    ("tracing_overhead", dict(context=0), "context=0"),
+    ("tracing_overhead", dict(batch=0), "rows must be an integer >= 1, got 0"),
+    ("tracing_overhead", dict(context=0), "context must be an integer >= 1, got 0"),
 ]  # fmt: skip
 
 

@@ -118,7 +118,7 @@ PROFILED = {
     "quantize": lambda code: code is TenderExecutor._quantize_rows.__code__,
 }
 #: What every ``analytic_*`` sibling is priced at: OPT-6.7B's dimensions on one device.
-PRICED_AT = dict(shape=gpu.ModelShape.from_zoo(get_zoo_entry("opt-6.7b-sim")), device_name="rtx3090")
+PRICED_AT = dict(shape=get_zoo_entry("opt-6.7b-sim").paper_shape, device_name="rtx3090")
 
 RUNNERS: Dict[str, Callable] = {
     "fp": partial(workloads.tiny_runner, "fp"),
