@@ -279,9 +279,10 @@ class TenderExecutor:
             chunks = self._plan(x, positions).row_chunks(self.config.row_chunk_size)
             chunk_idx = chunks.clipped(packed.num_chunks)
             operand = self._quantize_rows(packed, x, chunk_idx, True)
+        # ``final_scales`` is 1-D: NumPy's fast path for 1-D fancy indexing beats ``take`` there.
         output = fused_implicit_matmul(operand, packed.final_scales[chunk_idx], site.weight64, site.weight_scale)
         if self.config.subtract_bias:
-            output += site.bias_projection[chunk_idx]
+            output += site.bias_projection.take(chunk_idx, axis=0)
         self.stats["projections"] += site.count
         self.stats["rescales"] += site.count * (self.config.num_groups - 1) * chunks.distinct
         if bias is not None:
@@ -351,7 +352,7 @@ class TenderExecutor:
         else:
             output = self._project_ordered(site, activation)
             if self.config.subtract_bias:
-                output += site.bias_projection[activation.chunk_idx]
+                output += site.bias_projection.take(activation.chunk_idx, axis=0)
         self.stats["rescales"] += (self.config.num_groups - 1) * chunks.distinct
         if bias is not None:
             output += bias
@@ -383,21 +384,26 @@ class TenderExecutor:
     def _quantize_rows(self, packed: PackedSiteParams, x, chunk_idx, alpha_weighted: bool) -> np.ndarray:
         """Bias-subtract and quantize ``x`` against each row's packed tables.
 
-        Returns integer-valued float64 (exact — see the dtype note in
-        kernels.py), so every downstream multiply runs on BLAS; with
-        ``alpha_weighted`` each channel is then multiplied by its
-        ``alpha^(G-1-g_c)``, the operand of the fused implicit matmul.
+        Each row's table rows are gathered by ``chunk_idx`` — the software
+        Index Buffer loading a row's calibration once — with
+        ``table.take(chunk_idx, axis=0)``: the same copy as
+        ``table[chunk_idx]``, bit for bit, at under half of 2-D fancy
+        indexing's fixed cost per gather (NumPy 2.4), which a forward of a
+        few rows pays dozens of times.  Returns integer-valued float64 (exact —
+        see the dtype note in kernels.py), so every downstream multiply runs
+        on BLAS; with ``alpha_weighted`` each channel is then multiplied by
+        its ``alpha^(G-1-g_c)``, the operand of the fused implicit matmul.
         Rounding, clipping and the weighting run in place on the division's
         own buffer; ``rint`` and ``maximum``/``minimum`` are what
         ``np.round``/``np.clip`` dispatch to.
         """
-        shifted = x - packed.bias[chunk_idx] if self.config.subtract_bias else x
-        quantized = shifted / packed.channel_scales[chunk_idx]
+        shifted = x - packed.bias.take(chunk_idx, axis=0) if self.config.subtract_bias else x
+        quantized = shifted / packed.channel_scales.take(chunk_idx, axis=0)
         np.rint(quantized, out=quantized)
         np.maximum(quantized, -packed.qmax, out=quantized)
         np.minimum(quantized, packed.qmax, out=quantized)
         if alpha_weighted:
-            quantized *= packed.alpha_weights[chunk_idx]
+            quantized *= packed.alpha_weights.take(chunk_idx, axis=0)
         return quantized
 
     def _project_ordered(self, site: _Site, activation: QuantizedActivation):

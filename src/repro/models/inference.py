@@ -512,7 +512,7 @@ class TransformerRunner:
                 f"position {plan.attended - 1} exceeds max_seq_len {self.config.max_seq_len}"
             )
         early = kept is not None and self.fused_paged_attention and self._plain_attention
-        x = self.weights.token_embedding[tokens] + self.weights.position_embedding[plan.positions]
+        x = self.weights.token_embedding.take(tokens, 0) + self.weights.position_embedding.take(plan.positions, 0)
         for index, block in enumerate(self.weights.blocks):
             attn_input = self._layer_norm(x, block.ln_attn.gain, block.ln_attn.bias)
             narrow = kept if early and block is self.weights.blocks[-1] else None

@@ -10,12 +10,13 @@ usable serving unit.  This module reproduces that contract in simulation:
 
 * :class:`CollectiveGroup` executes ``all_gather`` / ``all_reduce`` calls
   whose per-shard messages carry **sequence numbers** and **CRC32
-  checksums**.  Every message delivery runs under a per-call timeout with
-  bounded exponential-backoff retry; deliveries that arrive late trip the
-  straggler detector, which either *hedges* (resends and takes the faster
-  copy) or *waits*, governed by configuration.  A receiver remembers the
-  highest sequence number it has accepted from each shard, and discards any
-  copy that does not exceed it (a duplicate).
+  checksums** (computed only for a message a fault hits: a clean one's
+  check could only pass).  Every message delivery runs under a per-call
+  timeout with bounded exponential-backoff retry; deliveries that arrive
+  late trip the straggler detector, which either *hedges* (resends and
+  takes the faster copy) or *waits*, governed by configuration.  A receiver
+  remembers the highest sequence number it has accepted from each shard,
+  and discards any copy that does not exceed it (a duplicate).
 * :class:`CollectiveFaultInjector` decides, per message attempt, whether the
   wire drops, corrupts, delays, or duplicates it — or kills the sending
   shard outright.  Like the replica-level ``FaultInjector`` it supports both
@@ -137,8 +138,7 @@ class CollectiveFaultInjector:
         duplicate_at: Optional[Dict[int, int]] = None,
         kill_at: Optional[Dict[int, int]] = None,
     ) -> None:
-        if max_kills < 0:
-            raise ConfigurationError(f"max_kills must be >= 0, got {max_kills}")
+        max_kills = require_count("max_kills", max_kills, 0)
         self.drop_rate = _require_rate("drop_rate", drop_rate)
         self.corrupt_rate = _require_rate("corrupt_rate", corrupt_rate)
         self.delay_rate = _require_rate("delay_rate", delay_rate)
@@ -288,6 +288,16 @@ class CollectiveGroup:
     unhealthy — both are ``ReplicaFailureError`` subclasses the replica
     pool recovers from by rebuilding the whole group.
 
+    What is simulated and what is computed: the wire — its latency,
+    bandwidth, timeouts, backoff, hedges, sequence numbers and the CRC32
+    check a receiver makes — is *simulated*, priced into ``stats`` message by
+    message; the collective's result is *computed* once, from the pristine
+    payloads, before the exchange.  So the transport only computes what a
+    fault makes observable: a clean message is priced and counted with no
+    checksum (its check could only pass), and a CRC32 is taken only in
+    :meth:`_deliver`, for a message whose draw fired — the pristine
+    payload's, then the tampered copy's on each corrupt attempt.
+
     Parameters
     ----------
     num_shards:
@@ -387,17 +397,20 @@ class CollectiveGroup:
         self._accepted[shard_id] = seq
         return True
 
-    def _deliver(
-        self, seq: int, shard_id: int, payload: np.ndarray, checksum: int, fault: str
-    ) -> None:
+    def _deliver(self, seq: int, shard_id: int, payload: np.ndarray, fault: str) -> None:
         """Ride out the fault injected into one message's first attempt.
 
         ``fault`` is that attempt's draw; every retry draws its own.  The
-        receiver keeps the pristine payload on success (corrupted copies are
-        discarded at ``checksum``, duplicates at :meth:`_accept`); a kill
-        raises ``ShardFailureError`` and a dry retry budget
+        pristine payload's CRC32 is taken here, on entry: only a corrupted
+        copy is ever checked against it (a clean message's check passes by
+        construction, so :meth:`_exchange` computes none).  The receiver keeps
+        the pristine payload on success (corrupted copies are discarded at
+        the checksum, duplicates at :meth:`_accept`); a kill raises
+        ``ShardFailureError`` and a dry retry budget
         ``CollectiveTransportError``.  Counters go straight to ``stats``.
         """
+        # Over the payload's own buffer when that is one run of bytes.
+        checksum = zlib.crc32(payload if payload.flags.c_contiguous else payload.tobytes())
         cost = self.latency_ms + payload.nbytes / (self.bandwidth_gb_s * 1e6)
         for attempt in range(self.max_retries + 1):
             if attempt:
@@ -487,12 +500,13 @@ class CollectiveGroup:
         )
 
     def _exchange(self, payloads: Sequence[np.ndarray]) -> None:
-        """Move one sequenced, checksummed message per shard.
+        """Move one sequenced message per shard.
 
         One pass: a message whose first attempt drew no fault is priced and
-        counted here, in locals written back once; one whose draw fired goes
-        through :meth:`_deliver`, the only fault path.  ``simulated_ms`` is
-        summed message by message in shard order either way.
+        counted here, in locals written back once, with no checksum; one
+        whose draw fired goes through :meth:`_deliver`, the only fault path.
+        ``simulated_ms`` is summed message by message in shard order either
+        way.
         """
         if len(payloads) != self.num_shards:
             raise ConfigurationError(
@@ -511,12 +525,10 @@ class CollectiveGroup:
         try:
             for shard_id, payload in enumerate(payloads):
                 payload = np.asarray(payload)
-                # Over the payload's own buffer when that is one run of bytes.
-                checksum = zlib.crc32(payload if payload.flags.c_contiguous else payload.tobytes())
                 fault = injector.draw(seq, shard_id, 0) if injector is not None else None
                 if fault is not None:
                     stats.simulated_ms = simulated_ms
-                    self._deliver(seq, shard_id, payload, checksum, fault)
+                    self._deliver(seq, shard_id, payload, fault)
                     simulated_ms = stats.simulated_ms
                     continue
                 accepted[shard_id] = seq
@@ -533,7 +545,7 @@ class CollectiveGroup:
     # Collectives
     # ------------------------------------------------------------------
     @staticmethod
-    def _malformed(kind: str, payloads: Sequence[np.ndarray], error: ValueError) -> ConfigurationError:
+    def _malformed(kind: str, payloads: Sequence[np.ndarray], error: object) -> ConfigurationError:
         shapes = [np.shape(payload) for payload in payloads]
         return ConfigurationError(f"cannot {kind} payloads of shapes {shapes}: {error}")
 
@@ -543,14 +555,15 @@ class CollectiveGroup:
         The concatenation order is the shard order, so a column-partitioned
         tensor reassembles bit-identically to its unsharded original.  The
         receivers keep the pristine payloads, so the result is assembled
-        before anything crosses the wire: payloads that do not concatenate
-        are a :class:`~repro.errors.ConfigurationError` that consumes no
-        sequence number, fault draw or counter.
+        before anything crosses the wire: payloads that do not concatenate,
+        or an ``axis`` that is not an integer, are a
+        :class:`~repro.errors.ConfigurationError` that consumes no sequence
+        number, fault draw or counter.
         """
         try:
             gathered = np.concatenate(payloads, axis=axis)
-        except ValueError as error:
-            raise self._malformed("all_gather", payloads, error) from None
+        except (TypeError, ValueError) as error:  # TypeError: a non-integer axis
+            raise self._malformed("all_gather", payloads, f"{error} (axis={axis!r})") from None
         self._exchange(payloads)
         return gathered
 

@@ -267,7 +267,9 @@ def _as_request(
     :class:`~repro.errors.ConfigurationError` here, before the caller has
     touched any state of its own: a tick that is not finite or a count that
     is not an integer (naming field and value), a budget below one, a
-    deadline before the arrival.
+    deadline before the arrival, a prompt that is not one row of integer
+    token ids (naming its dtype and shape: floats, bools and matrices are
+    refused, never truncated or flattened).
     """
     if isinstance(request, Request):
         if (
@@ -295,8 +297,14 @@ def _as_request(
         raise ConfigurationError("max_new_tokens must be >= 1")
     if deadline is not None and deadline < arrival_time:
         raise ConfigurationError("deadline must not precede arrival_time")
+    prompt = np.asarray(request)
+    # An empty prompt is float64 to ``asarray``: the scheduler refuses it for its length.
+    if prompt.ndim != 1 or (prompt.dtype.kind not in "iu" and prompt.size):
+        raise ConfigurationError(
+            f"prompt must be a 1-D array of integer token ids, got dtype {prompt.dtype} shape {prompt.shape}"
+        )
     return Request(
-        prompt=np.asarray(request, dtype=np.int64).reshape(-1),
+        prompt=prompt.astype(np.int64, copy=False),
         max_new_tokens=max_new_tokens,
         arrival_time=arrival_time,
         priority=int(priority),

@@ -88,6 +88,38 @@ class TestProjectionBitExact:
         )
         assert fast.stats == reference.stats
 
+    @pytest.mark.parametrize("rows", [1, 3, 11, 64])
+    @pytest.mark.parametrize("subtract_bias", [True, False])
+    def test_fused_rows_across_chunks_and_past_the_last(self, rng, rows, subtract_bias):
+        """The fused call gathers every row's tables by its chunk: rows spread
+        over the calibrated chunks and past ``num_chunks`` (clipped to the
+        last) project bit-identically to the reference loop, through a plan
+        as a forward passes it, alone and stacked as Q/K/V."""
+        fast, reference, config = make_pair(rng, subtract_bias=subtract_bias)
+        num_chunks = fast.site_params["site"].packed().num_chunks
+        positions = rng.integers(0, (num_chunks + 3) * config.row_chunk_size, size=rows)
+        positions[0] = (num_chunks + 1) * config.row_chunk_size  # past the last calibrated chunk
+        positions[1 : num_chunks + 1] = np.arange(num_chunks)[: rows - 1] * config.row_chunk_size
+        weight, layer_bias = rng.normal(size=(CHANNELS, OUT)), rng.normal(size=OUT)
+        x = rng.normal(size=(rows, CHANNELS))
+        x[:, 3] *= 40.0
+        expected = reference.project("site", x, weight, layer_bias, positions=positions)
+        assert np.array_equal(fast.project("site", x, weight, layer_bias, positions=ForwardPlan(positions)), expected)
+        assert fast._site("site").fused, "the fixture must take the fused path"
+        assert fast.stats == reference.stats
+        params = {name: fast.site_params["site"] for name in "qkv"}
+        weights = [weight, 2 * weight, -weight]
+        executor = TenderExecutor(params, config)
+        stacked = executor.project(
+            tuple("qkv"), x, np.concatenate(weights, axis=1), np.tile(layer_bias, 3), positions=ForwardPlan(positions)
+        )
+        assert executor._site(tuple("qkv")).fused
+        for index, (name, site_weight) in enumerate(zip("qkv", weights)):
+            alone = TenderExecutor(params, config, fast_kernels=False).project(
+                name, x, site_weight, layer_bias, positions=positions
+            )
+            assert np.array_equal(stacked[:, index * OUT : (index + 1) * OUT], alone)
+
     @pytest.mark.parametrize("implicit", [True, False])
     def test_lowbit_and_few_groups(self, rng, implicit):
         fast, reference, _ = make_pair(rng, implicit, bits=4, num_groups=3)

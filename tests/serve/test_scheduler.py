@@ -234,6 +234,54 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             scheduler.submit(np.arange(runner.config.max_seq_len) % runner.config.vocab_size)
 
+    @pytest.mark.parametrize(
+        "prompt, described",
+        [
+            ([1.5, 2, 3], r"dtype float64 shape \(3,\)"),  # was served as [1, 2, 3]
+            (np.array([1.0, 2.0]), r"dtype float64 shape \(2,\)"),
+            ([[1, 2], [3, 4]], r"dtype int64 shape \(2, 2\)"),  # was served flattened
+            ([True, False], r"dtype bool shape \(2,\)"),  # was served as [1, 0]
+            (np.int64(3), r"dtype int64 shape \(\)"),
+        ],
+        ids=["fractional", "integral-floats", "matrix", "bools", "scalar"],
+    )
+    def test_every_front_door_refuses_a_prompt_that_is_not_one_row_of_integers(self, runner, prompt, described):
+        """``Scheduler.submit`` (keyword and ``Request`` form), ``ReplicaPool.submit``
+        and both ``AsyncEngine`` doors: a typed error naming dtype and shape,
+        raised before any id is burned."""
+        import asyncio
+
+        from repro.serve import AsyncEngine, ReplicaPool
+
+        refused = rf"prompt must be a 1-D array of integer token ids, got {described}"
+        scheduler = Scheduler(runner)
+        for submission in (lambda: scheduler.submit(prompt), lambda: scheduler.submit(Request(prompt))):
+            with pytest.raises(ConfigurationError, match=refused):
+                submission()
+        with pytest.raises(ConfigurationError, match="at least one token"):
+            scheduler.submit([])  # float64 to ``asarray``: still refused for its length
+        assert scheduler.num_waiting == 0 and not scheduler.has_pending
+        assert scheduler.submit([1, 2, 3]) == 0 and scheduler.submit(np.array([4], dtype=np.uint8)) == 1
+
+        pool = ReplicaPool(runner, num_replicas=2)
+        with pytest.raises(ConfigurationError, match=refused):
+            pool.submit(prompt)
+        assert pool.num_waiting == 0 and not pool._placements
+        assert pool.submit([1, 2, 3]) == 0
+
+        async def main():
+            async with AsyncEngine(runner, GenerationConfig(max_new_tokens=1)) as engine:
+                with pytest.raises(ConfigurationError, match=refused):
+                    await engine.submit(prompt)
+                with pytest.raises(ConfigurationError, match=refused):
+                    engine.submit_nowait(prompt)
+                assert engine.scheduler.num_waiting == 0 and not engine._streams
+                stream = await engine.submit([1, 2, 3])
+                assert stream.request_id == 0
+                await stream.result()
+
+        asyncio.run(main())
+
     def test_submit_rejects_overrides_alongside_a_request_object(self, runner, prompt_pool):
         """Keyword overrides cannot be silently dropped for full Requests."""
         from repro.serve import Request

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -41,6 +43,7 @@ from repro.serve import (
     Scheduler,
     ShardedRunner,
 )
+from repro.serve import collective
 from repro.serve.collective import CollectiveFaultEvent, CollectiveStats
 from repro.serve.shard import partition_bounds
 from repro.serve.workloads import tiny_runner
@@ -266,6 +269,73 @@ class TestCollectiveTransport:
         assert group.stats.duplicates_ignored > 0
         assert footprint(group) == before
 
+    @pytest.fixture
+    def crc32_calls(self, monkeypatch):
+        """Every ``zlib.crc32`` call the transport makes, by the bytes it hashed."""
+        calls = []
+
+        def crc32(data):
+            calls.append(bytes(data))
+            return zlib.crc32(data)
+
+        monkeypatch.setattr(collective, "zlib", SimpleNamespace(crc32=crc32))
+        return calls
+
+    def test_only_a_message_a_fault_hits_is_checksummed(self, crc32_calls):
+        """A clean message computes no CRC32.  A scripted corruption is still
+        caught against the pristine payload's checksum and retried, the
+        gathered tensor is bitwise the pristine concatenation (strided column
+        slices included), and every counter is what it was while every
+        message was checksummed (pinned as measured then)."""
+        wide = np.arange(24.0).reshape(4, 6)
+        payloads = [wide[:, :3], wide[:, 3:]]
+        group = CollectiveGroup(2, fault_injector=CollectiveFaultInjector(corrupt_at={1: 1, 3: 0}))
+        checksummed = []
+        for _ in range(4):
+            assert group.all_gather(payloads).tobytes() == wide.tobytes()
+            checksummed.append(len(crc32_calls))
+        assert checksummed == [0, 2, 2, 4]
+        # The pristine payload's, then the tampered copy's: only one byte apart.
+        assert crc32_calls[0] == payloads[1].tobytes() and crc32_calls[2] == payloads[0].tobytes()
+        assert crc32_calls[1][1:] == crc32_calls[0][1:] != crc32_calls[1]
+        assert group.stats == CollectiveStats(
+            collectives=4, messages=8, bytes_moved=768, retries=2, corruption_caught=2, simulated_ms=0.7000096
+        )
+
+    def test_a_chaos_soak_counts_what_it_counted_with_a_checksum_per_message(self, crc32_calls):
+        """Random drops, corruptions (48 of them on a retry), delays and
+        duplicates over 200 three-shard gathers: the same result, fault log
+        and counters as while every message was checksummed (literals
+        measured then), and one pristine checksum per message a draw hit."""
+        wide = np.arange(24.0).reshape(4, 6)
+        injector = CollectiveFaultInjector(
+            seed=3, drop_rate=0.1, corrupt_rate=0.2, delay_rate=0.1, duplicate_rate=0.1
+        )
+        group = CollectiveGroup(3, max_retries=6, fault_injector=injector)
+        for _ in range(200):
+            assert group.all_gather([wide[:, :1], wide[:, 1:4], wide[:, 4:]]).tobytes() == wide.tobytes()
+        assert group.stats == CollectiveStats(
+            collectives=200, messages=600, bytes_moved=76800, retries=246, timeouts=93, corruption_caught=153,
+            duplicates_ignored=57, stragglers=66, hedges=66, simulated_ms=146.80051136000003,
+        )  # fmt: skip
+        events = injector.events
+        assert len(events) == 369 and sum(e.kind == "corrupt" and e.attempt > 0 for e in events) == 48
+        hit = {(event.seq, event.shard_id) for event in events if event.attempt == 0}
+        assert len(crc32_calls) == len(hit) + group.stats.corruption_caught
+
+    def test_a_non_integer_axis_is_refused_before_it_is_charged(self):
+        group = CollectiveGroup(2, fault_injector=CollectiveFaultInjector(seed=3, drop_rate=0.3))
+        with pytest.raises(ConfigurationError, match=r"cannot all_gather payloads of shapes .*\(axis=1\.5\)"):
+            group.all_gather([self.payload(0), self.payload(1)], axis=1.5)
+        assert group._seq == 0 and group._accepted == [-1, -1]
+        assert group.stats == CollectiveStats() and group.fault_injector._cursor == 0
+
+    def test_max_kills_is_a_count(self):
+        """``max_kills=2.5`` used to allow three kills; NumPy integers still pass."""
+        injector = CollectiveFaultInjector(kill_rate=1.0, max_kills=np.int64(2))
+        assert [injector.draw(seq, 0, 0) for seq in range(4)] == ["kill", "kill", None, None]
+        assert type(injector.max_kills) is int
+
     def test_strided_payloads_are_checksummed_and_gathered(self):
         """A column slice is not one run of bytes; it still crosses the wire whole."""
         wide = np.arange(24.0).reshape(4, 6)
@@ -285,6 +355,7 @@ class TestCollectiveTransport:
             (CollectiveFaultInjector, dict(duplicate_rate=math.inf), "duplicate_rate"),
             (CollectiveFaultInjector, dict(kill_rate=2), "kill_rate"),
             (CollectiveFaultInjector, dict(max_kills=-1), "max_kills"),
+            (CollectiveFaultInjector, dict(max_kills=2.5), r"max_kills must be an integer >= 0, got 2\.5"),
             (CollectiveGroup, dict(fault_injector=CollectiveFaultInjector(drop_at={4: 2})), "shard 2"),
             (CollectiveGroup, dict(fault_injector=CollectiveFaultInjector(kill_at={0: -1})), "shard -1"),
             (CollectiveGroup, dict(bandwidth_gb_s=0.0), "bandwidth_gb_s"),

@@ -19,14 +19,15 @@ committed file differs from what it just computed (a changed token, logit or
 counter is a diff to review and re-record, never noise).  Python-level call
 counts depend on the NumPy build, so they are budgets only (``BUDGET_ONLY``).
 
-Beside the table run four checks that serve no trace: the fast projection
+Beside the table run five checks that serve no trace: the fast projection
 against the reference per-chunk loop (bit-identity), the exact dispatch count
 of one Tender decode step (solo, and as a 2- and a 4-shard group on a
 fault-injected transport; one ``paged_attention`` call per layer at every
 shard count, and for Tender "all" one ``dense_cached_attention`` call per
 layer) and of one solo whole prefill, intermediate prefill chunk and ragged
-verify, the allocation peak of one ``paged_attention`` call, and the
-randomized pool-invariant sweep.
+verify, the exact ``zlib.crc32`` count of one 2-shard decode step with no
+fault and with one scripted corruption, the allocation peak of one
+``paged_attention`` call, and the randomized pool-invariant sweep.
 
 Exit status 0 when clean; 1 with a one-line diagnosis per failure otherwise.
 """
@@ -41,6 +42,7 @@ import os
 import sys
 import tempfile
 import tracemalloc
+import zlib
 from collections import Counter
 from functools import partial
 from pathlib import Path
@@ -106,6 +108,11 @@ MAX_ATTENTION_PEAK_RATIO = 1.25
 #: first layer's ``PagedKVCache.write``; a whole prefill also groups the
 #: sub-plan of the rows it reads past the last block's KV write.
 MAX_UNIQUE_PER_FORWARD = {"decode": 2, "prefill": 3, "chunk": 2, "verify": 2}
+#: ``zlib.crc32`` calls one 2-shard decode forward makes on a fault-injected
+#: transport: none when no fault fires (26 while every message was
+#: checksummed), and with one scripted corruption the pristine payload's and
+#: the tampered copy's (27 before).
+CLEAN_FORWARD_CHECKSUMS, CORRUPT_FORWARD_CHECKSUMS = 0, 2
 STRESS_SEEDS, STRESS_OPS = 2, 120
 #: The default harness pool never needs a relocation on these seeds; this one does on every seed.
 TIGHT_POOL = dict(num_blocks=10, max_slots=4)
@@ -762,23 +769,17 @@ def check_fast_projection() -> str:
     return "" if np.array_equal(fast, reference) else "fast projection is not bit-identical to the reference"
 
 
-def decode_dispatch_counts(
-    shards: int = 0, quantize_attention: bool = False, entry: str = "decode"
-) -> Tuple[int, int, int]:
-    """``(Python-level calls, np.unique calls, attention calls)`` of one forward through ``entry``.
+def _warm_forward(shards: int = 0, quantize_attention: bool = False, entry: str = "decode"):
+    """``(runner, forward)``: one forward through ``entry``, ready to call once every lazy cache is full.
 
-    The tiny model, Tender-quantized, over four ragged slots of a paged pool,
-    once every lazy cache is full.  ``"decode"`` is one batched
-    ``decode_step`` — the scheduler's steady-state forward; with ``shards``,
-    as a shard group meeting on a transport with a fault injector attached
-    (no fault fires); with ``quantize_attention``, as Tender "all", whose
-    attention calls are ``dense_cached_attention``'s instead of
-    ``paged_attention``'s.  The other entry points run solo: ``"prefill"`` a
-    whole ragged prefill into fresh slots, ``"chunk"`` an intermediate
-    prefill chunk (no logits), ``"verify"`` a ragged verify.
-    ``sys.setprofile`` sees one ``call`` event per Python frame entered
-    (NumPy's own Python wrappers included, C functions not), so the count is
-    exact and repeats.
+    The tiny model, Tender-quantized, over four ragged slots of a paged pool.
+    ``"decode"`` is one batched ``decode_step`` — the scheduler's
+    steady-state forward; with ``shards``, as a shard group meeting on a
+    transport with a fault injector attached (no fault fires unless one is
+    scripted into ``runner.group``); with ``quantize_attention``, as Tender
+    "all".  The other entry points run solo: ``"prefill"`` a whole ragged
+    prefill into fresh slots, ``"chunk"`` an intermediate prefill chunk (no
+    logits), ``"verify"`` a ragged verify.
     """
     runner = workloads.tiny_runner(
         "tender-implicit", num_heads=4 if shards else 2, quantize_attention=quantize_attention
@@ -811,6 +812,22 @@ def decode_dispatch_counts(
             lengths=draft_rows,
         ),
     }[entry]()  # fmt: skip
+    return runner, forward
+
+
+def decode_dispatch_counts(
+    shards: int = 0, quantize_attention: bool = False, entry: str = "decode"
+) -> Tuple[int, int, int]:
+    """``(Python-level calls, np.unique calls, attention calls)`` of one forward through ``entry``.
+
+    The forward is :func:`_warm_forward`'s; under Tender "all"
+    (``quantize_attention``) the attention calls are
+    ``dense_cached_attention``'s instead of ``paged_attention``'s.
+    ``sys.setprofile`` sees one ``call`` event per Python frame entered
+    (NumPy's own Python wrappers included, C functions not), so the count is
+    exact and repeats.
+    """
+    _, forward = _warm_forward(shards, quantize_attention, entry)
     entered = Counter()  # by code object; ``update`` returns None, so nothing "matches"
     calls, _ = count_calls(forward, lambda code: entered.update((code,)))
     return calls, entered[np.unique.__wrapped__.__code__], entered[_attention_kernel(quantize_attention).__code__]
@@ -842,6 +859,46 @@ def check_decode_dispatch() -> str:
                 f"{calls} Python-level calls (budget {budget}), {uniques} np.unique calls (budget "
                 f"{MAX_UNIQUE_PER_FORWARD[entry]}) and {attentions} {_attention_kernel(dense).__name__} "
                 f"calls (expected {expected})"
+            )
+    return ""
+
+
+def collective_checksums(corrupt: bool) -> Tuple[int, int]:
+    """``(zlib.crc32 calls, corruption_caught)`` of one 2-shard decode forward.
+
+    The group is :func:`_warm_forward`'s fault-injected one; with
+    ``corrupt``, its injector is swapped for one scripting a corruption of
+    shard 0's message in the forward's first collective.  ``sys.setprofile``
+    reports every C call as a ``c_call`` event, so the count is exact.
+    """
+    runner, forward = _warm_forward(2)
+    group = runner.group
+    if corrupt:  # completed collectives == the next sequence number, on a group that never failed
+        group.fault_injector = CollectiveFaultInjector(seed=0, corrupt_at={group.stats.collectives: 0})
+    caught = group.stats.corruption_caught
+    checksums = 0
+
+    def profile(frame, event, arg):
+        nonlocal checksums
+        checksums += event == "c_call" and arg is zlib.crc32
+
+    sys.setprofile(profile)
+    try:
+        forward()
+    finally:
+        sys.setprofile(None)
+    return checksums, group.stats.corruption_caught - caught
+
+
+def check_collective_checksums() -> str:
+    """A transport that checksums a message no fault hit, or stops checking a corrupted one, fails here."""
+    for corrupt, expected in ((False, CLEAN_FORWARD_CHECKSUMS), (True, CORRUPT_FORWARD_CHECKSUMS)):
+        checksums, caught = collective_checksums(corrupt)
+        if (checksums, caught) != (expected, int(corrupt)):
+            return (
+                f"one 2-shard decode forward with {'one scripted' if corrupt else 'no'} corruption made "
+                f"{checksums} zlib.crc32 calls (expected {expected}) and caught {caught} corruptions "
+                f"(expected {int(corrupt)})"
             )
     return ""
 
@@ -899,6 +956,7 @@ def check_serving_stress() -> str:
 CHECKS = {
     "fast projection": check_fast_projection,
     "decode dispatch": check_decode_dispatch,
+    "collective checksums": check_collective_checksums,
     "attention memory": check_attention_memory,
     "serving stress": check_serving_stress,
 }
