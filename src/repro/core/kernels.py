@@ -226,8 +226,8 @@ class RowChunks:
         self.chunk_size = chunk_size
         #: Calibrated chunk of every row, unclipped (the reference path's key).
         self.row_chunk = flat_positions // chunk_size
-        #: Distinct chunks touched: one rescale sequence each.
-        self.distinct = int(np.unique(self.row_chunk).size)
+        #: Distinct chunks touched: one rescale sequence each (a set: a forward has few rows).
+        self.distinct = len(set(self.row_chunk.tolist()))
         self._clipped: dict = {}
         self._groups: dict = {}
 
@@ -305,9 +305,9 @@ class ForwardPlan:
         self.batch = self.lengths.shape[0]
         #: Token position of every flat row.
         self.positions = positions.reshape(-1)
-        self.negative = bool(self.positions.size) and bool(self.positions.min() < 0)
+        self.negative = bool(self.positions.size) and bool(np.minimum.reduce(self.positions) < 0)
         #: Cache slots a query of this forward can see: the highest position + 1.
-        self.attended = int(self.positions.max(initial=-1)) + 1
+        self.attended = int(np.maximum.reduce(self.positions, initial=-1)) + 1
         #: On a sub-plan (:meth:`select`): its rows' flat indices in the plan it was cut from.
         self.parent_rows: Optional[np.ndarray] = None
         self._layout: Optional[Tuple[np.ndarray, np.ndarray]] = None
@@ -392,16 +392,14 @@ class ForwardPlan:
         """
         layout = self._attention
         if layout is None or layout[0] is not runs:
-            reach = self.reach.tolist()
             bounds = self.bounds.tolist()
             segments = []
-            for sequence, row_runs in enumerate(runs):
-                lo, hi = bounds[sequence], bounds[sequence + 1]
+            for lo, hi, reach, row_runs in zip(bounds, bounds[1:], self.reach.tolist(), runs):
                 for first_index, first_physical, count in row_runs:
                     start = first_index * block_size
-                    if start >= reach[sequence]:
+                    if start >= reach:
                         break
-                    stop = min(start + count * block_size, reach[sequence])
+                    stop = min(start + count * block_size, reach)
                     first = first_physical * block_size
                     segments.append((lo, hi, start, stop, first, first + stop - start))
             hidden_slots = np.arange(self.attended)[None, None, :] > self.positions[None, :, None]
@@ -652,7 +650,8 @@ def paged_attention(
     pop left 2.1-7.2 runs per sequence on the ``BENCHMARK.json`` workloads,
     and ``PagedKVCache``'s extent-aware pick — with cached blocks relocated
     out of a reservation's way under eviction pressure — brings them to
-    1.0-1.6, 2.8 where most of a table is a shared prefix (table in
+    1.0-1.6, except 3.9 on ``prefix_prefill``, where the relocation windows
+    cut cached chains and most of a table is a matched prefix (table in
     ``docs/architecture.md``).  Multi-run rows can differ
     from the dense product only in the final-sum rounding of the context
     vector (~1e-15 relative); under Tender both operands of every

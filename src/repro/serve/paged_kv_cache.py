@@ -1100,10 +1100,12 @@ class PagedKVCache:
         # truncated past while a sharer pinned its bytes, then orphaned when
         # that sharer freed.  Its content is about to change, so its entry —
         # and every chain built on it — must drop, or a later match_prefix
-        # would surface stale bytes under the old key.
-        for block in np.unique(targets):
-            if self._block_key.get(int(block)) is not None:
-                self._deindex(int(block))
+        # would surface stale bytes under the old key.  Ascending, as a
+        # de-index cascades to radix descendants: the re-check skips a
+        # target an earlier one's cascade already dropped.
+        for block in sorted(self._block_key.keys() & set(targets.tolist())):
+            if block in self._block_key:
+                self._deindex(block)
         return targets, positions - block_rows * self.block_size
 
     def gather(
@@ -1200,7 +1202,8 @@ class SlotBatchView:
     ConfigurationError
         If ``slot_ids`` is empty, repeats a slot (two sequences would write
         over each other) or names one that is not reserved — here, and from
-        any later forward through the view once one of its slots was freed.
+        any later forward or commit through the view once one of its slots
+        was freed.
     """
 
     def __init__(self, paged: PagedKVCache, slot_ids: Sequence[int]) -> None:
@@ -1244,6 +1247,20 @@ class SlotBatchView:
         )
 
     def commit(self) -> None:
-        """Publish the view's per-row lengths back to the pool's slot table."""
-        for row, slot in enumerate(self.slot_ids):
-            self._paged.set_length(slot, int(self.lengths[row]))
+        """Publish the view's per-row lengths back to the pool's slot table, all or nothing.
+
+        Every row is checked against its slot's reserved capacity — read from
+        the freshness-checked index, so a freed slot is the
+        ``ConfigurationError`` every view operation raises — before any
+        length is written.
+        """
+        paged = self._paged
+        capacity = paged._fresh_index(self.slot_ids, self._index).blocks_per_row * paged.block_size
+        bad = ((self.lengths < 0) | (self.lengths > capacity)).nonzero()[0]
+        if bad.size:
+            row = int(bad[0])
+            raise ConfigurationError(
+                f"length {int(self.lengths[row])} outside slot {self.slot_ids[row]}'s reserved "
+                f"capacity [0, {int(capacity[row])}]"
+            )
+        paged._lengths.update(zip(self.slot_ids, self.lengths.tolist()))

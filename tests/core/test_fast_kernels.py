@@ -239,6 +239,14 @@ class TestForwardPlan:
             )
         assert executor.stats["projections"] == 0
 
+    @pytest.mark.parametrize("rows", [0, 1, 9, 64])
+    def test_distinct_chunks_count_every_chunk_once(self, rng, rows):
+        """Against ``np.unique``, on positions reaching past the calibrated chunks."""
+        positions = rng.integers(0, 12 * 16, size=rows)
+        chunks = ForwardPlan(positions).row_chunks(16)
+        assert chunks.distinct == np.unique(positions // 16).size
+        assert np.array_equal(chunks.clipped(5), np.minimum(positions // 16, 4))
+
     def test_row_count_mismatch_is_rejected_with_a_plan(self, rng):
         fast, _, _ = make_pair(rng)
         x = rng.normal(size=(3, CHANNELS))

@@ -260,6 +260,53 @@ def assert_matches_references(pool, slots, plan, queries, single_run):
     return context, runs
 
 
+def reference_layout(plan, runs, block_size):
+    """``attention_layout``'s segments and mask, one sequence at a time by index."""
+    reach = [int(plan.positions[lo:hi].max()) + 1 if hi > lo else 0 for lo, hi in zip(plan.bounds, plan.bounds[1:])]
+    segments = []
+    for sequence, row_runs in enumerate(runs):
+        lo, hi = int(plan.bounds[sequence]), int(plan.bounds[sequence + 1])
+        for first_index, first_physical, count in row_runs:
+            start = first_index * block_size
+            if start >= reach[sequence]:
+                break
+            stop = min(start + count * block_size, reach[sequence])
+            first = first_physical * block_size
+            segments.append((lo, hi, start, stop, first, first + stop - start))
+    hidden = np.arange(plan.attended)[None, None, :] > plan.positions[None, :, None]
+    return segments, hidden
+
+
+class TestAttentionLayout:
+    @staticmethod
+    def random_runs(rng, blocks):
+        """A run table over ``blocks`` block indices: 1-3 runs at scattered physical blocks."""
+        cuts = sorted(rng.choice(np.arange(1, blocks), size=min(blocks - 1, rng.integers(0, 3)), replace=False))
+        bounds = [0, *cuts, blocks]
+        return [(lo, int(rng.integers(0, 50)), hi - lo) for lo, hi in zip(bounds, bounds[1:])]
+
+    def test_segments_equal_the_reference_loop(self):
+        """Random ragged plans and their selections, some sequences without rows, on multi-run tables."""
+        empty_sequences = multi_run_segments = 0
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            batch = int(rng.integers(1, 7))
+            lengths = rng.integers(0, 5, size=batch)
+            starts = rng.integers(0, 30, size=batch)
+            plan = ForwardPlan.ragged(starts, lengths)
+            runs = [self.random_runs(rng, -(-(start + length + 4) // BLOCK)) for start, length in zip(starts, lengths)]
+            kept = np.sort(rng.choice(plan.positions.size, size=plan.positions.size // 2, replace=False))
+            for layout_plan in (plan, plan.select(kept)):
+                segments, hidden = layout_plan.attention_layout(runs, BLOCK)
+                expected_segments, expected_hidden = reference_layout(layout_plan, runs, BLOCK)
+                assert segments == expected_segments
+                assert np.array_equal(hidden, expected_hidden)
+                empty_sequences += int((layout_plan.lengths == 0).sum())
+                sequence_lows = [segment[0] for segment in segments]
+                multi_run_segments += len(sequence_lows) - len(set(sequence_lows))
+        assert empty_sequences and multi_run_segments
+
+
 class TestLattice:
     """The in-place kernel against the retained references, one lattice of shapes."""
 

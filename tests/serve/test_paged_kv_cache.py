@@ -185,6 +185,32 @@ class TestSlotBatchView:
         view.commit()
         assert pool.length_of(slot) == 5
 
+    def test_commit_is_all_or_nothing(self):
+        """The first slot's length used to land before the second slot's overrun raised."""
+        pool = make_pool(block_size=4)
+        first, second = pool.reserve(8), pool.reserve(4)
+        view = pool.view([first, second])
+        view.lengths[:] = [5, 9]
+        with pytest.raises(ConfigurationError, match=rf"length 9 outside slot {second}'s reserved capacity \[0, 4\]"):
+            view.commit()
+        assert (pool.length_of(first), pool.length_of(second)) == (0, 0)
+        view.lengths[:] = [-1, 2]
+        with pytest.raises(ConfigurationError, match=rf"length -1 outside slot {first}'s reserved capacity \[0, 8\]"):
+            view.commit()
+        assert (pool.length_of(first), pool.length_of(second)) == (0, 0)
+
+    def test_commit_over_a_freed_slot_is_refused(self):
+        """It used to raise a bare ``KeyError``."""
+        pool = make_pool(block_size=4)
+        kept, freed = pool.reserve(8), pool.reserve(8)
+        pool.set_length(kept, 2)
+        view = pool.view([kept, freed])
+        view.lengths[:] = [6, 3]
+        pool.free(freed)
+        with pytest.raises(ConfigurationError, match=f"slot {freed} of .* is not reserved"):
+            view.commit()
+        assert pool.active_slots == [kept] and pool.length_of(kept) == 2
+
     def test_unknown_and_repeated_slots_are_rejected(self):
         """Both were accepted or half-accepted: a bare ``KeyError``, and two
         sequences silently writing over each other in one slot."""
@@ -444,6 +470,41 @@ class TestForwardPlanConsumers:
         np.testing.assert_array_equal(pool.key_blocks[0][:, forked, :3], before[:, shared_block, :3])
         untouched = [b for b in range(pool.num_blocks) if b not in (forked, child_tail, owner_block)]
         np.testing.assert_array_equal(pool.key_blocks[0][:, untouched], before[:, untouched])
+
+    def test_a_write_deindexes_each_published_target_once_in_ascending_order(self, rng, monkeypatch):
+        """Two published sole-owner targets, the first the radix parent of the
+        second: the parent's de-index cascades to the child, which is then
+        skipped, so each leaves the index exactly once, parent first."""
+        pool = make_pool(layers=1, block_size=4, num_blocks=8)
+        slot = pool.reserve(8)
+        head = rng.normal(size=(2, 8, 4))
+        pool.write(0, [slot], head, head, np.arange(8)[None, :])
+        pool.set_length(slot, 8)
+        assert pool.publish_prefix(slot, np.arange(8)) == 2
+        parent, child = pool.block_table(slot)
+        assert parent < child and pool.block_key_of(child)[0] == parent
+        dropped = []
+        unindex = pool._unindex
+
+        def recording(block, orphans):  # the cascade recurses through the instance attribute too
+            if block in pool._block_key:
+                dropped.append(block)
+            unindex(block, orphans)
+
+        monkeypatch.setattr(pool, "_unindex", recording)
+        payload = rng.normal(size=(2, 2, 4))
+        pool.view([slot]).write(0, payload, payload, ForwardPlan(np.array([[5, 3]])))
+        assert dropped == [parent, child]
+        assert pool.block_key_of(parent) is None and pool.block_key_of(child) is None
+
+    def test_a_write_over_unpublished_targets_leaves_the_index_untouched(self, rng, monkeypatch):
+        pool, _, _, owner = self.shared_prefix_pool(rng)
+        fresh = pool.reserve(8)
+        index = dict(pool._block_key)
+        monkeypatch.setattr(pool, "_deindex", lambda block: pytest.fail(f"de-indexed block {block}"))
+        payload = rng.normal(size=(2, 3, 4))
+        pool.view([fresh, owner]).write(0, payload, payload, ForwardPlan.ragged(np.array([0, 4]), np.array([2, 1])))
+        assert pool._block_key == index
 
     def test_flat_write_is_refused_whole_when_one_row_overruns_its_slot(self, rng):
         pool = make_pool(layers=1, block_size=4, num_blocks=4)

@@ -19,15 +19,16 @@ committed file differs from what it just computed (a changed token, logit or
 counter is a diff to review and re-record, never noise).  Python-level call
 counts depend on the NumPy build, so they are budgets only (``BUDGET_ONLY``).
 
-Beside the table run five checks that serve no trace: the fast projection
+Beside the table run six checks that serve no trace: the fast projection
 against the reference per-chunk loop (bit-identity), the exact dispatch count
 of one Tender decode step (solo, and as a 2- and a 4-shard group on a
 fault-injected transport; one ``paged_attention`` call per layer at every
 shard count, and for Tender "all" one ``dense_cached_attention`` call per
 layer) and of one solo whole prefill, intermediate prefill chunk and ragged
-verify, the exact ``zlib.crc32`` count of one 2-shard decode step with no
-fault and with one scripted corruption, the allocation peak of one
-``paged_attention`` call, and the randomized pool-invariant sweep.
+verify, the exact frame count of one ``SlotBatchView.commit``, the exact
+``zlib.crc32`` count of one 2-shard decode step with no fault and with one
+scripted corruption, the allocation peak of one ``paged_attention`` call,
+and the randomized pool-invariant sweep.
 
 Exit status 0 when clean; 1 with a one-line diagnosis per failure otherwise.
 """
@@ -79,35 +80,42 @@ from repro.serve.stress import LruReferencePool
 RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_serving.json"
 #: Python-level calls one batched ``decode_step`` of the Tender-quantized tiny
 #: model may make, by shard count (0: the solo runner): the measured count
-#: (145 since each projection site runs from one record, straight through
-#: the fused matmul; 200 while every call re-checked the overflow bound and
-#: made ~6 cache lookups, 199 before ``attention_layout`` read the
-#: ``ForwardPlan.reach`` property, 205 while every layer re-probed the
-#: attention gate, 405 before the forward plan; 2 shards 243, 298, 297, 370
-#: while every shard projected its own weight slice, 386, 398 while every
-#: shard made its own ``paged_attention`` call, 521 while every shard also
-#: quantized the activation for itself and every message was delivered by
-#: its own call; 4 shards 269, 324, 323, 500, 528, 576) + 16 / 38 / 52 for
-#: NumPy versions, not for new per-site or per-shard work.
-DECODE_CALL_BUDGET = {0: 161, 2: 281, 4: 321}
+#: (131 since the forward's bookkeeping calls no ``np.unique`` and the plan
+#: reduces through the ufuncs, 145 before; 200 while every call re-checked the
+#: overflow bound and made ~6 cache lookups, 199 before ``attention_layout``
+#: read the ``ForwardPlan.reach`` property, 205 while every layer re-probed
+#: the attention gate, 405 before the forward plan; 2 shards 229, 243, 298,
+#: 297, 370 while every shard projected its own weight slice, 386, 398 while
+#: every shard made its own ``paged_attention`` call, 521 while every shard
+#: also quantized the activation for itself and every message was delivered
+#: by its own call; 4 shards 255, 269, 324, 323, 500, 528, 576) + 16 / 38 / 52
+#: for NumPy versions, not for new per-site or per-shard work.
+DECODE_CALL_BUDGET = {0: 147, 2: 267, 4: 307}
 #: The same step with Tender "all" (``quantize_attention=True``), which
-#: attends on the dense branch: measured 360 / 458 / 484 (415 / 513 / 539
-#: before the per-site records; 2 and 4 shards 737 and 1215 while every
-#: shard attended over its own heads) + the same margins.
-DENSE_DECODE_CALL_BUDGET = {0: 376, 2: 496, 4: 536}
+#: attends on the dense branch: measured 346 / 444 / 470 (360 / 458 / 484
+#: with ``np.unique`` in the bookkeeping, 415 / 513 / 539 before the per-site
+#: records; 2 and 4 shards 737 and 1215 while every shard attended over its
+#: own heads) + the same margins.
+DENSE_DECODE_CALL_BUDGET = {0: 362, 2: 482, 4: 522}
 #: The solo forward through every other entry point: a whole ragged prefill
-#: (measured 173), an intermediate prefill chunk (119) and a ragged verify
-#: (150) — 228 / 146 / 205 before the per-site records, each over its budget
-#: — + the solo margin of 16.
-ENTRY_CALL_BUDGET = {"prefill": 189, "chunk": 135, "verify": 166}
+#: (measured 151), an intermediate prefill chunk (104) and a ragged verify
+#: (136) — 173 / 119 / 150 with ``np.unique`` in the bookkeeping, 228 / 146 /
+#: 205 before the per-site records — + the solo margin of 16.
+ENTRY_CALL_BUDGET = {"prefill": 167, "chunk": 120, "verify": 152}
 #: ``tracemalloc`` peak of one ``paged_attention`` call over its score buffer +
 #: context: measured 1.19 (the mask, the row maxima and sums, one run's SV
 #: product), 3.88 while scale, mask and each softmax pass allocated their result.
 MAX_ATTENTION_PEAK_RATIO = 1.25
-#: ``np.unique`` calls per forward: the plan's row-chunk grouping and the
-#: first layer's ``PagedKVCache.write``; a whole prefill also groups the
-#: sub-plan of the rows it reads past the last block's KV write.
-MAX_UNIQUE_PER_FORWARD = {"decode": 2, "prefill": 3, "chunk": 2, "verify": 2}
+#: ``np.unique`` calls per forward at every entry point: none (2 / 3 / 2 / 2 for
+#: decode / prefill / chunk / verify while the plan's row-chunk count and the
+#: first layer's ``PagedKVCache.write`` de-index each called it).
+MAX_UNIQUE_PER_FORWARD = 0
+#: Python frames one ``SlotBatchView.commit`` over ``COMMIT_SLOTS`` slots may
+#: enter: measured 2 (the commit and the index's freshness check; 65 while
+#: every slot went through ``set_length``, its ``capacity_of`` and its
+#: integer check).  The budget is below the slot count, so no frame may be
+#: per slot.
+COMMIT_SLOTS, COMMIT_CALL_BUDGET = 16, 4
 #: ``zlib.crc32`` calls one 2-shard decode forward makes on a fault-injected
 #: transport: none when no fault fires (26 while every message was
 #: checksummed), and with one scripted corruption the pristine payload's and
@@ -853,13 +861,33 @@ def check_decode_dispatch() -> str:
         calls, uniques, attentions = decode_dispatch_counts(shards, quantize_attention=dense, entry=entry)
         # An intermediate chunk's last block stops after its KV write: nobody attends there.
         expected = layers - (entry == "chunk")
-        if calls > budget or uniques > MAX_UNIQUE_PER_FORWARD[entry] or attentions != expected:
+        if calls > budget or uniques > MAX_UNIQUE_PER_FORWARD or attentions != expected:
             return (
                 f"one {'Tender all ' if dense else ''}{entry} forward ({shards or 'no'} shards) made "
                 f"{calls} Python-level calls (budget {budget}), {uniques} np.unique calls (budget "
-                f"{MAX_UNIQUE_PER_FORWARD[entry]}) and {attentions} {_attention_kernel(dense).__name__} "
+                f"{MAX_UNIQUE_PER_FORWARD}) and {attentions} {_attention_kernel(dense).__name__} "
                 f"calls (expected {expected})"
             )
+    return ""
+
+
+def commit_call_count() -> int:
+    """Python frames of one ``SlotBatchView.commit`` over ``COMMIT_SLOTS`` two-block slots, each advanced."""
+    pool = PagedKVCache(num_layers=1, num_heads=1, d_head=4, block_size=4, num_blocks=2 * COMMIT_SLOTS)
+    view = pool.view([pool.reserve(8) for _ in range(COMMIT_SLOTS)])
+    view.lengths += np.arange(COMMIT_SLOTS) % 9
+    calls, _ = count_calls(view.commit)
+    return calls
+
+
+def check_view_commit() -> str:
+    """A commit that validates or writes its lengths slot by slot fails here."""
+    calls = commit_call_count()
+    if calls > COMMIT_CALL_BUDGET:
+        return (
+            f"one SlotBatchView.commit over {COMMIT_SLOTS} slots entered {calls} Python frames "
+            f"(budget {COMMIT_CALL_BUDGET}: none per slot)"
+        )
     return ""
 
 
@@ -956,6 +984,7 @@ def check_serving_stress() -> str:
 CHECKS = {
     "fast projection": check_fast_projection,
     "decode dispatch": check_decode_dispatch,
+    "view commit": check_view_commit,
     "collective checksums": check_collective_checksums,
     "attention memory": check_attention_memory,
     "serving stress": check_serving_stress,
