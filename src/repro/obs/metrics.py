@@ -1,11 +1,11 @@
 """A zero-dependency metrics registry: counters, gauges, fixed-bucket histograms.
 
-The serving stack already keeps rich end-of-run stats objects
-(``SchedulerStats``, ``ClusterStats``, ``CollectiveStats``), but each is a
-private dataclass with its own field names; nothing aggregates them under
-one namespace or diffs them over time.  :class:`MetricsRegistry` is that
-namespace: the stats objects *publish* into it (``stats.publish(registry,
-prefix)``), benchmarks snapshot it between phases and read deltas, and
+The serving stack keeps its counters in dataclass records
+(``SchedulerStats``, ``ClusterStats``, ``CollectiveStats``, each a
+:class:`repro.serve.stats.Counters`).  :class:`MetricsRegistry` gathers them
+under one namespace: a record *publishes* into it (``stats.publish(registry,
+prefix)``), :meth:`MetricsRegistry.snapshot` / :meth:`MetricsRegistry.delta`
+attribute counts to one phase of a run, and
 :meth:`MetricsRegistry.render_text` dumps the whole thing in a
 Prometheus-style exposition format for logs.
 

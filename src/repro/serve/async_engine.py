@@ -55,6 +55,7 @@ from repro.errors import ConfigurationError, ResourceExhaustedError
 from repro.models.inference import TransformerRunner
 from repro.serve.request import GenerationConfig, Request, RequestOutput
 from repro.serve.scheduler import Scheduler
+from repro.serve.stats import SchedulerStats
 
 #: Sentinel pushed onto a stream's token queue when its request terminates.
 _DONE = object()
@@ -508,12 +509,8 @@ class AsyncEngine:
         await self.close()
 
     @property
-    def stats(self):
-        """The engine core's stats.
-
-        A :class:`SchedulerStats` when the engine owns a private scheduler;
-        the pool's aggregate counters when serving from a replica pool.
-        """
+    def stats(self) -> SchedulerStats:
+        """The engine core's :class:`SchedulerStats` (a pool's is every replica's, folded)."""
         return self.scheduler.stats
 
 

@@ -28,9 +28,9 @@ past one engine:
   so it is deterministic in scheduler time) and honoring existing admission
   deadlines — a crash never extends a deadline, and a request that already
   started never expires (matching the scheduler's own rule).
-* **Circuit breaker + watchdog** — a replica is marked unhealthy after
-  ``breaker_threshold`` consecutive failures and re-probed after an
-  (exponentially growing) cooldown; a watchdog detects zero-progress
+* **Circuit breaker + watchdog** — a failed replica is held out of rotation
+  and re-probed after a cooldown that doubles with each consecutive failure
+  past :data:`BREAKER_THRESHOLD`; a watchdog detects zero-progress
   iterations on a replica with pending work and triggers the same recovery
   path, so a stalled engine is drained exactly like a crashed one.
 * **Graceful degradation** — under memory pressure the router sheds the
@@ -50,7 +50,7 @@ committed-position logits) to a fault-free run, which is what
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -66,18 +66,11 @@ from repro.serve.request import (
     _request_output,
 )
 from repro.serve.scheduler import Scheduler
-from repro.serve.stats import SchedulerStats
+from repro.serve.stats import Counters, SchedulerStats
 
-#: Every integer field of ``SchedulerStats``: what the pool's merged ``stats``
-#: view totals, schedulers retired by crash rebuilds included.
-_POOL_STAT_KEYS = tuple(f.name for f in fields(SchedulerStats) if f.type in (int, "int"))
-
-
-def _fold_stats(totals: Dict[str, int], stats: SchedulerStats) -> None:
-    """Add one scheduler's counters to ``totals`` (``peak_active``, a high-water mark, by ``max``)."""
-    for key in totals:
-        value = getattr(stats, key)
-        totals[key] = max(totals[key], value) if key == "peak_active" else totals[key] + value
+#: Consecutive failures a replica's breaker absorbs at the base
+#: ``breaker_cooldown``; each consecutive failure past it doubles the cooldown.
+BREAKER_THRESHOLD = 2
 
 
 @dataclass
@@ -143,17 +136,15 @@ class FaultInjector:
         ):
             if not 0.0 <= rate <= 1.0:
                 raise ConfigurationError(f"{name} must lie in [0, 1]")
-        if stall_steps < 1:
-            raise ConfigurationError("stall_steps must be >= 1")
         self.rng = np.random.default_rng(seed)
         self.kill_rate = float(kill_rate)
         self.exhaust_rate = float(exhaust_rate)
         self.stall_rate = float(stall_rate)
-        self.stall_steps = int(stall_steps)
+        self.stall_steps = require_count("stall_steps", stall_steps, 1)
         self.kill_at = dict(kill_at or {})
         self.exhaust_at = dict(exhaust_at or {})
         self.stall_at = dict(stall_at or {})
-        self.max_kills = max_kills
+        self.max_kills = None if max_kills is None else require_count("max_kills", max_kills, 0)
         #: Every event fired, in firing order (the chaos audit log).
         self.events: List[FaultEvent] = []
         self._kills = 0
@@ -208,12 +199,8 @@ class Router:
     """
 
     def __init__(self, num_replicas: int, template_window: int = 16) -> None:
-        if num_replicas < 1:
-            raise ConfigurationError("num_replicas must be >= 1")
-        if template_window < 1:
-            raise ConfigurationError("template_window must be >= 1")
-        self.num_replicas = int(num_replicas)
-        self.template_window = int(template_window)
+        self.num_replicas = require_count("num_replicas", num_replicas, 1)
+        self.template_window = require_count("template_window", template_window, 1)
 
     def rank(self, prompt: np.ndarray) -> List[int]:
         """Replica ids in placement-preference order for ``prompt``."""
@@ -245,8 +232,10 @@ class Router:
 
 
 @dataclass
-class ClusterStats:
-    """Pool-level accounting of one :class:`ReplicaPool` run."""
+class ClusterStats(Counters):
+    """Pool-level accounting of one :class:`ReplicaPool` run (published as ``pool.<field>``)."""
+
+    PREFIX = "pool"
 
     #: Pool iterations executed (each steps every healthy replica once).
     iterations: int = 0
@@ -266,24 +255,6 @@ class ClusterStats:
     #: ``"degraded"`` finishes tallied by structured failure cause
     #: (``"shed"``, ``"retry_budget_exhausted"``, ``"no_healthy_replica"``).
     degraded_causes: Dict[str, int] = field(default_factory=dict)
-
-    def merged_generated_tokens(self, replicas: List["_Replica"]) -> int:
-        """Total committed tokens across every replica's scheduler."""
-        return sum(replica.scheduler.stats.generated_tokens for replica in replicas)
-
-    def publish(self, registry, prefix: str = "pool") -> None:
-        """Publish pool counters into a :class:`repro.obs.MetricsRegistry`.
-
-        Every integer field becomes a counter named ``<prefix>.<field>``;
-        the per-cause degradation tally becomes ``<prefix>.degraded.<cause>``.
-        Counters accumulate — snapshot/delta around each publish to diff.
-        """
-        for spec in fields(self):
-            value = getattr(self, spec.name)
-            if isinstance(value, int):
-                registry.counter(f"{prefix}.{spec.name}").inc(value)
-        for cause, count in sorted(self.degraded_causes.items()):
-            registry.counter(f"{prefix}.degraded.{cause}").inc(count)
 
 
 class _Replica:
@@ -356,7 +327,7 @@ class ReplicaPool:
         ``runner`` stays the reference model (config/vocab lookups).
     seed : int
         Seed of the pool's deterministic backoff-jitter stream (see
-        ``backoff_base``).
+        ``max_retries``).
     config : GenerationConfig, optional
         Decoding parameters, shared by every replica — recovery replays a
         checkpoint under the *same* sampling rule, which is what keeps it
@@ -364,29 +335,24 @@ class ReplicaPool:
     fault_injector : FaultInjector, optional
         The chaos schedule (``None`` serves fault-free).
     max_retries : int
-        Recovery attempts per request before it degrades.
-    backoff_base : float
-        First-retry backoff in scheduler ticks; retry ``k`` waits
-        ``backoff_base * 2**(k-1)`` ticks (exponential), scaled by a
-        deterministic jitter factor in ``[0.5, 1.5)`` drawn from the pool
-        ``seed`` — simultaneous failures de-synchronize instead of
-        retrying in lockstep, while runs stay reproducible.
-    breaker_threshold : int
-        Consecutive failures that open a replica's circuit breaker.
+        Recovery attempts per request before it degrades.  The first retry
+        is re-admitted at once; retry ``k > 1`` waits ``2**(k-1)`` scheduler
+        ticks (exponential), scaled by a deterministic jitter factor in
+        ``[0.5, 1.5)`` drawn from the pool ``seed`` — simultaneous failures
+        de-synchronize instead of retrying in lockstep, while runs stay
+        reproducible.
     breaker_cooldown : int
-        Pool iterations an opened breaker holds the replica out; doubles
-        with each consecutive open.
+        Pool iterations a failed replica is held out; doubles with each
+        consecutive failure past :data:`BREAKER_THRESHOLD`.
     watchdog_patience : int
         Zero-progress iterations (with pending work) before the watchdog
         declares the replica stalled and recovers its requests.
     template_window : int
         Prompt tokens the router hashes for sticky placement.
-    record_logits : bool
-        Forwarded to every replica (checkpoints carry recorded logits, so
-        recovery preserves committed-position logits when enabled).
-    max_batch_size, block_size, num_blocks, prefix_cache, prefill_chunk, \
-speculation, preemption
-        Forwarded to every replica's :class:`Scheduler` unchanged.
+    prefix_cache : bool
+        Forwarded to every replica; on by default here (a bare
+        :class:`Scheduler` defaults it off), since sticky routing exists to
+        keep prefix-cache hits.
     tracer : repro.obs.Tracer, optional
         Opt-in fleet tracing (see :mod:`repro.obs`).  One shared tracer is
         handed to every replica scheduler (track ``"replica<i>"``, rebuilt
@@ -398,6 +364,12 @@ speculation, preemption
         lifecycle is reconstructable from the export even when it migrates.
         If the tracer has a :class:`~repro.obs.FlightRecorder`, the pool
         snapshots the tape whenever a request degrades unrecovered.
+    **scheduler_options
+        Forwarded to every replica's :class:`Scheduler` unchanged
+        (``max_batch_size``, ``block_size``, ``num_blocks``,
+        ``record_logits``, ``prefill_chunk``, ``speculation``,
+        ``preemption``).  ``record_logits`` makes checkpoints carry the
+        recorded logits, so recovery preserves committed-position logits.
 
     Examples
     --------
@@ -420,33 +392,14 @@ speculation, preemption
         seed: int = 0,
         fault_injector: Optional[FaultInjector] = None,
         max_retries: int = 3,
-        backoff_base: float = 1.0,
-        breaker_threshold: int = 2,
         breaker_cooldown: int = 4,
         watchdog_patience: int = 3,
         template_window: int = 16,
-        max_batch_size: int = 8,
-        block_size: int = 16,
-        num_blocks: Optional[int] = None,
-        record_logits: bool = True,
         prefix_cache: bool = True,
-        prefill_chunk: Optional[int] = None,
-        speculation=None,
-        preemption: bool = False,
         on_token: Optional[Callable[[int, int], None]] = None,
         tracer=None,
+        **scheduler_options,
     ) -> None:
-        num_replicas = require_count("num_replicas", num_replicas, 1)
-        if max_retries < 0:
-            raise ConfigurationError("max_retries must be >= 0")
-        if backoff_base < 0.0:
-            raise ConfigurationError("backoff_base must be >= 0")
-        if breaker_threshold < 1:
-            raise ConfigurationError("breaker_threshold must be >= 1")
-        if breaker_cooldown < 1:
-            raise ConfigurationError("breaker_cooldown must be >= 1")
-        if watchdog_patience < 1:
-            raise ConfigurationError("watchdog_patience must be >= 1")
         self.runner = runner
         self.runner_factory = runner_factory
         self.config = config or GenerationConfig()
@@ -454,11 +407,9 @@ speculation, preemption
         #: Deterministic jitter stream for retry backoff (satellite of the
         #: recovery path: lockstep retries re-collide without it).
         self._backoff_rng = np.random.default_rng(seed)
-        self.max_retries = int(max_retries)
-        self.backoff_base = float(backoff_base)
-        self.breaker_threshold = int(breaker_threshold)
-        self.breaker_cooldown = int(breaker_cooldown)
-        self.watchdog_patience = int(watchdog_patience)
+        self.max_retries = require_count("max_retries", max_retries, 0)
+        self.breaker_cooldown = require_count("breaker_cooldown", breaker_cooldown, 1)
+        self.watchdog_patience = require_count("watchdog_patience", watchdog_patience, 1)
         self.router = Router(num_replicas, template_window=template_window)
         self.on_token = on_token
         #: Opt-in request-lifecycle tracing (see :mod:`repro.obs`).  The
@@ -468,19 +419,10 @@ speculation, preemption
         self.tracer = tracer
         self._pool_track = "pool"
         self.cluster_stats = ClusterStats()
-        self._scheduler_kwargs = dict(
-            max_batch_size=max_batch_size,
-            block_size=block_size,
-            num_blocks=num_blocks,
-            record_logits=record_logits,
-            prefix_cache=prefix_cache,
-            prefill_chunk=prefill_chunk,
-            speculation=speculation,
-            preemption=preemption,
-        )
+        self._scheduler_options = dict(scheduler_options, prefix_cache=prefix_cache)
         self.replicas: List[_Replica] = [
             _Replica(replica_id, self._build_scheduler(replica_id))
-            for replica_id in range(num_replicas)
+            for replica_id in range(self.router.num_replicas)
         ]
         #: Pool request id -> (replica_id, local request id).
         self._placements: Dict[int, Tuple[int, int]] = {}
@@ -489,7 +431,7 @@ speculation, preemption
         self._next_pool_id = 0
         #: Counters folded in from schedulers discarded by crash rebuilds,
         #: so pool totals never silently lose pre-crash work.
-        self._retired_stats: Dict[str, int] = dict.fromkeys(_POOL_STAT_KEYS, 0)
+        self._retired_stats = SchedulerStats()
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -514,7 +456,7 @@ speculation, preemption
             ),
             tracer=self.tracer,
             trace_track=f"replica{replica_id}",
-            **self._scheduler_kwargs,
+            **self._scheduler_options,
         )
 
     def _route_token(self, replica_id: int, local_id: int, token: int) -> None:
@@ -549,24 +491,21 @@ speculation, preemption
         )
 
     @property
-    def stats(self):
-        """Scheduler stats of replica 0 plus pool totals — see ``replica_stats``.
+    def stats(self) -> SchedulerStats:
+        """Every scheduler's :class:`SchedulerStats` folded into one fresh record.
 
-        :class:`~repro.serve.async_engine.AsyncEngine` exposes
-        ``engine.stats`` for a single engine; for a pool the per-replica
-        breakdown is ``replica_stats`` and the robustness accounting is
-        :attr:`cluster_stats`.  This property returns the merged view used
-        by benchmarks: a dict of every integer ``SchedulerStats`` field,
-        summed (``peak_active``: the maximum), including the work of
-        schedulers that were discarded by crash rebuilds (pre-crash tokens
-        are part of what the trace paid for, so they stay in the totals).
+        The fold (:class:`~repro.serve.stats.Counters`) covers the live
+        replicas and the schedulers discarded by crash rebuilds — pre-crash
+        work is part of what the trace paid for, so it stays in the totals.
+        Per-replica records are :meth:`replica_stats`; the robustness
+        accounting is :attr:`cluster_stats`.
         """
-        totals = dict(self._retired_stats)
-        for replica in self.replicas:
-            _fold_stats(totals, replica.scheduler.stats)
+        totals = SchedulerStats()
+        for stats in (self._retired_stats, *self.replica_stats()):
+            totals += stats
         return totals
 
-    def replica_stats(self) -> List:
+    def replica_stats(self) -> List[SchedulerStats]:
         """Each replica's :class:`~repro.serve.stats.SchedulerStats`."""
         return [replica.scheduler.stats for replica in self.replicas]
 
@@ -777,8 +716,8 @@ speculation, preemption
 
         The recovery sweep: every in-flight request is detached as a
         :class:`RequestCheckpoint` (tokens + logits + sampling generator), the
-        replica's breaker accounting is bumped (opening it when
-        ``breaker_threshold`` consecutive failures accumulate), and each
+        replica's breaker accounting is bumped (its cooldown doubling past
+        :data:`BREAKER_THRESHOLD` consecutive failures), and each
         checkpoint is re-routed to a healthy replica with exponential
         backoff — or degraded when its retry budget is spent.  ``rebuild``
         replaces a crashed engine with a fresh scheduler (a watchdog-tripped
@@ -790,7 +729,7 @@ speculation, preemption
         replica.healthy = False
         replica.no_progress_steps = 0
         replica.stall_remaining = 0
-        opens = max(0, replica.consecutive_failures - self.breaker_threshold + 1)
+        opens = max(0, replica.consecutive_failures - BREAKER_THRESHOLD + 1)
         cooldown = self.breaker_cooldown * (2 ** max(0, opens - 1))
         replica.cooldown_until = iteration + 1 + cooldown
         self.cluster_stats.breaker_opens += 1
@@ -858,7 +797,7 @@ speculation, preemption
                     )
             return
         checkpoint.retries = retries + 1
-        delay = self.backoff_base * (2**retries) if retries else 0.0
+        delay = 2.0**retries if retries else 0.0
         if delay:
             # Deterministic jitter in [0.5, 1.5): simultaneous failures fan
             # out instead of retrying in lockstep, reproducibly per pool seed.
@@ -951,7 +890,7 @@ speculation, preemption
             if replica.healthy or iteration < replica.cooldown_until:
                 continue
             if not replica.alive:
-                _fold_stats(self._retired_stats, replica.scheduler.stats)
+                self._retired_stats += replica.scheduler.stats
                 replica.scheduler = self._build_scheduler(replica.replica_id)
                 replica.alive = True
                 if self.tracer is not None:

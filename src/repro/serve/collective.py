@@ -44,6 +44,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.errors import CollectiveTransportError, ConfigurationError, ShardFailureError, require_count
+from repro.serve.stats import Counters
 
 __all__ = [
     "CollectiveFaultEvent",
@@ -209,8 +210,11 @@ class CollectiveFaultInjector:
 
 
 @dataclass
-class CollectiveStats:
+class CollectiveStats(Counters):
     """Counters a :class:`CollectiveGroup` accumulates over its lifetime.
+
+    Group records fold with ``total += group.stats`` and publish as
+    ``collective.<field>`` counters (:class:`~repro.serve.stats.Counters`).
 
     Attributes
     ----------
@@ -237,6 +241,8 @@ class CollectiveStats:
         Total simulated transport time, the analytic model's counterpart.
     """
 
+    PREFIX = "collective"
+
     collectives: int = 0
     messages: int = 0
     bytes_moved: int = 0
@@ -247,29 +253,6 @@ class CollectiveStats:
     stragglers: int = 0
     hedges: int = 0
     simulated_ms: float = 0.0
-
-    def __iadd__(self, other: "CollectiveStats") -> "CollectiveStats":
-        """Fold another group's counters in, field-wise.
-
-        Shard-group stats aggregate into pool-level totals with plain
-        ``total += group.stats`` — the same merge shape
-        ``ReplicaPool._retired_stats`` uses for scheduler counters, so a
-        rebuilt group's pre-crash transport work is never silently lost.
-        """
-        if not isinstance(other, CollectiveStats):
-            return NotImplemented
-        for name in self.__dataclass_fields__:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-        return self
-
-    def publish(self, registry, prefix: str = "collective") -> None:
-        """Publish transport counters into a :class:`repro.obs.MetricsRegistry`.
-
-        Every field becomes a counter named ``<prefix>.<field>``.  Counters
-        accumulate — snapshot/delta around each publish to diff phases.
-        """
-        for name in self.__dataclass_fields__:
-            registry.counter(f"{prefix}.{name}").inc(getattr(self, name))
 
 
 class CollectiveGroup:

@@ -1,9 +1,17 @@
-"""Iteration accounting of a :class:`~repro.serve.scheduler.Scheduler` run."""
+"""Serving counter records: one fold and one publish rule, and the scheduler's record.
+
+:class:`Counters` is the base of every serving counter record
+(:class:`SchedulerStats` here, ``ClusterStats`` and ``CollectiveStats``
+beside their owners).  The dataclass attributes stay the store, so a hot
+path's ``stats.<field> += n`` is a plain attribute add; what the base adds
+is how two records fold (``total += other``) and how one is exported into a
+:class:`repro.obs.MetricsRegistry`.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional
+from typing import ClassVar, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -15,9 +23,66 @@ def _samples(by_class: Dict[int, List[float]], priority: Optional[int]) -> List[
     return [value for values in by_class.values() for value in values]
 
 
+class Counters:
+    """Fold and publish rules shared by the serving counter records (dataclasses).
+
+    ``a += b`` folds ``b``, a record of the same type, into ``a`` field by
+    field: a field in :attr:`HIGH_WATER` keeps the larger value, a dict adds
+    per key (a ``str -> int`` tally sums, an ``int -> list`` of samples
+    concatenates into fresh lists, so ``a`` never aliases ``b``), and every
+    other number adds.  Folding in any other type is a ``TypeError``.
+    """
+
+    #: Registry name prefix :meth:`publish` uses when given none.
+    PREFIX: ClassVar[str] = ""
+    #: High-water marks: a fold keeps the larger value instead of the sum.
+    HIGH_WATER: ClassVar[Tuple[str, ...]] = ()
+    #: Levels: published as gauges (last write wins) rather than counters.
+    LEVELS: ClassVar[Tuple[str, ...]] = ()
+
+    def __iadd__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        for spec in fields(self):
+            mine, theirs = getattr(self, spec.name), getattr(other, spec.name)
+            if spec.name in self.HIGH_WATER:
+                setattr(self, spec.name, max(mine, theirs))
+            elif isinstance(mine, dict):
+                for key, value in theirs.items():
+                    # ``type(value)()`` is 0 for a tally and a fresh [] for samples.
+                    mine[key] = mine.get(key, type(value)()) + value
+            else:
+                setattr(self, spec.name, mine + theirs)
+        return self
+
+    def publish(self, registry, prefix: Optional[str] = None) -> None:
+        """Publish this record into a :class:`repro.obs.MetricsRegistry`.
+
+        Every number becomes ``<prefix>.<field>`` (``prefix`` defaults to
+        :attr:`PREFIX`): a gauge for a field in :attr:`LEVELS`, a counter
+        otherwise.  A ``degraded_causes`` tally becomes
+        ``<prefix>.degraded.<cause>``.  Counters accumulate: publishing twice
+        doubles them, so snapshot/delta around each publish (or use a fresh
+        registry) when diffing phases.
+        """
+        prefix = prefix or self.PREFIX
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if spec.name in self.LEVELS:
+                registry.gauge(f"{prefix}.{spec.name}").set(value)
+            elif isinstance(value, (int, float)):
+                registry.counter(f"{prefix}.{spec.name}").inc(value)
+        for cause, count in sorted(getattr(self, "degraded_causes", {}).items()):
+            registry.counter(f"{prefix}.degraded.{cause}").inc(count)
+
+
 @dataclass
-class SchedulerStats:
+class SchedulerStats(Counters):
     """Iteration accounting of one scheduler run (deterministic, not wall time)."""
+
+    PREFIX = "scheduler"
+    HIGH_WATER = ("peak_active",)
+    LEVELS = ("peak_active", "idle_time")
 
     #: Prefill *forwards* executed (one per chunk; a riding resume runs none).
     prefill_iterations: int = 0
@@ -152,27 +217,13 @@ class SchedulerStats:
     #: Shared across replicas so per-replica histograms merge exactly.
     TTFT_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 
-    def publish(self, registry, prefix: str = "scheduler") -> None:
-        """Publish these counters into a :class:`repro.obs.MetricsRegistry`.
+    def publish(self, registry, prefix: Optional[str] = None) -> None:
+        """:meth:`Counters.publish`, plus a fixed-bucket ``<prefix>.ttft_ticks`` histogram.
 
-        Every integer field becomes a counter named ``<prefix>.<field>``
-        (``peak_active`` and ``idle_time`` are gauges), the per-cause
-        degradation tally becomes ``<prefix>.degraded.<cause>``,
-        and the TTFT samples feed a fixed-bucket ``<prefix>.ttft_ticks``
-        histogram (bounds :attr:`TTFT_BUCKETS`) so per-replica registries
-        merge into fleet totals without rebinning.  Counters accumulate:
-        publishing twice doubles them — snapshot/delta around each publish
-        (or use a fresh registry) when diffing phases.
+        The bounds are :attr:`TTFT_BUCKETS`, so per-replica registries merge
+        into fleet totals without rebinning.
         """
-        for spec in fields(self):
-            value = getattr(self, spec.name)
-            if spec.name in ("peak_active", "idle_time"):
-                registry.gauge(f"{prefix}.{spec.name}").set(value)
-            elif isinstance(value, int):
-                registry.counter(f"{prefix}.{spec.name}").inc(value)
-        for cause, count in sorted(self.degraded_causes.items()):
-            registry.counter(f"{prefix}.degraded.{cause}").inc(count)
-        histogram = registry.histogram(f"{prefix}.ttft_ticks", self.TTFT_BUCKETS)
+        super().publish(registry, prefix)
+        histogram = registry.histogram(f"{prefix or self.PREFIX}.ttft_ticks", self.TTFT_BUCKETS)
         for value in self.ttft_values():
             histogram.observe(value)
-

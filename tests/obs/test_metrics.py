@@ -1,10 +1,10 @@
 """MetricsRegistry semantics: instruments, merges, snapshots, exposition.
 
-The stats-object ``publish`` hooks (``SchedulerStats``, ``ClusterStats``,
-``CollectiveStats``) are exercised where those objects live, in
+The one ``publish`` rule the serving counter records share
+(``repro.serve.stats.Counters``) is exercised where those records live, in
 ``tests/serve/test_observability.py``; this module pins the registry
 primitives — instrument identity, exact fixed-bucket merges, the
-snapshot/delta idiom benchmarks lean on, and the text exposition format.
+snapshot/delta idiom, and the text exposition format.
 """
 
 from __future__ import annotations

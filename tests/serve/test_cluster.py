@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -208,11 +209,8 @@ class TestRecoveryMechanics:
         # Retained counters: the chaos run's totals keep the pre-crash work
         # of rebuilt schedulers, so generated tokens are conserved and the
         # recovery recompute shows up as extra prefill rows.
-        assert (
-            chaos_pool.stats["generated_tokens"]
-            == clean_pool.stats["generated_tokens"]
-        )
-        assert chaos_pool.stats["prefill_tokens"] >= clean_pool.stats["prefill_tokens"]
+        assert chaos_pool.stats.generated_tokens == clean_pool.stats.generated_tokens
+        assert chaos_pool.stats.prefill_tokens >= clean_pool.stats.prefill_tokens
 
     def test_recovery_rides_prefix_hits_on_the_failover_replica(
         self, runner, template_prompts
@@ -404,19 +402,19 @@ class TestPoolSurface:
             max_batch_size=2,
         )
         stats = pool.stats
-        assert stats["completed_requests"] == len(template_prompts)
-        assert stats["generated_tokens"] == sum(
+        assert isinstance(stats, SchedulerStats)
+        assert stats.completed_requests == len(template_prompts)
+        assert stats.generated_tokens == sum(
             len(output.generated) for output in outputs.values()
         )
-        assert stats["generated_tokens"] == pool.cluster_stats.merged_generated_tokens(
-            pool.replicas
-        )
+        assert stats.generated_tokens == sum(s.generated_tokens for s in pool.replica_stats())
+        assert len(stats.ttft_values()) == len(template_prompts)
 
     def test_merged_stats_fold_every_integer_field_over_live_and_retired_schedulers(
         self, runner, template_prompts
     ):
-        """A speculating pool with one kill: nothing ``SchedulerStats`` counts is
-        dropped from the totals, the rebuilt replica's first scheduler included."""
+        """A speculating pool with one kill and one shed: nothing ``SchedulerStats``
+        records is dropped from the totals, the rebuilt replica's first scheduler included."""
         pool = ReplicaPool(
             runner,
             num_replicas=2,
@@ -425,7 +423,7 @@ class TestPoolSurface:
             block_size=4,
             breaker_cooldown=2,
             speculation=SpecConfig(PromptLookupDraft(min_ngram=1), draft_tokens=3),
-            fault_injector=FaultInjector(seed=0, kill_at={2: 0}),
+            fault_injector=FaultInjector(seed=0, kill_at={2: 0}, exhaust_at={1: 0}),
         )
         schedulers = [replica.scheduler for replica in pool.replicas]
         build = pool._build_scheduler
@@ -435,13 +433,18 @@ class TestPoolSurface:
         outputs = pool.run()
         assert len(schedulers) == 3 and pool.cluster_stats.failures == 1
         merged = pool.stats
-        counters = [f.name for f in dataclasses.fields(SchedulerStats) if f.type in (int, "int")]
+        counters = [f.name for f in dataclasses.fields(SchedulerStats) if f.type in ("int", "float")]
         for name in counters:
             fold = max if name == "peak_active" else sum
-            assert merged[name] == fold(getattr(s.stats, name) for s in schedulers), name
-        assert sorted(merged) == sorted(counters) and len(counters) == 17
-        assert merged["spec_proposed_tokens"] > 0 and merged["decode_slot_steps"] > 0
-        assert merged["generated_tokens"] == sum(len(output.generated) for output in outputs)
+            assert getattr(merged, name) == fold(getattr(s.stats, name) for s in schedulers), name
+        assert len(counters) == 18
+        assert merged.spec_proposed_tokens > 0 and merged.decode_slot_steps > 0
+        assert merged.generated_tokens == sum(len(output.generated) for output in outputs)
+        every = [s.stats for s in schedulers]
+        assert sorted(merged.ttft_values()) == sorted(v for s in every for v in s.ttft_values())
+        assert len(merged.ttft_values()) == merged.completed_requests > 0
+        assert merged.degraded_causes == {"shed": 1} == pool.cluster_stats.degraded_causes
+        assert every[0].degraded_causes == {"shed": 1}  # booked on the scheduler the kill retired
         assert AsyncEngine(pool=pool).stats == merged
 
     def test_validation(self, runner):
@@ -449,6 +452,30 @@ class TestPoolSurface:
             ReplicaPool(runner, num_replicas=0)
         with pytest.raises(ConfigurationError, match="max_retries"):
             ReplicaPool(runner, max_retries=-1)
+
+    @pytest.mark.parametrize(
+        "build, option, value",
+        [
+            (ReplicaPool, "num_replicas", 0),
+            (ReplicaPool, "max_retries", 1.5),
+            (ReplicaPool, "breaker_cooldown", 2.7),
+            (ReplicaPool, "breaker_cooldown", 0),
+            (ReplicaPool, "watchdog_patience", 2.5),
+            (ReplicaPool, "template_window", 3.5),
+            (Router, "num_replicas", 2.0),
+            (Router, "template_window", 3.5),
+            (FaultInjector, "stall_steps", 2.5),
+            (FaultInjector, "max_kills", -1),
+            (FaultInjector, "max_kills", 1.5),
+            (FaultInjector, "max_kills", "x"),
+        ],
+    )
+    def test_count_options_are_refused_at_construction(self, runner, build, option, value):
+        """``int()`` used to truncate 2.7 to 2, and ``max_kills=-1`` silently suppressed every kill."""
+        required = {ReplicaPool: dict(runner=runner), Router: dict(num_replicas=2)}.get(build, {})
+        message = rf"^{option} must be an integer >= \d, got {re.escape(repr(value))}$"
+        with pytest.raises(ConfigurationError, match=message):
+            build(**{**required, option: value})
 
     def test_num_replicas_is_an_integer(self, runner):
         """``range()`` used to raise a bare ``TypeError`` for 1.5; NumPy integers pass."""

@@ -11,7 +11,9 @@ pinned separately in ``tests/obs/``.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,11 +26,12 @@ from repro.serve import (
     GenerationConfig,
     ReplicaPool,
     Scheduler,
+    SchedulerStats,
     ShardedRunner,
     SpecConfig,
 )
+from repro.serve.cluster import ClusterStats
 from repro.serve.collective import CollectiveStats
-from repro.serve.cluster import _POOL_STAT_KEYS
 from repro.serve.workloads import tiny_runner
 
 
@@ -94,7 +97,7 @@ class TestChaosTraceAcceptance:
         # corrupted collectives caught on the wire.
         assert pool.cluster_stats.failures >= 1
         assert pool.cluster_stats.recoveries >= 1
-        assert pool.stats["preemptions"] >= 1
+        assert pool.stats.preemptions >= 1
         assert len(tracer.events_named("collective.corruption")) >= 1
         assert len(outputs) == 9
 
@@ -319,13 +322,16 @@ class TestStatsMergeAudit:
             num_replicas=3,
             config=GenerationConfig(max_new_tokens=5),
             seed=0,
-            fault_injector=FaultInjector(seed=0, kill_at={2: 0, 5: 1}),
+            fault_injector=FaultInjector(seed=0, kill_at={2: 0, 5: 1}, exhaust_at={0: 0}),
             max_batch_size=2,
             block_size=8,
             prefix_cache=True,
             preemption=True,
             record_logits=False,
         )
+        schedulers = [replica.scheduler for replica in pool.replicas]
+        build = pool._build_scheduler
+        pool._build_scheduler = lambda replica_id: schedulers.append(build(replica_id)) or schedulers[-1]
         background, urgent = _chaos_prompts()
         for prompt in background:
             pool.submit(prompt, priority=1)
@@ -333,17 +339,22 @@ class TestStatsMergeAudit:
             pool.submit(prompt, priority=0, arrival_time=3.0)
         outputs = pool.run()
         assert len(outputs) == 9
-        assert pool.cluster_stats.failures >= 2  # both kills landed
+        assert pool.cluster_stats.failures >= 2 and len(schedulers) == 5  # both kills rebuilt
 
-        # The merged view must equal retired (pre-crash) totals plus every
-        # live scheduler — merging a second crash's retirement on top of the
-        # first must not double-count or drop either.
-        live = pool.replica_stats()
-        for key in _POOL_STAT_KEYS:
-            fold = max if key == "peak_active" else sum  # a high-water mark, not a count
-            expected = fold([pool._retired_stats[key], *(getattr(s, key) for s in live)])
-            assert pool.stats[key] == expected, key
-        assert 0 < pool.stats["resume_tail_rows"] < pool.stats["prefill_tokens"]  # resumes rode here
+        # The merged view must equal every scheduler ever built, the two the
+        # kills retired included — folding a second crash's retirement on top
+        # of the first must not double-count or drop either.
+        every = [scheduler.stats for scheduler in schedulers]
+        merged = pool.stats
+        for spec in dataclasses.fields(SchedulerStats):
+            if spec.type in ("int", "float"):
+                fold = max if spec.name == "peak_active" else sum  # a high-water mark, not a count
+                assert getattr(merged, spec.name) == fold(getattr(s, spec.name) for s in every), spec.name
+        assert sorted(merged.ttft_values()) == sorted(v for s in every for v in s.ttft_values())
+        assert len(merged.ttft_values()) == merged.completed_requests
+        assert merged.degraded_causes == dict(sum((Counter(s.degraded_causes) for s in every), Counter()))
+        assert merged.degraded_causes == {"shed": 1} and every[0].degraded_causes == {"shed": 1}
+        assert 0 < merged.resume_tail_rows < merged.prefill_tokens  # resumes rode here
 
     def test_registry_merge_is_associative_across_replicas(self, chaos_runner):
         pool = ReplicaPool(
@@ -393,8 +404,6 @@ class TestStatsMergeAudit:
         )
 
     def test_cluster_stats_publish(self):
-        from repro.serve.cluster import ClusterStats
-
         stats = ClusterStats(
             iterations=10,
             failures=2,
@@ -410,45 +419,105 @@ class TestStatsMergeAudit:
         assert snap["pool.recoveries"] == 3
         assert snap["pool.degraded.retry_budget_exhausted"] == 1
 
+    @pytest.mark.parametrize("record", [SchedulerStats, ClusterStats, CollectiveStats])
+    def test_every_integer_stats_field_is_published(self, record):
+        """A counter added to a stats record cannot be silently unpublished, float fields included."""
+        stats = _filled(record, 1)
+        registry = MetricsRegistry()
+        stats.publish(registry)
+        snap = registry.snapshot()
+        numbers = [spec.name for spec in dataclasses.fields(stats) if spec.type in ("int", "float")]
+        assert numbers
+        assert {n: snap.get(f"{record.PREFIX}.{n}") for n in numbers} == {
+            n: getattr(stats, n) for n in numbers
+        }
 
-    def test_every_integer_stats_field_is_published(self):
-        """A counter added to a stats class cannot be silently unpublished."""
-        import dataclasses
 
-        from repro.serve import SchedulerStats
-        from repro.serve.cluster import ClusterStats
+def _filled(record, seed):
+    """A ``record`` whose every field holds a value derived from ``seed`` (floats exact in binary)."""
+    values = {}
+    for index, spec in enumerate(dataclasses.fields(record)):
+        base = 10 * seed + index
+        values[spec.name] = {
+            "int": base,
+            "float": base + 0.25,
+            "Dict[str, int]": {"shed": seed, f"cause{seed}": 1},
+            "Dict[int, List[float]]": {0: [float(base)], seed: [base + 0.5]},
+        }[spec.type]
+    return record(**values)
 
-        for stats, prefix in ((SchedulerStats(), "scheduler"), (ClusterStats(), "pool")):
-            registry = MetricsRegistry()
-            stats.publish(registry)
-            snap = registry.snapshot()
-            integer_fields = [
-                spec.name
-                for spec in dataclasses.fields(stats)
-                if isinstance(getattr(stats, spec.name), int)
-            ]
-            assert integer_fields
-            assert [n for n in integer_fields if f"{prefix}.{n}" not in snap] == []
+
+RECORDS = [SchedulerStats, ClusterStats, CollectiveStats]
 
 
 class TestCollectiveStatsFold:
-    """Satellite: CollectiveStats aggregates with ``+=`` and publishes."""
+    """Every serving counter record folds with ``+=`` by one rule (``Counters``)."""
 
-    def test_iadd_folds_field_wise(self):
-        total = CollectiveStats(collectives=2, retries=1, simulated_ms=0.5)
-        total += CollectiveStats(
-            collectives=3, messages=8, retries=2, corruption_caught=4, simulated_ms=1.5
-        )
-        assert total.collectives == 5
-        assert total.messages == 8
-        assert total.retries == 3
-        assert total.corruption_caught == 4
-        assert total.simulated_ms == pytest.approx(2.0)
+    @pytest.mark.parametrize("record", RECORDS)
+    def test_iadd_folds_field_wise(self, record):
+        left, right = _filled(record, 1), _filled(record, 2)
+        total = _filled(record, 1)
+        total += right
+        for spec in dataclasses.fields(record):
+            mine, theirs, folded = (getattr(r, spec.name) for r in (left, right, total))
+            if spec.name in record.HIGH_WATER:
+                assert folded == max(mine, theirs) == theirs, spec.name
+            elif spec.type == "Dict[str, int]":
+                assert folded == {"shed": 3, "cause1": 1, "cause2": 1}, spec.name
+            elif spec.type == "Dict[int, List[float]]":
+                assert folded == {0: mine[0] + theirs[0], 1: mine[1], 2: theirs[2]}, spec.name
+            else:
+                assert folded == mine + theirs, spec.name
 
-    def test_iadd_rejects_other_types(self):
-        stats = CollectiveStats()
+    @pytest.mark.parametrize("record", RECORDS)
+    def test_fold_is_associative(self, record):
+        """``(a += b) += c`` equals ``a += (b += c)``."""
+        b, c = _filled(record, 2), _filled(record, 3)
+        left = _filled(record, 1)
+        left += b
+        left += c
+        tail = _filled(record, 2)
+        tail += c
+        right = _filled(record, 1)
+        right += tail
+        assert left == right
+
+    def test_peak_active_is_a_high_water_mark(self):
+        total = SchedulerStats(peak_active=5)
+        total += SchedulerStats(peak_active=3)
+        assert total.peak_active == 5
+        total += SchedulerStats(peak_active=7)
+        assert total.peak_active == 7
+
+    @pytest.mark.parametrize("record", [SchedulerStats, ClusterStats])
+    def test_causes_add_per_key(self, record):
+        total = record(degraded_causes={"shed": 1, "no_healthy_replica": 2})
+        total += record(degraded_causes={"shed": 3, "retry_budget_exhausted": 1})
+        assert total.degraded_causes == {"shed": 4, "no_healthy_replica": 2, "retry_budget_exhausted": 1}
+
+    def test_samples_concatenate_without_aliasing(self):
+        source = SchedulerStats(ttft_by_class={0: [1.0, 2.0]}, tpot_by_class={1: [0.5]})
+        total = SchedulerStats(ttft_by_class={0: [3.0]})
+        total += source
+        fresh = SchedulerStats()
+        fresh += source
+        assert total.ttft_by_class == {0: [3.0, 1.0, 2.0]} and total.tpot_by_class == {1: [0.5]}
+        assert fresh.ttft_by_class == {0: [1.0, 2.0]} and fresh.ttft_by_class[0] is not source.ttft_by_class[0]
+        source.ttft_by_class[0].append(9.0)
+        source.tpot_by_class[1].append(9.0)
+        assert total.ttft_values() == [3.0, 1.0, 2.0] and fresh.ttft_values() == [1.0, 2.0]
+        assert total.mean_tpot() == fresh.mean_tpot() == 0.5
+
+    @pytest.mark.parametrize("record", RECORDS)
+    def test_iadd_rejects_other_types(self, record):
+        stats = record()
         with pytest.raises(TypeError):
             stats += 5
+        for other in RECORDS:
+            if other is not record:
+                with pytest.raises(TypeError):
+                    stats += other()
+        assert stats == record()
 
     def test_publish_exposes_every_field(self):
         stats = CollectiveStats(collectives=1, bytes_moved=256, timeouts=2)

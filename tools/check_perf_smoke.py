@@ -268,9 +268,8 @@ def serve(runner, trace, h: SimpleNamespace, options: dict) -> SimpleNamespace:
             model.fused_paged_attention = True
 
     stats = engine.stats
-    read = stats.__getitem__ if h.replicas else lambda key: getattr(stats, key)
     fields = {
-        key: int(read(key))
+        key: int(getattr(stats, key))
         for key in ("generated_tokens", "prefill_tokens", "prefix_hit_tokens", "prefill_iterations",
                     "decode_iterations", "preemptions")
     }  # fmt: skip
