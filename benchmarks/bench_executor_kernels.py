@@ -311,7 +311,7 @@ def test_executor_kernels(benchmark, render):
         assert row["fast"]["py_calls"] * 4 <= row["reference"]["py_calls"]
     # Decode step (retired floor: >= 3x): the whole forward makes at most a
     # third of the reference's Python-level calls (the tiny-model count is
-    # budgeted exactly in tools/check_perf_smoke.py: 203 <= 221).
+    # budgeted in tools/check_perf_smoke.py's `decode forward` row: 131 <= 147).
     assert decode["fast"]["py_calls"] * 3 <= decode["reference"]["py_calls"]
     # Gather-free decode (retired floor: >= 1.3x at the longest context): zero
     # dense KV copies, where the reference copies exactly the closed form.

@@ -642,7 +642,7 @@ def paged_attention(
     skipping them — each sequence's segments stop at its own reach — is an
     exact no-op and single-run rows are bitwise identical to the dense
     product.  Whether a row *is* a single run is the allocator's doing, not
-    a given: every run costs a matmul pair (``tools/time_paged_attention.py``
+    a given: every run costs a matmul pair (``tools/time_sites.py attention``
     fits a warm decode call at ≈ 13-14 µs + 7 µs/sequence + 10 µs per further
     run + 19-21 ns/score cell on a 2-core Xeon with one BLAS thread — 8-9
     µs/sequence while each run transposed its own key view and allocated its

@@ -46,7 +46,7 @@ from typing import Dict, List, Protocol, Tuple, runtime_checkable
 
 import numpy as np
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_count
 from repro.models.inference import TransformerRunner
 from repro.models.weights import ModelWeights
 from repro.serve.paged_kv_cache import PagedKVCache, SlotBatchView
@@ -103,14 +103,14 @@ class PromptLookupDraft:
     Raises
     ------
     ConfigurationError
-        If the n-gram bounds are not ``1 <= min_ngram <= max_ngram``.
+        If the n-gram bounds are not integers ``1 <= min_ngram <= max_ngram``.
     """
 
     def __init__(self, max_ngram: int = 3, min_ngram: int = 2) -> None:
-        if not 1 <= min_ngram <= max_ngram:
-            raise ConfigurationError("need 1 <= min_ngram <= max_ngram")
-        self.max_ngram = int(max_ngram)
-        self.min_ngram = int(min_ngram)
+        self.max_ngram = require_count("max_ngram", max_ngram, 1)
+        self.min_ngram = require_count("min_ngram", min_ngram, 1)
+        if self.min_ngram > self.max_ngram:
+            raise ConfigurationError(f"need min_ngram <= max_ngram, got {self.min_ngram} > {self.max_ngram}")
 
     def propose(self, request_id: int, tokens: np.ndarray, max_tokens: int) -> np.ndarray:
         """Draft the continuation of the most recent suffix n-gram match.
@@ -202,11 +202,11 @@ class ModelDraft:
         Raises
         ------
         ConfigurationError
-            If ``num_layers`` is outside the target's layer count.
+            If ``num_layers`` is not an integer within the target's layer count.
         """
         total = runner.config.num_layers
-        if not 1 <= num_layers <= total:
-            raise ConfigurationError(f"num_layers must lie in [1, {total}]")
+        if require_count("num_layers", num_layers, 1) > total:
+            raise ConfigurationError(f"num_layers must lie in [1, {total}], got {num_layers}")
         weights = runner.weights
         draft_weights = ModelWeights(
             config=replace(weights.config, num_layers=int(num_layers)),
@@ -301,7 +301,7 @@ class SpecConfig:
     Raises
     ------
     ConfigurationError
-        If any bound or threshold is out of range.
+        If a draft length is not an integer or a bound or threshold out of range.
     """
 
     drafter: DraftProposer
@@ -314,12 +314,12 @@ class SpecConfig:
     shrink_threshold: float = 0.3
 
     def __post_init__(self) -> None:
-        if not 1 <= self.min_draft <= self.max_draft:
-            raise ConfigurationError("need 1 <= min_draft <= max_draft")
-        if not self.min_draft <= self.draft_tokens <= self.max_draft:
-            raise ConfigurationError("draft_tokens must lie in [min_draft, max_draft]")
+        if not require_count("min_draft", self.min_draft, 1) <= require_count("max_draft", self.max_draft, 1):
+            raise ConfigurationError(f"need min_draft <= max_draft, got {self.min_draft} > {self.max_draft}")
+        if not self.min_draft <= require_count("draft_tokens", self.draft_tokens, 1) <= self.max_draft:
+            raise ConfigurationError(f"draft_tokens {self.draft_tokens} not in [{self.min_draft}, {self.max_draft}]")
         if not 0.0 < self.ema_decay <= 1.0:
-            raise ConfigurationError("ema_decay must lie in (0, 1]")
+            raise ConfigurationError(f"ema_decay must lie in (0, 1], got {self.ema_decay}")
         if not 0.0 <= self.shrink_threshold < self.grow_threshold <= 1.0:
             raise ConfigurationError("need 0 <= shrink_threshold < grow_threshold <= 1")
 

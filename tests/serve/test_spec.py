@@ -17,6 +17,8 @@ edge cases.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -176,11 +178,19 @@ class TestPromptLookupDraft:
         expected = (cycle * 3)[:7]
         assert draft.tolist() == expected
 
-    def test_invalid_bounds_raise(self):
-        with pytest.raises(ConfigurationError):
-            PromptLookupDraft(max_ngram=2, min_ngram=3)
-        with pytest.raises(ConfigurationError):
-            PromptLookupDraft(max_ngram=0)
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (dict(max_ngram=2, min_ngram=3), "need min_ngram <= max_ngram, got 3 > 2"),
+            (dict(max_ngram=0), "max_ngram must be an integer >= 1, got 0"),
+            (dict(max_ngram=2.9, min_ngram=1.5), "max_ngram must be an integer >= 1, got 2.9"),
+            (dict(min_ngram=1.5), "min_ngram must be an integer >= 1, got 1.5"),
+            (dict(min_ngram="2"), "min_ngram must be an integer >= 1, got '2'"),
+        ],
+    )
+    def test_invalid_bounds_raise(self, options, message):
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            PromptLookupDraft(**options)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -296,6 +306,8 @@ class TestModelDraft:
             ModelDraft.truncated(runner, 0)
         with pytest.raises(ConfigurationError):
             ModelDraft.truncated(runner, runner.config.num_layers + 1)
+        with pytest.raises(ConfigurationError, match=re.escape("num_layers must be an integer >= 1, got 1.5")):
+            ModelDraft.truncated(runner, 1.5)
 
     def test_respects_draft_model_max_seq_len(self, runners):
         runner = runners["float"]
@@ -312,17 +324,24 @@ class TestModelDraft:
 
 
 class TestSpecConfig:
-    def test_validation(self):
-        drafter = PromptLookupDraft()
-        with pytest.raises(ConfigurationError):
-            SpecConfig(drafter=drafter, min_draft=0)
-        with pytest.raises(ConfigurationError):
-            SpecConfig(drafter=drafter, draft_tokens=9, max_draft=8)
-        with pytest.raises(ConfigurationError):
-            SpecConfig(drafter=drafter, ema_decay=0.0)
-        with pytest.raises(ConfigurationError):
-            SpecConfig(drafter=drafter, grow_threshold=0.2, shrink_threshold=0.3)
-        with pytest.raises(ConfigurationError):
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (dict(min_draft=0), "min_draft must be an integer >= 1, got 0"),
+            (dict(draft_tokens=9, max_draft=8), "draft_tokens 9 not in [1, 8]"),
+            (dict(ema_decay=0.0), "ema_decay must lie in (0, 1], got 0.0"),
+            (dict(grow_threshold=0.2, shrink_threshold=0.3), "shrink_threshold < grow_threshold"),
+            (dict(draft_tokens=2.5), "draft_tokens must be an integer >= 1, got 2.5"),
+            (dict(max_draft=8.5), "max_draft must be an integer >= 1, got 8.5"),
+            (dict(min_draft=1.5), "min_draft must be an integer >= 1, got 1.5"),
+        ],
+    )
+    def test_validation(self, options, message):
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            SpecConfig(drafter=PromptLookupDraft(), **options)
+
+    def test_scheduler_takes_only_a_spec_config(self):
+        with pytest.raises(ConfigurationError, match="speculation must be a SpecConfig"):
             Scheduler(None, speculation="yes")  # type: ignore[arg-type]
 
     def test_ema_adapts_draft_length(self):

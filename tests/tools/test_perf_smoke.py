@@ -1,4 +1,4 @@
-"""Tier-1 perf gate: every row of the scenario table, in a fresh process.
+"""Tier-1 perf gate: every count gate and scenario row, in a fresh process.
 
 ``tools/check_perf_smoke.py`` lives in ``tools/`` so it can also run
 standalone (and in any external CI); this module makes it part of the tier-1
@@ -27,7 +27,26 @@ _spec = importlib.util.spec_from_file_location("check_perf_smoke", GATE_PATH)
 gate = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)  # dataclasses look it up
 _spec.loader.exec_module(gate)
 
-ROW_NAMES = list(gate.CHECKS) + [scenario.name for scenario in gate.SCENARIOS]
+ROW_NAMES = [name for name, _, _ in gate.COUNT_GATES] + [scenario.name for scenario in gate.SCENARIOS]
+GATE_CHECKS = [(name, checks, check) for name, _, checks in gate.COUNT_GATES for check in checks]
+
+
+def passing_fields(checks) -> dict:
+    """Synthetic fields that meet every check at its bound (a field-to-field check at 2 == 2)."""
+    fields = {}
+    for name, _, bound in checks:
+        fields[name] = fields.setdefault(bound, 2) if isinstance(bound, str) else bound
+    return fields
+
+
+def just_past(value, comparison):
+    """The nearest value to ``value`` on the wrong side of ``comparison``."""
+    if value is None:
+        return "an invariant broke"
+    if isinstance(value, bool):
+        return not value
+    step = 1 if isinstance(value, int) else 1e-9
+    return value - step if comparison == ">=" else value + step
 
 
 @pytest.fixture(scope="module")
@@ -48,12 +67,27 @@ class TestPerfSmoke:
     def test_gate_exits_clean(self, gate_run):
         assert gate_run.returncode == 0, f"perf smoke failed:\n{gate_run.stdout}{gate_run.stderr}"
 
+    def test_row_names_are_unique(self):
+        assert len(set(ROW_NAMES)) == len(ROW_NAMES)
+
     @pytest.mark.parametrize("name", ROW_NAMES)
     def test_row_ran_and_passed(self, gate_run, name):
-        assert f"perf smoke ok ({name}" in gate_run.stdout, gate_run.stdout + gate_run.stderr
+        assert f"perf smoke ok ({name}:" in gate_run.stdout, gate_run.stdout + gate_run.stderr
 
     def test_recomputed_record_equals_the_committed_one(self, gate_run):
         assert "perf smoke ok (BENCH_serving.json reproduced byte for byte)" in gate_run.stdout
+
+
+class TestCountGates:
+    @pytest.mark.parametrize("name, checks, pushed", GATE_CHECKS, ids=[f"{n}: {c[0]}" for n, _, c in GATE_CHECKS])
+    def test_every_check_fails_just_past_its_bound(self, name, checks, pushed):
+        """No row is vacuous: one field on the wrong side of its bound is one failure naming row and field."""
+        fields = passing_fields(checks)
+        assert gate.check(name, fields, checks) == []
+        field, comparison, bound = pushed
+        fields[field] = just_past(fields[bound] if isinstance(bound, str) else bound, comparison)
+        failures = gate.check(name, fields, checks)
+        assert len(failures) == 1 and failures[0].startswith(f"{name}: {field} = "), failures
 
 
 class TestCommittedRecord:

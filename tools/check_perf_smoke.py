@@ -19,16 +19,18 @@ committed file differs from what it just computed (a changed token, logit or
 counter is a diff to review and re-record, never noise).  Python-level call
 counts depend on the NumPy build, so they are budgets only (``BUDGET_ONLY``).
 
-Beside the table run six checks that serve no trace: the fast projection
-against the reference per-chunk loop (bit-identity), the exact dispatch count
-of one Tender decode step (solo, and as a 2- and a 4-shard group on a
-fault-injected transport; one ``paged_attention`` call per layer at every
-shard count, and for Tender "all" one ``dense_cached_attention`` call per
-layer) and of one solo whole prefill, intermediate prefill chunk and ragged
-verify, the exact frame count of one ``SlotBatchView.commit``, the exact
-``zlib.crc32`` count of one 2-shard decode step with no fault and with one
-scripted corruption, the allocation peak of one ``paged_attention`` call,
-and the randomized pool-invariant sweep.
+Every gate that serves no trace is one row of ``COUNT_GATES``: a name, a
+``measure()`` returning a dict of fields, and checks over them in the scenario
+rows' own ``(field, comparison, bound or other field)`` form, read by the one
+rule :func:`check`.  They measure the fast projection against the reference
+per-chunk loop (bit-identity), the exact dispatch count of one Tender decode
+step (solo, and as a 2- and a 4-shard group on a fault-injected transport; one
+``paged_attention`` call per layer at every shard count, and for Tender "all"
+one ``dense_cached_attention`` call per layer) and of one solo whole prefill,
+intermediate prefill chunk and ragged verify, the exact frame count of one
+``SlotBatchView.commit``, the exact ``zlib.crc32`` count of one 2-shard decode
+step with no fault and with one scripted corruption, the allocation peak of
+one ``paged_attention`` call, and the randomized pool-invariant sweep.
 
 Exit status 0 when clean; 1 with a one-line diagnosis per failure otherwise.
 """
@@ -78,49 +80,6 @@ from repro.serve import (
 from repro.serve.stress import LruReferencePool
 
 RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_serving.json"
-#: Python-level calls one batched ``decode_step`` of the Tender-quantized tiny
-#: model may make, by shard count (0: the solo runner): the measured count
-#: (131 since the forward's bookkeeping calls no ``np.unique`` and the plan
-#: reduces through the ufuncs, 145 before; 200 while every call re-checked the
-#: overflow bound and made ~6 cache lookups, 199 before ``attention_layout``
-#: read the ``ForwardPlan.reach`` property, 205 while every layer re-probed
-#: the attention gate, 405 before the forward plan; 2 shards 229, 243, 298,
-#: 297, 370 while every shard projected its own weight slice, 386, 398 while
-#: every shard made its own ``paged_attention`` call, 521 while every shard
-#: also quantized the activation for itself and every message was delivered
-#: by its own call; 4 shards 255, 269, 324, 323, 500, 528, 576) + 16 / 38 / 52
-#: for NumPy versions, not for new per-site or per-shard work.
-DECODE_CALL_BUDGET = {0: 147, 2: 267, 4: 307}
-#: The same step with Tender "all" (``quantize_attention=True``), which
-#: attends on the dense branch: measured 346 / 444 / 470 (360 / 458 / 484
-#: with ``np.unique`` in the bookkeeping, 415 / 513 / 539 before the per-site
-#: records; 2 and 4 shards 737 and 1215 while every shard attended over its
-#: own heads) + the same margins.
-DENSE_DECODE_CALL_BUDGET = {0: 362, 2: 482, 4: 522}
-#: The solo forward through every other entry point: a whole ragged prefill
-#: (measured 151), an intermediate prefill chunk (104) and a ragged verify
-#: (136) — 173 / 119 / 150 with ``np.unique`` in the bookkeeping, 228 / 146 /
-#: 205 before the per-site records — + the solo margin of 16.
-ENTRY_CALL_BUDGET = {"prefill": 167, "chunk": 120, "verify": 152}
-#: ``tracemalloc`` peak of one ``paged_attention`` call over its score buffer +
-#: context: measured 1.19 (the mask, the row maxima and sums, one run's SV
-#: product), 3.88 while scale, mask and each softmax pass allocated their result.
-MAX_ATTENTION_PEAK_RATIO = 1.25
-#: ``np.unique`` calls per forward at every entry point: none (2 / 3 / 2 / 2 for
-#: decode / prefill / chunk / verify while the plan's row-chunk count and the
-#: first layer's ``PagedKVCache.write`` de-index each called it).
-MAX_UNIQUE_PER_FORWARD = 0
-#: Python frames one ``SlotBatchView.commit`` over ``COMMIT_SLOTS`` slots may
-#: enter: measured 2 (the commit and the index's freshness check; 65 while
-#: every slot went through ``set_length``, its ``capacity_of`` and its
-#: integer check).  The budget is below the slot count, so no frame may be
-#: per slot.
-COMMIT_SLOTS, COMMIT_CALL_BUDGET = 16, 4
-#: ``zlib.crc32`` calls one 2-shard decode forward makes on a fault-injected
-#: transport: none when no fault fires (26 while every message was
-#: checksummed), and with one scripted corruption the pristine payload's and
-#: the tampered copy's (27 before).
-CLEAN_FORWARD_CHECKSUMS, CORRUPT_FORWARD_CHECKSUMS = 0, 2
 STRESS_SEEDS, STRESS_OPS = 2, 120
 #: The default harness pool never needs a relocation on these seeds; this one does on every seed.
 TIGHT_POOL = dict(num_blocks=10, max_slots=4)
@@ -695,6 +654,19 @@ SCENARIOS = (
 COMPARE = {"<": operator.lt, "<=": operator.le, "==": operator.eq, ">=": operator.ge, ">": operator.gt}
 
 
+def check(label: str, fields: dict, checks) -> list:
+    """One failure line, led by ``label``, per ``(field, comparison, bound or other field)`` that ``fields`` break."""
+    failures = []
+    for name, comparison, bound in checks:
+        limit = fields[bound] if isinstance(bound, str) else bound
+        if not COMPARE[comparison](fields[name], limit):
+            failures.append(
+                f"{label}: {name} = {fields[name]} is not {comparison} {bound}"
+                + (f" = {limit}" if isinstance(bound, str) else "")
+            )
+    return failures
+
+
 def run_scenario(scenario: Scenario, cache: dict) -> Tuple[dict, list]:
     """Serve one row on each of its runners; return ``(record, failures)``.
 
@@ -742,13 +714,7 @@ def run_scenario(scenario: Scenario, cache: dict) -> Tuple[dict, list]:
         if scenario.derive is not None:
             run = SimpleNamespace(trace=trace, options=options, runner=runner, base=base, var=var)
             scenario.derive(fields, run)
-        for name, comparison, bound in scenario.checks:
-            limit = fields[bound] if isinstance(bound, str) else bound
-            if not COMPARE[comparison](fields[name], limit):
-                failures.append(
-                    f"{scenario.name} [{runner_key}]: {name} = {fields[name]} is not {comparison} {bound}"
-                    + (f" = {limit}" if isinstance(bound, str) else "")
-                )
+        failures += check(f"{scenario.name} [{runner_key}]", fields, scenario.checks)
         # Baseline fields are recorded where they differ from the variant's: the row's story.
         record[runner_key] = {
             key: value
@@ -760,9 +726,9 @@ def run_scenario(scenario: Scenario, cache: dict) -> Tuple[dict, list]:
 
 
 # ----------------------------------------------------------------------
-# Checks that serve no trace
+# Count gates: rows that serve no trace
 # ----------------------------------------------------------------------
-def check_fast_projection() -> str:
+def fast_projection() -> dict:
     """The fast Index-Buffer projection against the reference per-chunk loop."""
     config = TenderConfig(bits=8, num_groups=8, row_chunk_size=32)
     params = synthetic_projection_site(config)
@@ -773,7 +739,7 @@ def check_fast_projection() -> str:
         )
         for kernels in (True, False)
     )
-    return "" if np.array_equal(fast, reference) else "fast projection is not bit-identical to the reference"
+    return {"bit_identical": np.array_equal(fast, reference)}
 
 
 def _warm_forward(shards: int = 0, quantize_attention: bool = False, entry: str = "decode"):
@@ -822,10 +788,8 @@ def _warm_forward(shards: int = 0, quantize_attention: bool = False, entry: str 
     return runner, forward
 
 
-def decode_dispatch_counts(
-    shards: int = 0, quantize_attention: bool = False, entry: str = "decode"
-) -> Tuple[int, int, int]:
-    """``(Python-level calls, np.unique calls, attention calls)`` of one forward through ``entry``.
+def decode_dispatch_counts(shards: int = 0, quantize_attention: bool = False, entry: str = "decode") -> dict:
+    """Python-level, ``np.unique`` and attention calls of one forward through ``entry``; the layers that attend.
 
     The forward is :func:`_warm_forward`'s; under Tender "all"
     (``quantize_attention``) the attention calls are
@@ -834,64 +798,31 @@ def decode_dispatch_counts(
     (NumPy's own Python wrappers included, C functions not), so the count is
     exact and repeats.
     """
-    _, forward = _warm_forward(shards, quantize_attention, entry)
+    runner, forward = _warm_forward(shards, quantize_attention, entry)
     entered = Counter()  # by code object; ``update`` returns None, so nothing "matches"
     calls, _ = count_calls(forward, lambda code: entered.update((code,)))
-    return calls, entered[np.unique.__wrapped__.__code__], entered[_attention_kernel(quantize_attention).__code__]
-
-
-def _attention_kernel(quantize_attention: bool) -> Callable:
-    """The function a cached forward attends through: fused, or dense under Tender "all"."""
-    return dense_cached_attention if quantize_attention else paged_attention
-
-
-def check_decode_dispatch() -> str:
-    """A PR that re-derives position metadata per site, per layer or per shard,
-    runs either attention branch once per shard, or adds per-call glue at any
-    entry point, fails here."""
-    layers = workloads.tiny_runner().config.num_layers
-    rows = [
-        (dense, shards, "decode", budget)
-        for dense, budgets in ((False, DECODE_CALL_BUDGET), (True, DENSE_DECODE_CALL_BUDGET))
-        for shards, budget in budgets.items()
-    ]
-    rows += [(False, 0, entry, budget) for entry, budget in ENTRY_CALL_BUDGET.items()]
-    for dense, shards, entry, budget in rows:
-        calls, uniques, attentions = decode_dispatch_counts(shards, quantize_attention=dense, entry=entry)
+    attention = dense_cached_attention if quantize_attention else paged_attention
+    return dict(
+        py_calls=calls,
+        np_unique=entered[np.unique.__wrapped__.__code__],
+        attention_calls=entered[attention.__code__],
         # An intermediate chunk's last block stops after its KV write: nobody attends there.
-        expected = layers - (entry == "chunk")
-        if calls > budget or uniques > MAX_UNIQUE_PER_FORWARD or attentions != expected:
-            return (
-                f"one {'Tender all ' if dense else ''}{entry} forward ({shards or 'no'} shards) made "
-                f"{calls} Python-level calls (budget {budget}), {uniques} np.unique calls (budget "
-                f"{MAX_UNIQUE_PER_FORWARD}) and {attentions} {_attention_kernel(dense).__name__} "
-                f"calls (expected {expected})"
-            )
-    return ""
+        layers_attended=runner.config.num_layers - (entry == "chunk"),
+    )
 
 
-def commit_call_count() -> int:
-    """Python frames of one ``SlotBatchView.commit`` over ``COMMIT_SLOTS`` two-block slots, each advanced."""
-    pool = PagedKVCache(num_layers=1, num_heads=1, d_head=4, block_size=4, num_blocks=2 * COMMIT_SLOTS)
-    view = pool.view([pool.reserve(8) for _ in range(COMMIT_SLOTS)])
-    view.lengths += np.arange(COMMIT_SLOTS) % 9
+def commit_call_count() -> dict:
+    """Python frames of one ``SlotBatchView.commit`` over 16 two-block slots, each advanced."""
+    slots = 16
+    pool = PagedKVCache(num_layers=1, num_heads=1, d_head=4, block_size=4, num_blocks=2 * slots)
+    view = pool.view([pool.reserve(8) for _ in range(slots)])
+    view.lengths += np.arange(slots) % 9
     calls, _ = count_calls(view.commit)
-    return calls
+    return {"py_calls": calls}
 
 
-def check_view_commit() -> str:
-    """A commit that validates or writes its lengths slot by slot fails here."""
-    calls = commit_call_count()
-    if calls > COMMIT_CALL_BUDGET:
-        return (
-            f"one SlotBatchView.commit over {COMMIT_SLOTS} slots entered {calls} Python frames "
-            f"(budget {COMMIT_CALL_BUDGET}: none per slot)"
-        )
-    return ""
-
-
-def collective_checksums(corrupt: bool) -> Tuple[int, int]:
-    """``(zlib.crc32 calls, corruption_caught)`` of one 2-shard decode forward.
+def collective_checksums(corrupt: bool) -> dict:
+    """``zlib.crc32`` calls and corruptions caught in one 2-shard decode forward.
 
     The group is :func:`_warm_forward`'s fault-injected one; with
     ``corrupt``, its injector is swapped for one scripting a corruption of
@@ -914,23 +845,10 @@ def collective_checksums(corrupt: bool) -> Tuple[int, int]:
         forward()
     finally:
         sys.setprofile(None)
-    return checksums, group.stats.corruption_caught - caught
+    return {"crc32_calls": checksums, "corruption_caught": group.stats.corruption_caught - caught}
 
 
-def check_collective_checksums() -> str:
-    """A transport that checksums a message no fault hit, or stops checking a corrupted one, fails here."""
-    for corrupt, expected in ((False, CLEAN_FORWARD_CHECKSUMS), (True, CORRUPT_FORWARD_CHECKSUMS)):
-        checksums, caught = collective_checksums(corrupt)
-        if (checksums, caught) != (expected, int(corrupt)):
-            return (
-                f"one 2-shard decode forward with {'one scripted' if corrupt else 'no'} corruption made "
-                f"{checksums} zlib.crc32 calls (expected {expected}) and caught {caught} corruptions "
-                f"(expected {int(corrupt)})"
-            )
-    return ""
-
-
-def attention_peak_ratio() -> float:
+def attention_peak_ratio() -> dict:
     """``tracemalloc`` peak across one ``paged_attention`` call, over (score buffer + context) bytes.
 
     The fixed chunk shape: 4 heads, 64 rows at positions 128..191 of one
@@ -952,59 +870,74 @@ def attention_peak_ratio() -> float:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak / (heads * rows * (depth + rows) * 8 + context.nbytes)
+    return {"peak_ratio": peak / (heads * rows * (depth + rows) * 8 + context.nbytes)}
 
 
-def check_attention_memory() -> str:
-    """A kernel that allocates a score-sized array per pass (3.88 when it did) fails here."""
-    ratio = attention_peak_ratio()
-    if ratio > MAX_ATTENTION_PEAK_RATIO:
-        return (
-            f"one paged_attention call peaked at {ratio:.2f}x its score buffer + context "
-            f"(budget {MAX_ATTENTION_PEAK_RATIO})"
-        )
-    return ""
-
-
-def check_serving_stress() -> str:
-    """Randomized invariant sweep over the paged pool's op vocabulary, roomy pool and tight."""
+def serving_stress() -> dict:
+    """The first violation of a randomized invariant sweep over the pool's op vocabulary, roomy pool and tight."""
     for seed in range(STRESS_SEEDS):
         for geometry in ({}, TIGHT_POOL):
             harness = ServingStressHarness(seed=seed, **geometry)
+            where = f"seed {seed}, {geometry or 'default pool'}"
             try:
                 harness.run(STRESS_OPS)
             except InvariantViolation as error:
-                return f"a pool invariant broke (seed {seed}, {geometry or 'default pool'}): {error}"
+                return {"violation": f"a pool invariant broke ({where}): {error}"}
             if geometry and not harness.cache.relocated_blocks:
-                return f"the tight pool relocated nothing (seed {seed}): the relocation audits ran on no relocation"
-    return ""
+                return {"violation": f"the tight pool relocated nothing ({where}): no relocation was audited"}
+    return {"violation": None}
 
 
-CHECKS = {
-    "fast projection": check_fast_projection,
-    "decode dispatch": check_decode_dispatch,
-    "view commit": check_view_commit,
-    "collective checksums": check_collective_checksums,
-    "attention memory": check_attention_memory,
-    "serving stress": check_serving_stress,
-}
+def _forward(budget: int) -> tuple:
+    """A forward row's checks: its call budget, no ``np.unique``, one attention call per attending layer."""
+    return (("py_calls", "<=", budget), ("np_unique", "==", 0), ("attention_calls", "==", "layers_attended"))
+
+
+#: ``(name, measure, checks)``: ``measure()`` returns the fields ``checks`` read.  A forward's
+#: budget is its measured count + 16 / 38 / 52 at 0 / 2 / 4 shards for NumPy versions, never for
+#: new per-site or per-shard work.
+COUNT_GATES = (
+    ("fast projection", fast_projection, (("bit_identical", "==", True),)),
+    ("decode forward", decode_dispatch_counts, _forward(147)),
+    ("decode forward 2 shards", partial(decode_dispatch_counts, 2), _forward(267)),
+    ("decode forward 4 shards", partial(decode_dispatch_counts, 4), _forward(307)),
+    ("tender all decode forward", partial(decode_dispatch_counts, 0, True), _forward(362)),
+    ("tender all decode forward 2 shards", partial(decode_dispatch_counts, 2, True), _forward(482)),
+    ("tender all decode forward 4 shards", partial(decode_dispatch_counts, 4, True), _forward(522)),
+    ("prefill forward", partial(decode_dispatch_counts, entry="prefill"), _forward(167)),
+    ("prefill chunk forward", partial(decode_dispatch_counts, entry="chunk"), _forward(120)),
+    ("verify forward", partial(decode_dispatch_counts, entry="verify"), _forward(152)),
+    # Below the 16 slots: no frame may be per slot.
+    ("view commit", commit_call_count, (("py_calls", "<=", 4),)),
+    # A message no fault hit is never checksummed; a corrupted one is, pristine and tampered.
+    ("collective checksums clean", partial(collective_checksums, False),
+     (("crc32_calls", "==", 0), ("corruption_caught", "==", 0))),
+    ("collective checksums corrupt", partial(collective_checksums, True),
+     (("crc32_calls", "==", 2), ("corruption_caught", "==", 1))),
+    ("attention memory", attention_peak_ratio, (("peak_ratio", "<=", 1.25),)),
+    ("serving stress", serving_stress, (("violation", "==", None),)),
+)  # fmt: skip
+
+
+def _report(name: str, failures: list, summary: str) -> bool:
+    for failure in failures:
+        print(f"perf smoke FAILED ({failure})")
+    if not failures:
+        print(f"perf smoke ok ({name}: {summary})")
+    return bool(failures)
 
 
 def main() -> int:
-    """Run every check and every row; compare (or re-record) ``BENCH_serving.json``."""
+    """Run every count gate and every scenario row; compare (or re-record) ``BENCH_serving.json``."""
     status, record, cache = 0, {}, {}
-    for name, check in CHECKS.items():
-        failure = check()
-        status |= bool(failure)
-        print(f"perf smoke FAILED ({name}): {failure}" if failure else f"perf smoke ok ({name})")
+    for name, measure, checks in COUNT_GATES:
+        fields = measure()
+        summary = ", ".join(f"{key} = {value}" for key, value in fields.items())
+        status |= _report(name, check(name, fields, checks), summary)
     for scenario in SCENARIOS:
         record[scenario.name], failures = run_scenario(scenario, cache)
-        status |= bool(failures)
-        for failure in failures:
-            print(f"perf smoke FAILED ({failure})")
-        if not failures:
-            runners = ", ".join(scenario.runners)
-            print(f"perf smoke ok ({scenario.name}: {len(scenario.checks)} checks on {runners})")
+        summary = f"{len(scenario.checks)} checks on {', '.join(scenario.runners)}"
+        status |= _report(scenario.name, failures, summary)
     text = json.dumps(record, indent=1, sort_keys=True) + "\n"
     if os.environ.get("REPRO_WRITE_BENCH") == "1":
         if not status:  # a failing run is never recorded
