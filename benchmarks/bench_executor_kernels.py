@@ -1,15 +1,17 @@
-"""Benchmark: Index-Buffer fast kernels vs the reference Tender hot path.
+"""Benchmark: the Index-Buffer kernels of ``TenderExecutor`` vs the literal equations.
 
 Four comparisons, each gated on bit-identical results and on an exact count
-of the work the fast path avoids — never on a clock:
+of the work the fast path avoids — never on a clock.  The reference side of
+the first three is :class:`~repro.core.reference.ReferenceExecutor` over the
+same calibration:
 
-1. **Projection kernel** — ``TenderExecutor.project`` on a continuous-batching
-   decode shape (batched rows at scattered positions spanning several row
-   chunks), fast packed path vs the reference per-chunk loop: one fused
-   matmul kernel call against one per row chunk.
-2. **Attention kernels** — the stacked fast kernels vs the per-head reference
-   loop on decode- and prefill-shaped operands, implicit and explicit: one
-   stacked kernel call against one dynamic matmul per (batch, head).
+1. **Projection kernel** — ``project`` on a continuous-batching decode shape
+   (batched rows at scattered positions spanning several row chunks), the
+   fused packed path vs the per-chunk loop: one fused matmul kernel call
+   against one per row chunk.
+2. **Attention kernels** — the stacked kernels vs the per-head loop on
+   decode- and prefill-shaped operands, implicit and explicit: one stacked
+   kernel call against one dynamic matmul per (batch, head).
 3. **End-to-end decode step** — ``TransformerRunner.prefill`` +
    ``decode_step`` over a KV-cache with ragged per-request positions, fast vs
    reference executor on a zoo model: Python-level calls per step.
@@ -42,6 +44,7 @@ from repro.core.perf import (
     measure,
     synthetic_projection_site,
 )
+from repro.core.reference import ReferenceExecutor
 from repro.data import calibration_samples, load_corpus
 from repro.experiments.report import format_table, full_evaluation_enabled
 from repro.models import TransformerRunner, get_language_model
@@ -60,8 +63,8 @@ def _record_requested() -> bool:
 
 
 def _is_matmul_kernel(code) -> bool:
-    """A matmul kernel of ``repro.core`` / ``repro.quant`` (not the executor methods routing to one)."""
-    return code.co_name.endswith("_matmul") and not code.co_filename.endswith("executor.py")
+    """A matmul kernel of ``repro.core`` / ``repro.quant`` (not the executors' methods routing to one)."""
+    return code.co_name.endswith("_matmul") and not code.co_filename.endswith(("executor.py", "reference.py"))
 
 
 def _kernel_calls(function) -> dict:
@@ -91,11 +94,11 @@ def run_projection_bench() -> dict:
     params = synthetic_projection_site(config)
     x, positions, weight = decode_projection_operands()  # rows scattered over 8 chunks
 
-    def project(fast_kernels):
-        executor = TenderExecutor(params, config, implicit=True, fast_kernels=fast_kernels)
+    def project(executor_type):
+        executor = executor_type(params, config)
         return lambda: executor.project("site", x, weight, None, positions=positions)
 
-    fast, reference = project(True), project(False)
+    fast, reference = project(TenderExecutor), project(ReferenceExecutor)
     return {
         "identical": bool(np.array_equal(fast(), reference())),
         "row_chunks": int(np.unique(positions // config.row_chunk_size).size),
@@ -120,11 +123,11 @@ def run_attention_bench() -> dict:
         b = rng.normal(size=b_shape)
         for implicit in (True, False):
 
-            def attend(fast_kernels):
-                executor = TenderExecutor({}, config, implicit=implicit, fast_kernels=fast_kernels)
+            def attend(executor_type):
+                executor = executor_type({}, config, implicit=implicit)
                 return lambda: executor.attention_matmul("qk", a, b)
 
-            fast, reference = attend(True), attend(False)
+            fast, reference = attend(TenderExecutor), attend(ReferenceExecutor)
             results[f"{shape_name}_{'implicit' if implicit else 'explicit'}"] = {
                 "identical": bool(np.array_equal(fast(), reference())),
                 "heads": a_shape[0] * a_shape[1],
@@ -148,12 +151,8 @@ def run_decode_step_bench(weights, corpus_train) -> dict:
     model_config = weights.config
     calibration = calibration_samples(corpus_train, seq_len=96, num_samples=4, seed=7)
     tender_config = TenderConfig(bits=8, num_groups=NUM_GROUPS, row_chunk_size=32)
-    runners = {
-        fast: TenderQuantizer(tender_config, implicit=True, fast_kernels=fast).quantize(
-            weights, calibration
-        )
-        for fast in (True, False)
-    }
+    fast_runner = TenderQuantizer(tender_config, implicit=True).quantize(weights, calibration)
+    reference_runner = TransformerRunner(weights, ReferenceExecutor(fast_runner.executor.site_params, tender_config))
 
     # Continuous-batching regime: every slot sits at its own position, so
     # each projection call sees rows spanning several row chunks.
@@ -188,7 +187,7 @@ def run_decode_step_bench(weights, corpus_train) -> dict:
             next_tokens = step(next_tokens, rewind=False).argmax(axis=-1)
         return next_tokens
 
-    fast, reference = one_step(runners[True]), one_step(runners[False])
+    fast, reference = one_step(fast_runner), one_step(reference_runner)
     return {
         "identical": bool(np.array_equal(decoded_tokens(fast), decoded_tokens(reference))),
         "batch": batch,

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, require_count
 
 
 @dataclass(frozen=True)
@@ -33,9 +33,6 @@ class TenderConfig:
     subtract_bias:
         Whether the per-channel bias (midpoint) is subtracted before
         quantization.  Disabling it is an ablation.
-    per_head:
-        Whether activation-activation matmuls are quantized per attention head
-        (the paper's per-head activation quantization optimization).
     """
 
     bits: int = 8
@@ -44,14 +41,9 @@ class TenderConfig:
     row_chunk_size: int = 64
     quantize_attention: bool = False
     subtract_bias: bool = True
-    per_head: bool = True
 
     def __post_init__(self) -> None:
-        if not 2 <= self.bits <= 8:
+        for name, minimum in (("bits", 2), ("num_groups", 1), ("alpha", 2), ("row_chunk_size", 1)):
+            object.__setattr__(self, name, require_count(name, getattr(self, name), minimum))
+        if self.bits > 8:
             raise ConfigurationError(f"bits must be in [2, 8], got {self.bits}")
-        if self.num_groups < 1:
-            raise ConfigurationError(f"num_groups must be >= 1, got {self.num_groups}")
-        if self.alpha < 2:
-            raise ConfigurationError(f"alpha must be an integer >= 2, got {self.alpha}")
-        if self.row_chunk_size < 1:
-            raise ConfigurationError("row_chunk_size must be >= 1")

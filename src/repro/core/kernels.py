@@ -41,15 +41,16 @@ This module is the software mirror of that dataflow:
   visibility mask — is derived once per forward and handed to every site
   and every layer instead of being re-derived by each.
 
-Every kernel is bit-identical to the reference implementations in
-:mod:`repro.core.requantization` and ``TenderExecutor``: integer partial
+Every kernel is bit-identical to the literal equations of
+:mod:`repro.core.requantization` and
+:class:`~repro.core.reference.ReferenceExecutor`: integer partial
 sums are exact regardless of evaluation order, and the floating-point
 rescale/accumulate sequence is kept operation-for-operation the same.  The
 per-group ``accumulator.max()`` scans of the reference are replaced by
 analytic bounds (``qmax^2`` times the alpha-weighted reduction length,
 computed at pack time); a scan only runs when the bound shows the 32-bit
-accumulator could actually overflow, and callers fall back to the scanning
-reference when it can.
+accumulator could actually overflow, and callers fall back to a scanning
+kernel when it can.
 
 A note on dtypes: the kernels here carry integer-valued operands in
 *float64* so the multiplies dispatch to BLAS instead of NumPy's slow
@@ -59,8 +60,8 @@ approximation: operand magnitudes are at most ``qmax * alpha^(G-1)``
 overflow bound (checked against 2^31) or scanned group by group, and IEEE
 float64 represents every integer up to 2^53 exactly — so no product or
 partial sum can ever round, regardless of BLAS's reduction order, and the
-results match the reference int64 pipeline bit for bit (pinned by
-``tests/core/test_fast_kernels.py``).
+results match the reference int64 pipeline bit for bit (pinned by the
+parity tests against ``ReferenceExecutor``).
 """
 
 from __future__ import annotations
@@ -320,6 +321,15 @@ class ForwardPlan:
     def of(cls, positions) -> "ForwardPlan":
         """``positions`` itself when it already is a plan, else a plan over it."""
         return positions if isinstance(positions, cls) else cls(positions)
+
+    @classmethod
+    def over(cls, positions, rows: int) -> "ForwardPlan":
+        """:meth:`of` over ``rows`` activation rows (``None``: positions ``0 .. rows - 1``), checking the count."""
+        if not isinstance(positions, cls):
+            positions = cls(np.arange(rows, dtype=np.int64) if positions is None else positions)
+        if positions.positions.shape[0] != rows:
+            raise CalibrationError(f"positions has {positions.positions.shape[0]} entries for {rows} activation rows")
+        return positions
 
     @classmethod
     def ragged(cls, starts: np.ndarray, lengths: np.ndarray) -> "ForwardPlan":

@@ -96,12 +96,7 @@ def _clone_executor(executor: MatmulExecutor) -> MatmulExecutor:
     tables; any other executor is copied.
     """
     if hasattr(executor, "site_params"):
-        return type(executor)(
-            executor.site_params,
-            executor.config,
-            implicit=executor.implicit,
-            fast_kernels=executor.fast_kernels,
-        )
+        return type(executor)(executor.site_params, executor.config, implicit=executor.implicit)
     return copy.copy(executor)
 
 

@@ -28,7 +28,6 @@ def tiny_runner(
     scheme: str = "fp",
     num_heads: int = 2,
     periodic: bool = False,
-    fast_kernels: bool = True,
     quantize_attention: bool = False,
 ) -> TransformerRunner:
     """The 2-layer, 32-wide random-weight model, ``"fp"`` or ``"tender-implicit"`` / ``"-explicit"``.
@@ -49,8 +48,7 @@ def tiny_runner(
     rng = np.random.default_rng(3)
     calibration = [rng.integers(0, VOCAB, size=40) for _ in range(6)]
     tender = TenderConfig(bits=8, num_groups=8, row_chunk_size=8, quantize_attention=quantize_attention)
-    quantizer = TenderQuantizer(tender, implicit=scheme == "tender-implicit", fast_kernels=fast_kernels)
-    return quantizer.quantize(weights, calibration)
+    return TenderQuantizer(tender, implicit=scheme == "tender-implicit").quantize(weights, calibration)
 
 
 def _tokens(rng: np.random.Generator, size: int) -> np.ndarray:

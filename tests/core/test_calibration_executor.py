@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -25,11 +27,22 @@ class TestTenderConfig:
             {"num_groups": 0},
             {"alpha": 1},
             {"row_chunk_size": 0},
+            {"bits": 7.5},
+            {"bits": "8"},
+            {"num_groups": 2.5},
+            {"alpha": 2.5},
+            {"row_chunk_size": 8.5},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
-        with pytest.raises(ConfigurationError):
+        ((field, value),) = kwargs.items()
+        with pytest.raises(ConfigurationError, match=rf"^{field} must .*, got {re.escape(repr(value))}$"):
             TenderConfig(**kwargs)
+
+    def test_integer_counts_are_stored_as_int(self):
+        config = TenderConfig(bits=np.int64(4), num_groups=np.int32(3), alpha=np.int64(2), row_chunk_size=np.int16(8))
+        counts = (config.bits, config.num_groups, config.alpha, config.row_chunk_size)
+        assert counts == (4, 3, 2, 8) and all(type(count) is int for count in counts)
 
 
 class TestCalibration:

@@ -1,15 +1,18 @@
-"""Bit-exactness sweep: fast Index-Buffer kernels vs the reference paths.
+"""Bit-exactness sweep: ``TenderExecutor``'s Index-Buffer kernels vs ``ReferenceExecutor``.
 
-The fast kernels (``repro.core.kernels``, default via ``fast_kernels=True``)
-must match the reference implementations *exactly* (``np.array_equal``, not
-allclose) across requantization modes, bias subtraction, ragged decode
-positions, empty groups, and degenerate inputs — and must raise the same
-``QuantizationError`` on 32-bit accumulator overflow.  These tests pin the
-tentpole guarantee that making the software mirror the hardware dataflow
-changes performance only.
+The kernels of ``repro.core.kernels`` behind ``TenderExecutor`` must match
+the literal equations of ``repro.core.reference.ReferenceExecutor``
+*exactly* (``np.array_equal``, not allclose) across requantization modes,
+bias subtraction, ragged decode positions, empty groups, and degenerate
+inputs — with the same ``stats`` — and must raise the same errors on 32-bit
+accumulator overflow and malformed operands.  These tests pin the guarantee
+that making the software mirror the hardware dataflow changes performance
+only.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 import pytest
@@ -17,9 +20,12 @@ import pytest
 from repro.core import TenderConfig, TenderExecutor, pack_site_params
 from repro.core.calibration import _ChunkedStatistics
 from repro.core.kernels import ForwardPlan
+from repro.core.reference import ReferenceExecutor
 from repro.errors import CalibrationError, QuantizationError, ShapeError
 
 CHANNELS, OUT = 48, 24
+#: Both executors: the production kernels and the oracle.
+EXECUTORS = [TenderExecutor, ReferenceExecutor]
 
 
 def calibrated_site(rng, config, channels=CHANNELS, chunks=5, outliers=True):
@@ -40,20 +46,9 @@ def make_pair(rng, implicit=True, **config_kwargs):
     defaults.update(config_kwargs)
     config = TenderConfig(**defaults)
     params = calibrated_site(rng, config)
-    fast = TenderExecutor(params, config, implicit=implicit, fast_kernels=True)
-    reference = TenderExecutor(params, config, implicit=implicit, fast_kernels=False)
+    fast = TenderExecutor(params, config, implicit=implicit)
+    reference = ReferenceExecutor(params, config, implicit=implicit)
     return fast, reference, config
-
-
-def project_split(executor, name, x, weight, bias, positions=None):
-    """``project`` in its two halves: the activation side from another
-    executor over the same calibration, the weight side from ``executor``."""
-    donor = TenderExecutor(
-        executor.site_params, executor.config, implicit=executor.implicit, fast_kernels=executor.fast_kernels
-    )
-    activation = donor.quantize(name, x, positions)
-    assert activation.shape == x.shape
-    return executor.project(name, activation, weight, bias)
 
 
 class TestProjectionBitExact:
@@ -115,7 +110,7 @@ class TestProjectionBitExact:
         )
         assert executor._site(tuple("qkv")).fused
         for index, (name, site_weight) in enumerate(zip("qkv", weights)):
-            alone = TenderExecutor(params, config, fast_kernels=False).project(
+            alone = ReferenceExecutor(params, config).project(
                 name, x, site_weight, layer_bias, positions=positions
             )
             assert np.array_equal(stacked[:, index * OUT : (index + 1) * OUT], alone)
@@ -146,8 +141,8 @@ class TestProjectionBitExact:
         statistics = _ChunkedStatistics(16)
         statistics.update(calibration)
         params = {"site": statistics.finalize("site", config)}
-        fast = TenderExecutor(params, config, implicit=implicit, fast_kernels=True)
-        reference = TenderExecutor(params, config, implicit=implicit, fast_kernels=False)
+        fast = TenderExecutor(params, config, implicit=implicit)
+        reference = ReferenceExecutor(params, config, implicit=implicit)
         decomposition = params["site"].chunks[0].decomposition
         assert (decomposition.group_sizes == 0).any(), "fixture should produce empty groups"
         weight = rng.normal(size=(CHANNELS, OUT))
@@ -156,6 +151,17 @@ class TestProjectionBitExact:
         assert np.array_equal(
             fast.project("site", x, weight, None), reference.project("site", x, weight, None)
         )
+
+    @pytest.mark.parametrize("executor_type", EXECUTORS)
+    @pytest.mark.parametrize("shape", [(CHANNELS,), (2, 3, CHANNELS), (3, CHANNELS + 1)], ids=["1d", "3d", "width"])
+    def test_activation_must_be_rows_by_weight_rows(self, rng, executor_type, shape):
+        """A 1-D row would broadcast against the chunk tables into ``CHANNELS`` rows of output."""
+        config = TenderConfig(bits=8, num_groups=8, row_chunk_size=16)
+        executor = executor_type(calibrated_site(rng, config), config)
+        message = f"activation of shape {shape} does not fit a weight of shape {(CHANNELS, OUT)}"
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            executor.project("site", rng.normal(size=shape), rng.normal(size=(CHANNELS, OUT)), None)
+        assert executor.stats == {"projections": 0, "attention_matmuls": 0, "rescales": 0}
 
 
 QKV = ("q_proj", "k_proj", "v_proj")
@@ -177,27 +183,23 @@ def qkv_sites(rng, config, channels=CHANNELS):
 class TestForwardPlan:
     """A planned call is the unplanned call with the position work already done."""
 
-    @pytest.mark.parametrize("fast_kernels", [True, False])
+    @pytest.mark.parametrize("executor_type", EXECUTORS)
     @pytest.mark.parametrize("implicit", [True, False])
-    def test_planned_equals_unplanned(self, rng, implicit, fast_kernels):
+    def test_planned_equals_unplanned(self, rng, implicit, executor_type):
         config = TenderConfig(bits=8, num_groups=8, row_chunk_size=16)
         params = calibrated_site(rng, config)
         weight = rng.normal(size=(CHANNELS, OUT))
         layer_bias = rng.normal(size=OUT)
         x = rng.normal(size=(SCATTERED.size, CHANNELS))
         x[:, 3] *= 40.0
-        planned = TenderExecutor(params, config, implicit=implicit, fast_kernels=fast_kernels)
-        unplanned = TenderExecutor(params, config, implicit=implicit, fast_kernels=fast_kernels)
+        planned = executor_type(params, config, implicit=implicit)
+        unplanned = executor_type(params, config, implicit=implicit)
         plan = ForwardPlan(SCATTERED.reshape(3, 3))  # the runner's (batch, new_len) shape
         expected = unplanned.project("site", x, weight, layer_bias, positions=SCATTERED)
         for _ in range(2):  # the second call finds every derived part cached
             assert np.array_equal(
                 planned.project("site", x, weight, layer_bias, positions=plan), expected
             )
-        unplanned.project("site", x, weight, layer_bias, positions=SCATTERED)
-        assert planned.stats == unplanned.stats
-        # Quantized ahead of the call, by another executor: the same bits and counters again.
-        assert np.array_equal(project_split(planned, "site", x, weight, layer_bias, plan), expected)
         unplanned.project("site", x, weight, layer_bias, positions=SCATTERED)
         assert planned.stats == unplanned.stats
 
@@ -210,26 +212,17 @@ class TestForwardPlan:
         x = rng.normal(size=(4, channels)) * 0.01
         positions = np.array([40, 3, 15, 16])
         outputs = [
-            TenderExecutor(params, config, implicit=True, fast_kernels=fk).project(
-                "site", x, weight, None, positions=given
-            )
-            for fk in (True, False)
+            executor_type(params, config).project("site", x, weight, None, positions=given)
+            for executor_type in EXECUTORS
             for given in (positions, ForwardPlan(positions))
-        ]
-        outputs += [
-            project_split(
-                TenderExecutor(params, config, implicit=True, fast_kernels=fk), "site", x, weight, None, positions
-            )
-            for fk in (True, False)
         ]
         assert all(np.array_equal(outputs[0], other) for other in outputs[1:])
 
-    @pytest.mark.parametrize("fast_kernels", [True, False])
+    @pytest.mark.parametrize("fast", [True, False])
     @pytest.mark.parametrize("planned", [True, False])
-    def test_negative_positions_are_rejected(self, rng, planned, fast_kernels):
-        """They used to wrap to the last chunk silently, on both paths."""
-        fast, reference, _ = make_pair(rng)
-        executor = fast if fast_kernels else reference
+    def test_negative_positions_are_rejected(self, rng, planned, fast):
+        """They used to wrap to the last chunk silently, on both executors."""
+        executor = make_pair(rng)[0 if fast else 1]
         weight = rng.normal(size=(CHANNELS, OUT))
         x = rng.normal(size=(3, CHANNELS))
         positions = np.array([-5, 0, 20])
@@ -275,29 +268,25 @@ class TestStackedProjection:
             axis=1,
         )
 
-    @pytest.mark.parametrize("fast_kernels", [True, False])
     @pytest.mark.parametrize("implicit", [True, False])
     @pytest.mark.parametrize("subtract_bias", [True, False])
-    def test_stacked_equals_three_calls(self, rng, subtract_bias, implicit, fast_kernels):
+    def test_stacked_equals_three_calls(self, rng, subtract_bias, implicit):
         config = TenderConfig(bits=8, num_groups=8, row_chunk_size=16, subtract_bias=subtract_bias)
         params = qkv_sites(rng, config)
         x, weights, biases = self.operands(rng)
-        stacked = TenderExecutor(params, config, implicit=implicit, fast_kernels=fast_kernels)
-        separate = TenderExecutor(params, config, implicit=implicit, fast_kernels=fast_kernels)
+        stacked = TenderExecutor(params, config, implicit=implicit)
+        separate = TenderExecutor(params, config, implicit=implicit)
         plan = ForwardPlan(SCATTERED)
         out = stacked.project(
             QKV, x, np.concatenate(weights, axis=1), np.concatenate(biases), positions=plan
         )
         assert np.array_equal(out, self.one_by_one(separate, x, weights, biases, plan))
-        assert stacked.stats == separate.stats
+        oracle = ReferenceExecutor(params, config, implicit=implicit)
+        assert np.array_equal(out, self.one_by_one(oracle, x, weights, biases, plan))
+        assert stacked.stats == separate.stats == oracle.stats
         assert stacked.stats["projections"] == 3
         # One fused matmul serves the three sites exactly when the kernels allow it.
-        assert stacked._sites[QKV].fused == (fast_kernels and implicit)
-        split = project_split(
-            stacked, QKV, x, np.concatenate(weights, axis=1), np.concatenate(biases), plan
-        )
-        assert np.array_equal(split, out)
-        assert stacked.stats["projections"] == 6
+        assert stacked._sites[QKV].fused == implicit
 
     def test_stacked_without_layer_bias(self, rng):
         config = TenderConfig(bits=8, num_groups=8, row_chunk_size=16)
@@ -324,10 +313,6 @@ class TestStackedProjection:
         assert not stacked._sites[QKV].fused, "differing tables must not be stacked"
         assert np.array_equal(out, self.one_by_one(separate, x, weights, biases, SCATTERED))
         assert stacked.stats == separate.stats
-        split = project_split(
-            stacked, QKV, x, np.concatenate(weights, axis=1), np.concatenate(biases), SCATTERED
-        )
-        assert np.array_equal(split, out)
 
     def test_overflow_bound_falls_back_to_per_site_calls(self, rng):
         channels = 1100
@@ -337,10 +322,8 @@ class TestStackedProjection:
         weights = [np.ones((channels, 3)) * scale for scale in (1.0, 0.5, 2.0)]
         x = rng.normal(size=(4, channels)) * 0.01
         out = TenderExecutor(params, config).project(QKV, x, np.concatenate(weights, axis=1), None)
-        reference = TenderExecutor(params, config, fast_kernels=False)
+        reference = ReferenceExecutor(params, config)
         assert np.array_equal(out, self.one_by_one(reference, x, weights, [None] * 3, None))
-        split = project_split(TenderExecutor(params, config), QKV, x, np.concatenate(weights, axis=1), None)
-        assert np.array_equal(split, out)
 
     def test_unknown_site_and_ragged_stack_are_rejected(self, rng):
         config = TenderConfig(bits=8, num_groups=8, row_chunk_size=16)
@@ -393,7 +376,7 @@ class TestStraddlingBound:
         params = straddling_site(self.CHANNELS, config)
         bounds = params["site"].packed().implicit_bounds
         assert bounds[0] <= 2**31 - 1 < bounds[1], "fixture must straddle the bound"
-        return [TenderExecutor(params, config, implicit=True, fast_kernels=fast) for fast in (True, False)]
+        return [executor_type(params, config, implicit=True) for executor_type in EXECUTORS]
 
     @pytest.mark.parametrize("placement", sorted(PLACEMENTS))
     def test_rows_in_any_chunks_match_the_reference(self, rng, placement):
@@ -437,8 +420,8 @@ class TestOverflowGuard:
         params = overflow_site(channels, config)
         weight = np.ones((channels, 3))
         x = np.ones((2, channels)) * 10.0
-        for fast_kernels in (True, False):
-            executor = TenderExecutor(params, config, implicit=True, fast_kernels=fast_kernels)
+        for executor_type in EXECUTORS:
+            executor = executor_type(params, config, implicit=True)
             with pytest.raises(QuantizationError, match="implicit requantization overflowed"):
                 executor.project("site", x, weight, None)
 
@@ -448,8 +431,8 @@ class TestOverflowGuard:
         params = overflow_site(channels, config)
         weight = np.ones((channels, 2))
         x = np.ones((1, channels)) * 10.0
-        for fast_kernels in (True, False):
-            executor = TenderExecutor(params, config, implicit=False, fast_kernels=fast_kernels)
+        for executor_type in EXECUTORS:
+            executor = executor_type(params, config, implicit=False)
             with pytest.raises(QuantizationError, match="integer matmul overflowed"):
                 executor.project("site", x, weight, None)
 
@@ -463,10 +446,8 @@ class TestOverflowGuard:
         weight = np.ones((channels, 3))
         x = rng.normal(size=(4, channels)) * 0.01
         outputs = [
-            TenderExecutor(params, config, implicit=True, fast_kernels=fk).project(
-                "site", x, weight, None
-            )
-            for fk in (True, False)
+            executor_type(params, config, implicit=True).project("site", x, weight, None)
+            for executor_type in EXECUTORS
         ]
         assert np.array_equal(outputs[0], outputs[1])
 
@@ -478,8 +459,8 @@ class TestOverflowGuard:
         )
         a = np.ones((1, 1, 2, channels)) * 10.0
         b = np.ones((1, 1, channels, 3))
-        for fast_kernels in (True, False):
-            executor = TenderExecutor({}, config, implicit=True, fast_kernels=fast_kernels)
+        for executor_type in EXECUTORS:
+            executor = executor_type({}, config, implicit=True)
             with pytest.raises(QuantizationError, match="implicit requantization overflowed"):
                 executor.attention_matmul("qk", a, b)
 
@@ -494,8 +475,8 @@ class TestOverflowGuard:
         a = np.full((1, 1, 2, 4), 1000.0)
         a[..., 0] = 1e9
         b = np.full((1, 1, 4, 2), 1000.0)
-        for fast_kernels in (True, False):
-            executor = TenderExecutor({}, config, implicit=True, fast_kernels=fast_kernels)
+        for executor_type in EXECUTORS:
+            executor = executor_type({}, config, implicit=True)
             with pytest.raises(QuantizationError):
                 executor.attention_matmul("qk", a, b)
 
@@ -541,8 +522,8 @@ class TestAttentionBitExact:
             bits=bits, num_groups=6, alpha=alpha, subtract_bias=subtract_bias,
             quantize_attention=True,
         )
-        fast = TenderExecutor({}, config, implicit=implicit, fast_kernels=True)
-        loop = TenderExecutor({}, config, implicit=implicit, fast_kernels=False)
+        fast = TenderExecutor({}, config, implicit=implicit)
+        loop = ReferenceExecutor({}, config, implicit=implicit)
         a, b = attention_operands(rng)
         for _ in range(2):
             assert np.array_equal(
@@ -558,8 +539,8 @@ class TestAttentionBitExact:
     def test_fast_equals_loop_on_degenerate_operands(self, rng, case, implicit):
         overrides, shape, edit = ATTENTION_CASES[case]
         config = TenderConfig(bits=8, quantize_attention=True, **overrides)
-        fast = TenderExecutor({}, config, implicit=implicit, fast_kernels=True)
-        loop = TenderExecutor({}, config, implicit=implicit, fast_kernels=False)
+        fast = TenderExecutor({}, config, implicit=implicit)
+        loop = ReferenceExecutor({}, config, implicit=implicit)
         a, b = attention_operands(rng, **shape)
         if edit is not None:
             edit(a)

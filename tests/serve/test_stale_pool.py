@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.core import TenderConfig, TenderQuantizer
+from repro.core.reference import ReferenceExecutor
 from repro.models import TransformerRunner
 from repro.serve import GenerationConfig, ModelDraft, PagedKVCache, Scheduler, ShardedRunner, SpecConfig
 
@@ -29,14 +30,14 @@ SCHEMES = ("tender-all", "tender-all-reference", "fp")
 
 @pytest.fixture(scope="module")
 def runners(outlier_weights, calibration):
-    """Solo runners: Tender "all" on fast and on reference kernels (dense attention), and FP (fused)."""
+    """Solo runners: Tender "all" and its oracle over the same calibration (dense attention), and FP (fused)."""
     config = TenderConfig(bits=8, num_groups=8, row_chunk_size=8, quantize_attention=True, subtract_bias=False)
-    built = {
-        name: TenderQuantizer(config, fast_kernels=fast).quantize(outlier_weights, calibration)
-        for name, fast in (("tender-all", True), ("tender-all-reference", False))
+    tender = TenderQuantizer(config).quantize(outlier_weights, calibration)
+    return {
+        "tender-all": tender,
+        "tender-all-reference": TransformerRunner(outlier_weights, ReferenceExecutor(tender.executor.site_params, config)),
+        "fp": TransformerRunner(outlier_weights),
     }
-    built["fp"] = TransformerRunner(outlier_weights)
-    return built
 
 
 @pytest.fixture(scope="module")

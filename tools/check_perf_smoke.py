@@ -58,7 +58,8 @@ from repro import gpu
 from repro.core import TenderConfig, TenderExecutor
 from repro.core.kernels import ForwardPlan, paged_attention
 from repro.core.perf import count_calls, decode_projection_operands, synthetic_projection_site
-from repro.models.inference import dense_cached_attention
+from repro.core.reference import ReferenceExecutor
+from repro.models.inference import TransformerRunner, dense_cached_attention
 from repro.models.zoo import get_zoo_entry
 from repro.obs import CountingClock, Tracer
 from repro.serve import (
@@ -109,7 +110,7 @@ DRAFTERS = {
 HARNESS = dict(
     max_new_tokens=3, fifo=False, fused=True, pool=None, speculation=None, shards=0,
     transport=None, replicas=0, kill_at=None, tracer=False, profile=None,
-    fast_kernels=True, quantize_attention=False,
+    reference=False, quantize_attention=False,
 )  # fmt: skip
 REQUIRED_EVENTS = (
     "request.queued", "request.admitted", "request.first_token", "request.preempted",
@@ -641,11 +642,11 @@ SCENARIOS = (
     ),  # fmt: skip
     Scenario(
         "reference kernels", TENDER, _templated,
-        DIGEST, dict(fast_kernels=False), {}, (("gather_bytes", "==", 0),),
+        DIGEST, dict(reference=True), {}, (("gather_bytes", "==", 0),),
     ),
     Scenario(
         "tender all", TENDER, _templated,
-        dict(DIGEST, quantize_attention=True), dict(fast_kernels=False), {},
+        dict(DIGEST, quantize_attention=True), dict(reference=True), {},
         # Dynamic attention statistics need the dense operands: the gather path, by design.
         (("gather_bytes", ">", 0),),
     ),
@@ -665,6 +666,12 @@ def check(label: str, fields: dict, checks) -> list:
                 + (f" = {limit}" if isinstance(bound, str) else "")
             )
     return failures
+
+
+def oracle(runner: TransformerRunner) -> TransformerRunner:
+    """``runner``'s weights and calibration behind the literal equations (:class:`ReferenceExecutor`)."""
+    executor = runner.executor
+    return TransformerRunner(runner.weights, ReferenceExecutor(executor.site_params, executor.config, executor.implicit))
 
 
 def run_scenario(scenario: Scenario, cache: dict) -> Tuple[dict, list]:
@@ -689,8 +696,11 @@ def run_scenario(scenario: Scenario, cache: dict) -> Tuple[dict, list]:
         def side(own):
             options = {**HARNESS, **scenario.engine, **own, "record_logits": tender}
             h = SimpleNamespace(**{key: options.pop(key) for key in HARNESS})
-            kernels = dict(fast_kernels=h.fast_kernels, quantize_attention=h.quantize_attention)
-            runner = memo((runner_key, *kernels.values()), lambda: RUNNERS[runner_key](**kernels))
+            runner = memo(
+                (runner_key, h.quantize_attention), lambda: RUNNERS[runner_key](quantize_attention=h.quantize_attention)
+            )
+            if h.reference:
+                runner = memo((runner_key, h.quantize_attention, "reference"), partial(oracle, runner))
             merged = {**vars(h), **options}
             key = (runner_key, scenario.trace, repr(sorted(merged.items())))
             return runner, merged, memo(key, lambda: serve(runner, trace, h, options))
@@ -734,10 +744,8 @@ def fast_projection() -> dict:
     params = synthetic_projection_site(config)
     x, positions, weight = decode_projection_operands()
     fast, reference = (
-        TenderExecutor(params, config, implicit=True, fast_kernels=kernels).project(
-            "site", x, weight, None, positions=positions
-        )
-        for kernels in (True, False)
+        executor(params, config).project("site", x, weight, None, positions=positions)
+        for executor in (TenderExecutor, ReferenceExecutor)
     )
     return {"bit_identical": np.array_equal(fast, reference)}
 
