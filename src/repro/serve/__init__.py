@@ -31,7 +31,9 @@ Three layers, bottom up:
   checksummed, retrying :class:`CollectiveGroup` collectives
   (:mod:`repro.serve.collective`) with seeded message chaos
   (:class:`CollectiveFaultInjector`); a replica of the pool may be a whole
-  shard group, recovered as one fault unit.
+  shard group, recovered as one fault unit.  Both chaos layers draw from
+  one seeded schedule (:mod:`repro.serve.faults`): the two injectors only
+  name their fault kinds.
 
 Speculative decoding (:mod:`repro.serve.spec`) plugs a
 :class:`DraftProposer` — :class:`PromptLookupDraft` n-gram lookup or a
@@ -42,13 +44,10 @@ while k sequential decode forwards collapse into one verification forward.
 """
 
 from repro.serve.async_engine import AsyncEngine, RequestStream, serve_all
-from repro.serve.cluster import ClusterStats, FaultInjector, ReplicaPool, Router
-from repro.serve.collective import (
-    CollectiveFaultInjector,
-    CollectiveGroup,
-    CollectiveStats,
-)
+from repro.serve.cluster import ClusterStats, ReplicaPool, Router
+from repro.serve.collective import CollectiveGroup, CollectiveStats
 from repro.serve.engine import GenerationEngine, GenerationResult, generate
+from repro.serve.faults import CollectiveFaultInjector, FaultInjector
 from repro.serve.paged_kv_cache import PagedKVCache, SlotBatchView
 from repro.serve.request import GenerationConfig, Request, RequestCheckpoint, RequestOutput
 from repro.serve.scheduler import Scheduler

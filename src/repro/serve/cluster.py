@@ -15,11 +15,11 @@ past one engine:
   replicas, so requests sharing a template land on the same engine and keep
   their prefix-cache hit rates at fleet scale, while failover to the next
   healthy replica is deterministic.
-* :class:`FaultInjector` — a seeded chaos harness in the spirit of
-  :class:`~repro.serve.stress.ServingStressHarness`: kills replicas
-  mid-iteration (:class:`~repro.errors.ReplicaFailureError`), injects
-  :class:`~repro.errors.ResourceExhaustedError` at the admission/reserve
-  site, and stalls a replica's step loop for a run of iterations.
+* :class:`~repro.serve.faults.FaultInjector` — the pool's seeded chaos
+  schedule (:mod:`repro.serve.faults`, shared with the collective layer):
+  kills replicas mid-iteration (:class:`~repro.errors.ReplicaFailureError`),
+  sheds at the admission/reserve site, and stalls a replica's step loop
+  for a run of iterations.
 * **Request-level recovery** — on replica failure every in-flight request
   is checkpointed as ``(prompt, generated tokens, sampling RNG state)``
   (:class:`~repro.serve.request.RequestCheckpoint`) and re-admitted on a
@@ -57,6 +57,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, ReplicaFailureError, ResourceExhaustedError, require_count
 from repro.models.inference import TransformerRunner
+from repro.serve.faults import FaultInjector
 from repro.serve.request import (
     GenerationConfig,
     Request,
@@ -71,115 +72,6 @@ from repro.serve.stats import Counters, SchedulerStats
 #: Consecutive failures a replica's breaker absorbs at the base
 #: ``breaker_cooldown``; each consecutive failure past it doubles the cooldown.
 BREAKER_THRESHOLD = 2
-
-
-@dataclass
-class FaultEvent:
-    """One chaos action the :class:`FaultInjector` fired (for audit logs)."""
-
-    #: Pool iteration the event fired on.
-    iteration: int
-    #: Replica the event targeted.
-    replica_id: int
-    #: ``"kill"``, ``"exhaust"``, or ``"stall"``.
-    kind: str
-
-
-class FaultInjector:
-    """Seeded chaos schedule over a replica pool: kills, exhaustion, stalls.
-
-    Two modes compose:
-
-    * **Scripted** — ``kill_at`` / ``exhaust_at`` / ``stall_at`` map pool
-      iterations to replica ids, for deterministic gates that need a fault
-      at an exact point in a trace.
-    * **Randomized** — per (iteration, replica) the seeded generator draws
-      each fault kind with the configured rate, for soak-style chaos runs.
-
-    The injector is consulted once per replica per pool iteration *before*
-    the replica steps, so a kill lands mid-flight: requests hold partial
-    prefills and half-decoded continuations, exactly the state recovery
-    must replay.  ``max_kills`` bounds scripted-plus-random kills so a
-    high-rate schedule cannot exterminate the whole pool.
-
-    Parameters
-    ----------
-    seed : int
-        Seed of the randomized schedule (scripted events ignore it).
-    kill_rate, exhaust_rate, stall_rate : float
-        Per-(iteration, replica) probabilities of each fault kind.
-    stall_steps : int
-        Iterations a stalled replica skips before it resumes stepping.
-    kill_at, exhaust_at, stall_at : dict, optional
-        ``{pool_iteration: replica_id}`` scripted faults.
-    max_kills : int, optional
-        Ceiling on total kills (``None`` = unbounded).
-    """
-
-    def __init__(
-        self,
-        seed: int = 0,
-        *,
-        kill_rate: float = 0.0,
-        exhaust_rate: float = 0.0,
-        stall_rate: float = 0.0,
-        stall_steps: int = 3,
-        kill_at: Optional[Dict[int, int]] = None,
-        exhaust_at: Optional[Dict[int, int]] = None,
-        stall_at: Optional[Dict[int, int]] = None,
-        max_kills: Optional[int] = None,
-    ) -> None:
-        for name, rate in (
-            ("kill_rate", kill_rate),
-            ("exhaust_rate", exhaust_rate),
-            ("stall_rate", stall_rate),
-        ):
-            if not 0.0 <= rate <= 1.0:
-                raise ConfigurationError(f"{name} must lie in [0, 1]")
-        self.rng = np.random.default_rng(seed)
-        self.kill_rate = float(kill_rate)
-        self.exhaust_rate = float(exhaust_rate)
-        self.stall_rate = float(stall_rate)
-        self.stall_steps = require_count("stall_steps", stall_steps, 1)
-        self.kill_at = dict(kill_at or {})
-        self.exhaust_at = dict(exhaust_at or {})
-        self.stall_at = dict(stall_at or {})
-        self.max_kills = None if max_kills is None else require_count("max_kills", max_kills, 0)
-        #: Every event fired, in firing order (the chaos audit log).
-        self.events: List[FaultEvent] = []
-        self._kills = 0
-
-    def draw(self, iteration: int, replica_id: int) -> Optional[str]:
-        """The fault (if any) to inject on this replica this iteration.
-
-        Scripted events win over random draws; at most one fault fires per
-        (iteration, replica).  Returns ``"kill"``, ``"exhaust"``,
-        ``"stall"``, or ``None``.
-        """
-        kind = None
-        if self.kill_at.get(iteration) == replica_id:
-            kind = "kill"
-        elif self.exhaust_at.get(iteration) == replica_id:
-            kind = "exhaust"
-        elif self.stall_at.get(iteration) == replica_id:
-            kind = "stall"
-        else:
-            # One draw per fault kind, always consumed in the same order, so
-            # the schedule is a pure function of (seed, call sequence).
-            draws = self.rng.random(3)
-            if draws[0] < self.kill_rate:
-                kind = "kill"
-            elif draws[1] < self.exhaust_rate:
-                kind = "exhaust"
-            elif draws[2] < self.stall_rate:
-                kind = "stall"
-        if kind == "kill":
-            if self.max_kills is not None and self._kills >= self.max_kills:
-                return None
-            self._kills += 1
-        if kind is not None:
-            self.events.append(FaultEvent(iteration, replica_id, kind))
-        return kind
 
 
 class Router:
@@ -333,7 +225,8 @@ class ReplicaPool:
         checkpoint under the *same* sampling rule, which is what keeps it
         bit-identical.
     fault_injector : FaultInjector, optional
-        The chaos schedule (``None`` serves fault-free).
+        The chaos schedule (``None`` serves fault-free); every scripted
+        victim must be a replica id of the pool.
     max_retries : int
         Recovery attempts per request before it degrades.  The first retry
         is re-admitted at once; retry ``k > 1`` waits ``2**(k-1)`` scheduler
@@ -411,6 +304,8 @@ class ReplicaPool:
         self.breaker_cooldown = require_count("breaker_cooldown", breaker_cooldown, 1)
         self.watchdog_patience = require_count("watchdog_patience", watchdog_patience, 1)
         self.router = Router(num_replicas, template_window=template_window)
+        if fault_injector is not None:
+            fault_injector.require_victims(self.router.num_replicas)
         self.on_token = on_token
         #: Opt-in request-lifecycle tracing (see :mod:`repro.obs`).  The
         #: pool emits failover events onto a ``"pool"`` track and gives each

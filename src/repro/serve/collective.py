@@ -17,12 +17,11 @@ usable serving unit.  This module reproduces that contract in simulation:
   takes the faster copy) or *waits*, governed by configuration.  A receiver
   remembers the highest sequence number it has accepted from each shard,
   and discards any copy that does not exceed it (a duplicate).
-* :class:`CollectiveFaultInjector` decides, per message attempt, whether the
-  wire drops, corrupts, delays, or duplicates it — or kills the sending
-  shard outright.  Like the replica-level ``FaultInjector`` it supports both
-  scripted faults (exact collective sequence numbers, for deterministic
-  gates) and seeded random rates (for chaos soaks), and logs every fired
-  fault.
+* :class:`~repro.serve.faults.CollectiveFaultInjector` decides, per message
+  attempt, whether the wire drops, corrupts, delays, or duplicates it — or
+  kills the sending shard outright.  It is the seeded fault schedule the
+  replica pool also draws from (:mod:`repro.serve.faults`), over these five
+  kinds, keyed by collective sequence number and sending shard.
 
 The fault semantics are chosen so that *numerics never degrade*: a corrupted
 message is caught by its checksum and retried from the pristine payload, so
@@ -39,52 +38,18 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Optional, Sequence, Set
 
 import numpy as np
 
 from repro.errors import CollectiveTransportError, ConfigurationError, ShardFailureError, require_count
+from repro.serve.faults import CollectiveFaultInjector
 from repro.serve.stats import Counters
 
 __all__ = [
-    "CollectiveFaultEvent",
-    "CollectiveFaultInjector",
     "CollectiveGroup",
     "CollectiveStats",
 ]
-
-
-@dataclass(frozen=True)
-class CollectiveFaultEvent:
-    """One fired collective fault, for post-run audits.
-
-    Attributes
-    ----------
-    seq:
-        Sequence number of the collective whose message was hit.
-    shard_id:
-        The sending shard whose message (or life) was affected.
-    kind:
-        ``"drop"``, ``"corrupt"``, ``"delay"``, ``"duplicate"`` or ``"kill"``.
-    attempt:
-        Zero-based retry attempt the fault landed on.
-    """
-
-    seq: int
-    shard_id: int
-    kind: str
-    attempt: int
-
-
-#: Message attempts whose five uniforms one generator call draws ahead.
-_DRAW_BLOCK = 64
-
-
-def _require_rate(name: str, rate: float) -> float:
-    # ``not (0 <= rate <= 1)`` also rejects NaN, which fails every comparison.
-    if not 0.0 <= rate <= 1.0:
-        raise ConfigurationError(f"{name} must lie in [0, 1], got {rate}")
-    return float(rate)
 
 
 def _require_duration(name: str, value: float, positive: bool = False) -> float:
@@ -92,121 +57,6 @@ def _require_duration(name: str, value: float, positive: bool = False) -> float:
         bound = "> 0" if positive else ">= 0"
         raise ConfigurationError(f"{name} must be finite and {bound}, got {value}")
     return float(value)
-
-
-class CollectiveFaultInjector:
-    """Seeded scripted + randomized fault source for collective messages.
-
-    Mirrors the replica-level ``FaultInjector``: scripted faults (exact
-    ``{collective_seq: shard_id}`` maps) fire deterministically on a
-    message's first attempt and win over random draws; random faults fire
-    per attempt at the configured rates from one seeded generator, drawn in
-    a fixed order so schedules replay deterministically.  ``max_kills``
-    bounds shard kills across the injector's lifetime — shared across
-    rebuilt groups, it guarantees chaos runs terminate.
-
-    The generator is private and consumed in blocks (the uniforms of
-    ``_DRAW_BLOCK`` attempts per call, which yields the same doubles as one
-    call per attempt): nothing else may draw from it.
-
-    Parameters
-    ----------
-    seed:
-        Seed for the random-rate generator.
-    drop_rate, corrupt_rate, delay_rate, duplicate_rate, kill_rate:
-        Per-message-attempt probabilities of each fault kind, in ``[0, 1]``.
-    max_kills:
-        Lifetime cap on ``"kill"`` faults (scripted and random combined).
-    drop_at, corrupt_at, delay_at, duplicate_at, kill_at:
-        Scripted ``{collective_seq: shard_id}`` maps, read at construction;
-        each fires once, on the victim message's first attempt.  A group
-        rejects shard ids it does not have (:meth:`require_shards`).
-    """
-
-    def __init__(
-        self,
-        seed: int = 0,
-        *,
-        drop_rate: float = 0.0,
-        corrupt_rate: float = 0.0,
-        delay_rate: float = 0.0,
-        duplicate_rate: float = 0.0,
-        kill_rate: float = 0.0,
-        max_kills: int = 1,
-        drop_at: Optional[Dict[int, int]] = None,
-        corrupt_at: Optional[Dict[int, int]] = None,
-        delay_at: Optional[Dict[int, int]] = None,
-        duplicate_at: Optional[Dict[int, int]] = None,
-        kill_at: Optional[Dict[int, int]] = None,
-    ) -> None:
-        max_kills = require_count("max_kills", max_kills, 0)
-        self.drop_rate = _require_rate("drop_rate", drop_rate)
-        self.corrupt_rate = _require_rate("corrupt_rate", corrupt_rate)
-        self.delay_rate = _require_rate("delay_rate", delay_rate)
-        self.duplicate_rate = _require_rate("duplicate_rate", duplicate_rate)
-        self.kill_rate = _require_rate("kill_rate", kill_rate)
-        self.max_kills = max_kills
-        #: ``{collective_seq: ((kind, shard_id), ...)}`` in the order the kinds
-        #: are tried, so one lookup resolves every scripted map.
-        self._scripted: Dict[int, Tuple[Tuple[str, int], ...]] = {}
-        scripts = (("kill", kill_at), ("drop", drop_at), ("corrupt", corrupt_at),
-                   ("delay", delay_at), ("duplicate", duplicate_at))  # fmt: skip
-        for kind, script in scripts:
-            for seq, shard_id in (script or {}).items():
-                self._scripted[seq] = self._scripted.get(seq, ()) + ((kind, shard_id),)
-        self._rng = np.random.default_rng(seed)
-        self._draws: List[float] = []
-        self._cursor = 0
-        self._kills = 0
-        self.events: List[CollectiveFaultEvent] = []
-
-    def require_shards(self, num_shards: int) -> None:
-        """Reject scripted victims a group of ``num_shards`` does not have."""
-        for seq, scripted in self._scripted.items():
-            for kind, shard_id in scripted:
-                if not 0 <= shard_id < num_shards:
-                    raise ConfigurationError(
-                        f"scripted {kind} at collective #{seq} names shard {shard_id}, "
-                        f"outside [0, {num_shards})"
-                    )
-
-    def draw(self, seq: int, shard_id: int, attempt: int) -> Optional[str]:
-        """Decide the fate of one message attempt.
-
-        Scripted faults fire only on ``attempt == 0`` (so the retry path can
-        actually succeed); random rates apply to every attempt.  Exactly
-        five uniforms are consumed per call regardless of outcome, keeping
-        the generator stream — and therefore the whole chaos schedule —
-        deterministic for a given event sequence.
-        """
-        cursor = self._cursor
-        if cursor == len(self._draws):
-            self._draws = self._rng.random(5 * _DRAW_BLOCK).tolist()
-            cursor = 0
-        self._cursor = cursor + 5
-        kind: Optional[str] = None
-        if attempt == 0 and self._scripted:
-            for scripted, victim in self._scripted.get(seq, ()):
-                if victim == shard_id and (scripted != "kill" or self._kills < self.max_kills):
-                    kind = scripted
-                    break
-        if kind is None:
-            draws = self._draws
-            if draws[cursor] < self.kill_rate and self._kills < self.max_kills:
-                kind = "kill"
-            elif draws[cursor + 1] < self.drop_rate:
-                kind = "drop"
-            elif draws[cursor + 2] < self.corrupt_rate:
-                kind = "corrupt"
-            elif draws[cursor + 3] < self.delay_rate:
-                kind = "delay"
-            elif draws[cursor + 4] < self.duplicate_rate:
-                kind = "duplicate"
-            else:
-                return None
-        self._kills += kind == "kill"
-        self.events.append(CollectiveFaultEvent(seq, shard_id, kind, attempt))
-        return kind
 
 
 @dataclass
@@ -286,7 +136,7 @@ class CollectiveGroup:
     num_shards:
         Number of shards meeting at every collective.
     fault_injector:
-        Optional :class:`CollectiveFaultInjector`; ``None`` means a
+        Optional :class:`~repro.serve.faults.CollectiveFaultInjector`; ``None`` means a
         fault-free wire.
     latency_ms:
         Base per-message link latency (simulated milliseconds).
@@ -336,7 +186,7 @@ class CollectiveGroup:
         num_shards = require_count("num_shards", num_shards, 1)
         max_retries = require_count("max_retries", max_retries, 0)
         if fault_injector is not None:
-            fault_injector.require_shards(num_shards)
+            fault_injector.require_victims(num_shards)
         self.num_shards = num_shards
         self.fault_injector = fault_injector
         self.latency_ms = _require_duration("latency_ms", latency_ms)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -133,10 +134,18 @@ class TestFaultInjector:
         assert draws[2:] == [None, None, None]
 
     def test_validation(self):
-        with pytest.raises(ConfigurationError, match="kill_rate"):
+        with pytest.raises(ConfigurationError, match=r"kill_rate must be a real number in \[0, 1\], got 1\.5"):
             FaultInjector(kill_rate=1.5)
+        with pytest.raises(ConfigurationError, match=r"kill_rate .*, got '0\.5'"):  # was a bare TypeError
+            FaultInjector(kill_rate="0.5")
+        with pytest.raises(ConfigurationError, match=r"stall_rate .*, got nan"):
+            FaultInjector(stall_rate=math.nan)
+        with pytest.raises(ConfigurationError, match=r"kill_at key must be an integer >= 0, got 1\.5"):
+            FaultInjector(kill_at={1.5: 0})  # was accepted and never fired
         with pytest.raises(ConfigurationError, match="stall_steps"):
             FaultInjector(stall_steps=0)
+        with pytest.raises(TypeError, match="drop_rate"):  # a collective kind is not a replica option
+            FaultInjector(drop_rate=0.5)
 
 
 @pytest.mark.parametrize("name", ["tender-implicit", "tender-explicit"])

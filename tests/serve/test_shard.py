@@ -37,6 +37,7 @@ from repro.models.inference import TransformerRunner
 from repro.serve import (
     CollectiveFaultInjector,
     CollectiveGroup,
+    FaultInjector,
     GenerationConfig,
     PagedKVCache,
     ReplicaPool,
@@ -44,7 +45,8 @@ from repro.serve import (
     ShardedRunner,
 )
 from repro.serve import collective
-from repro.serve.collective import CollectiveFaultEvent, CollectiveStats
+from repro.serve.collective import CollectiveStats
+from repro.serve.faults import FaultEvent
 from repro.serve.shard import partition_bounds
 from repro.serve.workloads import tiny_runner
 
@@ -320,7 +322,7 @@ class TestCollectiveTransport:
         )  # fmt: skip
         events = injector.events
         assert len(events) == 369 and sum(e.kind == "corrupt" and e.attempt > 0 for e in events) == 48
-        hit = {(event.seq, event.shard_id) for event in events if event.attempt == 0}
+        hit = {(event.key, event.victim) for event in events if event.attempt == 0}
         assert len(crc32_calls) == len(hit) + group.stats.corruption_caught
 
     def test_a_non_integer_axis_is_refused_before_it_is_charged(self):
@@ -354,10 +356,15 @@ class TestCollectiveTransport:
             (CollectiveFaultInjector, dict(delay_rate=math.nan), "delay_rate"),
             (CollectiveFaultInjector, dict(duplicate_rate=math.inf), "duplicate_rate"),
             (CollectiveFaultInjector, dict(kill_rate=2), "kill_rate"),
+            (CollectiveFaultInjector, dict(drop_rate="0.5"), r"drop_rate must be a real number in \[0, 1\], got '0\.5'"),
+            (CollectiveFaultInjector, dict(corrupt_at={1.5: 0}), r"corrupt_at key must be an integer >= 0, got 1\.5"),
             (CollectiveFaultInjector, dict(max_kills=-1), "max_kills"),
             (CollectiveFaultInjector, dict(max_kills=2.5), r"max_kills must be an integer >= 0, got 2\.5"),
             (CollectiveGroup, dict(fault_injector=CollectiveFaultInjector(drop_at={4: 2})), "shard 2"),
             (CollectiveGroup, dict(fault_injector=CollectiveFaultInjector(kill_at={0: -1})), "shard -1"),
+            (CollectiveGroup, dict(fault_injector=CollectiveFaultInjector(delay_at={3: 0.5})), r"shard 0\.5, not an integer"),
+            (ReplicaPool, dict(fault_injector=FaultInjector(kill_at={1: 7})), r"kill at pool iteration 1 names replica 7, not an integer in \[0, 2\)"),
+            (ReplicaPool, dict(fault_injector=FaultInjector(stall_at={2: -1})), "replica -1"),
             (CollectiveGroup, dict(bandwidth_gb_s=0.0), "bandwidth_gb_s"),
             (CollectiveGroup, dict(bandwidth_gb_s=math.inf), "bandwidth_gb_s"),
             (CollectiveGroup, dict(latency_ms=-0.01), "latency_ms"),
@@ -369,7 +376,7 @@ class TestCollectiveTransport:
         ],
     )
     def test_configuration_is_validated(self, build, options, match):
-        arguments = (2,) if build is CollectiveGroup else ()
+        arguments = (tiny_runner(), 2) if build is ReplicaPool else (2,) if build is CollectiveGroup else ()
         with pytest.raises(ConfigurationError, match=match):
             build(*arguments, **options)
         # The boundaries themselves are legal.
@@ -418,7 +425,7 @@ class ReferenceInjector:
             elif draws[4] < self.duplicate_rate:
                 kind = "duplicate"
         if kind is not None:
-            self.events.append(CollectiveFaultEvent(seq, shard_id, kind, attempt))
+            self.events.append(FaultEvent(seq, shard_id, kind, attempt))
         return kind
 
 
@@ -447,6 +454,97 @@ def test_block_reading_injector_replays_the_per_attempt_schedule(seed, rates, ma
     )  # fmt: skip
     assert [injector.draw(*call) for call in calls] == [reference.draw(*call) for call in calls]
     assert injector.events == reference.events
+
+
+class ReferenceReplicaInjector:
+    """``FaultInjector.draw`` as it stood before both chaos layers shared one
+    schedule, verbatim: a scripted fault reads no uniforms, and a capped kill
+    fires nothing."""
+
+    def __init__(self, seed, rates, scripts, max_kills=None):
+        self.rng = np.random.default_rng(seed)
+        self.kill_rate, self.exhaust_rate, self.stall_rate = rates
+        self.kill_at, self.exhaust_at, self.stall_at = scripts
+        self.max_kills = max_kills
+        self.events = []
+        self._kills = 0
+
+    def draw(self, iteration, replica_id):
+        kind = None
+        if self.kill_at.get(iteration) == replica_id:
+            kind = "kill"
+        elif self.exhaust_at.get(iteration) == replica_id:
+            kind = "exhaust"
+        elif self.stall_at.get(iteration) == replica_id:
+            kind = "stall"
+        else:
+            # One draw per fault kind, always consumed in the same order, so
+            # the schedule is a pure function of (seed, call sequence).
+            draws = self.rng.random(3)
+            if draws[0] < self.kill_rate:
+                kind = "kill"
+            elif draws[1] < self.exhaust_rate:
+                kind = "exhaust"
+            elif draws[2] < self.stall_rate:
+                kind = "stall"
+        if kind == "kill":
+            if self.max_kills is not None and self._kills >= self.max_kills:
+                return None
+            self._kills += 1
+        if kind is not None:
+            self.events.append(FaultEvent(iteration, replica_id, kind))
+        return kind
+
+
+def _replica_injector(seed, rates, scripts, max_kills=None):
+    options = dict(zip(("kill_rate", "exhaust_rate", "stall_rate"), rates))
+    options.update(zip(("kill_at", "exhaust_at", "stall_at"), scripts))
+    return FaultInjector(seed, max_kills=max_kills, **options)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rates=st.tuples(_RATE, _RATE, _RATE),
+    scripts=st.tuples(_SCRIPT, _SCRIPT, _SCRIPT),
+    scripted=st.booleans(),
+    calls=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 3)), max_size=200),
+)
+def test_shared_schedule_replays_the_replica_draws(seed, rates, scripts, scripted, calls):
+    """Rate-only or script-only, with no kill cap, the replica pool's draws
+    fire what its own ``draw`` did — across the 64-draw block boundary too."""
+    rates, scripts = ((0.0,) * 3, scripts) if scripted else (rates, ({},) * 3)
+    reference, injector = ReferenceReplicaInjector(seed, rates, scripts), _replica_injector(seed, rates, scripts)
+    assert [injector.draw(*call) for call in calls] == [reference.draw(*call) for call in calls]
+    assert injector.events == reference.events
+
+
+class TestSharedScheduleRules:
+    """The three rules the two injectors did not share, each with a schedule it changes."""
+
+    def test_a_scripted_replica_fault_reads_its_uniforms(self):
+        """Every draw reads ``len(KINDS)`` uniforms; the replica skipped them on a scripted fault."""
+        rates, scripts = (0.5, 0.0, 0.0), ({}, {}, {0: 0})
+        injector = _replica_injector(0, rates, scripts)
+        reference = ReferenceReplicaInjector(0, rates, scripts)
+        assert [injector.draw(i, 0) for i in range(4)] == ["stall", "kill", None, None]
+        assert [reference.draw(i, 0) for i in range(4)] == ["stall", None, "kill", None]
+
+    def test_a_capped_replica_kill_falls_through(self):
+        """Past ``max_kills`` the next kind is tried; the replica fired nothing."""
+        rates, scripts = (1.0, 1.0, 0.0), ({}, {}, {})
+        injector = _replica_injector(0, rates, scripts, max_kills=1)
+        reference = ReferenceReplicaInjector(0, rates, scripts, max_kills=1)
+        assert [injector.draw(i, 0) for i in range(3)] == ["kill", "exhaust", "exhaust"]
+        assert [reference.draw(i, 0) for i in range(3)] == ["kill", None, None]
+
+    def test_collective_kills_are_unbounded_by_default(self):
+        """``max_kills`` defaults to ``None`` on both layers; the collective's was 1."""
+        scripts = ({0: 0, 1: 1}, {}, {}, {}, {})
+        injector = CollectiveFaultInjector(kill_at=scripts[0])
+        reference = ReferenceInjector(0, (0.0,) * 5, 1, scripts)
+        assert [injector.draw(seq, seq, 0) for seq in (0, 1)] == ["kill", "kill"]
+        assert [reference.draw(seq, seq, 0) for seq in (0, 1)] == ["kill", None]
 
 
 @pytest.mark.parametrize("num_shards", [2, 3, 4])
