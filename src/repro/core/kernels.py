@@ -291,7 +291,7 @@ class ForwardPlan:
 
     __slots__ = (
         "positions", "lengths", "batch", "negative", "attended", "parent_rows",
-        "_layout", "_row_chunks", "scatter", "_attention",
+        "_layout", "_row_chunks", "scatter", "_attention", "parts",
     )  # fmt: skip
 
     def __init__(self, positions, lengths=None) -> None:
@@ -316,6 +316,8 @@ class ForwardPlan:
         #: ``(block index, table version, targets, offsets)`` — owned by ``PagedKVCache.write``.
         self.scatter: Optional[tuple] = None
         self._attention: Optional[tuple] = None
+        #: Set by :meth:`split`: ``(flat rows, sequences, sub-plan)`` per part.
+        self.parts: Optional[List[tuple]] = None
 
     @classmethod
     def of(cls, positions) -> "ForwardPlan":
@@ -351,6 +353,18 @@ class ForwardPlan:
         kept = ForwardPlan(self.positions[rows], np.bincount(self.rows[rows], minlength=self.batch))
         kept.parent_rows, kept.attended = rows, self.attended
         return kept
+
+    def split(self, apart: np.ndarray) -> "ForwardPlan":
+        """Give the sequences ``apart`` (a mask) a :func:`paged_attention` score buffer of their own; return the rest's plan.
+
+        Each part attends as a forward of its own would, bit for bit, padded to no other part's reach.
+        """
+        starts = self.positions[self.bounds[:-1]]
+        self.parts = [
+            (group[self.rows].nonzero()[0], group.nonzero()[0], ForwardPlan.ragged(starts[group], self.lengths[group]))
+            for group in (~apart, apart)
+        ]
+        return self.parts[0][2]
 
     @property
     def rows(self) -> np.ndarray:
@@ -696,6 +710,12 @@ def paged_attention(
     """
     plan = ForwardPlan.of(positions)
     num_heads, rows, d_head = queries.shape
+    if plan.parts is not None:  # sequences that attend apart (ForwardPlan.split)
+        context = np.empty((rows, num_heads, d_head))
+        for part_rows, members, part in plan.parts:
+            part_runs = [runs[member] for member in members]
+            context[part_rows] = paged_attention(queries[:, part_rows], key_pool, value_pool, part_runs, block_size, part)
+        return context
     segments, hidden_slots = plan.attention_layout(runs, block_size)
     # Zero-copy: the pools are C-contiguous with heads outermost.  The key
     # view is transposed once; each run slices it.

@@ -535,6 +535,26 @@ class TransformerRunner:
             raise ConfigurationError(f"{name} must be one integer per sequence, got {array.dtype} {array.shape}")
         return array.astype(np.int64, copy=False)
 
+    def _read_rows(self, tokens, cache: KVCacheLike, start, counts, wanted) -> Optional[np.ndarray]:
+        """One incremental forward; the logits of each sequence's last ``wanted[b]`` rows, ``None`` for none.
+
+        Sequence ``b``'s ``counts[b]`` flat rows start at ``start[b]``.  The
+        unread rows leave :meth:`_forward_rows` early, and a sequence nobody
+        reads (a prefill chunk riding a decode step) attends apart, as in a
+        forward of its own (:meth:`~repro.core.kernels.ForwardPlan.split`).
+        """
+        plan = kept = ForwardPlan.ragged(start, counts)
+        read = wanted.tolist()
+        if read != counts.tolist():
+            kept = plan.select((plan.positions >= (start + counts - wanted)[plan.rows]).nonzero()[0])
+            if any(read) and not all(read):
+                kept.attended = plan.split(wanted == 0).attended
+        hidden = self._forward_rows(tokens, cache, plan, None if kept is plan else kept)
+        cache.lengths[:] = start + counts
+        if not kept.positions.size:
+            return None
+        return self._project("lm_head", hidden, self.weights.lm_head, None, kept)
+
     def prefill(
         self,
         tokens: np.ndarray,
@@ -561,10 +581,9 @@ class TransformerRunner:
         the chunk's own causal window, exactly as a whole-prompt prefill
         would, and ``cache.lengths`` advances to ``start + lengths`` per row.
         ``return_logits=False`` returns ``None``: only a prompt's final
-        chunk is sampled from.  Either way :meth:`_forward_rows` is told
-        which rows are read — each sequence's final one, or none — and on
-        the fused path the others leave after the last block's KV write:
-        logits and every layer's pool bytes are those of carrying them on.
+        chunk is sampled from.  Either way the rows nobody reads leave early
+        (:meth:`_read_rows`): logits and every layer's pool bytes are those
+        of carrying them on.
         """
         tokens = np.asarray(tokens)
         if tokens.ndim != 2:
@@ -577,16 +596,8 @@ class TransformerRunner:
             start = np.zeros(batch, dtype=np.int64)
         else:
             start = self._per_sequence("start_positions", start_positions, batch)
-        plan = ForwardPlan.ragged(start, lengths)
-        kept = None  # every row is read (one token each); else each sequence's final row, or none
-        if not return_logits or plan.positions.size > batch:
-            kept = plan.select(plan.bounds[1:] - 1 if return_logits else plan.bounds[:0])
         real = np.arange(max_len, dtype=np.int64)[None, :] < lengths[:, None]
-        hidden = self._forward_rows(tokens[real], cache, plan, kept)
-        cache.lengths[:] = start + lengths
-        if not return_logits:
-            return None
-        return self._project("lm_head", hidden, self.weights.lm_head, None, plan if kept is None else kept)
+        return self._read_rows(tokens[real], cache, start, lengths, np.zeros(batch, dtype=np.int64) + return_logits)
 
     def verify(
         self,
@@ -618,13 +629,11 @@ class TransformerRunner:
         ``logit_rows[b]`` (optional, one integer in ``[0, lengths[b]]`` per
         sequence) says how many *trailing* rows of sequence ``b`` need
         logits: every row still runs and writes its KV, and only those rows'
-        logits come back, flat in order — ``(sum(logit_rows), vocab)``.  A
-        resumed request catches up this way (:class:`repro.serve.Scheduler`):
-        its rows are ``[replay tail..., pending, drafts...]`` and nothing is
-        sampled from the tail.  The LM head is skipped when nothing is asked
-        for; otherwise it runs over the forward's own plan and the rows are
-        cut from its result — the tail is shorter than a KV block, and a
-        second plan over the kept rows costs more than projecting them all.
+        logits come back, flat in order — ``(sum(logit_rows), vocab)``.  The
+        scheduler owes the cache rows this way (:class:`repro.serve.Scheduler`):
+        a resumed request's ``[replay tail..., pending, drafts...]``, and a
+        prefill chunk nobody samples riding as a sequence of its own with
+        ``logit_rows`` 0.  The unread rows leave early (:meth:`_read_rows`).
 
         Every provided token's KV is written to the cache (positions
         ``start .. start + length - 1``, never past a short row's
@@ -652,15 +661,8 @@ class TransformerRunner:
                     f"logit_rows {wanted.tolist()} must be one integer in [0, lengths[b]] per sequence, "
                     f"lengths {counts.tolist()}"
                 )
-        plan = ForwardPlan.ragged(start, counts)
-        hidden = self._forward_rows(tokens.reshape(-1), cache, plan)
-        cache.lengths[:] = start + counts
-        if logit_rows is not None and not wanted.any():
-            return np.zeros((0, self.config.vocab_size), dtype=np.float64)
-        logits = self._project("lm_head", hidden, self.weights.lm_head, None, plan)
-        if logit_rows is not None:
-            return logits[plan.positions >= (start + counts - wanted)[plan.rows]]
-        return logits
+        logits = self._read_rows(tokens.reshape(-1), cache, start, counts, counts if logit_rows is None else wanted)
+        return np.zeros((0, self.config.vocab_size), dtype=np.float64) if logits is None else logits
 
     def decode_step(self, tokens: np.ndarray, cache: KVCacheLike) -> np.ndarray:
         """Append one token per sequence and return next-token logits.

@@ -12,9 +12,9 @@ or explicit requantization), and every registry baseline unchanged.
 
 Properties that are load-bearing and covered by tests:
 
-* a request's continuation is independent of what it was batched with — the
-  scheduler prefills each prompt as its own batch-of-one forward and samples
-  from a per-request seeded generator, so this now holds *bit-identically*
+* a request's continuation is independent of what it was batched with — a
+  row's result depends on its position, not on the rows sharing its forward,
+  and each request samples from its own seeded generator, so this holds *bit-identically*
   for Tender's integer pipeline (and up to ~1e-15 BLAS row-blocking noise in
   the FP baseline's logits, which never changes its sampled tokens);
 * greedy decoding through the KV-cache reproduces the full-sequence

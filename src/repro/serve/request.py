@@ -20,7 +20,6 @@ from typing import List, Optional, Union
 import numpy as np
 
 from repro.errors import ConfigurationError, require_count
-from repro.serve.paged_kv_cache import SlotBatchView
 from repro.serve.spec import _SpecState
 
 
@@ -219,8 +218,6 @@ class RequestCheckpoint(Request):
     #: Leading ``replay`` tokens already in the KV cache (prefix hits plus
     #: prefilled chunks).
     prefill_pos: int = 0
-    #: Batch-of-one view reused across this request's prefill chunks.
-    prefill_view: Optional[SlotBatchView] = None
     #: Per-request adaptive speculation state (None until a speculating
     #: scheduler admits the record); counters and EMA ride along.
     spec: Optional[_SpecState] = None

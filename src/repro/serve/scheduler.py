@@ -42,14 +42,16 @@ and :class:`~repro.serve.stats.SchedulerStats` counts what serving it cost.
 A **resume** is the admission of a record that already holds sampled tokens
 (a preemption replay, a :meth:`Scheduler.submit_checkpoint` recovery): it
 replays ``prompt + generated[:-1]`` into the cache and samples nothing.
-When the prefix match leaves less than one block of that replay to compute,
-the resume gets no forward of its own — those rows *ride* the step's decode
-forward in front of its pending token (:meth:`Scheduler._admit_next`).
+Rows nobody samples *ride* the step's decode forward instead of running one
+of their own: a chunk that leaves its prompt or replay unfinished, as a
+sequence of its own (:meth:`Scheduler._advance_prefill`), and a resume left
+with less than one block to compute, in front of its pending token
+(:meth:`Scheduler._admit_next`).
 
 Determinism and parity are load-bearing: each request samples from its *own*
-``numpy`` generator seeded with :attr:`GenerationConfig.seed`, and each
-prefill chunk runs as its own batch-of-one forward, so a request's output is
-independent of what it happens to share the batch with.  For Tender's
+``numpy`` generator seeded with :attr:`GenerationConfig.seed`, and a row's
+result depends on its position, not on the rows sharing its forward, so a
+request's output is independent of what it happens to share the batch with.  For Tender's
 integer pipeline the per-request outputs are bit-identical to running the
 request alone — *including* with ``prefix_cache=True``: cached KV blocks
 hold exactly the values a cold prefill would recompute (integer kernels are
@@ -266,9 +268,11 @@ class Scheduler:
         self._prefilling: List[RequestCheckpoint] = []
         #: Decoding requests by slot, in the order they finished prefilling.
         self._active: Dict[int, RequestCheckpoint] = {}
-        #: Decode-batch view reused across iterations while the active slot
-        #: set is unchanged (its lengths and block index persist in place).
+        #: The decode forward's view (decoding slots, then the riding one) reused
+        #: while its slot list is unchanged (lengths and block index persist).
         self._decode_view: Optional[SlotBatchView] = None
+        #: This step's riding chunk: its record and where the chunk ends.
+        self._ride: Optional[Tuple[RequestCheckpoint, int]] = None
         self._next_request_id = 0
 
     # ------------------------------------------------------------------
@@ -468,9 +472,9 @@ class Scheduler:
         scheduler.has_pending: scheduler.step()`` loop always makes
         progress), expire, spend the one prefill budget (see the module
         docstring) on continuing prefills and then on admissions, and run
-        the decode half: every active request's rows in one forward.  The
-        clock ticks once per forward, so a resume that rides the decode
-        forward adds no tick, and no pending tail outlives the step.
+        the decode half: every active request's rows and the riding chunk's
+        in one forward.  The clock ticks once per chunk, as it is decided,
+        and once per decode iteration, and no pending ride outlives the step.
 
         Returns
         -------
@@ -481,9 +485,9 @@ class Scheduler:
         self._wake()
         self._expire_deadlines(finished)
         budget = self._continue_prefills(self.prefill_chunk or math.inf, finished)
-        self._promote_arrivals()  # the continuing chunks' forwards ticked the clock
+        self._promote_arrivals()  # the continuing chunks ticked the clock
         self._prefill_admissions(budget, finished)
-        if self._active:
+        if self._active or self._ride is not None:
             self._decode_iteration(finished)
         return finished
 
@@ -656,7 +660,8 @@ class Scheduler:
         head retries its reservation peel victims in least-valuable-first
         order.  Returns False (and preempts nothing) when preemption is
         disabled or no strictly lower-priority victim exists; admission then
-        stops exactly as without preemption.
+        stops exactly as without preemption.  A victim's pending ride runs
+        first, alone, so :meth:`_preempt` publishes what the chunk computed.
         """
         if not self.preemption:
             return False
@@ -667,9 +672,10 @@ class Scheduler:
         ]
         if not candidates:
             return False
-        self._preempt(
-            max(candidates, key=lambda r: (r.priority, r.admitted_at, r.request_id))
-        )
+        victim = max(candidates, key=lambda r: (r.priority, r.admitted_at, r.request_id))
+        if self._ride is not None and self._ride[0] is victim:
+            self._decode_iteration([], decoding=False)
+        self._preempt(victim)
         return True
 
     def _preempt(self, record: RequestCheckpoint) -> None:
@@ -708,25 +714,28 @@ class Scheduler:
     def _advance_prefill(
         self, record: RequestCheckpoint, budget: float, finished: List[RequestOutput]
     ) -> int:
-        """Prefill up to ``budget`` prompt tokens of one request in one forward; return how many.
+        """Prefill up to ``budget`` prompt tokens of one request; return how many.
 
-        When the chunk reaches the end of the prompt the request's prefix
-        blocks are published for future sharing, its first token is sampled
-        from the chunk's final logits, and it joins the decode batch.
+        A chunk that leaves the replay unfinished samples nothing: it spends
+        the budget and rides this step's decode forward.  The last chunk is
+        one batch-of-one forward: the prefix blocks are published, a fresh
+        prompt's first token is sampled, and the request joins the decode
+        batch.  Either way the clock ticks as the chunk is decided.
         """
         tokens = record.replay
         begin = record.prefill_pos
         end = min(len(tokens), begin + budget)
-        chunk = tokens[begin:end]
-        if record.prefill_view is None:
-            record.prefill_view = self.cache.view([record.slot])
-        view = record.prefill_view
-        # Only the final chunk of a *fresh* prompt needs logits (they seed
-        # sampling); intermediate chunks — and every chunk of a preemption
-        # replay, whose next token was sampled before the preemption — skip
-        # the LM-head projection entirely.
-        samples = end == len(tokens) and not record.generated
         tracer = self.tracer
+        if end < len(tokens):
+            self._ride = (record, end)
+            if tracer is not None:
+                tracer.instant("prefill_chunk", self.trace_track, record.trace_corr, start=begin, tokens=end - begin)
+            self.stats.prefill_iterations += 1
+            self.stats.prefill_tokens += end - begin
+            self.now += 1.0
+            return end - begin
+        view = self.cache.view([record.slot])
+        samples = not record.generated
         if tracer is not None:
             tracer.begin(
                 "prefill_chunk",
@@ -737,8 +746,8 @@ class Scheduler:
             )
         try:
             logits = self.runner.prefill(
-                chunk[None, :],
-                np.array([len(chunk)]),
+                tokens[None, begin:],
+                np.array([end - begin]),
                 view,
                 start_positions=np.array([begin]),
                 return_logits=samples,
@@ -747,26 +756,24 @@ class Scheduler:
         finally:
             if tracer is not None:
                 tracer.end(self.trace_track)
-        record.prefill_pos = end
         self.stats.prefill_iterations += 1
-        self.stats.prefill_tokens += len(chunk)
+        self.stats.prefill_tokens += end - begin
         self.now += 1.0
-        if end == len(tokens):
-            self._prefilling.remove(record)
-            self._replay_complete(record)
-            self._active[record.slot] = record
-            if samples:
-                reason = self._commit(record, logits, self._picks(logits))[1]
-                if reason is not None:
-                    self._finalize(record, reason, finished)
-        return len(chunk)
+        self._prefilling.remove(record)
+        self._replay_complete(record)
+        self._active[record.slot] = record
+        self._decode_view = None  # the cached view may hold this slot as a rider, at its ride's length
+        if samples:
+            reason = self._commit(record, logits, self._picks(logits))[1]
+            if reason is not None:
+                self._finalize(record, reason, finished)
+        return end - begin
 
     def _replay_complete(self, record: RequestCheckpoint) -> None:
         """The cache now holds all of ``record.replay``: publish it for sharing, drop it."""
         if self.prefix_cache:
             self.cache.publish_prefix(record.slot, record.replay)
         record.replay = None
-        record.prefill_view = None
 
     def _draft(self, state: RequestCheckpoint) -> np.ndarray:
         """``state``'s proposal for this iteration: up to ``draft_len`` tokens, possibly none.
@@ -782,21 +789,24 @@ class Scheduler:
         proposal = self.speculation.drafter.propose(state.request_id, sequence, cap)
         return np.asarray(proposal, dtype=np.int64).reshape(-1)[:cap]
 
-    def _decode_iteration(self, finished: List[RequestOutput]) -> None:
+    def _decode_iteration(self, finished: List[RequestOutput], decoding: bool = True) -> None:
         """The decode half of a step: assemble rows, one forward, commit.
 
-        Every active request contributes ``[tail..., pending, drafts...]``:
-        the replay rows a riding resume still owes the cache (:meth:`_admit_next`;
-        none for everyone else), its already-sampled next token, and — under
-        speculation — its *own* proposal (:meth:`_draft`; none is a plain
-        decode row).  No row is computed, or written to the cache, for the
-        sake of another row's depth.  One row each is an ordinary batched
+        Every sequence contributes ``[owed..., pending, drafts...]``: the
+        rows it owes the cache (a riding resume's tail, :meth:`_admit_next`;
+        the riding chunk, a sequence of nothing else), its already-sampled
+        next token, and — under speculation — its *own* proposal
+        (:meth:`_draft`; none is a plain decode row).  No row is computed,
+        or written to the cache, for another row's depth.  One row each is an
+        ordinary batched
         :meth:`~repro.models.inference.TransformerRunner.decode_step`, so
-        neither speculation nor resumption costs traffic that has neither;
+        neither speculation nor riding costs traffic that has neither;
         anything else is one ragged
         :meth:`~repro.models.inference.TransformerRunner.verify` over exactly
         those rows, asked (``logit_rows``) only for the logits something is
-        sampled from when a tail rides.
+        sampled from when rows are owed.  With no active request (or
+        ``decoding=False``: :meth:`_preempt_for`) the chunk runs alone and
+        books no decode iteration.
 
         A tail completes its replay as a prefill's last chunk would —
         publish, then commit — so a request that finishes in the forward it
@@ -805,20 +815,27 @@ class Scheduler:
         (``min_capacity`` = the reservation, so reserve-once survives) and
         only the slot's length moves — no row sees the rolled-back bytes.
         """
-        states = list(self._active.values())
+        states = list(self._active.values()) if decoding else []
+        ride, self._ride = self._ride, None
         batch, slots = len(states), [state.slot for state in states]
+        if ride is not None:
+            slots.append(ride[0].slot)
         view = self._decode_view
-        if view is None or view.slot_ids != slots:  # rebuilt only when the slot set changed
+        if view is None or view.slot_ids != slots:  # rebuilt only when the slot list changed
             view = self._decode_view = self.cache.view(slots)
         riders = [state for state in states if state.replay is not None]
         drafts, rows, tail_rows = [_NO_TOKENS] * batch, batch, 0
-        if riders or self.speculation is not None:  # else one row each: nothing to lay out
-            tails = [_NO_TOKENS if s.replay is None else s.replay[s.prefill_pos :] for s in states]
+        if riders or ride is not None or self.speculation is not None:  # else one row each: nothing to lay out
+            owed = [_NO_TOKENS if s.replay is None else s.replay[s.prefill_pos :] for s in states]
             if self.speculation is not None:
                 drafts = [self._draft(state) for state in states]
-            lengths = [len(tail) + 1 + len(draft) for tail, draft in zip(tails, drafts)]
-            rows, tail_rows = sum(lengths), sum(map(len, tails))
-        drafted = rows - batch - tail_rows
+            pieces = [piece for s, tail, draft in zip(states, owed, drafts) for piece in (tail, s.generated[-1:], draft)]
+            lengths = [len(tail) + 1 + len(draft) for tail, draft in zip(owed, drafts)]
+            if ride is not None:  # one more sequence: the chunk's rows, nothing sampled
+                pieces.append(ride[0].replay[ride[0].prefill_pos : ride[1]])
+                lengths.append(len(pieces[-1]))
+            rows, tail_rows = sum(lengths), sum(map(len, owed))
+        drafted = sum(map(len, drafts))
         tracer = self.tracer
         if tracer is not None:
             ragged = {"rows": rows} if rows > batch else {}
@@ -830,15 +847,11 @@ class Scheduler:
                 tokens = np.array([state.generated[-1] for state in states], dtype=np.int64)
                 logits = self.runner.decode_step(tokens, view)
             else:
-                tokens = np.concatenate(
-                    [
-                        piece
-                        for state, tail, draft in zip(states, tails, drafts)
-                        for piece in (tail, state.generated[-1:], draft)
-                    ]
-                )
-                # Nothing is sampled from a tail row; without one every row's logits are wanted.
-                heads = {"logit_rows": [len(draft) + 1 for draft in drafts]} if tail_rows else {}
+                tokens = np.concatenate(pieces)
+                # Nothing is sampled from an owed row; without one every row's logits are wanted.
+                read = {}
+                if tail_rows or ride is not None:
+                    read["logit_rows"] = [len(draft) + 1 for draft in drafts] + [0] * (ride is not None)
                 # Handed over as one (1, rows) row, which verify() flattens: the
                 # benchmark's span probe reads a 2-D np.shape() off this argument.
                 logits = self.runner.verify(
@@ -846,7 +859,7 @@ class Scheduler:
                     view,
                     view.lengths.copy(),
                     lengths=np.array(lengths, dtype=np.int64),
-                    **heads,
+                    **read,
                 )
             # The runner advanced every row by its own length; commit that
             # high-water mark first so truncate() knows how far the optimistic
@@ -856,10 +869,15 @@ class Scheduler:
         finally:
             if tracer is not None:
                 tracer.end(self.trace_track)
-        self.stats.decode_iterations += 1
-        self.stats.decode_slot_steps += batch
+        if ride is not None:
+            ride[0].prefill_pos = ride[1]
         self.stats.prefill_tokens += tail_rows
         self.stats.resume_tail_rows += tail_rows
+        if not batch:
+            return
+        self.stats.decode_iterations += 1
+        self.stats.decode_slot_steps += batch
+        self.stats.ridden_chunks += ride is not None
         if drafted:
             self.stats.spec_verify_iterations += 1
             self.stats.spec_verify_rows += batch + drafted
@@ -1035,7 +1053,6 @@ class Scheduler:
         record.slot = -1
         record.replay = None
         record.prefill_pos = 0
-        record.prefill_view = None
         if self.speculation is not None:
             self.speculation.drafter.release(request_id)
         return record

@@ -84,14 +84,15 @@ class SchedulerStats(Counters):
     HIGH_WATER = ("peak_active",)
     LEVELS = ("peak_active", "idle_time")
 
-    #: Prefill *forwards* executed (one per chunk; a riding resume runs none).
+    #: Prefill chunks computed (one forward each but the ridden; a riding resume is none).
     prefill_iterations: int = 0
-    #: Prompt / replay tokens computed rather than served from the prefix
-    #: cache: by prefill forwards or, ``resume_tail_rows`` of them, while riding.
+    #: Chunks that rode a decode forward: prefill forwards are ``prefill_iterations - ridden_chunks``.
+    ridden_chunks: int = 0
+    #: Prompt / replay tokens computed rather than served from the prefix cache
+    #: (every runner row is one, a decode slot step or a proposed draft token).
     prefill_tokens: int = 0
     #: The part of ``prefill_tokens`` resumes caught up on inside a decode
-    #: forward (:meth:`Scheduler._admit_next`): the rows a runner sees on its decode
-    #: side are ``decode_slot_steps + spec_proposed_tokens + resume_tail_rows``.
+    #: forward (:meth:`Scheduler._admit_next`).
     resume_tail_rows: int = 0
     #: Prompt tokens served from the prefix cache instead of being computed.
     prefix_hit_tokens: int = 0
@@ -141,8 +142,8 @@ class SchedulerStats(Counters):
 
     @property
     def total_iterations(self) -> int:
-        """Model forward passes executed (prefill + decode)."""
-        return self.prefill_iterations + self.decode_iterations
+        """Model forward passes executed (prefill + decode, a ridden chunk none of its own)."""
+        return self.prefill_iterations - self.ridden_chunks + self.decode_iterations
 
     def tokens_per_iteration(self) -> float:
         """Generated tokens per forward pass — the batching-efficiency metric.

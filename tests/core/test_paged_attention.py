@@ -153,6 +153,29 @@ class TestMultiTokenQueries:
             else:
                 np.testing.assert_array_equal(fused[:, lo:hi], reference[0])
 
+    @pytest.mark.parametrize("fragment", [False, True])
+    def test_a_split_part_computes_what_it_computes_alone(self, rng, fragment):
+        """A shallow chunk split apart from deep decode rows (``ForwardPlan.split``):
+        each part's rows equal the kernel run on that part alone, bit for bit,
+        so neither is padded to the other's width."""
+        pool = PagedKVCache(num_layers=1, num_heads=2, d_head=BLOCK, block_size=BLOCK, num_blocks=24)
+        slots = fill_slots(pool, rng, [4 * BLOCK, 3 * BLOCK + 3, 2 * BLOCK], fragment=fragment)
+        starts, lengths = np.array([4 * BLOCK - 1, 3 * BLOCK + 2, BLOCK // 2]), np.array([1, 1, BLOCK + 2])
+        apart = np.array([False, False, True])
+        plan = ForwardPlan.ragged(starts, lengths)
+        kept = plan.split(apart)
+        assert kept.attended == plan.attended == 4 * BLOCK and plan.parts[1][2].attended == 2 * BLOCK
+        queries = rng.normal(size=(2, int(lengths.sum()), BLOCK))
+        key_pool, value_pool, runs, block_size = pool.view(slots).attention_operands(0)
+        split = paged_attention(queries, key_pool, value_pool, runs, block_size, plan)
+        for group in (~apart, apart):
+            rows = np.flatnonzero(group[plan.rows])
+            alone = paged_attention(
+                queries[:, rows], key_pool, value_pool, [runs[b] for b in group.nonzero()[0]], block_size,
+                ForwardPlan.ragged(starts[group], lengths[group]),
+            )  # fmt: skip
+            np.testing.assert_array_equal(split[rows], alone)
+
 
 HEADS, D_HEAD, WIDE_BLOCK = 4, 16, 8
 #: ``(starts, lengths)`` of one forward's sequences, by the shape they exercise.

@@ -446,7 +446,7 @@ class TestPoolSurface:
         for name in counters:
             fold = max if name == "peak_active" else sum
             assert getattr(merged, name) == fold(getattr(s.stats, name) for s in schedulers), name
-        assert len(counters) == 18
+        assert len(counters) == 19
         assert merged.spec_proposed_tokens > 0 and merged.decode_slot_steps > 0
         assert merged.generated_tokens == sum(len(output.generated) for output in outputs)
         every = [s.stats for s in schedulers]

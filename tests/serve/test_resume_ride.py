@@ -1,22 +1,27 @@
-"""A resumed request catches up inside the decode forward.
+"""Rows nobody samples ride the decode forward.
 
 A record that already holds sampled tokens — a preemption replay, a
 ``submit_checkpoint`` recovery — and whose replay leaves less than one block
 to compute after the prefix match gets no forward of its own: it joins the
 decode set with that tail pending and the step's one decode-side forward
-carries ``[tail..., pending, drafts...]`` as its rows.  One lattice composes
-the ride with every other scheduler feature; the corners pin the threshold,
-the fallbacks and the exits.  Everywhere the oracle is the plain, undisturbed
-serve on the solo runner: tokens *and* committed logits, bit for bit.
+carries ``[tail..., pending, drafts...]`` as its rows.  A prefill chunk that
+leaves its prompt or replay unfinished rides the same forward as a sequence
+of its own.  One lattice per ride composes it with every other scheduler
+feature; the corners pin the threshold, the fallbacks and the exits.
+Everywhere the oracle is the plain, undisturbed serve on the solo runner:
+tokens *and* committed logits, bit for bit.
 """
 
 import numpy as np
 import pytest
 
+from repro.errors import ReplicaFailureError
 from repro.serve import (
+    FaultInjector,
     GenerationConfig,
     ModelDraft,
     PromptLookupDraft,
+    ReplicaPool,
     Request,
     Scheduler,
     ShardedRunner,
@@ -41,6 +46,8 @@ class Forwards:
         self.runner = runner
         self.prefills = []  # (rows, wants logits)
         self.decode_side = []  # (rows, resume-tail rows)
+        self.chunk_rides = []  # rows of each chunk that rode a decode-side forward
+        self.alone = 0  # decode-side forwards that carried a ride and nothing to sample
         prefill, decode_step, verify = runner.prefill, runner.decode_step, runner.verify
 
         def counted_prefill(tokens, lengths, *args, **kwargs):
@@ -53,8 +60,10 @@ class Forwards:
 
         def counted_verify(tokens, *args, **kwargs):
             lengths = np.asarray(kwargs["lengths"])
-            tails = lengths - np.asarray(kwargs.get("logit_rows", lengths))
-            self.decode_side.append((int(np.size(tokens)), int(tails.sum())))
+            heads = np.asarray(kwargs.get("logit_rows", lengths))
+            self.chunk_rides += lengths[heads == 0].tolist()
+            self.alone += not heads.any()
+            self.decode_side.append((int(np.size(tokens)), int((lengths - heads)[heads > 0].sum())))
             return verify(tokens, *args, **kwargs)
 
         runner.prefill, runner.decode_step, runner.verify = counted_prefill, counted_decode_step, counted_verify
@@ -96,14 +105,22 @@ def assert_same(outputs, oracle):
 
 
 def assert_rows_booked(stats, forwards):
-    """Every row the runner saw is booked exactly once by the scheduler."""
-    assert len(forwards.prefills) == stats.prefill_iterations
-    assert len(forwards.decode_side) == stats.decode_iterations
+    """Every row the runner saw is booked exactly once by the scheduler.
+
+    A chunk nobody samples is no prefill forward: it rides a decode
+    iteration's forward (``ridden_chunks``), or one of its own when nobody
+    decodes.
+    """
+    ridden = len(forwards.chunk_rides)
+    assert len(forwards.prefills) + ridden == stats.prefill_iterations
+    assert ridden - forwards.alone == stats.ridden_chunks
+    assert len(forwards.decode_side) - forwards.alone == stats.decode_iterations
+    assert len(forwards.prefills) + len(forwards.decode_side) == stats.total_iterations
     assert forwards.tail_rows == stats.resume_tail_rows
     prefill_rows = sum(rows for rows, _ in forwards.prefills)
-    assert prefill_rows + forwards.tail_rows == stats.prefill_tokens
+    assert prefill_rows + sum(forwards.chunk_rides) + forwards.tail_rows == stats.prefill_tokens
     assert sum(rows for rows, _ in forwards.decode_side) == (
-        stats.decode_slot_steps + stats.spec_proposed_tokens + stats.resume_tail_rows
+        stats.decode_slot_steps + stats.spec_proposed_tokens + stats.resume_tail_rows + sum(forwards.chunk_rides)
     )
 
 
@@ -378,3 +395,176 @@ class TestCorners:
         assert not scheduler.has_pending
         assert scheduler.cache.free_block_count == scheduler.cache.num_blocks
         check_pool_invariants(scheduler.cache)
+
+
+# ----------------------------------------------------------------------
+# Chunks nobody samples
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def every_runner(runners):
+    return {**runners, "fp": tiny_runner("fp", num_heads=4)}
+
+
+@pytest.fixture(scope="module")
+def one_at_a_time(every_runner):
+    """Each request served alone on a fresh scheduler: nothing shared, chunked, preempted or drafted."""
+    served = {}
+    for scheme, runner in every_runner.items():
+        served[scheme] = {}
+        for request_id, request in enumerate(two_class_requests()):
+            scheduler = Scheduler(runner, GenerationConfig(), block_size=BLOCK)
+            scheduler.submit(request.prompt, max_new_tokens=request.max_new_tokens)
+            served[scheme][request_id] = drain(scheduler)[0]
+    return served
+
+
+def serve_two_class(runner, prefill_chunk, prefix_cache, drafter):
+    """The two-class trace under preemption; also the steps where a riding chunk met a decode set."""
+    scheduler = Scheduler(
+        runner, GenerationConfig(), max_batch_size=2, block_size=BLOCK, preemption=True,
+        prefix_cache=prefix_cache, prefill_chunk=prefill_chunk, speculation=DRAFTERS[drafter](runner),
+    )  # fmt: skip
+    for request in two_class_requests():
+        scheduler.submit(request)
+    with Forwards(runner) as forwards:
+        outputs, meets, stats = {}, 0, scheduler.stats
+        while scheduler.has_pending:
+            before = (stats.prefill_iterations, len(forwards.prefills), forwards.alone, stats.decode_iterations)
+            step(scheduler, outputs)
+            chunks, prefills, alone, decodes = (
+                now - then
+                for now, then in zip(
+                    (stats.prefill_iterations, len(forwards.prefills), forwards.alone, stats.decode_iterations), before
+                )
+            )
+            meets += chunks > prefills + alone and decodes > 0
+    return scheduler, outputs, forwards, meets
+
+
+@pytest.mark.parametrize("drafter", [None, "lookup"], ids=lambda d: d or "plain")
+@pytest.mark.parametrize("prefill_chunk", [5, 16])
+@pytest.mark.parametrize("prefix_cache", [True, False], ids=["cached", "uncached"])
+@pytest.mark.parametrize("scheme", SCHEMES + ["fp"])
+def test_chunk_ride_lattice(every_runner, one_at_a_time, scheme, prefix_cache, prefill_chunk, drafter):
+    """Tokens equal the unchunked serve's and the one-at-a-time serve's (Tender:
+    committed logits bit for bit), every row is booked once, and a chunk that
+    meets a decode set rides it."""
+    runner = every_runner[scheme]
+    _, unchunked, _, _ = serve_two_class(runner, None, prefix_cache, drafter)
+    scheduler, outputs, forwards, meets = serve_two_class(runner, prefill_chunk, prefix_cache, drafter)
+    for oracle in (unchunked, one_at_a_time[scheme]):
+        assert outputs.keys() == oracle.keys()
+        for request_id, expected in oracle.items():
+            np.testing.assert_array_equal(outputs[request_id].generated, expected.generated)
+            if scheme != "fp":
+                np.testing.assert_array_equal(outputs[request_id].step_logits, expected.step_logits)
+    stats = scheduler.stats
+    assert stats.preemptions >= 2
+    assert_rows_booked(stats, forwards)
+    assert (stats.ridden_chunks > 0) == (meets > 0) and stats.ridden_chunks <= meets
+    assert meets > 0 or prefill_chunk == 16  # five-token chunks always meet a decode set here
+    assert scheduler.cache.free_block_count == scheduler.cache.num_blocks
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_a_sampling_chunk_never_rides(runners, scheme):
+    """A prompt's last chunk samples the first token from a forward of its own,
+    and a replay's last chunk is one too; only the chunks before them ride."""
+    runner = runners[scheme]
+    expected = served_alone(runner, prompt_len=20, budget=6)
+    scheduler = Scheduler(runner, GenerationConfig(max_new_tokens=6), block_size=BLOCK, prefill_chunk=8)
+    scheduler.submit(np.arange(3, 23))
+    with Forwards(runner) as forwards:
+        outputs = {}
+        step(scheduler, outputs)
+        step(scheduler, outputs)
+        assert forwards.prefills == [] and forwards.chunk_rides == [8, 8]
+        assert not scheduler._requests[0].generated
+        step(scheduler, outputs)
+        assert forwards.prefills == [(4, True)] and forwards.decode_side == [(8, 0), (8, 0), (1, 0)]
+        # Each chunk ticked the clock once as it was decided, riding or not.
+        assert scheduler._requests[0].first_token_at == 3.0
+        assert len(scheduler._requests[0].generated) == 2  # and it decoded in the same step
+        while len(scheduler._requests[0].generated) < 4:
+            step(scheduler, outputs)
+        resumed = scheduler.submit_checkpoint(scheduler.checkpoint(0))  # replays 23 rows, cache off
+        del forwards.prefills[:], forwards.chunk_rides[:]
+        drain(scheduler, outputs)
+    assert forwards.chunk_rides == [8, 8] and forwards.prefills == [(7, False)]
+    assert scheduler.stats.ridden_chunks == 0  # nobody was decoding: every ride ran alone
+    assert_same(outputs, {resumed: expected})
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_a_preempted_pending_ride_flushes_first(runners, scheme):
+    """The victim's chunk was decided this step and waits to ride: it runs first,
+    alone, so preemption publishes the blocks it was charged for and the resume
+    matches them — 32 prefix hits, not the 16 its cache held before the step."""
+    runner = runners[scheme]
+    expected = served_alone(runner, prompt_len=40, budget=4)
+    scheduler = Scheduler(
+        runner, GenerationConfig(max_new_tokens=4), max_batch_size=1, block_size=BLOCK,
+        preemption=True, prefix_cache=True, prefill_chunk=16,
+    )  # fmt: skip
+    victim = scheduler.submit(np.arange(3, 43), priority=5)
+    step(scheduler, {})  # its first 16 rows ride alone
+    urgent = scheduler.submit(np.arange(50, 54), max_new_tokens=2, priority=0, arrival_time=scheduler.now)
+    record = scheduler._requests[victim]
+    with Forwards(runner) as forwards:
+        outputs = {}
+        step(scheduler, outputs)
+        assert scheduler.stats.preemptions == 1 and record.slot == -1
+        assert forwards.chunk_rides == [16] and forwards.alone == 1  # the flush
+        # The victim's chunk spent the budget: the urgent head waits for the next step's.
+        assert forwards.prefills == [] and scheduler._requests[urgent].replay is not None
+        assert len(scheduler.cache.match_prefix(record.prompt)) == 32 // BLOCK
+        drain(scheduler, outputs)
+    assert scheduler.stats.ridden_chunks == 0
+    assert outputs[victim].prefix_hit_tokens == 32
+    assert_same(outputs, {victim: expected})
+
+
+@pytest.mark.parametrize("when", ["before the step", "inside the shared forward"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_a_pool_kill_on_a_ride_step_serves_every_request(runners, scheme, when):
+    """A replica killed on a step where a chunk rides — by the injector before
+    the step, or by its runner inside the forward the chunk rides — is
+    recovered, and every request ends with a fault-free run's tokens."""
+    runner = runners[scheme]
+
+    def pool(kill_at=None):
+        built = ReplicaPool(
+            runner, 2, GenerationConfig(), max_batch_size=2, block_size=BLOCK, prefill_chunk=5,
+            fault_injector=FaultInjector(seed=0, kill_at=kill_at) if kill_at else None,
+        )  # fmt: skip
+        for request in two_class_requests():
+            built.submit(request.prompt, max_new_tokens=request.max_new_tokens)
+        return built
+
+    fault_free, clean, ride_step = pool(), {}, None
+    while fault_free.has_pending:
+        iteration, ridden = fault_free.cluster_stats.iterations, fault_free.replicas[0].scheduler.stats.ridden_chunks
+        clean.update((output.request_id, output) for output in fault_free.step())
+        if ride_step is None and fault_free.replicas[0].scheduler.stats.ridden_chunks > ridden:
+            ride_step = iteration
+    assert ride_step is not None and len(clean) == len(two_class_requests())
+    if when == "before the step":
+        chaotic = pool({ride_step: 0})
+        outputs = {output.request_id: output for output in chaotic.run()}
+    else:
+        chaotic, verify = pool(), runner.verify
+
+        def killing_verify(tokens, *args, **kwargs):
+            if 0 in kwargs.get("logit_rows", ()) and any(kwargs["logit_rows"]):
+                del runner.verify  # one kill
+                raise ReplicaFailureError("killed inside the forward a chunk rides")
+            return verify(tokens, *args, **kwargs)
+
+        runner.verify = killing_verify
+        try:
+            outputs = {output.request_id: output for output in chaotic.run()}
+        finally:
+            vars(runner).pop("verify", None)
+    assert chaotic.cluster_stats.failures == 1 and chaotic.cluster_stats.recoveries >= 1
+    assert chaotic.cluster_stats.degraded_requests == 0
+    assert_same(outputs, clean)

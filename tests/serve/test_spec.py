@@ -897,7 +897,8 @@ class TestRaggedVerifyLattice:
     At every lattice point the committed tokens and logits equal the
     non-speculative run's, every decode iteration is exactly one runner
     forward, and the verify forwards computed exactly the proposed drafts
-    plus one pending token per participating request — no padding rows.
+    plus one pending token per participating request — no padding rows.  A
+    chunk nobody samples rides as a sequence with no logit rows.
     """
 
     POINTS = {
@@ -972,19 +973,29 @@ class TestRaggedVerifyLattice:
             assert stats.preemptions > 0
         if point == "eos":
             assert any(output.finish_reason == "eos" for output in outputs.values())
-        # A forward verifies when somebody drafted; a resume tail alone also
-        # makes one ragged, and its rows are booked apart from the verify rows.
+        # A forward verifies when somebody drafted; a resume tail or a ridden
+        # chunk also makes one ragged, and their rows are booked apart from
+        # the verify rows.  A forward with nothing to sample is a lone ride.
         verifying = [heads for heads in forwards.verify_heads if max(heads) > 1]
         assert stats.spec_verify_iterations == len(verifying) > 0
-        assert forwards.decode_calls + len(forwards.verify_lengths) == stats.decode_iterations
+        decoding = sum(1 for heads in forwards.verify_heads if any(heads))
+        assert forwards.decode_calls + decoding == stats.decode_iterations
         assert stats.spec_proposed_tokens == drafter.proposed
-        participants = sum(len(heads) for heads in verifying)
+        participants = sum(1 for heads in verifying for rows in heads if rows)
         assert stats.spec_verify_rows == sum(map(sum, verifying)) == drafter.proposed + participants
-        tail_rows = forwards.verify_rows - sum(map(sum, forwards.verify_heads))
+        rides = [
+            rows
+            for lengths, heads in zip(forwards.verify_lengths, forwards.verify_heads)
+            for rows, read in zip(lengths, heads)
+            if not read
+        ]
+        assert len(rides) - (len(forwards.verify_heads) - decoding) == stats.ridden_chunks
+        assert (stats.ridden_chunks > 0) == ("chunk" in point)
+        tail_rows = forwards.verify_rows - sum(map(sum, forwards.verify_heads)) - sum(rides)
         assert tail_rows == stats.resume_tail_rows
         assert (tail_rows > 0) == (point == "preemption")
         decode_side = forwards.decode_rows + forwards.verify_rows
-        assert decode_side == stats.decode_slot_steps + drafter.proposed + tail_rows
+        assert decode_side == stats.decode_slot_steps + drafter.proposed + tail_rows + sum(rides)
 
 
 class TestStatsGuards:

@@ -5,8 +5,9 @@ when ``None`` — spent first on the records already prefilling, then on each
 admission as it is admitted; ``_admit_next`` only decides.  The properties
 below are the unification's own: a budget nothing can exhaust *is* no budget
 (same schedule, tick for tick), and under a finite one the order of a step
-is continuing chunks, then admissions, then the decode forward.  The gate at
-the bottom pins the structure itself over the class's AST.
+is continuing chunks, then admissions, then the shared forward — which a
+chunk nobody samples rides instead of running a forward of its own.  The
+gate at the bottom pins the structure itself over the class's AST.
 """
 
 import ast
@@ -41,11 +42,15 @@ def traced(runner, **options):
 
 
 def step_story(scheduler):
-    """Run one step; return its forwards and admissions in order, and its outputs."""
+    """Run one step; return its chunks, admissions and forwards in order, and its outputs.
+
+    A chunk's own forward is a ``prefill_chunk`` span; a chunk that rides the
+    shared forward leaves a ``prefill_chunk`` instant, told here as ``ride``.
+    """
     seen = len(scheduler.tracer.events)
     outputs = scheduler.step()
     story = [
-        (event.name, event.corr)
+        ("ride" if event.phase == "i" and event.name == "prefill_chunk" else event.name, event.corr)
         for event in scheduler.tracer.events[seen:]
         if event.phase != "E"
         and event.name in ("prefill_chunk", "request.admitted", "decode_step", "verify_step")
@@ -119,7 +124,8 @@ def test_a_chunk_that_completes_is_matched_by_an_admission_of_the_same_step(runn
     assert scheduler._requests[first].replay is not None
     second = scheduler.submit(np.concatenate([template, tokens(3, 5)]), arrival_time=scheduler.now)
     story, _ = step_story(scheduler)
-    assert story[:3] == [("prefill_chunk", "r0"), ("request.admitted", "r1"), ("prefill_chunk", "r1")]
+    # r0's last 12 tokens are its own forward; r1's first 4 ride the decode forward.
+    assert story == [("prefill_chunk", "r0"), ("request.admitted", "r1"), ("ride", "r1"), ("decode_step", None)]
     assert scheduler._requests[first].replay is None  # completed, and published
     assert scheduler._requests[second].prefix_hit_tokens == 3 * BLOCK
     assert scheduler.stats.prefix_hit_tokens == 3 * BLOCK
@@ -132,13 +138,12 @@ def test_an_older_prefilling_record_is_served_before_a_same_step_admission(runne
     began = scheduler.now
     newcomer = scheduler.submit(tokens(5, 5), arrival_time=began)
     story, _ = step_story(scheduler)
-    # The older record's chunk takes the whole budget; the newcomer is admitted
-    # after it (one tick later) and waits for the next step's.
-    assert story[:2] == [("prefill_chunk", "r0"), ("request.admitted", "r1")]
-    assert ("prefill_chunk", "r1") not in story
+    # The older record's chunk takes the whole budget (and its tick, though it
+    # rides); the newcomer is admitted after it and waits for the next step's.
+    assert story == [("ride", "r0"), ("request.admitted", "r1"), ("decode_step", None)]
     assert scheduler._requests[newcomer].admitted_at == began + 1.0
     story, _ = step_story(scheduler)
-    assert story[0] == ("prefill_chunk", "r0")  # still the oldest: FIFO
+    assert story[0] == ("ride", "r0")  # still the oldest: FIFO
 
 
 def test_a_rider_admitted_with_the_budget_spent_rides_this_steps_decode(runners):
@@ -155,7 +160,7 @@ def test_a_rider_admitted_with_the_budget_spent_rides_this_steps_decode(runners)
     story, _ = step_story(scheduler)
     # The continuing chunk spends the budget, the resume is admitted afterwards
     # with its two prompt blocks matched and 3 rows left: it rides, in this step.
-    assert story == [("prefill_chunk", "r1"), ("request.admitted", "r2"), ("decode_step", None)]
+    assert story == [("ride", "r1"), ("request.admitted", "r2"), ("decode_step", None)]
     assert scheduler.stats.resume_tail_rows == 3
     assert scheduler._active[record.slot] is record and record.replay is None
     assert len(record.generated) == committed + 1
@@ -170,7 +175,7 @@ def test_a_deadline_at_the_tick_a_step_begins_is_offered_admission_by_that_step(
     punctual = scheduler.submit(tokens(9, 5), arrival_time=began, deadline=began)
     story, outputs = step_story(scheduler)
     assert outputs == [] and scheduler.stats.expired_requests == 0
-    assert story[:2] == [("prefill_chunk", "r0"), ("request.admitted", "r1")]
+    assert story[:2] == [("ride", "r0"), ("request.admitted", "r1")]
     assert scheduler._requests[punctual].admitted_at == began + 1.0
     # One that nobody could admit in time still expires, at the top of the next step.
     late = traced(runners["tender-implicit"], prefill_chunk=BLOCK, max_batch_size=1)
@@ -220,6 +225,10 @@ def test_step_is_the_only_way_to_a_forward_and_owns_the_budget():
                 budget_readers.add(name)
     assert forward_sites == set(FORWARDS.values())
     assert budget_readers - {"__init__"} == {"step"}
+    # The one forward a decision may run: a preemption victim's pending ride,
+    # flushed through the shared forward before its blocks are published.
+    assert {name for name, callees in calls.items() if "_decode_iteration" in callees} == {"step", "_preempt_for"}
+    calls["_preempt_for"].remove("_decode_iteration")
 
     def reachable(start):
         found, frontier = set(), [start]

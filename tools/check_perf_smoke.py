@@ -175,9 +175,10 @@ def serve(runner, trace, h: SimpleNamespace, options: dict) -> SimpleNamespace:
         engine.submit(dataclasses.replace(request, priority=0) if h.fifo else request)
 
     # A scheduler's forwards are counted at the runner — prefills as (rows,
-    # wants logits), decode-side ones as (rows, sequences, resume-tail rows,
-    # sequences carrying a tail) — so its stats are checked against what really
-    # ran; its block tables and cached-block count are sampled after every step.
+    # wants logits), decode-side ones as (rows, sequences sampled from, owed
+    # rows, resumes carrying a tail, chunks riding) — so its stats are checked
+    # against what really ran; its block tables and cached-block count are
+    # sampled after every step.
     model = None if h.replicas else engine.runner
     outputs, forwards, prefills = {}, [], []
     seen = SimpleNamespace(worst=0, runs=0, tables=0, evicting=0, cached=0)
@@ -206,23 +207,35 @@ def serve(runner, trace, h: SimpleNamespace, options: dict) -> SimpleNamespace:
             return prefill(tokens, lengths, *args, **kwargs)
 
         def counted_decode_step(tokens, *args, **kwargs):
-            forwards.append((len(tokens), len(tokens), 0, 0))
+            forwards.append((len(tokens), len(tokens), 0, 0, 0))
             return decode_step(tokens, *args, **kwargs)
 
         def counted_verify(tokens, *args, **kwargs):
             lengths = np.asarray(kwargs["lengths"])
-            tails = lengths - np.asarray(kwargs.get("logit_rows", lengths))
-            forwards.append((int(np.size(tokens)), len(lengths), int(tails.sum()), int((tails > 0).sum())))
+            heads = np.asarray(kwargs.get("logit_rows", lengths))
+            owed, read = lengths - heads, heads > 0
+            forwards.append(
+                (int(np.size(tokens)), int(read.sum()), int(owed.sum()), int((read & (owed > 0)).sum()), int((~read).sum()))
+            )
             return verify(tokens, *args, **kwargs)
 
         model.prefill, model.decode_step, model.verify = counted_prefill, counted_decode_step, counted_verify
         model.fused_paged_attention = h.fused
+    quantize, quantized = TenderExecutor._quantize_rows, [0]  # activation rows, under profile="quantize"
+
+    def counted_quantize(executor, packed, x, *args):
+        quantized[0] += len(x)
+        return quantize(executor, packed, x, *args)
+
     try:
         if h.profile:
+            if h.profile == "quantize":
+                TenderExecutor._quantize_rows = counted_quantize
             calls = count_calls(drain, PROFILED[h.profile])
         else:
             drain()
     finally:
+        TenderExecutor._quantize_rows = quantize
         if model is not None:
             del model.prefill, model.decode_step, model.verify
             model.fused_paged_attention = True
@@ -234,7 +247,8 @@ def serve(runner, trace, h: SimpleNamespace, options: dict) -> SimpleNamespace:
                     "decode_iterations", "preemptions")
     }  # fmt: skip
     tokens = fields["generated_tokens"]
-    fields["forwards"] = fields["prefill_iterations"] + fields["decode_iterations"]
+    # What ran: counted at the runner where it is watched, else the scheduler's own tally.
+    fields["forwards"] = len(prefills) + len(forwards) if model is not None else stats.total_iterations
     fields["tokens_per_row"] = tokens / (fields["prefill_tokens"] + tokens)
     fields["prefix_hit_rate"] = fields["prefix_hit_tokens"] / (
         fields["prefill_tokens"] + fields["prefix_hit_tokens"]
@@ -262,12 +276,10 @@ def serve(runner, trace, h: SimpleNamespace, options: dict) -> SimpleNamespace:
             runs_per_table=seen.runs / seen.tables,
             evicting_steps=seen.evicting,
         )
-        # Resume-tail rows are booked as prefill_tokens and seen in a decode-side forward: count them once.
-        fields["rows_per_token"] = (
-            fields["prefill_tokens"] - stats.resume_tail_rows + fields["decode_rows"]
-        ) / tokens
+        # Every row once, as the runner saw it: owed rows ride decode-side forwards.
+        fields["rows_per_token"] = (sum(rows for rows, _ in prefills) + fields["decode_rows"]) / tokens
         if h.speculation:
-            verified = [(rows - tail, batch) for rows, batch, tail, _ in forwards if rows - tail > batch]
+            verified = [(rows - owed, batch) for rows, batch, owed, *_ in forwards if rows - owed > batch]
             fields.update(
                 spec_proposed_tokens=stats.spec_proposed_tokens,
                 spec_accepted_tokens=stats.spec_accepted_tokens,
@@ -290,8 +302,9 @@ def serve(runner, trace, h: SimpleNamespace, options: dict) -> SimpleNamespace:
     if h.profile:
         fields.update({"py_calls": calls[0], h.profile + "_calls": calls[1]})
     return SimpleNamespace(
-        outputs=outputs, fields=fields, tracer=tracer, stats=stats, forwards=forwards, prefills=prefills
-    )
+        outputs=outputs, fields=fields, tracer=tracer, stats=stats, forwards=forwards, prefills=prefills,
+        quantized_rows=quantized[0],
+    )  # fmt: skip
 
 
 # ----------------------------------------------------------------------
@@ -351,7 +364,7 @@ def _resume_rides(fields, run):
     block, stats = run.options["block_size"], run.var.stats
     fields["tail_only_forwards"] = sum(1 for rows, logits in run.var.prefills if rows < block and not logits)
     fields["prefill_forwards"] = len(run.var.prefills)
-    fields["resume_rides"] = sum(rides for *_, rides in run.var.forwards)
+    fields["resume_rides"] = sum(resumes for *_, resumes, _ in run.var.forwards)
     fields["prefill_admissions"] = len(run.trace) + fields["preemptions"] - fields["resume_rides"]
     fields["resume_tail_rows"] = stats.resume_tail_rows
     fields["decode_rows_booked"] = (
@@ -446,9 +459,23 @@ def _final_tick(fields, run):
 
 
 def _unread_rows(fields, run):
-    """Prefill forwards nobody samples from (intermediate chunks), and the activations not quantized for them."""
-    fields["unread_prefills"] = sum(1 for _, logits in run.var.prefills if not logits)
+    """Forwards carrying chunks nobody samples from, the rows nobody reads, and what is not quantized for them.
+
+    Past the last block's KV write an unread row skips three activations
+    (out_proj, fc1, fc2); the LM head runs over read rows on both sides.
+    """
+    prefills, forwards = run.var.prefills, run.var.forwards
+    fields["unread_prefills"] = sum(1 for _, logits in prefills if not logits) + sum(1 for *_, rides in forwards if rides)
+    unread = sum(rows - logits for rows, logits in prefills) + sum(owed for _, _, owed, *_ in forwards)
+    fields["unread_activation_rows"] = 3 * unread
     fields["quantize_calls_saved"] = fields["base.quantize_calls"] - fields["quantize_calls"]
+    fields["quantize_rows_saved"] = run.base.quantized_rows - run.var.quantized_rows
+
+
+def _ridden(fields, run):
+    """The chunks that shared a decode forward, and the forwards the scheduler booked."""
+    fields["ridden_chunks"] = run.var.stats.ridden_chunks
+    fields["forwards_booked"] = fields["prefill_iterations"] - fields["ridden_chunks"] + fields["decode_iterations"]
 
 
 def _extractive(runner):
@@ -562,14 +589,28 @@ SCENARIOS = (
         dict(SMALL, prefill_chunk=16, profile="quantize"), dict(fused=False), {},
         # Same rows in the same forwards; past the last block's KV write only the rows
         # sampled from go on.  The gather reference carries every row to the end, so it
-        # quantizes three activations more (out_proj, fc1, fc2) in each of the 22 chunks
-        # nobody samples from; a final chunk quantizes as many as before, over one row.
+        # quantizes three activations (out_proj, fc1, fc2) more in each of the 8 of the
+        # 22 chunks nobody samples from that ride alone (14 ride beside decode rows, which
+        # go on), and three more rows for every row nobody reads — a ride's, a final
+        # chunk's but its last.
         (("tokens_sha256", "==", "base.tokens_sha256"), ("logits_sha256", "==", "base.logits_sha256"),
          ("prefill_tokens", "==", "base.prefill_tokens"),
          ("prefill_iterations", "==", "base.prefill_iterations"),
-         ("quantize_calls", "<", "base.quantize_calls"), ("quantize_calls_saved", "==", 66),
+         ("quantize_calls", "<", "base.quantize_calls"), ("quantize_calls_saved", "==", 24),
+         ("quantize_rows_saved", "==", "unread_activation_rows"),
          ("unread_prefills", "==", 22), ("gather_bytes", "==", 0)),
         _unread_rows,
+    ),  # fmt: skip
+    Scenario(
+        "a chunk nobody samples rides the decode forward", TENDER, lambda runner: workloads.shared_prefix_trace(),
+        SMALL, dict(prefill_chunk=None), dict(prefill_chunk=16),
+        # A chunk that leaves its prompt unfinished is rows in the step's one
+        # decode-side forward, not a forward of its own; a chunk that samples
+        # is still its own prefill.
+        (("tokens_sha256", "==", "base.tokens_sha256"), ("logits_sha256", "==", "base.logits_sha256"),
+         ("ridden_chunks", ">=", 1), ("forwards", "==", "forwards_booked"),
+         ("max_decode_forwards_per_step", "<=", 1)),
+        _ridden,
     ),  # fmt: skip
     Scenario(
         "block contiguity cache off", ("fp",), lambda runner: workloads.churn_trace(False), CHURN,
