@@ -15,9 +15,8 @@ to which request.  Three pieces:
   them line up with measured latencies.
 * :class:`FlightRecorder` — a bounded ring buffer of the newest events,
   for chaos runs too long to retain in full.  A tracer tees every event
-  into its recorder (when attached); on an invariant violation or an
-  unrecovered failure the stress harness and
-  :class:`~repro.serve.cluster.ReplicaPool` call
+  into its recorder (when attached); on an unrecovered failure
+  :class:`~repro.serve.cluster.ReplicaPool` calls
   :meth:`FlightRecorder.mark_incident`, snapshotting the tape so the
   failure's immediate past is readable without replaying the run.
 * :meth:`Tracer.export_chrome_trace` — Chrome trace-event JSON, loadable
@@ -111,10 +110,9 @@ class FlightRecorder:
     event is teed into the ring; once ``capacity`` events have been
     recorded the oldest are overwritten, so memory stays bounded no matter
     how long the chaos soak runs.  When something goes wrong the caller
-    snapshots the tape with :meth:`mark_incident` — the stress harness does
-    this on an :class:`~repro.serve.stress.InvariantViolation` and the
-    replica pool on an unrecoverable request — turning shrink-and-replay
-    debugging into *read the last N events before the crash*.
+    snapshots the tape with :meth:`mark_incident` — the replica pool does
+    this on an unrecoverable request — turning replay debugging into *read
+    the last N events before the crash*.
 
     Parameters
     ----------

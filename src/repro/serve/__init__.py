@@ -41,6 +41,13 @@ Speculative decoding (:mod:`repro.serve.spec`) plugs a
 ``Scheduler(speculation=SpecConfig(...))``; greedy outputs stay
 bit-identical to non-speculative decoding for Tender implicit/explicit
 while k sequential decode forwards collapse into one verification forward.
+
+The pool's invariant oracle is :mod:`repro.serve.stress`:
+:func:`check_pool_invariants` audits refcounts, the free structures, the
+radix index and the table version, raising :class:`InvariantViolation`, and
+``LruReferencePool`` is the retired one-list eviction policy.  The
+randomized schedules that drive them are a ``hypothesis`` state machine
+outside the package (``tools/stress_machine.py``).
 """
 
 from repro.serve.async_engine import AsyncEngine, RequestStream, serve_all
@@ -54,12 +61,7 @@ from repro.serve.scheduler import Scheduler
 from repro.serve.shard import ShardedRunner
 from repro.serve.spec import DraftProposer, ModelDraft, PromptLookupDraft, SpecConfig
 from repro.serve.stats import SchedulerStats
-from repro.serve.stress import (
-    InvariantViolation,
-    ServingStressHarness,
-    check_pool_invariants,
-    shrink_ops,
-)
+from repro.serve.stress import InvariantViolation, check_pool_invariants
 
 __all__ = [
     "AsyncEngine",
@@ -86,10 +88,8 @@ __all__ = [
     "RequestOutput",
     "Scheduler",
     "SchedulerStats",
-    "ServingStressHarness",
     "ShardedRunner",
     "SpecConfig",
     "check_pool_invariants",
     "generate",
-    "shrink_ops",
 ]

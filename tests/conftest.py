@@ -31,7 +31,8 @@ def pytest_configure(config):
 def pytest_generate_tests(metafunc):
     """Parametrize ``stress_seed`` from the ``REPRO_STRESS_SEEDS`` env knob.
 
-    Tier-1 runs the randomized serving stress harness on 3 seeds by default;
+    Each value is one ``hypothesis.seed`` of the pool state machine
+    (``tools/stress_machine.py``).  Tier-1 runs 3 seeded runs by default;
     set ``REPRO_STRESS_SEEDS=50`` (or any N) for a deeper soak without
     touching the test code.
     """

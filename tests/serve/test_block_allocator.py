@@ -7,7 +7,7 @@ only when the extents run dry; when the blocks are there but no extent holds
 them, cached blocks (published, unreferenced) are *relocated* out of a window
 so the reservation is still one run.  The unit tests pin each placement and
 relocation rule on hand-built pools; the property test drives the stress
-harness's mixed schedules against :class:`repro.serve.stress.LruReferencePool`
+machine's mixed schedules against :class:`repro.serve.stress.LruReferencePool`
 (the retired one-list policy) and asserts that only *where* a block lives
 changed, never *which cached prefix* dies.
 """
@@ -18,8 +18,8 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from hypothesis.stateful import invariant
+from stress_machine import PoolMachine, run
 
 from repro.errors import ConfigurationError, ResourceExhaustedError
 from repro.obs import MetricsRegistry, Tracer
@@ -27,7 +27,6 @@ from repro.serve import (
     GenerationConfig,
     PagedKVCache,
     Scheduler,
-    ServingStressHarness,
     check_pool_invariants,
     workloads,
 )
@@ -490,49 +489,48 @@ class EvictionLog:
             self._depth -= 1
 
 
-class UnauditedHarness(ServingStressHarness):
-    """The reference pool breaks the two-structure audit by construction."""
+class SameEvictions(PoolMachine):
+    """Every op on the extent-aware pool and, in lockstep, on the one-list LRU policy.
 
-    def check(self):
-        self._check_content()
+    The reference pool breaks the two-structure audit by construction, so
+    only its content is audited; the invariant below compares the two.
+    """
+
+    POOLS = (PagedKVCache, LruReferencePool)
+
+    def __init__(self, tally=None, **geometry):
+        super().__init__(tally, **geometry)
+        self.log = EvictionLog(self.pools[0], audit=True)  # audits each allocation as it happens
+        self.reference_log = EvictionLog(self.pools[1])
+
+    @invariant()
+    def same_evictions(self):
+        if len(self.pools) == 1:
+            return
+        if self.log.evicted != self.reference_log.evicted:
+            # The one permitted difference: the reference left an orphaned
+            # block deep in its list and evicted the published head instead;
+            # the extent map spent the orphan first.  It can only ever
+            # *spare* a block — and from here on the two pools cache
+            # different prefixes, so the comparison ends.
+            assert len(self.log.evicted) < len(self.reference_log.evicted)
+            assert self.log.evicted == self.reference_log.evicted[: len(self.log.evicted)]
+            self.pools = self.pools[:1]
+            return
+        # (a) the same cached prefixes died, in the same order, so every
+        # admission so far hit exactly what it would have hit before.
+        pool, reference = self.pools
+        assert len(pool.active_slots) == len(reference.active_slots) == len(self.live)
+        assert pool.free_block_count == reference.free_block_count
+
+
+GEOMETRIES = [(6, 2), (10, 4), (12, 3), (16, 4), (24, 6)]
 
 
 class TestSameEvictionsAsTheLruPolicy:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        num_blocks=st.integers(6, 24),
-        max_slots=st.integers(2, 6),
-    )
-    def test_random_schedules(self, seed, num_blocks, max_slots):
-        geometry = dict(num_blocks=num_blocks, max_slots=max_slots, block_size=4)
-        harness = ServingStressHarness(seed=seed, **geometry)
-        reference = UnauditedHarness(seed=seed, **geometry)
-        reference.cache = LruReferencePool(
-            num_layers=2, num_heads=2, d_head=3, block_size=4, num_blocks=num_blocks
-        )
-        log = EvictionLog(harness.cache, audit=True)
-        reference_log = EvictionLog(reference.cache)
-        for _ in range(120):
-            op = harness.random_op()
-            harness.apply(op)  # audits both free structures after the op
-            reference.apply(op)
-            if log.evicted != reference_log.evicted:
-                # The one permitted difference: the reference left an
-                # orphaned block deep in its list and evicted the published
-                # head instead; the extent map spent the orphan first.  It
-                # can only ever *spare* a block — and from here on the two
-                # pools cache different prefixes, so the comparison ends.
-                assert len(log.evicted) < len(reference_log.evicted)
-                assert log.evicted == reference_log.evicted[: len(log.evicted)]
-                return
-            # (a) the same cached prefixes died, in the same order, so every
-            # admission so far hit exactly what it would have hit before.
-            assert set(harness.live) == set(reference.live)
-            assert harness.cache.free_block_count == reference.cache.free_block_count
-            for handle, model in harness.live.items():
-                twin = reference.live[handle]
-                assert harness.cache.length_of(model.slot) == reference.cache.length_of(twin.slot)
+    @pytest.mark.parametrize("num_blocks, max_slots", GEOMETRIES)
+    def test_random_schedules(self, num_blocks, max_slots):
+        run(SameEvictions, num_blocks=num_blocks, max_slots=max_slots)
 
 
 class TestThePropertyExercisesRelocation:
@@ -547,9 +545,7 @@ class TestThePropertyExercisesRelocation:
             return picked
 
         monkeypatch.setattr(PagedKVCache, "_open_window", counted)
-        TestSameEvictionsAsTheLruPolicy.test_random_schedules.hypothesis.inner_test(
-            TestSameEvictionsAsTheLruPolicy(), seed, num_blocks, max_slots
-        )
+        run(SameEvictions, seed=seed, num_blocks=num_blocks, max_slots=max_slots)
         assert sum(moved for _, moved in calls) >= 5
         assert all(count >= 2 and moved <= count for count, moved in calls)
 

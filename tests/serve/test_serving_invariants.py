@@ -1,28 +1,27 @@
-"""Seeded randomized stress suite over the paged-KV invariant web.
+"""Seeded ``hypothesis`` state machine over the paged-KV invariant web.
 
-``ServingStressHarness`` drives mixed admit/fork/decode/truncate/preempt/
-evict/replica-kill/replica-stall/shard-kill/shard-stall/link-drop schedules
-against a deliberately tiny ``PagedKVCache`` and audits the global
-invariants after *every* op — refcount duality, the free-structure partition
-(coalesced extents, matchable LRU), radix consistency, version monotonicity,
-and exact shadow-model content.  The replica and shard ops
-mirror what ``ReplicaPool`` does to an engine under chaos: a kill (of a
-replica, or of one shard — which fails its whole group) tears down every
-live slot at once (the checkpoint-and-recover sweep), while stalls and
-dropped-then-retried collective links are progress no-ops.  Tier-1 runs 3
-seeds (the ``stress_seed`` fixture, parametrized in ``tests/conftest.py``);
-set ``REPRO_STRESS_SEEDS=40`` for the nightly soak.
+``tools/stress_machine.py``'s ``PoolMachine`` has one rule per op of the
+scheduler's pool vocabulary — admit, fork, decode, truncate, evict/preempt,
+replica/shard kill, replica/shard stall and link drop — against a
+deliberately tiny ``PagedKVCache``, and audits the global invariants after
+*every* step: refcount duality, the free-structure partition (coalesced
+extents, matchable LRU), radix consistency, version monotonicity, and exact
+shadow content.  A kill (of a replica, or of one shard — which fails its
+whole group) tears down every live slot at once, the checkpoint-and-recover
+sweep; stalls and dropped-then-retried collective links must leave the pool
+unchanged.  Tier-1 runs 3 seeds (the ``stress_seed`` fixture, parametrized
+in ``tests/conftest.py``); set ``REPRO_STRESS_SEEDS=40`` for the nightly soak.
 
-The suite also pins the tooling contract around the harness: logs replay
-deterministically, injected corruption is caught and shrinks to a minimal
-schedule, and the invariant checker itself detects seeded structural damage
-(a checker that can't fail would vacuously pass everything).
+The suite also pins that injected corruption is caught, and that the
+invariant checker itself detects seeded structural damage (a checker that
+can't fail would vacuously pass everything).
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
+from hypothesis.stateful import precondition, rule
+from stress_machine import OPS, PoolMachine, run
 
 from repro.errors import ConfigurationError
 from repro.models import TransformerRunner
@@ -31,95 +30,45 @@ from repro.serve import (
     InvariantViolation,
     PagedKVCache,
     Scheduler,
-    ServingStressHarness,
     check_pool_invariants,
-    shrink_ops,
 )
-
-NUM_OPS = 250
 
 
 class TestRandomizedSchedules:
     def test_mixed_schedule_preserves_every_invariant(self, stress_seed):
-        harness = ServingStressHarness(seed=stress_seed)
-        ops = harness.run(NUM_OPS)
-        assert len(ops) == NUM_OPS
-        kinds = {op["kind"] for op in ops}
-        # A healthy schedule exercises the whole op vocabulary, including
-        # the replica-crash sweep and stall the cluster layer leans on and
-        # the collective-transport faults the shard layer adds (a dropped
-        # link retries to a pristine payload; a dead shard sweeps its whole
-        # group exactly like a replica crash).
-        assert {
-            "admit",
-            "decode",
-            "replica_kill",
-            "replica_stall",
-            "link_drop",
-            "shard_stall",
-            "shard_kill",
-        } <= kinds
-
-    def test_replay_is_deterministic(self, stress_seed):
-        first = ServingStressHarness(seed=stress_seed)
-        ops = first.run(100)
-        second = ServingStressHarness.replay(ops)
-        assert set(second.live) == set(first.live)
-        for handle, model in first.live.items():
-            assert second.live[handle].tokens == model.tokens
-            np.testing.assert_array_equal(second.live[handle].expected, model.expected)
-        assert second.cache.free_block_count == first.cache.free_block_count
+        tally = run(seed=stress_seed)
+        # A healthy run exercises the whole op vocabulary, including the
+        # replica-crash sweep and stall the cluster layer leans on and the
+        # collective-transport faults the shard layer adds (a dropped link
+        # retries to a pristine payload; a dead shard sweeps its whole group
+        # exactly like a replica crash).
+        assert all(tally[op] for op in OPS), tally
 
     def test_tight_pool_reaches_exhaustion_paths(self, stress_seed):
         # A pool smaller than the slot ceiling forces reserve failures,
-        # LRU revival, and COW forks to all fire within a short schedule —
-        # and reservations that only fit once cached blocks are relocated
-        # out of their way (the default geometry relocates nothing on the
-        # tier-1 seeds, so its audits alone would be vacuous there).
-        harness = ServingStressHarness(
-            seed=stress_seed, num_blocks=10, max_slots=4, block_size=4
-        )
-        harness.run(150)
-        assert harness.cache.relocated_blocks > 0
+        # LRU revival, and COW forks to all fire within a short run — and
+        # reservations that only fit once cached blocks are relocated out of
+        # their way (the default geometry relocates nothing on the tier-1
+        # seeds, so its audits alone would be vacuous there).
+        tally = run(seed=stress_seed, num_blocks=10, max_slots=4)
+        assert tally["relocated_blocks"] > 0
 
 
-class _CorruptingHarness(ServingStressHarness):
-    """Harness with one extra op kind that silently corrupts a payload."""
+class CorruptingMachine(PoolMachine):
+    """The pool machine plus one rule that silently corrupts a live slot's first payload."""
 
-    def apply(self, op):
-        if op["kind"] == "corrupt":
-            self.op_log.append(op)
-            model = self.live.get(op["handle"])
-            if model is not None:
-                table = self.cache.block_table(model.slot)
-                self.cache.key_blocks[0][0, table[0], 0, 0] += 0.5
-            self.check()
-            return
-        super().apply(op)
+    @precondition(lambda self: self.live)
+    @rule()
+    def corrupt(self):
+        cache = self.pools[0]
+        cache.key_blocks[0][0, cache.block_table(self.live[0].slots[0])[0], 0, 0] += 0.5
 
 
 class TestFailureTooling:
-    def test_injected_corruption_is_caught_and_shrinks(self):
-        harness = _CorruptingHarness(seed=1)
-        ops = harness.run(40)
-        victim = next(handle for handle in harness.live)
-        failing = ops + [{"kind": "corrupt", "handle": victim}]
-
-        def fails(candidate):
-            try:
-                _CorruptingHarness.replay(candidate)
-            except InvariantViolation:
-                return True
-            return False
-
-        assert fails(failing)
-        minimal = shrink_ops(failing, fails)
-        assert fails(minimal)
-        assert len(minimal) < len(failing)
-        # The corrupting op itself must survive shrinking, plus whatever
-        # admission created its victim slot.
-        assert minimal[-1]["kind"] == "corrupt"
-        assert len(minimal) <= 3
+    def test_injected_corruption_is_caught(self):
+        # Shrinking it to the three steps it needs takes seconds, and is hypothesis's own business.
+        with pytest.raises(InvariantViolation, match="does not hold the payload"):
+            run(CorruptingMachine, seed=1, shrink=False)
 
     def test_checker_detects_refcount_damage(self):
         cache = PagedKVCache(num_layers=1, num_heads=1, d_head=2, block_size=4, num_blocks=4)

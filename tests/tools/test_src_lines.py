@@ -28,8 +28,8 @@ def test_package_rows_sum_to_src_and_src_plus_the_stacks_to_the_total_row():
     source = names.index("src/repro")
     *packages, source_row = rows[: source + 1]
     *stacks, total = rows[source + 1 :]
-    # The measurement stack outside bench/ is part of the house-rule report.
-    assert [row[0] for row in stacks] == ["benchmarks/", "tools/"] and total[0] == "total"
+    # The measurement stack outside bench/ and the tests are part of the house-rule report.
+    assert [row[0] for row in stacks] == ["benchmarks/", "tests/", "tools/"] and total[0] == "total"
     assert "serve" in {row[0] for row in packages}
     for column in range(1, len(total)):
         assert sum(int(row[column]) for row in packages) == int(source_row[column])

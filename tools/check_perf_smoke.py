@@ -73,16 +73,17 @@ from repro.serve import (
     PromptLookupDraft,
     ReplicaPool,
     Scheduler,
-    ServingStressHarness,
     ShardedRunner,
     SpecConfig,
     workloads,
 )
 from repro.serve.stress import LruReferencePool
 
+import stress_machine
+
 RECORD_PATH = Path(__file__).resolve().parent.parent / "BENCH_serving.json"
-STRESS_SEEDS, STRESS_OPS = 2, 120
-#: The default harness pool never needs a relocation on these seeds; this one does on every seed.
+STRESS_SEEDS = 2
+#: The default pool relocates nothing on these seeds; this one does on every seed.
 TIGHT_POOL = dict(num_blocks=10, max_slots=4)
 #: Fields checked against budgets but kept out of the record (NumPy-build dependent).
 BUDGET_ONLY = ("py_calls", "traced_calls_per_step")
@@ -923,18 +924,20 @@ def attention_peak_ratio() -> dict:
 
 
 def serving_stress() -> dict:
-    """The first violation of a randomized invariant sweep over the pool's op vocabulary, roomy pool and tight."""
+    """The pool-invariant state machine, seeded, on the roomy pool and the tight one: first violation, steps run."""
+    steps = 0
     for seed in range(STRESS_SEEDS):
         for geometry in ({}, TIGHT_POOL):
-            harness = ServingStressHarness(seed=seed, **geometry)
             where = f"seed {seed}, {geometry or 'default pool'}"
             try:
-                harness.run(STRESS_OPS)
+                # A verdict in seconds: shrinking a failing schedule can take minutes, and the tests do it.
+                tally = stress_machine.run(seed=seed, shrink=False, **geometry)
             except InvariantViolation as error:
-                return {"violation": f"a pool invariant broke ({where}): {error}"}
-            if geometry and not harness.cache.relocated_blocks:
-                return {"violation": f"the tight pool relocated nothing ({where}): no relocation was audited"}
-    return {"violation": None}
+                return {"violation": f"a pool invariant broke ({where}): {error}", "steps": steps}
+            steps += sum(tally[op] for op in stress_machine.OPS)
+            if geometry and not tally["relocated_blocks"]:
+                return {"violation": f"the tight pool relocated nothing ({where}): no relocation was audited", "steps": steps}
+    return {"violation": None, "steps": steps}
 
 
 def _forward(budget: int) -> tuple:
@@ -964,7 +967,8 @@ COUNT_GATES = (
     ("collective checksums corrupt", partial(collective_checksums, True),
      (("crc32_calls", "==", 2), ("corruption_caught", "==", 1))),
     ("attention memory", attention_peak_ratio, (("peak_ratio", "<=", 1.25),)),
-    ("serving stress", serving_stress, (("violation", "==", None),)),
+    # No fewer steps than the 2 seeds x 120 ops x 2 pools of the hand-rolled harness it replaced.
+    ("serving stress", serving_stress, (("violation", "==", None), ("steps", ">=", 480))),
 )  # fmt: skip
 
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Line counts of ``src/repro`` per package, ``tools/``, ``benchmarks/``; net delta against a revision.
+"""Line counts of ``src/repro`` per package, ``tools/``, ``benchmarks/``, ``tests/``; net delta against a revision.
 
 House rule (b) of ROADMAP.md — every PR reports its net ``src/`` line delta —
 as a command instead of a hand count:
@@ -11,13 +11,15 @@ as a command instead of a hand count:
 A *package* is the first directory under ``src/repro`` (``serve``, ``core``,
 ...); modules directly under ``src/repro`` count as ``.``; the package rows
 add up to the ``src/repro`` row.  ``tools/`` and ``benchmarks/`` — the
-measurement stack outside ``bench/`` — are one row each, and ``total`` is the
-three together.  ``lines`` are physical lines of ``*.py`` files; ``code`` are
-those that are not blank, comment-only or part of a docstring (read off the
-AST), so "lines are paid for" cannot be met by deleting documentation.  The
-base side is read with ``git ls-tree`` / ``git show``, so it needs no second
-checkout; the working-tree side is read from disk, so uncommitted edits
-count.  No third-party dependencies.
+measurement stack outside ``bench/`` — and ``tests/`` are one row each, and
+``total`` is the four together; ``src + tests + tools``, the figure a change
+that moves code out of ``src/`` into a tool or a test is judged by, is
+``total`` less the ``benchmarks/`` row.  ``lines`` are physical lines of
+``*.py`` files; ``code`` are those that are not blank, comment-only or part
+of a docstring (read off the AST), so "lines are paid for" cannot be met by
+deleting documentation.  The base side is read with ``git ls-tree`` /
+``git show``, so it needs no second checkout; the working-tree side is read
+from disk, so uncommitted edits count.  No third-party dependencies.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Dict, Iterable, Tuple
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SOURCE = "src/repro"
 #: Directories counted whole, one row each, beside the ``src/repro`` packages.
-STACKS = ("tools", "benchmarks")
+STACKS = ("tools", "benchmarks", "tests")
 
 
 def package_of(path: str) -> str:
