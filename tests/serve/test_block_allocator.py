@@ -18,8 +18,11 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis.stateful import invariant
-from stress_machine import PoolMachine, run
+from hypothesis import seed as seeded
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import initialize, invariant, run_state_machine_as_test
+from stress_machine import SETTINGS, PoolMachine, key_tokens, run
 
 from repro.errors import ConfigurationError, ResourceExhaustedError
 from repro.obs import MetricsRegistry, Tracer
@@ -30,7 +33,7 @@ from repro.serve import (
     check_pool_invariants,
     workloads,
 )
-from repro.serve.stress import LruReferencePool
+from repro.serve.stress import InvariantViolation, LruReferencePool
 
 BLOCK = 4
 
@@ -428,15 +431,6 @@ class TestRelocation:
 # ----------------------------------------------------------------------
 # Property: same eviction decisions as the one-list LRU policy
 # ----------------------------------------------------------------------
-def chain_identity(pool, block):
-    """The token prefix a published block stands for (its chained radix key)."""
-    runs = []
-    while block != -1:
-        block, run = pool.block_key_of(block)
-        runs.append(run)
-    return b"".join(reversed(runs))
-
-
 class EvictionLog:
     """Records every published block an allocation reclaims, by token prefix.
 
@@ -481,7 +475,7 @@ class EvictionLog:
                 # (a) oldest first; (b) only once the unpublished blocks cannot serve.
                 assert block == self.pool.cached_free_blocks()[0]
                 assert sum(size for _, size in self.pool.free_extents()) + len(orphans) < self.demand
-            self.evicted.append(chain_identity(self.pool, block))
+            self.evicted.append(key_tokens(self.pool, block))
         self._depth += 1
         try:
             self._unindex(block, orphans)
@@ -524,13 +518,43 @@ class SameEvictions(PoolMachine):
         assert pool.free_block_count == reference.free_block_count
 
 
-GEOMETRIES = [(6, 2), (10, 4), (12, 3), (16, 4), (24, 6)]
+class AnyGeometry(SameEvictions):
+    """:class:`SameEvictions` on pools of 6-24 blocks and 2-6 live slots, drawn before the first op."""
+
+    @initialize(num_blocks=st.integers(6, 24), max_slots=st.integers(2, 6))
+    def geometry(self, num_blocks, max_slots):
+        drawn = SameEvictions(self.tally, num_blocks=num_blocks, max_slots=max_slots)
+        self.pools, self.max_slots, self.version = drawn.pools, drawn.max_slots, drawn.version
+        self.log, self.reference_log = drawn.log, drawn.reference_log
+
+
+#: 120-step schedules: long enough for a pool to fill, evict and relocate many times over.
+DEEP = settings(SETTINGS, stateful_step_count=120)
+
+
+def refusing(kind):
+    """``kind``, refusing a third live slot: a refusal the other pool does not share."""
+
+    class Refusing(kind):
+        def reserve(self, *args, **kwargs):
+            if len(self.active_slots) >= 2:
+                raise ResourceExhaustedError("refused")
+            return super().reserve(*args, **kwargs)
+
+    return Refusing
 
 
 class TestSameEvictionsAsTheLruPolicy:
-    @pytest.mark.parametrize("num_blocks, max_slots", GEOMETRIES)
-    def test_random_schedules(self, num_blocks, max_slots):
-        run(SameEvictions, num_blocks=num_blocks, max_slots=max_slots)
+    def test_random_schedules(self):
+        # 60 schedules, from a fresh seed on every run.
+        run_state_machine_as_test(AnyGeometry, settings=settings(DEEP, max_examples=60))
+
+    @pytest.mark.parametrize("refuses", [0, 1])
+    def test_a_reservation_only_one_pool_refuses_is_a_violation(self, refuses):
+        pools = list(SameEvictions.POOLS)
+        pools[refuses] = refusing(pools[refuses])
+        with pytest.raises(InvariantViolation, match="Refusing refused"):
+            run(type("OneRefuses", (SameEvictions,), {"POOLS": tuple(pools)}))
 
 
 class TestThePropertyExercisesRelocation:
@@ -545,7 +569,8 @@ class TestThePropertyExercisesRelocation:
             return picked
 
         monkeypatch.setattr(PagedKVCache, "_open_window", counted)
-        run(SameEvictions, seed=seed, num_blocks=num_blocks, max_slots=max_slots)
+        machine = seeded(seed)(lambda: SameEvictions(num_blocks=num_blocks, max_slots=max_slots))
+        run_state_machine_as_test(machine, settings=settings(DEEP, max_examples=4))
         assert sum(moved for _, moved in calls) >= 5
         assert all(count >= 2 and moved <= count for count, moved in calls)
 

@@ -66,9 +66,8 @@ class CorruptingMachine(PoolMachine):
 
 class TestFailureTooling:
     def test_injected_corruption_is_caught(self):
-        # Shrinking it to the three steps it needs takes seconds, and is hypothesis's own business.
         with pytest.raises(InvariantViolation, match="does not hold the payload"):
-            run(CorruptingMachine, seed=1, shrink=False)
+            run(CorruptingMachine, seed=1)
 
     def test_checker_detects_refcount_damage(self):
         cache = PagedKVCache(num_layers=1, num_heads=1, d_head=2, block_size=4, num_blocks=4)

@@ -930,8 +930,7 @@ def serving_stress() -> dict:
         for geometry in ({}, TIGHT_POOL):
             where = f"seed {seed}, {geometry or 'default pool'}"
             try:
-                # A verdict in seconds: shrinking a failing schedule can take minutes, and the tests do it.
-                tally = stress_machine.run(seed=seed, shrink=False, **geometry)
+                tally = stress_machine.run(seed=seed, **geometry)
             except InvariantViolation as error:
                 return {"violation": f"a pool invariant broke ({where}): {error}", "steps": steps}
             steps += sum(tally[op] for op in stress_machine.OPS)

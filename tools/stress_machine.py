@@ -3,7 +3,8 @@
 :class:`PoolMachine` issues exactly the call sequences the scheduler issues,
 one ``@rule`` per op: admit (``match_prefix`` -> ``reserve`` with the
 final-token ``private_tail`` rule -> ``write`` of the unmatched rest ->
-``publish_prefix``), fork (an admission that re-uses a live sequence's
+``publish_prefix``, skipped in one admission in five as with
+``prefix_cache=False``), fork (an admission that re-uses a live sequence's
 tokens), decode (up to four decode steps of one sequence, each one write at
 its length), truncate (speculative rollback), release (eviction, or
 preemption, whose tokens later admissions replay), kill (``replica_kill`` or
@@ -13,12 +14,15 @@ and stall (``replica_stall``, ``shard_stall`` or ``link_drop``: a step that
 must leave the pool as it was, since a dropped collective message is retried
 to a pristine payload inside the transport).  After every rule the one
 ``@invariant`` runs :func:`repro.serve.stress.check_pool_invariants` and
-compares every committed position of every live slot with the payload its
-tokens determine (:func:`_base_value`).  ``hypothesis`` generates the
-schedules, shrinks a failing one to a minimal program and prints it.
+compares every committed position of every live slot, and every published
+block, live or cached, with the payload its tokens determine
+(:func:`_base_value`), so bytes a relocation left behind are caught before
+any admission matches them.  ``hypothesis`` generates the
+schedules and prints a failing one as the program of rule calls it ran.
 
-:func:`run` runs the machine seeded, with no example database, and returns
-how many steps of each op kind it executed.  ``tools/check_perf_smoke.py``
+:func:`run` runs the machine seeded, with no example database and no
+shrinking (a violation is reported as generated, at once), and returns how
+many steps of each op kind it executed.  ``tools/check_perf_smoke.py``
 (the ``serving stress`` row) and the serving tests call it; ``repro`` itself
 never imports ``hypothesis``.
 """
@@ -53,7 +57,7 @@ STALLS = ("replica_stall", "shard_stall", "link_drop")
 #: Every op kind a run tallies: one per rule, the sampled kinds of release, kill and stall.
 OPS = ("admit", "fork", "decode", "truncate", "evict", "preempt") + KILLS + STALLS
 #: Examples per run and rule steps per example.
-EXAMPLES, STEPS = 10, 25
+EXAMPLES, STEPS = 10, 30
 
 
 def token_lists(min_size: int, max_size: int) -> st.SearchStrategy:
@@ -65,6 +69,8 @@ def token_lists(min_size: int, max_size: int) -> st.SearchStrategy:
 PICK = st.integers(0, 63)
 SUFFIX = token_lists(0, BLOCK + 1)
 BUDGET = st.integers(1, 2 * BLOCK - 1)
+#: An admission publishes its prompt unless this draws 0.
+PUBLISH = st.integers(0, 4)
 
 
 def _base_value(tokens: List[int], position: int) -> float:
@@ -86,6 +92,15 @@ def _write(cache: PagedKVCache, slot: int, tokens: List[int], begin: int) -> Non
     for layer in range(cache.num_layers):
         keys = np.broadcast_to(bases[None, :, None] + layer * 0.125, (heads, len(bases), d_head))
         cache.write(layer, [slot], keys, keys + 0.0625, np.arange(begin, len(tokens))[None, :])
+
+
+def key_tokens(cache: PagedKVCache, block: int) -> List[int]:
+    """The token prefix published ``block``'s chained radix key spells out."""
+    runs = []
+    while block != -1:
+        block, run = cache.block_key_of(block)
+        runs.append(run)
+    return np.frombuffer(b"".join(reversed(runs)), dtype=np.int64).tolist()
 
 
 class _Sequence:
@@ -110,7 +125,10 @@ class PoolMachine(RuleBasedStateMachine):
         Pool size and live-slot ceiling (the scheduler's ``max_batch_size``).
     """
 
-    #: The pools every op is applied to; the first is audited structurally, all of them for content.
+    #: The pools every op is applied to; the first is audited whole, all of them for live content.
+    #: They must share a geometry and decide alike: ``blocks_needed`` and the decode
+    #: copy-on-write guard read the first pool only, and an admission that some pools
+    #: reserve and others refuse is an :class:`InvariantViolation`.
     POOLS = (PagedKVCache,)
 
     def __init__(self, tally: Optional[Counter] = None, num_blocks: int = 24, max_slots: int = 5) -> None:
@@ -129,40 +147,51 @@ class PoolMachine(RuleBasedStateMachine):
         self.templates = templates
 
     @precondition(lambda self: len(self.live) < self.max_slots)
-    @rule(template=PICK, cut=PICK, suffix=SUFFIX, budget=BUDGET)
-    def admit(self, template: int, cut: int, suffix: List[int], budget: int) -> None:
+    @rule(template=PICK, cut=PICK, suffix=SUFFIX, budget=BUDGET, publish=PUBLISH)
+    def admit(self, template: int, cut: int, suffix: List[int], budget: int, publish: int) -> None:
         """Admit a prefix of a template plus fresh tokens."""
-        self._admit("admit", self.templates[template % len(self.templates)], cut, suffix, budget)
+        self._admit("admit", self.templates[template % len(self.templates)], cut, suffix, budget, publish)
 
     @precondition(lambda self: 0 < len(self.live) < self.max_slots)
-    @rule(source=PICK, cut=PICK, suffix=SUFFIX, budget=BUDGET)
-    def fork(self, source: int, cut: int, suffix: List[int], budget: int) -> None:
+    @rule(source=PICK, cut=PICK, suffix=SUFFIX, budget=BUDGET, publish=PUBLISH)
+    def fork(self, source: int, cut: int, suffix: List[int], budget: int, publish: int) -> None:
         """Admit a prefix of a live sequence plus fresh tokens."""
-        self._admit("fork", self.live[source % len(self.live)].tokens, cut, suffix, budget)
+        self._admit("fork", self.live[source % len(self.live)].tokens, cut, suffix, budget, publish)
 
-    def _admit(self, kind: str, base: List[int], cut: int, suffix: List[int], budget: int) -> None:
-        """Admission exactly as the scheduler performs it, in every pool; a no-op when one cannot reserve."""
+    def _admit(self, kind: str, base: List[int], cut: int, suffix: List[int], budget: int, publish: int) -> None:
+        """Admission exactly as the scheduler performs it, in every pool; a no-op when every pool refuses.
+
+        It publishes the prompt unless ``publish`` is 0: the scheduler's
+        ``prefix_cache=False`` path is one draw in five.
+        """
         self.tally[kind] += 1
         tokens = list(base[: cut % len(base) + 1]) + suffix
         capacity = len(tokens) + budget - 1
         if self.pools[0].blocks_needed(capacity) > self.pools[0].num_blocks:
             return
-        slots = []
+        slots, refused = [], []
         for cache in self.pools:
             matched = cache.match_prefix(tokens)
             start = min(len(matched) * BLOCK, len(tokens) - 1)
             try:
                 slot = cache.reserve(capacity, shared=matched, private_tail=start < len(matched) * BLOCK)
             except ResourceExhaustedError:
-                return
+                refused.append(type(cache).__name__)
+                continue
             # Matched blocks carry the publisher's payloads, which chained block
             # identity guarantees equal this prompt's own.
             cache.set_length(slot, start)
             _write(cache, slot, tokens, start)
             cache.set_length(slot, len(tokens))
-            cache.publish_prefix(slot, tokens)
+            if publish:
+                cache.publish_prefix(slot, tokens)
             slots.append(slot)
-        self.live.append(_Sequence(tokens, slots))
+        if slots and refused:
+            raise InvariantViolation(
+                f"{', '.join(refused)} refused {capacity} positions for {tokens}; the other pools reserved them"
+            )
+        if slots:
+            self.live.append(_Sequence(tokens, slots))
 
     @precondition(lambda self: self.live)
     @rule(which=PICK, appended=token_lists(1, 4))
@@ -228,7 +257,7 @@ class PoolMachine(RuleBasedStateMachine):
 
     @invariant()
     def audited(self) -> None:
-        """Every structural invariant of the first pool, then the exact content of every live slot."""
+        """The first pool's structure and published blocks, then the exact content of every live slot."""
         self.version = check_pool_invariants(self.pools[0], self.version)
         for sequence in self.live:
             length = len(sequence.tokens)
@@ -245,31 +274,47 @@ class PoolMachine(RuleBasedStateMachine):
                             f"slot {slot} layer {layer}: position {int(wrong.argmax())} of {length} "
                             f"does not hold the payload of tokens {sequence.tokens}"
                         )
+        # A published block, live or cached, holds the payload of the prefix its chained key spells out.
+        cache = self.pools[0]
+        blocks = list(cache.radix_entries().values())
+        if not blocks:
+            return
+        prefixes = [key_tokens(cache, block) for block in blocks]
+        bases = np.array([[_base_value(tokens, position) for position in range(len(tokens) - BLOCK, len(tokens))]
+                          for tokens in prefixes])
+        for layer in range(cache.num_layers):
+            want = bases[None, :, :, None] + layer * 0.125
+            keys, values = cache.key_blocks[layer][:, blocks], cache.value_blocks[layer][:, blocks]
+            wrong = ((keys != want) | (values != want + 0.0625)).any(axis=(0, 2, 3))
+            if wrong.any():
+                row = int(wrong.argmax())
+                raise InvariantViolation(
+                    f"published block {blocks[row]} does not hold the payload of tokens {prefixes[row]}"
+                )
 
     def teardown(self) -> None:
         """Count the blocks this example's first pool relocated."""
         self.tally["relocated_blocks"] += self.pools[0].relocated_blocks
 
 
-def run(machine=PoolMachine, seed: int = 0, *, shrink: bool = True, **geometry) -> Counter:
-    """Run :data:`EXAMPLES` examples of ``machine(tally, **geometry)``, seeded and with no example database.
+#: No example database and no shrinking: shrinking a deep failing schedule can take minutes.
+SETTINGS = settings(
+    max_examples=EXAMPLES,
+    stateful_step_count=STEPS,
+    database=None,
+    deadline=None,
+    suppress_health_check=list(HealthCheck),
+    phases=[phase for phase in Phase if phase is not Phase.shrink],
+)
+
+
+def run(machine=PoolMachine, seed: int = 0, **geometry) -> Counter:
+    """Run :data:`EXAMPLES` examples of ``machine(tally, **geometry)`` under ``hypothesis.seed(seed)``.
 
     Returns the tally: steps per op kind (:data:`OPS`) and
-    ``relocated_blocks``.  A violated invariant is raised once
-    ``hypothesis`` has shrunk the failing schedule and printed it — which
-    can take minutes; with ``shrink=False`` it is raised at once, and the
-    schedule printed as it was generated.
+    ``relocated_blocks``.  A violated invariant is raised at once, after
+    ``hypothesis`` has printed the failing schedule as generated.
     """
     tally: Counter = Counter()
-    run_state_machine_as_test(
-        seeded(seed)(lambda: machine(tally, **geometry)),
-        settings=settings(
-            max_examples=EXAMPLES,
-            stateful_step_count=STEPS,
-            database=None,
-            deadline=None,
-            suppress_health_check=list(HealthCheck),
-            phases=[phase for phase in Phase if shrink or phase is not Phase.shrink],
-        ),
-    )
+    run_state_machine_as_test(seeded(seed)(lambda: machine(tally, **geometry)), settings=SETTINGS)
     return tally
