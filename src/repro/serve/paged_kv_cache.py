@@ -31,25 +31,31 @@ Since the prefix-caching PR, blocks additionally carry *identity*:
 * writes into a block shared with another slot trigger **copy-on-write**:
   the writer gets a private copy and the original keeps serving the other
   holders (and future prefix matches);
-* freed *published* blocks go to an **LRU free-list** with their bytes
-  intact: they keep their index entry (and stay matchable) until memory
-  pressure actually reclaims them, at which point the block — and every
-  radix descendant, whose chained identity it anchored — is de-indexed;
+* freed *published* blocks stay **cached** with their bytes intact: they
+  keep their index entry (and stay matchable) until memory pressure
+  actually reclaims them, at which point the block — and every radix
+  descendant, whose chained identity it anchored — is de-indexed.  They
+  wait on two LRU lists: blocks no reservation has shared since they were
+  published, reclaimed first, and blocks one has — so a scan of prompts
+  nobody shares cannot flush a prefix somebody does (the segmented-LRU
+  rule of 2Q, Johnson & Shasha, VLDB 1994);
 * freed *unpublished* blocks — nothing can match them, so they are
   interchangeable — coalesce into a map of **free extents**, and every
   reservation is carved out of it as consecutive runs (the extent that
   continues the shared prefix, else the best fit, else the fewest extents
   that cover it): the fused attention kernel pays one matmul pair per run
   of a table, so *where* a table lands is a performance decision, while
-  *which* cached block dies stays the LRU's — the extents are drained
-  before the oldest published block is reclaimed, exactly the order a
+  *which* cached block dies stays the LRU lists' — the extents are
+  drained before any published block is reclaimed, exactly the order a
   single list with unpublished blocks at its front would give;
 * a *cached* block — published, unreferenced — is in no table and is known
   by its radix key, not its address, so it can be **relocated**: when the
   free blocks are there but no extent is long enough (under eviction
-  pressure the extents are a mosaic between cached blocks), a reservation
+  pressure the extents are a mosaic between cached blocks), or cached
+  blocks sit right after the prefix a reservation shares, the reservation
   moves the cached blocks out of a window — bytes, radix identity, LRU
-  position — and is still one run; which prefix dies next is untouched.
+  list and position — and is still one run, continuing its prefix where
+  that costs few moves; which prefix dies next is untouched.
 
 The pool promises nothing about bytes no row can see: freed, reclaimed and
 vacated blocks and rolled-back positions keep whatever they held, and
@@ -286,8 +292,10 @@ class PagedKVCache:
     mid-decode.  Blocks are reference
     counted: a reservation may *share* published prefix blocks with other
     slots (see :meth:`match_prefix` / :meth:`publish_prefix`), writes into a
-    shared block fork a private copy, and freed blocks linger on an LRU
-    free-list so their contents stay matchable until reclaimed.
+    shared block fork a private copy, and freed published blocks stay
+    cached so their contents stay matchable until reclaimed: those no
+    reservation has shared since they were published before those one
+    has, the oldest released first within each (:meth:`cached_free_blocks`).
 
     Parameters
     ----------
@@ -343,9 +351,14 @@ class PagedKVCache:
         self._refcounts = np.zeros(num_blocks, dtype=np.int64)
         #: Unreferenced *unpublished* blocks, as coalesced extents.
         self._extents = _FreeExtents(num_blocks)
-        #: Unreferenced *published* blocks in reclaim order (front reclaimed
-        #: first, and only once the extents are exhausted).
+        #: Unreferenced *published* blocks, oldest released first: those no
+        #: reservation has shared since they were published, then those one
+        #: has.  Reclaimed front first, ``_free_lru`` before ``_matched_lru``,
+        #: and only once the extents are exhausted.
         self._free_lru: "OrderedDict[int, None]" = OrderedDict()
+        self._matched_lru: "OrderedDict[int, None]" = OrderedDict()
+        #: Published blocks a reservation has shared since they were published.
+        self._matched: Set[int] = set()
         self._tables: Dict[int, List[int]] = {}
         self._lengths: Dict[int, int] = {}
         self._next_slot = 0
@@ -403,8 +416,8 @@ class PagedKVCache:
 
     @property
     def free_block_count(self) -> int:
-        """Blocks currently available for :meth:`reserve` (extents plus LRU)."""
-        return self._extents.blocks + len(self._free_lru)
+        """Blocks currently available for :meth:`reserve` (extents plus cached)."""
+        return self._extents.blocks + len(self._free_lru) + len(self._matched_lru)
 
     @property
     def reservations(self) -> int:
@@ -468,8 +481,16 @@ class PagedKVCache:
         return self._extents.extents()
 
     def cached_free_blocks(self) -> List[int]:
-        """Unreferenced published blocks, oldest (reclaimed first) to newest (a copy)."""
-        return list(self._free_lru)
+        """Unreferenced published blocks in the order memory pressure reclaims them (a copy).
+
+        Those no reservation has shared since they were published, then
+        those one has; the oldest released first within each.
+        """
+        return list(self._free_lru) + list(self._matched_lru)
+
+    def _lru_of(self, block: int) -> "OrderedDict[int, None]":
+        """The list published ``block`` waits on while unreferenced."""
+        return self._matched_lru if block in self._matched else self._free_lru
 
     def radix_entries(self) -> Dict[Tuple[int, bytes], int]:
         """The prefix index as ``{(parent, token-run bytes): block}`` (a copy).
@@ -487,20 +508,6 @@ class PagedKVCache:
     def block_key_of(self, block: int) -> Optional[Tuple[int, bytes]]:
         """The radix key ``block`` is published under, or None if unpublished."""
         return self._block_key.get(block)
-
-    def publish(self, registry, prefix: str = "cache") -> None:
-        """Publish the pool's counters into a :class:`repro.obs.MetricsRegistry`.
-
-        ``<prefix>.gather_bytes``, ``<prefix>.table_runs`` and
-        ``<prefix>.reservations`` — the last two give mean runs per reserved
-        table, the fragmentation the fused attention kernel pays a matmul
-        pair per unit of — and ``<prefix>.relocated_blocks`` /
-        ``<prefix>.compactions``, what keeping that at one run cost in block
-        copies.  Counters accumulate — snapshot/delta around each publish to
-        diff phases.
-        """
-        for name in ("gather_bytes", "table_runs", "reservations", "relocated_blocks", "compactions"):
-            registry.counter(f"{prefix}.{name}").inc(getattr(self, name))
 
     # ------------------------------------------------------------------
     # Prefix identity (radix of chained block hashes)
@@ -595,8 +602,10 @@ class PagedKVCache:
 
         A de-indexed block that is unreferenced — a descendant whose chained
         identity ``block`` anchored — has nothing left worth keeping, so it
-        moves from the LRU to the free extents, where the next reservation
-        takes it before evicting anything still matchable.
+        moves from its LRU list to the free extents, where the next
+        reservation takes it before evicting anything still matchable.  A
+        de-indexed block is no longer matched: published again, it starts
+        on ``_free_lru``.
         """
         orphans: List[int] = []
         self._unindex(block, orphans)
@@ -604,12 +613,14 @@ class PagedKVCache:
             self._recycle(orphans)
 
     def _unindex(self, block: int, orphans: List[int]) -> None:
-        """:meth:`_deindex`, with the unreferenced blocks taken off the LRU left in ``orphans``."""
+        """:meth:`_deindex`, with the unreferenced blocks taken off the LRU lists left in ``orphans``."""
         key = self._block_key.pop(block, None)
         if key is None:
             return
-        if block in self._free_lru:
-            del self._free_lru[block]
+        lru = self._lru_of(block)
+        self._matched.discard(block)
+        if block in lru:
+            del lru[block]
             orphans.append(block)
         if self._prefix_index.get(key) == block:
             del self._prefix_index[key]
@@ -638,10 +649,12 @@ class PagedKVCache:
         shared : sequence of int, optional
             A matched prefix chain from :meth:`match_prefix`; these blocks
             become the head of the new table with their reference counts
-            incremented (revived from the free-list if unreferenced) instead
-            of being recomputed.  An intervening ``reserve`` may have evicted
-            or relocated a member, so a list naming any published block must
-            still be a radix chain; one naming none is a share of live blocks.
+            incremented (revived from the cache if unreferenced) instead
+            of being recomputed; the published ones count as matched from
+            here on, so they outlive cached blocks nobody has shared.  An
+            intervening ``reserve`` may have evicted or relocated a member,
+            so a list naming any published block must still be a radix
+            chain; one naming none is a share of live blocks.
         private_tail : bool
             Fork the last shared block eagerly when other slots still
             reference it.  The scheduler sets this when the prompt's final
@@ -677,7 +690,7 @@ class PagedKVCache:
         fork_needed = bool(private_tail and shared and self._refcounts[shared[-1]] >= 1)
         revivals = [block for block in shared if self._refcounts[block] == 0]
         keys = [self._block_key.get(block) for block in shared]
-        if any(block not in self._free_lru for block in revivals) or (
+        if any(block not in self._lru_of(block) for block in revivals) or (
             any(keys) and any(key is None or key[0] != parent for key, parent in zip(keys, [_ROOT] + shared))
         ):
             raise ConfigurationError(
@@ -692,9 +705,10 @@ class PagedKVCache:
                 f"of {self.num_blocks} are free"
             )
         for block in revivals:
-            del self._free_lru[block]
+            del self._lru_of(block)[block]
         for block in shared:
             self._refcounts[block] += 1
+        self._matched.update(block for block, key in zip(shared, keys) if key)
         # One pick for everything this table needs: the eager fork's private
         # copy takes the forked block's place, so it leads the fresh blocks.
         kept = shared[:-1] if fork_needed else shared
@@ -741,12 +755,15 @@ class PagedKVCache:
         consecutive ``(first, count)`` runs placed against the table
         neighbours ``after`` / ``before`` (see :meth:`_FreeExtents.take`),
         with whatever bytes they last held.  Published blocks are reclaimed
-        only when the extents cannot cover the request, oldest first and
-        one at a time — exactly the blocks, in exactly the order, a single
-        LRU list would give up — each dropping out of the prefix index with
-        its now-unanchored radix descendants.  When the blocks are there but
-        no single extent holds them, :meth:`_open_window` first moves cached
-        blocks out of the way so the pick below is still one run.
+        only when the extents cannot cover the request, one at a time in
+        :meth:`cached_free_blocks` order — the oldest released of those no
+        reservation has shared, and only then of those one has: the front
+        of one of two lists, no scan — each dropping out of the prefix
+        index with its now-unanchored radix descendants.  When the blocks
+        are there but no single extent holds them, or no extent continues
+        the table's prefix at ``after``, :meth:`_open_window` first moves
+        cached blocks out of the way so the pick below is still one run
+        (and, within its slack, continues the prefix).
         """
         if count > self.free_block_count:
             raise ResourceExhaustedError(
@@ -755,10 +772,13 @@ class PagedKVCache:
             )
         reclaimed: List[int] = []
         while self._extents.blocks + len(reclaimed) < count:
-            self._unindex(next(iter(self._free_lru)), reclaimed)
+            self._unindex(next(iter(self._free_lru or self._matched_lru)), reclaimed)
+        cached = self._free_lru or self._matched_lru
         picked: List[Tuple[int, int]] = []
-        if count > 1 and self._free_lru and (reclaimed or max(self._extents.length.values()) < count):
-            # No extent holds the request (unless the reclaimed blocks coalesce into one).
+        # No extent continues the prefix (cached blocks may sit right after it), or
+        # none holds the request (unless the reclaimed blocks coalesce into one).
+        stuck = after is not None and after + 1 not in self._extents.length
+        if count > 1 and cached and (reclaimed or stuck or max(self._extents.length.values()) < count):
             picked = self._open_window(count, after, reclaimed)
         if not picked:
             if reclaimed:
@@ -774,17 +794,19 @@ class PagedKVCache:
         Among the windows of ``count`` consecutive blocks holding no
         referenced block, the one continuing ``after`` is opened when it costs
         at most ``count // 2`` more moves than the cheapest, else the cheapest
-        (ties to the lowest address).  The move list is copy + rename: its
-        cached blocks' K/V bytes in every layer are copied onto the blocks
-        this call just ``reclaimed``, then the lowest free addresses (holes
-        fill, free space coalesces), and their radix identity and LRU
-        position follow; the window is the run returned, and the reclaimed
-        blocks left over join the extents.  Nothing a forward reads moves
-        and the LRU keeps its order.
+        (ties to the lowest address).  The move list is copy + rename: each
+        run of consecutive cached blocks in the window is copied, K/V bytes
+        in every layer, onto the free blocks outside it as
+        :meth:`_FreeExtents.take` would hand them to a table (the smallest
+        extent that holds the run: holes fill, and a moved chain stays one
+        run), and their radix identity, matched flag and LRU position
+        follow; the window is the run returned, and the free blocks left
+        over — the ``reclaimed`` ones among them — are the new extents.
+        Nothing a forward reads moves and both LRU lists keep their order.
 
         Returns no run, having changed nothing, when every window holds a
-        referenced block (the fewest-extents split stands) or one is already
-        free; ``reclaimed`` is then still the caller's to recycle.
+        referenced block (the fewest-extents split stands) or the one chosen
+        is already free; ``reclaimed`` is then still the caller's to recycle.
         """
         # One weight per block: 0 free, 1 cached (a move), and for a referenced
         # block more than any clear window can total.
@@ -795,26 +817,28 @@ class PagedKVCache:
         moves = np.convolve(weight, np.ones(count, dtype=np.int64), "valid")
         first = int(moves.argmin())
         cheapest = int(moves[first])
-        if not 0 < cheapest <= count:
-            return []
         if after is not None and after + 1 < len(moves) and moves[after + 1] <= cheapest + count // 2:
             first = after + 1
-        window = range(first, first + count)
+        if not 0 < moves[first] <= count:
+            return []
         source = (first + weight[first : first + count].nonzero()[0]).tolist()
         free = weight == 0
         free[first : first + count] = False  # handed out right here, and no target lies inside
-        target = sorted(block for block in reclaimed if block not in window)[: len(source)]
-        free[target] = False
-        if len(target) < len(source):
-            target += free.nonzero()[0][: len(source) - len(target)].tolist()
-            free[target] = False
-        self._pools[:, :, target] = self._pools.take(source, axis=2)
-        order = list(self._free_lru)
-        for old, new in zip(source, target):
-            self._rename(old, new)
-            order[order.index(old)] = new
-        self._free_lru = OrderedDict.fromkeys(order)
         self._extents.reset(free)
+        target = [
+            block
+            for _, _, size in _consecutive_runs(source)
+            for start, length in self._extents.take(size)
+            for block in range(start, start + length)
+        ]
+        self._pools[:, :, target] = self._pools.take(source, axis=2)
+        moved = dict(zip(source, target))
+        for old, new in moved.items():
+            self._rename(old, new)
+        self._free_lru, self._matched_lru = (
+            OrderedDict.fromkeys(moved.get(block, block) for block in lru)
+            for lru in (self._free_lru, self._matched_lru)
+        )
         self.compactions += 1
         self.relocated_blocks += len(source)
         if self.tracer is not None:
@@ -822,7 +846,7 @@ class PagedKVCache:
         return [(first, count)]
 
     def _rename(self, old: int, new: int) -> None:
-        """Move published block ``old``'s radix identity to address ``new``.
+        """Move published block ``old``'s radix identity and matched flag to address ``new``.
 
         Chained keys embed the parent's physical id, so every child of
         ``old`` — live, cached, or itself moving in the same batch — is
@@ -834,6 +858,9 @@ class PagedKVCache:
         siblings = self._children[key[0]]
         siblings.remove(old)
         siblings.add(new)
+        if old in self._matched:
+            self._matched.remove(old)
+            self._matched.add(new)
         children = self._children.pop(old, None)
         if children is not None:
             self._children[new] = children
@@ -847,16 +874,18 @@ class PagedKVCache:
         """Drop one reference from each of ``blocks``; release those nobody holds.
 
         Published blocks keep their contents and index entry and join the
-        *back* of the LRU in the order given (reclaimed last,
-        least-recently-freed first among themselves); unpublished blocks
-        carry nothing reusable and are recycled.
+        *back* of their LRU list — ``_matched_lru`` if a reservation has
+        shared them since they were published, else ``_free_lru`` — in the
+        order given (reclaimed last on that list, least-recently-freed first
+        among themselves); unpublished blocks carry nothing reusable and are
+        recycled.
         """
         unpublished = []
         for block in blocks:
             self._refcounts[block] -= 1
             if self._refcounts[block] == 0:
                 if block in self._block_key:
-                    self._free_lru[block] = None
+                    self._lru_of(block)[block] = None
                 else:
                     unpublished.append(block)
         if unpublished:
@@ -897,7 +926,7 @@ class PagedKVCache:
         * **Tail blocks** no longer needed to cover ``new_length`` (nor
           ``min_capacity``) have their reference counts dropped; blocks that
           reach zero are released exactly as :meth:`free` releases them —
-          published blocks stay matchable on the LRU, unpublished ones
+          published blocks stay matchable on their LRU list, unpublished ones
           coalesce back into the free extents (so a regrow gets the same
           consecutive run), and ancestors of a released block are never
           de-indexed.

@@ -2,20 +2,22 @@
 
 The :class:`~repro.serve.paged_kv_cache.PagedKVCache` correctness story
 spans reference counts, a radix prefix index, copy-on-write forks, a free
-side split into coalesced extents of unpublished blocks and an LRU whose
-published blocks stay matchable, relocation of cached blocks, and
-speculative-rollback truncation.  :func:`check_pool_invariants` audits one
-pool's whole structure at any moment:
+side split into coalesced extents of unpublished blocks and two LRU lists
+whose published blocks stay matchable (never matched, then matched),
+relocation of cached blocks, and speculative-rollback truncation.
+:func:`check_pool_invariants` audits one pool's whole structure at any
+moment:
 
 * **Refcount duality** — every block's reference count equals its number of
   occurrences across live slot tables, and a block is free exactly when
   that count is zero.
 * **Free-structure partition** — the free extents hold exactly the
-  unreferenced *unpublished* blocks (disjoint, maximal runs), the LRU
-  exactly the unreferenced *published* ones, and the two partition
-  ``free_blocks()``.
+  unreferenced *unpublished* blocks (disjoint, maximal runs), the LRU lists
+  exactly the unreferenced *published* ones, never-matched before matched,
+  and the two partition ``free_blocks()``; only published blocks are
+  flagged matched.
 * **Radix consistency** — the prefix index, reverse key map, and children
-  sets agree; every indexed block is live or LRU-matchable; every non-root
+  sets agree; every indexed block is live or cached; every non-root
   parent is itself indexed.
 * **Version monotonicity** — ``table_version`` never moves backwards.
 
@@ -79,14 +81,19 @@ def check_pool_invariants(cache: PagedKVCache, last_version: Optional[int] = Non
                 f"block {block} (refcount {refs}) and the free-list disagree"
             )
     # The free side is two structures: coalesced extents of unpublished
-    # blocks, and the LRU of published ones.  Together they are exactly
+    # blocks, and the LRU lists of published ones.  Together they are exactly
     # ``free_blocks()``; apart, each holds exactly its own kind.
     extents = cache.free_extents()
     unpublished = [block for first, count in extents for block in range(first, first + count)]
     cached = cache.cached_free_blocks()
     published_free = set(cached)
     if free != unpublished + cached:
-        raise InvariantViolation("free_blocks() is not the free extents followed by the LRU")
+        raise InvariantViolation("free_blocks() is not the free extents followed by the cached blocks")
+    stale = [block for block in cache._matched if cache.block_key_of(block) is None]
+    if stale:
+        raise InvariantViolation(f"unpublished block {stale[0]} is still flagged matched")
+    if cached != sorted(cached, key=cache._matched.__contains__):
+        raise InvariantViolation("a matched cached block would be reclaimed before a never-matched one")
     for (first, count), (following, _) in zip(extents, extents[1:] + [(cache.num_blocks + 1, 0)]):
         if count < 1 or first < 0 or first + count >= following:
             raise InvariantViolation(
@@ -97,7 +104,7 @@ def check_pool_invariants(cache: PagedKVCache, last_version: Optional[int] = Non
         if (cache.block_key_of(block) is not None) != (block in published_free):
             raise InvariantViolation(
                 f"free block {block} sits in the wrong free structure: published blocks "
-                "belong on the LRU, unpublished ones in the extents"
+                "belong on the LRU lists, unpublished ones in the extents"
             )
     entries = cache.radix_entries()
     for (parent, run), block in entries.items():
@@ -105,7 +112,7 @@ def check_pool_invariants(cache: PagedKVCache, last_version: Optional[int] = Non
             raise InvariantViolation(f"radix reverse map disagrees for block {block}")
         if cache.ref_count(block) == 0 and block not in free_set:
             raise InvariantViolation(
-                f"indexed block {block} is neither live nor LRU-matchable"
+                f"indexed block {block} is neither live nor cached"
             )
         if parent != _ROOT:
             if cache.block_key_of(parent) is None:
@@ -137,13 +144,15 @@ def check_pool_invariants(cache: PagedKVCache, last_version: Optional[int] = Non
 class LruReferencePool(PagedKVCache):
     """The retired one-list allocation policy, kept as the eviction oracle.
 
-    Every unreferenced block — published or not — sits on one LRU list:
-    released unpublished blocks go to the front, published ones to the back,
-    a block orphaned by :meth:`_unindex` stays where it was, and an
-    allocation pops the head once per block, bytes as they are.
+    Every unreferenced block no reservation has matched — published or not
+    — sits on one LRU list: released unpublished blocks go to the front,
+    published ones to the back, a block orphaned by :meth:`_unindex` stays
+    where it was, and an allocation pops the head once per block, bytes as
+    they are.  Matched published blocks wait on :class:`PagedKVCache`'s
+    second list, popped the same way only once the first is empty.
     :class:`PagedKVCache` must evict the same published blocks in the same
     order (or spare one, when it spends an orphan this policy leaves deep
-    in the list) — what ``tests/serve/test_block_allocator.py`` and the
+    in a list) — what ``tests/serve/test_block_allocator.py`` and the
     perf-smoke contiguity gate compare against.  Not a serving path: it
     fragments tables.
     """
@@ -154,10 +163,11 @@ class LruReferencePool(PagedKVCache):
         self._free_lru.update((block, None) for block in range(self.num_blocks))
 
     def _unindex(self, block: int, orphans: List[int]) -> None:
-        """Drop ``block`` and its radix descendants from the index, in place on the LRU."""
+        """Drop ``block`` and its radix descendants from the index and their matched flags, in place on the lists."""
         key = self._block_key.pop(block, None)
         if key is None:
             return
+        self._matched.discard(block)
         if self._prefix_index.get(key) == block:
             del self._prefix_index[key]
         self._children.get(key[0], set()).discard(block)
@@ -165,10 +175,10 @@ class LruReferencePool(PagedKVCache):
             self._unindex(child, orphans)
 
     def _take(self, count: int, after=None, before=None):
-        """Pop the LRU head ``count`` times, wherever those blocks happen to lie."""
-        if count > len(self._free_lru):
-            raise ResourceExhaustedError(f"need {count} free KV blocks, {len(self._free_lru)} left")
-        blocks = [self._free_lru.popitem(last=False)[0] for _ in range(count)]
+        """Pop the head of the first non-empty list ``count`` times, wherever those blocks happen to lie."""
+        if count > self.free_block_count:
+            raise ResourceExhaustedError(f"need {count} free KV blocks, {self.free_block_count} left")
+        blocks = [(self._free_lru or self._matched_lru).popitem(last=False)[0] for _ in range(count)]
         for block in blocks:
             self._deindex(block)
         self._refcounts[blocks] = 1

@@ -2,11 +2,12 @@
 
 ``PagedKVCache`` keeps its unreferenced blocks in two structures — coalesced
 extents of *unpublished* blocks, which are interchangeable and handed out as
-consecutive runs, and the LRU of *published* blocks, reclaimed oldest-first
-only when the extents run dry; when the blocks are there but no extent holds
+consecutive runs, and two LRU lists of *published* blocks, reclaimed only
+when the extents run dry — those no reservation has matched first, oldest
+released first within each; when the blocks are there but no extent holds
 them, cached blocks (published, unreferenced) are *relocated* out of a window
-so the reservation is still one run.  The unit tests pin each placement and
-relocation rule on hand-built pools; the property test drives the stress
+so the reservation is still one run.  The unit tests pin each placement,
+relocation and reclaim-order rule on hand-built pools; the property test drives the stress
 machine's mixed schedules against :class:`repro.serve.stress.LruReferencePool`
 (the retired one-list policy) and asserts that only *where* a block lives
 changed, never *which cached prefix* dies.
@@ -25,7 +26,7 @@ from hypothesis.stateful import initialize, invariant, run_state_machine_as_test
 from stress_machine import SETTINGS, PoolMachine, key_tokens, run
 
 from repro.errors import ConfigurationError, ResourceExhaustedError
-from repro.obs import MetricsRegistry, Tracer
+from repro.obs import Tracer
 from repro.serve import (
     GenerationConfig,
     PagedKVCache,
@@ -220,12 +221,7 @@ class TestPlacement:
         pool.reserve(3 * BLOCK)  # 0, 2, 4
         events = pool.tracer.events_named("cache.block_alloc")
         assert [event.args["runs"] for event in events] == [1, 1, 1, 1, 1, 1, 3]
-        registry = MetricsRegistry()
-        pool.publish(registry)
-        snapshot = registry.snapshot()
-        assert snapshot["cache.table_runs"] == pool.table_runs == 9
-        assert snapshot["cache.reservations"] == 7
-        assert snapshot["cache.gather_bytes"] == 0
+        assert (pool.table_runs, pool.reservations, pool.gather_bytes) == (9, 7, 0)
 
 
 # ----------------------------------------------------------------------
@@ -267,10 +263,6 @@ class TestRelocation:
         check_pool_invariants(pool)
         # Counted and traced apart from gather_bytes, which stays per-forward traffic.
         assert (pool.relocated_blocks, pool.compactions, pool.gather_bytes) == (1, 1, 0)
-        registry = MetricsRegistry()
-        pool.publish(registry)
-        snapshot = registry.snapshot()
-        assert snapshot["cache.relocated_blocks"] == snapshot["cache.compactions"] == 1
         (event,) = pool.tracer.events_named("cache.compact")
         assert event.args == {"count": 4, "moved": 1, "first": 8}
         assert pool.tracer.events_named("cache.block_alloc")[-1].args["runs"] == 1
@@ -426,6 +418,91 @@ class TestRelocation:
         assert state == (pool.block_table(other), pool.cached_free_blocks(), pool.free_extents(), pool.table_version)
         assert [pool.ref_count(block) for block in stale] == [0, 1]
         check_pool_invariants(pool)
+
+
+# ----------------------------------------------------------------------
+# Scan resistance: blocks a reservation has matched outlive blocks nobody has
+# ----------------------------------------------------------------------
+def victims(pool, count):
+    """Reserve ``count`` one-block slots on a full pool; the cached block each one reclaims, in order."""
+    reclaimed = []
+    for _ in range(count):
+        cached = pool.cached_free_blocks()
+        pool.reserve(BLOCK)
+        reclaimed += [block for block in cached if block not in pool.cached_free_blocks()]
+    return reclaimed
+
+
+def share(pool, name):
+    """Match chain ``name`` with a reservation of its own, then release it."""
+    pool.free(pool.reserve(2 * BLOCK, shared=pool.match_prefix(chain(name))))
+
+
+def published(pool, names):
+    """One two-block slot per chain, filled and published; ``{name: slot}``."""
+    slots = {name: pool.reserve(2 * BLOCK) for name in names}
+    for name, slot in slots.items():
+        fill(pool, slot, chain(name))
+    return slots
+
+
+class TestScanResistance:
+    def test_a_matched_chain_survives_a_never_matched_scan_larger_than_the_free_space(self):
+        pool = make_pool(num_blocks=8)
+        slots = published(pool, "a")
+        share(pool, "a")
+        pool.free(slots["a"])
+        for name in "bcdefg":  # twelve never-matched blocks through the six free ones
+            pool.free(published(pool, name)[name])
+        assert [name for name in "abcdefg" if len(pool.match_prefix(chain(name))) == 2] == ["a", "e", "f", "g"]
+        check_pool_invariants(pool)
+
+    def test_with_nothing_matched_blocks_die_in_release_order(self):
+        pool = make_pool(num_blocks=6)
+        slots = published(pool, "abc")
+        released = []
+        for name in "bca":  # each chain leaf first
+            released += pool.block_table(slots[name])[::-1]
+            pool.free(slots[name])
+        assert pool.cached_free_blocks() == released
+        assert victims(pool, 6) == released
+
+    def test_cached_free_blocks_lists_the_reclaim_order(self):
+        pool = make_pool(num_blocks=6)
+        slots = published(pool, "abc")
+        share(pool, "a")
+        for name in "abc":  # the matched chain is released first, and reclaimed last
+            pool.free(slots[name])
+        assert pool.cached_free_blocks() == [3, 2, 5, 4, 1, 0]
+        assert victims(pool, 6) == [3, 2, 5, 4, 1, 0]
+
+    def test_the_matched_flag_follows_a_relocation(self):
+        pool = make_pool(num_blocks=12)
+        mosaic(pool)
+        share(pool, "c")
+        assert pool.cached_free_blocks() == [1, 0, 5, 4, 8, 7]
+        pool.reserve(4 * BLOCK)  # [8, 12): block 8 moves to block 2
+        assert pool.match_prefix(chain("c")) == [7, 2] and pool.relocated_blocks == 1
+        assert pool._matched == {7, 2}
+        assert pool.cached_free_blocks() == [1, 0, 5, 4, 2, 7]
+        check_pool_invariants(pool)
+
+    def test_a_deindex_drops_the_flag(self):
+        pool = make_pool()
+        published(pool, "a")
+        pool.reserve(2 * BLOCK, shared=pool.match_prefix(chain("a")))
+        assert pool._matched == {0, 1}
+        pool._deindex(0)  # and block 1, which it anchored
+        assert pool._matched == set()
+
+    def test_the_private_tail_deindex_drops_the_flag(self):
+        pool = make_pool()
+        pool.free(published(pool, "a")["a"])
+        tail = pool.reserve(2 * BLOCK, shared=pool.match_prefix(chain("a")), private_tail=True)
+        assert pool._matched == {0}  # sole owner of the revived tail block: it leaves the index
+        fill(pool, tail, chain("a"))  # published again when its prefill completes
+        pool.free(tail)
+        assert pool.cached_free_blocks() == [1, 0]  # never matched since: reclaimed first
 
 
 # ----------------------------------------------------------------------

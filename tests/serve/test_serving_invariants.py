@@ -19,6 +19,9 @@ can't fail would vacuously pass everything).
 
 from __future__ import annotations
 
+import importlib
+import sys
+
 import pytest
 from hypothesis.stateful import precondition, rule
 from stress_machine import OPS, PoolMachine, run
@@ -52,6 +55,18 @@ class TestRandomizedSchedules:
         # seeds, so its audits alone would be vacuous there).
         tally = run(seed=stress_seed, num_blocks=10, max_slots=4)
         assert tally["relocated_blocks"] > 0
+
+    def test_a_seed_is_one_schedule_whatever_modules_are_loaded(self, tmp_path, monkeypatch):
+        before = run(seed=0)
+        # Short byte strings and large integers: the literals hypothesis would mix into its draws.
+        literals = [bytes(range(i % 12, i % 12 + 1 + i % 5)) for i in range(250)] + list(range(100, 350))
+        (tmp_path / "many_literals.py").write_text(f"LITERALS = {literals!r}\n")
+        monkeypatch.syspath_prepend(str(tmp_path))
+        try:
+            importlib.import_module("many_literals")
+            assert run(seed=0) == before
+        finally:
+            sys.modules.pop("many_literals", None)
 
 
 class CorruptingMachine(PoolMachine):

@@ -495,6 +495,18 @@ def _two_class(runner):
     return workloads.two_class_trace()
 
 
+def _scan(runner):
+    """A template and a request matching it, four never-matched prompts, then the template again."""
+    template = workloads.shared_prefix_trace(3)
+    return template[:2] + workloads.unshared_trace((46,) * 4) + template[2:]
+
+
+def _scan_blocks(fields, run):
+    """The full blocks the never-matched prompts publish, beside the pool they must overrun."""
+    fields["scan_blocks"] = sum(len(request.prompt) // run.options["block_size"] for request in run.trace[2:-1])
+    fields["num_blocks"] = run.options["num_blocks"]
+
+
 SCENARIOS = (
     Scenario(
         "prefix cache", ("fp",), lambda runner: workloads.shared_prefix_trace(), SMALL,
@@ -628,6 +640,16 @@ SCENARIOS = (
         # (3.11 runs per table before cached blocks could be relocated).
         (("prefix_hit_tokens", "==", "base.prefix_hit_tokens"), ("evicting_steps", ">=", 1),
          ("runs_per_table", "<=", 2.7), ("relocated_blocks", ">=", 1), ("gather_bytes", "==", 0)),
+    ),  # fmt: skip
+    Scenario(
+        "a matched prefix outlives a scan", TENDER, _scan,
+        dict(max_batch_size=1, block_size=8, prefix_cache=True, num_blocks=12), dict(num_blocks=64), {},
+        # The prompts nobody shares overrun the 12 blocks, and their blocks, released after the
+        # template's, go first: the last request hits the template as on a pool that never
+        # evicts.  A single LRU reclaims the template first (it hits 32 tokens of 64).
+        (("prefix_hit_tokens", "==", "base.prefix_hit_tokens"), ("tokens_sha256", "==", "base.tokens_sha256"),
+         ("logits_sha256", "==", "base.logits_sha256"), ("scan_blocks", ">", "num_blocks")),
+        _scan_blocks,
     ),  # fmt: skip
     Scenario(
         "preemption", ("fp",) + TENDER, _two_class,

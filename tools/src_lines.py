@@ -17,8 +17,8 @@ that moves code out of ``src/`` into a tool or a test is judged by, is
 ``total`` less the ``benchmarks/`` row.  ``lines`` are physical lines of
 ``*.py`` files; ``code`` are those that are not blank, comment-only or part
 of a docstring (read off the AST), so "lines are paid for" cannot be met by
-deleting documentation.  The base side is read with ``git ls-tree`` /
-``git show``, so it needs no second checkout; the working-tree side is read
+deleting documentation.  The base side is read with ``git ls-tree`` and
+one ``git cat-file --batch``, so it needs no second checkout; the working-tree side is read
 from disk, so uncommitted edits count.  No third-party dependencies.
 """
 
@@ -83,10 +83,25 @@ def git(*args: str) -> str:
 
 
 def revision_files(revision: str) -> Iterable[Tuple[str, str]]:
-    """Every ``*.py`` under ``src/repro`` and the stacks at ``revision`` (from the object store)."""
-    for path in git("ls-tree", "-r", "--name-only", revision, "--", SOURCE, *STACKS).splitlines():
-        if path.endswith(".py"):
-            yield path, git("show", f"{revision}:{path}")
+    """Every ``*.py`` under ``src/repro`` and the stacks at ``revision``, read by one ``git cat-file --batch``."""
+    paths = [
+        path
+        for path in git("ls-tree", "-r", "--name-only", revision, "--", SOURCE, *STACKS).splitlines()
+        if path.endswith(".py")
+    ]
+    batch = subprocess.run(
+        ["git", "cat-file", "--batch"],
+        cwd=REPO_ROOT,
+        input="".join(f"{revision}:{path}\n" for path in paths).encode(),
+        capture_output=True,
+        check=True,
+    ).stdout
+    offset = 0
+    for path in paths:  # each object: "<oid> blob <size>\n<contents>\n"
+        start = batch.index(b"\n", offset) + 1
+        end = start + int(batch[offset:start].split()[2])
+        yield path, batch[start:end].decode()
+        offset = end + 1
 
 
 def main(argv=None) -> int:

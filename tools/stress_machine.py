@@ -22,9 +22,11 @@ schedules and prints a failing one as the program of rule calls it ran.
 
 :func:`run` runs the machine seeded, with no example database and no
 shrinking (a violation is reported as generated, at once), and returns how
-many steps of each op kind it executed.  ``tools/check_perf_smoke.py``
-(the ``serving stress`` row) and the serving tests call it; ``repro`` itself
-never imports ``hypothesis``.
+many steps of each op kind it executed.  Importing this module empties
+hypothesis's pool of literals scanned out of loaded local modules, for the
+whole process, so a seed is one schedule whatever modules are loaded.
+``tools/check_perf_smoke.py`` (the ``serving stress`` row) and the serving
+tests call it; ``repro`` itself never imports ``hypothesis``.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ import numpy as np
 from hypothesis import HealthCheck, Phase, settings
 from hypothesis import seed as seeded
 from hypothesis import strategies as st
+from hypothesis.internal.conjecture import providers
+from hypothesis.internal.constants_ast import Constants
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
@@ -48,6 +52,11 @@ from hypothesis.stateful import (
 
 from repro.errors import ResourceExhaustedError
 from repro.serve import InvariantViolation, PagedKVCache, check_pool_invariants
+
+# A seed is one schedule: hypothesis otherwise draws some choices from the literals it scans out
+# of every loaded local module, so an edit to any of them could change what a seed runs.
+providers._get_local_constants = Constants
+providers.CONSTANTS_CACHE.cache.clear()
 
 BLOCK, VOCAB = 4, 12
 #: Deliberately tiny, so block exhaustion, LRU reclamation and copy-on-write all fire in a short run.
