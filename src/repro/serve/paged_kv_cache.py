@@ -28,6 +28,15 @@ Since the prefix-caching PR, blocks additionally carry *identity*:
   — the chain of keys is exactly a content hash of the token prefix, so
   :meth:`match_prefix` finds the longest cached prefix of a new prompt in
   one walk;
+* a prompt also matches **inside a block**: where the walk stops, the
+  published child of the last matched block whose run shares the longest
+  head with the prompt's next tokens lends that head, and :meth:`reserve`
+  copies its K/V slots into the new table's first fresh block.  A token's
+  K/V is a function of the tokens up to it alone — the rule whole-block
+  sharing rests on — so the copy is the bytes a recompute would write.
+  Each parent's child runs are one sorted list of run bytes, so the
+  longest head sits next to the prompt's insertion point (a bisect, not a
+  scan);
 * writes into a block shared with another slot trigger **copy-on-write**:
   the writer gets a private copy and the original keeps serving the other
   holders (and future prefix matches);
@@ -100,6 +109,7 @@ path truly never materializes a dense KV copy.
 from __future__ import annotations
 
 import numbers
+from bisect import bisect_left, insort
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -165,6 +175,34 @@ def _consecutive_runs(table: Sequence[int]) -> List[Tuple[int, int, int]]:
         else:
             runs.append((index, int(block), 1))
     return runs
+
+
+def _common_tokens(run: bytes, head: bytes) -> int:
+    """Tokens (8-byte ids) ``head`` shares with the start of ``run``: one XOR, not a loop."""
+    if run[:8] != head[:8]:
+        return 0
+    width = len(head)
+    diff = int.from_bytes(run[:width], "big") ^ int.from_bytes(head, "big")
+    return (width - (diff.bit_length() + 7) // 8) // 8
+
+
+class PrefixMatch(list):
+    """What :meth:`PagedKVCache.match_prefix` found: whole blocks, then a partial head.
+
+    The list holds the matched chain's block ids in position order, so it
+    goes wherever a chain does (``reserve(shared=...)``).  ``partial`` is
+    ``(block, tokens)`` — the published child of the chain's last block (of
+    the root when the list is empty) whose first ``tokens`` slots hold the
+    prompt's next tokens, ``0 < tokens < block_size`` — or ``None``; pass it
+    to :meth:`PagedKVCache.reserve` to copy them.
+    """
+
+    partial: Optional[Tuple[int, int]] = None
+
+    @property
+    def partial_tokens(self) -> int:
+        """Tokens the partial head covers (0 without one)."""
+        return self.partial[1] if self.partial else 0
 
 
 class _FreeExtents:
@@ -365,7 +403,12 @@ class PagedKVCache:
         #: Radix index: (parent block or _ROOT, token-run bytes) -> block id.
         self._prefix_index: Dict[Tuple[int, bytes], int] = {}
         self._block_key: Dict[int, Tuple[int, bytes]] = {}
-        self._children: Dict[int, Set[int]] = {}
+        #: Parent block (or _ROOT) -> the runs of its published children, sorted
+        #: bytes: the key halves :meth:`match_prefix` bisects for a partial head.
+        self._child_runs: Dict[int, List[bytes]] = {}
+        #: Live unpublished blocks holding a partial head copied from an unflagged
+        #: source: flagged matched when published, as the shared head they carry is.
+        self._seeded: Set[int] = set()
         self._table_version = 0
         #: Opt-in trace sink (plain attributes, not constructor params, so
         #: every existing construction site keeps working): the scheduler
@@ -503,7 +546,7 @@ class PagedKVCache:
 
     def radix_children(self, block: int) -> Set[int]:
         """Published radix children of ``block`` (``-1`` for roots; a copy)."""
-        return set(self._children.get(block, ()))
+        return {self._prefix_index[block, run] for run in self._child_runs.get(block, ())}
 
     def block_key_of(self, block: int) -> Optional[Tuple[int, bytes]]:
         """The radix key ``block`` is published under, or None if unpublished."""
@@ -512,16 +555,22 @@ class PagedKVCache:
     # ------------------------------------------------------------------
     # Prefix identity (radix of chained block hashes)
     # ------------------------------------------------------------------
-    def match_prefix(self, tokens: np.ndarray) -> List[int]:
-        """Longest chain of published blocks covering a prefix of ``tokens``.
+    def match_prefix(self, tokens: np.ndarray) -> PrefixMatch:
+        """Longest chain of published blocks covering a prefix of ``tokens``, then a partial head.
 
         Walks the radix index block by block: a block matches when its
         parent matched (chained identity, so two different prompts sharing a
         token run mid-sequence can never alias) and its token run equals the
-        prompt's next ``block_size`` tokens.  Pure lookup — reference counts
-        are only taken when the chain is passed to :meth:`reserve`, and the
-        chain is good only until the next :meth:`reserve`, which may evict or
-        relocate its unreferenced members: match, then reserve, back to back.
+        prompt's next ``block_size`` tokens.  Where the walk stops, the
+        published children of the last matched block (of the root when none
+        matched) are searched for the run sharing the longest head with the
+        prompt's next tokens — short of the final token, which is always
+        recomputed.  Runs are sorted bytes, so that head is at a bisect
+        neighbour of the prompt's insertion point.  Pure lookup — reference
+        counts are only taken, and the head only copied, when the match is
+        passed to :meth:`reserve`, and it is good only until the next
+        :meth:`reserve`, which may evict or relocate its unreferenced
+        members: match, then reserve, back to back.
 
         Parameters
         ----------
@@ -530,26 +579,35 @@ class PagedKVCache:
 
         Returns
         -------
-        list of int
-            Matched physical block ids, in position order (possibly empty).
+        PrefixMatch
+            Matched physical block ids, in position order (possibly empty),
+            with the partial head after them (``partial``, possibly None).
         """
         tokens = np.ascontiguousarray(np.asarray(tokens, dtype=np.int64).reshape(-1))
-        matched: List[int] = []
+        size = self.block_size
+        matched = PrefixMatch()
         parent = _ROOT
-        full_blocks = len(tokens) // self.block_size
-        for index in range(full_blocks):
-            run = tokens[index * self.block_size : (index + 1) * self.block_size]
-            block = self._prefix_index.get((parent, run.tobytes()))
+        for index in range(len(tokens) // size):
+            block = self._prefix_index.get((parent, tokens[index * size : (index + 1) * size].tobytes()))
             if block is None:
                 break
             matched.append(block)
             parent = block
+        head = tokens[len(matched) * size : len(tokens) - 1][:size].tobytes()
+        runs = self._child_runs.get(parent) if head else None
+        if runs:
+            at = bisect_left(runs, head)
+            for run in runs[max(at - 1, 0) : at + 1]:
+                common = _common_tokens(run, head)
+                if common > matched.partial_tokens:
+                    matched.partial = (self._prefix_index[parent, run], common)
         if self.tracer is not None and matched:
             self.tracer.instant(
                 "cache.prefix_hit",
                 self.trace_track,
                 blocks=len(matched),
-                tokens=len(matched) * self.block_size,
+                tokens=len(matched) * size + matched.partial_tokens,
+                partial=matched.partial_tokens,
             )
         return matched
 
@@ -592,7 +650,10 @@ class PagedKVCache:
                 continue
             self._prefix_index[key] = block
             self._block_key[block] = key
-            self._children.setdefault(parent, set()).add(block)
+            insort(self._child_runs.setdefault(parent, []), key[1])
+            if block in self._seeded:
+                self._seeded.remove(block)
+                self._matched.add(block)
             parent = block
             published += 1
         return published
@@ -622,19 +683,29 @@ class PagedKVCache:
         if block in lru:
             del lru[block]
             orphans.append(block)
-        if self._prefix_index.get(key) == block:
-            del self._prefix_index[key]
-        parent_children = self._children.get(key[0])
-        if parent_children is not None:
-            parent_children.discard(block)
-        for child in list(self._children.get(block, ())):
-            self._unindex(child, orphans)
-        self._children.pop(block, None)
+        del self._prefix_index[key]
+        self._drop_run(key)
+        for run in self._child_runs.pop(block, ()):
+            self._unindex(self._prefix_index[block, run], orphans)
+
+    def _drop_run(self, key: Tuple[int, bytes]) -> None:
+        """Take ``key``'s run off its parent's list (gone already when the parent's de-index cascades here)."""
+        runs = self._child_runs.get(key[0])
+        if runs is not None:
+            del runs[bisect_left(runs, key[1])]
+            if not runs:
+                del self._child_runs[key[0]]
 
     # ------------------------------------------------------------------
     # Slot lifecycle
     # ------------------------------------------------------------------
-    def reserve(self, capacity: int, shared: Sequence[int] = (), private_tail: bool = False) -> int:
+    def reserve(
+        self,
+        capacity: int,
+        shared: Sequence[int] = (),
+        private_tail: bool = False,
+        partial: Optional[Tuple[int, int]] = None,
+    ) -> int:
         """Reserve a fresh slot able to hold ``capacity`` token positions.
 
         The full block table is allocated here, so admission control happens
@@ -660,6 +731,15 @@ class PagedKVCache:
             reference it.  The scheduler sets this when the prompt's final
             token lies inside the last matched block (it is always
             recomputed, so that block will be written).
+        partial : (int, int), optional
+            ``PrefixMatch.partial`` of the same match: ``(block, tokens)``.
+            The first ``tokens`` slots of ``block`` — K and V, every layer —
+            are copied into the first block past ``shared``, captured before
+            this reservation can reclaim or relocate ``block``.  The copy is
+            flagged matched once published, as the shared head it carries
+            is, unless the source already is (one protected carrier of a
+            head is enough); the source is not flagged (being read is not
+            being shared).
 
         Returns
         -------
@@ -675,7 +755,9 @@ class PagedKVCache:
             block outside the pool, holds more blocks than ``capacity``
             needs, or is a stale chain: it names an unreferenced block that
             is no longer published, or a published one among blocks that do
-            not chain.  Nothing has changed when it is raised.
+            not chain; or ``partial`` is not a published child of the chain's
+            last block with ``0 < tokens < block_size``, or has no block past
+            ``shared`` to land in.  Nothing has changed when it is raised.
         """
         needed = self.blocks_needed(require_count("capacity", capacity, 0))
         shared = [int(b) for b in shared]
@@ -697,6 +779,17 @@ class PagedKVCache:
                 "shared prefix chain is stale (a member is unpublished, or no longer follows its "
                 "predecessor); pass the chain match_prefix returned for this reservation"
             )
+        if partial is not None:
+            source, head = int(partial[0]), int(partial[1])
+            key = self._block_key.get(source)
+            parent = shared[-1] if shared else _ROOT
+            if key is None or key[0] != parent or not 0 < head < self.block_size or len(shared) >= needed:
+                raise ConfigurationError(
+                    f"partial head {partial} is stale, out of range or has no block past the {len(shared)} "
+                    "shared; pass the partial match_prefix returned for this reservation"
+                )
+            copied = self._pools[:, :, source, :head].copy()
+            carrier = source not in self._matched  # read before _take may move or reclaim it
         fresh_needed = needed - len(shared) + (1 if fork_needed else 0)
         if fresh_needed > self.free_block_count - len(revivals):
             raise ResourceExhaustedError(
@@ -719,6 +812,11 @@ class PagedKVCache:
         self._tables[slot] = shared + fresh[1:] if fork_needed else shared + fresh
         self._lengths[slot] = 0
         self._table_version += 1
+        if partial is not None:
+            target = self._tables[slot][len(shared)]
+            self._pools[:, :, target, :head] = copied
+            if carrier:
+                self._seeded.add(target)
         if fork_needed:
             self._copy_on_write(slot, len(shared) - 1, fresh[0])
         elif private_tail and shared:
@@ -850,23 +948,21 @@ class PagedKVCache:
 
         Chained keys embed the parent's physical id, so every child of
         ``old`` — live, cached, or itself moving in the same batch — is
-        re-keyed ``(old, run) -> (new, run)``.  Each call leaves the index
-        consistent, so a batch may rename parents and children in any order.
+        re-keyed ``(old, run) -> (new, run)``; the parent's run list holds
+        run bytes, not addresses, so it stays as it is.  Each call leaves the
+        index consistent, so a batch may rename parents and children in any
+        order.
         """
         key = self._block_key[new] = self._block_key.pop(old)
         self._prefix_index[key] = new
-        siblings = self._children[key[0]]
-        siblings.remove(old)
-        siblings.add(new)
         if old in self._matched:
             self._matched.remove(old)
             self._matched.add(new)
-        children = self._children.pop(old, None)
-        if children is not None:
-            self._children[new] = children
-            for child in children:
-                run = self._block_key[child][1]
-                del self._prefix_index[old, run]
+        runs = self._child_runs.pop(old, None)
+        if runs is not None:
+            self._child_runs[new] = runs
+            for run in runs:
+                child = self._prefix_index.pop((old, run))
                 self._prefix_index[new, run] = child
                 self._block_key[child] = (new, run)
 
@@ -887,6 +983,7 @@ class PagedKVCache:
                 if block in self._block_key:
                     self._lru_of(block)[block] = None
                 else:
+                    self._seeded.discard(block)
                     unpublished.append(block)
         if unpublished:
             self._recycle(unpublished)

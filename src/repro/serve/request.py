@@ -172,7 +172,8 @@ class RequestCheckpoint(Request):
     :meth:`Scheduler.checkpoint` returns the record itself, and it is
     everything another :class:`Scheduler` needs to continue the request
     *bit-identically* — the prompt, the tokens committed so far, the logits
-    behind them, and the request's private sampling generator (the object
+    behind them, and the request's private sampling generator — its seed,
+    and the generator itself once a top-k draw has built it (the object
     moves with the record; the source scheduler has relinquished it).
     Re-admission (:meth:`Scheduler.submit_checkpoint`) rides the same
     free-then-replay path preemption uses — re-prefill
@@ -192,7 +193,11 @@ class RequestCheckpoint(Request):
     #: Recorded logits behind each committed token (empty when the
     #: scheduler runs with ``record_logits=False``).
     step_logits: List[np.ndarray] = field(default_factory=list)
-    #: The request's private sampling generator.
+    #: Seed of the request's private sampling generator: the
+    #: :attr:`GenerationConfig.seed` it was submitted under.
+    seed: int = 0
+    #: The request's private sampling generator, built from ``seed`` on the
+    #: first top-k draw (:meth:`sampler`); greedy decoding never builds one.
     rng: Optional[np.random.Generator] = None
     #: Token budget: the per-request override, clipped at ``max_seq_len``.
     budget: int = 0
@@ -228,6 +233,12 @@ class RequestCheckpoint(Request):
     def started(self) -> bool:
         """True once the request has committed at least one token."""
         return bool(self.generated)
+
+    def sampler(self) -> np.random.Generator:
+        """The private sampling generator, built from ``seed`` on first use; it moves with the record."""
+        if self.rng is None:
+            self.rng = np.random.default_rng(self.seed)
+        return self.rng
 
     def replay_tokens(self) -> np.ndarray:
         """Tokens the next prefill must cover when this record is admitted.

@@ -23,11 +23,13 @@ Two serving-cost levers ride on top of that loop:
 * ``prefix_cache=True`` — **shared-prompt KV reuse**.  At admission the
   prompt is matched against the pool's radix of published block identities
   (:meth:`PagedKVCache.match_prefix`); every fully matched block is mapped
-  into the new slot by reference instead of being recomputed, and only the
-  prompt *suffix* (always at least the final token, whose logits seed
-  sampling) is prefilled.  Completed prefills publish their blocks back
-  into the radix, freed requests leave them matchable on the LRU free-list,
-  and writes into still-shared blocks fork a private copy (copy-on-write).
+  into the new slot by reference instead of being recomputed, the head the
+  next block shares with a published one is copied into the slot's first
+  fresh block, and only the prompt *suffix* (always at least the final
+  token, whose logits seed sampling) is prefilled.  Completed prefills
+  publish their blocks back into the radix, freed requests leave them
+  matchable on the LRU free-list, and writes into still-shared blocks fork a
+  private copy (copy-on-write).
 * ``prefill_chunk=N`` — **chunked prefill**.  Every :meth:`Scheduler.step`
   has one prefill budget of ``N`` prompt tokens — unbounded when ``None`` —
   spent on the records already prefilling, oldest first, then on each
@@ -49,9 +51,10 @@ with less than one block to compute, in front of its pending token
 (:meth:`Scheduler._admit_next`).
 
 Determinism and parity are load-bearing: each request samples from its *own*
-``numpy`` generator seeded with :attr:`GenerationConfig.seed`, and a row's
-result depends on its position, not on the rows sharing its forward, so a
-request's output is independent of what it happens to share the batch with.  For Tender's
+``numpy`` generator seeded with :attr:`GenerationConfig.seed` (built on its
+first top-k draw), and a row's result depends on its position, not on the
+rows sharing its forward, so a request's output is independent of what it
+happens to share the batch with.  For Tender's
 integer pipeline the per-request outputs are bit-identical to running the
 request alone — *including* with ``prefix_cache=True``: cached KV blocks
 hold exactly the values a cold prefill would recompute (integer kernels are
@@ -76,7 +79,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, ResourceExhaustedError, require_count
 from repro.models.inference import TransformerRunner
-from repro.serve.paged_kv_cache import PagedKVCache, SlotBatchView
+from repro.serve.paged_kv_cache import PagedKVCache, PrefixMatch, SlotBatchView
 from repro.serve.request import (
     GenerationConfig,
     Request,
@@ -329,7 +332,7 @@ class Scheduler:
                 f"prompt ({len(prompt)} tokens) leaves no room below "
                 f"max_seq_len {model_config.max_seq_len}"
             )
-        record = RequestCheckpoint(**vars(request), rng=np.random.default_rng(self.config.seed))
+        record = RequestCheckpoint(**vars(request), seed=self.config.seed)
         return self._accept(record, trace_corr)
 
     def _accept(self, record: RequestCheckpoint, trace_corr: Optional[str]) -> int:
@@ -583,20 +586,24 @@ class Scheduler:
         starvation within a class impossible.  With ``prefix_cache`` the
         prompt is matched against the radix of published block identities
         first, so a request may need far fewer fresh blocks than its
-        reservation suggests.  With ``preemption=True`` a head that cannot
-        start evicts strictly lower-priority victims (worst first) until it
-        fits or none remain.
+        reservation suggests, and the prefill starts past the matched blocks
+        *and* the partial head :meth:`PagedKVCache.reserve` copies into the
+        first fresh one (``prefix_hit_tokens`` counts both).  With
+        ``preemption=True`` a head that cannot start evicts strictly
+        lower-priority victims (worst first) until it fits or none remain.
 
         A resume (see the module docstring) left with fewer than
         ``block_size`` replay rows after the match *rides*: it joins the
         decode set with that tail pending (``replay[prefill_pos:]``) — no
         forward, no clock tick, none of the prefill budget.  The threshold
-        is the pool's granularity, not a knob: prefixes match in whole
-        blocks, so a sub-block tail *means* every full block hit, while a
-        resume that missed (evicted prefix, cache off, another replica's
-        record) has a block or more to recompute and is the prefill it
-        always was.  A ride evicted again later in the same pass goes back
-        to the queue with nothing forwarded: its cache length never advanced.
+        is the pool's granularity, not a knob: a ride adds at most one
+        block's rows to a decode forward, which is what a resume leaves when
+        every whole block of its replay hit (a copied head only shortens
+        it), while one that missed a whole block (evicted prefix, cache off,
+        another replica's record) mostly has a block or more to recompute
+        and is the prefill it always was.  A ride evicted again later in the
+        same pass goes back to the queue with nothing forwarded: its cache
+        length never advanced.
         """
         block_size = self.cache.block_size
         while self._waiting:
@@ -606,17 +613,18 @@ class Scheduler:
                     break
                 continue  # a slot freed; retry the same head
             tokens = record.replay_tokens()
-            matched = self.cache.match_prefix(tokens) if self.prefix_cache else []
+            matched = self.cache.match_prefix(tokens) if self.prefix_cache else PrefixMatch()
             # The final replayed token is always recomputed — its logits (or,
             # on resume, its KV write position) seed the next step — so a hit
-            # is capped at len(tokens) - 1 and a fully-matched final block
-            # must become a private (COW) copy.
-            start = min(len(matched) * block_size, len(tokens) - 1)
+            # is capped at len(tokens) - 1 (the partial head stops short of it)
+            # and a fully-matched final block must become a private (COW) copy.
+            start = min(len(matched) * block_size, len(tokens) - 1) + matched.partial_tokens
             try:
                 slot = self.cache.reserve(
                     _reserved_positions(len(record.prompt), record.budget),
                     shared=matched,
                     private_tail=start < len(matched) * block_size,
+                    partial=matched.partial,
                 )
             except ResourceExhaustedError:
                 if self._preempt_for(record):
@@ -934,7 +942,7 @@ class Scheduler:
         eos = self.config.eos_token
         for position in range(proposed + 1):
             if picks is None:
-                token = _sample_token(logits_rows[position], self.config, record.rng)
+                token = _sample_token(logits_rows[position], self.config, record.sampler())
             else:
                 token = picks[position]
             record.generated.append(token)

@@ -16,9 +16,11 @@ moment:
   exactly the unreferenced *published* ones, never-matched before matched,
   and the two partition ``free_blocks()``; only published blocks are
   flagged matched.
-* **Radix consistency** — the prefix index, reverse key map, and children
-  sets agree; every indexed block is live or cached; every non-root
-  parent is itself indexed.
+* **Radix consistency** — the prefix index and reverse key map agree, and
+  the per-parent run lists a partial match bisects mirror the index's keys
+  exactly (sorted, one entry per key); every indexed block is live or
+  cached; every non-root parent is itself indexed; a block holding a copied
+  partial head is live and not yet published.
 * **Version monotonicity** — ``table_version`` never moves backwards.
 
 :class:`LruReferencePool` is the one-list policy the extent map replaced,
@@ -114,25 +116,24 @@ def check_pool_invariants(cache: PagedKVCache, last_version: Optional[int] = Non
             raise InvariantViolation(
                 f"indexed block {block} is neither live nor cached"
             )
-        if parent != _ROOT:
-            if cache.block_key_of(parent) is None:
-                raise InvariantViolation(
-                    f"indexed block {block} has unindexed parent {parent}"
-                )
-            if block not in cache.radix_children(parent):
-                raise InvariantViolation(
-                    f"block {block} missing from parent {parent}'s children"
-                )
+        if parent != _ROOT and cache.block_key_of(parent) is None:
+            raise InvariantViolation(
+                f"indexed block {block} has unindexed parent {parent}"
+            )
     indexed = set(entries.values())
     if len(indexed) != len(entries):
         raise InvariantViolation("two radix keys map to the same block")
-    for parent in list(indexed) + [_ROOT]:
-        for child in cache.radix_children(parent):
-            key = cache.block_key_of(child)
-            if key is None or key[0] != parent:
-                raise InvariantViolation(
-                    f"children set of {parent} lists {child}, whose key is {key}"
-                )
+    # The per-parent run lists a partial match bisects mirror the index: sorted,
+    # one entry per published key, no list left for a parent with no child.
+    for parent, runs in cache._child_runs.items():
+        if not runs or runs != sorted(set(runs)):
+            raise InvariantViolation(f"the run list of {parent} is empty, unsorted or repeats a run")
+    listed = sorted((parent, run) for parent, runs in cache._child_runs.items() for run in runs)
+    if listed != sorted(entries):
+        raise InvariantViolation("the per-parent run lists do not mirror the radix index's keys")
+    unfit = [block for block in cache._seeded if cache.ref_count(block) == 0 or cache.block_key_of(block) is not None]
+    if unfit:
+        raise InvariantViolation(f"block {unfit[0]} holds a copied head but is free or already published")
     version = cache.table_version
     if last_version is not None and version < last_version:
         raise InvariantViolation(
@@ -168,11 +169,10 @@ class LruReferencePool(PagedKVCache):
         if key is None:
             return
         self._matched.discard(block)
-        if self._prefix_index.get(key) == block:
-            del self._prefix_index[key]
-        self._children.get(key[0], set()).discard(block)
-        for child in list(self._children.pop(block, ())):
-            self._unindex(child, orphans)
+        del self._prefix_index[key]
+        self._drop_run(key)
+        for run in self._child_runs.pop(block, ()):
+            self._unindex(self._prefix_index[block, run], orphans)
 
     def _take(self, count: int, after=None, before=None):
         """Pop the head of the first non-empty list ``count`` times, wherever those blocks happen to lie."""

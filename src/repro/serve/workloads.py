@@ -62,6 +62,27 @@ def shared_prefix_trace(requests: int = 8, template: int = 36, suffix: int = 10)
     return [Request(np.concatenate([head, _tokens(rng, suffix)])) for _ in range(requests)]
 
 
+def partial_prefix_trace() -> List[Request]:
+    """Five prompts that share heads of one 20-token template and part from it inside a block of 8.
+
+    Served one at a time on ``block_size=8``, each matches the blocks its
+    predecessors published: whole blocks cover 0 / 16 / 8 / 0 / 0 of their
+    tokens, and the heads inside the next block 0 / 4 / 5 / 5 / 2 more — the
+    last capped short of its final token (40 hit tokens, 24 in whole blocks).
+    Every cut is one token that differs from the template there, ``+ 1``.
+    """
+    rng = np.random.default_rng(31)
+    template, tail = _tokens(rng, 20), _tokens(rng, 4)
+    prompts = (
+        np.concatenate([template, tail]),
+        np.concatenate([template, (tail + 1) % VOCAB]),
+        np.concatenate([template[:13], (template[13:19] + 1) % VOCAB]),
+        np.concatenate([template[:5], (template[5:8] + 1) % VOCAB]),
+        template[:3],
+    )
+    return [Request(prompt) for prompt in prompts]
+
+
 def unshared_trace(sizes=(46,) * 8, seed: int = 29) -> List[Request]:
     """Random prompts of the given lengths with nothing in common (the no-hit control)."""
     rng = np.random.default_rng(seed)

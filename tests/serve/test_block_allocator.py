@@ -505,6 +505,144 @@ class TestScanResistance:
         assert pool.cached_free_blocks() == [1, 0]  # never matched since: reclaimed first
 
 
+class TestPartialHeads:
+    """A prompt copies the head it shares with a published block instead of recomputing it."""
+
+    def test_the_longest_head_among_siblings_is_chosen(self):
+        rng, partial = np.random.default_rng(0), 0
+        for _ in range(40):
+            pool = make_pool(num_blocks=40)
+            parent = np.arange(BLOCK)  # one block every sibling hangs off
+            for _ in range(int(rng.integers(1, 8))):  # a small vocabulary, so heads overlap
+                fill(pool, pool.reserve(2 * BLOCK), np.concatenate([parent, rng.integers(0, 3, BLOCK)]))
+            prompt = np.concatenate([parent, rng.integers(0, 3, BLOCK + 1)])
+            # The scan a bisect replaces: every published child of the parent block.
+            heads = {}
+            for child in pool.radix_children(0):
+                run = np.frombuffer(pool.block_key_of(child)[1], dtype=np.int64)
+                heads[child] = int(np.cumprod(run == prompt[BLOCK : 2 * BLOCK]).sum())
+            longest = max(heads.values())
+            matched = pool.match_prefix(prompt)
+            if longest == BLOCK:  # a whole-block match
+                assert len(matched) == 2 and matched.partial is None
+                continue
+            assert matched == [0] and matched.partial_tokens == longest
+            assert matched.partial is None if longest == 0 else heads[matched.partial[0]] == longest
+            partial += longest > 0
+            check_pool_invariants(pool)
+        assert partial >= 20
+
+    def test_a_head_shorter_than_a_block_matches_at_the_root(self):
+        pool = make_pool()
+        fill(pool, pool.reserve(BLOCK), np.array([5, 6, 7, 8]))
+        prompt = np.array([5, 6, 1, 1, 1])
+        matched = pool.match_prefix(prompt)
+        assert matched == [] and matched.partial == (0, 2)
+        slot = pool.reserve(len(prompt), shared=matched, partial=matched.partial)
+        fill(pool, slot, prompt, start=matched.partial_tokens)
+        keys, _ = pool.gather(0, [slot], len(prompt))
+        np.testing.assert_array_equal(keys[0, 0, :, 0], prompt + 1.0)
+
+    @pytest.mark.parametrize("prompt, hit", [([5, 6, 7], 2), ([5, 6, 7, 8, 9, 10, 11], 6), ([5, 6, 7, 8, 9], 4)])
+    def test_the_head_stops_short_of_the_final_token(self, prompt, hit):
+        pool = make_pool()
+        fill(pool, pool.reserve(2 * BLOCK), np.arange(5, 5 + 2 * BLOCK))
+        matched = pool.match_prefix(np.array(prompt))
+        # The final token is always recomputed: whole blocks, then a head, stop before it.
+        assert min(len(matched) * BLOCK, len(prompt) - 1) + matched.partial_tokens == hit
+        assert matched.partial is None or matched.partial_tokens < BLOCK
+
+    def test_exactly_k_slots_are_copied_in_every_layer(self):
+        pool = PagedKVCache(num_layers=3, num_heads=2, d_head=2, block_size=BLOCK, num_blocks=6)
+        source_tokens = np.arange(2 * BLOCK)
+        source = pool.reserve(2 * BLOCK)
+        for layer in range(pool.num_layers):
+            payload = np.arange(2 * 2 * BLOCK * 2, dtype=float).reshape(2, 2 * BLOCK, 2) + 100 * layer
+            pool.write(layer, [source], payload, -payload, np.arange(2 * BLOCK)[None, :])
+        pool.set_length(source, 2 * BLOCK)
+        pool.publish_prefix(source, source_tokens)
+        stale = pool._pools[:, :, 2:].copy()  # what the fresh blocks hold before the copy
+        prompt = np.concatenate([source_tokens[: BLOCK + 3], [99, 99]])
+        matched = pool.match_prefix(prompt)
+        assert matched == [0] and matched.partial == (1, 3)
+        slot = pool.reserve(len(prompt), shared=matched, partial=matched.partial)
+        target = pool.block_table(slot)[1]
+        assert target == 2
+        np.testing.assert_array_equal(pool._pools[:, :, target, :3], pool._pools[:, :, 1, :3])
+        np.testing.assert_array_equal(pool._pools[:, :, target, 3:], stale[:, :, 0, 3:])
+        np.testing.assert_array_equal(pool._pools[:, :, 3:], stale[:, :, 1:])
+
+    def test_the_head_is_captured_before_the_reservation_reclaims_and_overwrites_its_source(self):
+        pool = make_pool(num_blocks=4)
+        source = pool.reserve(BLOCK)  # block 0
+        fill(pool, source, np.array([0, 1, 2, 3]))
+        pool.reserve(BLOCK)  # block 1, pinned
+        other = pool.reserve(BLOCK)  # block 2
+        fill(pool, other, np.array([50, 51, 52, 53]))
+        pool.free(source)
+        pool.free(other)  # cached, oldest first: [0, 2]; block 3 free
+        prompt = np.array([0, 1, 2, 9, 9, 9])
+        matched = pool.match_prefix(prompt)
+        assert matched.partial == (0, 3)
+        slot = pool.reserve(2 * BLOCK, shared=matched, partial=matched.partial)
+        # Block 0 is reclaimed, and block 2 moves onto it to open the window [2, 4).
+        assert pool.block_table(slot) == [2, 3] and pool.match_prefix(np.array([50, 51, 52, 53])) == [0]
+        np.testing.assert_array_equal(pool.key_blocks[0][0, 2, :3, 0], [1.0, 2.0, 3.0])
+        check_pool_invariants(pool)
+
+    def test_the_copy_is_flagged_matched_when_published_and_the_source_never(self):
+        pool = make_pool()
+        fill(pool, pool.reserve(BLOCK), np.array([5, 6, 7, 8]))
+        prompt = np.array([5, 6, 1, 1, 1])
+        matched = pool.match_prefix(prompt)
+        slot = pool.reserve(len(prompt), shared=matched, partial=matched.partial)
+        target = pool.block_table(slot)[0]
+        assert pool._matched == set() and pool._seeded == {target}
+        fill(pool, slot, prompt, start=2)
+        assert pool._matched == {target} and pool._seeded == set()
+        check_pool_invariants(pool)
+
+    def test_a_copy_from_a_flagged_source_is_not_flagged(self):
+        pool = make_pool()
+        fill(pool, pool.reserve(BLOCK), np.array([5, 6, 7, 8]))  # block 0
+        whole = np.array([5, 6, 7, 8, 9])
+        fill(pool, pool.reserve(len(whole), shared=pool.match_prefix(whole)), whole, start=BLOCK)
+        assert pool._matched == {0}  # shared whole: flagged
+        prompt = np.array([5, 6, 1, 1, 1])
+        matched = pool.match_prefix(prompt)
+        assert matched == [] and matched.partial == (0, 2)
+        slot = pool.reserve(len(prompt), shared=matched, partial=matched.partial)
+        # Block 0 already carries the head under the flag: one protected carrier is enough.
+        assert pool._seeded == set()
+        fill(pool, slot, prompt, start=2)
+        assert pool._matched == {0} and pool.block_key_of(pool.block_table(slot)[0]) is not None
+        check_pool_invariants(pool)
+
+    def test_a_head_freed_unpublished_leaves_nothing_flagged(self):
+        pool = make_pool()
+        fill(pool, pool.reserve(BLOCK), np.array([5, 6, 7, 8]))
+        matched = pool.match_prefix(np.array([5, 6, 1]))
+        pool.free(pool.reserve(3, shared=matched, partial=matched.partial))
+        assert pool._seeded == set() and pool._matched == set()
+        check_pool_invariants(pool)
+
+    @pytest.mark.parametrize("partial", [(1, 2), (0, 0), (0, BLOCK), (9, 2), (-1, 2)])
+    def test_a_stale_or_out_of_range_head_is_refused_before_anything_moves(self, partial):
+        pool = make_pool(num_blocks=3)
+        fill(pool, pool.reserve(BLOCK), np.array([5, 6, 7, 8]))  # block 0, a root
+        fill(pool, pool.reserve(BLOCK), np.array([1, 2, 3, 4]))  # block 1, another root
+        state = (pool.free_block_count, pool.table_version, pool.radix_entries())
+        with pytest.raises(ConfigurationError, match="partial head"):
+            pool.reserve(2 * BLOCK, shared=[0] if partial == (1, 2) else [], partial=partial)
+        assert (pool.free_block_count, pool.table_version, pool.radix_entries()) == state
+
+    def test_a_head_needs_a_block_past_the_shared_chain(self):
+        pool = make_pool()
+        fill(pool, pool.reserve(2 * BLOCK), np.array([5, 6, 7, 8, 1, 2, 3, 4]))
+        with pytest.raises(ConfigurationError, match="no block past"):
+            pool.reserve(BLOCK, shared=[0], partial=(1, 2))
+
+
 # ----------------------------------------------------------------------
 # Property: same eviction decisions as the one-list LRU policy
 # ----------------------------------------------------------------------

@@ -19,7 +19,16 @@ import pytest
 from repro.core import TenderConfig, TenderQuantizer
 from repro.errors import ConfigurationError
 from repro.models import TransformerRunner
-from repro.serve import GenerationConfig, GenerationEngine, Request, Scheduler
+from repro.serve import (
+    FaultInjector,
+    GenerationConfig,
+    GenerationEngine,
+    PagedKVCache,
+    ReplicaPool,
+    Request,
+    Scheduler,
+    workloads,
+)
 
 
 def tender_runner(weights, calibration, implicit: bool) -> TransformerRunner:
@@ -151,6 +160,109 @@ class TestPrefixCacheParity:
         for output in on.values():
             assert len(output.generated) == 4
             assert all(0 <= token < vocab for token in output.generated)
+
+
+def head_sharing_trace():
+    """Eight prompts cut from one 30-token template mid-block (block size 4), plus a tail each.
+
+    Four long background requests come first; four short urgent ones land
+    while they decode, so a preempting scheduler has victims to replay.
+    """
+    rng = np.random.default_rng(5)
+    template = rng.integers(0, workloads.VOCAB, 30)
+    trace = []
+    for index, cut in enumerate((30, 21, 13, 27, 6, 30, 18, 11)):
+        prompt = np.concatenate([template[:cut], rng.integers(0, workloads.VOCAB, 2 + index % 3)])
+        background = index < 4
+        trace.append(
+            Request(prompt, 12 if background else 4, 0.8 * index if background else 6.0 + 0.5 * index,
+                    priority=5 if background else 0)
+        )  # fmt: skip
+    return trace
+
+
+@pytest.fixture(scope="module")
+def tiny_runners():
+    return {scheme: workloads.tiny_runner(scheme, 4) for scheme in ("fp", "tender-implicit", "tender-explicit")}
+
+
+def serve_alone(runner, trace, config):
+    """Every request on a scheduler of its own, one slot, no prefix cache: the reference."""
+    outputs = []
+    for request in trace:
+        scheduler = Scheduler(runner, config, max_batch_size=1, prefix_cache=False)
+        scheduler.submit(Request(request.prompt, request.max_new_tokens))
+        outputs += scheduler.run()
+    return outputs
+
+
+def serve_trace(runner, trace, config, mode, prefill_chunk):
+    """``trace`` on a preempting scheduler, or on two replicas one of which dies, or on neither."""
+    options = dict(max_batch_size=2, block_size=4, prefill_chunk=prefill_chunk, preemption=mode == "preemption")
+    if mode == "recovery":
+        engine = ReplicaPool(runner, 2, config, fault_injector=FaultInjector(seed=0, kill_at={4: 0}), **options)
+    else:
+        engine = Scheduler(runner, config, prefix_cache=True, **options)
+    for request in trace:
+        engine.submit(request)
+    return engine, {output.request_id: output for output in engine.run()}
+
+
+class TestPartialHeadParity:
+    """A copied partial head is the bytes a recompute writes, however the request was served."""
+
+    @pytest.mark.parametrize("scheme", ["fp", "tender-implicit", "tender-explicit"])
+    @pytest.mark.parametrize("prefill_chunk", [5, 16, None])
+    @pytest.mark.parametrize("mode", ["plain", "preemption", "recovery"])
+    def test_tokens_and_logits_match_the_one_request_at_a_time_serve(
+        self, scheme, prefill_chunk, mode, tiny_runners, monkeypatch
+    ):
+        copies, reserve = [], PagedKVCache.reserve
+
+        def counted(pool, *args, **kwargs):
+            copies.append(kwargs.get("partial"))
+            return reserve(pool, *args, **kwargs)
+
+        monkeypatch.setattr(PagedKVCache, "reserve", counted)
+        runner, config = tiny_runners[scheme], GenerationConfig(max_new_tokens=12)
+        alone = serve_alone(runner, head_sharing_trace(), config)
+        engine, outputs = serve_trace(runner, head_sharing_trace(), config, mode, prefill_chunk)
+        assert any(partial is not None for partial in copies)
+        if mode == "preemption":
+            assert engine.stats.preemptions >= 1
+        if mode == "recovery":
+            assert engine.cluster_stats.recoveries >= 1
+        for request_id, expected in enumerate(alone):
+            np.testing.assert_array_equal(outputs[request_id].generated, expected.generated)
+            if scheme != "fp":
+                np.testing.assert_array_equal(outputs[request_id].step_logits, expected.step_logits)
+
+    @pytest.mark.parametrize("mode", ["preemption", "recovery"])
+    def test_top_k_tokens_survive_preemption_and_recovery(self, mode, tiny_runners):
+        # Each record builds its generator on its first draw, from the seed it was
+        # submitted under; the generator moves with the record across replays.
+        runner = tiny_runners["tender-implicit"]
+        config = GenerationConfig(max_new_tokens=12, top_k=8, temperature=1.5, seed=7)
+        alone = serve_alone(runner, head_sharing_trace(), config)
+        engine, outputs = serve_trace(runner, head_sharing_trace(), config, mode, None)
+        assert engine.stats.preemptions >= 1 if mode == "preemption" else engine.cluster_stats.recoveries >= 1
+        for request_id, expected in enumerate(alone):
+            np.testing.assert_array_equal(outputs[request_id].generated, expected.generated)
+
+    @pytest.mark.parametrize("top_k", [0, 8])
+    def test_only_a_top_k_record_builds_a_generator(self, top_k, tiny_runners):
+        scheduler = Scheduler(
+            tiny_runners["fp"], GenerationConfig(max_new_tokens=12, top_k=top_k), max_batch_size=2,
+            block_size=4, prefix_cache=True, preemption=True,
+        )  # fmt: skip
+        for request in head_sharing_trace():
+            scheduler.submit(request)
+        built = set()
+        while scheduler.has_pending:
+            scheduler.step()
+            built |= {request_id for request_id, record in scheduler._requests.items() if record.rng is not None}
+        assert scheduler.stats.preemptions >= 1
+        assert built == (set() if top_k == 0 else set(range(8)))
 
 
 class TestRefcountAndCow:

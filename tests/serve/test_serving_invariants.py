@@ -22,9 +22,10 @@ from __future__ import annotations
 import importlib
 import sys
 
+import numpy as np
 import pytest
 from hypothesis.stateful import precondition, rule
-from stress_machine import OPS, PoolMachine, run
+from stress_machine import COPIES, OPS, PoolMachine, run
 
 from repro.errors import ConfigurationError
 from repro.models import TransformerRunner
@@ -55,6 +56,12 @@ class TestRandomizedSchedules:
         # seeds, so its audits alone would be vacuous there).
         tally = run(seed=stress_seed, num_blocks=10, max_slots=4)
         assert tally["relocated_blocks"] > 0
+
+    def test_partial_heads_are_copied_from_every_kind_of_source(self):
+        # Live, cached, relocated by the reservation that copies from it, and
+        # reclaimed by it: the content audit then reads every copied slot.
+        tally = run(seed=0, num_blocks=10, max_slots=4)
+        assert all(tally[kind] for kind in COPIES), tally
 
     def test_a_seed_is_one_schedule_whatever_modules_are_loaded(self, tmp_path, monkeypatch):
         before = run(seed=0)
@@ -90,6 +97,29 @@ class TestFailureTooling:
         check_pool_invariants(cache)
         cache._refcounts[cache.block_table(slot)[0]] += 1
         with pytest.raises(InvariantViolation, match="refcount"):
+            check_pool_invariants(cache)
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda cache: cache._child_runs[-1].reverse(), "unsorted"),
+            (lambda cache: cache._child_runs[-1].append(cache._child_runs[-1][0]), "repeats"),
+            (lambda cache: cache._child_runs.setdefault(3, []), "empty"),
+            (lambda cache: cache._child_runs[-1].pop(), "mirror"),
+            (lambda cache: cache._child_runs.setdefault(3, []).append(b"\0" * 32), "mirror"),
+            (lambda cache: cache._seeded.add(0), "copied head"),
+            (lambda cache: cache._seeded.add(3), "copied head"),
+        ],
+    )
+    def test_checker_detects_run_list_damage(self, damage, message):
+        cache = PagedKVCache(num_layers=1, num_heads=1, d_head=2, block_size=4, num_blocks=4)
+        for tokens in ([5, 6, 7, 8], [1, 2, 3, 4]):  # two roots: blocks 0 and 1
+            slot = cache.reserve(4)
+            cache.set_length(slot, 4)
+            cache.publish_prefix(slot, np.array(tokens))
+        check_pool_invariants(cache)
+        damage(cache)
+        with pytest.raises(InvariantViolation, match=message):
             check_pool_invariants(cache)
 
     def test_checker_detects_version_rollback(self):

@@ -178,17 +178,18 @@ def serve(runner, trace, h: SimpleNamespace, options: dict) -> SimpleNamespace:
     # A scheduler's forwards are counted at the runner — prefills as (rows,
     # wants logits), decode-side ones as (rows, sequences sampled from, owed
     # rows, resumes carrying a tail, chunks riding) — so its stats are checked
-    # against what really ran; its block tables and cached-block count are
-    # sampled after every step.
+    # against what really ran; its block tables are sampled after every step,
+    # and the blocks its pool's allocations de-index (reclaimed, and the radix
+    # descendants they anchored) are counted as they go.
     model = None if h.replicas else engine.runner
     outputs, forwards, prefills = {}, [], []
-    seen = SimpleNamespace(worst=0, runs=0, tables=0, evicting=0, cached=0)
+    seen = SimpleNamespace(worst=0, runs=0, tables=0, evicting=0, reclaimed=0)
 
     def drain():
         for _ in range(100_000):
             if not engine.has_pending:
                 return
-            before = len(forwards)
+            before, reclaimed = len(forwards), seen.reclaimed
             for output in engine.step():
                 outputs[output.request_id] = output
             if model is not None:
@@ -196,11 +197,20 @@ def serve(runner, trace, h: SimpleNamespace, options: dict) -> SimpleNamespace:
                 seen.worst = max(seen.worst, len(forwards) - before)
                 seen.runs += sum(_runs(cache.block_table(slot)) for slot in cache.active_slots)
                 seen.tables += len(cache.active_slots)
-                seen.evicting += cache.cached_block_count < seen.cached
-                seen.cached = cache.cached_block_count
+                seen.evicting += seen.reclaimed > reclaimed
         raise RuntimeError("the engine stopped making progress")
 
     if model is not None:
+        pool, take = engine.cache, engine.cache._take
+
+        def counted_take(count, *args, **kwargs):
+            indexed = pool.cached_block_count  # an allocation publishes nothing
+            try:
+                return take(count, *args, **kwargs)
+            finally:
+                seen.reclaimed += indexed - pool.cached_block_count
+
+        pool._take = counted_take
         prefill, decode_step, verify = model.prefill, model.decode_step, model.verify
 
         def counted_prefill(tokens, lengths, *args, **kwargs):
@@ -648,8 +658,17 @@ SCENARIOS = (
         # template's, go first: the last request hits the template as on a pool that never
         # evicts.  A single LRU reclaims the template first (it hits 32 tokens of 64).
         (("prefix_hit_tokens", "==", "base.prefix_hit_tokens"), ("tokens_sha256", "==", "base.tokens_sha256"),
-         ("logits_sha256", "==", "base.logits_sha256"), ("scan_blocks", ">", "num_blocks")),
+         ("logits_sha256", "==", "base.logits_sha256"), ("scan_blocks", ">", "num_blocks"),
+         ("evicting_steps", ">=", 1)),
         _scan_blocks,
+    ),  # fmt: skip
+    Scenario(
+        "a prefix matches inside a block", TENDER, lambda runner: workloads.partial_prefix_trace(),
+        dict(max_batch_size=1, block_size=8), dict(prefix_cache=False), dict(prefix_cache=True),
+        # Copied heads are the bytes a recompute writes.  Whole-block matching reaches 24
+        # hit tokens here (16 + 8); the heads inside the next block add 4 + 5 + 5 + 2.
+        (("prefix_hit_tokens", "==", 40), ("tokens_sha256", "==", "base.tokens_sha256"),
+         ("logits_sha256", "==", "base.logits_sha256")),
     ),  # fmt: skip
     Scenario(
         "preemption", ("fp",) + TENDER, _two_class,

@@ -2,7 +2,8 @@
 
 :class:`PoolMachine` issues exactly the call sequences the scheduler issues,
 one ``@rule`` per op: admit (``match_prefix`` -> ``reserve`` with the
-final-token ``private_tail`` rule -> ``write`` of the unmatched rest ->
+final-token ``private_tail`` rule and the partial head, whose copied slots
+the audit reads like any other -> ``write`` of the unmatched rest ->
 ``publish_prefix``, skipped in one admission in five as with
 ``prefix_cache=False``), fork (an admission that re-uses a live sequence's
 tokens), decode (up to four decode steps of one sequence, each one write at
@@ -22,9 +23,11 @@ schedules and prints a failing one as the program of rule calls it ran.
 
 :func:`run` runs the machine seeded, with no example database and no
 shrinking (a violation is reported as generated, at once), and returns how
-many steps of each op kind it executed.  Importing this module empties
-hypothesis's pool of literals scanned out of loaded local modules, for the
-whole process, so a seed is one schedule whatever modules are loaded.
+many steps of each op kind it executed, and how many partial heads were
+copied from each kind of source (:data:`COPIES`).  Importing this module
+empties hypothesis's pool of literals scanned out of loaded local modules,
+for the whole process, so a seed is one schedule whatever modules are
+loaded.
 ``tools/check_perf_smoke.py`` (the ``serving stress`` row) and the serving
 tests call it; ``repro`` itself never imports ``hypothesis``.
 """
@@ -65,6 +68,9 @@ KILLS = ("replica_kill", "shard_kill")
 STALLS = ("replica_stall", "shard_stall", "link_drop")
 #: Every op kind a run tallies: one per rule, the sampled kinds of release, kill and stall.
 OPS = ("admit", "fork", "decode", "truncate", "evict", "preempt") + KILLS + STALLS
+#: Partial-head copies a run tallies: from a live or a cached source, which the reservation
+#: kept in place, moved (relocated) or reclaimed (a cached source only).
+COPIES = ("copy_live_kept", "copy_cached_kept", "copy_cached_moved", "copy_cached_reclaimed")
 #: Examples per run and rule steps per example.
 EXAMPLES, STEPS = 10, 30
 
@@ -181,14 +187,23 @@ class PoolMachine(RuleBasedStateMachine):
         slots, refused = [], []
         for cache in self.pools:
             matched = cache.match_prefix(tokens)
-            start = min(len(matched) * BLOCK, len(tokens) - 1)
+            start = min(len(matched) * BLOCK, len(tokens) - 1) + matched.partial_tokens
+            source = matched.partial and cache.block_key_of(matched.partial[0])
+            live = bool(matched.partial) and cache.ref_count(matched.partial[0]) > 0
             try:
-                slot = cache.reserve(capacity, shared=matched, private_tail=start < len(matched) * BLOCK)
+                slot = cache.reserve(
+                    capacity, shared=matched, private_tail=start < len(matched) * BLOCK, partial=matched.partial
+                )
             except ResourceExhaustedError:
                 refused.append(type(cache).__name__)
                 continue
-            # Matched blocks carry the publisher's payloads, which chained block
-            # identity guarantees equal this prompt's own.
+            if source and cache is self.pools[0]:
+                # Where the copied head came from, and what this reservation did to it.
+                moved = cache.radix_entries().get(source, -1)
+                fate = "reclaimed" if moved < 0 else "moved" if moved != matched.partial[0] else "kept"
+                self.tally[f"copy_{'live' if live else 'cached'}_{fate}"] += 1
+            # Matched blocks and the copied head carry the publisher's payloads,
+            # which chained block identity guarantees equal this prompt's own.
             cache.set_length(slot, start)
             _write(cache, slot, tokens, start)
             cache.set_length(slot, len(tokens))
@@ -320,9 +335,10 @@ SETTINGS = settings(
 def run(machine=PoolMachine, seed: int = 0, **geometry) -> Counter:
     """Run :data:`EXAMPLES` examples of ``machine(tally, **geometry)`` under ``hypothesis.seed(seed)``.
 
-    Returns the tally: steps per op kind (:data:`OPS`) and
-    ``relocated_blocks``.  A violated invariant is raised at once, after
-    ``hypothesis`` has printed the failing schedule as generated.
+    Returns the tally: steps per op kind (:data:`OPS`), partial-head copies
+    per kind of source (:data:`COPIES`) and ``relocated_blocks``.  A violated
+    invariant is raised at once, after ``hypothesis`` has printed the failing
+    schedule as generated.
     """
     tally: Counter = Counter()
     run_state_machine_as_test(seeded(seed)(lambda: machine(tally, **geometry)), settings=SETTINGS)
