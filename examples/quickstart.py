@@ -28,7 +28,7 @@ from repro.data import calibration_samples, load_corpus
 from repro.eval import evaluate_perplexity
 from repro.models import TransformerRunner, extract_weights, inject_outliers, train_language_model
 from repro.nn import TransformerConfig
-from repro.serve import GenerationConfig, GenerationEngine
+from repro.serve import GenerationConfig, generate
 
 
 def main() -> None:
@@ -85,23 +85,22 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 5. Batched generation through the KV-cached engine.
     # ------------------------------------------------------------------
-    # Ragged prompts are fine: the engine right-pads, prefills the cache in
-    # one pass, and decodes one token per request per step.  Greedy decoding
+    # Ragged prompts are fine: each prompt is prefilled into its own paged KV
+    # blocks, and every step decodes one token for each request still
+    # running, all requests in one batched forward.  Greedy decoding
     # through the cache is exactly equivalent to re-running the full forward
     # at every step — just ~seq-times cheaper per token.
     prompts = [train_tokens[:8], train_tokens[100:105], train_tokens[200:212]]
     generation = GenerationConfig(max_new_tokens=12)   # top_k=0 -> greedy
     print("\ngenerating 12 tokens for 3 ragged prompts (greedy, KV-cached):")
     for label, runner in [("FP16", fp_runner), ("INT8 Tender", runner_int8)]:
-        result = GenerationEngine(runner).generate(prompts, generation)
-        continuations = " | ".join(
-            np.array2string(tokens, separator=",") for tokens in result.generated
-        )
+        outputs = generate(runner, prompts, generation)
+        continuations = " | ".join(np.array2string(o.generated, separator=",") for o in outputs)
         print(f"  {label:12s}: {continuations}")
-    sampled = GenerationEngine(runner_int8).generate(
-        prompts, GenerationConfig(max_new_tokens=12, top_k=8, temperature=1.2, seed=0)
+    sampled = generate(
+        runner_int8, prompts, GenerationConfig(max_new_tokens=12, top_k=8, temperature=1.2, seed=0)
     )
-    print(f"  top-k sample : {np.array2string(sampled.generated[0], separator=',')}")
+    print(f"  top-k sample : {np.array2string(sampled[0].generated, separator=',')}")
     print("\nMatching FP16/Tender prefixes show INT8 Tender preserving the greedy")
     print("argmax; where they diverge, quantization flipped a near-tie (the small")
     print("perplexity gap above). Top-k adds seeded, replayable diversity.")

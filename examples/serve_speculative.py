@@ -34,11 +34,11 @@ from repro.models import get_language_model
 from repro.models.zoo import get_zoo_entry
 from repro.serve import (
     GenerationConfig,
-    GenerationEngine,
     ModelDraft,
     PromptLookupDraft,
     Scheduler,
     SpecConfig,
+    generate,
 )
 
 MAX_BATCH = 4
@@ -49,10 +49,8 @@ NUM_REQUESTS = 8
 def build_extractive_trace(runner, tokens: np.ndarray) -> list:
     """Prompts that embed the model's own continuation (two-pass)."""
     seeds = [tokens[i * 17 : i * 17 + 16] for i in range(4 * NUM_REQUESTS)]
-    warm = GenerationEngine(runner).generate(
-        seeds, GenerationConfig(max_new_tokens=56)
-    )
-    prompts = [np.concatenate([s, g]) for s, g in zip(seeds, warm.generated)]
+    warm = generate(runner, seeds, GenerationConfig(max_new_tokens=56))
+    prompts = [np.concatenate([s, o.generated]) for s, o in zip(seeds, warm)]
 
     def solo_forwards(prompt) -> int:
         scheduler = Scheduler(

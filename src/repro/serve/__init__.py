@@ -15,8 +15,8 @@ Three layers, bottom up:
 * :class:`Scheduler` — the continuous-batching serving loop (FIFO
   admission, chunked prefill interleaved with decode, shared-prompt prefix
   caching, speculative draft-and-verify decoding, mid-flight eviction);
-* :class:`GenerationEngine` / :func:`generate` — the fixed-batch policy
-  over the scheduler, returning a rectangular :class:`GenerationResult`;
+* :func:`generate` — the fixed-batch policy over the scheduler, returning
+  one :class:`RequestOutput` per prompt;
 * :class:`AsyncEngine` — the asyncio streaming frontend: per-token
   :class:`RequestStream` iterators, bounded-queue admission control with
   backpressure, priority classes with deadlines, and free-then-replay
@@ -53,7 +53,7 @@ outside the package (``tools/stress_machine.py``).
 from repro.serve.async_engine import AsyncEngine, RequestStream, serve_all
 from repro.serve.cluster import ClusterStats, ReplicaPool, Router
 from repro.serve.collective import CollectiveGroup, CollectiveStats
-from repro.serve.engine import GenerationEngine, GenerationResult, generate
+from repro.serve.engine import generate
 from repro.serve.faults import CollectiveFaultInjector, FaultInjector
 from repro.serve.paged_kv_cache import PagedKVCache, SlotBatchView
 from repro.serve.request import GenerationConfig, Request, RequestCheckpoint, RequestOutput
@@ -78,8 +78,6 @@ __all__ = [
     "DraftProposer",
     "serve_all",
     "GenerationConfig",
-    "GenerationEngine",
-    "GenerationResult",
     "InvariantViolation",
     "ModelDraft",
     "PromptLookupDraft",

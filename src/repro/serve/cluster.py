@@ -125,9 +125,7 @@ class Router:
 
 @dataclass
 class ClusterStats(Counters):
-    """Pool-level accounting of one :class:`ReplicaPool` run (published as ``pool.<field>``)."""
-
-    PREFIX = "pool"
+    """Pool-level accounting of one :class:`ReplicaPool` run."""
 
     #: Pool iterations executed (each steps every healthy replica once).
     iterations: int = 0

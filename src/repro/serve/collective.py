@@ -63,8 +63,8 @@ def _require_duration(name: str, value: float, positive: bool = False) -> float:
 class CollectiveStats(Counters):
     """Counters a :class:`CollectiveGroup` accumulates over its lifetime.
 
-    Group records fold with ``total += group.stats`` and publish as
-    ``collective.<field>`` counters (:class:`~repro.serve.stats.Counters`).
+    Group records fold with ``total += group.stats``
+    (:class:`~repro.serve.stats.Counters`).
 
     Attributes
     ----------
@@ -90,8 +90,6 @@ class CollectiveStats(Counters):
     simulated_ms:
         Total simulated transport time, the analytic model's counterpart.
     """
-
-    PREFIX = "collective"
 
     collectives: int = 0
     messages: int = 0

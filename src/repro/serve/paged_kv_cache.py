@@ -15,7 +15,7 @@ arrival.  :class:`PagedKVCache` does exactly that, following the paging
 design popularised by vLLM: physical storage is a pool of fixed-size
 *blocks*, and each live request (a *slot*) owns a block table mapping its
 token positions onto blocks in the pool.  A fixed batch
-(:class:`~repro.serve.engine.GenerationEngine`) and a per-request drafter
+(:func:`~repro.serve.engine.generate`) and a per-request drafter
 (:class:`~repro.serve.spec.ModelDraft`) are the same pool with as many slots
 as they have sequences.
 

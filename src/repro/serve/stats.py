@@ -1,11 +1,11 @@
-"""Serving counter records: one fold and one publish rule, and the scheduler's record.
+"""Serving counter records: one fold rule, and the scheduler's record.
 
 :class:`Counters` is the base of every serving counter record
 (:class:`SchedulerStats` here, ``ClusterStats`` and ``CollectiveStats``
-beside their owners).  The dataclass attributes stay the store, so a hot
-path's ``stats.<field> += n`` is a plain attribute add; what the base adds
-is how two records fold (``total += other``) and how one is exported into a
-:class:`repro.obs.MetricsRegistry`.
+beside their owners).  The dataclass attributes are the store and the
+export: a hot path's ``stats.<field> += n`` is a plain attribute add, a
+reader reads the attribute, and what the base adds is how two records fold
+(``total += other``).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ def _samples(by_class: Dict[int, List[float]], priority: Optional[int]) -> List[
 
 
 class Counters:
-    """Fold and publish rules shared by the serving counter records (dataclasses).
+    """The fold rule shared by the serving counter records (dataclasses).
 
     ``a += b`` folds ``b``, a record of the same type, into ``a`` field by
     field: a field in :attr:`HIGH_WATER` keeps the larger value, a dict adds
@@ -33,12 +33,8 @@ class Counters:
     other number adds.  Folding in any other type is a ``TypeError``.
     """
 
-    #: Registry name prefix :meth:`publish` uses when given none.
-    PREFIX: ClassVar[str] = ""
     #: High-water marks: a fold keeps the larger value instead of the sum.
     HIGH_WATER: ClassVar[Tuple[str, ...]] = ()
-    #: Levels: published as gauges (last write wins) rather than counters.
-    LEVELS: ClassVar[Tuple[str, ...]] = ()
 
     def __iadd__(self, other):
         if type(other) is not type(self):
@@ -55,34 +51,12 @@ class Counters:
                 setattr(self, spec.name, mine + theirs)
         return self
 
-    def publish(self, registry, prefix: Optional[str] = None) -> None:
-        """Publish this record into a :class:`repro.obs.MetricsRegistry`.
-
-        Every number becomes ``<prefix>.<field>`` (``prefix`` defaults to
-        :attr:`PREFIX`): a gauge for a field in :attr:`LEVELS`, a counter
-        otherwise.  A ``degraded_causes`` tally becomes
-        ``<prefix>.degraded.<cause>``.  Counters accumulate: publishing twice
-        doubles them, so snapshot/delta around each publish (or use a fresh
-        registry) when diffing phases.
-        """
-        prefix = prefix or self.PREFIX
-        for spec in fields(self):
-            value = getattr(self, spec.name)
-            if spec.name in self.LEVELS:
-                registry.gauge(f"{prefix}.{spec.name}").set(value)
-            elif isinstance(value, (int, float)):
-                registry.counter(f"{prefix}.{spec.name}").inc(value)
-        for cause, count in sorted(getattr(self, "degraded_causes", {}).items()):
-            registry.counter(f"{prefix}.degraded.{cause}").inc(count)
-
 
 @dataclass
 class SchedulerStats(Counters):
     """Iteration accounting of one scheduler run (deterministic, not wall time)."""
 
-    PREFIX = "scheduler"
     HIGH_WATER = ("peak_active",)
-    LEVELS = ("peak_active", "idle_time")
 
     #: Prefill chunks computed (one forward each but the ridden; a riding resume is none).
     prefill_iterations: int = 0
@@ -213,18 +187,3 @@ class SchedulerStats(Counters):
         if not values:
             return 0.0
         return float(np.mean(values))
-
-    #: Fixed TTFT histogram bounds (scheduler ticks) used by :meth:`publish`.
-    #: Shared across replicas so per-replica histograms merge exactly.
-    TTFT_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
-
-    def publish(self, registry, prefix: Optional[str] = None) -> None:
-        """:meth:`Counters.publish`, plus a fixed-bucket ``<prefix>.ttft_ticks`` histogram.
-
-        The bounds are :attr:`TTFT_BUCKETS`, so per-replica registries merge
-        into fleet totals without rebinning.
-        """
-        super().publish(registry, prefix)
-        histogram = registry.histogram(f"{prefix or self.PREFIX}.ttft_ticks", self.TTFT_BUCKETS)
-        for value in self.ttft_values():
-            histogram.observe(value)

@@ -100,7 +100,7 @@ def extractive_trace(runner: TransformerRunner, budgets: Tuple[int, ...] = ()) -
     """
     rng = np.random.default_rng(11)
     seeds = [_tokens(rng, 8) for _ in range(6)]
-    warm = generate(runner, seeds, GenerationConfig(max_new_tokens=16)).generated
+    warm = [o.generated for o in generate(runner, seeds, GenerationConfig(max_new_tokens=16))]
     prompts = [np.concatenate([seed, body]) for seed, body in zip(seeds, warm)]
     if not budgets:
         return [Request(prompt) for prompt in prompts]

@@ -3,7 +3,7 @@
 The anchor is the same as everywhere in ``tests/serve``: whatever the
 frontend does — buffer tokens, bound the queue, expire deadlines, preempt a
 victim and replay it — each request's tokens must equal running it alone
-through ``GenerationEngine.generate``.  The event loop may only change when
+through ``generate``.  The event loop may only change when
 callers *observe* tokens, never which tokens are produced.
 
 No pytest-asyncio in the environment: each test drives its own event loop
@@ -23,9 +23,9 @@ from repro.models import TransformerRunner
 from repro.serve import (
     AsyncEngine,
     GenerationConfig,
-    GenerationEngine,
     Request,
     Scheduler,
+    generate,
     serve_all,
 )
 
@@ -43,10 +43,8 @@ def prompt_pool(corpus_splits):
 
 def solo_tokens(runner, prompt, max_new_tokens):
     """Tokens of ``prompt`` served alone — the parity reference."""
-    result = GenerationEngine(runner).generate(
-        [prompt], GenerationConfig(max_new_tokens=max_new_tokens)
-    )
-    return result.generated[0]
+    [output] = generate(runner, [prompt], GenerationConfig(max_new_tokens=max_new_tokens))
+    return output.generated
 
 
 class TestStreaming:

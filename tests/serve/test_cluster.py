@@ -28,13 +28,13 @@ from repro.serve import (
     AsyncEngine,
     FaultInjector,
     GenerationConfig,
-    GenerationEngine,
     PromptLookupDraft,
     ReplicaPool,
     Request,
     Router,
     SchedulerStats,
     SpecConfig,
+    generate,
 )
 
 
@@ -240,9 +240,7 @@ class TestRecoveryMechanics:
     def test_watchdog_moves_requests_off_a_stalled_replica(
         self, runner, template_prompts
     ):
-        solo = GenerationEngine(runner).generate(
-            list(template_prompts), GenerationConfig(max_new_tokens=6)
-        )
+        solo = generate(runner, list(template_prompts), GenerationConfig(max_new_tokens=6))
         outputs, pool = pool_outputs(
             runner,
             template_prompts,
@@ -258,7 +256,7 @@ class TestRecoveryMechanics:
         assert pool.cluster_stats.stalled_iterations >= 1
         for request_id in range(len(template_prompts)):
             np.testing.assert_array_equal(
-                outputs[request_id].generated, solo.generated[request_id]
+                outputs[request_id].generated, solo[request_id].generated
             )
 
 
@@ -495,9 +493,7 @@ class TestPoolSurface:
 
 class TestPoolBackedAsyncEngine:
     def test_streams_chaos_run_to_solo_parity(self, runner, template_prompts):
-        solo = GenerationEngine(runner).generate(
-            list(template_prompts[:4]), GenerationConfig(max_new_tokens=6)
-        )
+        solo = generate(runner, list(template_prompts[:4]), GenerationConfig(max_new_tokens=6))
 
         async def main():
             pool = ReplicaPool(
@@ -519,7 +515,7 @@ class TestPoolBackedAsyncEngine:
         assert pool.cluster_stats.failures >= 1
         for index, (tokens, output) in enumerate(zip(collected, outputs)):
             np.testing.assert_array_equal(np.asarray(tokens), output.generated)
-            np.testing.assert_array_equal(output.generated, solo.generated[index])
+            np.testing.assert_array_equal(output.generated, solo[index].generated)
 
     def test_constructor_rejects_ambiguous_engines(self, runner):
         pool = ReplicaPool(runner, num_replicas=1)

@@ -26,7 +26,7 @@ from repro.core import TenderConfig, TenderQuantizer
 from repro.core.kernels import ForwardPlan
 from repro.models import TransformerRunner
 from repro.errors import ConfigurationError
-from repro.serve import GenerationConfig, GenerationEngine, ModelDraft, ShardedRunner
+from repro.serve import GenerationConfig, ModelDraft, ShardedRunner, generate
 from repro.serve.workloads import VOCAB
 
 ATOL = 1e-9
@@ -58,27 +58,24 @@ def ragged_prompts(corpus_splits):
 class TestDecodeMatchesFullForward:
     def test_stepwise_logits_match(self, name, runners, ragged_prompts):
         runner = runners[name]
-        engine = GenerationEngine(runner)
-        result = engine.generate(ragged_prompts, GenerationConfig(max_new_tokens=MAX_NEW_TOKENS))
-        assert result.num_steps == MAX_NEW_TOKENS
-        for row, prompt in enumerate(ragged_prompts):
-            reference = runner.logits(result.sequences[row][None, :])[0]
-            for step in range(result.num_steps):
+        result = generate(runner, ragged_prompts, GenerationConfig(max_new_tokens=MAX_NEW_TOKENS))
+        for output, prompt in zip(result, ragged_prompts):
+            assert output.num_steps == MAX_NEW_TOKENS
+            reference = runner.logits(output.sequence[None, :])[0]
+            for step in range(output.num_steps):
                 position = len(prompt) - 1 + step
                 np.testing.assert_allclose(
-                    result.step_logits[row, step], reference[position], rtol=0.0, atol=ATOL
+                    output.step_logits[step], reference[position], rtol=0.0, atol=ATOL
                 )
 
     def test_greedy_tokens_match_full_forward(self, name, runners, ragged_prompts):
         runner = runners[name]
-        result = GenerationEngine(runner).generate(
-            ragged_prompts, GenerationConfig(max_new_tokens=MAX_NEW_TOKENS)
-        )
-        for row, prompt in enumerate(ragged_prompts):
-            reference = runner.logits(result.sequences[row][None, :])[0]
-            for step in range(result.num_steps):
+        result = generate(runner, ragged_prompts, GenerationConfig(max_new_tokens=MAX_NEW_TOKENS))
+        for output, prompt in zip(result, ragged_prompts):
+            reference = runner.logits(output.sequence[None, :])[0]
+            for step in range(output.num_steps):
                 expected = int(np.argmax(reference[len(prompt) - 1 + step]))
-                assert int(result.generated[row][step]) == expected
+                assert int(output.generated[step]) == expected
 
     @pytest.mark.parametrize("attention", ["fused", "gather"])
     def test_prefill_matches_full_forward(self, name, attention, runners, ragged_prompts, paged_view, monkeypatch):
@@ -99,13 +96,12 @@ class TestDecodeMatchesFullForward:
     def test_ragged_batching_is_isolation_safe(self, name, runners, ragged_prompts):
         """Each request's step logits are identical alone or in a ragged batch."""
         runner = runners[name]
-        engine = GenerationEngine(runner)
         config = GenerationConfig(max_new_tokens=4)
-        batched = engine.generate(ragged_prompts, config)
+        batched = generate(runner, ragged_prompts, config)
         for row, prompt in enumerate(ragged_prompts):
-            alone = engine.generate([prompt], config)
+            [alone] = generate(runner, [prompt], config)
             np.testing.assert_allclose(
-                alone.step_logits[0], batched.step_logits[row], rtol=0.0, atol=ATOL
+                alone.step_logits, batched[row].step_logits, rtol=0.0, atol=ATOL
             )
 
 
@@ -363,23 +359,22 @@ class TestQuantizedAttentionIsolation:
 
     @pytest.mark.parametrize("implicit", [True, False])
     def test_ragged_batching_is_isolation_safe(self, implicit, all_runners, ragged_prompts):
-        engine = GenerationEngine(all_runners[implicit])
+        runner = all_runners[implicit]
         config = GenerationConfig(max_new_tokens=4)
-        batched = engine.generate(ragged_prompts, config)
+        batched = generate(runner, ragged_prompts, config)
         for row, prompt in enumerate(ragged_prompts):
-            alone = engine.generate([prompt], config)
+            [alone] = generate(runner, [prompt], config)
             np.testing.assert_allclose(
-                alone.step_logits[0], batched.step_logits[row], rtol=0.0, atol=1e-12
+                alone.step_logits, batched[row].step_logits, rtol=0.0, atol=1e-12
             )
-            np.testing.assert_array_equal(alone.generated[0], batched.generated[row])
+            np.testing.assert_array_equal(alone.generated, batched[row].generated)
 
     def test_decode_is_a_per_step_quantization_schedule(self, all_runners, ragged_prompts):
         """Decode logits for Tender "all" legitimately differ from the full
         forward (per-step dynamic stats) but generation stays well-formed."""
-        engine = GenerationEngine(all_runners[True])
-        result = engine.generate(ragged_prompts, GenerationConfig(max_new_tokens=4))
-        assert result.num_steps == 4
-        assert np.isfinite(result.step_logits).all()
+        for output in generate(all_runners[True], ragged_prompts, GenerationConfig(max_new_tokens=4)):
+            assert output.num_steps == 4
+            assert np.isfinite(output.step_logits).all()
 
 
 class TestContinuousSchedulerParity:
@@ -418,17 +413,16 @@ class TestContinuousSchedulerParity:
         runner = runners[name]
         prompts = self._trace_prompts(corpus_splits)
         outputs = self._run_trace(runner, prompts, GenerationConfig())
-        engine = GenerationEngine(runner)
         for request_id, (prompt, budget) in enumerate(zip(prompts, self.BUDGETS)):
-            alone = engine.generate([prompt], GenerationConfig(max_new_tokens=budget))
-            np.testing.assert_array_equal(outputs[request_id].generated, alone.generated[0])
-            np.testing.assert_array_equal(outputs[request_id].sequence, alone.sequences[0])
+            [alone] = generate(runner, [prompt], GenerationConfig(max_new_tokens=budget))
+            np.testing.assert_array_equal(outputs[request_id].generated, alone.generated)
+            np.testing.assert_array_equal(outputs[request_id].sequence, alone.sequence)
             if name.startswith("tender"):
                 # Integer pipeline: logits are bit-identical under batching.
-                np.testing.assert_array_equal(outputs[request_id].step_logits, alone.step_logits[0])
+                np.testing.assert_array_equal(outputs[request_id].step_logits, alone.step_logits)
             else:
                 np.testing.assert_allclose(
-                    outputs[request_id].step_logits, alone.step_logits[0], rtol=0.0, atol=1e-12
+                    outputs[request_id].step_logits, alone.step_logits, rtol=0.0, atol=1e-12
                 )
 
     def test_tender_all_bit_identical_under_scheduler(self, outlier_weights, calibration, corpus_splits):
@@ -437,11 +431,10 @@ class TestContinuousSchedulerParity:
         runner = TenderQuantizer(config).quantize(outlier_weights, calibration)
         prompts = self._trace_prompts(corpus_splits)
         outputs = self._run_trace(runner, prompts, GenerationConfig())
-        engine = GenerationEngine(runner)
         for request_id, (prompt, budget) in enumerate(zip(prompts, self.BUDGETS)):
-            alone = engine.generate([prompt], GenerationConfig(max_new_tokens=budget))
-            np.testing.assert_array_equal(outputs[request_id].generated, alone.generated[0])
-            np.testing.assert_array_equal(outputs[request_id].step_logits, alone.step_logits[0])
+            [alone] = generate(runner, [prompt], GenerationConfig(max_new_tokens=budget))
+            np.testing.assert_array_equal(outputs[request_id].generated, alone.generated)
+            np.testing.assert_array_equal(outputs[request_id].step_logits, alone.step_logits)
 
     def test_top_k_sampling_is_batching_invariant(self, runners, corpus_splits):
         """Per-request seeded generators make sampling scheduling-independent."""
@@ -449,12 +442,11 @@ class TestContinuousSchedulerParity:
         prompts = self._trace_prompts(corpus_splits)
         config = GenerationConfig(top_k=8, temperature=1.3, seed=11)
         outputs = self._run_trace(runner, prompts, config)
-        engine = GenerationEngine(runner)
         for request_id, (prompt, budget) in enumerate(zip(prompts, self.BUDGETS)):
-            alone = engine.generate(
-                [prompt], GenerationConfig(max_new_tokens=budget, top_k=8, temperature=1.3, seed=11)
+            [alone] = generate(
+                runner, [prompt], GenerationConfig(max_new_tokens=budget, top_k=8, temperature=1.3, seed=11)
             )
-            np.testing.assert_array_equal(outputs[request_id].generated, alone.generated[0])
+            np.testing.assert_array_equal(outputs[request_id].generated, alone.generated)
 
 
 class TestTenderChunkConsistency:
@@ -470,11 +462,11 @@ class TestTenderChunkConsistency:
         config = TenderConfig(bits=8, num_groups=8, row_chunk_size=4)
         runner = TenderQuantizer(config).quantize(outlier_weights, calibration)
         prompt = train_tokens[:6]
-        result = GenerationEngine(runner).generate([prompt], GenerationConfig(max_new_tokens=5))
-        reference = runner.logits(result.sequences[0][None, :])[0]
-        for step in range(result.num_steps):
+        [output] = generate(runner, [prompt], GenerationConfig(max_new_tokens=5))
+        reference = runner.logits(output.sequence[None, :])[0]
+        for step in range(output.num_steps):
             np.testing.assert_allclose(
-                result.step_logits[0, step], reference[len(prompt) - 1 + step], rtol=0.0, atol=ATOL
+                output.step_logits[step], reference[len(prompt) - 1 + step], rtol=0.0, atol=ATOL
             )
 
     def test_batched_full_forward_is_position_consistent(

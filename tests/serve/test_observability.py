@@ -1,12 +1,12 @@
-"""Serving observability: lifecycle traces, chaos export, stats publishing.
+"""Serving observability: lifecycle traces, chaos export, stats folding.
 
 The acceptance scenario for the observability layer is a full chaos run —
 two sharded replicas with collective corruption, a scripted replica kill,
 and priority preemption — exported as one Chrome trace JSON in which a
 preempted-and-recovered request's lifecycle is reconstructable *across
 replicas* by filtering on its pool-level correlation id.  These tests run
-that scenario and parse the export; the tracer/metrics primitives are
-pinned separately in ``tests/obs/``.
+that scenario and parse the export; the tracer primitives are pinned
+separately in ``tests/obs/``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.obs import CountingClock, FlightRecorder, MetricsRegistry, Tracer
+from repro.obs import CountingClock, FlightRecorder, Tracer
 from repro.serve import (
     CollectiveFaultInjector,
     CollectiveGroup,
@@ -226,7 +226,7 @@ class TestSchedulerLifecycle:
 
     def test_verify_step_spans_say_what_ran(self, chaos_runner):
         """``verify_step`` carries ``batch=`` and ``rows=`` (there is no shared
-        depth any more), and the rows add up to the published counter — so
+        depth any more), and the rows add up to the scheduler's counter — so
         the wasted-row share is computable from stats alone."""
 
         class RepeatLast:
@@ -255,9 +255,6 @@ class TestSchedulerLifecycle:
         stats = scheduler.stats
         assert sum(e.args["rows"] for e in spans) == stats.spec_verify_rows
         assert stats.spec_verify_rows == stats.spec_proposed_tokens + sum(e.args["batch"] for e in spans)
-        registry = MetricsRegistry()
-        stats.publish(registry)
-        assert registry.snapshot()["scheduler.spec_verify_rows"] == stats.spec_verify_rows
         wasted = stats.spec_proposed_tokens - stats.spec_accepted_tokens
         assert 0 < wasted / stats.spec_verify_rows < 1
 
@@ -356,7 +353,8 @@ class TestStatsMergeAudit:
         assert merged.degraded_causes == {"shed": 1} and every[0].degraded_causes == {"shed": 1}
         assert 0 < merged.resume_tail_rows < merged.prefill_tokens  # resumes rode here
 
-    def test_registry_merge_is_associative_across_replicas(self, chaos_runner):
+    def test_replica_stats_fold_is_associative_across_replicas(self, chaos_runner):
+        """Folding per-replica records through an intermediate total gives the pool's view."""
         pool = ReplicaPool(
             chaos_runner,
             num_replicas=3,
@@ -370,67 +368,31 @@ class TestStatsMergeAudit:
         for prompt in background:
             pool.submit(prompt)
         pool.run()
+        r0, r1, r2 = pool.replica_stats()
+        left = SchedulerStats()
+        for stats in (r0, r1, r2):
+            left += stats
+        tail = SchedulerStats()
+        tail += r1
+        tail += r2
+        right = SchedulerStats()
+        right += r0
+        right += tail
+        assert left == right == pool.stats
+        assert left.completed_requests == len(background) == sum(s.completed_requests for s in (r0, r1, r2))
+        assert len(left.ttft_values()) == sum(len(s.ttft_values()) for s in (r0, r1, r2))
 
-        # merge(merge(r0, r1), r2) must equal merge(r0, merge(r1, r2)) —
-        # the merge-of-merges path pool dashboards use when per-replica
-        # registries fold through intermediate aggregates.
-        per_replica = []
-        for stats in pool.replica_stats():
-            registry = MetricsRegistry()
-            stats.publish(registry)
-            per_replica.append(registry)
-
-        left_first = MetricsRegistry()
-        left_first.merge(per_replica[0])
-        left_first.merge(per_replica[1])
-        left_assoc = MetricsRegistry()
-        left_assoc.merge(left_first)
-        left_assoc.merge(per_replica[2])
-
-        right_first = MetricsRegistry()
-        right_first.merge(per_replica[1])
-        right_first.merge(per_replica[2])
-        right_assoc = MetricsRegistry()
-        right_assoc.merge(per_replica[0])
-        right_assoc.merge(right_first)
-
-        snap = left_assoc.snapshot()
-        assert snap == right_assoc.snapshot()
-        assert snap["scheduler.completed_requests"] == sum(
-            s.completed_requests for s in pool.replica_stats()
-        )
-        assert snap["scheduler.ttft_ticks_count"] == sum(
-            len(s.ttft_values()) for s in pool.replica_stats()
-        )
-
-    def test_cluster_stats_publish(self):
-        stats = ClusterStats(
+    def test_cluster_stats_fold(self):
+        total = ClusterStats(
             iterations=10,
             failures=2,
             recoveries=3,
             degraded_requests=1,
             degraded_causes={"retry_budget_exhausted": 1},
         )
-        registry = MetricsRegistry()
-        stats.publish(registry)
-        snap = registry.snapshot()
-        assert snap["pool.iterations"] == 10
-        assert snap["pool.failures"] == 2
-        assert snap["pool.recoveries"] == 3
-        assert snap["pool.degraded.retry_budget_exhausted"] == 1
-
-    @pytest.mark.parametrize("record", [SchedulerStats, ClusterStats, CollectiveStats])
-    def test_every_integer_stats_field_is_published(self, record):
-        """A counter added to a stats record cannot be silently unpublished, float fields included."""
-        stats = _filled(record, 1)
-        registry = MetricsRegistry()
-        stats.publish(registry)
-        snap = registry.snapshot()
-        numbers = [spec.name for spec in dataclasses.fields(stats) if spec.type in ("int", "float")]
-        assert numbers
-        assert {n: snap.get(f"{record.PREFIX}.{n}") for n in numbers} == {
-            n: getattr(stats, n) for n in numbers
-        }
+        total += ClusterStats(iterations=4, failures=1, degraded_requests=2, degraded_causes={"shed": 2})
+        assert (total.iterations, total.failures, total.recoveries, total.degraded_requests) == (14, 3, 3, 3)
+        assert total.degraded_causes == {"retry_budget_exhausted": 1, "shed": 2}
 
 
 def _filled(record, seed):
@@ -482,6 +444,25 @@ class TestCollectiveStatsFold:
         right += tail
         assert left == right
 
+    @pytest.mark.parametrize("record", RECORDS)
+    def test_high_water_marks_name_numeric_fields(self, record):
+        """A misspelt high-water name would silently turn its mark into a sum."""
+        numbers = {spec.name for spec in dataclasses.fields(record) if spec.type in ("int", "float")}
+        assert set(record.HIGH_WATER) <= numbers
+
+    @pytest.mark.parametrize("record", RECORDS)
+    def test_empty_record_is_the_fold_identity(self, record):
+        """``record()`` folds in on either side without changing a value or sharing a container."""
+        stats = _filled(record, 1)
+        stats += record()
+        assert stats == _filled(record, 1)
+        fresh = record()
+        fresh += stats
+        assert fresh == stats
+        for spec in dataclasses.fields(record):
+            if isinstance(getattr(stats, spec.name), dict):
+                assert getattr(fresh, spec.name) is not getattr(stats, spec.name), spec.name
+
     def test_peak_active_is_a_high_water_mark(self):
         total = SchedulerStats(peak_active=5)
         total += SchedulerStats(peak_active=3)
@@ -518,13 +499,3 @@ class TestCollectiveStatsFold:
                 with pytest.raises(TypeError):
                     stats += other()
         assert stats == record()
-
-    def test_publish_exposes_every_field(self):
-        stats = CollectiveStats(collectives=1, bytes_moved=256, timeouts=2)
-        registry = MetricsRegistry()
-        stats.publish(registry)
-        snap = registry.snapshot()
-        assert snap["collective.collectives"] == 1
-        assert snap["collective.bytes_moved"] == 256
-        assert snap["collective.timeouts"] == 2
-        assert snap["collective.hedges"] == 0

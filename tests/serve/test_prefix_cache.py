@@ -22,11 +22,11 @@ from repro.models import TransformerRunner
 from repro.serve import (
     FaultInjector,
     GenerationConfig,
-    GenerationEngine,
     PagedKVCache,
     ReplicaPool,
     Request,
     Scheduler,
+    generate,
     workloads,
 )
 
@@ -125,25 +125,22 @@ class TestPrefixCacheParity:
         runner = runners["tender-implicit"]
         config = GenerationConfig(max_new_tokens=4)
         on, _ = serve_all(runner, staggered_prompts, config, prefix_cache=True)
-        engine = GenerationEngine(runner)
         for request_id, prompt in enumerate(staggered_prompts):
-            alone = engine.generate([prompt], config)
-            np.testing.assert_array_equal(on[request_id].generated, alone.generated[0])
-            np.testing.assert_array_equal(on[request_id].step_logits, alone.step_logits[0])
+            [alone] = generate(runner, [prompt], config)
+            np.testing.assert_array_equal(on[request_id].generated, alone.generated)
+            np.testing.assert_array_equal(on[request_id].step_logits, alone.step_logits)
 
     def test_engine_prefix_cache_passthrough(self, runners, staggered_prompts):
-        """GenerationEngine(prefix_cache=True) matches the plain engine."""
+        """``generate(prefix_cache=True)`` matches plain ``generate``."""
         runner = runners["tender-explicit"]
         config = GenerationConfig(max_new_tokens=4)
-        plain = GenerationEngine(runner).generate(staggered_prompts, config)
-        cached = GenerationEngine(runner, prefix_cache=True).generate(staggered_prompts, config)
-        chunked = GenerationEngine(runner, prefix_cache=True, prefill_chunk=6).generate(
-            staggered_prompts, config
-        )
+        plain = generate(runner, staggered_prompts, config)
+        cached = generate(runner, staggered_prompts, config, prefix_cache=True)
+        chunked = generate(runner, staggered_prompts, config, prefix_cache=True, prefill_chunk=6)
         for row in range(len(staggered_prompts)):
-            np.testing.assert_array_equal(cached.generated[row], plain.generated[row])
-            np.testing.assert_array_equal(chunked.generated[row], plain.generated[row])
-            np.testing.assert_array_equal(cached.step_logits[row], plain.step_logits[row])
+            np.testing.assert_array_equal(cached[row].generated, plain[row].generated)
+            np.testing.assert_array_equal(chunked[row].generated, plain[row].generated)
+            np.testing.assert_array_equal(cached[row].step_logits, plain[row].step_logits)
 
     def test_tender_dynamic_attention_stays_well_formed(
         self, outlier_weights, calibration, staggered_prompts
@@ -635,10 +632,10 @@ class TestPoolSizing:
         runner = runners["float"]
         prompts = [train_tokens[:21], train_tokens[:21].copy(), train_tokens[:21].copy()]
         config = GenerationConfig(max_new_tokens=4)
-        result = GenerationEngine(runner, prefix_cache=True).generate(prompts, config)
-        baseline = GenerationEngine(runner).generate(prompts, config)
+        result = generate(runner, prompts, config, prefix_cache=True)
+        baseline = generate(runner, prompts, config)
         for row in range(len(prompts)):
-            np.testing.assert_array_equal(result.generated[row], baseline.generated[row])
+            np.testing.assert_array_equal(result[row].generated, baseline[row].generated)
 
 
 class TestVectorizedPool:

@@ -3,7 +3,7 @@
 The correctness anchor for everything here is per-request isolation: whatever
 the scheduler does with slots — evict mid-flight, backfill with a new
 request, reuse dirty KV blocks — each request's output must equal running it
-alone through ``GenerationEngine.generate`` (bit-identical parity itself is
+alone through ``generate`` (bit-identical parity itself is
 pinned in ``test_decode_parity.py``; these tests focus on the scheduling
 behaviors that could break it).
 """
@@ -18,11 +18,11 @@ from repro.errors import ConfigurationError, ResourceExhaustedError
 from repro.models import TransformerRunner
 from repro.serve import (
     GenerationConfig,
-    GenerationEngine,
     PromptLookupDraft,
     Request,
     Scheduler,
     SpecConfig,
+    generate,
 )
 
 
@@ -62,11 +62,10 @@ class TestContinuousServing:
         outputs = outputs_by_id(scheduler.run())
         assert len(outputs) == len(prompt_pool)
         assert scheduler.stats.peak_active <= 3
-        engine = GenerationEngine(runner)
         for request_id, prompt in enumerate(prompt_pool):
-            alone = engine.generate([prompt], config)
-            np.testing.assert_array_equal(outputs[request_id].generated, alone.generated[0])
-            np.testing.assert_array_equal(outputs[request_id].sequence, alone.sequences[0])
+            [alone] = generate(runner, [prompt], config)
+            np.testing.assert_array_equal(outputs[request_id].generated, alone.generated)
+            np.testing.assert_array_equal(outputs[request_id].sequence, alone.sequence)
 
     def test_eviction_reclaims_blocks_mid_flight(self, runner, prompt_pool):
         """A finished request's blocks return to the pool before the run ends.
@@ -99,8 +98,8 @@ class TestContinuousServing:
         assert outputs[0].step_logits.shape == (2, runner.config.vocab_size)
 
     def test_eos_finishes_request_early(self, runner, prompt_pool):
-        probe = GenerationEngine(runner).generate([prompt_pool[0]], GenerationConfig(max_new_tokens=4))
-        eos = int(probe.generated[0][1])
+        [probe] = generate(runner, [prompt_pool[0]], GenerationConfig(max_new_tokens=4))
+        eos = int(probe.generated[1])
         scheduler = Scheduler(runner, GenerationConfig(max_new_tokens=8, eos_token=eos), max_batch_size=2)
         scheduler.submit(prompt_pool[0])
         output = scheduler.run()[0]
@@ -131,7 +130,7 @@ class TestContinuousServing:
         assert output.step_logits.shape == (0, runner.config.vocab_size)
         np.testing.assert_array_equal(
             output.generated,
-            GenerationEngine(runner).generate([prompt_pool[0]], GenerationConfig(max_new_tokens=3)).generated[0],
+            generate(runner, [prompt_pool[0]], GenerationConfig(max_new_tokens=3))[0].generated,
         )
 
 
@@ -164,11 +163,10 @@ class TestDirtyBlockReuse:
         for prompt in prompts:
             scheduler.submit(prompt)
         outputs = outputs_by_id(scheduler.run())
-        engine = GenerationEngine(runner)
         for request_id, prompt in enumerate(prompts):
-            alone = engine.generate([prompt], generation)
-            np.testing.assert_array_equal(outputs[request_id].step_logits, alone.step_logits[0])
-            np.testing.assert_array_equal(outputs[request_id].generated, alone.generated[0])
+            [alone] = generate(runner, [prompt], generation)
+            np.testing.assert_array_equal(outputs[request_id].step_logits, alone.step_logits)
+            np.testing.assert_array_equal(outputs[request_id].generated, alone.generated)
 
 
 class TestFairness:
@@ -384,10 +382,9 @@ class TestValidation:
         outputs = outputs_by_id(scheduler.run())
         assert len(outputs) == 3
         assert scheduler.stats.peak_active == 1  # only ever one slot's blocks
-        engine = GenerationEngine(runner)
         for request_id, prompt in enumerate(prompt_pool[:3]):
             np.testing.assert_array_equal(
-                outputs[request_id].generated, engine.generate([prompt], config).generated[0]
+                outputs[request_id].generated, generate(runner, [prompt], config)[0].generated
             )
 
     def test_resource_exhausted_error_type_exists(self):
@@ -625,10 +622,9 @@ class TestCheckpointSurface:
         for checkpoint in checkpoints:
             target.submit_checkpoint(checkpoint)
         outputs = outputs_by_id(target.run())
-        engine = GenerationEngine(runner)
         for new_id, prompt in enumerate(prompt_pool[:4]):
-            alone = engine.generate([prompt], GenerationConfig(max_new_tokens=6))
-            np.testing.assert_array_equal(outputs[new_id].generated, alone.generated[0])
+            [alone] = generate(runner, [prompt], GenerationConfig(max_new_tokens=6))
+            np.testing.assert_array_equal(outputs[new_id].generated, alone.generated)
 
     def test_unstarted_checkpoint_still_honours_its_deadline(self, runner, prompt_pool):
         source = Scheduler(runner, GenerationConfig(max_new_tokens=12), max_batch_size=1)

@@ -29,12 +29,12 @@ from repro.errors import ConfigurationError
 from repro.models import TransformerRunner
 from repro.serve import (
     GenerationConfig,
-    GenerationEngine,
     ModelDraft,
     PagedKVCache,
     PromptLookupDraft,
     Scheduler,
     SpecConfig,
+    generate,
 )
 from repro.serve.spec import _SpecState
 
@@ -770,13 +770,8 @@ class TestSpeculativeScheduling:
         runner = runners["tender-implicit"]
         train_tokens, _ = corpus_splits
         seeds = [train_tokens[i * 31 : i * 31 + 12] for i in range(3)]
-        warm = GenerationEngine(runner).generate(
-            seeds, GenerationConfig(max_new_tokens=24)
-        )
-        repetitive = [
-            np.concatenate([seed, continuation])
-            for seed, continuation in zip(seeds, warm.generated)
-        ]
+        warm = generate(runner, seeds, GenerationConfig(max_new_tokens=24))
+        repetitive = [np.concatenate([seed, output.generated]) for seed, output in zip(seeds, warm)]
         config = GenerationConfig(max_new_tokens=16)
         _, plain = serve_all(runner, repetitive, config)
         _, spec = serve_all(
@@ -852,8 +847,8 @@ class TestSpeculativeScheduling:
         runner = runners["tender-implicit"]
         train_tokens, _ = corpus_splits
         seed = train_tokens[:12]
-        warm = GenerationEngine(runner).generate([seed], GenerationConfig(max_new_tokens=40))
-        extractive = np.concatenate([seed, warm.generated[0]])  # the drafter reads the answer
+        [warm] = generate(runner, [seed], GenerationConfig(max_new_tokens=40))
+        extractive = np.concatenate([seed, warm.generated])  # the drafter reads the answer
         config = GenerationConfig(max_new_tokens=30)
         scheduler = Scheduler(
             runner,
@@ -881,14 +876,11 @@ class TestSpeculativeScheduling:
     def test_engine_passes_speculation_through(self, runners, prompts):
         runner = runners["tender-implicit"]
         config = GenerationConfig(max_new_tokens=8)
-        baseline = GenerationEngine(runner).generate(prompts, config)
-        engine = GenerationEngine(
-            runner, speculation=SpecConfig(drafter=PromptLookupDraft())
-        )
-        result = engine.generate(prompts, config)
-        for reference, produced in zip(baseline.generated, result.generated):
-            assert np.array_equal(reference, produced)
-        assert np.array_equal(baseline.step_logits, result.step_logits)
+        baseline = generate(runner, prompts, config)
+        result = generate(runner, prompts, config, speculation=SpecConfig(drafter=PromptLookupDraft()))
+        for reference, produced in zip(baseline, result):
+            assert np.array_equal(reference.generated, produced.generated)
+            assert np.array_equal(reference.step_logits, produced.step_logits)
 
 
 class TestRaggedVerifyLattice:

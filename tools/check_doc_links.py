@@ -20,16 +20,17 @@ Checks, in order:
    (``src/repro/serve/*.py``) — a new subsystem (``cluster.py`` being the
    latest) cannot land without its architecture-doc section;
 5. ``docs/architecture.md`` mentions every observability module
-   (``src/repro/obs/*.py``) — tracing/metrics machinery follows the same
+   (``src/repro/obs/*.py``) — the tracing machinery follows the same
    rule as the serving layers it instruments;
 6. every backticked dotted name `` `repro.<pkg>.<Name>` `` in those files and
    in ``bench/README.md`` resolves against the live package
    (``pkgutil.resolve_name``) — a rename cannot leave the docs pointing at a
    symbol that is gone;
 7. every ``from repro... import ...`` / ``import repro...`` of
-   ``examples/*.py`` resolves the same way.  The examples are only parsed
-   (AST), never run: nothing in tier-1 imports them, so a rename would
-   otherwise break them unseen;
+   ``examples/*.py`` and of the fenced python blocks of ``README.md`` and
+   ``docs/*.md`` resolves the same way.  They are only parsed (AST), never
+   run: nothing in tier-1 imports them, so a rename would otherwise break
+   them unseen;
 8. every absolute Sphinx role of ``src/repro/**/*.py`` — ``:class:``,
    ``:func:``, ``:meth:``, ``:mod:``, ``:attr:`` naming ``repro.…`` or
    ``~repro.…`` — resolves too (a text scan; relative targets such as
@@ -53,6 +54,8 @@ SKIP_PREFIXES = ("http://", "https://", "mailto:")
 SYMBOL_PATTERN = re.compile(r"`(repro(?:\.\s*\w+)+)")
 #: A Sphinx cross-reference role whose target is an absolute ``repro`` path.
 ROLE_PATTERN = re.compile(r":(?:class|func|meth|mod|attr):`~?(repro(?:\.\w+)+)`")
+#: A fenced python block of a markdown file; group 1 is its body.
+FENCE_PATTERN = re.compile(r"^```python\n(.*?)^```", re.MULTILINE | re.DOTALL)
 
 
 def iter_markdown_files(root: Path):
@@ -138,6 +141,27 @@ def unresolved(root: Path, path: Path, pattern: re.Pattern, what: str) -> list:
     return errors
 
 
+def unresolved_imports(root: Path, path: Path, source: str, first_line: int = 1) -> list:
+    """One error per unresolved ``repro`` import of ``source``, the code of ``path`` from ``first_line`` on."""
+    try:
+        tree = ast.parse(source)
+    except SyntaxError as error:
+        return [f"{path.relative_to(root)}:{first_line + (error.lineno or 1) - 1}: python does not parse"]
+    errors = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and not node.level:
+            imported = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported = [alias.name for alias in node.names]
+        else:
+            continue
+        for dotted in imported:
+            if dotted.split(".")[0] == "repro" and not resolves(dotted):
+                line_number = first_line + node.lineno - 1
+                errors.append(f"{path.relative_to(root)}:{line_number}: unresolved import -> {dotted}")
+    return errors
+
+
 def check_symbols(root: Path) -> list:
     sys.path.insert(0, str(root / "src"))  # the package beside this tool, ahead of any installed one
     errors = []
@@ -146,16 +170,12 @@ def check_symbols(root: Path) -> list:
     for source in sorted((root / "src" / "repro").rglob("*.py")):
         errors += unresolved(root, source, ROLE_PATTERN, "role")
     for example in sorted((root / "examples").glob("*.py")):
-        for node in ast.walk(ast.parse(example.read_text(), filename=str(example))):
-            if isinstance(node, ast.ImportFrom) and not node.level:
-                imported = [f"{node.module}.{alias.name}" for alias in node.names]
-            elif isinstance(node, ast.Import):
-                imported = [alias.name for alias in node.names]
-            else:
-                continue
-            for dotted in imported:
-                if dotted.split(".")[0] == "repro" and not resolves(dotted):
-                    errors.append(f"{example.relative_to(root)}:{node.lineno}: unresolved import -> {dotted}")
+        errors += unresolved_imports(root, example, example.read_text())
+    for markdown in iter_markdown_files(root):
+        text = markdown.read_text() if markdown.exists() else ""
+        for block in FENCE_PATTERN.finditer(text):
+            first_line = text.count("\n", 0, block.start(1)) + 1
+            errors += unresolved_imports(root, markdown, block.group(1), first_line)
     return errors
 
 
