@@ -228,6 +228,10 @@ class RequestCheckpoint(Request):
     spec: Optional[_SpecState] = None
     #: Correlation id stamped on this request's trace events.
     trace_corr: str = ""
+    #: Key the speculative drafter knows the request by on its current
+    #: scheduler: fresh at every acceptance, never shared by two requests
+    #: in flight, kept across preemption.
+    draft_key: int = -1
 
     @property
     def started(self) -> bool:

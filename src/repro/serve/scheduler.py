@@ -72,6 +72,7 @@ per-chunk quantization schedule — the same scoped exception
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -94,6 +95,14 @@ from repro.serve.stats import SchedulerStats
 
 #: The rows of a request with no replay tail to catch up on, or no proposal.
 _NO_TOKENS = np.empty(0, dtype=np.int64)
+#: Drafter keys (``RequestCheckpoint.draft_key``): one count for every
+#: scheduler in the process, so schedulers sharing a drafter never collide.
+_DRAFT_KEYS = itertools.count()
+
+
+def _committed(record: RequestCheckpoint) -> np.ndarray:
+    """The record's prompt followed by every token it committed (the drafter's view)."""
+    return np.concatenate([record.prompt, np.array(record.generated, dtype=np.int64)])
 
 
 def _token_budget(prompt_len: int, max_new_tokens: int, max_seq_len: int) -> int:
@@ -353,6 +362,7 @@ class Scheduler:
             )
         record.request_id = self._next_request_id
         self._next_request_id += 1
+        record.draft_key = next(_DRAFT_KEYS)
         record.trace_corr = trace_corr if trace_corr is not None else f"r{record.request_id}"
         if self.tracer is not None:
             self.tracer.instant(
@@ -705,7 +715,7 @@ class Scheduler:
             committed = self.cache.length_of(record.slot)
             if committed:
                 self.cache.publish_prefix(record.slot, record.replay_tokens()[:committed])
-        self._detach(record.request_id)
+        self._vacate(record)
         record.preemptions += 1
         self.stats.preemptions += 1
         if self.tracer is not None:
@@ -716,7 +726,6 @@ class Scheduler:
                 committed=len(record.generated),
                 preemptions=record.preemptions,
             )
-        self._requests[record.request_id] = record
         self._enqueue(record)
 
     def _advance_prefill(
@@ -793,8 +802,7 @@ class Scheduler:
         cap = min(state.spec.draft_len, state.budget - len(state.generated) - 1)
         if cap < 1:
             return _NO_TOKENS
-        sequence = np.concatenate([state.prompt, np.array(state.generated, dtype=np.int64)])
-        proposal = self.speculation.drafter.propose(state.request_id, sequence, cap)
+        proposal = self.speculation.drafter.propose(state.draft_key, _committed(state), cap)
         return np.asarray(proposal, dtype=np.int64).reshape(-1)[:cap]
 
     def _decode_iteration(self, finished: List[RequestOutput], decoding: bool = True) -> None:
@@ -1023,15 +1031,12 @@ class Scheduler:
     def _detach(self, request_id: int) -> RequestCheckpoint:
         """Take a request out of the scheduler, wherever it is.
 
-        The one exit shared by completion, preemption, cancel / expire /
-        shed, and checkpointing.  A queued record leaves its heap; an
-        admitted one leaves the prefill queue or the decode set, its KV
-        blocks return to the pool (published blocks stay LRU-matchable),
-        the cached batch views are invalidated, and any drafter state is
-        released.  Either way the record comes back with ``slot == -1`` and
-        no views — ready to be finished, re-queued here, or handed to
-        another scheduler.  The freed slot is backfilled by the next
-        admission.
+        The one exit shared by completion, cancel / expire / shed, and
+        checkpointing.  A queued record leaves its heap; an admitted one is
+        vacated (:meth:`_vacate`).  Either way the drafter releases the
+        request's key — once: preemption vacates without leaving — and
+        the record comes back with ``slot == -1`` and no views, ready to be
+        finished or handed to another scheduler.
 
         Raises
         ------
@@ -1046,14 +1051,26 @@ class Scheduler:
                 f"request {request_id} is not in flight (already finished, "
                 "already released, or never submitted)"
             )
-        if record.slot < 0:
+        if record.slot >= 0:
+            self._vacate(record)
+        else:
             for queue in (self._waiting, self._future):
                 kept = [item for item in queue if item[-1] is not record]
                 if len(kept) != len(queue):
                     queue[:] = kept
                     heapq.heapify(queue)
                     break
-            return record
+        if self.speculation is not None:
+            self.speculation.drafter.release(record.draft_key, _committed(record))
+        return record
+
+    def _vacate(self, record: RequestCheckpoint) -> None:
+        """Free an admitted record's slot: its KV blocks go back to the pool.
+
+        The record leaves the prefill queue or the decode set, published
+        blocks stay LRU-matchable, and the cached batch views are
+        invalidated; the freed slot is backfilled by the next admission.
+        """
         if self._active.pop(record.slot, None) is None:
             self._prefilling.remove(record)
         self._decode_view = None
@@ -1061,9 +1078,6 @@ class Scheduler:
         record.slot = -1
         record.replay = None
         record.prefill_pos = 0
-        if self.speculation is not None:
-            self.speculation.drafter.release(request_id)
-        return record
 
     def release_request(self, request_id: int) -> RequestCheckpoint:
         """Evict an admitted request from its slot, freeing all its KV blocks.

@@ -23,11 +23,12 @@ forwards it takes.  Rejected draft positions are rolled back through
 
 Two drafters ship here:
 
-* :class:`PromptLookupDraft` — zero-cost n-gram lookup: the longest suffix
-  n-gram of the request's prompt + generated tokens is searched for an
-  earlier occurrence, and the tokens that followed it are proposed
-  (vLLM-style prompt lookup).  Free to run, and extremely effective on
-  extractive or repetitive generations.
+* :class:`PromptLookupDraft` — zero-cost lookup: the tokens that followed
+  the request's context before are proposed, found in the request's own
+  prompt + generated tokens (vLLM-style prompt lookup) or in any sequence
+  the drafter served before or serves beside it (as SuffixDecoding and
+  REST draft from earlier outputs).  Free to run, and extremely effective
+  on extractive, repetitive or repeated generations.
 * :class:`ModelDraft` — a smaller :class:`~repro.models.inference.TransformerRunner`
   (e.g. a truncated-layer copy, see :meth:`ModelDraft.truncated`) decodes
   the draft greedily over its own one-slot KV pool per request, catching up
@@ -63,39 +64,64 @@ class DraftProposer(Protocol):
     every sampled token, including the still-pending one), and returns up
     to ``max_tokens`` speculated continuations.  Returning an empty array
     is always legal — the request simply takes a plain decode step.
-    Drafters may keep per-request state keyed by ``request_id``;
-    :meth:`release` is called exactly once when the request retires.
+
+    The scheduler names each request by a ``key``: an integer no other
+    request in flight shares, on any scheduler, so replicas of a
+    :class:`~repro.serve.cluster.ReplicaPool` can share one drafter.  A
+    key's sequence only grows from call to call, and it survives
+    preemption; :meth:`release` is called exactly once per key, with the
+    final committed sequence, when the request leaves the scheduler
+    (finished, cancelled, expired, shed, checkpointed or released) — also
+    if it never drafted.  A request re-admitted elsewhere gets a new key.
     """
 
-    def propose(self, request_id: int, tokens: np.ndarray, max_tokens: int) -> np.ndarray:
+    def propose(self, key: int, tokens: np.ndarray, max_tokens: int) -> np.ndarray:
         """Return up to ``max_tokens`` draft tokens continuing ``tokens``."""
         ...
 
-    def release(self, request_id: int) -> None:
-        """Drop any per-request drafting state."""
+    def release(self, key: int, tokens: np.ndarray) -> None:
+        """The request ``key`` left its scheduler with ``tokens`` committed: drop or retire its state."""
         ...
 
 
 class PromptLookupDraft:
-    """N-gram prompt-lookup drafting: propose what followed the suffix before.
+    """Prompt-lookup drafting: propose what followed the request's context before.
 
-    The longest suffix n-gram of the sequence (``max_ngram`` down to
-    ``min_ngram`` tokens) is searched for its most recent earlier
-    occurrence; the tokens that followed that occurrence become the draft.
-    Matching runs over the *whole* committed sequence — prompt and generated
-    tokens alike — so both extractive prompts (the continuation copies
-    prompt spans) and repetitive generations (the continuation re-enters its
-    own earlier output) draft well.  Costs one scan for the suffix's last
-    token plus a few gathers over its hits, no model.
+    The drafter keeps every committed sequence it is asked to extend, live
+    and retired, in one store, and drafts the continuation of the *longest
+    matching context* in it.  Two kinds of match compete:
+
+    * the request's own sequence: the longest suffix n-gram (``max_ngram``
+      down to ``min_ngram`` tokens) with an earlier occurrence — the most
+      recent one with a full draft's worth of continuation after it, else
+      the earliest (whose continuation is the longest).  Extractive prompts
+      (the continuation copies prompt spans) and repetitive generations
+      (the continuation re-enters its own earlier output) draft this way;
+    * any other stored sequence — a request served before, or one running
+      beside it — that ends the same
+      :data:`~repro.serve.lookup.SUFFIX_KEY` tokens somewhere: a request
+      that repeats an earlier one drafts its whole answer.
+
+    Each match's context is how far back (up to 64 tokens) its occurrence
+    agrees with the request; the longer wins, the request's own sequence on
+    ties.  A lookup is two dict probes (the own n-gram, the window) plus a
+    backward extension over at most 32 recent sites — no scan — and a match
+    in another sequence is followed while the request commits what it
+    predicted, with no probe at all.  Retired sequences are kept up to
+    :data:`~repro.serve.lookup.RETIRED_TOKENS` tokens, oldest dropped
+    first; one that another stored sequence holds from its start is not
+    kept twice.  So draft lengths (never tokens: verification commits each
+    request's own sampling rule) depend on what the drafter served before.
+    The store is :class:`~repro.serve.lookup.SequenceStore`.
 
     Parameters
     ----------
     max_ngram : int
-        Longest suffix n-gram tried first (longer matches give more
-        trustworthy continuations).
+        Longest suffix n-gram of the request's own sequence tried first
+        (longer matches give more trustworthy continuations).
     min_ngram : int
-        Shortest n-gram worth matching before giving up.  The default of 2
-        deliberately skips unigram matches: on non-repetitive text they
+        Shortest own n-gram worth matching before giving up.  The default
+        of 2 deliberately skips unigram matches: on non-repetitive text they
         fire constantly with near-zero accept rates, paying verification
         width for nothing, while any genuinely repeating run still matches
         at bigram length.
@@ -111,44 +137,20 @@ class PromptLookupDraft:
         self.min_ngram = require_count("min_ngram", min_ngram, 1)
         if self.min_ngram > self.max_ngram:
             raise ConfigurationError(f"need min_ngram <= max_ngram, got {self.min_ngram} > {self.max_ngram}")
+        # The store's code loads with the first drafter, so a process that
+        # builds none allocates none of it: import-time allocations move the
+        # garbage collector's schedule for everything that runs after them.
+        from repro.serve.lookup import SequenceStore
 
-    def propose(self, request_id: int, tokens: np.ndarray, max_tokens: int) -> np.ndarray:
-        """Draft the continuation of the most recent suffix n-gram match.
+        self._store = SequenceStore(self.min_ngram, self.max_ngram)
 
-        An earlier occurrence of the suffix n-gram must end on the suffix's
-        last token, so only those positions are candidates; each longer
-        n-gram keeps the candidates whose preceding token matches too.  The
-        longest n-gram that still has a candidate wins, as if every window
-        of every length had been compared.
-        """
-        tokens = np.asarray(tokens, dtype=np.int64).reshape(-1)
-        length = len(tokens)
-        if max_tokens < 1 or length < self.min_ngram + 1:
-            return np.empty(0, dtype=np.int64)
-        # Where an occurrence of the suffix could end (the suffix itself excluded).
-        ends = np.flatnonzero(tokens[:-1] == tokens[-1])
-        matched = None
-        for ngram in range(1, min(self.max_ngram, length - 1) + 1):
-            if ngram > 1:
-                ends = ends[ends >= ngram - 1]
-                ends = ends[tokens[ends - (ngram - 1)] == tokens[length - ngram]]
-            if not len(ends):
-                break
-            if ngram >= self.min_ngram:
-                matched = ends
-        if matched is None:
-            return np.empty(0, dtype=np.int64)
-        # Prefer the most recent occurrence that still has a full draft's
-        # worth of continuation after it (recent context drafts best); fall
-        # back to the earliest occurrence, whose continuation is the longest
-        # available.
-        starts = matched + 1
-        full = starts[length - starts >= max_tokens]
-        start = int(full[-1]) if len(full) else int(starts[0])
-        return tokens[start : start + max_tokens].copy()
+    def propose(self, key: int, tokens: np.ndarray, max_tokens: int) -> np.ndarray:
+        """Store ``tokens`` as ``key``'s sequence; draft the continuation of its longest matching context."""
+        return self._store.propose(key, tokens, max_tokens)
 
-    def release(self, request_id: int) -> None:
-        """No per-request state to drop (lookup is stateless)."""
+    def release(self, key: int, tokens: np.ndarray) -> None:
+        """Retire ``key``'s sequence, grown to ``tokens``; drop the oldest retired past ``RETIRED_TOKENS``."""
+        self._store.release(key, tokens)
 
 
 class ModelDraft:
@@ -156,13 +158,15 @@ class ModelDraft:
 
     Any :class:`~repro.models.inference.TransformerRunner` works as the
     drafter — typically a cheaper stand-in for the target such as a
-    truncated-layer copy (:meth:`truncated`).  Per request the drafter keeps
-    a one-slot :class:`~repro.serve.paged_kv_cache.PagedKVCache` reserved at
+    truncated-layer copy (:meth:`truncated`).  Per request key the drafter
+    keeps a one-slot :class:`~repro.serve.paged_kv_cache.PagedKVCache` reserved at
     ``max_seq_len`` (seen through its view) plus the token history that
     cache covers; each :meth:`propose` call first
     reconciles that history against the committed sequence (rolling back
     drafts the target rejected, prefilling tokens the target added) and
-    then greedily decodes the requested number of draft tokens.
+    then greedily decodes the requested number of draft tokens.  The state
+    outlives a preemption (the resumed request catches up on what it
+    committed since, nothing more) and goes at :meth:`release`.
 
     Draft *quality* only affects the accept rate, never correctness: the
     target's verification commits exactly the tokens its own sampling rule
@@ -176,6 +180,7 @@ class ModelDraft:
 
     def __init__(self, runner: TransformerRunner) -> None:
         self.runner = runner
+        #: Per key: the request's one-slot view and the tokens its cache covers.
         self._states: Dict[int, Tuple[SlotBatchView, np.ndarray]] = {}
 
     @classmethod
@@ -220,7 +225,7 @@ class ModelDraft:
         )
         return cls(TransformerRunner(draft_weights))
 
-    def propose(self, request_id: int, tokens: np.ndarray, max_tokens: int) -> np.ndarray:
+    def propose(self, key: int, tokens: np.ndarray, max_tokens: int) -> np.ndarray:
         """Greedily decode up to ``max_tokens`` draft tokens after ``tokens``."""
         tokens = np.asarray(tokens, dtype=np.int64).reshape(-1)
         # Drafting past the draft model's own max_seq_len is impossible; the
@@ -228,7 +233,7 @@ class ModelDraft:
         max_tokens = min(int(max_tokens), self.runner.config.max_seq_len - len(tokens))
         if max_tokens < 1 or len(tokens) < 2:
             return np.empty(0, dtype=np.int64)
-        state = self._states.get(request_id)
+        state = self._states.get(key)
         if state is None:
             pool = PagedKVCache.for_model(self.runner.config, 1)
             cache = pool.view([pool.reserve(self.runner.config.max_seq_len)])
@@ -261,12 +266,12 @@ class ModelDraft:
             next_token = int(np.argmax(logits[0]))
             draft.append(next_token)
         proposal = np.array(draft, dtype=np.int64)
-        self._states[request_id] = (cache, np.concatenate([tokens, proposal[:-1]]))
+        self._states[key] = (cache, np.concatenate([tokens, proposal[:-1]]))
         return proposal
 
-    def release(self, request_id: int) -> None:
+    def release(self, key: int, tokens: np.ndarray) -> None:
         """Drop the request's draft-model cache."""
-        self._states.pop(request_id, None)
+        self._states.pop(key, None)
 
 
 @dataclass(frozen=True)
@@ -277,8 +282,11 @@ class SpecConfig:
     within ``[min_draft, max_draft]`` by an exponential moving average of
     its own accept rate: a request whose drafts keep landing speculates
     deeper, one whose drafts keep missing falls back toward plain decode.
-    Adaptation is per request and deterministic, so outputs never depend on
-    what a request was batched with.
+    Adaptation is per request and deterministic, so a request's tokens (and,
+    for Tender, the logits behind them) never depend on what it was batched
+    with.  Its draft lengths and ``spec_*`` counters may: a drafter that
+    reads other sequences (:class:`PromptLookupDraft`) drafts from whatever
+    it served before and beside the request.
 
     Parameters
     ----------

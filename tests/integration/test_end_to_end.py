@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -105,3 +110,18 @@ class TestZooPipeline:
         )
         assert evaluate_perplexity(tender, eval_tokens, 64, 4) < fp_ppl * 1.06
         assert fp_ppl < 200  # the zoo model genuinely learned the corpus
+
+
+class TestExamples:
+    def test_serve_speculative_runs_and_both_drafters_keep_parity(self):
+        """The speculative-serving tour end to end: it exits 0 and prints both parity lines."""
+        root = Path(__file__).resolve().parents[2]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        result = subprocess.run(
+            [sys.executable, str(root / "examples" / "serve_speculative.py")],
+            capture_output=True, text=True, cwd=root, env=env, timeout=600,
+        )  # fmt: skip
+        assert result.returncode == 0, result.stdout + result.stderr
+        lines = result.stdout.splitlines()
+        for drafter in ("prompt lookup", "model draft"):
+            assert any(line.startswith(drafter) and line.endswith("(parity OK)") for line in lines), result.stdout

@@ -233,7 +233,7 @@ class TestSchedulerLifecycle:
             def propose(self, request_id, tokens, max_tokens):
                 return np.full(max_tokens, tokens[-1])
 
-            def release(self, request_id):
+            def release(self, request_id, tokens):
                 pass
 
         tracer = Tracer(clock=CountingClock())

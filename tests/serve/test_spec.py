@@ -32,10 +32,13 @@ from repro.serve import (
     ModelDraft,
     PagedKVCache,
     PromptLookupDraft,
+    ReplicaPool,
     Scheduler,
     SpecConfig,
     generate,
 )
+from repro.serve import lookup
+from repro.serve.lookup import SUFFIX_KEY
 from repro.serve.spec import _SpecState
 
 
@@ -109,6 +112,28 @@ def serve_all(runner, prompts, config, *, speculation=None, **kwargs):
         scheduler.submit(prompt)
     outputs = {output.request_id: output for output in scheduler.run()}
     return outputs, scheduler
+
+
+class RecordingDraft:
+    """Forward to ``inner``, recording every key, the prompt it arrived with and each release."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.prompts, self.lengths, self.released, self.calls = {}, {}, [], []
+        self.current = None
+
+    def propose(self, key, tokens, max_tokens):
+        self.current = key
+        self.calls.append(("propose", key))
+        self.prompts.setdefault(key, set()).add(np.asarray(tokens)[:8].tobytes())
+        self.lengths.setdefault(key, []).append(len(tokens))
+        return self.inner.propose(key, tokens, max_tokens)
+
+    def release(self, key, tokens):
+        self.calls.append(("release", key))
+        self.released.append(key)
+        self.lengths.setdefault(key, []).append(len(tokens))
+        self.inner.release(key, tokens)
 
 
 # ----------------------------------------------------------------------
@@ -211,6 +236,95 @@ class TestPromptLookupDraft:
         assert drafter.propose(0, tokens, max_tokens).tolist() == expected.tolist()
 
 
+class TestSequenceStore:
+    """``PromptLookupDraft`` drafts from every sequence it stored, its own first on ties."""
+
+    @staticmethod
+    def distinct(start, count):
+        return np.arange(start, start + count, dtype=np.int64)
+
+    def test_an_identical_earlier_sequence_drafts_its_continuation(self):
+        drafter = PromptLookupDraft()
+        earlier = self.distinct(100, 40)  # no token repeats: the request's own lookup finds nothing
+        assert drafter.propose(1, earlier, 8).size == 0
+        assert drafter.propose(2, earlier[:20], 8).tolist() == earlier[20:28].tolist(), "a live sequence drafts too"
+        drafter.release(1, earlier)
+        assert drafter.propose(3, earlier[:30], 6).tolist() == earlier[30:36].tolist()
+        assert drafter.propose(4, earlier[:SUFFIX_KEY - 1], 6).size == 0, "shorter than the suffix key"
+        assert drafter.propose(5, earlier[-SUFFIX_KEY:], 6).size == 0, "the sequence's end has no continuation"
+
+    def test_a_shorter_foreign_match_loses_to_the_requests_own_match(self):
+        block, own_next, foreign_next = self.distinct(0, 20), self.distinct(50, 10), self.distinct(80, 10)
+        request = np.concatenate([block, own_next, block])  # its own occurrence shares all of ``block``
+        drafter = PromptLookupDraft()
+        stored = (
+            np.concatenate([self.distinct(200, 5), block[-SUFFIX_KEY:], foreign_next]),  # the suffix key only
+            np.concatenate([block, foreign_next]),  # as much context as the own occurrence: a tie
+            np.concatenate([own_next, block, foreign_next]),  # more context
+        )
+        for key, sequence in enumerate(stored):
+            drafter.release(key, sequence)
+            expected = own_next if key < 2 else foreign_next
+            assert drafter.propose(10 + key, request, 4).tolist() == expected[:4].tolist(), f"after {key + 1} stored"
+
+    def test_retired_sequences_are_kept_up_to_the_bound_oldest_first(self, monkeypatch):
+        monkeypatch.setattr(lookup, "RETIRED_TOKENS", 60)
+        drafter = PromptLookupDraft()
+        sequences = [self.distinct(100 * i, 25) for i in range(4)]
+        for key, sequence in enumerate(sequences):
+            drafter.release(key, sequence)  # a sequence that never drafted is stored all the same
+        assert drafter._store._retired_tokens == 50 and len(drafter._store._retired) == 2
+        for key, sequence in enumerate(sequences):
+            draft = drafter.propose(10 + key, sequence[:12], 4).tolist()
+            assert draft == (sequence[12:16].tolist() if key >= 2 else []), f"sequence {key}"
+
+    def test_a_sequence_another_holds_from_its_start_is_not_kept_twice(self):
+        drafter = PromptLookupDraft()
+        full = self.distinct(0, 30)
+        drafter.propose(1, full[:12], 4)
+        drafter.release(1, full[:20])
+        drafter.release(2, full)  # the longer copy replaces the retired prefix ...
+        drafter.release(3, full[:25])  # ... and a prefix of it adds nothing
+        assert [len(sequence.tokens) for sequence in drafter._store._retired] == [30]
+        assert sum(map(len, drafter._store._sites.values())) == 2 * (30 - SUFFIX_KEY), "one site per window"
+
+    def test_a_request_that_restarts_its_key_is_stored_afresh(self):
+        drafter = PromptLookupDraft()
+        first, second = self.distinct(0, 20), self.distinct(40, 20)
+        drafter.propose(1, first, 4)
+        drafter.propose(1, second, 4)
+        assert drafter.propose(2, first[:10], 4).size == 0
+        assert drafter.propose(3, second[:10], 4).tolist() == second[10:14].tolist()
+
+    def test_a_preempted_requests_history_survives(self, runners, prompts):
+        """A preempted request stays a live sequence of the store: its history is not retired."""
+        drafter = PromptLookupDraft()
+        scheduler = Scheduler(
+            runners["tender-implicit"],
+            GenerationConfig(max_new_tokens=10),
+            max_batch_size=2,
+            block_size=8,
+            prefix_cache=True,
+            preemption=True,
+            speculation=SpecConfig(drafter=drafter),
+        )
+        preempt, survived = scheduler._preempt, []
+
+        def watched(record):
+            before = drafter._store._live.get(record.draft_key)
+            preempt(record)
+            if before is not None:  # it had drafted before it was preempted
+                survived.append(drafter._store._live.get(record.draft_key) is before)
+
+        scheduler._preempt = watched
+        urgent = len(prompts) - 1  # arrives at tick 3 and preempts
+        for index, prompt in enumerate(prompts):
+            scheduler.submit(prompt, priority=int(index != urgent), arrival_time=3.0 if index == urgent else 0.0)
+        outputs = scheduler.run()
+        assert survived and all(survived)
+        assert not drafter._store._live and len(outputs) == len(prompts)
+
+
 class TestModelDraft:
     def test_proposals_match_fresh_greedy_decode(self, runners, paged_view):
         """Cached catch-up must equal drafting from scratch every time."""
@@ -293,7 +407,7 @@ class TestModelDraft:
         assert view._paged.active_slots == view.slot_ids and history[:5].tolist() == [0, 1, 2, 3, 4]
         assert view._paged.capacity_of(view.slot_ids[0]) == runners["float"].config.max_seq_len
         assert view._paged.free_block_count == 0, "one slot at max_seq_len is the whole pool"
-        drafter.release(3)
+        drafter.release(3, np.arange(6))
         assert not drafter._states
 
     def test_truncated_copy_shares_weights(self, runners):
@@ -319,7 +433,7 @@ class TestModelDraft:
         drafter = ModelDraft(runners["float"])
         drafter.propose(3, np.array([1, 2, 3, 4]), 2)
         assert 3 in drafter._states
-        drafter.release(3)
+        drafter.release(3, np.array([1, 2, 3, 4, 5]))
         assert 3 not in drafter._states
 
 
@@ -802,25 +916,51 @@ class TestSpeculativeScheduling:
         rate = scheduler.stats.spec_accept_rate()
         assert 0.0 <= rate <= 1.0
 
-    def test_drafter_released_per_request(self, runners, prompts):
+    def test_drafter_released_once_per_request(self, runners, prompts):
         runner = runners["tender-implicit"]
-
-        class RecordingDrafter(PromptLookupDraft):
-            def __init__(self):
-                super().__init__()
-                self.released = []
-
-            def release(self, request_id):
-                self.released.append(request_id)
-
-        drafter = RecordingDrafter()
+        drafter = RecordingDraft(PromptLookupDraft())
         outputs, _ = serve_all(
             runner,
             prompts,
             GenerationConfig(max_new_tokens=6),
             speculation=SpecConfig(drafter=drafter),
         )
-        assert sorted(drafter.released) == sorted(outputs)
+        assert len(outputs) == len(drafter.released) == len(set(drafter.released))
+        assert set(drafter.prompts) <= set(drafter.released)
+
+    @pytest.mark.parametrize(
+        "make", [lambda runner: PromptLookupDraft(), lambda runner: ModelDraft.truncated(runner, 1)], ids=["lookup", "model"]
+    )
+    def test_a_preempted_request_keeps_its_draft_state(self, runners, prompts, make):
+        """Preemption vacates a slot without leaving the scheduler: no release, no draft re-prefill."""
+        runner = runners["tender-implicit"]
+        drafter = RecordingDraft(make(runner))
+        prefilled = {}
+        if isinstance(drafter.inner, ModelDraft):
+            prefill = drafter.inner.runner.prefill
+
+            def counted_prefill(tokens, lengths, *args, **kwargs):
+                prefilled[drafter.current] = prefilled.get(drafter.current, 0) + int(np.sum(lengths))
+                return prefill(tokens, lengths, *args, **kwargs)
+
+            drafter.inner.runner.prefill = counted_prefill
+        outputs, scheduler = TestRaggedVerifyLattice.serve(
+            runner,
+            prompts,
+            GenerationConfig(max_new_tokens=10),
+            speculation=SpecConfig(drafter=drafter, draft_tokens=3, max_draft=6),
+            preemption=True,
+            prefix_cache=True,
+            max_batch_size=2,
+        )
+        assert scheduler.stats.preemptions > 0
+        assert len(outputs) == len(drafter.released) == len(set(drafter.released))
+        last = {key: kind for kind, key in drafter.calls}
+        assert set(last.values()) == {"release"}, "a request drafted after its release"
+        longest = {key: max(lengths) for key, lengths in drafter.lengths.items()}
+        for key, rows in prefilled.items():
+            assert rows <= longest[key] - 1, f"request {key} re-prefilled its draft cache"
+
 
     def test_speculation_never_writes_past_reservation(self, runners, prompts):
         """Tight budgets exercise each row's own draft cap at every remaining count.
@@ -881,6 +1021,65 @@ class TestSpeculativeScheduling:
         for reference, produced in zip(baseline, result):
             assert np.array_equal(reference.generated, produced.generated)
             assert np.array_equal(reference.step_logits, produced.step_logits)
+
+
+class TestCrossRequestDrafting:
+    """One drafter across requests and a pool's replicas moves draft lengths, never outputs."""
+
+    @staticmethod
+    def serve(runner, prompts, config, replicas, speculation=None):
+        options = dict(max_batch_size=2, block_size=8, speculation=speculation)
+        engine = ReplicaPool(runner, replicas, config, **options) if replicas else Scheduler(runner, config, **options)
+        for index, prompt in enumerate(prompts):
+            engine.submit(prompt, arrival_time=float(3 * index))
+        return {output.request_id: output for output in engine.run()}, engine
+
+    @pytest.mark.parametrize("replicas", [0, 2])
+    @pytest.mark.parametrize("top_k", [0, 4])
+    @pytest.mark.parametrize("name", ["float", "tender-implicit", "tender-explicit"])
+    def test_outputs_equal_the_speculation_off_serve(self, runners, prompts, name, top_k, replicas):
+        runner = runners[name]
+        config = GenerationConfig(max_new_tokens=12, top_k=top_k, temperature=0.8, seed=5)
+        repeated = [prompts[i] for i in (0, 1, 0, 2, 1, 3, 0)]  # later copies draft from earlier ones
+        baseline, _ = self.serve(runner, repeated, config, replicas)
+        drafter = RecordingDraft(PromptLookupDraft())
+        outputs, engine = self.serve(runner, repeated, config, replicas, SpecConfig(drafter=drafter, max_draft=8))
+        assert len(drafter.released) == len(set(drafter.released)) == len(repeated)
+        assert engine.stats.spec_proposed_tokens > 0
+        for request_id, reference in baseline.items():
+            produced = outputs[request_id]
+            assert np.array_equal(reference.generated, produced.generated), f"request {request_id}"
+            if name != "float":
+                assert np.array_equal(reference.step_logits, produced.step_logits), f"request {request_id}"
+
+    def test_a_repeated_prompt_drafts_its_whole_answer(self, runners, prompts):
+        runner = runners["tender-implicit"]
+        config = GenerationConfig(max_new_tokens=16)
+        scheduler = Scheduler(runner, config, speculation=SpecConfig(PromptLookupDraft()))
+        scheduler.submit(prompts[0])
+        scheduler.submit(prompts[0], arrival_time=100.0)  # after the first has retired
+        again = {output.request_id: output for output in scheduler.run()}[1]
+        # Prefill samples 1 token; verifies of 4, 5 and 3 drafts (the draft length grows
+        # on every full accept, the budget caps the last) commit 5 + 6 + 4 more.
+        assert again.spec_proposed_tokens == again.spec_accepted_tokens == 4 + 5 + 3
+        assert again.finished_at - again.first_token_at == 3
+
+    def test_replicas_sharing_a_drafter_never_read_each_others_state(self, runners, corpus_splits):
+        """Replica-local request ids restart at 0: the drafter must tell their requests apart."""
+        runner = runners["tender-implicit"]
+        train_tokens, _ = corpus_splits
+        distinct = [train_tokens[40 * i : 40 * i + 9 + i] for i in range(6)]
+        config = GenerationConfig(max_new_tokens=6)
+        baseline, _ = self.serve(runner, distinct, config, 2)
+        drafter = RecordingDraft(ModelDraft.truncated(runner, 1))
+        speculation = SpecConfig(drafter=drafter, draft_tokens=2, max_draft=4)
+        outputs, pool = self.serve(runner, distinct, config, 2, speculation)
+        assert all(replica.scheduler.stats.generated_tokens for replica in pool.replicas), "one replica took all"
+        assert len(drafter.prompts) == len(distinct)
+        assert all(len(seen) == 1 for seen in drafter.prompts.values()), "a key saw two requests' sequences"
+        assert sorted(drafter.released) == sorted(drafter.prompts)
+        for request_id, reference in baseline.items():
+            assert np.array_equal(reference.step_logits, outputs[request_id].step_logits)
 
 
 class TestRaggedVerifyLattice:

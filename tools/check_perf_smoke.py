@@ -497,6 +497,20 @@ def _mixed_extractive(runner):
     return workloads.extractive_trace(runner, budgets=(16, 5, 9, 12, 7, 3))
 
 
+def _repeated(runner):
+    """One prompt, then the same prompt again once the first has retired."""
+    [first] = workloads.unshared_trace((24,))
+    return [first, dataclasses.replace(first, arrival_time=100.0)]
+
+
+def _repeat(fields, run):
+    """The repeat's own drafts and decode forwards (it decodes alone: one tick per forward)."""
+    again = run.var.outputs[1]
+    fields["repeat_decode_iterations"] = int(again.finished_at - again.first_token_at)
+    fields["repeat_spec_proposed_tokens"] = again.spec_proposed_tokens
+    fields["repeat_accept_rate"] = again.spec_accepted_tokens / again.spec_proposed_tokens
+
+
 def _templated(runner):
     return workloads.templated_trace(23)
 
@@ -580,6 +594,15 @@ SCENARIOS = (
             decode_rows_vs_plain=fields["decode_rows"] / fields["base.decode_rows"]
         ),
     ),
+    Scenario(
+        "a repeated prompt drafts its whole answer", TENDER, _repeated, SPEC, {}, dict(speculation="lookup"),
+        # The first request's sequence is the repeat's answer: verifies of 4, 5 and 3 drafts
+        # (the draft length grows on every full accept, the 16-token budget caps the last)
+        # commit 5 + 6 + 4 tokens after the prefill's one.  Tokens and logits equal plain decode's.
+        (("repeat_decode_iterations", "==", 3), ("repeat_spec_proposed_tokens", "==", 4 + 5 + 3),
+         ("repeat_accept_rate", "==", 1.0)),
+        _repeat,
+    ),  # fmt: skip
     Scenario(
         "ragged verify", ("periodic",), _mixed_extractive, dict(SPEC, max_batch_size=4),
         {}, dict(speculation="lookup"),
